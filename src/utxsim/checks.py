@@ -151,8 +151,9 @@ def distinguish(real, ideal, test_bound: int = frames.TEST_BOUND,
     verdict = frames.static_equiv(real.frame, ideal.frame,
                                   test_bound=test_bound, pool_cap=pool_cap)
     if verdict:
+        capped = " capped=1" if verdict.capped else ""
         return Verdict("distinguish", "bounded-pass",
-                       f"bound={test_bound} tests={verdict.tests}")
+                       f"bound={test_bound} tests={verdict.tests}{capped}")
     return Verdict("distinguish", "violated", verdict.describe())
 
 

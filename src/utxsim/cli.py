@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import checks, concrete, frames, harness
+from . import terms as T
 from .strategies import builtin_strategies
 
 
@@ -83,43 +84,48 @@ def parse_scenario_text(text: str) -> harness.Scenario:
     fields: dict = {"terminals": [], "card_windows": [], "schedule": []}
     opts: dict = {}
     flags = {"on": True, "off": False, "true": True, "false": False}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *args = line.split()
-        if key == "terminal":
-            month = None if len(args) < 2 or args[1] == "." else int(args[1])
-            fields["terminals"].append((args[0], month))
-        elif key == "card_window":
-            fields["card_windows"].append(tuple(int(a) for a in args))
-        elif key == "schedule":
-            fields["schedule"] = [tuple(int(x) for x in a.split(":"))
-                                  for a in args]
-        elif key == "issue_months":
-            fields["issue_months"] = tuple(int(a) for a in args)
-        elif key == "wrong_pin":
-            opts["wrong_pin_sessions"] = tuple(int(a) for a in args)
-        elif key in ("replay_check", "terminal_cert_check", "leak_pin",
-                     "contact"):
-            val = flags[args[0]]
-            opts[{"replay_check": "replay_check",
-                  "terminal_cert_check": "terminal_checks_month_cert",
-                  "leak_pin": "pin_leaked",
-                  "contact": "contact"}[key]] = val
-        elif key == "leak_chi":
-            opts["chi_leaked"] = int(args[0])
-        elif key == "strategy":
-            fields["strategy"] = args[0]
-            if len(args) > 1:
-                fields["strategy_arg"] = int(args[1])
-        elif key in ("cards", "sessions", "seed", "current_month", "horizon",
-                     "max_steps"):
-            fields[key] = int(args[0])
-        elif key in ("protocol", "world"):
-            fields[key] = args[0]
-        else:
-            raise harness.ScenarioInvalid(f"unknown scenario key {key!r}")
+        try:
+            if key == "terminal":
+                month = (None if len(args) < 2 or args[1] == "."
+                         else int(args[1]))
+                fields["terminals"].append((args[0], month))
+            elif key == "card_window":
+                fields["card_windows"].append(tuple(int(a) for a in args))
+            elif key == "schedule":
+                fields["schedule"] = [tuple(int(x) for x in a.split(":"))
+                                      for a in args]
+            elif key == "issue_months":
+                fields["issue_months"] = tuple(int(a) for a in args)
+            elif key == "wrong_pin":
+                opts["wrong_pin_sessions"] = tuple(int(a) for a in args)
+            elif key in ("replay_check", "terminal_cert_check", "leak_pin",
+                         "contact"):
+                val = flags[args[0]]
+                opts[{"replay_check": "replay_check",
+                      "terminal_cert_check": "terminal_checks_month_cert",
+                      "leak_pin": "pin_leaked",
+                      "contact": "contact"}[key]] = val
+            elif key == "leak_chi":
+                opts["chi_leaked"] = int(args[0])
+            elif key == "strategy":
+                fields["strategy"] = args[0]
+                if len(args) > 1:
+                    fields["strategy_arg"] = int(args[1])
+            elif key in ("cards", "sessions", "seed", "current_month",
+                         "horizon", "max_steps"):
+                fields[key] = int(args[0])
+            elif key in ("protocol", "world"):
+                fields[key] = args[0]
+            else:
+                raise harness.ScenarioInvalid(f"unknown scenario key {key!r}")
+        except (ValueError, IndexError, KeyError):
+            raise harness.ScenarioInvalid(
+                f"bad scenario line {lineno}: {line!r}") from None
     for k in ("terminals", "card_windows", "schedule"):
         fields[k] = tuple(fields[k])
     if not fields["terminals"]:
@@ -305,7 +311,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (harness.ScenarioInvalid, FileNotFoundError) as e:
+    except (harness.ScenarioInvalid, T.MalformedTerm, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

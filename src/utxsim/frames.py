@@ -15,9 +15,13 @@ building blocks with constructors; it is sound (returned recipes evaluate
 to the target) and complete only up to the size bound.
 
 static_equiv() enumerates candidate recipes breadth-first from saturated
-building blocks, evaluates each in both frames, and maintains a partial
-bijection between the two value spaces; the first inconsistency is a
-distinguishing equality test. A pass is a bounded guarantee, never a proof.
+building blocks and maintains a partial bijection between the two frames'
+value spaces; the first inconsistency is a distinguishing equality test. Only
+the level-0 seeds are evaluated by substitution; every composed candidate's
+image in each frame is normalized from its root over its parts' stored images,
+which gives the same normal form because normal forms are fixpoints. A pass is
+a bounded guarantee, never a proof; it also says when the pool cap, not the
+bound, ended the search.
 
 Frames are immutable values and every operation here is pure, so searches
 over different frames can run in parallel; within one search, enumeration
@@ -296,6 +300,7 @@ def _smult_cost(sat: Saturated, t: Term, memo: dict):
 class Equivalent:
     bound: int
     tests: int
+    capped: bool = False   # the pool cap turned away composition material
 
     def __bool__(self):
         return True
@@ -324,25 +329,41 @@ _BINARY = (T.DEC, T.CHECK, T.CHECKV, T.ENC, T.SMULT, T.MULT, T.TUP, T.SIG, T.SIG
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
-    tested; the pool cap only limits which recipes feed further levels."""
+    tested; the pool cap only limits which recipes feed further levels.
+
+    Images are evaluated incrementally: a level-0 seed is substituted and
+    normalized in each frame, and each pool entry keeps both images, so a
+    composed candidate's image is its root over its parts' images,
+    normalized. Normal forms are fixpoints, so this equals evaluating the
+    whole recipe, and the images stay variable-free."""
 
     def __init__(self, fa, fb, pool_cap):
-        self.fa, self.fb = fa, fb
         self.sub_a, self.sub_b = fa.subst(), fb.subst()
         self.pool_cap = pool_cap
+        self.capped = False
         self.by_a: dict = {}
         self.by_b: dict = {}
         self.pool: list = []     # (recipe, size, img_a, img_b)
         self.fresh: list = []    # admissions since the last level cut
         self.tests = 0
 
-    def admit(self, recipe: Term, size: int):
+    def seed(self, recipe: Term):
         try:
             ia = T.apply(self.sub_a, recipe)
             ib = T.apply(self.sub_b, recipe)
         except T.MalformedTerm:
             return None
         if T.free_vars(ia) or T.free_vars(ib):
+            return None
+        return self.admit(recipe, 1, ia, ib)
+
+    def admit(self, recipe: Term, size: int, ta: Term, tb: Term):
+        """Test a candidate whose images in the two frames normalize from
+        ta and tb."""
+        try:
+            ia = T.normalize(ta)
+            ib = T.normalize(tb)
+        except T.MalformedTerm:
             return None
         self.tests += 1
         got = self.by_a.get(ia)
@@ -365,10 +386,13 @@ class _Bijection:
         useful = size <= 1 or (
             op in (T.DEC, T.PROJ, T.CHECK, T.CHECKV)
             and (ia[0] != op or ib[0] != op))
-        if useful and len(self.pool) < self.pool_cap:
-            entry = (recipe, size, ia, ib)
-            self.pool.append(entry)
-            self.fresh.append(entry)
+        if useful:
+            if len(self.pool) < self.pool_cap:
+                entry = (recipe, size, ia, ib)
+                self.pool.append(entry)
+                self.fresh.append(entry)
+            else:
+                self.capped = True
         return None
 
     def cut_level(self):
@@ -419,52 +443,57 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
     bij = _Bijection(fa, fb, pool_cap)
 
     for r in _seed_recipes(sa, sb):
-        verdict = bij.admit(r, 1)
+        verdict = bij.seed(r)
         if verdict is not None:
             return verdict
 
     # decryptability probes: enc(dec(k, u), k) = u tests made explicit
-    enc_rooted = [(r, s) for (r, s, ia, ib) in list(bij.pool)
-                  if ia[0] == T.ENC or ib[0] == T.ENC]
+    enc_rooted = [e for e in bij.pool if e[2][0] == T.ENC or e[3][0] == T.ENC]
     keys = list(bij.pool)
-    for er, es in enc_rooted:
-        for kr, ks, _, _ in keys:
+    for er, es, ea, eb in enc_rooted:
+        for kr, ks, ka, kb in keys:
             size = es + 2 * ks + 2
             if size > test_bound + 3:
                 continue
-            verdict = bij.admit(T.enc(T.dec(kr, er), kr), size)
+            verdict = bij.admit((T.ENC, (T.DEC, kr, er), kr), size,
+                                (T.ENC, (T.DEC, ka, ea), ka),
+                                (T.ENC, (T.DEC, kb, eb), kb))
             if verdict is not None:
                 return verdict
 
     frontier = bij.cut_level()
     while frontier:
-        for r, s, _, _ in frontier:
+        for r, s, a, b in frontier:
             if s + 1 > test_bound:
                 continue
             for op in _UNARY:
-                verdict = bij.admit((op, r), s + 1)
+                verdict = bij.admit((op, r), s + 1, (op, a), (op, b))
                 if verdict is not None:
                     return verdict
             for i in range(1, 5):
-                verdict = bij.admit((T.PROJ, i, r), s + 1)
+                verdict = bij.admit((T.PROJ, i, r), s + 1,
+                                    (T.PROJ, i, a), (T.PROJ, i, b))
                 if verdict is not None:
                     return verdict
         base = list(bij.pool)
-        for r1, s1, _, _ in frontier:
-            for r2, s2, _, _ in base:
-                size = s1 + s2 + 1
+        for e1 in frontier:
+            for e2 in base:
+                size = e1[1] + e2[1] + 1
                 if size > test_bound:
                     continue
                 for op in _BINARY:
                     if op == T.MULT:   # commutative, one direction enough
-                        combos = ((T.MULT, (r1, r2)),)
-                    elif op == T.TUP:
-                        combos = ((T.TUP, (r1, r2)), (T.TUP, (r2, r1)))
+                        orders = ((e1, e2),)
                     else:
-                        combos = ((op, r1, r2), (op, r2, r1))
-                    for cand in combos:
-                        verdict = bij.admit(cand, size)
+                        orders = ((e1, e2), (e2, e1))
+                    for (r1, _, a1, b1), (r2, _, a2, b2) in orders:
+                        if op == T.MULT or op == T.TUP:
+                            verdict = bij.admit((op, (r1, r2)), size,
+                                                (op, (a1, a2)), (op, (b1, b2)))
+                        else:
+                            verdict = bij.admit((op, r1, r2), size,
+                                                (op, a1, a2), (op, b1, b2))
                         if verdict is not None:
                             return verdict
         frontier = bij.cut_level()
-    return Equivalent(test_bound, bij.tests)
+    return Equivalent(test_bound, bij.tests, bij.capped)

@@ -249,34 +249,47 @@ def _tokenize(text: str):
         yield tok
 
 
+def _token(toks: list[str], pos: int) -> str:
+    if pos >= len(toks):
+        raise MalformedTerm("unexpected end of input")
+    return toks[pos]
+
+
+def _index(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise MalformedTerm(f"bad index {tok!r}") from None
+
+
 def _parse_tokens(toks: list[str], pos: int) -> tuple[Term, int]:
-    tok = toks[pos]
+    tok = _token(toks, pos)
     if tok == ")":
         raise MalformedTerm("unexpected ')'")
     if tok != "(":
         return _parse_atom(tok), pos + 1
-    head = toks[pos + 1]
+    head = _token(toks, pos + 1)
     pos += 2
     if head == "gen":
-        if toks[pos] != ")":
+        if _token(toks, pos) != ")":
             raise MalformedTerm("gen takes no arguments")
         return (GEN,), pos + 1
     if head == "mm":
-        k = int(toks[pos])
-        if toks[pos + 1] != ")":
+        k = _index(_token(toks, pos))
+        if _token(toks, pos + 1) != ")":
             raise MalformedTerm("mm takes one index")
         return (CONST, "mm", k), pos + 2
     if head == "proj":
-        idx = int(toks[pos])
+        idx = _index(_token(toks, pos))
         body, pos = _parse_tokens(toks, pos + 1)
-        if toks[pos] != ")":
+        if _token(toks, pos) != ")":
             raise MalformedTerm("proj takes an index and a term")
         return (PROJ, idx, body), pos + 1
     op = _OPS_BY_NAME.get(head)
     if op is None:
         raise MalformedTerm(f"unknown operator {head!r}")
     args = []
-    while toks[pos] != ")":
+    while _token(toks, pos) != ")":
         arg, pos = _parse_tokens(toks, pos)
         args.append(arg)
     pos += 1

@@ -173,3 +173,55 @@ def test_suite_report_rendering():
     assert "expected holds" in lines[1]
     assert lines[-1] == "SUITE demo FAIL"
     assert not rep.ok()
+
+
+def test_distinguish_reports_pool_cap():
+    real, ideal = H.run_paired(scn(sessions=3))
+    capped = C.distinguish(real, ideal, pool_cap=10)
+    assert capped.line() == \
+        "CHECK distinguish bounded-pass bound=6 tests=1850 capped=1"
+    full = C.distinguish(real, ideal)
+    assert full.line() == "CHECK distinguish bounded-pass bound=6 tests=35630"
+
+
+# Rendered reports of the short batteries at seed 0. A change to the search
+# that only makes it faster must leave every verdict, witness and tests=
+# count byte-identical.
+PINNED_SUITES = {
+    "controls": """\
+CHECK bdh-2-session violated (dec (hash (smult $atkn0 ?w4)) ?w5) = (dec (hash (smult $atkn1 ?w7)) ?w8) holds in the first frame only
+CHECK ubdh-2-session bounded-pass bound=6 tests=21232
+CHECK terminal-agrees-card[no-checkv] violated commit#2:TComC@T1 unmatched
+CHECK terminal-agrees-bank-card[no-checkv] holds
+CHECK bank-agrees-terminal-card[no-checkv] holds
+CHECK bank-agrees-card[no-checkv] holds
+CHECK checkv-defends-replay holds
+CHECK terminal-agrees-card[chi-leak] violated commit#0:TComC@T0 unmatched
+CHECK terminal-agrees-bank-card[chi-leak] holds
+CHECK bank-agrees-terminal-card[chi-leak] holds
+CHECK bank-agrees-card[chi-leak] holds
+SUITE controls pass
+""",
+    "multimonth": """\
+CHECK window-matrix holds
+CHECK stale-month-abort holds
+CHECK window-shift holds
+CHECK utxmm[passive] bounded-pass bound=6 tests=21550
+CHECK utxmm[probe_cards] bounded-pass bound=6 tests=35138
+CHECK utxmm[fuzzer] bounded-pass bound=6 tests=19130
+SUITE multimonth pass
+""",
+    "utxl": """\
+CHECK utxl-hypothesis[passive] bounded-pass bound=6 tests=28032
+CHECK utxl-hypothesis[probe_cards] bounded-pass bound=6 tests=30612
+CHECK utxl-hypothesis[pin_probe] bounded-pass bound=6 tests=17748
+CHECK utxl-with-hi-probe violated ok = (proj 2 (dec (hash (smult $atkn1 ?w10)) ?w12)) holds in the first frame only
+SUITE utxl pass
+""",
+}
+
+
+def test_suite_verdicts_pinned():
+    for name, want in PINNED_SUITES.items():
+        got = "".join(line + "\n" for line in C.run_suite(name, seed=0).render())
+        assert got == want, name

@@ -1,6 +1,9 @@
 """CLI behaviour: exit codes, determinism, scenario files, trace checking."""
 
+import pytest
+
 import utxsim.cli as cli
+import utxsim.harness as H
 
 
 def run_cli(capsys, *argv):
@@ -118,3 +121,27 @@ def test_adversarial_trace_roundtrip(tmp_path, capsys):
     assert code == 1
     assert "CHECK terminal-agrees-card violated" in text
     assert "CHECK bank-agrees-card holds" in text
+
+
+def test_truncated_trace_exits_cleanly(tmp_path, capsys):
+    full = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_onhi", "--out", str(full))
+    cut = tmp_path / "cut.txt"
+    cut.write_text(full.read_text()[:300])     # ends inside a BIND term
+    code = cli.main(["check", "--trace", str(cut)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unexpected end of input\n"
+
+
+@pytest.mark.parametrize("line", ["cards x", "strategy", "replay_check maybe"])
+def test_malformed_scenario_line_exits_cleanly(tmp_path, capsys, line):
+    f = tmp_path / "scen.txt"
+    f.write_text(f"protocol utx\n{line}\n")
+    with pytest.raises(H.ScenarioInvalid, match=f"line 2: '{line}'"):
+        cli.parse_scenario_text(f.read_text())
+    code = cli.main(["run", "--scenario", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

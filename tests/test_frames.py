@@ -4,6 +4,7 @@ blind exhaustive recipe enumeration on small frames."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import utxsim.terms as T
 import utxsim.frames as F
@@ -318,3 +319,83 @@ def test_static_equiv_matches_exhaustive_oracle(seed):
         ea = T.apply(fa.subst(), la) == T.apply(fa.subst(), ra)
         eb = T.apply(fb.subst(), la) == T.apply(fb.subst(), ra)
         assert ea != eb, "reported witness does not distinguish"
+
+
+# -- incremental image evaluation ----------------------------------------------
+#
+# The distinguisher evaluates a composed candidate as its root over its
+# parts' stored images, normalized. That is exact only if it agrees with
+# substituting and normalizing the whole recipe, term for term and in which
+# cases MalformedTerm is raised.
+
+_ATOMS = [G, T.OK, T.mm(0), T.name("k"), T.name("m"),
+          T.name("a", "scalar"), T.name("b", "scalar")]
+_PAIRED_OPS = [op for op in F._BINARY if op not in (T.MULT, T.TUP)]
+
+
+def _compound(parts):
+    return st.one_of(
+        st.tuples(st.sampled_from(F._UNARY), parts),
+        st.builds(lambda i, x: (T.PROJ, i, x), st.integers(1, 3), parts),
+        st.builds(lambda op, x, y: (op, x, y),
+                  st.sampled_from(_PAIRED_OPS), parts, parts),
+        st.builds(lambda op, xs: (op, tuple(xs)),
+                  st.sampled_from((T.MULT, T.TUP)),
+                  st.lists(parts, min_size=2, max_size=3)))
+
+
+_images = st.recursive(st.sampled_from(_ATOMS), _compound,
+                       max_leaves=6).map(T.normalize)
+
+
+@st.composite
+def _image_pair(draw):
+    """Two images; in half the draws the first is locked under a key and the
+    second is that key or its public key, so that destructor shapes reduce."""
+    k, m = draw(_images), draw(_images)
+    s = T.name("a", "scalar")
+    locked = st.sampled_from([
+        ((T.ENC, m, k), k), ((T.SIG, k, m), (T.PK, k)),
+        ((T.SIGV, k, m), (T.PKV, k)), ((T.SMULT, s, (T.SIGV, k, m)), (T.PKV, k)),
+    ])
+    a, b = draw(st.one_of(st.tuples(_images, _images), locked))
+    return T.normalize(a), T.normalize(b)
+
+
+def _distinguisher_shapes():
+    """Every candidate shape static_equiv builds, over parts p and q."""
+    for op in F._UNARY:
+        yield lambda p, q, op=op: (op, p)
+        yield lambda p, q, op=op: (op, q)
+    for i in range(1, 5):
+        yield lambda p, q, i=i: (T.PROJ, i, p)
+        yield lambda p, q, i=i: (T.PROJ, i, q)
+    for op in F._BINARY:
+        if op in (T.MULT, T.TUP):
+            yield lambda p, q, op=op: (op, (p, q))
+            yield lambda p, q, op=op: (op, (q, p))
+        else:
+            yield lambda p, q, op=op: (op, p, q)
+            yield lambda p, q, op=op: (op, q, p)
+    yield lambda p, q: (T.ENC, (T.DEC, p, q), p)
+    yield lambda p, q: (T.ENC, (T.DEC, q, p), q)
+
+
+def _outcome(evaluate, t):
+    try:
+        return evaluate(t)
+    except T.MalformedTerm:
+        return "malformed"
+
+
+@given(_image_pair())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_composed_image_equals_recipe_evaluation(pair):
+    a, b = pair
+    sigma = {"w0": a, "w1": b}
+    x, y = T.var("w0"), T.var("w1")
+    for shape in _distinguisher_shapes():
+        want = _outcome(lambda r: T.apply(sigma, r), shape(x, y))
+        got = _outcome(T.normalize, shape(a, b))
+        assert got == want, T.to_text(shape(x, y))
+        assert got == "malformed" or not T.free_vars(got)

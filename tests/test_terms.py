@@ -87,6 +87,9 @@ def test_malformed():
         T.proj(0, M)
     with pytest.raises(T.MalformedTerm):
         T.normalize((T.TUP, (M,)))
+    for text in ("(enc m", "(proj 1", "(", "(mm x)", "(proj one m)"):
+        with pytest.raises(T.MalformedTerm):
+            T.parse(text)
 
 
 def test_out_of_range_projection_is_stuck():
