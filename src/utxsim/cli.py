@@ -311,7 +311,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (harness.ScenarioInvalid, T.MalformedTerm, FileNotFoundError) as e:
+    except (harness.ScenarioInvalid, harness.TraceInvalid, T.MalformedTerm,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

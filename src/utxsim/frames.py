@@ -57,9 +57,6 @@ class Frame:
     def domain(self) -> list[str]:
         return [a for a, _ in self.bindings]
 
-    def image(self, alias: str) -> Term:
-        return dict(self.bindings)[alias]
-
 
 def empty_frame() -> Frame:
     return Frame()

@@ -29,6 +29,10 @@ class ScenarioInvalid(Exception):
     pass
 
 
+class TraceInvalid(Exception):
+    """A trace file line that does not parse; the message names the line."""
+
+
 class StrategyError(Exception):
     """An attacker program tried an action the model forbids."""
 
@@ -139,27 +143,32 @@ def parse_trace(text: str) -> Trace:
     tr = Trace(scenario=Scenario())
     restricted: frozenset = frozenset()
     bindings = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         head, _, rest = line.partition(" ")
-        if head == "REST":
-            restricted = frozenset(rest.split())
-        elif head == "BIND":
-            alias, _, img = rest.partition(" ")
-            bindings.append((alias, T.parse(img)))
-        elif head == "EV":
-            tag, args, sid, role = _split_event(rest)
-            tr.events.append(roles.Event(tag, args, sid, role))
-        elif head == "ABORT":
-            sid, _, reason = rest.partition(" ")
-            tr.aborts.append((sid, reason))
-        elif head == "TARGET":
-            label, _, t = rest.partition(" ")
-            tr.secrets.append((label, T.parse(t)))
-        elif head == "REC":
-            idx, kind, actor, alias, text_ = rest.split("|", 4)
-            tr.records.append(TraceRecord(int(idx), kind, actor, text_, alias))
+        try:
+            if head == "REST":
+                restricted = frozenset(rest.split())
+            elif head == "BIND":
+                alias, _, img = rest.partition(" ")
+                bindings.append((alias, T.parse(img)))
+            elif head == "EV":
+                tag, args, sid, role = _split_event(rest)
+                tr.events.append(roles.Event(tag, args, sid, role))
+            elif head == "ABORT":
+                sid, _, reason = rest.partition(" ")
+                tr.aborts.append((sid, reason))
+            elif head == "TARGET":
+                label, _, t = rest.partition(" ")
+                tr.secrets.append((label, T.parse(t)))
+            elif head == "REC":
+                idx, kind, actor, alias, text_ = rest.split("|", 4)
+                tr.records.append(
+                    TraceRecord(int(idx), kind, actor, text_, alias))
+        except (ValueError, T.MalformedTerm) as e:
+            msg = f"bad trace line {lineno} ({head}): {e}"
+            raise TraceInvalid(msg) from None
     tr.frame = frames.Frame(restricted, tuple(bindings))
     return tr
 

@@ -20,7 +20,6 @@ from typing import Optional
 from . import terms as T
 from .terms import Term
 
-CARD_ABORTS = ("MalformedInput", "BadCertificate", "StaleMonth")
 EVENT_ARITY = {
     "TComC": 6, "TRunBC": 7, "TComBC": 8, "TAccept": 2,
     "CRunB": 1, "CRun": 6,
@@ -36,7 +35,12 @@ class Event:
     role_id: str
 
     def __post_init__(self):
-        assert len(self.args) == EVENT_ARITY[self.tag], self.tag
+        arity = EVENT_ARITY.get(self.tag)
+        if arity is None:
+            raise ValueError(f"unknown event tag {self.tag!r}")
+        if len(self.args) != arity:
+            raise ValueError(f"event {self.tag} takes {arity} arguments, "
+                             f"got {len(self.args)}")
 
 
 @dataclass
@@ -151,15 +155,6 @@ def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
         return StepResult(outputs=[s.emc], done=True)
     s.stage = "C5"
     return StepResult(outputs=[s.emc])
-
-
-def card_step_multimonth(s: CardState, incoming: Term,
-                         fresh: T.FreshNames) -> StepResult:
-    """card_step for cards with the sliding three-month window; same
-    contract, window shifts replace the pointer rule."""
-    if s.window is None:
-        raise ValueError("card has no month window; use card_step")
-    return card_step(s, incoming, fresh)
 
 
 def _month_decision(s: CardState, k: int, fresh: T.FreshNames):

@@ -125,13 +125,25 @@ def test_adversarial_trace_roundtrip(tmp_path, capsys):
 
 def test_truncated_trace_exits_cleanly(tmp_path, capsys):
     full = tmp_path / "tr.txt"
-    run_cli(capsys, "run", "--scenario", "honest_onhi", "--out", str(full))
+    run_cli(capsys, "run", "--scenario", "honest_onhi", "--seed", "0",
+            "--out", str(full))
+    text = full.read_text()
     cut = tmp_path / "cut.txt"
-    cut.write_text(full.read_text()[:300])     # ends inside a BIND term
+    cut.write_text(text[:300])     # ends inside a BIND term
     code = cli.main(["check", "--trace", str(cut)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: unexpected end of input\n"
+    assert captured.err == \
+        "error: bad trace line 10 (BIND): unexpected end of input\n"
+    for n in range(0, len(text), 7):
+        cut.write_text(text[:n])
+        code = cli.main(["check", "--trace", str(cut)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), n
+        if code == 2:
+            assert captured.out == "", n
+            assert captured.err.startswith("error: bad trace line "), n
+            assert captured.err.count("\n") == 1, n
 
 
 @pytest.mark.parametrize("line", ["cards x", "strategy", "replay_check maybe"])

@@ -141,7 +141,7 @@ def oracle_distinguishable(fa, fb, bound):
 def test_extend_gives_distinct_aliases():
     f, (a1, a2) = build([], [G, G])
     assert a1 != a2
-    assert f.image(a1) == f.image(a2) == G
+    assert f.subst()[a1] == f.subst()[a2] == G
 
 
 def test_saturation_opens_encryption_with_known_key():
@@ -183,9 +183,9 @@ def test_derive_self_and_restrictions():
     pin, k = T.name("PIN"), T.name("k")
     f, aliases = build([pin, k], [T.enc(pin, k), k])
     for alias in aliases:
-        r = F.derive(f, f.image(alias), 2)
+        r = F.derive(f, f.subst()[alias], 2)
         assert r is not None
-        assert F.recipe_value(f, r) == f.image(alias)
+        assert F.recipe_value(f, r) == f.subst()[alias]
         assert all(n[1] not in f.restricted for n in T.free_names(r))
 
 
