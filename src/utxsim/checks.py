@@ -5,18 +5,19 @@ correspondences: a commit event must be justified by run events carrying
 the same exchanged messages, and no run event justifies two commits.
 check_secrecy asks the deduction engine for each secret. distinguish runs
 the bounded static-equivalence search over a paired run's final frames.
-run_suite bundles the named experiment batteries with their expected
-verdicts; negative controls are expected to fail and the suite passes only
-when they fail in exactly the advertised way.
+SCENARIOS names the built-in scenarios, and suites() lays out every named
+experiment battery as rows over them, each with its expected verdicts;
+run_suite runs one battery's rows in order. Negative controls are expected
+to fail, and the suite passes only when they fail in exactly the advertised
+way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import frames, harness
+from . import frames, harness, roles, setup_phase
 from . import terms as T
-
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,194 @@ def distinguish(real, ideal, test_bound: int = frames.TEST_BOUND,
     return Verdict("distinguish", "violated", verdict.describe())
 
 
-# -- suites -----------------------------------------------------------------------
+# -- scenarios and suites --------------------------------------------------------
+
+LO, ONHI, OFFHI = ("lo", None), ("onhi", None), ("offhi", None)
+# one card, two sessions at one low-value terminal: the paired-world setup
+_TWO_SESSIONS = dict(sessions=2, schedule=((0, 0), (0, 0)), terminals=(LO,),
+                     replay_check=False)
+_mk = harness.Scenario
+
+SCENARIOS = {
+    "honest_onhi": _mk(terminals=(ONHI,), strategy="passive"),
+    "honest_offhi": _mk(terminals=(OFFHI,), strategy="passive"),
+    "honest_lo": _mk(terminals=(LO,), strategy="passive"),
+    "wrong_pin_offhi": _mk(terminals=(OFFHI,), strategy="passive",
+                           wrong_pin_sessions=(0,)),
+    "mixed_fuzz": _mk(cards=3, sessions=4, strategy="fuzzer",
+                      terminals=(ONHI, OFFHI, LO)),
+    "replay_cryptogram": _mk(terminals=(LO,), strategy="replay_bank_request"),
+    "replay_cryptogram_nocheck": _mk(terminals=(LO,),
+                                     strategy="replay_bank_request",
+                                     replay_check=False),
+    "harvest_cert": _mk(terminals=(LO,), sessions=0, strategy="harvest"),
+    "fake_card_no_checkv": _mk(terminals=(LO, LO), sessions=0,
+                               strategy="fake_card_cert_replay",
+                               terminal_checks_month_cert=False),
+    "chi_leak_fake_card": _mk(terminals=(LO,), sessions=0,
+                              strategy="chi_fake_card", chi_leaked=1),
+    "month_probe_stale": _mk(issue_months=(2,), horizon=4, current_month=2,
+                             terminals=(("lo", 0),), sessions=0,
+                             strategy="month_probe"),
+    "unlink_utx": _mk(strategy="probe_cards", **_TWO_SESSIONS),
+    "bdh_2session": _mk(protocol="bdh", strategy="probe_cards",
+                        **_TWO_SESSIONS),
+    "ubdh_2session": _mk(protocol="ubdh", strategy="probe_cards",
+                         **_TWO_SESSIONS),
+    "utxl_lo": _mk(protocol="utxl", strategy="pin_probe", pin_leaked=True,
+                   contact=False, **_TWO_SESSIONS),
+    "utxl_hi_probe": _mk(protocol="utxl", strategy="pin_probe",
+                         pin_leaked=True, contact=True, **_TWO_SESSIONS),
+    "multimonth_probe": _mk(protocol="utx_multimonth", strategy="probe_cards",
+                            **_TWO_SESSIONS),
+}
+
+
+@dataclass(frozen=True)
+class Row:
+    """One experiment of a battery: a SCENARIOS entry ("" runs nothing) with
+    field overrides, seeded with the suite seed plus ``seed_offset``. Its
+    result is the trace, or for a paired row the distinguish verdict. Each
+    line (property, label, expected) maps the result to verdicts, names them
+    (``{}`` is a verdict's own name) and expects one status of them all or
+    one per verdict."""
+    scenario: str
+    lines: tuple
+    overrides: dict = field(default_factory=dict)
+    seed_offset: int = 0
+    paired: bool = False
+
+
+def _paired(scenario: str, label: str, expected: str, **overrides) -> Row:
+    return Row(scenario, ((_distinguished, label, expected),), overrides,
+               paired=True)
+
+
+def _holds(ok: bool) -> Verdict:
+    return Verdict("", "holds" if ok else "violated")
+
+
+def _distinguished(verdict):
+    return [verdict]
+
+
+def _honest(tr):
+    """Nothing aborted and the terminal authorised the payment."""
+    auths = sum(1 for r in tr.records if r.kind == "output" and r.text == "auth")
+    return [_holds(not tr.aborts and auths >= 1)]
+
+
+def _agreements(tr):
+    return check_all_agreements(tr)
+
+
+def _agreement(i: int):
+    return lambda tr: [check_agreement(tr, CORRESPONDENCES[i])]
+
+
+def _secrecy(tr):
+    return [check_secrecy(tr.frame, tr.secrets)]
+
+
+def _aborted(reason: str):
+    return lambda tr: [_holds(any(r == reason for _, r in tr.aborts))]
+
+
+def _window_matrix(_):
+    """Two-month window: every (pointer, asked month) pair at horizon 3."""
+    fresh = T.FreshNames()
+    auth = setup_phase.make_authority(fresh, horizon=3)
+    ok = True
+    for pointer in range(3):
+        for asked in range(3):
+            card = setup_phase.issue_card(auth, fresh, pointer)
+            outcome = roles._month_decision(card, asked, fresh)
+            if asked >= pointer - 1:
+                ok &= outcome is None and card.pointer == max(pointer, asked)
+            else:
+                ok &= outcome == "StaleMonth"
+    return [_holds(ok)]
+
+
+def _window_shift(_):
+    """Sliding three-month window: shifts forward, refuses a stale month."""
+    fresh = T.FreshNames()
+    auth = setup_phase.make_authority(fresh, horizon=3)
+    card = setup_phase.issue_card_multimonth(auth, fresh, (0, 1, 2))
+    ok = (roles._month_decision(card, 1, fresh) is None
+          and card.window == (0, 1, 2))
+    ok &= roles._month_decision(card, 2, fresh) is None
+    ok &= card.window == (1, 2, 3)
+    ok &= roles._month_decision(card, 0, fresh) == "StaleMonth"
+    return [_holds(ok)]
+
+
+def _checked(tag: str) -> tuple:
+    """The agreement and secrecy lines of a run tagged ``[tag]``."""
+    return ((_agreements, "{}[" + tag + "]", "holds"),
+            (_secrecy, f"secrecy[{tag}]", "holds"))
+
+
+UNLINK_CATALOG = ("passive", "probe_cards", "drop", "replay_bank_request",
+                  "replay_card_reply", "reflect", "harvest", "month_probe")
+# a forged card breaks terminal-agrees-card and nothing else
+_FORGED = ("violated", "holds", "holds", "holds")
+
+
+def suites(sessions: int = 3, n_fuzzers: int = 42) -> dict:
+    """Every battery as its rows, in report order. ``sessions`` and
+    ``n_fuzzers`` shape only the unlinkability battery: the catalog plus
+    that many seeded fuzzers, each against one card's ``sessions``
+    sessions."""
+    unlink = [(name, 0) for name in UNLINK_CATALOG] + \
+        [("fuzzer", k) for k in range(n_fuzzers)]
+    return {
+        "security": [
+            *(Row(f"honest_{m}",
+                  ((_honest, f"honest-{m}", "holds"), *_checked(m)))
+              for m in ("onhi", "offhi", "lo")),
+            *(Row("mixed_fuzz", _checked(f"fuzz{k}"), dict(strategy_arg=k),
+                  seed_offset=k)
+              for k in range(3)),
+            Row("replay_cryptogram",
+                ((_aborted("Replay"), "replay-rejected", "holds"),)),
+            Row("replay_cryptogram_nocheck",
+                ((_agreement(2), "replay-injectivity-break", "violated"),)),
+        ],
+        "controls": [
+            _paired("bdh_2session", "bdh-2-session", "violated"),
+            _paired("ubdh_2session", "ubdh-2-session", "bounded-pass"),
+            Row("fake_card_no_checkv",
+                ((_agreements, "{}[no-checkv]", _FORGED),)),
+            Row("fake_card_no_checkv",
+                ((_agreement(0), "checkv-defends-replay", "holds"),),
+                dict(terminal_checks_month_cert=True)),
+            Row("chi_leak_fake_card", ((_agreements, "{}[chi-leak]", _FORGED),)),
+        ],
+        "unlinkability": [
+            _paired("unlink_utx", f"utx[{name}.{arg}]", "bounded-pass",
+                    sessions=sessions, schedule=((0, 0),) * sessions,
+                    terminals=(LO, ONHI), strategy=name, strategy_arg=arg)
+            for name, arg in unlink],
+        "multimonth": [
+            Row("", ((_window_matrix, "window-matrix", "holds"),)),
+            Row("month_probe_stale",
+                ((_aborted("StaleMonth"), "stale-month-abort", "holds"),)),
+            Row("", ((_window_shift, "window-shift", "holds"),)),
+            *(_paired("multimonth_probe", f"utxmm[{name}]", "bounded-pass",
+                      strategy=name, strategy_arg=arg)
+              for name, arg in (("passive", 0), ("probe_cards", 0),
+                                ("fuzzer", 1))),
+        ],
+        "utxl": [
+            *(_paired("utxl_lo", f"utxl-hypothesis[{name}]", "bounded-pass",
+                      strategy=name)
+              for name in ("passive", "probe_cards", "pin_probe")),
+            # contact-capable (high-value) hardware re-enables PIN probing
+            _paired("utxl_hi_probe", "utxl-with-hi-probe", "violated"),
+        ],
+    }
+
 
 @dataclass
 class Report:
@@ -177,18 +365,13 @@ class Report:
         yield f"SUITE {self.name} {'pass' if self.ok() else 'FAIL'}"
 
 
-def _scn(**kw) -> harness.Scenario:
-    opts = kw.pop("options", {})
-    if isinstance(opts, dict):
-        opts = harness.Options(**opts)
-    return harness.Scenario(options=opts, **kw)
-
-
-def _named(verdict: Verdict, name: str) -> Verdict:
-    return replace(verdict, name=name)
-
-
-def _paired_verdict(sc, test_bound=frames.TEST_BOUND, pool_cap=frames.POOL_CAP):
+def _run_row(row: Row, seed: int, test_bound: int, pool_cap: int):
+    if not row.scenario:
+        return None
+    sc = replace(SCENARIOS[row.scenario], seed=seed + row.seed_offset,
+                 **row.overrides)
+    if not row.paired:
+        return harness.run_scenario(sc)
     try:
         real, ideal = harness.run_paired(sc)
     except harness.AlignmentFailure as e:
@@ -196,188 +379,19 @@ def _paired_verdict(sc, test_bound=frames.TEST_BOUND, pool_cap=frames.POOL_CAP):
     return distinguish(real, ideal, test_bound, pool_cap)
 
 
-def suite_security(seed: int = 0) -> Report:
-    rep = Report("security")
-    for mode in ("onhi", "offhi", "lo"):
-        tr = harness.run_scenario(_scn(
-            cards=1, terminals=((mode, None),), sessions=1,
-            strategy="passive", seed=seed))
-        auths = sum(1 for r in tr.records
-                    if r.kind == "output" and r.text == "auth")
-        ok = not tr.aborts and auths >= 1
-        rep.add(Verdict(f"honest-{mode}", "holds" if ok else "violated"),
-                "holds")
-        for v in check_all_agreements(tr):
-            rep.add(_named(v, f"{v.name}[{mode}]"), "holds")
-        rep.add(_named(check_secrecy(tr.frame, tr.secrets), f"secrecy[{mode}]"),
-                "holds")
-    for k in range(3):
-        tr = harness.run_scenario(_scn(
-            cards=3, terminals=(("onhi", None), ("offhi", None), ("lo", None)),
-            sessions=4, strategy="fuzzer", strategy_arg=k, seed=seed + k))
-        for v in check_all_agreements(tr):
-            rep.add(_named(v, f"{v.name}[fuzz{k}]"), "holds")
-        rep.add(_named(check_secrecy(tr.frame, tr.secrets), f"secrecy[fuzz{k}]"),
-                "holds")
-    # replay protection on and off
-    on = harness.run_scenario(_scn(
-        cards=1, terminals=(("lo", None),), sessions=1,
-        strategy="replay_bank_request", seed=seed))
-    rejected = any(reason == "Replay" for _, reason in on.aborts)
-    rep.add(Verdict("replay-rejected", "holds" if rejected else "violated"),
-            "holds")
-    off = harness.run_scenario(_scn(
-        cards=1, terminals=(("lo", None),), sessions=1,
-        strategy="replay_bank_request", seed=seed,
-        options=dict(replay_check=False)))
-    v = check_agreement(off, CORRESPONDENCES[2])
-    rep.add(_named(v, "replay-injectivity-break"), "violated")
+def run_suite(name: str, seed: int = 0, test_bound: int = frames.TEST_BOUND,
+              pool_cap: int = frames.POOL_CAP, sessions: int = 3,
+              n_fuzzers: int = 42) -> Report:
+    table = suites(sessions, n_fuzzers)
+    if name not in table:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(table)}")
+    rep = Report(name)
+    for row in table[name]:
+        result = _run_row(row, seed, test_bound, pool_cap)
+        for prop, label, expected in row.lines:
+            verdicts = prop(result)
+            if isinstance(expected, str):
+                expected = (expected,) * len(verdicts)
+            for v, exp in zip(verdicts, expected):
+                rep.add(replace(v, name=label.format(v.name)), exp)
     return rep
-
-
-def suite_controls(seed: int = 0, test_bound: int = frames.TEST_BOUND) -> Report:
-    rep = Report("controls")
-    for proto, expected in (("bdh", "violated"), ("ubdh", "bounded-pass")):
-        sc = _scn(protocol=proto, cards=1, sessions=2,
-                  schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
-                  strategy="probe_cards", seed=seed,
-                  options=dict(replay_check=False))
-        rep.add(_named(_paired_verdict(sc, test_bound), f"{proto}-2-session"),
-                expected)
-    # terminal that skips certificate verification
-    tr = harness.run_scenario(_scn(
-        cards=1, terminals=(("lo", None), ("lo", None)), sessions=0,
-        strategy="fake_card_cert_replay", seed=seed,
-        options=dict(terminal_checks_month_cert=False)))
-    for v, expected in zip(check_all_agreements(tr),
-                           ("violated", "holds", "holds", "holds")):
-        rep.add(_named(v, f"{v.name}[no-checkv]"), expected)
-    honest = harness.run_scenario(_scn(
-        cards=1, terminals=(("lo", None), ("lo", None)), sessions=0,
-        strategy="fake_card_cert_replay", seed=seed))
-    v = check_agreement(honest, CORRESPONDENCES[0])
-    rep.add(_named(v, "checkv-defends-replay"), "holds")
-    # leaked month key
-    tr = harness.run_scenario(_scn(
-        cards=1, terminals=(("lo", None),), sessions=0,
-        strategy="chi_fake_card", seed=seed,
-        options=dict(chi_leaked=1)))
-    for v, expected in zip(check_all_agreements(tr),
-                           ("violated", "holds", "holds", "holds")):
-        rep.add(_named(v, f"{v.name}[chi-leak]"), expected)
-    return rep
-
-
-UNLINK_CATALOG = ("passive", "probe_cards", "drop", "replay_bank_request",
-                  "replay_card_reply", "reflect", "harvest", "month_probe")
-
-
-def unlink_strategies(n_fuzzers: int = 42):
-    """The world-agnostic adversary battery: catalog plus seeded fuzzers."""
-    return [(name, 0) for name in UNLINK_CATALOG] + \
-        [("fuzzer", k) for k in range(n_fuzzers)]
-
-
-def suite_unlinkability(seed: int = 0, sessions: int = 3,
-                        test_bound: int = frames.TEST_BOUND,
-                        n_fuzzers: int = 42,
-                        pool_cap: int = frames.POOL_CAP) -> Report:
-    rep = Report("unlinkability")
-    for name, arg in unlink_strategies(n_fuzzers):
-        sc = _scn(cards=1, sessions=sessions,
-                  schedule=tuple((0, 0) for _ in range(sessions)),
-                  terminals=(("lo", None), ("onhi", None)),
-                  strategy=name, strategy_arg=arg, seed=seed,
-                  options=dict(replay_check=False))
-        rep.add(_named(_paired_verdict(sc, test_bound, pool_cap),
-                       f"utx[{name}.{arg}]"), "bounded-pass")
-    return rep
-
-
-def suite_multimonth(seed: int = 0, test_bound: int = frames.TEST_BOUND) -> Report:
-    from . import roles, setup_phase
-    rep = Report("multimonth")
-    # exhaustive two-month window matrix at a small horizon
-    fresh = T.FreshNames()
-    auth = setup_phase.make_authority(fresh, horizon=3)
-    matrix_ok = True
-    for pointer in range(3):
-        for asked in range(3):
-            card = setup_phase.issue_card(auth, fresh, pointer)
-            outcome = roles._month_decision(card, asked, fresh)
-            should_accept = asked in (pointer - 1, pointer) or asked > pointer
-            if should_accept != (outcome is None):
-                matrix_ok = False
-            if outcome is None:
-                expect_ptr = max(pointer, asked)
-                matrix_ok &= card.pointer == expect_ptr
-            elif asked < pointer - 1:
-                matrix_ok &= outcome == "StaleMonth"
-    rep.add(Verdict("window-matrix", "holds" if matrix_ok else "violated"),
-            "holds")
-    # stale month probe through the network
-    tr = harness.run_scenario(_scn(
-        cards=1, issue_months=(2,), horizon=4, current_month=2,
-        terminals=(("lo", 0),), sessions=0, strategy="month_probe",
-        seed=seed))
-    stale = any(reason == "StaleMonth" for _, reason in tr.aborts)
-    rep.add(Verdict("stale-month-abort", "holds" if stale else "violated"),
-            "holds")
-    # sliding-window shifts
-    fresh = T.FreshNames()
-    auth = setup_phase.make_authority(fresh, horizon=3)
-    card = setup_phase.issue_card_multimonth(auth, fresh, (0, 1, 2))
-    ok = (roles._month_decision(card, 1, fresh) is None
-          and card.window == (0, 1, 2))
-    ok &= roles._month_decision(card, 2, fresh) is None
-    ok &= card.window == (1, 2, 3)
-    ok &= roles._month_decision(card, 0, fresh) == "StaleMonth"
-    rep.add(Verdict("window-shift", "holds" if ok else "violated"), "holds")
-    # paired-world experiment for the multi-month model
-    for name, arg in (("passive", 0), ("probe_cards", 0), ("fuzzer", 1)):
-        sc = _scn(protocol="utx_multimonth", cards=1, sessions=2,
-                  schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
-                  strategy=name, strategy_arg=arg, seed=seed,
-                  options=dict(replay_check=False))
-        rep.add(_named(_paired_verdict(sc, test_bound),
-                       f"utxmm[{name}]"), "bounded-pass")
-    return rep
-
-
-def suite_utxl(seed: int = 0, test_bound: int = frames.TEST_BOUND) -> Report:
-    rep = Report("utxl")
-    base = dict(protocol="utxl", cards=1, sessions=2,
-                schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
-                seed=seed)
-    for name in ("passive", "probe_cards", "pin_probe"):
-        sc = _scn(strategy=name,
-                  options=dict(replay_check=False, pin_leaked=True,
-                               contact=False), **base)
-        v = _named(_paired_verdict(sc, test_bound),
-                   f"utxl-hypothesis[{name}]")
-        rep.add(v, "bounded-pass")
-    # adding contact-capable (high-value) hardware re-enables PIN probing
-    sc = _scn(strategy="pin_probe",
-              options=dict(replay_check=False, pin_leaked=True, contact=True),
-              **base)
-    rep.add(_named(_paired_verdict(sc, test_bound), "utxl-with-hi-probe"),
-            "violated")
-    return rep
-
-
-SUITES = {
-    "security": suite_security,
-    "controls": suite_controls,
-    "unlinkability": suite_unlinkability,
-    "multimonth": suite_multimonth,
-    "utxl": suite_utxl,
-}
-
-
-def run_suite(name: str, **kw) -> Report:
-    try:
-        builder = SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; "
-                         f"choose from {sorted(SUITES)}") from None
-    return builder(**kw)

@@ -21,68 +21,15 @@ from . import terms as T
 from .strategies import builtin_strategies
 
 
-def builtin_scenarios() -> dict:
-    mk = harness.Scenario
-    opt = harness.Options
-    lo2 = (("lo", None), ("lo", None))
-    return {
-        "honest_onhi": mk(terminals=(("onhi", None),), strategy="passive"),
-        "honest_offhi": mk(terminals=(("offhi", None),), strategy="passive"),
-        "honest_lo": mk(terminals=(("lo", None),), strategy="passive"),
-        "wrong_pin_offhi": mk(terminals=(("offhi", None),),
-                              strategy="passive",
-                              options=opt(wrong_pin_sessions=(0,))),
-        "mixed_fuzz": mk(cards=3, sessions=4, strategy="fuzzer",
-                         terminals=(("onhi", None), ("offhi", None),
-                                    ("lo", None))),
-        "replay_cryptogram": mk(terminals=(("lo", None),),
-                                strategy="replay_bank_request"),
-        "replay_cryptogram_nocheck": mk(terminals=(("lo", None),),
-                                        strategy="replay_bank_request",
-                                        options=opt(replay_check=False)),
-        "harvest_cert": mk(terminals=(("lo", None),), sessions=0,
-                           strategy="harvest"),
-        "fake_card_no_checkv": mk(terminals=lo2, sessions=0,
-                                  strategy="fake_card_cert_replay",
-                                  options=opt(terminal_checks_month_cert=False)),
-        "chi_leak_fake_card": mk(terminals=(("lo", None),), sessions=0,
-                                 strategy="chi_fake_card",
-                                 options=opt(chi_leaked=1)),
-        "month_probe_stale": mk(issue_months=(2,), horizon=4,
-                                current_month=2, terminals=(("lo", 0),),
-                                sessions=0, strategy="month_probe"),
-        "unlink_utx": mk(sessions=2, schedule=((0, 0), (0, 0)),
-                         terminals=(("lo", None),), strategy="probe_cards",
-                         options=opt(replay_check=False)),
-        "bdh_2session": mk(protocol="bdh", sessions=2,
-                           schedule=((0, 0), (0, 0)),
-                           terminals=(("lo", None),), strategy="probe_cards",
-                           options=opt(replay_check=False)),
-        "ubdh_2session": mk(protocol="ubdh", sessions=2,
-                            schedule=((0, 0), (0, 0)),
-                            terminals=(("lo", None),), strategy="probe_cards",
-                            options=opt(replay_check=False)),
-        "utxl_lo": mk(protocol="utxl", sessions=2, schedule=((0, 0), (0, 0)),
-                      terminals=(("lo", None),), strategy="pin_probe",
-                      options=opt(replay_check=False, pin_leaked=True,
-                                  contact=False)),
-        "utxl_hi_probe": mk(protocol="utxl", sessions=2,
-                            schedule=((0, 0), (0, 0)),
-                            terminals=(("lo", None),), strategy="pin_probe",
-                            options=opt(replay_check=False, pin_leaked=True,
-                                        contact=True)),
-        "multimonth_probe": mk(protocol="utx_multimonth", sessions=2,
-                               schedule=((0, 0), (0, 0)),
-                               terminals=(("lo", None),),
-                               strategy="probe_cards",
-                               options=opt(replay_check=False)),
-    }
+# scenario-file switches and the Scenario fields they set
+_FLAG_KEYS = {"replay_check": "replay_check",
+              "terminal_cert_check": "terminal_checks_month_cert",
+              "leak_pin": "pin_leaked", "contact": "contact"}
 
 
 def parse_scenario_text(text: str) -> harness.Scenario:
     """Line-oriented key/value scenario files; see README for the grammar."""
     fields: dict = {"terminals": [], "card_windows": [], "schedule": []}
-    opts: dict = {}
     flags = {"on": True, "off": False, "true": True, "false": False}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -102,16 +49,11 @@ def parse_scenario_text(text: str) -> harness.Scenario:
             elif key == "issue_months":
                 fields["issue_months"] = tuple(int(a) for a in args)
             elif key == "wrong_pin":
-                opts["wrong_pin_sessions"] = tuple(int(a) for a in args)
-            elif key in ("replay_check", "terminal_cert_check", "leak_pin",
-                         "contact"):
-                val = flags[args[0]]
-                opts[{"replay_check": "replay_check",
-                      "terminal_cert_check": "terminal_checks_month_cert",
-                      "leak_pin": "pin_leaked",
-                      "contact": "contact"}[key]] = val
+                fields["wrong_pin_sessions"] = tuple(int(a) for a in args)
+            elif key in _FLAG_KEYS:
+                fields[_FLAG_KEYS[key]] = flags[args[0]]
             elif key == "leak_chi":
-                opts["chi_leaked"] = int(args[0])
+                fields["chi_leaked"] = int(args[0])
             elif key == "strategy":
                 fields["strategy"] = args[0]
                 if len(args) > 1:
@@ -130,39 +72,31 @@ def parse_scenario_text(text: str) -> harness.Scenario:
         fields[k] = tuple(fields[k])
     if not fields["terminals"]:
         del fields["terminals"]
-    return harness.Scenario(options=harness.Options(**opts), **fields)
+    return harness.Scenario(**fields)
 
 
 def load_scenario(spec: str) -> harness.Scenario:
-    table = builtin_scenarios()
-    if spec in table:
-        return table[spec]
+    if spec in checks.SCENARIOS:
+        return checks.SCENARIOS[spec]
     if os.path.exists(spec):
         with open(spec) as fh:
             return parse_scenario_text(fh.read())
     raise harness.ScenarioInvalid(
         f"{spec!r} is neither a built-in scenario nor a file; "
-        f"built-ins: {', '.join(sorted(table))}")
+        f"built-ins: {', '.join(sorted(checks.SCENARIOS))}")
+
+
+# flags whose destination is the Scenario field they override when given
+_OVERRIDES = ("seed", "world", "protocol", "replay_check",
+              "terminal_checks_month_cert", "chi_leaked", "pin_leaked")
 
 
 def _apply_overrides(sc: harness.Scenario, args) -> harness.Scenario:
-    opts = sc.options
-    if args.replay_check is not None:
-        opts = replace(opts, replay_check=args.replay_check)
-    if args.no_terminal_cert_check:
-        opts = replace(opts, terminal_checks_month_cert=False)
-    if args.leak_chi is not None:
-        opts = replace(opts, chi_leaked=args.leak_chi)
-    if args.leak_pin:
-        opts = replace(opts, pin_leaked=True)
-    sc = replace(sc, options=opts, seed=args.seed)
+    changes = {k: getattr(args, k) for k in _OVERRIDES
+               if getattr(args, k) is not None}
     if args.sessions is not None:
-        sc = replace(sc, sessions=args.sessions, schedule=())
-    if args.world:
-        sc = replace(sc, world=args.world)
-    if args.protocol:
-        sc = replace(sc, protocol=args.protocol)
-    return sc
+        changes.update(sessions=args.sessions, schedule=())
+    return replace(sc, **changes)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -208,13 +142,10 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    kw = {"seed": args.seed}
-    if args.name == "unlinkability":
-        kw.update(test_bound=args.test_bound, sessions=args.sessions or 3,
-                  n_fuzzers=args.fuzzers, pool_cap=args.pool_cap)
-    elif args.name in ("controls", "multimonth", "utxl"):
-        kw.update(test_bound=args.test_bound)
-    report = checks.run_suite(args.name, **kw)
+    report = checks.run_suite(args.name, seed=args.seed,
+                              test_bound=args.test_bound,
+                              pool_cap=args.pool_cap, sessions=args.sessions,
+                              n_fuzzers=args.fuzzers)
     _emit("".join(line + "\n" for line in report.render()), args.out)
     return 0 if report.ok() else 1
 
@@ -227,7 +158,7 @@ def cmd_difftest(args) -> int:
 
 def cmd_catalog(args) -> int:
     lines = ["scenarios:"]
-    lines += [f"  {name}" for name in sorted(builtin_scenarios())]
+    lines += [f"  {name}" for name in sorted(checks.SCENARIOS)]
     lines.append("strategies:")
     lines += [f"  {name}: {desc}"
               for name, desc in sorted(builtin_strategies().items())]
@@ -235,37 +166,66 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line instead of a usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)      # argparse reports "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="utxsim",
         description="Symbolic engine and attacker harness for unlinkable "
                     "smart-card payments")
-    default_seed = int(os.environ.get("UTXSIM_SEED", "0"))
+    raw_seed = os.environ.get("UTXSIM_SEED", "0")
+    try:
+        default_seed = int(raw_seed)
+    except ValueError:
+        p.error(f"UTXSIM_SEED must be an integer, got {raw_seed!r}")
+    count = _at_least(0)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, scenario=True):
-        if scenario:
-            sp.add_argument("--scenario", required=False,
-                            default="honest_onhi",
-                            help="built-in scenario name or scenario file")
+    def shared(sp):     # what both the scenario commands and suite take
         sp.add_argument("--seed", type=int, default=default_seed)
-        sp.add_argument("--sessions", type=int, default=None)
+        sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
+        sp.add_argument("--pool-cap", type=count, default=frames.POOL_CAP)
+        sp.add_argument("--out", default=None, help="output file (stdout)")
+
+    def common(sp):
+        sp.add_argument("--scenario", required=False, default="honest_onhi",
+                        help="built-in scenario name or scenario file")
+        shared(sp)
+        sp.add_argument("--sessions", type=count, default=None)
         sp.add_argument("--world", choices=("real", "ideal"), default=None)
         sp.add_argument("--protocol", default=None,
                         choices=("utx", "utx_multimonth", "utxl",
                                  "bdh", "ubdh"))
-        sp.add_argument("--derive-bound", type=int,
+        sp.add_argument("--derive-bound", type=count,
                         default=frames.DERIVE_BOUND)
-        sp.add_argument("--test-bound", type=int, default=frames.TEST_BOUND)
-        sp.add_argument("--pool-cap", type=int, default=frames.POOL_CAP)
         sp.add_argument("--replay-check", dest="replay_check",
                         action="store_true", default=None)
         sp.add_argument("--no-replay-check", dest="replay_check",
                         action="store_false")
-        sp.add_argument("--no-terminal-cert-check", action="store_true")
-        sp.add_argument("--leak-chi", type=int, default=None, metavar="MONTH")
-        sp.add_argument("--leak-pin", action="store_true")
-        sp.add_argument("--out", default=None, help="output file (stdout)")
+        sp.add_argument("--no-terminal-cert-check",
+                        dest="terminal_checks_month_cert",
+                        action="store_false", default=None)
+        sp.add_argument("--leak-chi", dest="chi_leaked", type=int,
+                        default=None, metavar="MONTH")
+        sp.add_argument("--leak-pin", dest="pin_leaked", action="store_true",
+                        default=None)
 
     sp = sub.add_parser("run", help="execute a scenario and write its trace")
     common(sp)
@@ -283,15 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("suite", help="run a named experiment battery")
-    sp.add_argument("name", choices=sorted(checks.SUITES))
-    sp.add_argument("--fuzzers", type=int, default=42)
-    common(sp, scenario=False)
+    sp.add_argument("name", choices=sorted(checks.suites()))
+    shared(sp)
+    sp.add_argument("--sessions", type=count, default=3,
+                    help="sessions per unlinkability experiment")
+    sp.add_argument("--fuzzers", type=count, default=42,
+                    help="seeded fuzzers in the unlinkability battery")
     sp.set_defaults(fn=cmd_suite)
 
     sp = sub.add_parser("difftest",
                         help="symbolic-vs-numeric differential test")
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--depth", type=int, default=6)
+    sp.add_argument("--samples", type=_at_least(1), default=10000)
+    sp.add_argument("--depth", type=_at_least(1), default=6)
     sp.add_argument("--seed", type=int, default=default_seed)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_difftest)
@@ -304,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

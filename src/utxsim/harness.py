@@ -47,16 +47,6 @@ class AlignmentFailure(Exception):
 
 
 @dataclass(frozen=True)
-class Options:
-    replay_check: bool = True
-    terminal_checks_month_cert: bool = True
-    chi_leaked: Optional[int] = None
-    pin_leaked: bool = False
-    contact: bool = True
-    wrong_pin_sessions: tuple = ()
-
-
-@dataclass(frozen=True)
 class Scenario:
     protocol: str = "utx"            # utx | utx_multimonth | utxl | bdh | ubdh
     world: str = "real"
@@ -68,11 +58,16 @@ class Scenario:
     sessions: int = 1
     strategy: str = "passive"
     strategy_arg: int = 0
-    options: Options = Options()
     seed: int = 0
     current_month: int = 1
     horizon: int = 3
     max_steps: int = 600
+    replay_check: bool = True        # the bank's transaction-uniqueness log
+    terminal_checks_month_cert: bool = True
+    chi_leaked: Optional[int] = None  # month whose key is published
+    pin_leaked: bool = False
+    contact: bool = True             # utxl: False makes cards contactless-only
+    wrong_pin_sessions: tuple = ()   # terminal ordinals that mistype the PIN
 
     def resolved_schedule(self):
         if self.schedule:
@@ -87,6 +82,20 @@ class Scenario:
             raise ScenarioInvalid(f"unknown world {self.world}")
         if self.protocol == "utxl" and any(m != "lo" for m, _ in self.terminals):
             raise ScenarioInvalid("low-value worlds admit lo terminals only")
+        for mode, _ in self.terminals:
+            if mode not in ("onhi", "offhi", "lo"):
+                raise ScenarioInvalid(f"unknown terminal mode {mode!r}")
+        # multi-month card windows may run past the horizon; these may not
+        months = [("current_month", self.current_month),
+                  ("chi_leaked", self.chi_leaked)]
+        months += [("issue_months", m) for m in self.issue_months]
+        months += [("terminal month", m) for _, m in self.terminals]
+        for what, month in months:
+            if month is not None and not 0 <= month < self.horizon:
+                raise ScenarioInvalid(
+                    f"{what} {month} is not a month of horizon {self.horizon}")
+        if self.sessions < 0:
+            raise ScenarioInvalid(f"sessions {self.sessions} is negative")
         for cidx, tidx in self.resolved_schedule():
             if not (0 <= cidx < self.cards and 0 <= tidx < len(self.terminals)):
                 raise ScenarioInvalid("schedule references unknown card/terminal")
@@ -137,9 +146,24 @@ class Trace:
         return "\n".join(self.to_lines()) + "\n"
 
 
+_SCEN_KEYS = ("protocol", "world", "seed", "cards", "sessions", "strategy")
+
+
+def _parse_scen(rest: str) -> Scenario:
+    """The SCEN header: the scenario fields a dump records, in dump order."""
+    pairs = [tok.partition("=") for tok in rest.split()]
+    if ([(k, sep) for k, sep, _ in pairs] != [(k, "=") for k in _SCEN_KEYS]
+            or not all(v for _, _, v in pairs)):
+        raise ValueError("want " + " ".join(f"{k}=..." for k in _SCEN_KEYS))
+    kw = {k: v for k, _, v in pairs}
+    for k in ("seed", "cards", "sessions"):
+        kw[k] = int(kw[k])
+    return Scenario(**kw)
+
+
 def parse_trace(text: str) -> Trace:
-    """Rebuild events/aborts/frame from a dumped trace; this is everything
-    the property checkers consume."""
+    """Rebuild the scenario header, events, aborts and frame from a dumped
+    trace; this is everything the property checkers consume."""
     tr = Trace(scenario=Scenario())
     restricted: frozenset = frozenset()
     bindings = []
@@ -148,7 +172,9 @@ def parse_trace(text: str) -> Trace:
             continue
         head, _, rest = line.partition(" ")
         try:
-            if head == "REST":
+            if head == "SCEN":
+                tr.scenario = _parse_scen(rest)
+            elif head == "REST":
                 restricted = frozenset(rest.split())
             elif head == "BIND":
                 alias, _, img = rest.partition(" ")
@@ -312,7 +338,7 @@ class Runner:
         self._restrict(self.cred.secret_names())
         self.bank = roles.BankAgent(
             bank_id="bank", b_t=self.cred.b_t,
-            replay_check=sc.options.replay_check)
+            replay_check=sc.replay_check)
         self.cards = [self._mint_card(i) for i in range(sc.cards)]
         # odometers let the ideal world mirror the month position a
         # multi-session card would have reached, without cross-world peeking
@@ -322,12 +348,12 @@ class Runner:
         for alias, img in fr.bindings:
             self.bindings.append((alias, img))
             self._record("output", "bulletin", T.to_text(img), alias)
-        if sc.options.chi_leaked is not None:
-            self._publish(self.auth.chi[sc.options.chi_leaked], "bulletin")
+        if sc.chi_leaked is not None:
+            self._publish(self.auth.chi[sc.chi_leaked], "bulletin")
         if sc.protocol == "utxl":
             # low-value worlds hand the attacker every terminal ingredient
             self._publish(self.cred.crt_by_month[sc.current_month], "bulletin")
-        if sc.options.pin_leaked:
+        if sc.pin_leaked:
             for i in range(sc.cards):
                 if sc.world == "ideal":
                     card = self._mint_card(i, position=self.odometer[i])
@@ -343,7 +369,7 @@ class Runner:
     def _card_flags(self):
         sc = self.sc
         flags = {}
-        if sc.protocol == "utxl" and not sc.options.contact:
+        if sc.protocol == "utxl" and not sc.contact:
             flags["contactless_only"] = True
         if sc.protocol == "bdh":
             flags["bdh"] = True
@@ -458,7 +484,7 @@ class Runner:
         sid = f"T{self.n_terms}"
         self.n_terms += 1
         flags = {}
-        if not self.sc.options.terminal_checks_month_cert:
+        if not self.sc.terminal_checks_month_cert:
             flags["checks_month_cert"] = False
         if self.sc.protocol == "bdh":
             flags["bdh"] = True
@@ -529,7 +555,7 @@ class Runner:
         only when the handshake reply came from an honest card; a decoy name
         otherwise. Scenario-selected sessions mistype."""
         ordinal = int(sess.sid[1:])
-        if ordinal in self.sc.options.wrong_pin_sessions:
+        if ordinal in self.sc.wrong_pin_sessions:
             return self.fresh.data("wrongpin")
         if sess.wired_card:
             return self.sessions[sess.wired_card].state.pin

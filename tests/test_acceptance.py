@@ -4,6 +4,7 @@ line. Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 Tolerances and runtime budgets are asserted here, not calibrated elsewhere.
 """
 
+import hashlib
 import random
 import time
 
@@ -26,13 +27,6 @@ def accept(num, name, cond, detail=""):
     status = "pass" if cond else "FAIL"
     print(f"\nACCEPTANCE {num:02d} {name}: {status} {detail}")
     assert cond, f"criterion {num} ({name}) failed {detail}"
-
-
-def scn(**kw):
-    opts = kw.pop("options", {})
-    if isinstance(opts, dict):
-        opts = H.Options(**opts)
-    return H.Scenario(options=opts, **kw)
 
 
 # -- 1: equational engine -------------------------------------------------------
@@ -73,8 +67,8 @@ def test_criterion_2_honest_runs():
     ok = True
     for mode in ("onhi", "offhi", "lo"):
         for seed in range(20):
-            tr = H.run_scenario(scn(terminals=((mode, None),),
-                                    strategy="passive", seed=seed))
+            tr = H.run_scenario(H.Scenario(terminals=((mode, None),),
+                                           strategy="passive", seed=seed))
             auth = [r for r in tr.records
                     if r.kind == "output" and r.text == "auth"]
             ok &= bool(auth) and not tr.aborts
@@ -90,7 +84,7 @@ def test_criterion_2_honest_runs():
 def mixed_traces():
     traces = []
     for k in range(200):
-        traces.append(H.run_scenario(scn(
+        traces.append(H.run_scenario(H.Scenario(
             cards=3, sessions=6,
             terminals=(("onhi", None), ("offhi", None), ("lo", None)),
             strategy="fuzzer", strategy_arg=k, seed=k)))
@@ -148,15 +142,15 @@ def test_criterion_5_replay_protection():
     t0 = time.monotonic()
     rejected = 0
     for seed in range(100):
-        tr = H.run_scenario(scn(terminals=(("lo", None),),
-                                strategy="replay_bank_request", seed=seed))
+        tr = H.run_scenario(H.Scenario(terminals=(("lo", None),), seed=seed,
+                                       strategy="replay_bank_request"))
         if any(reason == "Replay" for _, reason in tr.aborts):
             rejected += 1
     breaks = 0
     for seed in range(20):
-        tr = H.run_scenario(scn(terminals=(("lo", None),),
-                                strategy="replay_bank_request", seed=seed,
-                                options=dict(replay_check=False)))
+        tr = H.run_scenario(H.Scenario(terminals=(("lo", None),), seed=seed,
+                                       strategy="replay_bank_request",
+                                       replay_check=False))
         accepted_twice = sum(1 for e in tr.events if e.tag == "BComTC") == 2
         v = C.check_agreement(tr, C.CORRESPONDENCES[2])
         if accepted_twice and v.status == "violated":
@@ -170,7 +164,7 @@ def test_criterion_5_replay_protection():
 
 def test_criterion_6_negative_controls():
     t0 = time.monotonic()
-    rep = C.suite_controls(seed=0, test_bound=6)
+    rep = C.run_suite("controls", seed=0, test_bound=6)
     by_name = {v.name: (v, exp) for v, exp in rep.lines}
     bdh, _ = by_name["bdh-2-session"]
     ubdh, _ = by_name["ubdh-2-session"]
@@ -195,11 +189,15 @@ def test_criterion_6_negative_controls():
 
 def test_criterion_7_unlinkability_bounded():
     t0 = time.monotonic()
-    rep = C.suite_unlinkability(seed=0, sessions=3, test_bound=6,
-                                n_fuzzers=42)
+    rep = C.run_suite("unlinkability", seed=0, sessions=3, test_bound=6,
+                      n_fuzzers=42)
     n = len(rep.lines)
     all_pass = all(v.status == "bounded-pass" for v, _ in rep.lines)
     labeled = all("bound=6" in v.witness for v, _ in rep.lines)
+    # every verdict, witness and tests= count byte for byte
+    rendered = "".join(line + "\n" for line in rep.render())
+    assert hashlib.sha256(rendered.encode()).hexdigest() == \
+        "b1f80b2a9aab92b424f30359f6b434f54279344d13c764617b79ff9963d62c27"
     dt = time.monotonic() - t0
     accept(7, "unlinkability-bounded", n >= 50 and all_pass and labeled
            and dt < 600, f"({n} strategies, {dt:.1f}s)")
@@ -222,9 +220,9 @@ def test_criterion_8_month_mechanics():
             else:
                 matrix &= outcome == "StaleMonth" and card.pointer == pointer
     # stale probe through the attacker-mediated network
-    tr = H.run_scenario(scn(issue_months=(2,), horizon=4, current_month=2,
-                            terminals=(("lo", 0),), sessions=0,
-                            strategy="month_probe"))
+    tr = H.run_scenario(H.Scenario(issue_months=(2,), horizon=4,
+                                   current_month=2, terminals=(("lo", 0),),
+                                   sessions=0, strategy="month_probe"))
     stale = ("C0", "StaleMonth") in tr.aborts
     # sliding-window branches
     card = S.issue_card_multimonth(auth, fresh, (0, 1, 2))
@@ -241,9 +239,9 @@ def test_criterion_8_month_mechanics():
     # paired multi-month worlds stay indistinguishable at the bound
     paired_ok = True
     for name in ("passive", "probe_cards"):
-        sc = scn(protocol="utx_multimonth", cards=1, sessions=2,
-                 schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
-                 strategy=name, options=dict(replay_check=False))
+        sc = H.Scenario(protocol="utx_multimonth", cards=1, sessions=2,
+                        schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
+                        strategy=name, replay_check=False)
         real, ideal = H.run_paired(sc)
         paired_ok &= C.distinguish(real, ideal, 6).status == "bounded-pass"
     dt = time.monotonic() - t0
@@ -255,7 +253,7 @@ def test_criterion_8_month_mechanics():
 
 def test_criterion_9_low_value():
     t0 = time.monotonic()
-    rep = C.suite_utxl(seed=0, test_bound=6)
+    rep = C.run_suite("utxl", seed=0, test_bound=6)
     by_name = {v.name: v for v, _ in rep.lines}
     hypothesis_ok = all(
         v.status == "bounded-pass" for name, v in by_name.items()

@@ -10,13 +10,6 @@ import utxsim.terms as T
 from utxsim.roles import Event
 
 
-def scn(**kw):
-    opts = kw.pop("options", {})
-    if isinstance(opts, dict):
-        opts = H.Options(**opts)
-    return H.Scenario(options=opts, **kw)
-
-
 def _trace_with(events):
     tr = H.Trace(scenario=H.Scenario())
     tr.events = events
@@ -48,14 +41,15 @@ def test_empty_trace_vacuously_holds():
 
 
 def test_honest_trace_satisfies_all_four():
-    tr = H.run_scenario(scn(terminals=(("onhi", None),), strategy="passive"))
+    tr = H.run_scenario(H.Scenario(terminals=(("onhi", None),),
+                                   strategy="passive"))
     for v in C.check_all_agreements(tr):
         assert v.status == "holds", v.line()
 
 
 def test_agreement_is_interleaving_insensitive():
-    tr = H.run_scenario(scn(cards=2, sessions=2, strategy="passive",
-                            terminals=(("lo", None), ("offhi", None))))
+    tr = H.run_scenario(H.Scenario(cards=2, sessions=2, strategy="passive",
+                                   terminals=(("lo", None), ("offhi", None))))
     verdicts = [v.status for v in C.check_all_agreements(tr)]
     rng = random.Random(3)
     for _ in range(5):
@@ -91,9 +85,9 @@ def test_injectivity_two_commits_one_run():
 
 
 def test_replay_without_uniqueness_breaks_bank_injectivity():
-    tr = H.run_scenario(scn(terminals=(("lo", None),),
-                            strategy="replay_bank_request",
-                            options=dict(replay_check=False)))
+    tr = H.run_scenario(H.Scenario(terminals=(("lo", None),),
+                                   strategy="replay_bank_request",
+                                   replay_check=False))
     v = C.check_agreement(tr, C.CORRESPONDENCES[2])
     assert v.status == "violated"
     # oracle: BComTC commits outnumber TRunBC runs on the replayed request
@@ -124,20 +118,22 @@ def test_shared_existentials_across_obligations():
 
 
 def test_secrecy_honest_and_leaky():
-    tr = H.run_scenario(scn(terminals=(("onhi", None),), strategy="passive"))
+    tr = H.run_scenario(H.Scenario(terminals=(("onhi", None),),
+                                   strategy="passive"))
     assert C.check_secrecy(tr.frame, tr.secrets).status == "holds"
-    leaky = H.run_scenario(scn(protocol="utxl", terminals=(("lo", None),),
-                               strategy="passive",
-                               options=dict(pin_leaked=True, contact=False)))
+    leaky = H.run_scenario(H.Scenario(protocol="utxl",
+                                      terminals=(("lo", None),),
+                                      strategy="passive",
+                                      pin_leaked=True, contact=False))
     v = C.check_secrecy(leaky.frame, leaky.secrets)
     assert v.status == "violated"
     assert ".pin<-?w" in v.witness      # the published alias is the recipe
 
 
 def test_distinguish_is_symmetric():
-    sc = scn(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
-             terminals=(("lo", None),), strategy="probe_cards",
-             options=dict(replay_check=False))
+    sc = H.Scenario(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
+                    terminals=(("lo", None),), strategy="probe_cards",
+                    replay_check=False)
     real, ideal = H.run_paired(sc)
     a = C.distinguish(real, ideal, test_bound=4)
     b = C.distinguish(ideal, real, test_bound=4)
@@ -145,9 +141,9 @@ def test_distinguish_is_symmetric():
 
 
 def test_distinguish_verdict_witness_replays():
-    sc = scn(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
-             terminals=(("lo", None),), strategy="probe_cards",
-             options=dict(replay_check=False))
+    sc = H.Scenario(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
+                    terminals=(("lo", None),), strategy="probe_cards",
+                    replay_check=False)
     real, ideal = H.run_paired(sc)
     verdict = F.static_equiv(real.frame, ideal.frame, test_bound=4)
     assert not bool(verdict)
@@ -176,7 +172,7 @@ def test_suite_report_rendering():
 
 
 def test_distinguish_reports_pool_cap():
-    real, ideal = H.run_paired(scn(sessions=3))
+    real, ideal = H.run_paired(H.Scenario(sessions=3))
     capped = C.distinguish(real, ideal, pool_cap=10)
     assert capped.line() == \
         "CHECK distinguish bounded-pass bound=6 tests=1850 capped=1"
@@ -188,6 +184,44 @@ def test_distinguish_reports_pool_cap():
 # that only makes it faster must leave every verdict, witness and tests=
 # count byte-identical.
 PINNED_SUITES = {
+    "security": """\
+CHECK honest-onhi holds
+CHECK terminal-agrees-card[onhi] holds
+CHECK terminal-agrees-bank-card[onhi] holds
+CHECK bank-agrees-terminal-card[onhi] holds
+CHECK bank-agrees-card[onhi] holds
+CHECK secrecy[onhi] holds bound=8
+CHECK honest-offhi holds
+CHECK terminal-agrees-card[offhi] holds
+CHECK terminal-agrees-bank-card[offhi] holds
+CHECK bank-agrees-terminal-card[offhi] holds
+CHECK bank-agrees-card[offhi] holds
+CHECK secrecy[offhi] holds bound=8
+CHECK honest-lo holds
+CHECK terminal-agrees-card[lo] holds
+CHECK terminal-agrees-bank-card[lo] holds
+CHECK bank-agrees-terminal-card[lo] holds
+CHECK bank-agrees-card[lo] holds
+CHECK secrecy[lo] holds bound=8
+CHECK terminal-agrees-card[fuzz0] holds
+CHECK terminal-agrees-bank-card[fuzz0] holds
+CHECK bank-agrees-terminal-card[fuzz0] holds
+CHECK bank-agrees-card[fuzz0] holds
+CHECK secrecy[fuzz0] holds bound=8
+CHECK terminal-agrees-card[fuzz1] holds
+CHECK terminal-agrees-bank-card[fuzz1] holds
+CHECK bank-agrees-terminal-card[fuzz1] holds
+CHECK bank-agrees-card[fuzz1] holds
+CHECK secrecy[fuzz1] holds bound=8
+CHECK terminal-agrees-card[fuzz2] holds
+CHECK terminal-agrees-bank-card[fuzz2] holds
+CHECK bank-agrees-terminal-card[fuzz2] holds
+CHECK bank-agrees-card[fuzz2] holds
+CHECK secrecy[fuzz2] holds bound=8
+CHECK replay-rejected holds
+CHECK replay-injectivity-break violated no injective matching (commit#11 contended)
+SUITE security pass
+""",
     "controls": """\
 CHECK bdh-2-session violated (dec (hash (smult $atkn0 ?w4)) ?w5) = (dec (hash (smult $atkn1 ?w7)) ?w8) holds in the first frame only
 CHECK ubdh-2-session bounded-pass bound=6 tests=21232

@@ -60,7 +60,7 @@ def test_distinguish_exit_codes(capsys):
     assert code == 0 and "bounded-pass" in text
 
 
-def test_suite_controls_exit_zero(capsys):
+def test_controls_battery_exit_zero(capsys):
     code, text = run_cli(capsys, "suite", "controls", "--test-bound", "4")
     assert code == 0
     assert "SUITE controls pass" in text
@@ -157,3 +157,74 @@ def test_malformed_scenario_line_exits_cleanly(tmp_path, capsys, line):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def assert_usage_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, flags, field", [
+    ("", ["--leak-chi", "99"], "chi_leaked"),
+    ("leak_chi -9", [], "chi_leaked"),
+    ("terminal xx .", [], "terminal mode"),
+    ("current_month 9", [], "current_month"),
+    ("horizon 0", [], "horizon 0"),
+    ("issue_months 9", [], "issue_months"),
+    ("terminal lo 7", [], "terminal month"),
+    ("sessions -1", [], "sessions"),
+])
+def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
+                                                   flags, field):
+    f = tmp_path / "scen.txt"
+    f.write_text(f"protocol utx\n{line}\n")
+    code = cli.main(["run", "--scenario", str(f), *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "--test-bound", "-1"],
+    ["check", "--derive-bound", "-1"],
+    ["run", "--pool-cap", "-1"],
+    ["run", "--sessions", "x"],
+    ["suite", "unlinkability", "--sessions", "-1"],
+    ["suite", "unlinkability", "--fuzzers", "-1"],
+    ["difftest", "--samples", "0"],
+    ["difftest", "--depth", "0"],
+    ["bogus"],
+    # flags no battery reads
+    ["suite", "security", "--leak-pin"],
+    ["suite", "security", "--leak-chi", "1"],
+    ["suite", "security", "--world", "real"],
+    ["suite", "security", "--protocol", "utx"],
+    ["suite", "security", "--derive-bound", "3"],
+    ["suite", "security", "--replay-check"],
+    ["suite", "security", "--no-replay-check"],
+    ["suite", "security", "--no-terminal-cert-check"],
+])
+def test_bad_flags_exit_with_one_line(capsys, argv):
+    assert_usage_error(capsys, cli.main(argv))
+
+
+def test_non_integer_seed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("UTXSIM_SEED", "abc")
+    assert_usage_error(capsys, cli.main(["catalog"]))
+
+
+def test_suite_flags_reach_every_experiment(capsys):
+    code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "0",
+                         "--fuzzers", "1", "--test-bound", "2",
+                         "--pool-cap", "10")
+    lines = text.splitlines()
+    assert code == 0 and len(lines) == 10       # 8 catalog + 1 fuzzer rows
+    assert all(" bound=2 " in line and line.endswith(" capped=1")
+               for line in lines[:-1])
+    code, text = run_cli(capsys, "suite", "utxl", "--test-bound", "2",
+                         "--pool-cap", "10")
+    assert "utxl-hypothesis[passive] bounded-pass bound=2" in text
+    assert "capped=1" in text

@@ -1,33 +1,34 @@
 """Harness tests: scheduling, attacker closure, determinism, trace
 round-trips and paired-world alignment."""
 
+from dataclasses import replace
+
 import pytest
 
+import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
 from utxsim.strategies import builtin_strategies
 
 
-def scn(**kw):
-    opts = kw.pop("options", {})
-    if isinstance(opts, dict):
-        opts = H.Options(**opts)
-    return H.Scenario(options=opts, **kw)
-
-
 def test_scenario_validation():
     with pytest.raises(H.ScenarioInvalid):
-        scn(protocol="nope").validate()
+        H.Scenario(protocol="nope").validate()
+    with pytest.raises(H.ScenarioInvalid, match="chi_leaked 3"):
+        H.Scenario(chi_leaked=3).validate()
+    # multi-month card windows may run past the horizon on purpose
+    H.Scenario(protocol="utx_multimonth", card_windows=((2, 3, 4),)).validate()
     with pytest.raises(H.ScenarioInvalid):
-        scn(protocol="utxl", terminals=(("onhi", None),)).validate()
+        H.Scenario(protocol="utxl", terminals=(("onhi", None),)).validate()
     with pytest.raises(H.ScenarioInvalid):
-        scn(schedule=((5, 0),)).validate()
+        H.Scenario(schedule=((5, 0),)).validate()
 
 
 @pytest.mark.parametrize("mode", ["onhi", "offhi", "lo"])
 def test_honest_scenario_ends_authorized(mode):
-    tr = H.run_scenario(scn(terminals=((mode, None),), strategy="passive"))
+    tr = H.run_scenario(H.Scenario(terminals=((mode, None),),
+                                   strategy="passive"))
     assert not tr.aborts
     auths = [r for r in tr.records if r.kind == "output" and r.text == "auth"]
     assert auths
@@ -37,8 +38,8 @@ def test_honest_scenario_ends_authorized(mode):
 
 
 def test_wrong_pin_no_auth():
-    tr = H.run_scenario(scn(terminals=(("offhi", None),), strategy="passive",
-                            options=dict(wrong_pin_sessions=(0,))))
+    tr = H.run_scenario(H.Scenario(terminals=(("offhi", None),),
+                                   strategy="passive", wrong_pin_sessions=(0,)))
     assert "BReject" in {e.tag for e in tr.events}
     assert not [r for r in tr.records
                 if r.kind == "output" and r.text == "auth"]
@@ -47,11 +48,13 @@ def test_wrong_pin_no_auth():
 def test_trace_is_deterministic():
     kw = dict(cards=2, sessions=3, strategy="fuzzer", strategy_arg=9, seed=4,
               terminals=(("onhi", None), ("lo", None)))
-    assert H.run_scenario(scn(**kw)).dump() == H.run_scenario(scn(**kw)).dump()
+    assert H.run_scenario(H.Scenario(**kw)).dump() == \
+        H.run_scenario(H.Scenario(**kw)).dump()
 
 
 def test_trace_roundtrip():
-    tr = H.run_scenario(scn(terminals=(("offhi", None),), strategy="passive"))
+    tr = H.run_scenario(H.Scenario(terminals=(("offhi", None),),
+                                   strategy="passive"))
     back = H.parse_trace(tr.dump())
     assert back.frame == tr.frame
     assert back.events == tr.events
@@ -59,8 +62,26 @@ def test_trace_roundtrip():
     assert back.secrets == tr.secrets
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_every_builtin_trace_round_trips(seed):
+    for name, sc in C.SCENARIOS.items():
+        text = H.run_scenario(replace(sc, seed=seed)).dump()
+        assert H.parse_trace(text).dump() == text, name
+
+
+@pytest.mark.parametrize("header", [
+    "SCEN protocol=utx world=real",
+    "SCEN protocol=utx world=real seed=x cards=1 sessions=1 strategy=passive",
+    "SCEN protocol=utx world=real seed=0 cards=1 sessions=1 strategy=",
+    "SCEN world=real protocol=utx seed=0 cards=1 sessions=1 strategy=passive",
+])
+def test_malformed_scenario_header(header):
+    with pytest.raises(H.TraceInvalid, match="bad trace line 1 \\(SCEN\\)"):
+        H.parse_trace(header + "\n")
+
+
 def test_attacker_closure_rejects_secret_recipes():
-    runner = H.Runner(scn(terminals=(("lo", None),), sessions=0))
+    runner = H.Runner(H.Scenario(terminals=(("lo", None),), sessions=0))
     runner.apply(H.StartCard(0))
     secret = runner.cards[0].pin
     with pytest.raises(H.StrategyError):
@@ -70,14 +91,14 @@ def test_attacker_closure_rejects_secret_recipes():
 
 
 def test_same_card_sessions_are_sequential():
-    runner = H.Runner(scn(cards=1, sessions=0))
+    runner = H.Runner(H.Scenario(cards=1, sessions=0))
     runner.apply(H.StartCard(0))
     with pytest.raises(H.StrategyError):
         runner.apply(H.StartCard(0))
 
 
 def test_ideal_world_uses_fresh_card_per_session():
-    runner = H.Runner(scn(world="ideal", cards=1, sessions=0))
+    runner = H.Runner(H.Scenario(world="ideal", cards=1, sessions=0))
     runner.apply(H.StartCard(0))
     runner.apply(H.Deliver("C0", T.smult(T.name("n0", "scalar"), T.gen())))
     first = runner.sessions["C0"].state
@@ -89,8 +110,8 @@ def test_ideal_world_uses_fresh_card_per_session():
 
 
 def test_harvest_exposes_bank_certificate():
-    tr = H.run_scenario(scn(terminals=(("lo", None),), sessions=0,
-                            strategy="harvest"))
+    tr = H.run_scenario(H.Scenario(terminals=(("lo", None),), sessions=0,
+                                   strategy="harvest"))
     crt = None
     for _, img in tr.frame.bindings:   # find the true certificate value
         if img[0] == T.ENC and img[1][0] == T.TUP:
@@ -100,33 +121,33 @@ def test_harvest_exposes_bank_certificate():
 
 
 def test_month_probe_stale_aborts():
-    tr = H.run_scenario(scn(issue_months=(2,), horizon=4, current_month=2,
-                            terminals=(("lo", 0),), sessions=0,
-                            strategy="month_probe"))
+    tr = H.run_scenario(H.Scenario(issue_months=(2,), horizon=4,
+                                   current_month=2, terminals=(("lo", 0),),
+                                   sessions=0, strategy="month_probe"))
     assert ("C0", "StaleMonth") in tr.aborts
 
 
 def test_cryptogram_replay_hits_uniqueness_check():
-    tr = H.run_scenario(scn(terminals=(("lo", None),),
-                            strategy="replay_bank_request"))
+    tr = H.run_scenario(H.Scenario(terminals=(("lo", None),),
+                                   strategy="replay_bank_request"))
     assert any(reason == "Replay" for _, reason in tr.aborts)
-    off = H.run_scenario(scn(terminals=(("lo", None),),
-                             strategy="replay_bank_request",
-                             options=dict(replay_check=False)))
+    off = H.run_scenario(H.Scenario(terminals=(("lo", None),),
+                                    strategy="replay_bank_request",
+                                    replay_check=False))
     assert not any(reason == "Replay" for _, reason in off.aborts)
     assert sum(1 for e in off.events if e.tag == "BComTC") == 2
 
 
 def test_paired_zero_sessions_trivially_aligned():
-    real, ideal = H.run_paired(scn(sessions=0, strategy="passive"))
+    real, ideal = H.run_paired(H.Scenario(sessions=0, strategy="passive"))
     assert real.frame.domain() == ideal.frame.domain()
     assert bool(F.static_equiv(real.frame, ideal.frame, test_bound=2))
 
 
 def test_paired_frames_share_alias_domains():
-    sc = scn(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
-             terminals=(("lo", None),), strategy="probe_cards",
-             options=dict(replay_check=False))
+    sc = H.Scenario(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
+                    terminals=(("lo", None),), strategy="probe_cards",
+                    replay_check=False)
     real, ideal = H.run_paired(sc)
     assert real.frame.domain() == ideal.frame.domain()
     # the ideal world used two distinct cards for the two sessions
@@ -139,23 +160,22 @@ def test_paired_frames_share_alias_domains():
 
 def test_every_builtin_strategy_runs():
     for name in builtin_strategies():
-        options = {"replay_check": False}
         kw = dict(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
                   terminals=(("lo", None), ("lo", None)),
-                  strategy=name, seed=1, options=options)
+                  strategy=name, seed=1, replay_check=False)
         if name == "chi_fake_card":
-            options["chi_leaked"] = 1
+            kw["chi_leaked"] = 1
         if name == "pin_probe":
-            options["pin_leaked"] = True
-        tr = H.run_scenario(scn(**kw))
+            kw["pin_leaked"] = True
+        tr = H.run_scenario(H.Scenario(**kw))
         assert tr.records, name
 
 
 def test_fuzzer_keeps_agreement_events_well_formed():
-    tr = H.run_scenario(scn(cards=3, sessions=5, strategy="fuzzer",
-                            strategy_arg=2, seed=8,
-                            terminals=(("onhi", None), ("offhi", None),
-                                       ("lo", None))))
+    tr = H.run_scenario(H.Scenario(cards=3, sessions=5, strategy="fuzzer",
+                                   strategy_arg=2, seed=8,
+                                   terminals=(("onhi", None), ("offhi", None),
+                                              ("lo", None))))
     from utxsim.roles import EVENT_ARITY
     for e in tr.events:
         assert len(e.args) == EVENT_ARITY[e.tag]

@@ -19,7 +19,7 @@ def paired(protocol="utx", strategy="probe_cards"):
     sc = H.Scenario(protocol=protocol, cards=1, sessions=2,
                     schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
                     strategy=strategy, seed=13,
-                    options=H.Options(replay_check=False))
+                    replay_check=False)
     return H.run_paired(sc)
 
 
