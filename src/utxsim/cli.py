@@ -86,14 +86,18 @@ def load_scenario(spec: str) -> harness.Scenario:
         f"built-ins: {', '.join(sorted(checks.SCENARIOS))}")
 
 
-# flags whose destination is the Scenario field they override when given
-_OVERRIDES = ("seed", "world", "protocol", "replay_check",
+# flags whose destination is the Scenario field they override when given;
+# every scenario flag left unset is None
+_OVERRIDES = ("world", "protocol", "replay_check",
               "terminal_checks_month_cert", "chi_leaked", "pin_leaked")
+_SCENARIO_FLAGS = ("scenario", "seed", "sessions") + _OVERRIDES
 
 
-def _apply_overrides(sc: harness.Scenario, args) -> harness.Scenario:
-    changes = {k: getattr(args, k) for k in _OVERRIDES
-               if getattr(args, k) is not None}
+def _scenario(args) -> harness.Scenario:
+    sc = load_scenario(args.scenario or "honest_onhi")
+    changes = {k: getattr(args, k, None) for k in _OVERRIDES}
+    changes = {k: v for k, v in changes.items() if v is not None}
+    changes["seed"] = _default_seed() if args.seed is None else args.seed
     if args.sessions is not None:
         changes.update(sessions=args.sessions, schedule=())
     return replace(sc, **changes)
@@ -108,19 +112,20 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    trace = harness.run_scenario(sc)
+    trace = harness.run_scenario(_scenario(args))
     _emit(trace.dump(), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
     if args.trace:
+        if any(getattr(args, k) is not None for k in _SCENARIO_FLAGS):
+            raise harness.ScenarioInvalid(
+                "--trace takes no scenario or override flag")
         with open(args.trace) as fh:
             trace = harness.parse_trace(fh.read())
     else:
-        sc = _apply_overrides(load_scenario(args.scenario), args)
-        trace = harness.run_scenario(sc)
+        trace = harness.run_scenario(_scenario(args))
     verdicts = checks.check_all_agreements(trace)
     verdicts.append(checks.check_secrecy(trace.frame, trace.secrets,
                                          args.derive_bound))
@@ -130,9 +135,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
     try:
-        real, ideal = harness.run_paired(sc)
+        real, ideal = harness.run_paired(_scenario(args))
     except harness.AlignmentFailure as e:
         _emit(f"CHECK distinguish violated alignment:{e.step}\n", args.out)
         return 1
@@ -185,36 +189,39 @@ def _at_least(minimum: int):
     return integer
 
 
+def _default_seed() -> int:
+    return int(os.environ.get("UTXSIM_SEED", "0"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="utxsim",
         description="Symbolic engine and attacker harness for unlinkable "
                     "smart-card payments")
-    raw_seed = os.environ.get("UTXSIM_SEED", "0")
     try:
-        default_seed = int(raw_seed)
+        default_seed = _default_seed()
     except ValueError:
-        p.error(f"UTXSIM_SEED must be an integer, got {raw_seed!r}")
+        p.error("UTXSIM_SEED must be an integer, got "
+                f"{os.environ['UTXSIM_SEED']!r}")
     count = _at_least(0)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def shared(sp):     # what both the scenario commands and suite take
-        sp.add_argument("--seed", type=int, default=default_seed)
+    def bounds(sp):     # the distinguisher's
         sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
         sp.add_argument("--pool-cap", type=count, default=frames.POOL_CAP)
-        sp.add_argument("--out", default=None, help="output file (stdout)")
 
-    def common(sp):
-        sp.add_argument("--scenario", required=False, default="honest_onhi",
-                        help="built-in scenario name or scenario file")
-        shared(sp)
+    def scenario_flags(sp, world=True):
+        sp.add_argument("--scenario", default=None,
+                        help="built-in scenario name or scenario file "
+                             "(honest_onhi)")
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--sessions", type=count, default=None)
-        sp.add_argument("--world", choices=("real", "ideal"), default=None)
+        if world:
+            sp.add_argument("--world", choices=("real", "ideal"),
+                            default=None)
         sp.add_argument("--protocol", default=None,
                         choices=("utx", "utx_multimonth", "utxl",
                                  "bdh", "ubdh"))
-        sp.add_argument("--derive-bound", type=count,
-                        default=frames.DERIVE_BOUND)
         sp.add_argument("--replay-check", dest="replay_check",
                         action="store_true", default=None)
         sp.add_argument("--no-replay-check", dest="replay_check",
@@ -226,25 +233,32 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="MONTH")
         sp.add_argument("--leak-pin", dest="pin_leaked", action="store_true",
                         default=None)
+        sp.add_argument("--out", default=None, help="output file (stdout)")
 
     sp = sub.add_parser("run", help="execute a scenario and write its trace")
-    common(sp)
+    scenario_flags(sp)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("check",
                         help="agreement and secrecy verdicts over a trace")
-    common(sp)
-    sp.add_argument("--trace", default=None, help="previously dumped trace")
+    scenario_flags(sp)
+    sp.add_argument("--derive-bound", type=count,
+                    default=frames.DERIVE_BOUND)
+    sp.add_argument("--trace", default=None,
+                    help="previously dumped trace, in place of a scenario")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("distinguish",
                         help="paired real/ideal bounded distinguishing run")
-    common(sp)
+    scenario_flags(sp, world=False)     # run_paired runs both worlds
+    bounds(sp)
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("suite", help="run a named experiment battery")
     sp.add_argument("name", choices=sorted(checks.suites()))
-    shared(sp)
+    sp.add_argument("--seed", type=int, default=default_seed)
+    bounds(sp)
+    sp.add_argument("--out", default=None, help="output file (stdout)")
     sp.add_argument("--sessions", type=count, default=3,
                     help="sessions per unlinkability experiment")
     sp.add_argument("--fuzzers", type=count, default=42,

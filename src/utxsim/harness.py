@@ -6,6 +6,10 @@ identifiers, abort/done flags) and decides to start sessions, forward or
 drop held messages, or inject recipes built from the frame. Injections are
 validated against the frame, so the attacker is never omniscient.
 
+The runner keeps each fact once: a session's public state only in its
+SessionView (which keeps the session's own last stage), the output log only
+in Runner.outputs, and restriction only in the honest agents' name source.
+
 Worlds: "real" lets a card run any number of sessions; "ideal" spawns a
 disposable fresh card per session (with the card database and, in leaked-PIN
 worlds, the public PIN supply mirrored), which is the comparison target for
@@ -96,6 +100,9 @@ class Scenario:
                     f"{what} {month} is not a month of horizon {self.horizon}")
         if self.sessions < 0:
             raise ScenarioInvalid(f"sessions {self.sessions} is negative")
+        if self.schedule and len(self.schedule) != self.sessions:
+            raise ScenarioInvalid(f"schedule lists {len(self.schedule)} "
+                                  f"sessions, not sessions {self.sessions}")
         for cidx, tidx in self.resolved_schedule():
             if not (0 <= cidx < self.cards and 0 <= tidx < len(self.terminals)):
                 raise ScenarioInvalid("schedule references unknown card/terminal")
@@ -247,29 +254,25 @@ class DeliverBank:
 
 @dataclass
 class _Session:
-    sid: str
-    kind: str                      # card | terminal
-    state: object
-    card_idx: int = -1
-    cfg_idx: int = -1
-    pending: list = field(default_factory=list)   # (alias, routing hint)
-    aborted: str = ""
-    done: bool = False
+    """What only the runner sees of a session; its public state is the
+    session's view."""
+    state: object                  # the role's CardState or TerminalState
     wired_card: str = ""           # card session that answered the handshake
-
-    def alive(self) -> bool:
-        return not self.done and not self.aborted
 
 
 @dataclass(frozen=True)
 class SessionView:
+    """A session's public state, the only record of it. The runner replaces
+    the view whenever the session steps, so a finished session keeps the
+    stage it ended in even after a later session on the same real-world
+    card moves their shared card state on."""
     sid: str
     kind: str
     mode: str
     stage: str
-    pending: tuple                 # (alias, routing hint) pairs
-    aborted: bool
-    done: bool
+    pending: tuple = ()            # (alias, routing hint) pairs
+    aborted: bool = False
+    done: bool = False
     card_idx: int = -1
 
     def alive(self) -> bool:
@@ -278,17 +281,12 @@ class SessionView:
 
 @dataclass(frozen=True)
 class Obs:
-    step: int
-    sessions: tuple
-    cards_started: tuple
+    sessions: dict                 # sid -> SessionView, in start order
     terminals_started: int
-    outputs: tuple = ()            # full (actor, alias) output log
+    outputs: dict                  # alias -> actor, the full output log
 
     def session(self, sid):
-        for s in self.sessions:
-            if s.sid == sid:
-                return s
-        return None
+        return self.sessions.get(sid)
 
 
 class _SysFresh(T.FreshNames):
@@ -304,38 +302,44 @@ class _SysFresh(T.FreshNames):
         return n
 
 
+# protocol -> the role flags its cards and terminals both take
+_VARIANT_FLAGS = {"bdh": {"bdh": True},
+                  "ubdh": {"truncate_after_validity": True}}
+
+
 class Runner:
     """One world executing one scenario under one attacker program."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
-        self.sc = scenario
+        sc = self.sc = scenario
         self.restricted: set = set()
         self.fresh = _SysFresh(self.restricted)
         self.bindings: list = []
+        self.outputs: dict = {}        # alias -> actor, in output order
         self.trace = Trace(scenario=scenario)
-        self.sessions: dict = {}
-        self.session_order: list = []
+        self.sessions: dict = {}       # sid -> _Session, in start order
+        self.views: dict = {}          # sid -> SessionView
         self.n_cards_started: dict = {}
         self.n_card_sessions = 0
         self.n_terms = 0
         self.n_bank_requests = 0
         self._idx = 0
         self._spawn_queue: dict = {}
+        self._card_flags = dict(_VARIANT_FLAGS.get(sc.protocol, {}))
+        if sc.protocol == "utxl" and not sc.contact:
+            self._card_flags["contactless_only"] = True
+        self._terminal_flags = dict(_VARIANT_FLAGS.get(sc.protocol, {}))
+        if not sc.terminal_checks_month_cert:
+            self._terminal_flags["checks_month_cert"] = False
         self._build_world()
 
     # -- construction ------------------------------------------------------
-
-    def _restrict(self, names):
-        for n in names:
-            self.restricted.add(n[1])
 
     def _build_world(self):
         sc = self.sc
         self.auth = setup_phase.make_authority(self.fresh, sc.horizon)
         self.cred = setup_phase.make_bank_credential(self.auth, self.fresh)
-        self._restrict(self.auth.secret_names())
-        self._restrict(self.cred.secret_names())
         self.bank = roles.BankAgent(
             bank_id="bank", b_t=self.cred.b_t,
             replay_check=sc.replay_check)
@@ -343,11 +347,10 @@ class Runner:
         # odometers let the ideal world mirror the month position a
         # multi-session card would have reached, without cross-world peeking
         self.odometer = [self._card_position(c) for c in self.cards]
-        fr = frames.Frame()
-        fr, _ = setup_phase.publish_bulletin(self.auth, fr, sc.current_month)
-        for alias, img in fr.bindings:
-            self.bindings.append((alias, img))
-            self._record("output", "bulletin", T.to_text(img), alias)
+        bulletin, _ = setup_phase.publish_bulletin(
+            self.auth, frames.Frame(), sc.current_month)
+        for _, img in bulletin.bindings:
+            self._publish(img, "bulletin")
         if sc.chi_leaked is not None:
             self._publish(self.auth.chi[sc.chi_leaked], "bulletin")
         if sc.protocol == "utxl":
@@ -366,34 +369,23 @@ class Runner:
     def _card_position(self, card):
         return card.window if card.window is not None else card.pointer
 
-    def _card_flags(self):
-        sc = self.sc
-        flags = {}
-        if sc.protocol == "utxl" and not sc.contact:
-            flags["contactless_only"] = True
-        if sc.protocol == "bdh":
-            flags["bdh"] = True
-        if sc.protocol == "ubdh":
-            flags["truncate_after_validity"] = True
-        return flags
-
     def _mint_card(self, idx: int, position=None) -> roles.CardState:
         sc = self.sc
-        flags = self._card_flags()
         if sc.protocol == "utx_multimonth":
             window = position or (
                 tuple(sc.card_windows[idx]) if idx < len(sc.card_windows)
                 else (max(sc.current_month - 1, 0), sc.current_month,
                       sc.current_month + 1))
             card = setup_phase.issue_card_multimonth(
-                self.auth, self.fresh, window, card_id=f"card{idx}", **flags)
+                self.auth, self.fresh, window, card_id=f"card{idx}",
+                **self._card_flags)
         else:
             month = (position if position is not None else
                      (sc.issue_months[idx] if idx < len(sc.issue_months)
                       else sc.current_month))
             card = setup_phase.issue_card(
-                self.auth, self.fresh, month, card_id=f"card{idx}", **flags)
-        self._restrict(card.secret_names())
+                self.auth, self.fresh, month, card_id=f"card{idx}",
+                **self._card_flags)
         self.bank.register_card(card)
         for label, t in (("pin", card.pin), ("mk", card.mk), ("c", card.c)):
             self.trace.secrets.append((f"{card.card_id}.{label}", t))
@@ -405,9 +397,12 @@ class Runner:
         return frames.Frame(frozenset(self.restricted), tuple(self.bindings))
 
     def _publish(self, t: Term, actor: str) -> str:
+        """Bind an output in the frame and log it; every output, the
+        bulletin's too, is made here."""
         img = T.normalize(t)
         alias = f"{frames.ALIAS_PREFIX}{len(self.bindings)}"
         self.bindings.append((alias, img))
+        self.outputs[alias] = actor
         self._record("output", actor, T.to_text(img), alias)
         return alias
 
@@ -418,23 +413,9 @@ class Runner:
 
     # -- observation ------------------------------------------------------------
 
-    def observe(self, step: int) -> Obs:
-        views = []
-        for sid in self.session_order:
-            s = self.sessions[sid]
-            stage = (s.state.stage if s.kind == "card"
-                     else s.state.stage_label())
-            views.append(SessionView(
-                sid=sid, kind=s.kind, mode=getattr(s.state, "mode", ""),
-                stage=str(stage), pending=tuple(s.pending),
-                aborted=bool(s.aborted), done=s.done, card_idx=s.card_idx))
-        started = tuple(self.n_cards_started.get(i, 0)
-                        for i in range(self.sc.cards))
-        outputs = tuple((r.actor, r.alias) for r in self.trace.records
-                        if r.kind == "output")
-        return Obs(step=step, sessions=tuple(views),
-                   cards_started=started, terminals_started=self.n_terms,
-                   outputs=outputs)
+    def observe(self) -> Obs:
+        return Obs(sessions=dict(self.views), terminals_started=self.n_terms,
+                   outputs=dict(self.outputs))
 
     # -- actions ------------------------------------------------------------------
 
@@ -461,20 +442,19 @@ class Runner:
                 card.card_id = f"card{idx}.{n}"
         else:
             card = self.cards[idx]
-            if any(s.kind == "card" and s.card_idx == idx and s.alive()
-                   for s in self.sessions.values()):
+            # a real card's sessions are sequential: only its latest may live
+            latest = self.views.get(card.session_id)
+            if latest is not None and latest.alive():
                 raise StrategyError("card already mid-session")
         self.n_cards_started[idx] = n + 1
         sid = f"C{self.n_card_sessions}"
         self.n_card_sessions += 1
         card.begin_session(sid)
-        self.sessions[sid] = _Session(sid=sid, kind="card", state=card,
+        self.sessions[sid] = _Session(card)
+        self.views[sid] = SessionView(sid, "card", "", card.stage,
                                       card_idx=idx)
-        self.session_order.append(sid)
-        ch = self.fresh.data("chc")
-        self.restricted.add(ch[1])
         self._record("start", sid, f"card idx={idx}")
-        self._publish(ch, sid)
+        self._publish(self.fresh.data("chc"), sid)
 
     def _start_terminal(self, cfg_idx: int) -> None:
         if not 0 <= cfg_idx < len(self.sc.terminals):
@@ -483,26 +463,16 @@ class Runner:
         month = self.sc.current_month if month is None else month
         sid = f"T{self.n_terms}"
         self.n_terms += 1
-        flags = {}
-        if not self.sc.terminal_checks_month_cert:
-            flags["checks_month_cert"] = False
-        if self.sc.protocol == "bdh":
-            flags["bdh"] = True
-        if self.sc.protocol == "ubdh":
-            flags["truncate_after_validity"] = True
         term = setup_phase.provision_terminal(
             self.cred, self.auth, self.fresh, month, mode,
-            terminal_id=sid, **flags)
-        self.restricted.add(term.kbt[1])
+            terminal_id=sid, **self._terminal_flags)
         term.session_id = sid
-        sess = _Session(sid=sid, kind="terminal", state=term, cfg_idx=cfg_idx)
-        self.sessions[sid] = sess
-        self.session_order.append(sid)
-        ch = self.fresh.data("cht")
-        self.restricted.add(ch[1])
+        self.sessions[sid] = _Session(term)
+        self.views[sid] = SessionView(sid, "terminal", mode,
+                                      term.stage_label())
         self._record("start", sid, f"terminal {mode} month={month}")
-        self._publish(ch, sid)
-        self._absorb(sess, roles.terminal_step(term, None, self.fresh))
+        self._publish(self.fresh.data("cht"), sid)
+        self._absorb(sid, roles.terminal_step(term, None, self.fresh))
 
     def _value_of(self, recipe: Term) -> Term:
         f = self.frame()
@@ -511,99 +481,102 @@ class Runner:
         return frames.recipe_value(f, recipe)
 
     def _consume_pending(self, alias: str) -> None:
-        for sess in self.sessions.values():
-            for i, (a, _) in enumerate(sess.pending):
+        for sid, view in self.views.items():
+            for i, (a, _) in enumerate(view.pending):
                 if a == alias:
-                    sess.pending.pop(i)
+                    pending = view.pending[:i] + view.pending[i + 1:]
+                    self.views[sid] = replace(view, pending=pending)
                     return
 
-    def _alias_origin(self, alias: str):
-        for rec in self.trace.records:
-            if rec.kind == "output" and rec.alias == alias:
-                return self.sessions.get(rec.actor)
-        return None
-
     def _deliver(self, action: Deliver) -> None:
-        sess = self.sessions.get(action.sid)
-        if sess is None or not sess.alive():
-            raise StrategyError(f"no live session {action.sid}")
+        sid = action.sid
+        view = self.views.get(sid)
+        if view is None or not view.alive():
+            raise StrategyError(f"no live session {sid}")
+        sess = self.sessions[sid]
         value = self._value_of(action.recipe)
         if action.source_alias:
             self._consume_pending(action.source_alias)
-            if sess.kind == "terminal" and sess.state.stage == 2:
-                origin = self._alias_origin(action.source_alias)
+            if view.kind == "terminal" and sess.state.stage == 2:
+                origin = self.views.get(self.outputs.get(action.source_alias))
                 if origin is not None and origin.kind == "card":
                     sess.wired_card = origin.sid
-        self._record("deliver", action.sid, T.to_text(action.recipe),
+        self._record("deliver", sid, T.to_text(action.recipe),
                      action.source_alias)
-        if sess.kind == "card":
+        if view.kind == "card":
             res = roles.card_step(sess.state, value, self.fresh)
-            self.odometer[sess.card_idx] = self._card_position(sess.state)
+            self.odometer[view.card_idx] = self._card_position(sess.state)
             if res.done and sess.state.k_cb is not None:
-                self.trace.secrets.append((f"{sess.sid}.k_cb", sess.state.k_cb))
-                self.trace.secrets.append((f"{sess.sid}.ac", sess.state.ac))
+                self.trace.secrets.append((f"{sid}.k_cb", sess.state.k_cb))
+                self.trace.secrets.append((f"{sid}.ac", sess.state.ac))
         else:
             user_pin = None
             if sess.state.wants_pin():
-                user_pin = self._user_pin(sess)
+                user_pin = self._user_pin(sid)
             res = roles.terminal_step(sess.state, value, self.fresh,
                                       user_pin=user_pin)
-        self._absorb(sess, res)
+        self._absorb(sid, res)
 
-    def _user_pin(self, sess: _Session) -> Term:
+    def _user_pin(self, sid: str) -> Term:
         """PIN entry models a conscious purchase: the pad reads the real PIN
         only when the handshake reply came from an honest card; a decoy name
         otherwise. Scenario-selected sessions mistype."""
-        ordinal = int(sess.sid[1:])
-        if ordinal in self.sc.wrong_pin_sessions:
+        if int(sid[1:]) in self.sc.wrong_pin_sessions:
             return self.fresh.data("wrongpin")
-        if sess.wired_card:
-            return self.sessions[sess.wired_card].state.pin
+        wired = self.sessions[sid].wired_card
+        if wired:
+            return self.sessions[wired].state.pin
         return self.fresh.data("decoypin")
 
     def _deliver_bank(self, action: DeliverBank) -> None:
-        term = self.sessions.get(action.terminal_sid)
-        if term is None or term.kind != "terminal":
+        tsid = action.terminal_sid
+        view = self.views.get(tsid)
+        if view is None or view.kind != "terminal":
             raise StrategyError("bank endpoint needs a terminal session")
         value = self._value_of(action.recipe)
         if action.source_alias:
             self._consume_pending(action.source_alias)
-        sid = f"B{self.n_bank_requests}.{action.terminal_sid}"
+        sid = f"B{self.n_bank_requests}.{tsid}"
         self.n_bank_requests += 1
         self._record("deliver", sid, T.to_text(action.recipe),
                      action.source_alias)
-        res = roles.bank_step(self.bank, term.state.kbt, value, sid)
+        res = roles.bank_step(self.bank, self.sessions[tsid].state.kbt,
+                              value, sid)
         for e in res.events:
             self.trace.events.append(e)
             self._record("event", sid, e.tag)
-        for out in res.outputs:
-            alias = self._publish(out, sid)
-            term.pending.append((alias, "to_terminal"))
+        replies = tuple((self._publish(out, sid), "to_terminal")
+                        for out in res.outputs)
+        view = self.views[tsid]         # _consume_pending may have replaced it
+        self.views[tsid] = replace(view, pending=view.pending + replies)
         if res.abort:
             self.trace.aborts.append((sid, res.abort))
             self._record("abort", sid, res.abort)
 
-    def _absorb(self, sess: _Session, res: roles.StepResult) -> None:
+    def _absorb(self, sid: str, res: roles.StepResult) -> None:
+        view, state = self.views[sid], self.sessions[sid].state
         for e in res.events:
             self.trace.events.append(e)
-            self._record("event", sess.sid, e.tag)
-        hint = "to_terminal" if sess.kind == "card" else "to_card"
+            self._record("event", sid, e.tag)
+        hint = "to_terminal" if view.kind == "card" else "to_card"
+        pending = list(view.pending)
         for out in res.outputs:
             out = T.normalize(out)
-            alias = self._publish(out, sess.sid)
+            alias = self._publish(out, sid)
             if out == T.AUTH:
                 continue             # a verdict signal, not a protocol message
-            if (sess.kind == "terminal" and sess.state.stage == 9
-                    and sess.state.req is not None and out == sess.state.req):
-                sess.pending.append((alias, "to_bank"))
+            if (view.kind == "terminal" and state.stage == 9
+                    and state.req is not None and out == state.req):
+                pending.append((alias, "to_bank"))
             else:
-                sess.pending.append((alias, hint))
+                pending.append((alias, hint))
         if res.abort:
-            sess.aborted = res.abort
-            self.trace.aborts.append((sess.sid, res.abort))
-            self._record("abort", sess.sid, res.abort)
-        if res.done:
-            sess.done = True
+            self.trace.aborts.append((sid, res.abort))
+            self._record("abort", sid, res.abort)
+        stage = state.stage if view.kind == "card" else state.stage_label()
+        # only a live session steps, so this step's abort/done are its own
+        self.views[sid] = replace(view, stage=stage, pending=tuple(pending),
+                                  aborted=bool(res.abort), done=res.done)
 
     def finish(self) -> Trace:
         self.trace.frame = self.frame()
@@ -613,8 +586,8 @@ class Runner:
 def run_scenario(sc: Scenario) -> Trace:
     runner = Runner(sc)
     strategy = make_strategy(sc)
-    for step in range(sc.max_steps):
-        action = strategy.decide(runner.observe(step))
+    for _ in range(sc.max_steps):
+        action = strategy.decide(runner.observe())
         if action is None:
             break
         runner.apply(action)
@@ -640,7 +613,3 @@ def make_strategy(sc: Scenario):
     from .strategies import make_strategy as factory
     return factory(sc)
 
-
-def builtin_strategies():
-    from .strategies import builtin_strategies as catalog
-    return catalog()

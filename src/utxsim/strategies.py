@@ -48,9 +48,10 @@ class Pump:
     def _start(self, obs):
         if obs.terminals_started < len(self.schedule):
             return H.StartTerminal(self.schedule[obs.terminals_started][1])
-        busy = {v.card_idx for v in obs.sessions
+        busy = {v.card_idx for v in obs.sessions.values()
                 if v.kind == "card" and v.alive()}
-        n_card_sessions = sum(1 for v in obs.sessions if v.kind == "card")
+        n_card_sessions = sum(1 for v in obs.sessions.values()
+                              if v.kind == "card")
         for pair, (card_idx, _) in enumerate(self.schedule):
             if pair in self.card_sid_of_pair or card_idx in busy:
                 continue
@@ -83,7 +84,7 @@ class Pump:
         return H.Deliver(target.sid, T.var(alias), source_alias=alias)
 
     def _route(self, obs):
-        for view in obs.sessions:
+        for view in obs.sessions.values():
             for alias, hint in view.pending:
                 act = self._route_one(obs, view, alias, hint)
                 if act is not None:
@@ -182,7 +183,7 @@ class Reflect(Pump):
 
     def decide(self, obs):
         if not self.reflected and self.z2_seen:
-            for v in obs.sessions:
+            for v in obs.sessions.values():
                 if v.kind == "card" and v.alive() and v.stage == "C1":
                     self.reflected = True
                     return H.Deliver(v.sid, T.var(self.z2_seen))
@@ -214,12 +215,12 @@ class Fuzzer(Pump):
         if choice == 3:
             return T.enc(self._random_recipe(obs, depth - 1),
                          self._random_recipe(obs, depth - 1))
-        return T.var(obs.outputs[self.rng.randrange(n_aliases)][1])
+        return T.var(list(obs.outputs)[self.rng.randrange(n_aliases)])
 
     def intercept(self, obs):
         if self.budget <= 0 or self.rng.random() > 0.18:
             return None
-        live = [v for v in obs.sessions if v.alive()
+        live = [v for v in obs.sessions.values() if v.alive()
                 and not (v.kind == "terminal" and v.stage.endswith("1"))]
         if not live:
             return None
@@ -227,7 +228,7 @@ class Fuzzer(Pump):
         target = live[self.rng.randrange(len(live))]
         kind = self.rng.randrange(3)
         if kind == 0 and obs.outputs:
-            actor, alias = obs.outputs[self.rng.randrange(len(obs.outputs))]
+            alias = list(obs.outputs)[self.rng.randrange(len(obs.outputs))]
             return H.Deliver(target.sid, T.var(alias))
         if kind == 1 and target.pending:
             alias, _ = target.pending[0]
@@ -257,7 +258,7 @@ class Scripted:
     # helpers ----------------------------------------------------------
 
     def outputs_of(self, actor):
-        return [alias for a, alias in self.obs.outputs if a == actor]
+        return [alias for alias, a in self.obs.outputs.items() if a == actor]
 
     def last_output(self, actor):
         outs = self.outputs_of(actor)

@@ -175,6 +175,7 @@ def assert_usage_error(capsys, code):
     ("issue_months 9", [], "issue_months"),
     ("terminal lo 7", [], "terminal month"),
     ("sessions -1", [], "sessions"),
+    ("sessions 2\nschedule 0:0", [], "schedule lists 1 sessions"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
                                                    flags, field):
@@ -190,7 +191,7 @@ def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
 @pytest.mark.parametrize("argv", [
     ["distinguish", "--test-bound", "-1"],
     ["check", "--derive-bound", "-1"],
-    ["run", "--pool-cap", "-1"],
+    ["distinguish", "--pool-cap", "-1"],
     ["run", "--sessions", "x"],
     ["suite", "unlinkability", "--sessions", "-1"],
     ["suite", "unlinkability", "--fuzzers", "-1"],
@@ -206,8 +207,24 @@ def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
     ["suite", "security", "--replay-check"],
     ["suite", "security", "--no-replay-check"],
     ["suite", "security", "--no-terminal-cert-check"],
+    # flags a scenario command does not read
+    ["run", "--test-bound", "3"],
+    ["run", "--pool-cap", "1"],
+    ["run", "--derive-bound", "2"],
+    ["check", "--test-bound", "3"],
+    ["check", "--pool-cap", "1"],
+    ["distinguish", "--derive-bound", "1"],
+    ["distinguish", "--world", "ideal"],
+    # a dumped trace fixes its own scenario
+    ["check", "--trace", "tr.txt", "--scenario", "honest_lo"],
+    ["check", "--trace", "tr.txt", "--seed", "0"],
+    ["check", "--trace", "tr.txt", "--sessions", "2"],
+    ["check", "--trace", "tr.txt", "--world", "ideal"],
+    ["check", "--trace", "tr.txt", "--leak-pin"],
 ])
-def test_bad_flags_exit_with_one_line(capsys, argv):
+def test_bad_flags_exit_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)     # a real trace, so only the flags are wrong
+    (tmp_path / "tr.txt").write_text(H.run_scenario(H.Scenario()).dump())
     assert_usage_error(capsys, cli.main(argv))
 
 

@@ -1,6 +1,7 @@
 """Harness tests: scheduling, attacker closure, determinism, trace
 round-trips and paired-world alignment."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -67,6 +68,32 @@ def test_every_builtin_trace_round_trips(seed):
     for name, sc in C.SCENARIOS.items():
         text = H.run_scenario(replace(sc, seed=seed)).dump()
         assert H.parse_trace(text).dump() == text, name
+
+
+def _digest(scenarios):
+    h = hashlib.sha256()
+    for sc in scenarios:
+        h.update(H.run_scenario(sc).dump().encode())
+    return h.hexdigest()
+
+
+def test_pinned_traces():
+    """Dumped traces pinned byte for byte: the built-in scenarios in both
+    worlds, and many-card attacker runs that stress scheduling."""
+    builtins = [replace(sc, seed=s, world=w)
+                for _, sc in sorted(C.SCENARIOS.items())
+                for s in range(4) for w in ("real", "ideal")]
+    assert _digest(builtins) == (
+        "163771c4a0668aa94c96c7a5d4b6535dde7d67b28aea51cc57acde434f75c99a")
+    strategies = ("passive", "fuzzer", "drop", "replay_bank_request",
+                  "replay_card_reply", "reflect")
+    terminals = (("onhi", None), ("offhi", None), ("lo", None))
+    campaign = [H.Scenario(cards=3, sessions=24, terminals=terminals,
+                           strategy=s, strategy_arg=3, seed=i, world=w,
+                           max_steps=1200)
+                for i, s in enumerate(strategies) for w in ("real", "ideal")]
+    assert _digest(campaign) == (
+        "cabcb8940a9717690ca093d8818abcb95491331c9e247c33e12cb7216ce407fe")
 
 
 @pytest.mark.parametrize("header", [
