@@ -25,7 +25,6 @@ class Correspondence:
     name: str
     trigger: tuple            # (tag, var names)
     obligations: tuple        # ((tag, var names), ...)
-    injective: bool = True
 
 
 CORRESPONDENCES = (
@@ -122,7 +121,7 @@ def check_agreement(trace, corr: Correspondence) -> Verdict:
                 return True
         return False
 
-    if corr.injective and not assign(0, set()):
+    if not assign(0, set()):
         which = candidates[-1][0]
         return Verdict(corr.name, "violated",
                        f"no injective matching (commit#{which} contended)")

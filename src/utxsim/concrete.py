@@ -39,17 +39,16 @@ class UnvaluedName(Exception):
 class GroupEnv:
     """Valuation of fresh names in the toy group. Insecure by design."""
 
-    q: int = Q
     valuation: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def for_names(cls, names, seed: int, q: int = Q) -> "GroupEnv":
+    def for_names(cls, names, seed: int) -> "GroupEnv":
         rng = random.Random(f"groupenv{seed}")
         vals = {}
         for nm in sorted(names):
             ident = nm[1] if isinstance(nm, tuple) else nm
-            vals[ident] = rng.randrange(2, q - 1)
-        return cls(q=q, valuation=vals)
+            vals[ident] = rng.randrange(2, Q - 1)
+        return cls(valuation=vals)
 
 
 def _digest(parts) -> int:
@@ -70,7 +69,7 @@ def _digest(parts) -> int:
 def eval_term(t: T.Term, env: GroupEnv):
     """Homomorphic evaluation of the normal form of t.
 
-    Returns an int (mod q), a tuple value, or Stuck. Raises UnvaluedName
+    Returns an int (mod Q), a tuple value, or Stuck. Raises UnvaluedName
     for names missing from the valuation and on free variables.
     """
     return _ev(T.normalize(t), env)
@@ -78,11 +77,10 @@ def eval_term(t: T.Term, env: GroupEnv):
 
 def _ev(t, env):
     op = t[0]
-    q = env.q
     if op == T.GEN:
         return 1
     if op == T.CONST:
-        return _digest(["const", t[1], t[2]]) % q
+        return _digest(["const", t[1], t[2]]) % Q
     if op == T.NAME:
         try:
             return env.valuation[t[1]]
@@ -96,26 +94,26 @@ def _ev(t, env):
             v = _ev(f, env)
             if isinstance(v, (Stuck, tuple)):
                 return Stuck(T.to_text(t))
-            r = r * v % q
+            r = r * v % Q
         return r
     if op in (T.SMULT, T.SIGV):
         a = _ev(t[1], env)
         b = _ev(t[2], env)
         if isinstance(a, (Stuck, tuple)) or isinstance(b, (Stuck, tuple)):
             return Stuck(T.to_text(t))
-        return a * b % q
+        return a * b % Q
     if op == T.TUP:
         return ("tup",) + tuple(_ev(x, env) for x in t[1])
     if op == T.HASH:
-        return _digest(["h", _ev(t[1], env)]) % q
+        return _digest(["h", _ev(t[1], env)]) % Q
     if op == T.ENC:
-        return _digest(["e", _ev(t[1], env), _ev(t[2], env)]) % q
+        return _digest(["e", _ev(t[1], env), _ev(t[2], env)]) % Q
     if op == T.PK:
-        return _digest(["pk", _ev(t[1], env)]) % q
+        return _digest(["pk", _ev(t[1], env)]) % Q
     if op == T.PKV:
-        return _digest(["pkv", _ev(t[1], env)]) % q
+        return _digest(["pkv", _ev(t[1], env)]) % Q
     if op == T.SIG:
-        return _digest(["sig", _ev(t[1], env), _ev(t[2], env)]) % q
+        return _digest(["sig", _ev(t[1], env), _ev(t[2], env)]) % Q
     # irreducible destructor
     return Stuck(T.to_text(t))
 

@@ -1,9 +1,10 @@
 """Attacker knowledge: frames, deduction, and bounded static equivalence.
 
-A frame is the attacker's view of a run: the set of restricted (secret)
-names plus an ordered binding of aliases to the messages observed on the
-network. A recipe is a term the attacker can build: its leaves are frame
-aliases (variables), public constants, and non-restricted names.
+A frame is the attacker's view of a run, nu n.sigma: the set of restricted
+(secret) names plus one substitution from aliases to the messages observed
+on the network, in output order. A recipe is a term the attacker can build:
+its leaves are frame aliases (variables), public constants, and
+non-restricted names.
 
 saturate() closes a frame under destructor analysis (splitting tuples,
 opening encryptions whose key is derivable, stripping signatures whose
@@ -23,9 +24,10 @@ which gives the same normal form because normal forms are fixpoints. A pass is
 a bounded guarantee, never a proof; it also says when the pool cap, not the
 bound, ended the search.
 
-Frames are immutable values and every operation here is pure, so searches
-over different frames can run in parallel; within one search, enumeration
-order (and therefore the first witness) is deterministic.
+A run's frame is its one record of what the attacker has seen, and it only
+grows, through Frame.bind. The analyses here only read their frames, so
+searches over different frames can run in parallel; within one search,
+enumeration order (and therefore the first witness) is deterministic.
 """
 
 from __future__ import annotations
@@ -46,43 +48,30 @@ class DomainMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class Frame:
-    restricted: frozenset = frozenset()
-    bindings: tuple = ()
+    """The one record of what the attacker has seen: the restricted name ids
+    and the substitution alias -> normal form, in output order. It grows
+    only through bind, the one place an alias is made."""
+    restricted: set = field(default_factory=set)
+    bindings: dict = field(default_factory=dict)
 
-    def subst(self) -> dict:
-        return dict(self.bindings)
-
-    def domain(self) -> list[str]:
-        return [a for a, _ in self.bindings]
-
-
-def empty_frame() -> Frame:
-    return Frame()
-
-
-def restrict(f: Frame, names) -> Frame:
-    ids = {n[1] if isinstance(n, tuple) else n for n in names}
-    return Frame(f.restricted | ids, f.bindings)
-
-
-def extend(f: Frame, t: Term) -> tuple[Frame, str]:
-    """Record a protocol output; returns the new frame and the fresh alias."""
-    alias = f"{ALIAS_PREFIX}{len(f.bindings)}"
-    img = T.normalize(t)
-    return Frame(f.restricted, f.bindings + ((alias, img),)), alias
+    def bind(self, t: Term) -> str:
+        """Record a protocol output under a fresh alias; returns the alias."""
+        alias = f"{ALIAS_PREFIX}{len(self.bindings)}"
+        self.bindings[alias] = T.normalize(t)
+        return alias
 
 
 def recipe_ok(f: Frame, recipe: Term) -> bool:
     """A valid recipe references only bound aliases and public names."""
-    if not T.free_vars(recipe) <= set(f.domain()):
+    if not T.free_vars(recipe) <= f.bindings.keys():
         return False
     return all(n[1] not in f.restricted for n in T.free_names(recipe))
 
 
 def recipe_value(f: Frame, recipe: Term) -> Term:
-    val = T.apply(f.subst(), recipe)
+    val = T.apply(f.bindings, recipe)
     if T.free_vars(val):
         raise KeyError(f"recipe references unbound aliases: {T.to_text(recipe)}")
     return val
@@ -93,14 +82,12 @@ def recipe_value(f: Frame, recipe: Term) -> Term:
 @dataclass
 class Saturated:
     frame: Frame
-    entries: list = field(default_factory=list)   # ordered (recipe, image)
-    index: dict = field(default_factory=dict)     # image -> first recipe
+    entries: dict = field(default_factory=dict)   # image -> first recipe
 
     def add(self, recipe: Term, image: Term) -> bool:
-        if image in self.index:
+        if image in self.entries:
             return False
-        self.index[image] = recipe
-        self.entries.append((recipe, image))
+        self.entries[image] = recipe
         return True
 
     def is_public_atom(self, t: Term) -> bool:
@@ -110,33 +97,36 @@ class Saturated:
         return op == T.NAME and t[1] not in self.frame.restricted
 
 
-def saturate(f: Frame, key_bound: int = SATURATE_KEY_BOUND) -> Saturated:
+def saturate(f: Frame) -> Saturated:
     """Destructor closure of the frame, to fixpoint."""
     sat = Saturated(f)
-    for alias, img in f.bindings:
+    for alias, img in f.bindings.items():
         sat.add(T.var(alias), img)
     changed = True
     while changed:
         changed = False
-        for recipe, img in list(sat.entries):
+        for img, recipe in list(sat.entries.items()):
             op = img[0]
             if op == T.TUP:
                 for i, item in enumerate(img[1]):
                     changed |= sat.add(T.proj(i + 1, recipe), item)
             elif op == T.ENC:
-                key = _derive(sat, img[2], key_bound)
+                key = _derive(sat, img[2], SATURATE_KEY_BOUND)
                 if key is not None:
                     changed |= sat.add(T.dec(key, recipe), img[1])
             elif op == T.SIG:
-                vk = _derive(sat, T.normalize(T.pk(img[1])), key_bound)
+                vk = _derive(sat, T.normalize(T.pk(img[1])),
+                             SATURATE_KEY_BOUND)
                 if vk is not None:
                     changed |= sat.add(T.check(vk, recipe), img[2])
             elif op == T.SIGV:
-                vk = _derive(sat, T.normalize(T.pkv(img[1])), key_bound)
+                vk = _derive(sat, T.normalize(T.pkv(img[1])),
+                             SATURATE_KEY_BOUND)
                 if vk is not None:
                     changed |= sat.add(T.checkv(vk, recipe), img[2])
             elif op == T.SMULT and img[2][0] == T.SIGV:
-                vk = _derive(sat, T.normalize(T.pkv(img[2][1])), key_bound)
+                vk = _derive(sat, T.normalize(T.pkv(img[2][1])),
+                             SATURATE_KEY_BOUND)
                 if vk is not None:
                     stripped = T.normalize(T.smult(img[1], img[2][2]))
                     changed |= sat.add(T.checkv(vk, recipe), stripped)
@@ -173,7 +163,7 @@ def _cost(sat: Saturated, t: Term, memo: dict):
         return None if got is _PENDING else got
     memo[t] = _PENDING
     best = None
-    hit = sat.index.get(t)
+    hit = sat.entries.get(t)
     if hit is not None:
         best = (0, hit)
     elif sat.is_public_atom(t):
@@ -232,8 +222,8 @@ def _cover(sat: Saturated, factors: tuple, memo: dict):
         return (0, [])
     first = factors[0]
     options = []
-    # units from the saturated index that contain the first factor
-    for img, recipe in sat.index.items():
+    # units from the saturation that contain the first factor
+    for img, recipe in sat.entries.items():
         if img[0] != T.MULT:
             continue
         unit = list(img[1])
@@ -269,7 +259,7 @@ def _smult_cost(sat: Saturated, t: Term, memo: dict):
         options.append(direct)
     # rebase on a known blinded block with the same point: [rest]([s2]p)
     want = list(T.m_factors(scalar))
-    for img, recipe in sat.index.items():
+    for img, recipe in sat.entries.items():
         if img[0] != T.SMULT or img[2] != point:
             continue
         rest = list(want)
@@ -335,7 +325,7 @@ class _Bijection:
     whole recipe, and the images stay variable-free."""
 
     def __init__(self, fa, fb, pool_cap):
-        self.sub_a, self.sub_b = fa.subst(), fb.subst()
+        self.sub_a, self.sub_b = fa.bindings, fb.bindings
         self.pool_cap = pool_cap
         self.capped = False
         self.by_a: dict = {}
@@ -405,7 +395,7 @@ def _seed_recipes(sa: Saturated, sb: Saturated):
     months = set()
     pub_names = set()
     restricted = sa.frame.restricted | sb.frame.restricted
-    for _, img in sa.entries + sb.entries:
+    for img in [*sa.entries, *sb.entries]:
         stack = [img]
         while stack:
             x = stack.pop()
@@ -423,19 +413,18 @@ def _seed_recipes(sa: Saturated, sb: Saturated):
                 stack.extend((x[1], x[2]))
     seeds += [T.mm(k) for k in sorted(months)]
     seeds += sorted(pub_names)
-    for recipe, _ in sa.entries:
-        seeds.append(recipe)
-    for recipe, _ in sb.entries:
-        seeds.append(recipe)
+    seeds += sa.entries.values()
+    seeds += sb.entries.values()
     return seeds
 
 
 def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
                  pool_cap: int = POOL_CAP):
     """Bounded distinguisher search between two frames with equal domains."""
-    if fa.domain() != fb.domain():
+    domain = list(fa.bindings)
+    if domain != list(fb.bindings):
         raise DomainMismatch(
-            f"alias domains differ: {fa.domain()} vs {fb.domain()}")
+            f"alias domains differ: {domain} vs {list(fb.bindings)}")
     sa, sb = saturate(fa), saturate(fb)
     bij = _Bijection(fa, fb, pool_cap)
 

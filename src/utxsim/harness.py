@@ -8,7 +8,10 @@ validated against the frame, so the attacker is never omniscient.
 
 The runner keeps each fact once: a session's public state only in its
 SessionView (which keeps the session's own last stage), the output log only
-in Runner.outputs, and restriction only in the honest agents' name source.
+in Runner.outputs, and what the attacker has seen only in its one Frame. That
+frame grows in place and is the trace's frame: the honest agents' name source
+adds every name it mints to its restricted set, and every output binds an
+alias in it.
 
 Worlds: "real" lets a card run any number of sessions; "ideal" spawns a
 disposable fresh card per session (with the card database and, in leaked-PIN
@@ -123,7 +126,7 @@ class Trace:
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
     aborts: list = field(default_factory=list)      # (session_id, reason)
-    frame: frames.Frame = field(default_factory=frames.empty_frame)
+    frame: frames.Frame = field(default_factory=frames.Frame)
     secrets: list = field(default_factory=list)     # (label, term) targets
 
     def observable_shape(self):
@@ -137,7 +140,7 @@ class Trace:
         yield (f"SCEN protocol={sc.protocol} world={sc.world} seed={sc.seed} "
                f"cards={sc.cards} sessions={sc.sessions} strategy={sc.strategy}")
         yield "REST " + " ".join(sorted(self.frame.restricted))
-        for alias, img in self.frame.bindings:
+        for alias, img in self.frame.bindings.items():
             yield f"BIND {alias} {T.to_text(img)}"
         for r in self.records:
             yield f"REC {r.idx}|{r.kind}|{r.actor}|{r.alias}|{r.text}"
@@ -172,8 +175,7 @@ def parse_trace(text: str) -> Trace:
     """Rebuild the scenario header, events, aborts and frame from a dumped
     trace; this is everything the property checkers consume."""
     tr = Trace(scenario=Scenario())
-    restricted: frozenset = frozenset()
-    bindings = []
+    bindings = tr.frame.bindings
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -182,10 +184,12 @@ def parse_trace(text: str) -> Trace:
             if head == "SCEN":
                 tr.scenario = _parse_scen(rest)
             elif head == "REST":
-                restricted = frozenset(rest.split())
+                tr.frame.restricted = set(rest.split())
             elif head == "BIND":
                 alias, _, img = rest.partition(" ")
-                bindings.append((alias, T.parse(img)))
+                if alias in bindings:
+                    raise ValueError(f"alias {alias} is bound twice")
+                bindings[alias] = T.parse(img)
             elif head == "EV":
                 tag, args, sid, role = _split_event(rest)
                 tr.events.append(roles.Event(tag, args, sid, role))
@@ -202,7 +206,6 @@ def parse_trace(text: str) -> Trace:
         except (ValueError, T.MalformedTerm) as e:
             msg = f"bad trace line {lineno} ({head}): {e}"
             raise TraceInvalid(msg) from None
-    tr.frame = frames.Frame(restricted, tuple(bindings))
     return tr
 
 
@@ -313,11 +316,10 @@ class Runner:
     def __init__(self, scenario: Scenario):
         scenario.validate()
         sc = self.sc = scenario
-        self.restricted: set = set()
-        self.fresh = _SysFresh(self.restricted)
-        self.bindings: list = []
+        self.frame = frames.Frame()
+        self.fresh = _SysFresh(self.frame.restricted)
         self.outputs: dict = {}        # alias -> actor, in output order
-        self.trace = Trace(scenario=scenario)
+        self.trace = Trace(scenario=scenario, frame=self.frame)
         self.sessions: dict = {}       # sid -> _Session, in start order
         self.views: dict = {}          # sid -> SessionView
         self.n_cards_started: dict = {}
@@ -347,10 +349,8 @@ class Runner:
         # odometers let the ideal world mirror the month position a
         # multi-session card would have reached, without cross-world peeking
         self.odometer = [self._card_position(c) for c in self.cards]
-        bulletin, _ = setup_phase.publish_bulletin(
-            self.auth, frames.Frame(), sc.current_month)
-        for _, img in bulletin.bindings:
-            self._publish(img, "bulletin")
+        for key in setup_phase.publish_bulletin(self.auth, sc.current_month):
+            self._publish(key, "bulletin")
         if sc.chi_leaked is not None:
             self._publish(self.auth.chi[sc.chi_leaked], "bulletin")
         if sc.protocol == "utxl":
@@ -393,17 +393,13 @@ class Runner:
 
     # -- frame and trace plumbing --------------------------------------------
 
-    def frame(self) -> frames.Frame:
-        return frames.Frame(frozenset(self.restricted), tuple(self.bindings))
-
     def _publish(self, t: Term, actor: str) -> str:
         """Bind an output in the frame and log it; every output, the
         bulletin's too, is made here."""
-        img = T.normalize(t)
-        alias = f"{frames.ALIAS_PREFIX}{len(self.bindings)}"
-        self.bindings.append((alias, img))
+        alias = self.frame.bind(t)
         self.outputs[alias] = actor
-        self._record("output", actor, T.to_text(img), alias)
+        self._record("output", actor, T.to_text(self.frame.bindings[alias]),
+                     alias)
         return alias
 
     def _record(self, kind, actor, text, alias=""):
@@ -475,10 +471,9 @@ class Runner:
         self._absorb(sid, roles.terminal_step(term, None, self.fresh))
 
     def _value_of(self, recipe: Term) -> Term:
-        f = self.frame()
-        if not frames.recipe_ok(f, recipe):
+        if not frames.recipe_ok(self.frame, recipe):
             raise StrategyError(f"recipe not constructible: {T.to_text(recipe)}")
-        return frames.recipe_value(f, recipe)
+        return frames.recipe_value(self.frame, recipe)
 
     def _consume_pending(self, alias: str) -> None:
         for sid, view in self.views.items():
@@ -578,10 +573,6 @@ class Runner:
         self.views[sid] = replace(view, stage=stage, pending=tuple(pending),
                                   aborted=bool(res.abort), done=res.done)
 
-    def finish(self) -> Trace:
-        self.trace.frame = self.frame()
-        return self.trace
-
 
 def run_scenario(sc: Scenario) -> Trace:
     runner = Runner(sc)
@@ -591,7 +582,7 @@ def run_scenario(sc: Scenario) -> Trace:
         if action is None:
             break
         runner.apply(action)
-    return runner.finish()
+    return runner.trace
 
 
 def run_paired(sc: Scenario):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import frames, roles
+from . import roles
 from . import terms as T
 from .terms import Term
 
@@ -125,13 +125,8 @@ def provision_terminal(cred: BankCredential, auth: Authority,
     )
 
 
-def publish_bulletin(auth: Authority, frame: frames.Frame,
-                     current_month: int) -> tuple:
-    """Announce the generic verification key and every month key released so
-    far; future month keys are never published in advance."""
-    frame, a0 = frames.extend(frame, auth.vk())
-    aliases = [a0]
-    for m in range(min(current_month, auth.horizon - 1) + 1):
-        frame, a = frames.extend(frame, auth.month_vk(m))
-        aliases.append(a)
-    return frame, aliases
+def publish_bulletin(auth: Authority, current_month: int) -> list:
+    """The keys to announce: the generic verification key and every month key
+    released so far; future month keys are never published in advance."""
+    months = range(min(current_month, auth.horizon - 1) + 1)
+    return [auth.vk()] + [auth.month_vk(m) for m in months]

@@ -350,11 +350,6 @@ def free_vars(t: Term) -> set:
     return out
 
 
-def is_stuck(t: Term) -> bool:
-    """True if the normal form's root is an unreduced destructor."""
-    return t[0] in (CHECK, CHECKV, PROJ, DEC)
-
-
 def month_index(t: Term) -> int | None:
     return t[2] if t[0] == CONST and t[1] == "mm" else None
 

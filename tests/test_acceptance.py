@@ -123,7 +123,7 @@ def test_criterion_4_secrecy(mixed_traces):
         rng = random.Random(f"drv{seed}")
         f, _, secret, pub = test_frames._random_frame(rng)
         vals = test_frames.oracle_values(f, 2, extra_atoms=pub)
-        targets = [secret[0], T.h(T.gen())] + [img for _, img in f.bindings]
+        targets = [secret[0], T.h(T.gen())] + list(f.bindings.values())
         for tgt in targets:
             want = T.normalize(tgt) in vals
             got = F.derive(f, tgt, 2)

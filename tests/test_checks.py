@@ -147,10 +147,10 @@ def test_distinguish_verdict_witness_replays():
     real, ideal = H.run_paired(sc)
     verdict = F.static_equiv(real.frame, ideal.frame, test_bound=4)
     assert not bool(verdict)
-    ra = T.apply(real.frame.subst(), verdict.left)
-    rb = T.apply(real.frame.subst(), verdict.right)
-    ia = T.apply(ideal.frame.subst(), verdict.left)
-    ib = T.apply(ideal.frame.subst(), verdict.right)
+    ra = T.apply(real.frame.bindings, verdict.left)
+    rb = T.apply(real.frame.bindings, verdict.right)
+    ia = T.apply(ideal.frame.bindings, verdict.left)
+    ib = T.apply(ideal.frame.bindings, verdict.right)
     assert (ra == rb) != (ia == ib)
 
 

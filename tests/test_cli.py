@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, determinism, scenario files, trace checking."""
 
+import random
+
 import pytest
 
 import utxsim.cli as cli
@@ -123,6 +125,36 @@ def test_adversarial_trace_roundtrip(tmp_path, capsys):
     assert "CHECK bank-agrees-card holds" in text
 
 
+def _check_exits_cleanly(capsys, path, label):
+    """check --trace on path exits 0, 1 or 2, and exit 2 prints one line."""
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), label
+    if code == 2:
+        assert captured.out == "", label
+        assert captured.err.startswith("error: "), label
+        assert captured.err.count("\n") == 1, label
+    else:
+        assert captured.err == "", label
+    return code, captured.err
+
+
+def _mutate(rng, text):
+    """One fixed-seed mutation: duplicate a line, delete a line, or
+    substitute one character."""
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(3)
+    if kind == 0:
+        i = rng.randrange(len(lines))
+        return "".join(lines[:i + 1] + lines[i:]), f"dup line {i + 1}"
+    if kind == 1:
+        i = rng.randrange(len(lines))
+        return "".join(lines[:i] + lines[i + 1:]), f"del line {i + 1}"
+    i = rng.randrange(len(text))
+    ch = rng.choice("()|= _.-0129wxmT\n")
+    return text[:i] + ch + text[i + 1:], f"sub {ch!r} at {i}"
+
+
 def test_truncated_trace_exits_cleanly(tmp_path, capsys):
     full = tmp_path / "tr.txt"
     run_cli(capsys, "run", "--scenario", "honest_onhi", "--seed", "0",
@@ -137,13 +169,33 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
         "error: bad trace line 10 (BIND): unexpected end of input\n"
     for n in range(0, len(text), 7):
         cut.write_text(text[:n])
-        code = cli.main(["check", "--trace", str(cut)])
-        captured = capsys.readouterr()
-        assert code in (0, 1, 2), n
+        code, err = _check_exits_cleanly(capsys, cut, n)
         if code == 2:
-            assert captured.out == "", n
-            assert captured.err.startswith("error: bad trace line "), n
-            assert captured.err.count("\n") == 1, n
+            assert err.startswith("error: bad trace line "), n
+    # mutated, not only cut, traces of a few built-ins
+    rng = random.Random("trace-mutations")
+    for name in ("honest_onhi", "replay_cryptogram", "fake_card_no_checkv",
+                 "utxl_lo"):
+        run_cli(capsys, "run", "--scenario", name, "--out", str(full))
+        text = full.read_text()
+        for _ in range(40):
+            mutated, how = _mutate(rng, text)
+            cut.write_text(mutated)
+            _check_exits_cleanly(capsys, cut, f"{name}: {how}")
+
+
+def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
+    # a frame binds each alias once; a repeated BIND line is not a trace
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_onhi", "--out", str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[3].startswith("BIND w1 ")
+    path.write_text("".join(lines[:4] + lines[3:]))
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        "error: bad trace line 5 (BIND): alias w1 is bound twice\n"
 
 
 @pytest.mark.parametrize("line", ["cards x", "strategy", "replay_check maybe"])

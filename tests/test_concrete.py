@@ -19,7 +19,7 @@ def test_point_multiplication_is_dlog_product():
     a = T.name("a", "scalar")
     env = env_for(a)
     va = env.valuation["a"]
-    assert K.eval_term(T.smult(a, G), env) == va % env.q
+    assert K.eval_term(T.smult(a, G), env) == va % K.Q
 
 
 def test_key_agreement_sides_evaluate_equal():
@@ -29,15 +29,15 @@ def test_key_agreement_sides_evaluate_equal():
     rhs = K.eval_term(T.h(T.smult(t, T.smult(a, T.smult(c, G)))), env)
     assert lhs == rhs
     # independent arithmetic: digest of the product of the three logs
-    prod = (env.valuation["a"] * env.valuation["c"] * env.valuation["t"]) % env.q
-    assert lhs == K._digest(["h", prod]) % env.q
+    prod = (env.valuation["a"] * env.valuation["c"] * env.valuation["t"]) % K.Q
+    assert lhs == K._digest(["h", prod]) % K.Q
 
 
 def test_blinded_signature_check_evaluates_to_blinded_key():
     a, c, chi = (T.name(x, "scalar") for x in ("a", "c", "chi"))
     env = env_for(a, c, chi)
     e = T.checkv(T.pkv(chi), T.smult(a, T.sigv(chi, T.smult(c, G))))
-    want = (env.valuation["a"] * env.valuation["c"]) % env.q
+    want = (env.valuation["a"] * env.valuation["c"]) % K.Q
     assert K.eval_term(e, env) == want
 
 

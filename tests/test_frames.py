@@ -1,24 +1,23 @@
 """Frame deduction and static-equivalence tests, cross-validated against
 blind exhaustive recipe enumeration on small frames."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import utxsim.terms as T
+import utxsim.checks as C
 import utxsim.frames as F
+import utxsim.harness as H
+import utxsim.terms as T
 
 G = T.gen()
 
 
 def build(restricted, images):
-    f = F.restrict(F.empty_frame(), restricted)
-    aliases = []
-    for img in images:
-        f, a = F.extend(f, img)
-        aliases.append(a)
-    return f, aliases
+    f = F.Frame({n[1] for n in restricted})
+    return f, [f.bind(img) for img in images]
 
 
 # -- blind oracles -----------------------------------------------------------
@@ -34,7 +33,7 @@ _BINARY_OPS = (T.SMULT, T.ENC, T.DEC, T.SIG, T.SIGV, T.CHECK, T.CHECKV)
 
 
 def _oracle_atoms(frame, extra_atoms):
-    atoms = [T.var(a) for a in frame.domain()]
+    atoms = [T.var(a) for a in frame.bindings]
     atoms += [G, T.mm(0)]
     atoms += [n for n in sorted(extra_atoms)]
     return atoms
@@ -93,7 +92,7 @@ def _enumerate(atoms, bound, admit):
 
 def oracle_values(frame, bound, extra_atoms=()):
     """value -> (size, recipe) for everything reachable within the bound."""
-    sub = frame.subst()
+    sub = frame.bindings
     values = {}
 
     def admit(recipe, size):
@@ -117,7 +116,7 @@ def oracle_distinguishable(fa, fb, bound):
     """Exhaustive pair comparison up to the bound, phrased as a consistency
     check of the induced value correspondence (equivalent to comparing the
     equality outcome of every recipe pair)."""
-    sub_a, sub_b = fa.subst(), fb.subst()
+    sub_a, sub_b = fa.bindings, fb.bindings
     seen_a, seen_b = {}, {}
 
     def admit(recipe, size):
@@ -141,14 +140,14 @@ def oracle_distinguishable(fa, fb, bound):
 def test_extend_gives_distinct_aliases():
     f, (a1, a2) = build([], [G, G])
     assert a1 != a2
-    assert f.subst()[a1] == f.subst()[a2] == G
+    assert f.bindings[a1] == f.bindings[a2] == G
 
 
 def test_saturation_opens_encryption_with_known_key():
     m, k = T.name("m"), T.name("k")
     f, _ = build([m, k], [T.enc(m, k), k])
     sat = F.saturate(f)
-    assert T.normalize(m) in sat.index
+    assert T.normalize(m) in sat.entries
     r = F.derive(f, m, 4)
     assert F.recipe_value(f, r) == T.normalize(m)
 
@@ -164,9 +163,9 @@ def test_saturation_exposes_bank_certificate_to_fake_card():
     key = T.h(T.smult(t, T.smult(n, G)))
     f, _ = build([t, bt, s], [z1, T.enc(crt, key)])
     sat = F.saturate(f)
-    assert T.normalize(T.mm(1)) in sat.index
-    assert T.normalize(T.smult(bt, G)) in sat.index
-    assert T.normalize(T.sig(s, crt_body)) in sat.index
+    assert T.normalize(T.mm(1)) in sat.entries
+    assert T.normalize(T.smult(bt, G)) in sat.entries
+    assert T.normalize(T.sig(s, crt_body)) in sat.entries
     assert F.derive(f, s, 6) is None
 
 
@@ -183,9 +182,9 @@ def test_derive_self_and_restrictions():
     pin, k = T.name("PIN"), T.name("k")
     f, aliases = build([pin, k], [T.enc(pin, k), k])
     for alias in aliases:
-        r = F.derive(f, f.subst()[alias], 2)
+        r = F.derive(f, f.bindings[alias], 2)
         assert r is not None
-        assert F.recipe_value(f, r) == f.subst()[alias]
+        assert F.recipe_value(f, r) == f.bindings[alias]
         assert all(n[1] not in f.restricted for n in T.free_names(r))
 
 
@@ -215,8 +214,8 @@ def test_static_equiv_trivial_and_witness():
     verdict = F.static_equiv(fa, fb)
     assert not bool(verdict)
     la, ra = verdict.left, verdict.right
-    assert (T.apply(fa.subst(), la) == T.apply(fa.subst(), ra)) != \
-        (T.apply(fb.subst(), la) == T.apply(fb.subst(), ra))
+    assert (T.apply(fa.bindings, la) == T.apply(fa.bindings, ra)) != \
+        (T.apply(fb.bindings, la) == T.apply(fb.bindings, ra))
 
 
 def test_static_equiv_domain_mismatch():
@@ -238,10 +237,10 @@ def test_static_equiv_decryptability_probe():
 def test_saturate_idempotent_and_monotone():
     m, k = T.name("m"), T.name("k")
     f, _ = build([m, k], [T.enc(T.tup(m, k), k), k])
-    images1 = set(F.saturate(f).index)
-    assert set(F.saturate(f).index) == images1
-    bigger, _ = F.extend(f, T.h(m))
-    assert images1 <= set(F.saturate(bigger).index)
+    images1 = set(F.saturate(f).entries)
+    assert set(F.saturate(f).entries) == images1
+    f.bind(T.h(m))
+    assert images1 <= set(F.saturate(f).entries)
 
 
 def test_static_equiv_deterministic_witness():
@@ -281,7 +280,7 @@ def test_derive_matches_exhaustive_oracle(seed):
     f, _, secret, pub = _random_frame(rng)
     bound = 2
     targets = [secret[0], T.h(G), T.enc(pub[0], secret[0])]
-    for _, img in f.bindings:
+    for img in f.bindings.values():
         targets.append(img)
         if img[0] == T.ENC:
             targets.append(img[1])
@@ -302,13 +301,11 @@ def test_derive_matches_exhaustive_oracle(seed):
 def test_static_equiv_matches_exhaustive_oracle(seed):
     rng = random.Random(f"se{seed}")
     fa, _, secret, _ = _random_frame(rng)
-    images = [img for _, img in fa.bindings]
+    images = list(fa.bindings.values())
     if rng.random() < 0.5:
         i = rng.randrange(len(images))
         images[i] = T.h(images[i]) if rng.random() < 0.5 else T.tup(G, G)
-    fb = F.restrict(F.empty_frame(), secret)
-    for img in images:
-        fb, _ = F.extend(fb, img)
+    fb, _ = build(secret, images)
     bound = 2
     want = oracle_distinguishable(fa, fb, bound)
     got = F.static_equiv(fa, fb, test_bound=bound)
@@ -316,8 +313,8 @@ def test_static_equiv_matches_exhaustive_oracle(seed):
         assert not bool(got), "oracle found a distinguishing pair"
     if not bool(got):
         la, ra = got.left, got.right
-        ea = T.apply(fa.subst(), la) == T.apply(fa.subst(), ra)
-        eb = T.apply(fb.subst(), la) == T.apply(fb.subst(), ra)
+        ea = T.apply(fa.bindings, la) == T.apply(fa.bindings, ra)
+        eb = T.apply(fb.bindings, la) == T.apply(fb.bindings, ra)
         assert ea != eb, "reported witness does not distinguish"
 
 
@@ -399,3 +396,99 @@ def test_composed_image_equals_recipe_evaluation(pair):
         got = _outcome(T.normalize, shape(a, b))
         assert got == want, T.to_text(shape(x, y))
         assert got == "malformed" or not T.free_vars(got)
+
+
+# -- metamorphic properties ------------------------------------------------------
+#
+# Fixed-seed frame pairs: small random ones, and the final real/ideal frames
+# of the built-in paired experiments. Renaming restricted names, swapping the
+# two frames, or comparing a frame with itself must not move a verdict.
+
+_PAIRED = ("unlink_utx", "bdh_2session", "ubdh_2session", "utxl_hi_probe")
+_CASES = [f"random{k}" for k in range(48)] + list(_PAIRED)
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_pair(case):
+    """(fa, fb, targets) for a case; targets are (label, term) secrecy
+    targets over fa. Odd random cases mutate one of fb's images."""
+    if case in _PAIRED:
+        real, ideal = H.run_paired(C.SCENARIOS[case])
+        return real.frame, ideal.frame, real.secrets
+    k = int(case[len("random"):])
+    rng = random.Random(f"metamorphic{k}")
+    fa, _, secret, _ = _random_frame(rng)
+    images = list(fa.bindings.values())
+    if k % 2:
+        i = rng.randrange(len(images))
+        images[i] = T.h(images[i]) if rng.random() < 0.5 else T.tup(G, G)
+    fb, _ = build(secret, images)
+    return fa, fb, [(n[1], n) for n in secret]
+
+
+def _rename_term(t, ren):
+    op = t[0]
+    if op == T.NAME:
+        return (T.NAME, ren.get(t[1], t[1]), t[2])
+    if op < T.MULT:
+        return t
+    if op == T.MULT or op == T.TUP:
+        return (op, tuple(_rename_term(x, ren) for x in t[1]))
+    if op == T.PROJ:
+        return (T.PROJ, t[1], _rename_term(t[2], ren))
+    if op in (T.HASH, T.PK, T.PKV):
+        return (op, _rename_term(t[1], ren))
+    return (op, _rename_term(t[1], ren), _rename_term(t[2], ren))
+
+
+def _renamed(f, ren):
+    """f with every restricted name renamed; images are re-normalized, since
+    renaming can reorder the factors of a product."""
+    g = F.Frame({ren[n] for n in f.restricted})
+    for img in f.bindings.values():
+        g.bind(_rename_term(img, ren))
+    return g
+
+
+def _renaming(*fs):
+    """One injective renaming of the frames' restricted names onto fresh
+    ids, which do not keep the names' order."""
+    old = sorted(set().union(*(f.restricted for f in fs)), reverse=True)
+    ren = {n: f"zr{i}" for i, n in enumerate(old)}
+    for f in fs:
+        for img in f.bindings.values():
+            assert not any(n[1].startswith("zr") for n in T.free_names(img))
+    return ren
+
+
+def _kind(verdict):
+    return type(verdict).__name__
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_static_equiv_metamorphic(case):
+    fa, fb, _ = _frame_pair(case)
+    for f in (fa, fb):
+        assert isinstance(F.static_equiv(f, f, test_bound=4), F.Equivalent)
+    verdict = F.static_equiv(fa, fb, test_bound=4)
+    assert _kind(F.static_equiv(fb, fa, test_bound=4)) == _kind(verdict)
+    ren = _renaming(fa, fb)
+    moved = F.static_equiv(_renamed(fa, ren), _renamed(fb, ren), test_bound=4)
+    assert (_kind(moved), moved.tests) == (_kind(verdict), verdict.tests)
+    if not verdict:
+        assert (moved.left, moved.right, moved.side) == \
+            (verdict.left, verdict.right, verdict.side)
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_deduction_invariant_under_renaming(case):
+    fa, _, targets = _frame_pair(case)
+    ren = _renaming(fa)
+    moved = _renamed(fa, ren)
+    moved_targets = [(label, _rename_term(t, ren)) for label, t in targets]
+    hashed = [T.h(img) for img in fa.bindings.values()]
+    for t in [t for _, t in targets] + hashed:
+        u = _rename_term(t, ren)
+        assert (F.derive(fa, t) is None) == (F.derive(moved, u) is None)
+    assert C.check_secrecy(fa, targets).status == \
+        C.check_secrecy(moved, moved_targets).status

@@ -8,6 +8,8 @@ and a credential shown unblinded. Each is detected at small bounds.
 
 import pytest
 
+from test_frames import build
+
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
@@ -35,13 +37,12 @@ def test_mutated_ideal_binding_is_detected(idx_frac):
     # announcements are excluded: a fresh name and the hash of a never-seen
     # secret really are statically equivalent.)
     real, ideal = paired()
-    structured = [i for i, (_, img) in enumerate(ideal.frame.bindings)
+    structured = [a for a, img in ideal.frame.bindings.items()
                   if img[0] != T.NAME]
-    i = structured[int(idx_frac * (len(structured) - 1))]
-    bindings = list(ideal.frame.bindings)
-    alias, img = bindings[i]
-    bindings[i] = (alias, T.normalize(T.h(img)))
-    mutated = F.Frame(ideal.frame.restricted, tuple(bindings))
+    alias = structured[int(idx_frac * (len(structured) - 1))]
+    bindings = dict(ideal.frame.bindings)
+    bindings[alias] = T.normalize(T.h(bindings[alias]))
+    mutated = F.Frame(ideal.frame.restricted, bindings)
     verdict = F.static_equiv(real.frame, mutated, test_bound=4)
     assert not bool(verdict), f"mutation at {alias} went unnoticed"
 
@@ -52,12 +53,8 @@ def test_blinding_reuse_is_detected():
     fresh = T.FreshNames()
     c, a1, a2 = fresh.scalar("c"), fresh.scalar("a"), fresh.scalar("a")
     pk_c = T.smult(c, G)
-    reused = F.restrict(F.empty_frame(), [c, a1, a2])
-    for z2 in (T.smult(a1, pk_c), T.smult(a1, pk_c)):
-        reused, _ = F.extend(reused, z2)
-    correct = F.restrict(F.empty_frame(), [c, a1, a2])
-    for z2 in (T.smult(a1, pk_c), T.smult(a2, pk_c)):
-        correct, _ = F.extend(correct, z2)
+    reused, _ = build([c, a1, a2], [T.smult(a1, pk_c), T.smult(a1, pk_c)])
+    correct, _ = build([c, a1, a2], [T.smult(a1, pk_c), T.smult(a2, pk_c)])
     verdict = F.static_equiv(reused, correct, test_bound=2)
     assert not bool(verdict)
     assert {verdict.left, verdict.right} == {T.var("w0"), T.var("w1")}
@@ -70,33 +67,25 @@ def test_unblinded_credential_is_detected():
     c, chi, a1, a2 = (fresh.scalar(h) for h in ("c", "chi", "a", "a"))
     pk_c = T.smult(c, G)
     cert = T.sigv(chi, pk_c)
-    leaky = F.restrict(F.empty_frame(), [c, chi, a1, a2])
-    for t in (cert, cert):
-        leaky, _ = F.extend(leaky, t)
-    blinded = F.restrict(F.empty_frame(), [c, chi, a1, a2])
-    for a in (a1, a2):
-        blinded, _ = F.extend(blinded, T.smult(a, cert))
+    secrets = [c, chi, a1, a2]
+    leaky, _ = build(secrets, [cert, cert])
+    blinded, _ = build(secrets, [T.smult(a, cert) for a in (a1, a2)])
     assert not bool(F.static_equiv(leaky, blinded, test_bound=2))
     # and two honestly blinded sessions pass
-    other = F.restrict(F.empty_frame(), [c, chi, a1, a2])
-    for a in (a2, a1):
-        other, _ = F.extend(other, T.smult(a, cert))
+    other, _ = build(secrets, [T.smult(a, cert) for a in (a2, a1)])
     assert bool(F.static_equiv(blinded, other, test_bound=3))
 
 
 def test_mutated_multimonth_run_detected():
     real, ideal = paired(protocol="utx_multimonth")
-    bindings = list(ideal.frame.bindings)
+    bindings = dict(ideal.frame.bindings)
     # swap the two card handshake replies between sessions
-    card_pos = [i for i, (_, img) in enumerate(bindings)
-                if img[0] == T.SMULT][:2]
+    card_pos = [a for a, img in bindings.items() if img[0] == T.SMULT][:2]
     if len(card_pos) == 2:
         i, j = card_pos
-        bindings[i], bindings[j] = ((bindings[i][0], bindings[j][1]),
-                                    (bindings[j][0], bindings[i][1]))
+        bindings[i], bindings[j] = bindings[j], bindings[i]
         # swapping alone preserves equivalence only if values differ freshly;
         # additionally hash one to force a structural divergence
-        alias, img = bindings[i]
-        bindings[i] = (alias, T.normalize(T.pk(img)))
-        mutated = F.Frame(ideal.frame.restricted, tuple(bindings))
+        bindings[i] = T.normalize(T.pk(bindings[i]))
+        mutated = F.Frame(ideal.frame.restricted, bindings)
         assert not bool(F.static_equiv(real.frame, mutated, test_bound=4))
