@@ -19,8 +19,9 @@ static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
 value spaces; the first inconsistency is a distinguishing equality test. Only
 the level-0 seeds are evaluated by substitution; every composed candidate's
-image in each frame is normalized from its root over its parts' stored images,
-which gives the same normal form because normal forms are fixpoints. A pass is
+image in each frame is its root over its parts' stored images, rewritten at
+the root only (terms.norm_root) rather than looked up in the term memo. That
+gives the same normal form because normal forms are fixpoints. A pass is
 a bounded guarantee, never a proof; it also says when the pool cap, not the
 bound, ended the search.
 
@@ -145,8 +146,7 @@ def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
     target = T.normalize(target)
     if T.free_vars(target):
         return None
-    found = _derive(sat, target, size_bound)
-    return found
+    return _derive(sat, target, size_bound)
 
 
 def _derive(sat: Saturated, target: Term, bound: int):
@@ -321,8 +321,9 @@ class _Bijection:
     Images are evaluated incrementally: a level-0 seed is substituted and
     normalized in each frame, and each pool entry keeps both images, so a
     composed candidate's image is its root over its parts' images,
-    normalized. Normal forms are fixpoints, so this equals evaluating the
-    whole recipe, and the images stay variable-free."""
+    rewritten at the root by T.norm_root, not looked up in the term memo.
+    Normal forms are fixpoints, so this equals evaluating the whole recipe,
+    and the images stay variable-free."""
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
@@ -345,13 +346,11 @@ class _Bijection:
         return self.admit(recipe, 1, ia, ib)
 
     def admit(self, recipe: Term, size: int, ta: Term, tb: Term):
-        """Test a candidate whose images in the two frames normalize from
-        ta and tb."""
-        try:
-            ia = T.normalize(ta)
-            ib = T.normalize(tb)
-        except T.MalformedTerm:
-            return None
+        """Test a candidate whose images in the two frames are the root
+        rewrites of ta and tb, well-formed terms over normal parts (so the
+        rewrite raises no MalformedTerm)."""
+        ia = T.norm_root(ta)
+        ib = T.norm_root(tb)
         self.tests += 1
         got = self.by_a.get(ia)
         if got is not None:
@@ -359,12 +358,11 @@ class _Bijection:
             if ib0 != ib:
                 return Distinguished(r0, recipe, "first", self.tests)
             return None
-        got = self.by_b.get(ib)
-        if got is not None:
-            r0, _ = got
+        r0 = self.by_b.get(ib)
+        if r0 is not None:
             return Distinguished(r0, recipe, "second", self.tests)
         self.by_a[ia] = (recipe, ib)
-        self.by_b[ib] = (recipe, ia)
+        self.by_b[ib] = recipe
         # pool only composition material: small recipes and destructor
         # applications that reduced somewhere. Composites of fresh
         # constructor images distinguish nothing their parts do not, except
@@ -442,8 +440,8 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
             if size > test_bound + 3:
                 continue
             verdict = bij.admit((T.ENC, (T.DEC, kr, er), kr), size,
-                                (T.ENC, (T.DEC, ka, ea), ka),
-                                (T.ENC, (T.DEC, kb, eb), kb))
+                                (T.ENC, T.norm_root((T.DEC, ka, ea)), ka),
+                                (T.ENC, T.norm_root((T.DEC, kb, eb)), kb))
             if verdict is not None:
                 return verdict
 

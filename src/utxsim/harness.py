@@ -101,8 +101,20 @@ class Scenario:
             if month is not None and not 0 <= month < self.horizon:
                 raise ScenarioInvalid(
                     f"{what} {month} is not a month of horizon {self.horizon}")
+        for window in self.card_windows:
+            if not window:
+                raise ScenarioInvalid("card_window is empty")
+            if min(window) < 0:
+                raise ScenarioInvalid(
+                    f"card_window {' '.join(map(str, window))} "
+                    "has a negative month")
         if self.sessions < 0:
             raise ScenarioInvalid(f"sessions {self.sessions} is negative")
+        for entry in self.schedule:
+            if len(entry) != 2:
+                raise ScenarioInvalid(
+                    f"schedule entry {':'.join(map(str, entry))} "
+                    "is not card:terminal")
         if self.schedule and len(self.schedule) != self.sessions:
             raise ScenarioInvalid(f"schedule lists {len(self.schedule)} "
                                   f"sessions, not sessions {self.sessions}")

@@ -26,7 +26,13 @@ constructor matches, products flattened and sorted, and scalars hoisted so
 that a point multiplication never nests and a blindable signature carries a
 blinding-free body. The result of normalize() is a fixpoint; callers may
 rely on structural equality of normal forms coinciding with equality in the
-message theory.
+message theory. normalize() memoizes every term it is given; it normalizes a
+term's fields, then applies norm_root(), the one table of root rewrites.
+
+norm_root(t) is the memo-free entry point for a term whose fields are already
+normal forms, such as a constructor applied to normal parts. It rewrites at
+the root only and normalizes no field; on such a term it equals normalize(t).
+Its result on a term with a non-normal field is unspecified.
 
 All operations are pure; terms are immutable tuples, safe to share freely.
 """
@@ -209,77 +215,76 @@ def _normalize(t: Term) -> Term:
     op = t[0]
     if op <= VAR:
         return t
-    if op == MULT:
-        fs = []
-        for f in t[1]:
-            nf = _norm(f)
-            if nf[0] == MULT:
-                fs.extend(nf[1])
-            else:
-                fs.append(nf)
-        if len(fs) < 2:
-            raise MalformedTerm("product needs at least two factors")
-        return (MULT, tuple(sorted(fs)))
-    if op == SMULT:
-        s = _norm(t[1])
-        p = _norm(t[2])
-        if p[0] != SMULT:
-            return (SMULT, s, p)
-        fs = list(m_factors(s))
-        while p[0] == SMULT:
-            fs.extend(m_factors(p[1]))
-            p = p[2]
-        return (SMULT, mult_of(fs), p)
-    if op == HASH:
-        return (HASH, _norm(t[1]))
-    if op == ENC:
-        return (ENC, _norm(t[1]), _norm(t[2]))
-    if op == TUP:
-        if len(t[1]) < 2:
-            raise MalformedTerm("tuple needs at least two items")
-        return (TUP, tuple(_norm(x) for x in t[1]))
-    if op == PK:
-        return (PK, _norm(t[1]))
-    if op == PKV:
-        return (PKV, _norm(t[1]))
-    if op == SIG:
-        return (SIG, _norm(t[1]), _norm(t[2]))
-    if op == SIGV:
-        k = _norm(t[1])
-        m = _norm(t[2])
-        if m[0] == SMULT:
-            # blinding commutes with the signature: scalar moves outside
-            return (SMULT, m[1], (SIGV, k, m[2]))
-        return (SIGV, k, m)
+    if op == MULT or op == TUP:
+        t = (op, tuple([_norm(x) for x in t[1]]))
+    elif op == PROJ:
+        t = (PROJ, t[1], _norm(t[2]))
+    elif op == HASH or op == PK or op == PKV:
+        t = (op, _norm(t[1]))
+    elif op <= DEC:
+        t = (op, _norm(t[1]), _norm(t[2]))
+    return norm_root(t)
+
+
+def norm_root(t: Term) -> Term:
+    """Normal form of t, whose fields must already be normal forms: the root
+    rewrite only, without the memo. On such a term it equals normalize(t),
+    because normal forms are fixpoints."""
+    op = t[0]
+    if op == DEC:
+        b = t[2]
+        if b[0] == ENC and b[2] == t[1]:
+            return b[1]
+        return t
     if op == CHECK:
-        vk = _norm(t[1])
-        s = _norm(t[2])
+        vk, s = t[1], t[2]
         if vk[0] == PK and s[0] == SIG and s[1] == vk[1]:
             return s[2]
-        return (CHECK, vk, s)
+        return t
     if op == CHECKV:
-        vk = _norm(t[1])
-        s = _norm(t[2])
+        vk, s = t[1], t[2]
         if vk[0] == PKV:
             if s[0] == SIGV and s[1] == vk[1]:
                 return s[2]
             if s[0] == SMULT and s[2][0] == SIGV and s[2][1] == vk[1]:
                 # verification of a blinded signature reveals the blinded body
                 return (SMULT, s[1], s[2][2])
-        return (CHECKV, vk, s)
+        return t
     if op == PROJ:
         if t[1] < 1:
             raise MalformedTerm("projection index must be positive")
-        b = _norm(t[2])
+        b = t[2]
         if b[0] == TUP and t[1] <= len(b[1]):
             return b[1][t[1] - 1]
-        return (PROJ, t[1], b)
-    if op == DEC:
-        k = _norm(t[1])
-        b = _norm(t[2])
-        if b[0] == ENC and b[2] == k:
-            return b[1]
-        return (DEC, k, b)
+        return t
+    if op == SMULT:
+        p = t[2]
+        if p[0] != SMULT:
+            return t
+        # p is normal, so its own point is no point multiplication
+        return (SMULT, mult_of([*m_factors(t[1]), *m_factors(p[1])]), p[2])
+    if op == MULT:
+        fs = []
+        for f in t[1]:
+            if f[0] == MULT:
+                fs.extend(f[1])
+            else:
+                fs.append(f)
+        if len(fs) < 2:
+            raise MalformedTerm("product needs at least two factors")
+        return (MULT, tuple(sorted(fs)))
+    if op == SIGV:
+        m = t[2]
+        if m[0] == SMULT:
+            # blinding commutes with the signature: scalar moves outside
+            return (SMULT, m[1], (SIGV, t[1], m[2]))
+        return t
+    if op == TUP:
+        if len(t[1]) < 2:
+            raise MalformedTerm("tuple needs at least two items")
+        return t
+    if op <= DEC:     # atoms and constructors without a root rewrite
+        return t
     raise MalformedTerm("unknown opcode %r" % (op,))
 
 

@@ -75,9 +75,7 @@ def test_difftest(capsys):
     assert "difftest-soundness holds" in text
 
 
-def test_scenario_file(tmp_path, capsys):
-    f = tmp_path / "scen.txt"
-    f.write_text("""
+_SCENARIO_TEXT = """
 # two low-value sessions with the same card, no replay check
 protocol utx
 cards 1
@@ -87,7 +85,37 @@ schedule 0:0 0:0
 strategy probe_cards
 replay_check off
 seed 3
-""")
+"""
+
+# every scenario key once (card_window once per card)
+_EVERY_KEY_TEXT = """
+protocol utx_multimonth
+world real
+cards 2
+sessions 3
+terminal onhi .
+terminal lo 1
+schedule 0:0 1:1 0:0
+strategy fuzzer 4
+seed 5
+current_month 1
+horizon 3
+max_steps 300
+replay_check off
+terminal_cert_check off
+leak_chi 1
+leak_pin on
+contact off
+wrong_pin 0 2
+issue_months 1 1
+card_window 0 1 2
+card_window 1 2 3
+"""
+
+
+def test_scenario_file(tmp_path, capsys):
+    f = tmp_path / "scen.txt"
+    f.write_text(_SCENARIO_TEXT)
     code, _ = run_cli(capsys, "run", "--scenario", str(f),
                       "--out", str(tmp_path / "t.txt"))
     assert code == 0
@@ -125,9 +153,9 @@ def test_adversarial_trace_roundtrip(tmp_path, capsys):
     assert "CHECK bank-agrees-card holds" in text
 
 
-def _check_exits_cleanly(capsys, path, label):
-    """check --trace on path exits 0, 1 or 2, and exit 2 prints one line."""
-    code = cli.main(["check", "--trace", str(path)])
+def _exits_cleanly(capsys, argv, label):
+    """The command exits 0, 1 or 2, and exit 2 prints one line."""
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2), label
     if code == 2:
@@ -139,9 +167,9 @@ def _check_exits_cleanly(capsys, path, label):
     return code, captured.err
 
 
-def _mutate(rng, text):
+def _mutate(rng, text, alphabet="()|= _.-0129wxmT\n"):
     """One fixed-seed mutation: duplicate a line, delete a line, or
-    substitute one character."""
+    substitute one character drawn from alphabet."""
     lines = text.splitlines(keepends=True)
     kind = rng.randrange(3)
     if kind == 0:
@@ -151,8 +179,27 @@ def _mutate(rng, text):
         i = rng.randrange(len(lines))
         return "".join(lines[:i] + lines[i + 1:]), f"del line {i + 1}"
     i = rng.randrange(len(text))
-    ch = rng.choice("()|= _.-0129wxmT\n")
+    ch = rng.choice(alphabet)
     return text[:i] + ch + text[i + 1:], f"sub {ch!r} at {i}"
+
+
+def test_mutated_scenario_text_exits_cleanly(tmp_path, capsys):
+    f = tmp_path / "scen.txt"
+    for text in (_SCENARIO_TEXT, _EVERY_KEY_TEXT):
+        f.write_text(text)
+        assert _exits_cleanly(capsys, ["check", "--scenario", str(f)],
+                              "unmutated")[0] in (0, 1)
+    # the fixed seed draws, among others, a schedule entry that is not
+    # card:terminal and a card_window commented down to no month
+    rng = random.Random("scenario-mutations8")
+    codes = set()
+    for k in range(200):
+        text = (_SCENARIO_TEXT, _EVERY_KEY_TEXT)[k % 2]
+        mutated, how = _mutate(rng, text, alphabet="0129-:# .\nx")
+        f.write_text(mutated)
+        codes.add(_exits_cleanly(capsys, ["check", "--scenario", str(f)],
+                                 f"{k}: {how}")[0])
+    assert codes == {0, 1, 2}
 
 
 def test_truncated_trace_exits_cleanly(tmp_path, capsys):
@@ -169,7 +216,7 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
         "error: bad trace line 10 (BIND): unexpected end of input\n"
     for n in range(0, len(text), 7):
         cut.write_text(text[:n])
-        code, err = _check_exits_cleanly(capsys, cut, n)
+        code, err = _exits_cleanly(capsys, ["check", "--trace", str(cut)], n)
         if code == 2:
             assert err.startswith("error: bad trace line "), n
     # mutated, not only cut, traces of a few built-ins
@@ -181,7 +228,8 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
         for _ in range(40):
             mutated, how = _mutate(rng, text)
             cut.write_text(mutated)
-            _check_exits_cleanly(capsys, cut, f"{name}: {how}")
+            _exits_cleanly(capsys, ["check", "--trace", str(cut)],
+                           f"{name}: {how}")
 
 
 def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
@@ -228,6 +276,11 @@ def assert_usage_error(capsys, code):
     ("terminal lo 7", [], "terminal month"),
     ("sessions -1", [], "sessions"),
     ("sessions 2\nschedule 0:0", [], "schedule lists 1 sessions"),
+    ("sessions 2\nschedule 0:0 030", [], "schedule entry 30 "),
+    ("schedule 0:0:1", [], "schedule entry 0:0:1 "),
+    ("protocol utx_multimonth\ncard_window", [], "card_window is empty"),
+    ("protocol utx_multimonth\ncard_window -1 0 1", [],
+     "card_window -1 0 1 has a negative month"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
                                                    flags, field):

@@ -321,9 +321,10 @@ def test_static_equiv_matches_exhaustive_oracle(seed):
 # -- incremental image evaluation ----------------------------------------------
 #
 # The distinguisher evaluates a composed candidate as its root over its
-# parts' stored images, normalized. That is exact only if it agrees with
-# substituting and normalizing the whole recipe, term for term and in which
-# cases MalformedTerm is raised.
+# parts' stored images, rewritten at the root by T.norm_root. That is exact
+# only if it agrees with substituting and normalizing the whole recipe, term
+# for term. No candidate shape is malformed (none raises MalformedTerm), so
+# the distinguisher needs no guard for one.
 
 _ATOMS = [G, T.OK, T.mm(0), T.name("k"), T.name("m"),
           T.name("a", "scalar"), T.name("b", "scalar")]
@@ -360,29 +361,28 @@ def _image_pair(draw):
 
 
 def _distinguisher_shapes():
-    """Every candidate shape static_equiv builds, over parts p and q."""
+    """Every candidate shape static_equiv builds, over parts p and q; node
+    is applied to each node the shape builds above the parts (the identity
+    builds the recipe, T.norm_root rewrites each node as admit does)."""
     for op in F._UNARY:
-        yield lambda p, q, op=op: (op, p)
-        yield lambda p, q, op=op: (op, q)
+        yield lambda p, q, node, op=op: node((op, p))
+        yield lambda p, q, node, op=op: node((op, q))
     for i in range(1, 5):
-        yield lambda p, q, i=i: (T.PROJ, i, p)
-        yield lambda p, q, i=i: (T.PROJ, i, q)
+        yield lambda p, q, node, i=i: node((T.PROJ, i, p))
+        yield lambda p, q, node, i=i: node((T.PROJ, i, q))
     for op in F._BINARY:
         if op in (T.MULT, T.TUP):
-            yield lambda p, q, op=op: (op, (p, q))
-            yield lambda p, q, op=op: (op, (q, p))
+            yield lambda p, q, node, op=op: node((op, (p, q)))
+            yield lambda p, q, node, op=op: node((op, (q, p)))
         else:
-            yield lambda p, q, op=op: (op, p, q)
-            yield lambda p, q, op=op: (op, q, p)
-    yield lambda p, q: (T.ENC, (T.DEC, p, q), p)
-    yield lambda p, q: (T.ENC, (T.DEC, q, p), q)
+            yield lambda p, q, node, op=op: node((op, p, q))
+            yield lambda p, q, node, op=op: node((op, q, p))
+    yield lambda p, q, node: node((T.ENC, node((T.DEC, p, q)), p))
+    yield lambda p, q, node: node((T.ENC, node((T.DEC, q, p)), q))
 
 
-def _outcome(evaluate, t):
-    try:
-        return evaluate(t)
-    except T.MalformedTerm:
-        return "malformed"
+def _same(t):
+    return t
 
 
 @given(_image_pair())
@@ -392,10 +392,31 @@ def test_composed_image_equals_recipe_evaluation(pair):
     sigma = {"w0": a, "w1": b}
     x, y = T.var("w0"), T.var("w1")
     for shape in _distinguisher_shapes():
-        want = _outcome(lambda r: T.apply(sigma, r), shape(x, y))
-        got = _outcome(T.normalize, shape(a, b))
-        assert got == want, T.to_text(shape(x, y))
-        assert got == "malformed" or not T.free_vars(got)
+        recipe = shape(x, y, _same)
+        want = T.apply(sigma, recipe)
+        assert T.normalize(shape(a, b, _same)) == want, T.to_text(recipe)
+        assert not T.free_vars(want)
+        # the memo-free root rewrite over the parts' images agrees too
+        assert shape(a, b, T.norm_root) == want, T.to_text(recipe)
+
+
+def test_distinguisher_bypasses_the_memo(monkeypatch):
+    """Composed candidates are rewritten at the root, not normalized through
+    the memo: a wrapper installed over T.normalize (as a tracer does) sees
+    the seeds and the saturation, a small fraction of the tests made."""
+    fa, fb, _ = _frame_pair("unlink_utx")
+    calls = []
+    inner = T.normalize
+
+    def counting(t):
+        calls.append(t)
+        return inner(t)
+
+    monkeypatch.setattr(T, "normalize", counting)
+    verdict = F.static_equiv(fa, fb)
+    assert isinstance(verdict, F.Equivalent)
+    assert verdict.tests > 10_000
+    assert len(calls) < verdict.tests // 20
 
 
 # -- metamorphic properties ------------------------------------------------------

@@ -196,6 +196,11 @@ def test_normalize_matches_random_order_rewriting(seed):
         t = random_term(rng, rng.randrange(1, 7), NAME_POOL)
         expect = rewrite_random_order(t, rng)
         assert T.normalize(t) == expect, T.to_text(t)
+        # the root rewrite alone agrees, once the fields are normal forms
+        u = t
+        for i, ch in enumerate(_children(t)):
+            u = _replace_child(u, i, T.normalize(ch))
+        assert T.norm_root(u) == expect, T.to_text(t)
 
 
 # -- properties ------------------------------------------------------------
