@@ -17,11 +17,17 @@ to the target) and complete only up to the size bound.
 
 static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
-value spaces; the first inconsistency is a distinguishing equality test. Only
-the level-0 seeds are evaluated by substitution; every composed candidate's
-image in each frame is its root over its parts' stored images, rewritten at
-the root only (terms.norm_root) rather than looked up in the term memo. That
-gives the same normal form because normal forms are fixpoints. A pass is
+value spaces; the first inconsistency is a distinguishing equality test.
+The bound is on recipe size: a building block has size 1 and an
+application 1 plus its parts; the level-0 seeds are tested at any bound,
+and the enc(dec(k, u), k) probe may exceed it by 3. Only the level-0 seeds
+are evaluated by substitution; every composed candidate's image in each
+frame is its root over its parts' stored images, rewritten at the root
+only (terms.norm_root) rather than looked up in the term memo. That gives
+the same normal form because normal forms are fixpoints. The tests count
+is every enumerated candidate, including the mirror of a pair of entries
+that joined the pool at the same level; a mirror's candidates are counted,
+not rebuilt, since the pair's first build fixed their outcome. A pass is
 a bounded guarantee, never a proof; it also says when the pool cap, not the
 bound, ended the search.
 
@@ -311,12 +317,16 @@ class Distinguished:
 _UNARY = (T.HASH, T.PK, T.PKV)
 # destructor probes first: they reduce and collide, constructors mint fresh
 _BINARY = (T.DEC, T.CHECK, T.CHECKV, T.ENC, T.SMULT, T.MULT, T.TUP, T.SIG, T.SIGV)
+# tests per pair of pool entries: both orders of each op, MULT's one order
+_PAIR_TESTS = 2 * len(_BINARY) - 1
 
 
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
-    tested; the pool cap only limits which recipes feed further levels.
+    counted in tests: static_equiv admits each one here except a mirrored
+    pair's, which it counts without rebuilding. The pool cap only limits
+    which recipes feed further levels.
 
     Images are evaluated incrementally: a level-0 seed is substituted and
     normalized in each frame, and each pool entry keeps both images, so a
@@ -352,17 +362,18 @@ class _Bijection:
         ia = T.norm_root(ta)
         ib = T.norm_root(tb)
         self.tests += 1
-        got = self.by_a.get(ia)
-        if got is not None:
+        # setdefault hashes each image once; a by_b clash ends the search,
+        # so the by_a entry it leaves behind is never read
+        entry = (recipe, ib)
+        got = self.by_a.setdefault(ia, entry)
+        if got is not entry:
             r0, ib0 = got
             if ib0 != ib:
                 return Distinguished(r0, recipe, "first", self.tests)
             return None
-        r0 = self.by_b.get(ib)
-        if r0 is not None:
+        r0 = self.by_b.setdefault(ib, recipe)
+        if r0 is not recipe:
             return Distinguished(r0, recipe, "second", self.tests)
-        self.by_a[ia] = (recipe, ib)
-        self.by_b[ib] = recipe
         # pool only composition material: small recipes and destructor
         # applications that reduced somewhere. Composites of fresh
         # constructor images distinguish nothing their parts do not, except
@@ -460,24 +471,35 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
                 if verdict is not None:
                     return verdict
         base = list(bij.pool)
-        for e1 in frontier:
-            for e2 in base:
-                size = e1[1] + e2[1] + 1
-                if size > test_bound:
-                    continue
-                for op in _BINARY:
-                    if op == T.MULT:   # commutative, one direction enough
-                        orders = ((e1, e2),)
-                    else:
-                        orders = ((e1, e2), (e2, e1))
-                    for (r1, _, a1, b1), (r2, _, a2, b2) in orders:
-                        if op == T.MULT or op == T.TUP:
-                            verdict = bij.admit((op, (r1, r2)), size,
-                                                (op, (a1, a2)), (op, (b1, b2)))
+        # the frontier is the slice base[k:k + len(frontier)]. A pair of two
+        # frontier entries was composed both ways round when its earlier
+        # entry was e1. That left each image pair in by_a (MULT sorts its
+        # product, so its one order covers both), so the mirror's tests are
+        # all consistent by_a hits: they are counted, not rebuilt.
+        k = len(base) - len(bij.fresh) - len(frontier)
+        for i, e1 in enumerate(frontier):
+            mirrored = _PAIR_TESTS * sum(
+                1 for e2 in frontier[:i] if e1[1] + e2[1] + 1 <= test_bound)
+            for seconds, skipped in ((base[:k], mirrored), (base[k + i:], 0)):
+                for e2 in seconds:
+                    size = e1[1] + e2[1] + 1
+                    if size > test_bound:
+                        continue
+                    for op in _BINARY:
+                        if op == T.MULT:   # commutative, one direction enough
+                            orders = ((e1, e2),)
                         else:
-                            verdict = bij.admit((op, r1, r2), size,
-                                                (op, a1, a2), (op, b1, b2))
-                        if verdict is not None:
-                            return verdict
+                            orders = ((e1, e2), (e2, e1))
+                        for (r1, _, a1, b1), (r2, _, a2, b2) in orders:
+                            if op == T.MULT or op == T.TUP:
+                                verdict = bij.admit(
+                                    (op, (r1, r2)), size,
+                                    (op, (a1, a2)), (op, (b1, b2)))
+                            else:
+                                verdict = bij.admit((op, r1, r2), size,
+                                                    (op, a1, a2), (op, b1, b2))
+                            if verdict is not None:
+                                return verdict
+                bij.tests += skipped
         frontier = bij.cut_level()
     return Equivalent(test_bound, bij.tests, bij.capped)

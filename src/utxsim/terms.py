@@ -226,11 +226,17 @@ def _normalize(t: Term) -> Term:
     return norm_root(t)
 
 
+# atoms and constructors without a root rewrite (TUP has its arity check)
+_NO_ROOT_REWRITE = frozenset((GEN, CONST, NAME, VAR, HASH, ENC, PK, SIG, PKV))
+
+
 def norm_root(t: Term) -> Term:
     """Normal form of t, whose fields must already be normal forms: the root
     rewrite only, without the memo. On such a term it equals normalize(t),
     because normal forms are fixpoints."""
     op = t[0]
+    if op in _NO_ROOT_REWRITE:
+        return t
     if op == DEC:
         b = t[2]
         if b[0] == ENC and b[2] == t[1]:
@@ -282,8 +288,6 @@ def norm_root(t: Term) -> Term:
     if op == TUP:
         if len(t[1]) < 2:
             raise MalformedTerm("tuple needs at least two items")
-        return t
-    if op <= DEC:     # atoms and constructors without a root rewrite
         return t
     raise MalformedTerm("unknown opcode %r" % (op,))
 

@@ -2,6 +2,7 @@
 blind exhaustive recipe enumeration on small frames."""
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -208,14 +209,20 @@ def test_derive_rebases_blinded_points():
 
 
 def test_static_equiv_trivial_and_witness():
-    fa, _ = build([], [G, G])
-    fb, _ = build([], [G, T.h(G)])
-    assert bool(F.static_equiv(fa, fa))
-    verdict = F.static_equiv(fa, fb)
-    assert not bool(verdict)
-    la, ra = verdict.left, verdict.right
-    assert (T.apply(fa.bindings, la) == T.apply(fa.bindings, ra)) != \
-        (T.apply(fb.bindings, la) == T.apply(fb.bindings, ra))
+    same, _ = build([], [G, G])
+    hashed, _ = build([], [G, T.h(G)])
+    assert bool(F.static_equiv(same, same))
+    # w1 = gen holds only where w1 is gen: in the first frame, then in the
+    # second once the frames swap (a clash found through the second image)
+    for fa, fb, side in ((same, hashed, "first"), (hashed, same, "second")):
+        verdict = F.static_equiv(fa, fb)
+        assert not bool(verdict)
+        assert verdict.side == side
+        la, ra = verdict.left, verdict.right
+        ea = T.apply(fa.bindings, la) == T.apply(fa.bindings, ra)
+        eb = T.apply(fb.bindings, la) == T.apply(fb.bindings, ra)
+        assert ea != eb
+        assert ea == (side == "first")
 
 
 def test_static_equiv_domain_mismatch():
@@ -513,3 +520,45 @@ def test_deduction_invariant_under_renaming(case):
         assert (F.derive(fa, t) is None) == (F.derive(moved, u) is None)
     assert C.check_secrecy(fa, targets).status == \
         C.check_secrecy(moved, moved_targets).status
+
+
+# -- pinned search counts ------------------------------------------------------
+#
+# Cutting the cost of a test must not move what the search reports: the
+# kind, the witness, its side, the tests= count (also at a witness) and the
+# capped flag. The bounds reach the binary levels, and pool cap 10 cuts them.
+
+_PINNED_SETTINGS = ((4, F.POOL_CAP), (6, F.POOL_CAP), (6, 10))
+_PINNED_DIGEST = \
+    "47ff7406b58e7bd01ab06b55da956d8f76287a66ffb6577151f3656a686d254b"
+
+
+def test_static_equiv_counts_pinned():
+    lines = []
+    for case in _CASES:
+        fa, fb, _ = _frame_pair(case)
+        for x, y in ((fa, fb), (fb, fa)):
+            for bound, cap in _PINNED_SETTINGS:
+                v = F.static_equiv(x, y, test_bound=bound, pool_cap=cap)
+                if v:
+                    outcome = f"Equivalent {v.tests} {v.capped}"
+                else:
+                    outcome = f"Distinguished {v.describe()} {v.tests}"
+                lines.append(f"{case} {bound} {cap} {outcome}")
+    assert len(lines) == 312
+    assert sum("Distinguished" in line for line in lines) == 138
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PINNED_DIGEST
+
+
+def test_static_equiv_witness_count_after_mirrored_pairs():
+    """The witness composes two frontier entries past the frontier's first,
+    so its tests= count includes the mirrored pairs counted before it."""
+    a, b, p = T.name("a", "scalar"), T.name("b", "scalar"), T.name("p")
+    fa, _ = build([a, b, p], [T.smult(a, p), a, p])
+    fb, _ = build([a, b, p], [T.smult(b, p), a, p])
+    for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+        verdict = F.static_equiv(x, y)
+        assert verdict.describe() == \
+            f"?w0 = (smult ?w1 ?w2) holds in the {side} frame only"
+        assert verdict.tests == 3201

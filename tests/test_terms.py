@@ -203,6 +203,33 @@ def test_normalize_matches_random_order_rewriting(seed):
         assert T.norm_root(u) == expect, T.to_text(t)
 
 
+# opcodes whose root norm_root may rewrite; every other root is left alone
+_ROOT_REWRITES = {T.MULT, T.SMULT, T.SIGV, T.CHECK, T.CHECKV, T.PROJ, T.DEC}
+
+
+def test_norm_root_keeps_roots_without_a_rewrite():
+    rng = random.Random("keep")
+
+    def part():
+        return T.normalize(random_term(rng, rng.randrange(4), NAME_POOL))
+
+    atoms = {T.GEN: [G], T.CONST: [T.OK, T.mm(2)], T.NAME: NAME_POOL,
+             T.VAR: [T.var("w0")]}
+    for op in range(T.DEC + 1):
+        if op in _ROOT_REWRITES:
+            continue
+        for _ in range(40):
+            if op in atoms:
+                t = rng.choice(atoms[op])
+            elif op == T.TUP:
+                t = (T.TUP, tuple(part() for _ in range(rng.randrange(2, 5))))
+            elif op in (T.HASH, T.PK, T.PKV):
+                t = (op, part())
+            else:
+                t = (op, part(), part())
+            assert T.norm_root(t) is t, T.to_text(t)
+
+
 # -- properties ------------------------------------------------------------
 
 depths = st.integers(min_value=1, max_value=8)
