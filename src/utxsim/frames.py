@@ -6,14 +6,21 @@ on the network, in output order. A recipe is a term the attacker can build:
 its leaves are frame aliases (variables), public constants, and
 non-restricted names.
 
-saturate() closes a frame under destructor analysis (splitting tuples,
-opening encryptions whose key is derivable, stripping signatures whose
-verification key is derivable), generalizing the building-block
-normalization used in the protocol's proofs to arbitrary frames.
+saturate() closes a frame under destructor analysis, generalizing the
+building-block normalization used in the protocol's proofs to arbitrary
+frames. It splits tuples and opens an entry when the key that opens it
+derives within SATURATE_KEY_BOUND: enc(m, k) by dec with k, sig(k, m) by
+check with pk(k), and sigv(k, m) or a blinded [s]sigv(k, m) by checkv with
+pkv(k). The opened image is the root rewrite of (destructor, key, entry).
 
 derive() finds a minimal-size recipe for a target by composing saturated
-building blocks with constructors; it is sound (returned recipes evaluate
-to the target) and complete only up to the size bound.
+building blocks with constructors (Abadi & Cortier's saturate-then-compose
+scheme); it is sound (returned recipes evaluate to the target) and complete
+only up to the size bound. Saturated entries and public atoms cost 0; an
+application costs 1 plus its parts; a product joined from several covered
+parts (product blocks or single factors) costs 1 plus theirs; a rebase
+[r]([s]p) on a block [s]p costs 1 plus r's cost. Among equally cheap
+recipes the earliest block in saturation order wins.
 
 static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
@@ -90,18 +97,34 @@ def recipe_value(f: Frame, recipe: Term) -> Term:
 class Saturated:
     frame: Frame
     entries: dict = field(default_factory=dict)   # image -> first recipe
+    # deduction's blocks, in entries order, as (factor multiset, recipe):
+    # product images under None, [s]p images under their point p
+    blocks: dict = field(default_factory=dict)
 
     def add(self, recipe: Term, image: Term) -> bool:
         if image in self.entries:
             return False
         self.entries[image] = recipe
+        if image[0] == T.MULT:
+            self.blocks.setdefault(None, []).append((image[1], recipe))
+        elif image[0] == T.SMULT:
+            self.blocks.setdefault(image[2], []).append(
+                (T.m_factors(image[1]), recipe))
         return True
 
-    def is_public_atom(self, t: Term) -> bool:
-        op = t[0]
-        if op == T.GEN or op == T.CONST:
-            return True
-        return op == T.NAME and t[1] not in self.frame.restricted
+
+def _opening(img: Term):
+    """(destructor, key image) that opens a saturated entry, or None."""
+    op = img[0]
+    if op == T.ENC:
+        return T.DEC, img[2]
+    if op == T.SIG:
+        return T.CHECK, (T.PK, img[1])
+    if op == T.SIGV:
+        return T.CHECKV, (T.PKV, img[1])
+    if op == T.SMULT and img[2][0] == T.SIGV:
+        return T.CHECKV, (T.PKV, img[2][1])
+    return None
 
 
 def saturate(f: Frame) -> Saturated:
@@ -113,41 +136,26 @@ def saturate(f: Frame) -> Saturated:
     while changed:
         changed = False
         for img, recipe in list(sat.entries.items()):
-            op = img[0]
-            if op == T.TUP:
+            if img[0] == T.TUP:
                 for i, item in enumerate(img[1]):
                     changed |= sat.add(T.proj(i + 1, recipe), item)
-            elif op == T.ENC:
-                key = _derive(sat, img[2], SATURATE_KEY_BOUND)
-                if key is not None:
-                    changed |= sat.add(T.dec(key, recipe), img[1])
-            elif op == T.SIG:
-                vk = _derive(sat, T.normalize(T.pk(img[1])),
-                             SATURATE_KEY_BOUND)
-                if vk is not None:
-                    changed |= sat.add(T.check(vk, recipe), img[2])
-            elif op == T.SIGV:
-                vk = _derive(sat, T.normalize(T.pkv(img[1])),
-                             SATURATE_KEY_BOUND)
-                if vk is not None:
-                    changed |= sat.add(T.checkv(vk, recipe), img[2])
-            elif op == T.SMULT and img[2][0] == T.SIGV:
-                vk = _derive(sat, T.normalize(T.pkv(img[2][1])),
-                             SATURATE_KEY_BOUND)
-                if vk is not None:
-                    stripped = T.normalize(T.smult(img[1], img[2][2]))
-                    changed |= sat.add(T.checkv(vk, recipe), stripped)
+                continue
+            opening = _opening(img)
+            if opening is None:
+                continue
+            op, key = opening
+            key_recipe = _derive(sat, key, SATURATE_KEY_BOUND)
+            if key_recipe is not None:
+                changed |= sat.add((op, key_recipe, recipe),
+                                   T.norm_root((op, key, img)))
     return sat
 
 
 # -- deduction --------------------------------------------------------------
 
-_PENDING = object()
-
-
 def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
     """Recipe for target over the (saturated) frame, or None within the
-    bound. Sound; complete only up to size_bound constructor applications."""
+    bound. Sound; complete only up to size_bound."""
     sat = f if isinstance(f, Saturated) else saturate(f)
     target = T.normalize(target)
     if T.free_vars(target):
@@ -156,65 +164,69 @@ def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
 
 
 def _derive(sat: Saturated, target: Term, bound: int):
-    memo: dict = {}
-    best = _cost(sat, target, memo)
+    best = _cost(sat, target, {})
     if best is None or best[0] > bound:
         return None
     return best[1]
 
 
 def _cost(sat: Saturated, t: Term, memo: dict):
+    """(size, recipe) of the first smallest recipe for t, or None. Every
+    recursive call is on a strict subterm of t."""
     if t in memo:
-        got = memo[t]
-        return None if got is _PENDING else got
-    memo[t] = _PENDING
-    best = None
+        return memo[t]
+    op = t[0]
     hit = sat.entries.get(t)
     if hit is not None:
         best = (0, hit)
-    elif sat.is_public_atom(t):
+    elif op == T.GEN or op == T.CONST or (
+            op == T.NAME and t[1] not in sat.frame.restricted):
         best = (0, t)
-    if best is None:
+    elif op <= T.VAR:
+        best = None
+    elif op == T.MULT:
+        best = _mult_cost(sat, t[1], memo)
+    elif op == T.SMULT:
+        best = _smult_cost(sat, t, memo)
+    else:
         best = _compose(sat, t, memo)
     memo[t] = best
     return best
 
 
-def _add_costs(sat, parts, memo, base_recipe_builder):
-    total = 1
-    recipes = []
-    for p in parts:
-        sub = _cost(sat, p, memo)
+def _compose(sat: Saturated, t: Term, memo: dict):
+    """t built at its root: the same node with each field replaced by its
+    recipe, at 1 plus the fields' costs; None at the first field, in order,
+    that does not derive."""
+    op = t[0]
+    head = 2 if op == T.PROJ else 1
+    fields = t[1] if op == T.TUP else t[head:]
+    cost, recipes = 1, []
+    for x in fields:
+        sub = _cost(sat, x, memo)
         if sub is None:
             return None
-        total += sub[0]
+        cost += sub[0]
         recipes.append(sub[1])
-    return (total, base_recipe_builder(recipes))
-
-
-def _compose(sat: Saturated, t: Term, memo: dict):
-    op = t[0]
-    if op in (T.HASH, T.PK, T.PKV):
-        return _add_costs(sat, [t[1]], memo, lambda r: (op, r[0]))
-    if op in (T.ENC, T.SIG, T.SIGV, T.DEC, T.CHECK, T.CHECKV):
-        return _add_costs(sat, [t[1], t[2]], memo,
-                          lambda r: (op, r[0], r[1]))
-    if op == T.PROJ:
-        return _add_costs(sat, [t[2]], memo, lambda r: (T.PROJ, t[1], r[0]))
     if op == T.TUP:
-        return _add_costs(sat, list(t[1]), memo,
-                          lambda r: (T.TUP, tuple(r)))
-    if op == T.MULT:
-        return _mult_cost(sat, t[1], memo)
-    if op == T.SMULT:
-        return _smult_cost(sat, t, memo)
-    return None
+        return cost, (T.TUP, tuple(recipes))
+    return cost, (*t[:head], *recipes)
+
+
+def _minus(want: tuple, block: tuple):
+    """The multiset want less block, or None when block is not inside want."""
+    rest = list(want)
+    for u in block:
+        if u not in rest:
+            return None
+        rest.remove(u)
+    return tuple(rest)
 
 
 def _mult_cost(sat: Saturated, factors: tuple, memo: dict):
     """Cover the factor multiset by known product blocks and single factors;
     one product application joins the parts."""
-    cover = _cover(sat, tuple(factors), memo)
+    cover = _cover(sat, factors, memo)
     if cover is None:
         return None
     cost, parts = cover
@@ -227,64 +239,35 @@ def _cover(sat: Saturated, factors: tuple, memo: dict):
     if not factors:
         return (0, [])
     first = factors[0]
-    options = []
-    # units from the saturation that contain the first factor
-    for img, recipe in sat.entries.items():
-        if img[0] != T.MULT:
+    best = None
+    # product blocks that hold the first factor, then the factor on its own
+    for unit, recipe in sat.blocks.get(None, ()):
+        rest = _minus(factors, unit) if first in unit else None
+        if rest is None:
             continue
-        unit = list(img[1])
-        if first not in unit:
-            continue
-        rest = list(factors)
-        ok = True
-        for u in unit:
-            if u in rest:
-                rest.remove(u)
-            else:
-                ok = False
-                break
-        if ok:
-            tail = _cover(sat, tuple(rest), memo)
-            if tail is not None:
-                options.append((tail[0], [recipe] + tail[1]))
+        tail = _cover(sat, rest, memo)
+        if tail is not None and (best is None or tail[0] < best[0]):
+            best = (tail[0], [recipe] + tail[1])
     sub = _cost(sat, first, memo)
-    if sub is not None:
-        tail = _cover(sat, factors[1:], memo)
-        if tail is not None:
-            options.append((sub[0] + tail[0], [sub[1]] + tail[1]))
-    if not options:
-        return None
-    return min(options, key=lambda o: o[0])
+    tail = None if sub is None else _cover(sat, factors[1:], memo)
+    if tail is not None and (best is None or sub[0] + tail[0] < best[0]):
+        best = (sub[0] + tail[0], [sub[1]] + tail[1])
+    return best
 
 
 def _smult_cost(sat: Saturated, t: Term, memo: dict):
-    scalar, point = t[1], t[2]
-    options = []
-    direct = _add_costs(sat, [scalar, point], memo, lambda r: (T.SMULT, r[0], r[1]))
-    if direct is not None:
-        options.append(direct)
-    # rebase on a known blinded block with the same point: [rest]([s2]p)
-    want = list(T.m_factors(scalar))
-    for img, recipe in sat.entries.items():
-        if img[0] != T.SMULT or img[2] != point:
+    """[s]p built directly, or rebased on a known block [s2]p as
+    [r]([s2]p), where r covers s less s2."""
+    best = _compose(sat, t, memo)
+    want = T.m_factors(t[1])
+    for unit, recipe in sat.blocks.get(t[2], ()):
+        rest = _minus(want, unit)
+        if not rest:    # not inside s, or all of it
             continue
-        rest = list(want)
-        ok = True
-        for u in T.m_factors(img[1]):
-            if u in rest:
-                rest.remove(u)
-            else:
-                ok = False
-                break
-        if not ok or not rest:
-            continue
-        rest_cost = (_cost(sat, rest[0], memo) if len(rest) == 1
-                     else _mult_cost(sat, tuple(sorted(rest)), memo))
-        if rest_cost is not None:
-            options.append((1 + rest_cost[0], (T.SMULT, rest_cost[1], recipe)))
-    if not options:
-        return None
-    return min(options, key=lambda o: o[0])
+        sub = _mult_cost(sat, rest, memo)
+        if sub is not None and (best is None or 1 + sub[0] < best[0]):
+            best = (1 + sub[0], (T.SMULT, sub[1], recipe))
+    return best
 
 
 # -- bounded static equivalence ----------------------------------------------

@@ -108,8 +108,10 @@ class Scenario:
                 raise ScenarioInvalid(
                     f"card_window {' '.join(map(str, window))} "
                     "has a negative month")
-        if self.sessions < 0:
-            raise ScenarioInvalid(f"sessions {self.sessions} is negative")
+        for what, count in (("cards", self.cards), ("sessions", self.sessions),
+                            ("max_steps", self.max_steps)):
+            if count < 0:
+                raise ScenarioInvalid(f"{what} {count} is negative")
         for entry in self.schedule:
             if len(entry) != 2:
                 raise ScenarioInvalid(

@@ -172,8 +172,6 @@ REJECT = const("reject")
 AUTH = const("auth")
 LO = const("lo")
 HI = const("hi")
-UNLINKABLE = const("unlinkable")
-SELECT = const("select")
 
 
 # -- the theory ----------------------------------------------------------

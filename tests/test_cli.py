@@ -281,6 +281,8 @@ def assert_usage_error(capsys, code):
     ("protocol utx_multimonth\ncard_window", [], "card_window is empty"),
     ("protocol utx_multimonth\ncard_window -1 0 1", [],
      "card_window -1 0 1 has a negative month"),
+    ("cards -2\nsessions 0", [], "cards -2 is negative"),
+    ("max_steps -7", [], "max_steps -7 is negative"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
                                                    flags, field):
