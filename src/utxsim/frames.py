@@ -32,11 +32,16 @@ are evaluated by substitution; every composed candidate's image in each
 frame is its root over its parts' stored images, rewritten at the root
 only (terms.norm_root) rather than looked up in the term memo. That gives
 the same normal form because normal forms are fixpoints. The tests count
-is every enumerated candidate, including the mirror of a pair of entries
-that joined the pool at the same level; a mirror's candidates are counted,
-not rebuilt, since the pair's first build fixed their outcome. A pass is
-a bounded guarantee, never a proof; it also says when the pool cap, not the
-bound, ended the search.
+is every enumerated candidate. Two kinds are counted but neither tested
+nor filed in the bijection, because their outcome is already known: the
+mirror of a pair of entries that joined the pool at the same level (the
+pair's first pass fixed it), and a plain pair candidate, one that neither
+frame rewrites at the root: every ENC, SIG and TUP candidate, and a DEC,
+CHECK, CHECKV, SMULT or SIGV one whose rewrite does not fire (MULT is
+always tested). A plain candidate's images are new unless a candidate
+reached by another route has the same image; _Bijection keeps that case
+exact. A pass is a bounded guarantee, never a proof; it also says when the
+pool cap, not the bound, ended the search.
 
 A run's frame is its one record of what the attacker has seen, and it only
 grows, through Frame.bind. The analyses here only read their frames, so
@@ -46,6 +51,7 @@ enumeration order (and therefore the first witness) is deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import terms as T
@@ -300,23 +306,65 @@ class Distinguished:
 _UNARY = (T.HASH, T.PK, T.PKV)
 # destructor probes first: they reduce and collide, constructors mint fresh
 _BINARY = (T.DEC, T.CHECK, T.CHECKV, T.ENC, T.SMULT, T.MULT, T.TUP, T.SIG, T.SIGV)
-# tests per pair of pool entries: both orders of each op, MULT's one order
-_PAIR_TESTS = 2 * len(_BINARY) - 1
+# the candidates over a pair of pool entries e1, e2, in test order, as
+# (position, op, swapped): e1 op e2, then e2 op e1; MULT in one order only
+_PAIR_SHAPES = tuple(
+    (pos, op, swapped) for pos, (op, swapped) in enumerate(
+        (op, swapped) for op in _BINARY for swapped in (False, True)
+        if not (op == T.MULT and swapped)))
+_PAIR_TESTS = len(_PAIR_SHAPES)
+# the pair ops whose root rewrite can fire, by their second operand's root
+_OPENS = {T.ENC: (T.DEC,), T.SIG: (T.CHECK,), T.SIGV: (T.CHECKV,),
+          T.SMULT: (T.CHECKV, T.SMULT, T.SIGV)}
+# the pair ops whose unrewritten image is op(x, y)
+_FIELD_OPS = frozenset(_BINARY) - {T.MULT, T.TUP}
+
+
+@functools.cache   # at most one entry per two subsets of five ops
+def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
+    """The pair shapes whose root rewrite can fire over entries that open
+    opens1 and opens2: MULT, and each op its second operand opens."""
+    return tuple(s for s in _PAIR_SHAPES if s[1] == T.MULT
+                 or s[1] in (opens1 if s[2] else opens2))
+
+
+def _pair_term(op, x, y):
+    return (op, (x, y)) if op == T.MULT or op == T.TUP else (op, x, y)
 
 
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
-    counted in tests: static_equiv admits each one here except a mirrored
-    pair's, which it counts without rebuilding. The pool cap only limits
-    which recipes feed further levels.
+    counted in tests, in enumeration order; the pool cap only limits which
+    recipes feed further levels.
 
     Images are evaluated incrementally: a level-0 seed is substituted and
     normalized in each frame, and each pool entry keeps both images, so a
     composed candidate's image is its root over its parts' images,
     rewritten at the root by T.norm_root, not looked up in the term memo.
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
-    and the images stay variable-free."""
+    and the images stay variable-free.
+
+    Two kinds of candidate are counted without a test, so their images are
+    never hashed or filed in by_a and by_b: a mirrored pair's (static_equiv
+    counts those) and a plain one. A pair candidate over pool entries i
+    and j is plain when neither frame rewrites it at the root, so that its
+    images are op(a_i, a_j) and op(b_i, b_j). ENC, SIG and TUP candidates
+    always are; compose rewrites the others that _OPENS says can fire, and
+    tests all MULT ones. An entry joins the pool only after missing both
+    by_a and by_b, so pool images are pairwise distinct in each frame: no
+    other pair candidate has either image, and a plain one never joins the
+    pool. Its outcome is known unless an image reached by another route
+    (a seed, a probe, a unary, PROJ, MULT or rewritten candidate) is equal:
+    - reached earlier: earlier files that image under the pool indices of
+      its two fields (waiting holds it until both are pool images), and
+      compose tests the plain candidate it names as before;
+    - reached later: the counted candidate is the by_a or by_b entry the
+      image would have found, and _counted rebuilds it (recipe and
+      second-frame image) once compose has passed its pair. No candidate
+      of a pair has the image of a plain candidate of the same pair (a
+      root rewrite never keeps both parts as fields), so a pair is marked
+      composed when all its candidates are done."""
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
@@ -327,6 +375,11 @@ class _Bijection:
         self.pool: list = []     # (recipe, size, img_a, img_b)
         self.fresh: list = []    # admissions since the last level cut
         self.tests = 0
+        self.opens: list = []    # per pool entry: ops it opens, either frame
+        self.at = ({}, {})       # per frame: pool image -> pool index
+        self.waiting = ({}, {})  # per frame: field -> images awaiting it
+        self.earlier: dict = {}  # (i, j), i <= j -> {(op, first operand)}
+        self.composed: set = set()
 
     def seed(self, recipe: Term):
         try:
@@ -342,21 +395,34 @@ class _Bijection:
         """Test a candidate whose images in the two frames are the root
         rewrites of ta and tb, well-formed terms over normal parts (so the
         rewrite raises no MalformedTerm)."""
-        ia = T.norm_root(ta)
-        ib = T.norm_root(tb)
+        return self._test(recipe, size, T.norm_root(ta), T.norm_root(tb))
+
+    def _test(self, recipe: Term, size: int, ia: Term, ib: Term):
         self.tests += 1
         # setdefault hashes each image once; a by_b clash ends the search,
         # so the by_a entry it leaves behind is never read
         entry = (recipe, ib)
         got = self.by_a.setdefault(ia, entry)
-        if got is not entry:
+        if got is entry:
+            where_a = self._locate(ia, 0)
+            got = self._counted(where_a)
+            if got is not None:
+                del self.by_a[ia]
+        if got is not None:
             r0, ib0 = got
             if ib0 != ib:
                 return Distinguished(r0, recipe, "first", self.tests)
             return None
         r0 = self.by_b.setdefault(ib, recipe)
+        if r0 is recipe:
+            where_b = self._locate(ib, 1)
+            got = self._counted(where_b)
+            if got is not None:
+                r0 = got[0]
         if r0 is not recipe:
             return Distinguished(r0, recipe, "second", self.tests)
+        self._file(ia, where_a, 0)
+        self._file(ib, where_b, 1)
         # pool only composition material: small recipes and destructor
         # applications that reduced somewhere. Composites of fresh
         # constructor images distinguish nothing their parts do not, except
@@ -367,11 +433,93 @@ class _Bijection:
             and (ia[0] != op or ib[0] != op))
         if useful:
             if len(self.pool) < self.pool_cap:
-                entry = (recipe, size, ia, ib)
-                self.pool.append(entry)
-                self.fresh.append(entry)
+                self._join((recipe, size, ia, ib))
             else:
                 self.capped = True
+        return None
+
+    def _locate(self, img: Term, side: int):
+        """(op, x, y, i, j) when img is op(x, y) for a pair op other than
+        MULT, with i and j the pool indices of x and y in side's frame, or
+        None where they are not pool images (j is None when i is); None for
+        any other image."""
+        op = img[0]
+        if op in _FIELD_OPS:
+            x, y = img[1], img[2]
+        elif op == T.TUP and len(img[1]) == 2:
+            x, y = img[1]
+        else:
+            return None
+        at = self.at[side]
+        i = at.get(x)
+        return op, x, y, i, None if i is None else at.get(y)
+
+    def _counted(self, where):
+        """The by_a entry (recipe, second-frame image) of the pair candidate
+        op(i, j) located by where, once compose has passed its pair; else
+        None. Only a by_a or by_b miss asks, so compose counted it: had it
+        tested the candidate, its image here would be filed (a frame that
+        rewrites op(x, y) holds no such image, since images are normal)."""
+        if where is None or where[4] is None:
+            return None
+        op, _, _, i, j = where
+        if ((i, j) if i <= j else (j, i)) not in self.composed:
+            return None
+        (r1, _, _, b1), (r2, _, _, b2) = self.pool[i], self.pool[j]
+        return _pair_term(op, r1, r2), _pair_term(op, b1, b2)
+
+    def _file(self, img: Term, where, side: int):
+        """Index an image just filed in side's frame in earlier, under the
+        pool indices of its two fields; until both are pool images it
+        waits on the first that is not."""
+        if where is None:
+            return
+        op, x, y, i, j = where
+        if j is None:
+            self.waiting[side].setdefault(y if i is not None else x,
+                                          []).append(img)
+        else:
+            key = (i, j) if i <= j else (j, i)
+            self.earlier.setdefault(key, set()).add((op, i))
+
+    def _join(self, entry):
+        n = len(self.pool)
+        self.pool.append(entry)
+        self.fresh.append(entry)
+        self.opens.append(frozenset(
+            _OPENS.get(entry[2][0], ()) + _OPENS.get(entry[3][0], ())))
+        for side in (0, 1):
+            img = entry[2 + side]
+            self.at[side][img] = n
+            for held in self.waiting[side].pop(img, ()):
+                self._file(held, self._locate(held, side), side)
+
+    def compose(self, n1: int, n2: int, size: int):
+        """Test the pair candidates over pool entries n1 and n2 in
+        _PAIR_SHAPES order, counting each plain one that earlier does not
+        name instead of testing it."""
+        key = (n1, n2) if n1 <= n2 else (n2, n1)
+        shapes = _rewritable(self.opens[n1], self.opens[n2])
+        earlier = self.earlier.get(key)
+        if earlier is not None:
+            shapes = sorted({*shapes, *(
+                s for s in _PAIR_SHAPES
+                if (s[1], n2 if s[2] else n1) in earlier)})
+        e1, e2 = self.pool[n1], self.pool[n2]
+        start = self.tests
+        for pos, op, swapped in shapes:
+            (r1, _, a1, b1), (r2, _, a2, b2) = (e2, e1) if swapped else (e1, e2)
+            ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
+            ia, ib = T.norm_root(ta), T.norm_root(tb)
+            if ia is ta and ib is tb and (
+                    earlier is None or (op, n2 if swapped else n1) not in earlier):
+                continue   # plain after all
+            self.tests = start + pos
+            verdict = self._test(_pair_term(op, r1, r2), size, ia, ib)
+            if verdict is not None:
+                return verdict
+        self.tests = start + _PAIR_TESTS
+        self.composed.add(key)
         return None
 
     def cut_level(self):
@@ -453,36 +601,24 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
                                     (T.PROJ, i, a), (T.PROJ, i, b))
                 if verdict is not None:
                     return verdict
-        base = list(bij.pool)
-        # the frontier is the slice base[k:k + len(frontier)]. A pair of two
+        # the frontier is the slice pool[k:k + len(frontier)]. A pair of two
         # frontier entries was composed both ways round when its earlier
-        # entry was e1. That left each image pair in by_a (MULT sorts its
-        # product, so its one order covers both), so the mirror's tests are
-        # all consistent by_a hits: they are counted, not rebuilt.
-        k = len(base) - len(bij.fresh) - len(frontier)
+        # entry was e1. That fixed the outcome of each of its candidates
+        # (MULT sorts its product, so its one order covers both), so the
+        # mirror's tests are all consistent: they are counted, not rebuilt.
+        m = len(bij.pool)
+        k = m - len(bij.fresh) - len(frontier)
         for i, e1 in enumerate(frontier):
             mirrored = _PAIR_TESTS * sum(
                 1 for e2 in frontier[:i] if e1[1] + e2[1] + 1 <= test_bound)
-            for seconds, skipped in ((base[:k], mirrored), (base[k + i:], 0)):
-                for e2 in seconds:
-                    size = e1[1] + e2[1] + 1
+            for seconds, skipped in ((range(k), mirrored), (range(k + i, m), 0)):
+                for n2 in seconds:
+                    size = e1[1] + bij.pool[n2][1] + 1
                     if size > test_bound:
                         continue
-                    for op in _BINARY:
-                        if op == T.MULT:   # commutative, one direction enough
-                            orders = ((e1, e2),)
-                        else:
-                            orders = ((e1, e2), (e2, e1))
-                        for (r1, _, a1, b1), (r2, _, a2, b2) in orders:
-                            if op == T.MULT or op == T.TUP:
-                                verdict = bij.admit(
-                                    (op, (r1, r2)), size,
-                                    (op, (a1, a2)), (op, (b1, b2)))
-                            else:
-                                verdict = bij.admit((op, r1, r2), size,
-                                                    (op, a1, a2), (op, b1, b2))
-                            if verdict is not None:
-                                return verdict
+                    verdict = bij.compose(k + i, n2, size)
+                    if verdict is not None:
+                        return verdict
                 bij.tests += skipped
         frontier = bij.cut_level()
     return Equivalent(test_bound, bij.tests, bij.capped)

@@ -82,11 +82,20 @@ class Scenario:
         return tuple((i % max(self.cards, 1), i % len(self.terminals))
                      for i in range(self.sessions))
 
-    def validate(self):
+    def validate_header(self):
+        """The checks on the fields a trace's SCEN header records. A dump
+        records no terminals, so a parsed trace keeps the default onhi
+        one, which validate() rejects for utxl."""
         if self.protocol not in ("utx", "utx_multimonth", "utxl", "bdh", "ubdh"):
             raise ScenarioInvalid(f"unknown protocol {self.protocol}")
         if self.world not in ("real", "ideal"):
             raise ScenarioInvalid(f"unknown world {self.world}")
+        for what, count in (("cards", self.cards), ("sessions", self.sessions)):
+            if count < 0:
+                raise ScenarioInvalid(f"{what} {count} is negative")
+
+    def validate(self):
+        self.validate_header()
         if self.protocol == "utxl" and any(m != "lo" for m, _ in self.terminals):
             raise ScenarioInvalid("low-value worlds admit lo terminals only")
         for mode, _ in self.terminals:
@@ -108,10 +117,8 @@ class Scenario:
                 raise ScenarioInvalid(
                     f"card_window {' '.join(map(str, window))} "
                     "has a negative month")
-        for what, count in (("cards", self.cards), ("sessions", self.sessions),
-                            ("max_steps", self.max_steps)):
-            if count < 0:
-                raise ScenarioInvalid(f"{what} {count} is negative")
+        if self.max_steps < 0:
+            raise ScenarioInvalid(f"max_steps {self.max_steps} is negative")
         for entry in self.schedule:
             if len(entry) != 2:
                 raise ScenarioInvalid(
@@ -182,7 +189,9 @@ def _parse_scen(rest: str) -> Scenario:
     kw = {k: v for k, _, v in pairs}
     for k in ("seed", "cards", "sessions"):
         kw[k] = int(kw[k])
-    return Scenario(**kw)
+    sc = Scenario(**kw)
+    sc.validate_header()
+    return sc
 
 
 def parse_trace(text: str) -> Trace:
@@ -217,7 +226,7 @@ def parse_trace(text: str) -> Trace:
                 idx, kind, actor, alias, text_ = rest.split("|", 4)
                 tr.records.append(
                     TraceRecord(int(idx), kind, actor, text_, alias))
-        except (ValueError, T.MalformedTerm) as e:
+        except (ValueError, T.MalformedTerm, ScenarioInvalid) as e:
             msg = f"bad trace line {lineno} ({head}): {e}"
             raise TraceInvalid(msg) from None
     return tr

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import utxsim.checks as C
 import utxsim.cli as cli
 import utxsim.harness as H
 
@@ -244,6 +245,20 @@ def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == \
         "error: bad trace line 5 (BIND): alias w1 is bound twice\n"
+
+
+def test_every_builtin_dump_checks(tmp_path, capsys):
+    """The header check leaves every valid dump alone: each built-in
+    scenario's trace checks as the scenario itself does (utxl dumps
+    included, whose header records no terminals)."""
+    path = tmp_path / "tr.txt"
+    for name in sorted(C.SCENARIOS):
+        run_cli(capsys, "run", "--scenario", name, "--seed", "0",
+                "--out", str(path))
+        live = cli.main(["check", "--scenario", name, "--seed", "0"])
+        capsys.readouterr()
+        assert _exits_cleanly(capsys, ["check", "--trace", str(path)],
+                              name)[0] == live != 2, name
 
 
 @pytest.mark.parametrize("line", ["cards x", "strategy", "replay_check maybe"])

@@ -546,18 +546,22 @@ _PINNED_DIGEST = \
     "47ff7406b58e7bd01ab06b55da956d8f76287a66ffb6577151f3656a686d254b"
 
 
+def _pinned_lines(label, pairs):
+    for x, y in pairs:
+        for bound, cap in _PINNED_SETTINGS:
+            v = F.static_equiv(x, y, test_bound=bound, pool_cap=cap)
+            if v:
+                outcome = f"Equivalent {v.tests} {v.capped}"
+            else:
+                outcome = f"Distinguished {v.describe()} {v.tests}"
+            yield f"{label} {bound} {cap} {outcome}"
+
+
 def test_static_equiv_counts_pinned():
     lines = []
     for case in _CASES:
         fa, fb, _ = _frame_pair(case)
-        for x, y in ((fa, fb), (fb, fa)):
-            for bound, cap in _PINNED_SETTINGS:
-                v = F.static_equiv(x, y, test_bound=bound, pool_cap=cap)
-                if v:
-                    outcome = f"Equivalent {v.tests} {v.capped}"
-                else:
-                    outcome = f"Distinguished {v.describe()} {v.tests}"
-                lines.append(f"{case} {bound} {cap} {outcome}")
+        lines += _pinned_lines(case, ((fa, fb), (fb, fa)))
     assert len(lines) == 312
     assert sum("Distinguished" in line for line in lines) == 138
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -575,6 +579,87 @@ def test_static_equiv_witness_count_after_mirrored_pairs():
         assert verdict.describe() == \
             f"?w0 = (smult ?w1 ?w2) holds in the {side} frame only"
         assert verdict.tests == 3201
+
+
+def test_static_equiv_witness_through_counted_candidate():
+    """[a*b]gen is the image of w0 applied to gen, a pair candidate neither
+    frame rewrites, and later of [a]([b]gen), which both frames rewrite:
+    the witness joins the two, and the frame compared with itself passes."""
+    a, b, c = (T.name(x, "scalar") for x in "abc")
+    fa, _ = build([a, b, c], [T.mult(a, b), a, T.smult(b, G)])
+    fb, _ = build([a, b, c], [T.mult(a, b), a, T.smult(c, G)])
+    for bound in (4, 6):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"(smult ?w0 (gen)) = (smult ?w1 ?w2) "
+                f"holds in the {side} frame only")
+            assert verdict.tests == 3201
+        verdict = F.static_equiv(fa, fa, test_bound=bound)
+        assert isinstance(verdict, F.Equivalent)
+        assert verdict.tests == 3447
+
+
+def test_counted_candidate_keeps_its_entry():
+    """A counted candidate stands for the by_a entry the first candidate
+    with its image would have left: a later candidate with the same images
+    leaves it in place, and a clash names the counted recipe."""
+    a, b, c = (T.name(x, "scalar") for x in "abc")
+    f, _ = build([a, b, c], [T.mult(a, b), a, T.smult(b, G)])
+    sat = F.saturate(f)
+    bij = F._Bijection(f, f, F.POOL_CAP)
+    for r in F._seed_recipes(sat, sat):
+        assert bij.seed(r) is None
+    at = {e[0]: n for n, e in enumerate(bij.pool)}
+    w0, w1, w2 = (at[T.var(f"w{i}")] for i in range(3))
+    blinded = T.normalize(T.smult(T.mult(a, b), G))
+    # smult(w0, gen) is counted, smult(w1, w2) rewrites onto its image
+    assert bij.compose(at[G], w0, 3) is None
+    assert blinded not in bij.by_a
+    assert bij.compose(w1, w2, 3) is None
+    assert blinded not in bij.by_a
+    verdict = bij.admit(T.var("w9"), 3, blinded, T.smult(c, G))
+    assert T.to_text(verdict.left) == "(smult ?w0 (gen))"
+    assert verdict.side == "first"
+
+
+def _random_group_pair(rng):
+    """A random frame of scalars, a product x*y, blinded points ([s]gen,
+    [s]([t]gen), [x]sigv(k, gen)) and a verification key, which
+    _random_frame never builds, and a copy with one secret renamed in one
+    image. Factors, products and rebased points of the same scalars meet,
+    so pair candidates collide with rewritten ones."""
+    secret = [T.name(f"s{i}", "scalar") for i in range(rng.randrange(2, 4))]
+    scalars = secret + [T.name("p1", "scalar")]
+    x, y = rng.sample(scalars, 2)
+    k = rng.choice(secret)
+    menu = [x, y, T.smult(x, G), T.smult(y, G), T.smult(T.mult(x, y), G),
+            T.smult(x, T.sigv(k, G)), T.pkv(k),
+            T.smult(rng.choice(scalars), T.smult(rng.choice(scalars), G))]
+    images = [T.mult(x, y)] + rng.sample(menu, rng.randrange(1, 5))
+    rng.shuffle(images)
+    fa, _ = build(secret, images)
+    images = list(fa.bindings.values())
+    i = rng.randrange(len(images))
+    old, new = rng.sample(secret, 2)
+    images[i] = _rename_term(images[i], {old[1]: new[1]})
+    fb, _ = build(secret, images)
+    return fa, fb
+
+
+_GROUP_DIGEST = \
+    "987add8184f78b8953b87677f6fcff44078b6370e6a0fb45572f0335a857cd0e"
+
+
+def test_static_equiv_group_corpus_pinned():
+    lines = []
+    for k in range(32):
+        fa, fb = _random_group_pair(random.Random(f"group{k}"))
+        lines += _pinned_lines(f"group{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    assert len(lines) == 288
+    assert sum("Distinguished" in line for line in lines) == 54
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _GROUP_DIGEST
 
 
 # -- pinned deduction ------------------------------------------------------------

@@ -104,6 +104,11 @@ def test_pinned_traces():
     "SCEN protocol=utx world=real seed=x cards=1 sessions=1 strategy=passive",
     "SCEN protocol=utx world=real seed=0 cards=1 sessions=1 strategy=",
     "SCEN world=real protocol=utx seed=0 cards=1 sessions=1 strategy=passive",
+    # well formed, out of range
+    "SCEN protocol=utx world=real seed=0 cards=-2 sessions=1 strategy=passive",
+    "SCEN protocol=utx world=real seed=0 cards=1 sessions=-5 strategy=passive",
+    "SCEN protocol=zzz world=real seed=0 cards=1 sessions=1 strategy=passive",
+    "SCEN protocol=utx world=both seed=0 cards=1 sessions=1 strategy=passive",
 ])
 def test_malformed_scenario_header(header):
     with pytest.raises(H.TraceInvalid, match="bad trace line 1 \\(SCEN\\)"):
