@@ -2,7 +2,11 @@
 
 check_agreement evaluates the four built-in injective-agreement
 correspondences: a commit event must be justified by run events carrying
-the same exchanged messages, and no run event justifies two commits.
+the same exchanged messages, and no run event justifies two commits. Each
+obligation's events are hash-joined on the values of the variables bound
+before it, so a commit meets only the events that can match it; the
+injective choice is a backtracking search with an explicit stack, so a
+trace of any length checks without deep recursion.
 check_secrecy asks the deduction engine for each secret. distinguish runs
 the bounded static-equivalence search over a paired run's final frames.
 SCENARIOS names the built-in scenarios, and suites() lays out every named
@@ -75,16 +79,36 @@ def _unify(args, varnames, binding):
     return new
 
 
-def _candidate_tuples(corr, binding, pools):
+def _join_tables(corr, pools):
+    """Per obligation, (key positions, table): the positions of its
+    variables bound before it (by the trigger or an earlier obligation),
+    and its tag's (index, event) pairs keyed by their values there, each
+    bucket in event order."""
+    bound = set(corr.trigger[1])
+    tables = []
+    for tag, varnames in corr.obligations:
+        pos = tuple(j for j, vn in enumerate(varnames) if vn in bound)
+        table: dict = {}
+        for idx, ev in pools.get(tag, ()):
+            table.setdefault(tuple(ev.args[j] for j in pos), []).append(
+                (idx, ev))
+        tables.append((pos, table))
+        bound.update(varnames)
+    return tables
+
+
+def _candidate_tuples(corr, binding, tables):
     """All ways to satisfy the obligation conjunction with consistent
-    existential variables; yields tuples of event indices."""
+    existential variables; yields tuples of event indices, in the order a
+    scan of each obligation's events would find them."""
 
     def go(i, bound, chosen):
         if i == len(corr.obligations):
             yield tuple(chosen)
             return
-        tag, varnames = corr.obligations[i]
-        for idx, ev in pools.get(tag, ()):
+        varnames = corr.obligations[i][1]
+        pos, table = tables[i]
+        for idx, ev in table.get(tuple(bound[varnames[j]] for j in pos), ()):
             if idx in chosen:
                 continue
             nxt = _unify(ev.args, varnames, bound)
@@ -94,34 +118,49 @@ def _candidate_tuples(corr, binding, pools):
     yield from go(0, binding, [])
 
 
+def _injective(candidates) -> bool:
+    """Whether each commit can take one of its tuples, pairwise
+    event-disjoint: depth-first over the commits in order, each trying its
+    tuples in order, with one used set undone on backtrack."""
+    used: set = set()
+    chosen: list = []              # the tuple taken at each level
+    nxt = [0]                      # per open level, its next tuple to try
+    while nxt:
+        level = len(nxt) - 1
+        if level == len(candidates):
+            return True
+        tuples = candidates[level][1]
+        k = nxt[level]
+        while k < len(tuples) and any(e in used for e in tuples[k]):
+            k += 1
+        if k < len(tuples):
+            nxt[level] = k + 1
+            chosen.append(tuples[k])
+            used.update(tuples[k])
+            nxt.append(0)
+        else:
+            nxt.pop()
+            if chosen:
+                used.difference_update(chosen.pop())
+    return False
+
+
 def check_agreement(trace, corr: Correspondence) -> Verdict:
-    events = list(trace.events)
     pools: dict = {}
-    for idx, ev in enumerate(events):
+    for idx, ev in enumerate(trace.events):
         pools.setdefault(ev.tag, []).append((idx, ev))
-    triggers = pools.get(corr.trigger[0], [])
+    tables = _join_tables(corr, pools)
     candidates = []
-    for idx, ev in triggers:
+    for idx, ev in pools.get(corr.trigger[0], ()):
         binding = _unify(ev.args, corr.trigger[1], {})
-        tuples = list(_candidate_tuples(corr, binding, pools))
+        tuples = list(_candidate_tuples(corr, binding, tables))
         if not tuples:
             return Verdict(corr.name, "violated",
                            f"commit#{idx}:{ev.tag}@{ev.session_id} unmatched")
         candidates.append((idx, tuples))
 
     # injectivity: pick pairwise event-disjoint obligation tuples
-    def assign(i, used):
-        if i == len(candidates):
-            return True
-        _, tuples = candidates[i]
-        for tup in tuples:
-            if any(e in used for e in tup):
-                continue
-            if assign(i + 1, used | set(tup)):
-                return True
-        return False
-
-    if not assign(0, set()):
+    if not _injective(candidates):
         which = candidates[-1][0]
         return Verdict(corr.name, "violated",
                        f"no injective matching (commit#{which} contended)")

@@ -20,7 +20,10 @@ only up to the size bound. Saturated entries and public atoms cost 0; an
 application costs 1 plus its parts; a product joined from several covered
 parts (product blocks or single factors) costs 1 plus theirs; a rebase
 [r]([s]p) on a block [s]p costs 1 plus r's cost. Among equally cheap
-recipes the earliest block in saturation order wins.
+recipes the earliest block in saturation order wins. The [s]p blocks are
+filed under their point p and then under the first factor of s, so a rebase
+tries only the blocks whose first factor is one of the target's: no other
+block lies inside the target's scalar.
 
 static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
@@ -52,6 +55,7 @@ enumeration order (and therefore the first witness) is deterministic.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass, field
 
 from . import terms as T
@@ -103,19 +107,23 @@ def recipe_value(f: Frame, recipe: Term) -> Term:
 class Saturated:
     frame: Frame
     entries: dict = field(default_factory=dict)   # image -> first recipe
-    # deduction's blocks, in entries order, as (factor multiset, recipe):
-    # product images under None, [s]p images under their point p
+    # deduction's blocks, in entries order: product images under None, as
+    # (factor multiset, recipe); [s]p images under their point p, in a dict
+    # from the first factor of s (None when s has none) to
+    # (entry number, factor multiset, recipe)
     blocks: dict = field(default_factory=dict)
 
     def add(self, recipe: Term, image: Term) -> bool:
         if image in self.entries:
             return False
+        n = len(self.entries)
         self.entries[image] = recipe
         if image[0] == T.MULT:
             self.blocks.setdefault(None, []).append((image[1], recipe))
         elif image[0] == T.SMULT:
-            self.blocks.setdefault(image[2], []).append(
-                (T.m_factors(image[1]), recipe))
+            unit = T.m_factors(image[1])
+            self.blocks.setdefault(image[2], {}).setdefault(
+                unit[0] if unit else None, []).append((n, unit, recipe))
         return True
 
 
@@ -263,10 +271,14 @@ def _cover(sat: Saturated, factors: tuple, memo: dict):
 
 def _smult_cost(sat: Saturated, t: Term, memo: dict):
     """[s]p built directly, or rebased on a known block [s2]p as
-    [r]([s2]p), where r covers s less s2."""
+    [r]([s2]p), where r covers s less s2. A block inside s has its first
+    factor in s, so only those filed under one of s's factors (and any
+    with no factor) are tried, merged back into entries order."""
     best = _compose(sat, t, memo)
     want = T.m_factors(t[1])
-    for unit, recipe in sat.blocks.get(t[2], ()):
+    filed = sat.blocks.get(t[2], {})
+    for _, unit, recipe in heapq.merge(
+            *(filed[k] for k in {None, *want} if k in filed)):
         rest = _minus(want, unit)
         if not rest:    # not inside s, or all of it
             continue

@@ -11,7 +11,15 @@ SessionView (which keeps the session's own last stage), the output log only
 in Runner.outputs, and what the attacker has seen only in its one Frame. That
 frame grows in place and is the trace's frame: the honest agents' name source
 adds every name it mints to its restricted set, and every output binds an
-alias in it.
+alias in it. Three facts that could be read off the views are kept as the
+views change, so that no step scans every session: the live card sessions of
+each card, the number of card sessions started, and the session holding
+each pending alias.
+
+An observation costs the same however long the run: Obs hands the strategy
+read-only views of the runner's own dicts, not copies. An Obs is therefore
+valid only until the next apply, which changes what it shows; run_scenario
+and the strategies read each Obs only before acting on it.
 
 Worlds: "real" lets a card run any number of sessions; "ideal" spawns a
 disposable fresh card per session (with the card database and, in leaked-PIN
@@ -25,6 +33,7 @@ Determinism: a (scenario, seed) pair fixes the trace byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Optional
 
 from . import frames, roles, setup_phase
@@ -307,9 +316,14 @@ class SessionView:
 
 @dataclass(frozen=True)
 class Obs:
-    sessions: dict                 # sid -> SessionView, in start order
+    """What the attacker sees before one action: read-only views of the
+    runner's records, valid until the next Runner.apply."""
+    sessions: MappingProxyType     # sid -> SessionView, in start order
     terminals_started: int
-    outputs: dict                  # alias -> actor, the full output log
+    outputs: MappingProxyType      # alias -> actor, the full output log
+    card_sessions: int             # card sessions started
+    live_cards: MappingProxyType   # card idx -> its live card sessions (> 0)
+    holder: MappingProxyType       # pending alias -> the session holding it
 
     def session(self, sid):
         return self.sessions.get(sid)
@@ -347,6 +361,10 @@ class Runner:
         self.views: dict = {}          # sid -> SessionView
         self.n_cards_started: dict = {}
         self.n_card_sessions = 0
+        self.live_cards: dict = {}     # card idx -> its live card sessions
+        self.holder: dict = {}         # pending alias -> the session holding it
+        self._proxies = tuple(map(MappingProxyType, (
+            self.views, self.outputs, self.live_cards, self.holder)))
         self.n_terms = 0
         self.n_bank_requests = 0
         self._idx = 0
@@ -433,8 +451,11 @@ class Runner:
     # -- observation ------------------------------------------------------------
 
     def observe(self) -> Obs:
-        return Obs(sessions=dict(self.views), terminals_started=self.n_terms,
-                   outputs=dict(self.outputs))
+        """The current observation; it reads the live records, so it is
+        valid only until the next apply."""
+        views, outputs, live_cards, holder = self._proxies
+        return Obs(views, self.n_terms, outputs, self.n_card_sessions,
+                   live_cards, holder)
 
     # -- actions ------------------------------------------------------------------
 
@@ -466,6 +487,7 @@ class Runner:
             if latest is not None and latest.alive():
                 raise StrategyError("card already mid-session")
         self.n_cards_started[idx] = n + 1
+        self.live_cards[idx] = self.live_cards.get(idx, 0) + 1
         sid = f"C{self.n_card_sessions}"
         self.n_card_sessions += 1
         card.begin_session(sid)
@@ -499,12 +521,11 @@ class Runner:
         return frames.recipe_value(self.frame, recipe)
 
     def _consume_pending(self, alias: str) -> None:
-        for sid, view in self.views.items():
-            for i, (a, _) in enumerate(view.pending):
-                if a == alias:
-                    pending = view.pending[:i] + view.pending[i + 1:]
-                    self.views[sid] = replace(view, pending=pending)
-                    return
+        sid = self.holder.pop(alias, None)
+        if sid is not None:
+            view = self.views[sid]
+            pending = tuple(e for e in view.pending if e[0] != alias)
+            self.views[sid] = replace(view, pending=pending)
 
     def _deliver(self, action: Deliver) -> None:
         sid = action.sid
@@ -565,6 +586,8 @@ class Runner:
             self._record("event", sid, e.tag)
         replies = tuple((self._publish(out, sid), "to_terminal")
                         for out in res.outputs)
+        for alias, _ in replies:
+            self.holder[alias] = tsid
         view = self.views[tsid]         # _consume_pending may have replaced it
         self.views[tsid] = replace(view, pending=view.pending + replies)
         if res.abort:
@@ -588,6 +611,7 @@ class Runner:
                 pending.append((alias, "to_bank"))
             else:
                 pending.append((alias, hint))
+            self.holder[alias] = sid
         if res.abort:
             self.trace.aborts.append((sid, res.abort))
             self._record("abort", sid, res.abort)
@@ -595,6 +619,10 @@ class Runner:
         # only a live session steps, so this step's abort/done are its own
         self.views[sid] = replace(view, stage=stage, pending=tuple(pending),
                                   aborted=bool(res.abort), done=res.done)
+        if view.kind == "card" and (res.abort or res.done):
+            left = self.live_cards.pop(view.card_idx) - 1
+            if left:
+                self.live_cards[view.card_idx] = left
 
 
 def run_scenario(sc: Scenario) -> Trace:

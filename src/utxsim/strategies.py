@@ -3,7 +3,10 @@
 A strategy sees only public structure (session stages, pending alias ids,
 output counts) and yields one action per decision, so the same program runs
 identically in the real and ideal worlds as long as observable behaviour
-stays aligned. Strategies never branch on message contents.
+stays aligned. Strategies never branch on message contents, and read each
+observation only before returning the action it leads to: an Obs shows the
+runner's live records and changes with the next apply. The honest pump
+decides in time that does not grow with the run (see Pump).
 
 The catalog covers the honest forwarder, message replays against terminal
 and bank, certificate harvesting with a fake card, the fake-terminal
@@ -14,7 +17,10 @@ reflection, message dropping and a seeded fuzzer.
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
+from itertools import islice
 
 from . import harness as H
 from . import terms as T
@@ -26,7 +32,18 @@ class Pump:
     """Forwards messages along their natural routes, one action per call.
 
     Pairs terminal session i with a card session per the scenario schedule;
-    sessions of one physical card run back to back.
+    sessions of one physical card run back to back. Every scheduled terminal
+    starts before any card, so start order is T0, T1, ..., then C0, C1, ...
+
+    The next card session goes to the least pair at the head of an idle
+    card's queue of unstarted pairs. The next message routed is the first,
+    in start order and then pending order, that has a route. Instead of
+    walking every session for it, the pump keeps the sessions that may hold
+    one in a heap (ready) and sets aside each message a visit found without
+    a route (aside): for good when it is dropped or bound for a dead
+    session, which never comes back to life; a terminal's message for the
+    card of a pair that has none yet waits until that card session starts.
+    Skipping set-aside messages therefore changes no decision.
     """
 
     name = "passive"
@@ -37,6 +54,14 @@ class Pump:
         self.card_sid_of_pair: dict = {}
         self.pair_of_card_sid: dict = {}
         self.dropped: set = set()
+        self.queues: dict = {}         # card idx -> its unstarted pairs, in order
+        for pair, (card_idx, _) in enumerate(self.schedule):
+            self.queues.setdefault(card_idx, deque()).append(pair)
+        self.ready: list = []          # heap of (start key, sid)
+        self.in_ready: set = set()
+        self.aside: set = set()        # pending aliases a visit found no route for
+        self.waiting: dict = {}        # pair -> aliases waiting for its card
+        self.n_outputs = 0             # outputs whose holder was looked up
 
     # subclass hooks
     def intercept(self, obs):
@@ -46,23 +71,31 @@ class Pump:
         return self.intercept(obs) or self._start(obs) or self._route(obs)
 
     def _start(self, obs):
+        """The first unstarted pair whose card is idle and whose terminal
+        lives: the least head of the idle cards' queues, once each has shed
+        the pairs whose terminal died."""
         if obs.terminals_started < len(self.schedule):
             return H.StartTerminal(self.schedule[obs.terminals_started][1])
-        busy = {v.card_idx for v in obs.sessions.values()
-                if v.kind == "card" and v.alive()}
-        n_card_sessions = sum(1 for v in obs.sessions.values()
-                              if v.kind == "card")
-        for pair, (card_idx, _) in enumerate(self.schedule):
-            if pair in self.card_sid_of_pair or card_idx in busy:
+        best = None
+        for card_idx, queue in self.queues.items():
+            if card_idx in obs.live_cards:
                 continue
-            term = obs.session(f"T{pair}")
-            if term is None or not term.alive():
-                continue
-            sid = f"C{n_card_sessions}"
-            self.card_sid_of_pair[pair] = sid
-            self.pair_of_card_sid[sid] = pair
-            return H.StartCard(card_idx)
-        return None
+            while queue and not obs.sessions[f"T{queue[0]}"].alive():
+                queue.popleft()
+            if queue and (best is None or queue[0] < best[0]):
+                best = queue[0], card_idx
+        if best is None:
+            return None
+        pair, card_idx = best
+        self.queues[card_idx].popleft()
+        sid = f"C{obs.card_sessions}"
+        self.card_sid_of_pair[pair] = sid
+        self.pair_of_card_sid[sid] = pair
+        waiting = self.waiting.pop(pair, ())
+        if waiting:
+            self.aside.difference_update(waiting)
+            self._make_ready(f"T{pair}")
+        return H.StartCard(card_idx)
 
     def _route_one(self, obs, view, alias, hint):
         if (view.sid, alias) in self.dropped:
@@ -83,12 +116,42 @@ class Pump:
             return None
         return H.Deliver(target.sid, T.var(alias), source_alias=alias)
 
+    def _make_ready(self, sid):
+        if sid not in self.in_ready:
+            self.in_ready.add(sid)
+            key = int(sid[1:]) + (len(self.schedule) if sid[0] == "C" else 0)
+            heapq.heappush(self.ready, (key, sid))
+
+    def _set_aside(self, view, alias, hint):
+        self.aside.add(alias)
+        if (view.kind == "terminal" and hint == "to_card"
+                and (view.sid, alias) not in self.dropped):
+            pair = int(view.sid[1:])
+            if pair not in self.card_sid_of_pair:
+                self.waiting.setdefault(pair, []).append(alias)
+
     def _route(self, obs):
-        for view in obs.sessions.values():
+        # every pending message is an output: the holders of the outputs
+        # made since the last call may hold new ones
+        new = len(obs.outputs) - self.n_outputs
+        if new:
+            self.n_outputs += new
+            for alias in islice(reversed(obs.outputs), new):
+                sid = obs.holder.get(alias)
+                if sid is not None:
+                    self._make_ready(sid)
+        while self.ready:
+            sid = self.ready[0][1]
+            view = obs.sessions[sid]
             for alias, hint in view.pending:
+                if alias in self.aside:
+                    continue
                 act = self._route_one(obs, view, alias, hint)
                 if act is not None:
                     return act
+                self._set_aside(view, alias, hint)
+            heapq.heappop(self.ready)
+            self.in_ready.discard(sid)
         return None
 
 
@@ -177,6 +240,9 @@ class Reflect(Pump):
 
     def _route_one(self, obs, view, alias, hint):
         act = super()._route_one(obs, view, alias, hint)
+        # any visit counts, routed or not; the pump sets aside only messages
+        # it has visited, so the first visit of a card's message still comes
+        # at the same step
         if view.kind == "card" and self.z2_seen is None:
             self.z2_seen = alias
         return act

@@ -2,6 +2,7 @@
 injectivity), secrecy, distinguishing, and the suite wiring."""
 
 import random
+from dataclasses import replace
 
 import utxsim.checks as C
 import utxsim.frames as F
@@ -115,6 +116,107 @@ def test_shared_existentials_across_obligations():
     ev[1] = Event("CRun", tail_a, "C0", "card0")
     v = C.check_agreement(_trace_with(ev), C.CORRESPONDENCES[2])
     assert v.status == "holds"
+
+
+def test_injective_search_backtracks():
+    """The first commit's first choice takes the only run the second commit
+    can use: the search must undo it and take the first commit's second."""
+    r0, r1 = (T.name(f"req{i}", "data") for i in range(2))
+    t1, t2 = (tuple(T.name(f"m{i}.{j}", "data") for j in range(6))
+              for i in (1, 2))
+    ev = [Event("TRunBC", (r0,) + t1, "T0", "T0"),
+          Event("TRunBC", (r0,) + t2, "T1", "T1"),
+          Event("TRunBC", (r1,) + t1, "T2", "T2"),
+          Event("CRun", t1, "C0", "card0"),
+          Event("CRun", t2, "C1", "card0"),
+          Event("BComTC", (r0,), "B0", "bank"),
+          Event("BComTC", (r1,), "B1", "bank")]
+    v = C.check_agreement(_trace_with(ev), C.CORRESPONDENCES[2])
+    assert v.status == "holds"
+    v = C.check_agreement(_trace_with(ev + [ev[-1]]), C.CORRESPONDENCES[2])
+    assert v.witness == "no injective matching (commit#7 contended)"
+
+
+def _commits(n, contended):
+    """n TComC commits on distinct message vectors, each with its own CRun;
+    when contended, the last commit repeats the vector of the one before."""
+    vecs = [tuple(T.name(f"m{i}.{j}", "data") for j in range(6))
+            for i in range(n)]
+    if contended:
+        vecs[-1] = vecs[-2]
+    runs = [Event("CRun", v, f"C{i}", f"card{i}")
+            for i, v in enumerate(vecs[:n - contended])]
+    commits = [Event("TComC", v, f"T{i}", f"T{i}") for i, v in enumerate(vecs)]
+    return _trace_with(runs + commits), len(runs)
+
+
+def test_agreement_checks_long_traces():
+    """1,200 commits, more than the default recursion limit: the injective
+    search must neither recurse per commit nor change its verdicts."""
+    corr = C.CORRESPONDENCES[0]
+    tr, _ = _commits(1200, contended=False)
+    assert C.check_agreement(tr, corr).line() == \
+        "CHECK terminal-agrees-card holds"
+    tr, n_runs = _commits(1200, contended=True)
+    assert C.check_agreement(tr, corr).line() == (
+        "CHECK terminal-agrees-card violated no injective matching "
+        f"(commit#{n_runs + 1199} contended)")
+    assert counting_oracle(tr, corr) == "violated"
+
+
+def _nested_loop_tuples(corr, binding, pools):
+    """Reference: every event of each obligation's tag, in event order,
+    unified against the variables bound so far."""
+
+    def go(i, bound, chosen):
+        if i == len(corr.obligations):
+            yield tuple(chosen)
+            return
+        tag, varnames = corr.obligations[i]
+        for idx, ev in pools.get(tag, ()):
+            if idx in chosen:
+                continue
+            nxt = C._unify(ev.args, varnames, bound)
+            if nxt is not None:
+                yield from go(i + 1, nxt, chosen + [idx])
+
+    yield from go(0, binding, [])
+
+
+def _assert_join_matches_nested_loop(events):
+    pools: dict = {}
+    for idx, ev in enumerate(events):
+        pools.setdefault(ev.tag, []).append((idx, ev))
+    for corr in C.CORRESPONDENCES:
+        tables = C._join_tables(corr, pools)
+        for _, ev in pools.get(corr.trigger[0], ()):
+            binding = C._unify(ev.args, corr.trigger[1], {})
+            assert list(C._candidate_tuples(corr, binding, tables)) == \
+                list(_nested_loop_tuples(corr, binding, pools)), corr.name
+
+
+def test_hash_join_matches_nested_loop():
+    """The hash-joined candidate tuples, in order, on the built-in
+    scenarios, many-session attacker runs, and duplicated and shuffled
+    events (so that buckets hold several events, out of order)."""
+    traces = [H.run_scenario(replace(sc, seed=s, world=w))
+              for sc in C.SCENARIOS.values()
+              for s in range(4) for w in ("real", "ideal")]
+    traces += [H.run_scenario(H.Scenario(
+        cards=3, sessions=24, strategy=name, strategy_arg=3, seed=i,
+        terminals=(("onhi", None), ("offhi", None), ("lo", None)),
+        max_steps=1200))
+        for i, name in enumerate(("passive", "fuzzer", "drop",
+                                  "replay_bank_request", "replay_card_reply",
+                                  "reflect"))]
+    rng = random.Random(11)
+    for tr in traces:
+        _assert_join_matches_nested_loop(tr.events)
+    for tr in traces[-6:]:
+        events = list(tr.events)
+        events += rng.sample(events, len(events) // 3)
+        rng.shuffle(events)
+        _assert_join_matches_nested_loop(events)
 
 
 def test_secrecy_honest_and_leaky():

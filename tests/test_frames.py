@@ -668,7 +668,8 @@ def test_static_equiv_group_corpus_pinned():
 # saturation holds, the recipe each keeps, or the recipe derive returns,
 # and so which of two equally cheap blocks wins a tie: the earliest. The
 # blocks deduction looks up are the product and [s]p entries, grouped by
-# point, in entries order.
+# point, in entries order; under a point, the [s]p entries are filed by the
+# first factor of s, each with its entry number.
 
 _DEDUCTION_DIGEST = \
     "ff189ba5d1080ef807ceed1b7f7abfe6c2f9af7c99b0ff82f97342fcd2259658"
@@ -689,11 +690,13 @@ def _deduction_corpus():
 
 def _assert_blocks(sat):
     blocks = {}
-    for img, r in sat.entries.items():
+    for n, (img, r) in enumerate(sat.entries.items()):
         if img[0] == T.MULT:
             blocks.setdefault(None, []).append((img[1], r))
         elif img[0] == T.SMULT:
-            blocks.setdefault(img[2], []).append((T.m_factors(img[1]), r))
+            unit = T.m_factors(img[1])
+            blocks.setdefault(img[2], {}).setdefault(
+                unit[0] if unit else None, []).append((n, unit, r))
     assert sat.blocks == blocks
 
 
@@ -713,6 +716,15 @@ def test_deduction_pinned():
         # two product blocks that both hold the first factor
         ([a, b, c], [T.mult(a, b), T.mult(a, c), c, b],
          T.mult(a, b, c), "(mult ?w0 ?w2)"),
+        # two [s]p blocks under gen, filed under different first factors:
+        # the cheaper one lacks the target's first factor a ...
+        ([a, b, n1], [T.smult(T.mult(a, b), G),
+                      T.smult(T.mult(b, T.h(n1)), G), a, n1],
+         T.smult(T.mult(a, b, T.h(n1)), G), "(smult ?w2 ?w1)"),
+        # ... and at equal cost the earlier one wins, though it lacks a
+        ([a, b, c], [T.smult(T.mult(b, c), G), T.smult(T.mult(a, b), G),
+                     a, c],
+         T.smult(T.mult(a, b, c), G), "(smult ?w2 ?w0)"),
     ]
     for restricted, images, target, want in ties:
         f, _ = build(restricted, images)

@@ -2,6 +2,7 @@
 round-trips and paired-world alignment."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
+import utxsim.strategies as S
 import utxsim.terms as T
 from utxsim.strategies import builtin_strategies
 
@@ -214,3 +216,109 @@ def test_fuzzer_keeps_agreement_events_well_formed():
     from utxsim.roles import EVENT_ARITY
     for e in tr.events:
         assert len(e.args) == EVENT_ARITY[e.tag]
+
+
+# -- incremental records -----------------------------------------------------------
+
+_ATTACKERS = ("passive", "fuzzer", "drop", "replay_bank_request",
+              "replay_card_reply", "reflect")
+
+
+def _assert_records(runner, strategy):
+    """The runner's and the pump's incremental records equal a scan of the
+    views from scratch."""
+    views = runner.views
+    assert runner.live_cards == Counter(
+        v.card_idx for v in views.values() if v.kind == "card" and v.alive())
+    assert runner.n_card_sessions == sum(
+        v.kind == "card" for v in views.values())
+    assert runner.holder == {alias: sid for sid, v in views.items()
+                             for alias, _ in v.pending}
+    if not isinstance(strategy, S.Pump):
+        return
+    # every session holding a pending message that the pump has looked up
+    # (the outputs before n_outputs) and not set aside is ready, and the
+    # ready heap orders sessions by start
+    start = {sid: n for n, sid in enumerate(views)}
+    assert strategy.in_ready == {sid for _, sid in strategy.ready}
+    assert all(start[sid] == key for key, sid in strategy.ready)
+    noted = set(list(runner.outputs)[:strategy.n_outputs])
+    assert {sid for sid, v in views.items()
+            if any(a in noted and a not in strategy.aside
+                   for a, _ in v.pending)} <= strategy.in_ready
+    # a pending message set aside has no route; one waiting for its pair's
+    # card sits on that pair's terminal, which has no card session yet
+    obs = runner.observe()
+    for sid, alias in runner.holder.items():
+        if alias in strategy.aside:
+            assert S.Pump._route_one(strategy, obs, views[sid], alias,
+                                     dict(views[sid].pending)[alias]) is None
+    for pair, aliases in strategy.waiting.items():
+        assert pair not in strategy.card_sid_of_pair
+        assert all(runner.holder.get(a, f"T{pair}") == f"T{pair}"
+                   for a in aliases)
+    # each card's queue is its unstarted pairs, less a prefix of pairs whose
+    # terminal died
+    for card_idx, queue in strategy.queues.items():
+        unstarted = [p for p, (c, _) in enumerate(strategy.schedule)
+                     if c == card_idx and p not in strategy.card_sid_of_pair]
+        shed = unstarted[:len(unstarted) - len(queue)]
+        assert list(queue) == unstarted[len(shed):]
+        assert all(not views[f"T{p}"].alive() for p in shed)
+
+
+def _run_checking_records(sc):
+    runner = H.Runner(sc)
+    strategy = H.make_strategy(sc)
+    for _ in range(sc.max_steps):
+        action = strategy.decide(runner.observe())
+        if action is None:
+            break
+        runner.apply(action)
+        _assert_records(runner, strategy)
+    return runner.trace
+
+
+def test_incremental_records_match_a_scan():
+    runs = [replace(sc, seed=s, world=w) for sc in C.SCENARIOS.values()
+            for s in range(2) for w in ("real", "ideal")]
+    runs += [H.Scenario(cards=3, sessions=24, strategy=name, strategy_arg=3,
+                        seed=i, world=w, max_steps=1200,
+                        terminals=(("onhi", None), ("offhi", None),
+                                   ("lo", None)))
+             for i, name in enumerate(_ATTACKERS) for w in ("real", "ideal")]
+    for sc in runs:
+        assert _run_checking_records(sc).dump() == H.run_scenario(sc).dump()
+
+
+def test_costs_grow_linearly_in_sessions(monkeypatch):
+    """Per session, a passive run and its agreement and secrecy checks make
+    about as many routing visits, unifications and multiset subtractions at
+    160 sessions as at 40: none of them scans every session, event or
+    block."""
+    counts = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(C, "_unify")
+    counted(F, "_minus")
+    counted(S.Pump, "_route_one")
+    per_session = {}
+    for n in (40, 160):
+        counts.clear()
+        tr = H.run_scenario(H.Scenario(
+            cards=4, sessions=n, terminals=(("lo", None),),
+            strategy="passive", max_steps=40 * n + 200))
+        verdicts = C.check_all_agreements(tr)
+        verdicts.append(C.check_secrecy(tr.frame, tr.secrets))
+        assert {v.status for v in verdicts} == {"holds"}
+        per_session[n] = {k: c / n for k, c in counts.items()}
+    assert per_session[40].keys() == {"_unify", "_minus", "_route_one"}
+    for name, small in per_session[40].items():
+        assert per_session[160][name] <= 1.5 * small, name
