@@ -268,8 +268,9 @@ def _distinguished(verdict):
 
 
 def _honest(tr):
-    """Nothing aborted and the terminal authorised the payment."""
-    auths = sum(1 for r in tr.records if r.kind == "output" and r.text == "auth")
+    """Nothing aborted and the terminal authorised the payment: an auth
+    output, found by its term so that no record text is rendered."""
+    auths = sum(1 for r in tr.records if r.kind == "output" and r.term == T.AUTH)
     return [_holds(not tr.aborts and auths >= 1)]
 
 

@@ -23,7 +23,11 @@ parts (product blocks or single factors) costs 1 plus theirs; a rebase
 recipes the earliest block in saturation order wins. The [s]p blocks are
 filed under their point p and then under the first factor of s, so a rebase
 tries only the blocks whose first factor is one of the target's: no other
-block lies inside the target's scalar.
+block lies inside the target's scalar. A saturation keeps one cost memo,
+shared by every derive over it (saturate's key searches and each secrecy
+target alike) and cleared by Saturated.add: a cost is a function of the
+entries and blocks alone, and the size bound is applied after the lookup,
+so sharing the memo changes no recipe.
 
 static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
@@ -95,10 +99,13 @@ def recipe_ok(f: Frame, recipe: Term) -> bool:
 
 
 def recipe_value(f: Frame, recipe: Term) -> Term:
-    val = T.apply(f.bindings, recipe)
-    if T.free_vars(val):
+    """The recipe's value in the frame. Only the recipe's aliases are
+    checked, not the value: over a frame of variable-free images, as the
+    Runner's is, a recipe whose aliases are all bound has a variable-free
+    value."""
+    if not T.free_vars(recipe) <= f.bindings.keys():
         raise KeyError(f"recipe references unbound aliases: {T.to_text(recipe)}")
-    return val
+    return T.apply(f.bindings, recipe)
 
 
 # -- saturation -------------------------------------------------------------
@@ -112,10 +119,13 @@ class Saturated:
     # from the first factor of s (None when s has none) to
     # (entry number, factor multiset, recipe)
     blocks: dict = field(default_factory=dict)
+    # term -> _cost's (size, recipe) or None, over the entries as they stand
+    memo: dict = field(default_factory=dict)
 
     def add(self, recipe: Term, image: Term) -> bool:
         if image in self.entries:
             return False
+        self.memo.clear()
         n = len(self.entries)
         self.entries[image] = recipe
         if image[0] == T.MULT:
@@ -178,15 +188,16 @@ def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
 
 
 def _derive(sat: Saturated, target: Term, bound: int):
-    best = _cost(sat, target, {})
+    best = _cost(sat, target)
     if best is None or best[0] > bound:
         return None
     return best[1]
 
 
-def _cost(sat: Saturated, t: Term, memo: dict):
+def _cost(sat: Saturated, t: Term):
     """(size, recipe) of the first smallest recipe for t, or None. Every
     recursive call is on a strict subterm of t."""
+    memo = sat.memo
     if t in memo:
         return memo[t]
     op = t[0]
@@ -199,16 +210,16 @@ def _cost(sat: Saturated, t: Term, memo: dict):
     elif op <= T.VAR:
         best = None
     elif op == T.MULT:
-        best = _mult_cost(sat, t[1], memo)
+        best = _mult_cost(sat, t[1])
     elif op == T.SMULT:
-        best = _smult_cost(sat, t, memo)
+        best = _smult_cost(sat, t)
     else:
-        best = _compose(sat, t, memo)
+        best = _compose(sat, t)
     memo[t] = best
     return best
 
 
-def _compose(sat: Saturated, t: Term, memo: dict):
+def _compose(sat: Saturated, t: Term):
     """t built at its root: the same node with each field replaced by its
     recipe, at 1 plus the fields' costs; None at the first field, in order,
     that does not derive."""
@@ -217,7 +228,7 @@ def _compose(sat: Saturated, t: Term, memo: dict):
     fields = t[1] if op == T.TUP else t[head:]
     cost, recipes = 1, []
     for x in fields:
-        sub = _cost(sat, x, memo)
+        sub = _cost(sat, x)
         if sub is None:
             return None
         cost += sub[0]
@@ -237,10 +248,10 @@ def _minus(want: tuple, block: tuple):
     return tuple(rest)
 
 
-def _mult_cost(sat: Saturated, factors: tuple, memo: dict):
+def _mult_cost(sat: Saturated, factors: tuple):
     """Cover the factor multiset by known product blocks and single factors;
     one product application joins the parts."""
-    cover = _cover(sat, factors, memo)
+    cover = _cover(sat, factors)
     if cover is None:
         return None
     cost, parts = cover
@@ -249,7 +260,7 @@ def _mult_cost(sat: Saturated, factors: tuple, memo: dict):
     return (cost + 1, (T.MULT, tuple(parts)))
 
 
-def _cover(sat: Saturated, factors: tuple, memo: dict):
+def _cover(sat: Saturated, factors: tuple):
     if not factors:
         return (0, [])
     first = factors[0]
@@ -259,22 +270,22 @@ def _cover(sat: Saturated, factors: tuple, memo: dict):
         rest = _minus(factors, unit) if first in unit else None
         if rest is None:
             continue
-        tail = _cover(sat, rest, memo)
+        tail = _cover(sat, rest)
         if tail is not None and (best is None or tail[0] < best[0]):
             best = (tail[0], [recipe] + tail[1])
-    sub = _cost(sat, first, memo)
-    tail = None if sub is None else _cover(sat, factors[1:], memo)
+    sub = _cost(sat, first)
+    tail = None if sub is None else _cover(sat, factors[1:])
     if tail is not None and (best is None or sub[0] + tail[0] < best[0]):
         best = (sub[0] + tail[0], [sub[1]] + tail[1])
     return best
 
 
-def _smult_cost(sat: Saturated, t: Term, memo: dict):
+def _smult_cost(sat: Saturated, t: Term):
     """[s]p built directly, or rebased on a known block [s2]p as
     [r]([s2]p), where r covers s less s2. A block inside s has its first
     factor in s, so only those filed under one of s's factors (and any
     with no factor) are tried, merged back into entries order."""
-    best = _compose(sat, t, memo)
+    best = _compose(sat, t)
     want = T.m_factors(t[1])
     filed = sat.blocks.get(t[2], {})
     for _, unit, recipe in heapq.merge(
@@ -282,7 +293,7 @@ def _smult_cost(sat: Saturated, t: Term, memo: dict):
         rest = _minus(want, unit)
         if not rest:    # not inside s, or all of it
             continue
-        sub = _mult_cost(sat, rest, memo)
+        sub = _mult_cost(sat, rest)
         if sub is not None and (best is None or 1 + sub[0] < best[0]):
             best = (1 + sub[0], (T.SMULT, sub[1], recipe))
     return best

@@ -14,7 +14,9 @@ adds every name it mints to its restricted set, and every output binds an
 alias in it. Three facts that could be read off the views are kept as the
 views change, so that no step scans every session: the live card sessions of
 each card, the number of card sessions started, and the session holding
-each pending alias.
+each pending alias. A trace record keeps the term it shows (an output's
+bound image, a delivery's recipe) and renders its text only when the text is
+read, as a dump does; checking a run reads no record text.
 
 An observation costs the same however long the run: Obs hands the strategy
 read-only views of the runner's own dicts, not copies. An Obs is therefore
@@ -141,13 +143,30 @@ class Scenario:
                 raise ScenarioInvalid("schedule references unknown card/terminal")
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    idx: int
-    kind: str        # start | deliver | output | event | abort
-    actor: str
-    text: str
-    alias: str = ""
+    """One trace line. shown is the record's text, or the term it shows: an
+    output's bound image or a delivery's recipe. A term is rendered as text
+    only when text is read, since a run that is only checked never reads it;
+    term is None for a record that shows plain text, and for every parsed
+    record."""
+    __slots__ = ("idx", "kind", "actor", "alias", "term", "_text")
+
+    def __init__(self, idx: int, kind: str, actor: str, shown,
+                 alias: str = ""):
+        self.idx = idx
+        self.kind = kind              # start | deliver | output | event | abort
+        self.actor = actor
+        self.alias = alias
+        if isinstance(shown, str):
+            self.term, self._text = None, shown
+        else:
+            self.term, self._text = shown, None
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = T.to_text(self.term)
+        return self._text
 
 
 @dataclass
@@ -439,13 +458,12 @@ class Runner:
         bulletin's too, is made here."""
         alias = self.frame.bind(t)
         self.outputs[alias] = actor
-        self._record("output", actor, T.to_text(self.frame.bindings[alias]),
-                     alias)
+        self._record("output", actor, self.frame.bindings[alias], alias)
         return alias
 
-    def _record(self, kind, actor, text, alias=""):
+    def _record(self, kind, actor, shown, alias=""):
         self.trace.records.append(
-            TraceRecord(self._idx, kind, actor, text, alias))
+            TraceRecord(self._idx, kind, actor, shown, alias))
         self._idx += 1
 
     # -- observation ------------------------------------------------------------
@@ -525,7 +543,9 @@ class Runner:
         if sid is not None:
             view = self.views[sid]
             pending = tuple(e for e in view.pending if e[0] != alias)
-            self.views[sid] = replace(view, pending=pending)
+            self.views[sid] = SessionView(
+                sid, view.kind, view.mode, view.stage, pending, view.aborted,
+                view.done, view.card_idx)
 
     def _deliver(self, action: Deliver) -> None:
         sid = action.sid
@@ -540,8 +560,7 @@ class Runner:
                 origin = self.views.get(self.outputs.get(action.source_alias))
                 if origin is not None and origin.kind == "card":
                     sess.wired_card = origin.sid
-        self._record("deliver", sid, T.to_text(action.recipe),
-                     action.source_alias)
+        self._record("deliver", sid, action.recipe, action.source_alias)
         if view.kind == "card":
             res = roles.card_step(sess.state, value, self.fresh)
             self.odometer[view.card_idx] = self._card_position(sess.state)
@@ -577,8 +596,7 @@ class Runner:
             self._consume_pending(action.source_alias)
         sid = f"B{self.n_bank_requests}.{tsid}"
         self.n_bank_requests += 1
-        self._record("deliver", sid, T.to_text(action.recipe),
-                     action.source_alias)
+        self._record("deliver", sid, action.recipe, action.source_alias)
         res = roles.bank_step(self.bank, self.sessions[tsid].state.kbt,
                               value, sid)
         for e in res.events:
@@ -589,7 +607,9 @@ class Runner:
         for alias, _ in replies:
             self.holder[alias] = tsid
         view = self.views[tsid]         # _consume_pending may have replaced it
-        self.views[tsid] = replace(view, pending=view.pending + replies)
+        self.views[tsid] = SessionView(
+            tsid, view.kind, view.mode, view.stage, view.pending + replies,
+            view.aborted, view.done, view.card_idx)
         if res.abort:
             self.trace.aborts.append((sid, res.abort))
             self._record("abort", sid, res.abort)
@@ -602,8 +622,8 @@ class Runner:
         hint = "to_terminal" if view.kind == "card" else "to_card"
         pending = list(view.pending)
         for out in res.outputs:
-            out = T.normalize(out)
             alias = self._publish(out, sid)
+            out = self.frame.bindings[alias]    # its normal form
             if out == T.AUTH:
                 continue             # a verdict signal, not a protocol message
             if (view.kind == "terminal" and state.stage == 9
@@ -617,8 +637,9 @@ class Runner:
             self._record("abort", sid, res.abort)
         stage = state.stage if view.kind == "card" else state.stage_label()
         # only a live session steps, so this step's abort/done are its own
-        self.views[sid] = replace(view, stage=stage, pending=tuple(pending),
-                                  aborted=bool(res.abort), done=res.done)
+        self.views[sid] = SessionView(sid, view.kind, view.mode, stage,
+                                      tuple(pending), bool(res.abort),
+                                      res.done, view.card_idx)
         if view.kind == "card" and (res.abort or res.done):
             left = self.live_cards.pop(view.card_idx) - 1
             if left:

@@ -317,6 +317,64 @@ def test_derive_matches_exhaustive_oracle(seed):
             assert all(n[1] not in f.restricted for n in T.free_names(got))
 
 
+def _deduction_case(rng):
+    """A frame with product and [s]p blocks and entries that open under
+    keys of varied reach, and targets built from its parts."""
+    secret = [T.name(f"s{i}", "scalar") for i in range(3)]
+    pub = [T.name("p0", "scalar"), T.name("p1")]
+    scalars = secret + pub[:1]
+    points = [G, T.smult(secret[0], G)]
+
+    def product():
+        return T.mult(*rng.sample(scalars, rng.randrange(2, 4)))
+
+    makers = (
+        product,
+        lambda: T.smult(product(), rng.choice(points)),
+        lambda: T.enc(T.tup(rng.choice(scalars), rng.choice(points)),
+                      rng.choice(scalars + [T.h(secret[1])])),
+        lambda: T.sig(rng.choice(secret), rng.choice(scalars)),
+        lambda: T.pk(rng.choice(secret)),
+        lambda: T.h(rng.choice(secret)),
+        lambda: rng.choice(scalars),
+    )
+    images = [rng.choice(makers)() for _ in range(rng.randrange(3, 8))]
+    f, _ = build(secret, images)
+    targets = [*secret, *images, T.h(secret[1]), T.tup(images[0], pub[1])]
+    targets += [T.smult(pub[0], img) for img in images[-2:]]
+    targets += [product() for _ in range(4)]
+    targets += [T.smult(product(), rng.choice(points)) for _ in range(4)]
+    return f, targets
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_shared_cost_memo_is_exact(seed, monkeypatch):
+    """One saturation's shared cost memo gives every derive the recipe that
+    a fresh memo gives, whatever the order of the questions."""
+    rng = random.Random(f"memo{seed}")
+    f, targets = _deduction_case(rng)
+    asks = [(t, bound) for t in targets for bound in (1, 2, 4, 8)]
+    sat = F.saturate(f)
+    got = [F.derive(sat, t, bound) for t, bound in asks]
+    assert any(r is not None and r[0] != T.VAR for r in got)
+    order = list(range(len(asks)))
+    rng.shuffle(order)
+    shuffled = F.saturate(f)
+    answers = {i: F.derive(shuffled, *asks[i]) for i in order}
+    assert [answers[i] for i in range(len(asks))] == got
+    assert [F.derive(F.saturate(f), t, bound) for t, bound in asks] == got
+    # a fresh memo for every search, saturate's key searches included
+    derive_once = F._derive
+
+    def fresh_memo(s, target, bound):
+        s.memo.clear()
+        return derive_once(s, target, bound)
+    monkeypatch.setattr(F, "_derive", fresh_memo)
+    ref = F.saturate(f)
+    assert list(ref.entries.items()) == list(sat.entries.items())
+    assert [F.derive(ref, t, bound) for t, bound in asks] == got
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_static_equiv_matches_exhaustive_oracle(seed):
     rng = random.Random(f"se{seed}")

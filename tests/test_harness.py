@@ -293,9 +293,9 @@ def test_incremental_records_match_a_scan():
 
 def test_costs_grow_linearly_in_sessions(monkeypatch):
     """Per session, a passive run and its agreement and secrecy checks make
-    about as many routing visits, unifications and multiset subtractions at
-    160 sessions as at 40: none of them scans every session, event or
-    block."""
+    about as many routing visits, unifications, multiset subtractions and
+    deduction cost lookups at 160 sessions as at 40: none of them scans
+    every session, event or block."""
     counts = Counter()
 
     def counted(owner, name):
@@ -308,6 +308,7 @@ def test_costs_grow_linearly_in_sessions(monkeypatch):
 
     counted(C, "_unify")
     counted(F, "_minus")
+    counted(F, "_cost")
     counted(S.Pump, "_route_one")
     per_session = {}
     for n in (40, 160):
@@ -319,6 +320,62 @@ def test_costs_grow_linearly_in_sessions(monkeypatch):
         verdicts.append(C.check_secrecy(tr.frame, tr.secrets))
         assert {v.status for v in verdicts} == {"holds"}
         per_session[n] = {k: c / n for k, c in counts.items()}
-    assert per_session[40].keys() == {"_unify", "_minus", "_route_one"}
+    assert per_session[40].keys() == {"_unify", "_minus", "_cost",
+                                      "_route_one"}
     for name, small in per_session[40].items():
         assert per_session[160][name] <= 1.5 * small, name
+
+
+# -- what a checked run reads ---------------------------------------------------
+
+def _attacker_runs():
+    """One many-card run per attacker, over mixed terminals."""
+    terminals = (("onhi", None), ("offhi", None), ("lo", None))
+    return [H.Scenario(cards=3, sessions=12, terminals=terminals[:2 + i % 2],
+                       strategy=name, strategy_arg=3, seed=7 + i,
+                       max_steps=40 * 12 + 200)
+            for i, name in enumerate(_ATTACKERS)]
+
+
+def test_checking_a_run_renders_no_text(monkeypatch):
+    """A run and its checks never render a term as text; a record renders
+    its text only when it is read."""
+    calls = Counter()
+    to_text = T.to_text
+
+    def counted(t):
+        calls["to_text"] += 1
+        return to_text(t)
+    monkeypatch.setattr(T, "to_text", counted)
+    for sc in _attacker_runs():
+        tr = H.run_scenario(sc)
+        verdicts = C.check_all_agreements(tr)
+        verdicts.append(C.check_secrecy(tr.frame, tr.secrets))
+        assert {v.status for v in verdicts} == {"holds"}, sc.strategy
+        assert calls["to_text"] == 0, sc.strategy
+    # reading the text renders the terms, and a second reading renders none
+    assert all(r.text for r in tr.records)
+    rendered = calls["to_text"]
+    assert rendered > 0
+    assert all(r.text for r in tr.records)
+    assert calls["to_text"] == rendered
+
+
+def test_record_text_survives_a_dump():
+    for sc in _attacker_runs():
+        tr = H.run_scenario(sc)
+        back = H.parse_trace(tr.dump())
+        assert [(r.idx, r.kind, r.actor, r.alias, r.text)
+                for r in tr.records] == \
+            [(r.idx, r.kind, r.actor, r.alias, r.text) for r in back.records]
+
+
+def test_runner_binds_variable_free_images():
+    """recipe_value checks only a recipe's aliases, which is enough because
+    every image a Runner binds is variable-free."""
+    for sc in _attacker_runs():
+        for world in ("real", "ideal"):
+            tr = H.run_scenario(replace(sc, world=world))
+            assert tr.frame.bindings
+            assert not any(T.free_vars(img)
+                           for img in tr.frame.bindings.values())
