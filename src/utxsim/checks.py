@@ -9,6 +9,10 @@ injective choice is a backtracking search with an explicit stack, so a
 trace of any length checks without deep recursion.
 check_secrecy asks the deduction engine for each secret. distinguish runs
 the bounded static-equivalence search over a paired run's final frames.
+Each violation certifies itself before it is returned: a leak's recipe is
+evaluated in the frame and must give the secret, and a distinguishing
+test's two recipes are evaluated in both frames and must be equal in the
+named frame only. A failed re-check raises UncertifiedWitness.
 SCENARIOS names the built-in scenarios, and suites() lays out every named
 experiment battery as rows over them, each with its expected verdicts;
 run_suite runs one battery's rows in order. Negative controls are expected
@@ -55,6 +59,11 @@ CORRESPONDENCES = (
         (("CRunB", ("eac",)),),
     ),
 )
+
+
+class UncertifiedWitness(Exception):
+    """A violated verdict's witness failed its independent re-check: an
+    internal error of the search that found it, never a verdict."""
 
 
 @dataclass(frozen=True)
@@ -178,6 +187,9 @@ def check_secrecy(frame: frames.Frame, targets, bound: int = frames.DERIVE_BOUND
     for label, target in targets:
         recipe = frames.derive(sat, target, bound)
         if recipe is not None:
+            if frames.recipe_value(frame, recipe) != T.normalize(target):
+                raise UncertifiedWitness(
+                    f"leak recipe {T.to_text(recipe)} does not give {label}")
             leaks.append(f"{label}<-{T.to_text(recipe)}")
     if leaks:
         return Verdict("secrecy", "violated", "; ".join(leaks))
@@ -193,6 +205,12 @@ def distinguish(real, ideal, test_bound: int = frames.TEST_BOUND,
         capped = " capped=1" if verdict.capped else ""
         return Verdict("distinguish", "bounded-pass",
                        f"bound={test_bound} tests={verdict.tests}{capped}")
+    holds = [frames.recipe_value(f, verdict.left)
+             == frames.recipe_value(f, verdict.right)
+             for f in (real.frame, ideal.frame)]
+    if holds != [verdict.side == "first", verdict.side == "second"]:
+        raise UncertifiedWitness(
+            f"the test does not tell the frames apart: {verdict.describe()}")
     return Verdict("distinguish", "violated", verdict.describe())
 
 

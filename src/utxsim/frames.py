@@ -42,13 +42,15 @@ the same normal form because normal forms are fixpoints. The tests count
 is every enumerated candidate. Two kinds are counted but neither tested
 nor filed in the bijection, because their outcome is already known: the
 mirror of a pair of entries that joined the pool at the same level (the
-pair's first pass fixed it), and a plain pair candidate, one that neither
-frame rewrites at the root: every ENC, SIG and TUP candidate, and a DEC,
-CHECK, CHECKV, SMULT or SIGV one whose rewrite does not fire (MULT is
-always tested). A plain candidate's images are new unless a candidate
-reached by another route has the same image; _Bijection keeps that case
-exact. A pass is a bounded guarantee, never a proof; it also says when the
-pool cap, not the bound, ended the search.
+pair's first pass fixed it), and a plain candidate, one that neither frame
+rewrites at the root: every HASH, PK and PKV of an entry and a PROJ of an
+entry that is a tuple in neither frame; every ENC, SIG and TUP pair
+candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one whose rewrite does
+not fire; and a MULT one whose entries are products in neither frame. A
+plain candidate's images are new unless a candidate reached by another
+route has the same image; _Bijection keeps that case exact. A pass is a
+bounded guarantee, never a proof; it also says when the pool cap, not the
+bound, ended the search.
 
 A run's frame is its one record of what the attacker has seen, and it only
 grows, through Frame.bind. The analyses here only read their frames, so
@@ -327,6 +329,10 @@ class Distinguished:
 
 
 _UNARY = (T.HASH, T.PK, T.PKV)
+# the candidates over one pool entry x, in test order, as the head each puts
+# before x: (HASH, x), (PK, x), (PKV, x), then (PROJ, i, x) for i = 1..4
+_ONE_SHAPES = tuple((op,) for op in _UNARY) + tuple(
+    (T.PROJ, i) for i in range(1, 5))
 # destructor probes first: they reduce and collide, constructors mint fresh
 _BINARY = (T.DEC, T.CHECK, T.CHECKV, T.ENC, T.SMULT, T.MULT, T.TUP, T.SIG, T.SIGV)
 # the candidates over a pair of pool entries e1, e2, in test order, as
@@ -336,23 +342,33 @@ _PAIR_SHAPES = tuple(
         (op, swapped) for op in _BINARY for swapped in (False, True)
         if not (op == T.MULT and swapped)))
 _PAIR_TESTS = len(_PAIR_SHAPES)
-# the pair ops whose root rewrite can fire, by their second operand's root
+# the ops whose root rewrite can fire over an entry, by the entry's root: a
+# pair op over it as second operand, MULT over a product as either operand,
+# and PROJ over a tuple
 _OPENS = {T.ENC: (T.DEC,), T.SIG: (T.CHECK,), T.SIGV: (T.CHECKV,),
-          T.SMULT: (T.CHECKV, T.SMULT, T.SIGV)}
+          T.SMULT: (T.CHECKV, T.SMULT, T.SIGV), T.MULT: (T.MULT,),
+          T.TUP: (T.PROJ,)}
 # the pair ops whose unrewritten image is op(x, y)
 _FIELD_OPS = frozenset(_BINARY) - {T.MULT, T.TUP}
 
 
-@functools.cache   # at most one entry per two subsets of five ops
+@functools.cache   # at most one entry per two subsets of seven ops
 def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
     """The pair shapes whose root rewrite can fire over entries that open
-    opens1 and opens2: MULT, and each op its second operand opens."""
-    return tuple(s for s in _PAIR_SHAPES if s[1] == T.MULT
-                 or s[1] in (opens1 if s[2] else opens2))
+    opens1 and opens2: MULT when either entry is a product, and each other
+    op its second operand opens."""
+    return tuple(s for s in _PAIR_SHAPES if s[1] in (
+        opens1 | opens2 if s[1] == T.MULT else opens1 if s[2] else opens2))
 
 
 def _pair_term(op, x, y):
     return (op, (x, y)) if op == T.MULT or op == T.TUP else (op, x, y)
+
+
+def _pair_key(op, i, j):
+    """The key of the candidate i op j over pool entries i and j. MULT sorts
+    its product, so its key is the same in both orders."""
+    return (op, j, i) if op == T.MULT and j < i else (op, i, j)
 
 
 class _Bijection:
@@ -370,24 +386,34 @@ class _Bijection:
 
     Two kinds of candidate are counted without a test, so their images are
     never hashed or filed in by_a and by_b: a mirrored pair's (static_equiv
-    counts those) and a plain one. A pair candidate over pool entries i
-    and j is plain when neither frame rewrites it at the root, so that its
-    images are op(a_i, a_j) and op(b_i, b_j). ENC, SIG and TUP candidates
-    always are; compose rewrites the others that _OPENS says can fire, and
-    tests all MULT ones. An entry joins the pool only after missing both
-    by_a and by_b, so pool images are pairwise distinct in each frame: no
-    other pair candidate has either image, and a plain one never joins the
-    pool. Its outcome is known unless an image reached by another route
-    (a seed, a probe, a unary, PROJ, MULT or rewritten candidate) is equal:
-    - reached earlier: earlier files that image under the pool indices of
-      its two fields (waiting holds it until both are pool images), and
-      compose tests the plain candidate it names as before;
+    counts those) and a plain one, which neither frame rewrites at the
+    root. Candidates are composed in passes: extend runs the one-field pass
+    over an entry n, compose the pair pass over entries i and j. A pass is
+    keyed by its pool indices, (n,) or (i, j) with i <= j, and a candidate
+    by its root over the indices of its fields: (op, n) or (PROJ, k, n), and
+    (op, i, j) for i op j (MULT's sorted, as its product is). A plain
+    candidate's images are its root over the two frames' pool images:
+    - one-field: HASH, PK and PKV never rewrite, and PROJ only over a tuple;
+    - pair: ENC, SIG and TUP never rewrite, the other ops only where _OPENS
+      says, and MULT only over a product, so a plain one's image is the
+      two-factor product of two pool images.
+    An entry joins the pool only after missing both by_a and by_b, so pool
+    images are pairwise distinct in each frame, and a product operand gives
+    three or more factors (products only flatten): no other candidate of a
+    pass has the image of a plain one, and a plain one never joins the
+    pool. Its outcome is known unless an image reached by another route (a
+    seed, a probe or a rewritten candidate) is equal:
+    - reached earlier: earlier files that image under the pass and key of
+      the candidate it names (waiting holds it until its fields are pool
+      images), and the pass tests the named candidate;
     - reached later: the counted candidate is the by_a or by_b entry the
       image would have found, and _counted rebuilds it (recipe and
-      second-frame image) once compose has passed its pair. No candidate
-      of a pair has the image of a plain candidate of the same pair (a
-      root rewrite never keeps both parts as fields), so a pair is marked
-      composed when all its candidates are done."""
+      second-frame image) once its pass is done. A root rewrite never keeps
+      its fields as fields, so no candidate of a pass has the image of a
+      plain candidate of the same pass, and done records a pass when all
+      its candidates are. A pair may be composed twice, once from each end;
+      done keeps the entry its first run put first, the order of a counted
+      product's recipe."""
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
@@ -401,8 +427,8 @@ class _Bijection:
         self.opens: list = []    # per pool entry: ops it opens, either frame
         self.at = ({}, {})       # per frame: pool image -> pool index
         self.waiting = ({}, {})  # per frame: field -> images awaiting it
-        self.earlier: dict = {}  # (i, j), i <= j -> {(op, first operand)}
-        self.composed: set = set()
+        self.earlier: dict = {}  # pass -> keys of candidates filed images name
+        self.done: dict = {}     # pass -> the entry its first run put first
 
     def seed(self, recipe: Term):
         try:
@@ -462,48 +488,63 @@ class _Bijection:
         return None
 
     def _locate(self, img: Term, side: int):
-        """(op, x, y, i, j) when img is op(x, y) for a pair op other than
-        MULT, with i and j the pool indices of x and y in side's frame, or
-        None where they are not pool images (j is None when i is); None for
-        any other image."""
+        """(pass, key) of the candidate whose unrewritten image in side's
+        frame is img: a one-field op, a pair op other than MULT, a two-item
+        tuple or a two-factor product over pool images. While a field is
+        not yet a pool image, (None, the first such field); for any other
+        image, None."""
         op = img[0]
-        if op in _FIELD_OPS:
-            x, y = img[1], img[2]
-        elif op == T.TUP and len(img[1]) == 2:
-            x, y = img[1]
-        else:
-            return None
         at = self.at[side]
-        i = at.get(x)
-        return op, x, y, i, None if i is None else at.get(y)
+        if op in _FIELD_OPS or (
+                (op == T.TUP or op == T.MULT) and len(img[1]) == 2):
+            x, y = img[1] if op == T.TUP or op == T.MULT else img[1:]
+            i = at.get(x)
+            if i is None:
+                return None, x
+            j = at.get(y)
+            if j is None:
+                return None, y
+            return ((i, j) if i <= j else (j, i)), _pair_key(op, i, j)
+        if op in _UNARY or op == T.PROJ:
+            i = at.get(img[-1])
+            if i is None:
+                return None, img[-1]
+            return (i,), (*img[:-1], i)
+        return None
 
     def _counted(self, where):
-        """The by_a entry (recipe, second-frame image) of the pair candidate
-        op(i, j) located by where, once compose has passed its pair; else
-        None. Only a by_a or by_b miss asks, so compose counted it: had it
-        tested the candidate, its image here would be filed (a frame that
-        rewrites op(x, y) holds no such image, since images are normal)."""
-        if where is None or where[4] is None:
+        """The by_a entry (recipe, second-frame image) of the candidate
+        located by where, once its pass is done; else None. Only a by_a or
+        by_b miss asks, so the pass counted it: had it tested the candidate,
+        its image here would be filed (a frame that rewrites the candidate
+        holds no such image, since images are normal)."""
+        if where is None or where[0] is None:
             return None
-        op, _, _, i, j = where
-        if ((i, j) if i <= j else (j, i)) not in self.composed:
+        run, key = where
+        first = self.done.get(run)
+        if first is None:
             return None
+        if len(run) == 1:
+            r, _, _, b = self.pool[first]
+            return (*key[:-1], r), (*key[:-1], b)
+        op, i, j = key
+        if op == T.MULT and i != first:
+            i, j = j, i
         (r1, _, _, b1), (r2, _, _, b2) = self.pool[i], self.pool[j]
-        return _pair_term(op, r1, r2), _pair_term(op, b1, b2)
+        # a plain candidate's second image is itself, a product's sorted
+        return _pair_term(op, r1, r2), T.norm_root(_pair_term(op, b1, b2))
 
     def _file(self, img: Term, where, side: int):
         """Index an image just filed in side's frame in earlier, under the
-        pool indices of its two fields; until both are pool images it
-        waits on the first that is not."""
+        pass and key of the candidate it names; until its fields are pool
+        images it waits on the first that is not."""
         if where is None:
             return
-        op, x, y, i, j = where
-        if j is None:
-            self.waiting[side].setdefault(y if i is not None else x,
-                                          []).append(img)
+        run, key = where
+        if run is None:
+            self.waiting[side].setdefault(key, []).append(img)
         else:
-            key = (i, j) if i <= j else (j, i)
-            self.earlier.setdefault(key, set()).add((op, i))
+            self.earlier.setdefault(run, set()).add(key)
 
     def _join(self, entry):
         n = len(self.pool)
@@ -517,32 +558,54 @@ class _Bijection:
             for held in self.waiting[side].pop(img, ()):
                 self._file(held, self._locate(held, side), side)
 
+    def extend(self, n: int, size: int):
+        """Test the one-field candidates over pool entry n in _ONE_SHAPES
+        order, counting each plain one that earlier does not name instead
+        of testing it."""
+        named = self.earlier.get((n,), ())
+        start = self.tests
+        if named or T.PROJ in self.opens[n]:
+            r, _, a, b = self.pool[n]
+            for pos, head in enumerate(_ONE_SHAPES):
+                ta, tb = (*head, a), (*head, b)
+                ia, ib = T.norm_root(ta), T.norm_root(tb)
+                if ia is ta and ib is tb and (*head, n) not in named:
+                    continue   # plain
+                self.tests = start + pos
+                verdict = self._test((*head, r), size, ia, ib)
+                if verdict is not None:
+                    return verdict
+        self.tests = start + len(_ONE_SHAPES)
+        self.done[(n,)] = n
+        return None
+
     def compose(self, n1: int, n2: int, size: int):
         """Test the pair candidates over pool entries n1 and n2 in
         _PAIR_SHAPES order, counting each plain one that earlier does not
         name instead of testing it."""
-        key = (n1, n2) if n1 <= n2 else (n2, n1)
+        run = (n1, n2) if n1 <= n2 else (n2, n1)
         shapes = _rewritable(self.opens[n1], self.opens[n2])
-        earlier = self.earlier.get(key)
-        if earlier is not None:
-            shapes = sorted({*shapes, *(
-                s for s in _PAIR_SHAPES
-                if (s[1], n2 if s[2] else n1) in earlier)})
+        named = self.earlier.get(run, ())
+        if named:
+            named = {s for s in _PAIR_SHAPES if (
+                _pair_key(s[1], n2, n1) if s[2]
+                else _pair_key(s[1], n1, n2)) in named}
+            shapes = sorted({*shapes, *named})
         e1, e2 = self.pool[n1], self.pool[n2]
         start = self.tests
-        for pos, op, swapped in shapes:
+        for shape in shapes:
+            pos, op, swapped = shape
             (r1, _, a1, b1), (r2, _, a2, b2) = (e2, e1) if swapped else (e1, e2)
             ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
             ia, ib = T.norm_root(ta), T.norm_root(tb)
-            if ia is ta and ib is tb and (
-                    earlier is None or (op, n2 if swapped else n1) not in earlier):
+            if ia is ta and ib is tb and shape not in named:
                 continue   # plain after all
             self.tests = start + pos
             verdict = self._test(_pair_term(op, r1, r2), size, ia, ib)
             if verdict is not None:
                 return verdict
         self.tests = start + _PAIR_TESTS
-        self.composed.add(key)
+        self.done.setdefault(run, n1)
         return None
 
     def cut_level(self):
@@ -612,25 +675,19 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
 
     frontier = bij.cut_level()
     while frontier:
-        for r, s, a, b in frontier:
-            if s + 1 > test_bound:
-                continue
-            for op in _UNARY:
-                verdict = bij.admit((op, r), s + 1, (op, a), (op, b))
+        # the frontier is the slice pool[k:k + len(frontier)]
+        k = len(bij.pool) - len(frontier)
+        for n, e in enumerate(frontier, k):
+            if e[1] + 1 <= test_bound:
+                verdict = bij.extend(n, e[1] + 1)
                 if verdict is not None:
                     return verdict
-            for i in range(1, 5):
-                verdict = bij.admit((T.PROJ, i, r), s + 1,
-                                    (T.PROJ, i, a), (T.PROJ, i, b))
-                if verdict is not None:
-                    return verdict
-        # the frontier is the slice pool[k:k + len(frontier)]. A pair of two
-        # frontier entries was composed both ways round when its earlier
-        # entry was e1. That fixed the outcome of each of its candidates
-        # (MULT sorts its product, so its one order covers both), so the
-        # mirror's tests are all consistent: they are counted, not rebuilt.
+        # A pair of two frontier entries was composed both ways round when
+        # its earlier entry was e1. That fixed the outcome of each of its
+        # candidates (MULT sorts its product, so its one order covers both),
+        # so the mirror's tests are all consistent: they are counted, not
+        # rebuilt.
         m = len(bij.pool)
-        k = m - len(bij.fresh) - len(frontier)
         for i, e1 in enumerate(frontier):
             mirrored = _PAIR_TESTS * sum(
                 1 for e2 in frontier[:i] if e1[1] + e2[1] + 1 <= test_bound)

@@ -536,7 +536,8 @@ class Runner:
     def _value_of(self, recipe: Term) -> Term:
         if not frames.recipe_ok(self.frame, recipe):
             raise StrategyError(f"recipe not constructible: {T.to_text(recipe)}")
-        return frames.recipe_value(self.frame, recipe)
+        # recipe_ok has checked the aliases that recipe_value would walk again
+        return T.apply(self.frame.bindings, recipe)
 
     def _consume_pending(self, alias: str) -> None:
         sid = self.holder.pop(alias, None)

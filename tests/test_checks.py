@@ -256,6 +256,46 @@ def test_distinguish_verdict_witness_replays():
     assert (ra == rb) != (ia == ib)
 
 
+def test_distinguish_rechecks_its_witness(monkeypatch):
+    """A Distinguished witness is re-evaluated in both frames before it
+    becomes a verdict: the equality must hold in the named frame only."""
+    import pytest
+    sc = H.Scenario(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
+                    terminals=(("lo", None),), strategy="probe_cards",
+                    replay_check=False)
+    real, ideal = H.run_paired(sc)
+    good = F.static_equiv(real.frame, ideal.frame, test_bound=4)
+    assert C.distinguish(real, ideal, test_bound=4).witness == \
+        good.describe()
+    other = "second" if good.side == "first" else "first"
+    w0 = T.var("w0")
+    for wrong in (replace(good, side=other), replace(good, right=good.left),
+                  replace(good, left=w0, right=T.h(w0))):
+        monkeypatch.setattr(F, "static_equiv", lambda *a, v=wrong, **k: v)
+        with pytest.raises(C.UncertifiedWitness):
+            C.distinguish(real, ideal, test_bound=4)
+
+
+def test_secrecy_rechecks_each_leak(monkeypatch):
+    """A leak's recipe is evaluated in the frame before it becomes a
+    verdict, and must give the secret."""
+    import pytest
+    leaky = H.run_scenario(H.Scenario(protocol="utxl",
+                                      terminals=(("lo", None),),
+                                      strategy="passive",
+                                      pin_leaked=True, contact=False))
+    assert C.check_secrecy(leaky.frame, leaky.secrets).status == "violated"
+    derive = F.derive
+
+    def wrong(sat, target, bound):
+        got = derive(sat, target, bound)
+        return None if got is None else T.h(got)
+
+    monkeypatch.setattr(F, "derive", wrong)
+    with pytest.raises(C.UncertifiedWitness):
+        C.check_secrecy(leaky.frame, leaky.secrets)
+
+
 def test_run_suite_unknown_name():
     import pytest
     with pytest.raises(ValueError):

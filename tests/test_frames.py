@@ -681,6 +681,74 @@ def test_counted_candidate_keeps_its_entry():
     assert verdict.side == "first"
 
 
+def _alias_bijection(restricted, images):
+    """A _Bijection over a frame compared with itself, seeded with the
+    frame's aliases only, so that pool entry n is wn, and cut at level 0."""
+    f, aliases = build(restricted, images)
+    bij = F._Bijection(f, f, F.POOL_CAP)
+    for alias in aliases:
+        assert bij.seed(T.var(alias)) is None
+    assert [e[0] for e in bij.cut_level()] == [T.var(x) for x in aliases]
+    return bij
+
+
+def test_counted_product_of_one_level_keeps_its_order():
+    """a*b over w0 and w1, neither a product, is counted in their pair's
+    pass; a later candidate with its image in one frame finds the counted
+    recipe, built as compose built it: the first entry first."""
+    a, b, c = (T.name(x, "scalar") for x in "abc")
+    bij = _alias_bijection([a, b, c], [a, b, c])
+    assert bij.compose(0, 1, 3) is None
+    assert T.normalize(T.mult(a, b)) not in bij.by_a
+    # the same images on both sides: the counted entry stands, unfiled
+    assert bij.admit(T.var("w7"), 3, T.mult(b, a), T.mult(a, b)) is None
+    assert T.normalize(T.mult(a, b)) not in bij.by_a
+    verdict = bij.admit(T.var("w8"), 3, T.mult(b, a), T.mult(a, c))
+    assert verdict.describe() == \
+        "(mult ?w0 ?w1) = ?w8 holds in the first frame only"
+    verdict = bij.admit(T.var("w9"), 3, T.h(a), T.mult(b, a))
+    assert verdict.describe() == \
+        "(mult ?w0 ?w1) = ?w9 holds in the second frame only"
+
+
+def test_counted_product_across_levels_keeps_its_order():
+    """dec(w1, w0) opens to a and joins the pool at the next level, whose
+    pass over it and w2 puts it first: the counted product's recipe keeps
+    that order, though its key sorts the two pool indices."""
+    a, b, c, k = (T.name(x, "scalar") for x in "abck")
+    bij = _alias_bijection([a, b, c, k], [T.enc(a, k), k, b])
+    assert bij.compose(1, 0, 3) is None
+    opened, = bij.cut_level()
+    assert (T.to_text(opened[0]), opened[2]) == ("(dec ?w1 ?w0)", a)
+    assert bij.compose(3, 2, 5) is None
+    verdict = bij.admit(T.var("w9"), 5, T.mult(a, b), T.mult(a, c))
+    assert verdict.describe() == \
+        "(mult (dec ?w1 ?w0) ?w2) = ?w9 holds in the first frame only"
+
+
+def test_counted_one_field_candidates_keep_their_entries():
+    """The one-field pass over w0 counts all seven candidates; the pass
+    over the tuple w1 tests its two projections and counts the stuck third.
+    A later candidate with a counted image in one frame finds the counted
+    recipe, on either side."""
+    a, b, c = T.name("a"), T.name("b"), T.name("c")
+    bij = _alias_bijection([a, b, c], [a, T.tup(a, b), c])
+    start = bij.tests
+    assert bij.extend(0, 2) is None
+    assert bij.extend(1, 2) is None
+    assert bij.tests == start + 14
+    assert T.h(a) not in bij.by_a and T.proj(3, T.tup(a, b)) not in bij.by_a
+    verdict = bij.admit(T.var("w7"), 3, T.h(a), T.h(c))
+    assert verdict.describe() == \
+        "(hash ?w0) = ?w7 holds in the first frame only"
+    verdict = bij.admit(T.var("w8"), 3, T.h(b), T.proj(3, T.tup(a, b)))
+    assert verdict.describe() == \
+        "(proj 3 ?w1) = ?w8 holds in the second frame only"
+    verdict = bij.admit(T.var("w9"), 3, T.pkv(a), T.h(b))
+    assert verdict.describe() == \
+        "(pkv ?w0) = ?w9 holds in the first frame only"
+
+
 def _random_group_pair(rng):
     """A random frame of scalars, a product x*y, blinded points ([s]gen,
     [s]([t]gen), [x]sigv(k, gen)) and a verification key, which
@@ -718,6 +786,48 @@ def test_static_equiv_group_corpus_pinned():
     assert sum("Distinguished" in line for line in lines) == 54
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _GROUP_DIGEST
+
+
+def _random_named_pair(rng):
+    """A random frame whose later images are two-factor products, hashes,
+    keys and stuck projections of its earlier ones, and a copy with one of
+    those images changed. Such an image names the product or one-field
+    candidate that rebuilds it from the pool, so that candidate is tested
+    where it would otherwise be counted."""
+    secret = [T.name(f"s{i}", "scalar") for i in range(3)]
+    secret += [T.name("d0"), T.name("d1")]
+    atoms = secret + [T.name("p0"), G]
+    base = rng.sample(secret, 2)
+    base.append(T.tup(*rng.sample(atoms, rng.randrange(2, 4))))
+    rng.shuffle(base)
+    u, v = rng.sample(base, 2)
+    menu = [T.mult(u, v), T.mult(u, u), T.h(u), T.h(v), T.pk(u), T.pkv(v),
+            T.proj(3, base[0] if base[0][0] == T.TUP else T.tup(u, v)),
+            T.proj(1, rng.choice([b for b in base if b[0] != T.TUP]))]
+    images = base + rng.sample(menu, rng.randrange(2, 5))
+    fa, _ = build(secret, images)
+    images = list(fa.bindings.values())
+    i = rng.randrange(len(base), len(images))
+    fresh = [m for m in menu if T.normalize(m) not in images]
+    images[i] = T.h(images[i]) if rng.random() < 0.5 or not fresh \
+        else rng.choice(fresh)
+    fb, _ = build(secret, images)
+    return fa, fb
+
+
+_NAMED_DIGEST = \
+    "648dfae095bdf9891bab2779954a885bfeb1e1a709e432472cbb74a241a6fb8f"
+
+
+def test_static_equiv_named_corpus_pinned():
+    lines = []
+    for k in range(32):
+        fa, fb = _random_named_pair(random.Random(f"named{k}"))
+        lines += _pinned_lines(f"named{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    assert len(lines) == 288
+    assert sum("Distinguished" in line for line in lines) == 118
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _NAMED_DIGEST
 
 
 # -- pinned deduction ------------------------------------------------------------
