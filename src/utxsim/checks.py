@@ -8,7 +8,9 @@ before it, so a commit meets only the events that can match it; the
 injective choice is a backtracking search with an explicit stack, so a
 trace of any length checks without deep recursion.
 check_secrecy asks the deduction engine for each secret. distinguish runs
-the bounded static-equivalence search over a paired run's final frames.
+the bounded static-equivalence search over a paired run's final frames;
+paired_verdict runs the paired experiment itself, for the suites and the
+CLI alike.
 Each violation certifies itself before it is returned: a leak's recipe is
 evaluated in the frame and must give the secret, and a distinguishing
 test's two recipes are evaluated in both frames and must be equal in the
@@ -257,6 +259,18 @@ SCENARIOS = {
 }
 
 
+def paired_verdict(sc, test_bound: int = frames.TEST_BOUND,
+                   pool_cap: int = frames.POOL_CAP) -> Verdict:
+    """The paired real/ideal experiment of a scenario: violated at the first
+    step where the two worlds stop aligning, else distinguish's verdict
+    over the final frames."""
+    try:
+        real, ideal = harness.run_paired(sc)
+    except harness.AlignmentFailure as e:
+        return Verdict("distinguish", "violated", f"alignment step {e.step}")
+    return distinguish(real, ideal, test_bound, pool_cap)
+
+
 @dataclass(frozen=True)
 class Row:
     """One experiment of a battery: a SCENARIOS entry ("" runs nothing) with
@@ -429,11 +443,7 @@ def _run_row(row: Row, seed: int, test_bound: int, pool_cap: int):
                  **row.overrides)
     if not row.paired:
         return harness.run_scenario(sc)
-    try:
-        real, ideal = harness.run_paired(sc)
-    except harness.AlignmentFailure as e:
-        return Verdict("distinguish", "violated", f"alignment step {e.step}")
-    return distinguish(real, ideal, test_bound, pool_cap)
+    return paired_verdict(sc, test_bound, pool_cap)
 
 
 def run_suite(name: str, seed: int = 0, test_bound: int = frames.TEST_BOUND,

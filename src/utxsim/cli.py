@@ -135,12 +135,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    try:
-        real, ideal = harness.run_paired(_scenario(args))
-    except harness.AlignmentFailure as e:
-        _emit(f"CHECK distinguish violated alignment:{e.step}\n", args.out)
-        return 1
-    verdict = checks.distinguish(real, ideal, args.test_bound, args.pool_cap)
+    verdict = checks.paired_verdict(_scenario(args), args.test_bound,
+                                    args.pool_cap)
     _emit(verdict.line() + "\n", args.out)
     return 0 if verdict.status == "bounded-pass" else 1
 

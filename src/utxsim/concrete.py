@@ -75,6 +75,10 @@ def eval_term(t: T.Term, env: GroupEnv):
     return _ev(T.normalize(t), env)
 
 
+# the one-way ops, each a keyed digest of its tag and its fields' values
+_ONE_WAY = {T.HASH: "h", T.ENC: "e", T.PK: "pk", T.PKV: "pkv", T.SIG: "sig"}
+
+
 def _ev(t, env):
     op = t[0]
     if op == T.GEN:
@@ -90,30 +94,22 @@ def _ev(t, env):
         raise UnvaluedName("?" + t[1])
     if op == T.MULT:
         r = 1
-        for f in t[1]:
+        for f in T.fields(t):
             v = _ev(f, env)
             if isinstance(v, (Stuck, tuple)):
                 return Stuck(T.to_text(t))
             r = r * v % Q
         return r
     if op in (T.SMULT, T.SIGV):
-        a = _ev(t[1], env)
-        b = _ev(t[2], env)
+        a, b = [_ev(x, env) for x in T.fields(t)]
         if isinstance(a, (Stuck, tuple)) or isinstance(b, (Stuck, tuple)):
             return Stuck(T.to_text(t))
         return a * b % Q
     if op == T.TUP:
-        return ("tup",) + tuple(_ev(x, env) for x in t[1])
-    if op == T.HASH:
-        return _digest(["h", _ev(t[1], env)]) % Q
-    if op == T.ENC:
-        return _digest(["e", _ev(t[1], env), _ev(t[2], env)]) % Q
-    if op == T.PK:
-        return _digest(["pk", _ev(t[1], env)]) % Q
-    if op == T.PKV:
-        return _digest(["pkv", _ev(t[1], env)]) % Q
-    if op == T.SIG:
-        return _digest(["sig", _ev(t[1], env), _ev(t[2], env)]) % Q
+        return ("tup",) + tuple(_ev(x, env) for x in T.fields(t))
+    tag = _ONE_WAY.get(op)
+    if tag is not None:
+        return _digest([tag, *(_ev(x, env) for x in T.fields(t))]) % Q
     # irreducible destructor
     return Stuck(T.to_text(t))
 

@@ -32,6 +32,10 @@ so sharing the memo changes no recipe.
 static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
 value spaces; the first inconsistency is a distinguishing equality test.
+A level is a range of the pool: its frontier pool[k:end] holds what joined
+during the level before. A level runs the one-field pass over each
+frontier entry, then composes each with every entry the pool holds after
+those passes; whatever joins meanwhile is the next frontier.
 The bound is on recipe size: a building block has size 1 and an
 application 1 plus its parts; the level-0 seeds are tested at any bound,
 and the enc(dec(k, u), k) probe may exceed it by 3. Only the level-0 seeds
@@ -225,19 +229,14 @@ def _compose(sat: Saturated, t: Term):
     """t built at its root: the same node with each field replaced by its
     recipe, at 1 plus the fields' costs; None at the first field, in order,
     that does not derive."""
-    op = t[0]
-    head = 2 if op == T.PROJ else 1
-    fields = t[1] if op == T.TUP else t[head:]
     cost, recipes = 1, []
-    for x in fields:
+    for x in T.fields(t):
         sub = _cost(sat, x)
         if sub is None:
             return None
         cost += sub[0]
         recipes.append(sub[1])
-    if op == T.TUP:
-        return cost, (T.TUP, tuple(recipes))
-    return cost, (*t[:head], *recipes)
+    return cost, T.with_fields(t, recipes)
 
 
 def _minus(want: tuple, block: tuple):
@@ -362,6 +361,7 @@ def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
 
 
 def _pair_term(op, x, y):
+    # built by hand, not by T.with_fields: it runs once per pair candidate
     return (op, (x, y)) if op == T.MULT or op == T.TUP else (op, x, y)
 
 
@@ -422,7 +422,6 @@ class _Bijection:
         self.by_a: dict = {}
         self.by_b: dict = {}
         self.pool: list = []     # (recipe, size, img_a, img_b)
-        self.fresh: list = []    # admissions since the last level cut
         self.tests = 0
         self.opens: list = []    # per pool entry: ops it opens, either frame
         self.at = ({}, {})       # per frame: pool image -> pool index
@@ -493,6 +492,7 @@ class _Bijection:
         tuple or a two-factor product over pool images. While a field is
         not yet a pool image, (None, the first such field); for any other
         image, None."""
+        # fields read by hand, not by T.fields: it runs once per filed image
         op = img[0]
         at = self.at[side]
         if op in _FIELD_OPS or (
@@ -549,7 +549,6 @@ class _Bijection:
     def _join(self, entry):
         n = len(self.pool)
         self.pool.append(entry)
-        self.fresh.append(entry)
         self.opens.append(frozenset(
             _OPENS.get(entry[2][0], ()) + _OPENS.get(entry[3][0], ())))
         for side in (0, 1):
@@ -562,6 +561,7 @@ class _Bijection:
         """Test the one-field candidates over pool entry n in _ONE_SHAPES
         order, counting each plain one that earlier does not name instead
         of testing it."""
+        # candidates built by hand from _ONE_SHAPES heads: the hot loop
         named = self.earlier.get((n,), ())
         start = self.tests
         if named or T.PROJ in self.opens[n]:
@@ -583,6 +583,7 @@ class _Bijection:
         """Test the pair candidates over pool entries n1 and n2 in
         _PAIR_SHAPES order, counting each plain one that earlier does not
         name instead of testing it."""
+        # candidates built by hand by _pair_term: the hot loop
         run = (n1, n2) if n1 <= n2 else (n2, n1)
         shapes = _rewritable(self.opens[n1], self.opens[n2])
         named = self.earlier.get(run, ())
@@ -608,10 +609,6 @@ class _Bijection:
         self.done.setdefault(run, n1)
         return None
 
-    def cut_level(self):
-        fresh, self.fresh = self.fresh, []
-        return fresh
-
 
 def _seed_recipes(sa: Saturated, sb: Saturated):
     """Deterministic level-0 candidates: constants, public names, months and
@@ -629,14 +626,8 @@ def _seed_recipes(sa: Saturated, sb: Saturated):
                 months.add(x[2])
             elif x[0] == T.NAME and x[1] not in restricted:
                 pub_names.add(x)
-            elif x[0] in (T.MULT, T.TUP):
-                stack.extend(x[1])
-            elif x[0] == T.PROJ:
-                stack.append(x[2])
-            elif x[0] in (T.HASH, T.PK, T.PKV):
-                stack.append(x[1])
-            elif x[0] >= T.MULT:
-                stack.extend((x[1], x[2]))
+            else:
+                stack.extend(T.fields(x))
     seeds += [T.mm(k) for k in sorted(months)]
     seeds += sorted(pub_names)
     seeds += sa.entries.values()
@@ -673,32 +664,31 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
             if verdict is not None:
                 return verdict
 
-    frontier = bij.cut_level()
-    while frontier:
-        # the frontier is the slice pool[k:k + len(frontier)]
-        k = len(bij.pool) - len(frontier)
-        for n, e in enumerate(frontier, k):
-            if e[1] + 1 <= test_bound:
-                verdict = bij.extend(n, e[1] + 1)
+    # the frontier is the pool range [k, end): the entries of the last level
+    k, end = 0, len(bij.pool)
+    while k < end:
+        for n in range(k, end):
+            size = bij.pool[n][1] + 1
+            if size <= test_bound:
+                verdict = bij.extend(n, size)
                 if verdict is not None:
                     return verdict
-        # A pair of two frontier entries was composed both ways round when
-        # its earlier entry was e1. That fixed the outcome of each of its
-        # candidates (MULT sorts its product, so its one order covers both),
-        # so the mirror's tests are all consistent: they are counted, not
-        # rebuilt.
+        # Frontier entries n2 < n1 were composed both ways round in n2's
+        # pass. That fixed the outcome of each of their candidates (MULT
+        # sorts its product, so its one order covers both), so the mirror's
+        # tests are all consistent: they are counted, not rebuilt.
         m = len(bij.pool)
-        for i, e1 in enumerate(frontier):
-            mirrored = _PAIR_TESTS * sum(
-                1 for e2 in frontier[:i] if e1[1] + e2[1] + 1 <= test_bound)
-            for seconds, skipped in ((range(k), mirrored), (range(k + i, m), 0)):
-                for n2 in seconds:
-                    size = e1[1] + bij.pool[n2][1] + 1
-                    if size > test_bound:
-                        continue
-                    verdict = bij.compose(k + i, n2, size)
-                    if verdict is not None:
-                        return verdict
-                bij.tests += skipped
-        frontier = bij.cut_level()
+        for n1 in range(k, end):
+            s1 = bij.pool[n1][1]
+            for n2 in range(m):
+                size = s1 + bij.pool[n2][1] + 1
+                if size > test_bound:
+                    continue
+                if k <= n2 < n1:
+                    bij.tests += _PAIR_TESTS
+                    continue
+                verdict = bij.compose(n1, n2, size)
+                if verdict is not None:
+                    return verdict
+        k, end = end, len(bij.pool)
     return Equivalent(test_bound, bij.tests, bij.capped)

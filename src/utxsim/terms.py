@@ -21,6 +21,14 @@ order on terms; that order is what makes multiplication canonical.
     (PK, k) (SIG, k, m) (PKV, k) (SIGV, k, m)
     (CHECK, vk, s) (CHECKV, vk, s) (PROJ, i, m) (DEC, k, m)
 
+fields() and with_fields() are the one table of these shapes: fields(t) is
+t's subterms in order (none for an atom, never a projection's index), and
+with_fields(t, fs) is the same node over new subterms. Every walk over a
+term and every rebuild of a node goes through them, except the rewrite
+kernel (_normalize, norm_root) and the distinguisher's per-candidate loop,
+which read fields by hand because they run once per term or per candidate
+and a call per node there shows in the wall time.
+
 normalize() computes the canonical form: destructors reduced where their
 constructor matches, products flattened and sorted, and scalars hoisted so
 that a point multiplication never nests and a blindable signature carries a
@@ -174,6 +182,29 @@ LO = const("lo")
 HI = const("hi")
 
 
+# -- the shape table -----------------------------------------------------
+
+def fields(t: Term) -> tuple:
+    """t's subterms, in order: none for an atom, and never a projection's
+    index."""
+    op = t[0]
+    if op <= VAR:
+        return ()
+    if op == MULT or op == TUP:
+        return t[1]
+    return t[2:] if op == PROJ else t[1:]
+
+
+def with_fields(t: Term, fs) -> Term:
+    """The node t rebuilt over new subterms fs, one per field of t."""
+    op = t[0]
+    if op <= VAR:
+        return t
+    if op == MULT or op == TUP:
+        return (op, tuple(fs))
+    return (PROJ, t[1], *fs) if op == PROJ else (op, *fs)
+
+
 # -- the theory ----------------------------------------------------------
 
 _memo = {}
@@ -210,6 +241,7 @@ _norm = normalize
 
 
 def _normalize(t: Term) -> Term:
+    # dispatched by hand: the memo's miss path, slower through with_fields
     op = t[0]
     if op <= VAR:
         return t
@@ -232,6 +264,7 @@ def norm_root(t: Term) -> Term:
     """Normal form of t, whose fields must already be normal forms: the root
     rewrite only, without the memo. On such a term it equals normalize(t),
     because normal forms are fixpoints."""
+    # dispatched by hand: the distinguisher calls it once per candidate
     op = t[0]
     if op in _NO_ROOT_REWRITE:
         return t
@@ -297,13 +330,8 @@ def subst_vars(t: Term, env: dict) -> Term:
         return env.get(t[1], t)
     if op <= NAME:
         return t
-    if op == MULT or op == TUP:
-        return (op, tuple(subst_vars(x, env) for x in t[1]))
-    if op == PROJ:
-        return (PROJ, t[1], subst_vars(t[2], env))
-    if op == HASH or op == PK or op == PKV:
-        return (op, subst_vars(t[1], env))
-    return (op, subst_vars(t[1], env), subst_vars(t[2], env))
+    return with_fields(t, [subst_vars(x, env) for x in fields(t)])
+
 
 def equal_mod_E(a: Term, b: Term) -> bool:
     """Equality in the message theory."""
@@ -315,46 +343,27 @@ def apply(s: dict, t: Term) -> Term:
     return normalize(subst_vars(t, s)) if s else normalize(t)
 
 
-def free_names(t: Term) -> set:
-    """All NAME nodes occurring in t."""
+def _nodes(t: Term, op: int) -> set:
+    """Every node of t whose root is op."""
     out = set()
     stack = [t]
     while stack:
         x = stack.pop()
-        op = x[0]
-        if op == NAME:
+        if x[0] == op:
             out.add(x)
-        elif op == MULT or op == TUP:
-            stack.extend(x[1])
-        elif op == PROJ:
-            stack.append(x[2])
-        elif op == HASH or op == PK or op == PKV:
-            stack.append(x[1])
-        elif op >= MULT:
-            stack.append(x[1])
-            stack.append(x[2])
+        elif x[0] > VAR:
+            stack.extend(fields(x))
     return out
+
+
+def free_names(t: Term) -> set:
+    """All NAME nodes occurring in t."""
+    return _nodes(t, NAME)
 
 
 def free_vars(t: Term) -> set:
     """All variable ids occurring in t."""
-    out = set()
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        op = x[0]
-        if op == VAR:
-            out.add(x[1])
-        elif op == MULT or op == TUP:
-            stack.extend(x[1])
-        elif op == PROJ:
-            stack.append(x[2])
-        elif op == HASH or op == PK or op == PKV:
-            stack.append(x[1])
-        elif op >= MULT:
-            stack.append(x[1])
-            stack.append(x[2])
-    return out
+    return {x[1] for x in _nodes(t, VAR)}
 
 
 def month_index(t: Term) -> int | None:
@@ -404,14 +413,8 @@ def to_text(t: Term) -> str:
         return ("$" + t[1]) if t[2] == "scalar" else t[1]
     if op == VAR:
         return "?" + t[1]
-    if op == MULT or op == TUP:
-        body = " ".join(to_text(x) for x in t[1])
-        return f"({_OP_NAMES[op]} {body})"
-    if op == PROJ:
-        return f"(proj {t[1]} {to_text(t[2])})"
-    if op in (HASH, PK, PKV):
-        return f"({_OP_NAMES[op]} {to_text(t[1])})"
-    return f"({_OP_NAMES[op]} {to_text(t[1])} {to_text(t[2])})"
+    head = f"proj {t[1]}" if op == PROJ else _OP_NAMES[op]
+    return f"({head} {' '.join(map(to_text, fields(t)))})"
 
 
 def _tokenize(text: str):

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, determinism, scenario files, trace checking."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +62,20 @@ def test_distinguish_exit_codes(capsys):
     code, text = run_cli(capsys, "distinguish", "--scenario", "ubdh_2session",
                          "--test-bound", "4")
     assert code == 0 and "bounded-pass" in text
+
+
+def test_alignment_failure_reads_alike_in_cli_and_suite(monkeypatch, capsys):
+    """Paired worlds that stop aligning give one verdict line, whether the
+    CLI or a suite row runs the experiment, and the CLI exits 1."""
+    def misaligned(sc):
+        raise H.AlignmentFailure(3, "forced")
+
+    monkeypatch.setattr(H, "run_paired", misaligned)
+    code, text = run_cli(capsys, "distinguish", "--scenario", "ubdh_2session")
+    assert (code, text) == (1, "CHECK distinguish violated alignment step 3\n")
+    rows = [v for v, _ in C.run_suite("controls").lines
+            if v.name == "ubdh-2-session"]
+    assert [replace(v, name="distinguish").line() + "\n" for v in rows] == [text]
 
 
 def test_controls_battery_exit_zero(capsys):

@@ -683,12 +683,13 @@ def test_counted_candidate_keeps_its_entry():
 
 def _alias_bijection(restricted, images):
     """A _Bijection over a frame compared with itself, seeded with the
-    frame's aliases only, so that pool entry n is wn, and cut at level 0."""
+    frame's aliases only, so that pool entry n is wn: level 0 is the pool
+    as it stands."""
     f, aliases = build(restricted, images)
     bij = F._Bijection(f, f, F.POOL_CAP)
     for alias in aliases:
         assert bij.seed(T.var(alias)) is None
-    assert [e[0] for e in bij.cut_level()] == [T.var(x) for x in aliases]
+    assert [e[0] for e in bij.pool] == [T.var(x) for x in aliases]
     return bij
 
 
@@ -718,7 +719,7 @@ def test_counted_product_across_levels_keeps_its_order():
     a, b, c, k = (T.name(x, "scalar") for x in "abck")
     bij = _alias_bijection([a, b, c, k], [T.enc(a, k), k, b])
     assert bij.compose(1, 0, 3) is None
-    opened, = bij.cut_level()
+    opened, = bij.pool[3:]
     assert (T.to_text(opened[0]), opened[2]) == ("(dec ?w1 ?w0)", a)
     assert bij.compose(3, 2, 5) is None
     verdict = bij.admit(T.var("w9"), 5, T.mult(a, b), T.mult(a, c))

@@ -203,6 +203,49 @@ def test_normalize_matches_random_order_rewriting(seed):
         assert T.norm_root(u) == expect, T.to_text(t)
 
 
+# -- the shape table against the independent references above -------------
+
+def _all_nodes(t):
+    yield t
+    for ch in _children(t):
+        yield from _all_nodes(ch)
+
+
+def _subst_reference(t, env):
+    if t[0] == T.VAR:
+        return env.get(t[1], t)
+    for i, ch in enumerate(_children(t)):
+        t = _replace_child(t, i, _subst_reference(ch, env))
+    return t
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shape_table_matches_the_reference(seed):
+    """fields and with_fields agree with _children and _replace_child on
+    every node of random terms over every opcode, and the walks built on
+    them agree with recursive references."""
+    rng = random.Random(f"shape{seed}")
+    pool = NAME_POOL + [T.var("w0"), T.var("w1")]
+    env = {"w0": T.h(A), "w9": B}
+    ops = set()
+    for _ in range(150):
+        t = random_term(rng, rng.randrange(1, 6), pool)
+        for x in _all_nodes(t):
+            ops.add(x[0])
+            assert T.fields(x) == tuple(_children(x)), T.to_text(x)
+            assert T.with_fields(x, T.fields(x)) == x
+            new = [T.h(ch) for ch in _children(x)]
+            u = x
+            for i, ch in enumerate(new):
+                u = _replace_child(u, i, ch)
+            assert T.with_fields(x, new) == u, T.to_text(x)
+        nodes = list(_all_nodes(t))
+        assert T.free_names(t) == {x for x in nodes if x[0] == T.NAME}
+        assert T.free_vars(t) == {x[1] for x in nodes if x[0] == T.VAR}
+        assert T.subst_vars(t, env) == _subst_reference(t, env)
+    assert ops == set(range(T.DEC + 1))
+
+
 # opcodes whose root norm_root may rewrite; every other root is left alone
 _ROOT_REWRITES = {T.MULT, T.SMULT, T.SIGV, T.CHECK, T.CHECKV, T.PROJ, T.DEC}
 
