@@ -43,15 +43,17 @@ are evaluated by substitution; every composed candidate's image in each
 frame is its root over its parts' stored images, rewritten at the root
 only (terms.norm_root) rather than looked up in the term memo. That gives
 the same normal form because normal forms are fixpoints. The tests count
-is every enumerated candidate. Two kinds are counted but neither tested
+is every enumerated candidate. Three kinds are counted but neither tested
 nor filed in the bijection, because their outcome is already known: the
 mirror of a pair of entries that joined the pool at the same level (the
-pair's first pass fixed it), and a plain candidate, one that neither frame
+pair's first pass fixed it); a plain candidate, one that neither frame
 rewrites at the root: every HASH, PK and PKV of an entry and a PROJ of an
 entry that is a tuple in neither frame; every ENC, SIG and TUP pair
 candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one whose rewrite does
-not fire; and a MULT one whose entries are products in neither frame. A
-plain candidate's images are new unless a candidate reached by another
+not fire; and a MULT one whose entries are products in neither frame;
+and an enc(dec(k, u), k) probe whose dec rewrites in neither frame (in
+each frame only the key that is u's own can open u). A plain candidate's
+or a counted probe's images are new unless a candidate reached by another
 route has the same image; _Bijection keeps that case exact. A pass is a
 bounded guarantee, never a proof; it also says when the pool cap, not the
 bound, ended the search.
@@ -384,10 +386,11 @@ class _Bijection:
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
-    Two kinds of candidate are counted without a test, so their images are
-    never hashed or filed in by_a and by_b: a mirrored pair's (static_equiv
-    counts those) and a plain one, which neither frame rewrites at the
-    root. Candidates are composed in passes: extend runs the one-field pass
+    Three kinds of candidate are counted without a test, so their images
+    are never hashed or filed in by_a and by_b: a mirrored pair's
+    (static_equiv counts those), a plain one, which neither frame rewrites
+    at the root, and a probe whose dec rewrites in neither frame (see the
+    end). Candidates are composed in passes: extend runs the one-field pass
     over an entry n, compose the pair pass over entries i and j. A pass is
     keyed by its pool indices, (n,) or (i, j) with i <= j, and a candidate
     by its root over the indices of its fields: (op, n) or (PROJ, k, n), and
@@ -413,10 +416,25 @@ class _Bijection:
       plain candidate of the same pass, and done records a pass when all
       its candidates are. A pair may be composed twice, once from each end;
       done keeps the entry its first run put first, the order of a counted
-      product's recipe."""
+      product's recipe.
+    The probes run over the level-0 pool before any pass. A counted
+    probe's images are enc(dec(k, u), k) over the two frames' pool images;
+    three rules keep it exact, as if it had been tested and filed:
+    - reached earlier: only seeds are filed before the probes, and a seed
+      with that image in a frame names the probe, which is tested;
+    - reached later: _counted finds the probe's entry before it looks up a
+      pass, since every probe ran before every pass;
+    - the filed probe would have named the ENC pair candidate enc(d, k) of
+      a pool entry d whose image in that frame is the stuck dec(k, u)
+      (waiting held the image until d joined): _name_enc names it for the
+      entries pooled when the probes end, and for each later one as it
+      joins."""
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
+        # a seed's images can hold a variable only where a frame image does
+        self.has_vars = any(T.free_vars(t) for t in (*fa.bindings.values(),
+                                                     *fb.bindings.values()))
         self.pool_cap = pool_cap
         self.capped = False
         self.by_a: dict = {}
@@ -428,6 +446,10 @@ class _Bijection:
         self.waiting = ({}, {})  # per frame: field -> images awaiting it
         self.earlier: dict = {}  # pass -> keys of candidates filed images name
         self.done: dict = {}     # pass -> the entry its first run put first
+        # once the probes ran: ENC-rooted entry -> the keys its probes
+        # tested, and how many keys each ran over (0 before)
+        self.probed: dict = {}
+        self.keys = 0
 
     def seed(self, recipe: Term):
         try:
@@ -435,7 +457,7 @@ class _Bijection:
             ib = T.apply(self.sub_b, recipe)
         except T.MalformedTerm:
             return None
-        if T.free_vars(ia) or T.free_vars(ib):
+        if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
         return self.admit(recipe, 1, ia, ib)
 
@@ -453,7 +475,7 @@ class _Bijection:
         got = self.by_a.setdefault(ia, entry)
         if got is entry:
             where_a = self._locate(ia, 0)
-            got = self._counted(where_a)
+            got = self._counted(ia, where_a, 0)
             if got is not None:
                 del self.by_a[ia]
         if got is not None:
@@ -464,7 +486,7 @@ class _Bijection:
         r0 = self.by_b.setdefault(ib, recipe)
         if r0 is recipe:
             where_b = self._locate(ib, 1)
-            got = self._counted(where_b)
+            got = self._counted(ib, where_b, 1)
             if got is not None:
                 r0 = got[0]
         if r0 is not recipe:
@@ -512,12 +534,22 @@ class _Bijection:
             return (i,), (*img[:-1], i)
         return None
 
-    def _counted(self, where):
-        """The by_a entry (recipe, second-frame image) of the candidate
-        located by where, once its pass is done; else None. Only a by_a or
-        by_b miss asks, so the pass counted it: had it tested the candidate,
-        its image here would be filed (a frame that rewrites the candidate
-        holds no such image, since images are normal)."""
+    def _counted(self, img: Term, where, side: int):
+        """The by_a entry (recipe, second-frame image) of the counted
+        candidate whose image in side's frame is img: a counted probe, else
+        the candidate located by where, once its pass is done; else None.
+        Only a by_a or by_b miss asks, so the pass counted it: had it tested
+        the candidate, its image here would be filed (a frame that rewrites
+        the candidate holds no such image, since images are normal). Every
+        probe runs before every pass, so a probe's entry comes first."""
+        if img[0] == T.ENC and img[1][0] == T.DEC and img[1][1] == img[2]:
+            probe = self._counted_probe(img[2], img[1][2], side)
+            if probe is not None:
+                u, k = probe
+                (ur, _, _, ub), (kr, _, _, kb) = self.pool[u], self.pool[k]
+                # counted, so its dec rewrites in neither frame
+                return ((T.ENC, (T.DEC, kr, ur), kr),
+                        (T.ENC, (T.DEC, kb, ub), kb))
         if where is None or where[0] is None:
             return None
         run, key = where
@@ -556,6 +588,75 @@ class _Bijection:
             self.at[side][img] = n
             for held in self.waiting[side].pop(img, ()):
                 self._file(held, self._locate(held, side), side)
+        if self.keys:
+            self._name_enc(n)
+
+    def _counted_probe(self, key: Term, body: Term, side: int):
+        """(u, k) of the probe that probes counted over pool entries u and k
+        whose images in side's frame are body and key; else None."""
+        at = self.at[side]
+        u, k = at.get(body), at.get(key)
+        tested = self.probed.get(u)
+        if tested is None or k is None or k >= self.keys or k in tested:
+            return None
+        return u, k
+
+    def _name_enc(self, d: int):
+        """Name enc(d, k) in earlier where pool entry d's image in a frame is
+        dec(k, u) of a counted probe (u, k): there the candidate has the
+        probe's image, which a tested probe's filed image would have named."""
+        for side in (0, 1):
+            img = self.pool[d][2 + side]
+            if img[0] == T.DEC:
+                probe = self._counted_probe(img[1], img[2], side)
+                if probe is not None:
+                    k = probe[1]
+                    self.earlier.setdefault(
+                        (d, k) if d <= k else (k, d), set()).add((T.ENC, d, k))
+
+    def probes(self, test_bound: int):
+        """Test the decryptability probes enc(dec(k, u), k) = u over the
+        level-0 pool, u ENC-rooted in either frame and k any entry, in that
+        order, counting each that neither frame's dec rewrites and no filed
+        image names instead of testing it. Level-0 entries have size 1, so
+        a probe has size 5: within test_bound + 3 from bound 2. Pool images
+        are distinct in each frame, so the one key whose dec can rewrite
+        over u there is the entry whose image is u's key. A probe never
+        joins the pool."""
+        if test_bound < 2:
+            return None
+        pool, at = self.pool, self.at
+        named = {}   # u -> keys of the probes that filed images name
+        for side, filed in enumerate((self.by_a, self.by_b)):
+            for img in filed:
+                if img[0] == T.ENC and img[1][0] == T.DEC and \
+                        img[1][1] == img[2]:
+                    u, k = at[side].get(img[1][2]), at[side].get(img[2])
+                    if u is not None and k is not None:
+                        named.setdefault(u, set()).add(k)
+        for u, (r, _, a, b) in enumerate(pool):
+            if a[0] != T.ENC and b[0] != T.ENC:
+                continue
+            keys = named.get(u, set())
+            keys |= {at[0].get(a[2]) if a[0] == T.ENC else None,
+                     at[1].get(b[2]) if b[0] == T.ENC else None}
+            keys.discard(None)
+            tested = self.probed[u] = sorted(keys)
+            start = self.tests
+            for k in tested:
+                kr, _, ka, kb = pool[k]
+                self.tests = start + k
+                # ENC never rewrites at the root
+                verdict = self._test((T.ENC, (T.DEC, kr, r), kr), 5,
+                                     (T.ENC, T.norm_root((T.DEC, ka, a)), ka),
+                                     (T.ENC, T.norm_root((T.DEC, kb, b)), kb))
+                if verdict is not None:
+                    return verdict
+            self.tests = start + len(pool)
+        self.keys = len(pool)
+        for d in range(self.keys):
+            self._name_enc(d)
+        return None
 
     def extend(self, n: int, size: int):
         """Test the one-field candidates over pool entry n in _ONE_SHAPES
@@ -651,18 +752,9 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
             return verdict
 
     # decryptability probes: enc(dec(k, u), k) = u tests made explicit
-    enc_rooted = [e for e in bij.pool if e[2][0] == T.ENC or e[3][0] == T.ENC]
-    keys = list(bij.pool)
-    for er, es, ea, eb in enc_rooted:
-        for kr, ks, ka, kb in keys:
-            size = es + 2 * ks + 2
-            if size > test_bound + 3:
-                continue
-            verdict = bij.admit((T.ENC, (T.DEC, kr, er), kr), size,
-                                (T.ENC, T.norm_root((T.DEC, ka, ea)), ka),
-                                (T.ENC, T.norm_root((T.DEC, kb, eb)), kb))
-            if verdict is not None:
-                return verdict
+    verdict = bij.probes(test_bound)
+    if verdict is not None:
+        return verdict
 
     # the frontier is the pool range [k, end): the entries of the last level
     k, end = 0, len(bij.pool)

@@ -64,6 +64,16 @@ def test_distinguish_exit_codes(capsys):
     assert code == 0 and "bounded-pass" in text
 
 
+def test_distinguish_counts_at_small_bounds(capsys):
+    """The README's bound-0 count, and bound 2, the smallest at which the
+    enc(dec(k, u), k) probes run."""
+    for bound, tests in (("0", 83), ("2", 713)):
+        code, text = run_cli(capsys, "distinguish", "--scenario",
+                             "unlink_utx", "--test-bound", bound)
+        assert (code, text) == (
+            0, f"CHECK distinguish bounded-pass bound={bound} tests={tests}\n")
+
+
 def test_alignment_failure_reads_alike_in_cli_and_suite(monkeypatch, capsys):
     """Paired worlds that stop aligning give one verdict line, whether the
     CLI or a suite row runs the experiment, and the CLI exits 1."""

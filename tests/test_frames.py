@@ -750,6 +750,123 @@ def test_counted_one_field_candidates_keep_their_entries():
         "(pkv ?w0) = ?w9 holds in the first frame only"
 
 
+# Below, every ciphertext is under k0, which is never published, so no
+# enc(dec(k, u), k) probe's dec rewrites: a probe is counted unless an
+# image reached by another route has its image.
+
+def test_static_equiv_frame_image_names_a_probe():
+    """w2 is enc(dec(k1, w0), k1) in one frame: the probe over w0 and w1
+    has that image there, so it is tested and meets w2."""
+    m, k0, k1, k2 = (T.name(x) for x in ("m", "k0", "k1", "k2"))
+    c = T.enc(m, k0)
+    fa, _ = build([m, k0, k1, k2], [c, k1, T.enc(T.dec(k1, c), k1)])
+    fb, _ = build([m, k0, k1, k2], [c, k1, T.enc(T.dec(k1, c), k2)])
+    for bound, same in ((2, 154), (6, 3979)):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"?w2 = (enc (dec ?w1 ?w0) ?w1) holds in the {side} frame "
+                f"only")
+            assert verdict.tests == 31
+        assert F.static_equiv(fa, fa, test_bound=bound).tests == same
+
+
+def test_static_equiv_candidate_meets_a_counted_probe():
+    """w0 is the stuck dec(k1, w1) in one frame, so there enc(w0, w2) has
+    the image of the counted probe over w1 and w2: the candidate meets the
+    probe as if it had been tested, in either frame."""
+    m, n, k0, k1 = (T.name(x) for x in ("m", "n", "k0", "k1"))
+    c = T.enc(m, k0)
+    fa, _ = build([m, n, k0, k1], [T.dec(k1, c), c, k1])
+    fb, _ = build([m, n, k0, k1], [n, c, k1])
+    for bound in (4, 6):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"(enc (dec ?w2 ?w1) ?w2) = (enc ?w0 ?w2) holds in the "
+                f"{side} frame only")
+            assert verdict.tests == 2975
+        assert F.static_equiv(fa, fa, test_bound=bound).tests == 3461
+    assert F.static_equiv(fa, fb, test_bound=2).tests == 129
+
+
+def test_static_equiv_stuck_dec_names_its_enc_pair():
+    """w0 is the stuck dec(k1, w1) in one frame and dec(k1, w2) in the
+    other. Each names enc(w0, w3), whose image in each frame is that of a
+    different counted probe: the candidate meets the first frame's."""
+    m, m2, k0, k1 = (T.name(x) for x in ("m", "m2", "k0", "k1"))
+    c, c2 = T.enc(m, k0), T.enc(m2, k0)
+    fa, _ = build([m, m2, k0, k1], [T.dec(k1, c), c, c2, k1])
+    fb, _ = build([m, m2, k0, k1], [T.dec(k1, c2), c, c2, k1])
+    for bound in (4, 6):
+        for x, y, u in ((fa, fb, "?w1"), (fb, fa, "?w2")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"(enc (dec ?w3 {u}) ?w3) = (enc ?w0 ?w3) holds in the "
+                f"first frame only")
+            assert verdict.tests == 3204
+        assert F.static_equiv(fa, fa, test_bound=bound).tests == 3979
+
+
+def test_stuck_dec_joining_after_the_probes_names_its_enc_pair():
+    """proj 1 of w2 opens to the stuck dec(k1, w0) in the first frame once
+    the probes have run: as it joins, it names enc over it and w1, which
+    meets the counted probe over w0 and w1. proj 2 of w2 joins too, but no
+    probe ran over it as a key."""
+    m, n, k0, k1 = (T.name(x) for x in ("m", "n", "k0", "k1"))
+    c = T.enc(m, k0)
+    fa, _ = build([m, n, k0, k1], [c, k1, T.tup(T.dec(k1, c), n)])
+    fb, _ = build([m, n, k0, k1], [c, k1, T.tup(m, n)])
+    bij = F._Bijection(fa, fb, F.POOL_CAP)
+    for alias in ("w0", "w1", "w2"):
+        assert bij.seed(T.var(alias)) is None
+    assert bij.probes(6) is None
+    assert bij.tests == 6      # three seeds, three counted probes
+    assert bij.extend(2, 2) is None
+    opened, other = bij.pool[3:]
+    assert (T.to_text(opened[0]), opened[2]) == ("(proj 1 ?w2)",
+                                                 T.dec(k1, c))
+    assert other[2:] == (n, n)
+    assert bij.admit(T.var("w9"), 4, T.enc(T.dec(n, c), n), T.h(n)) is None
+    verdict = bij.compose(3, 1, 4)
+    assert verdict.describe() == ("(enc (dec ?w1 ?w0) ?w1) = "
+                                  "(enc (proj 1 ?w2) ?w1) holds in the first "
+                                  "frame only")
+
+
+def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
+    """On the paired scenarios' final frames, the probes over an ENC-rooted
+    entry test at most the two keys whose dec can rewrite, one per frame,
+    plus the probes that filed images name; the rest are counted."""
+    tested, counted = [], []
+    real_test, real_probes = F._Bijection._test, F._Bijection.probes
+
+    def counting_test(self, *args):
+        tested.append(args[0])
+        return real_test(self, *args)
+
+    def probes(self, test_bound):
+        enc = sum(e[2][0] == T.ENC or e[3][0] == T.ENC for e in self.pool)
+        named = sum(img[0] == T.ENC and img[1][0] == T.DEC
+                    and img[1][1] == img[2]
+                    for filed in (self.by_a, self.by_b) for img in filed)
+        before, tests = len(tested), self.tests
+        verdict = real_probes(self, test_bound)
+        assert len(tested) - before <= 2 * enc + named
+        counted.append(self.tests - tests - (len(tested) - before))
+        return verdict
+
+    monkeypatch.setattr(F._Bijection, "_test", counting_test)
+    monkeypatch.setattr(F._Bijection, "probes", probes)
+    for case in _PAIRED:
+        for seed in (0, 1):
+            real, ideal = H.run_paired(replace(C.SCENARIOS[case], seed=seed))
+            for x, y in ((real, ideal), (real, real), (ideal, ideal)):
+                F.static_equiv(x.frame, y.frame)
+    # a level-0 seed tells bdh_2session's and utxl_hi_probe's worlds apart
+    assert len(counted) == 20 and min(counted) > 0
+
+
 def _random_group_pair(rng):
     """A random frame of scalars, a product x*y, blinded points ([s]gen,
     [s]([t]gen), [x]sigv(k, gen)) and a verification key, which
@@ -829,6 +946,59 @@ def test_static_equiv_named_corpus_pinned():
     assert sum("Distinguished" in line for line in lines) == 118
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _NAMED_DIGEST
+
+
+def _random_probe_pair(rng):
+    """A random frame of ciphertexts under several keys, some of those keys,
+    stuck decryptions of the ciphertexts and images enc(dec(k, u), k) over
+    them, in random order, and a copy with one image changed: hashed, or
+    swapped for another key, decryption or enc(dec(k, u), k) image, so that
+    a key can be a pool entry in one frame only. A stuck decryption names
+    the enc candidate over it and its key, and an enc(dec(k, u), k) image
+    the probe over u and k, so those are tested where they would otherwise
+    be counted."""
+    secret = [T.name("m0"), T.name("m1")]
+    keys = [T.name(f"k{i}") for i in range(3)]
+    secret += keys
+    msgs = secret[:2] + [T.name("p0")]
+    cts = [T.enc(rng.choice(msgs), k)
+           for k in rng.sample(keys, rng.randrange(2, 4))]
+    cts.append(T.enc(rng.choice(cts), rng.choice(keys)))
+
+    def stuck():
+        return T.dec(rng.choice(keys), rng.choice(cts))
+
+    def probe():
+        k = rng.choice(keys)
+        return T.enc(T.dec(k, rng.choice(cts)), k)
+
+    images = rng.sample(cts, rng.randrange(2, len(cts) + 1))
+    images += rng.sample(keys, rng.randrange(1, 3))
+    images += [rng.choice((stuck, probe))()
+               for _ in range(rng.randrange(1, 4))]
+    rng.shuffle(images)
+    fa, _ = build(secret, images)
+    images = list(fa.bindings.values())
+    i = rng.randrange(len(images))
+    images[i] = rng.choice((T.h(images[i]), rng.choice(keys), stuck(),
+                            probe()))
+    fb, _ = build(secret, images)
+    return fa, fb
+
+
+_PROBE_DIGEST = \
+    "78fe2b15b8656f324792ef219df86e56feee9dc33de36e9043a028058101d23d"
+
+
+def test_static_equiv_probe_corpus_pinned():
+    lines = []
+    for k in range(32):
+        fa, fb = _random_probe_pair(random.Random(f"probe{k}"))
+        lines += _pinned_lines(f"probe{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    assert len(lines) == 288
+    assert sum("Distinguished" in line for line in lines) == 130
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PROBE_DIGEST
 
 
 # -- pinned deduction ------------------------------------------------------------
