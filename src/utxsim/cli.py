@@ -79,7 +79,7 @@ def load_scenario(spec: str) -> harness.Scenario:
     if spec in checks.SCENARIOS:
         return checks.SCENARIOS[spec]
     if os.path.exists(spec):
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             return parse_scenario_text(fh.read())
     raise harness.ScenarioInvalid(
         f"{spec!r} is neither a built-in scenario nor a file; "
@@ -122,7 +122,7 @@ def cmd_check(args) -> int:
         if any(getattr(args, k) is not None for k in _SCENARIO_FLAGS):
             raise harness.ScenarioInvalid(
                 "--trace takes no scenario or override flag")
-        with open(args.trace) as fh:
+        with open(args.trace, encoding="utf-8") as fh:
             trace = harness.parse_trace(fh.read())
     else:
         trace = harness.run_scenario(_scenario(args))
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (harness.ScenarioInvalid, harness.TraceInvalid, T.MalformedTerm,
-            FileNotFoundError) as e:
+            OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -242,7 +242,10 @@ def parse_trace(text: str) -> Trace:
                     raise ValueError(f"alias {alias} is bound twice")
                 bindings[alias] = T.parse(img)
             elif head == "EV":
-                tag, args, sid, role = _split_event(rest)
+                tag, _, rest = rest.partition(" ")
+                sid, _, rest = rest.partition(" ")
+                role, _, args = rest.partition(" ")
+                args = T.parse_all(args)
                 tr.events.append(roles.Event(tag, args, sid, role))
             elif head == "ABORT":
                 sid, _, reason = rest.partition(" ")
@@ -258,24 +261,6 @@ def parse_trace(text: str) -> Trace:
             msg = f"bad trace line {lineno} ({head}): {e}"
             raise TraceInvalid(msg) from None
     return tr
-
-
-def _split_event(rest: str):
-    tag, _, rest = rest.partition(" ")
-    sid, _, rest = rest.partition(" ")
-    role, _, argtext = rest.partition(" ")
-    args = []
-    toks = argtext.split()
-    pos = 0
-    while pos < len(toks):
-        depth, start = 0, pos
-        while pos < len(toks):
-            depth += toks[pos].count("(") - toks[pos].count(")")
-            pos += 1
-            if depth == 0:
-                break
-        args.append(T.parse(" ".join(toks[start:pos])))
-    return tag, tuple(args), sid, role
 
 
 # -- actions an attacker program may take --------------------------------------

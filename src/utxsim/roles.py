@@ -74,7 +74,7 @@ class CardState:
     certs: dict                      # month index -> blindable signature
     pointer: int
     authority_vk: Term               # generic verification key
-    window: Optional[tuple] = None   # sliding 3-month window (multi-month card)
+    window: Optional[tuple] = None   # sliding month window (multi-month card)
     contactless_only: bool = False
     bdh: bool = False
     truncate_after_validity: bool = False
@@ -168,7 +168,7 @@ def _month_decision(s: CardState, k: int, fresh: T.FreshNames):
             if nxt not in s.certs:
                 chi = fresh.scalar("chiw")
                 s.certs[nxt] = T.normalize(T.sigv(chi, s.pk_c))
-            s.window = (s.window[1], s.window[2], nxt)
+            s.window = s.window[1:] + (nxt,)
         return None
     if k == s.pointer or k == s.pointer - 1:
         pass

@@ -95,7 +95,7 @@ def issue_card(auth: Authority, fresh: T.FreshNames, issue_month: int,
 def issue_card_multimonth(auth: Authority, fresh: T.FreshNames,
                           window: tuple, card_id: str = "card",
                           **card_flags) -> roles.CardState:
-    """Card with the sliding three-month window. Months beyond the authority
+    """Card with a sliding window of months. Months beyond the authority
     horizon get privately minted signing keys (the supply of future months
     is unbounded but unpublished)."""
     card = issue_card(auth, fresh, min(window[0], auth.horizon - 1),

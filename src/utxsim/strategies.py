@@ -12,7 +12,11 @@ The catalog covers the honest forwarder, message replays against terminal
 and bank, certificate harvesting with a fake card, the fake-terminal
 interrogator (which is also the active adversary for the key-establishment
 baselines), month probing, leaked-key card forgery, leaked-PIN probing,
-reflection, message dropping and a seeded fuzzer.
+reflection, message dropping and a seeded fuzzer. The honest-pump variants
+inject through Pump.intercept. The scripted attacks are made of five moves
+of Scripted: start a session and learn its sid, handshake, harvest_crt,
+fake_terminal and send_tx. A script stops at a delivery to a session that
+has ended.
 """
 
 from __future__ import annotations
@@ -219,13 +223,13 @@ class ReplayCardReply(Pump):
             self.stash = alias
         return act
 
-    def decide(self, obs):
+    def intercept(self, obs):
         if not self.replayed and self.stash:
             t1 = obs.session("T1")
             if t1 is not None and t1.alive() and t1.stage.endswith("4"):
                 self.replayed = True
                 return H.Deliver("T1", T.var(self.stash))
-        return super().decide(obs)
+        return None
 
 
 class Reflect(Pump):
@@ -247,13 +251,13 @@ class Reflect(Pump):
             self.z2_seen = alias
         return act
 
-    def decide(self, obs):
+    def intercept(self, obs):
         if not self.reflected and self.z2_seen:
             for v in obs.sessions.values():
                 if v.kind == "card" and v.alive() and v.stage == "C1":
                     self.reflected = True
                     return H.Deliver(v.sid, T.var(self.z2_seen))
-        return super().decide(obs)
+        return None
 
 
 class Fuzzer(Pump):
@@ -306,8 +310,9 @@ class Fuzzer(Pump):
 # -- scripted attacks -------------------------------------------------------------
 
 class Scripted:
-    """Imperative attack scripts: a generator yields actions and reads the
-    newest observation from self.obs after every yield."""
+    """Imperative attack scripts: a generator, made of the moves below,
+    yields actions and reads the newest observation from self.obs after
+    every yield. A script ends at a delivery to a session that has ended."""
 
     name = "scripted"
 
@@ -319,7 +324,11 @@ class Scripted:
 
     def decide(self, obs):
         self.obs = obs
-        return next(self._gen, None)
+        act = next(self._gen, None)
+        if isinstance(act, H.Deliver) and not obs.sessions[act.sid].alive():
+            self._gen.close()
+            return None
+        return act
 
     # helpers ----------------------------------------------------------
 
@@ -330,22 +339,44 @@ class Scripted:
         outs = self.outputs_of(actor)
         return outs[-1] if outs else None
 
-    def session_key(self, scalar, peer_alias):
-        """h([n]X): the session key after a handshake we played with our own
-        scalar n against the peer's point X."""
-        return T.h(T.smult(scalar, T.var(peer_alias)))
+    # moves: generators that return their result through yield from ----
+
+    def start(self, action):
+        """Starts a session; returns the sid the runner gave it."""
+        yield action
+        return next(reversed(self.obs.sessions))
+
+    def handshake(self, sid, peer_alias=None):
+        """Deliver [n]G for a fresh scalar n of ours; returns the session key
+        h([n]X), X the image of peer_alias or else of the session's reply."""
+        n = self.own.scalar("atkn")
+        yield H.Deliver(sid, T.smult(n, T.gen()))
+        return T.h(T.smult(n, T.var(peer_alias or self.last_output(sid))))
 
     def harvest_crt(self):
         """Fake card against an honest terminal: its certificate message
-        decrypts under a key we control. Yields actions; leaves the recipes
-        in self.crt_recipe."""
-        tid = f"T{self.obs.terminals_started}"
-        yield H.StartTerminal(0)
-        z1 = self.last_output(tid)
-        n = self.own.scalar("atkn")
-        yield H.Deliver(tid, T.smult(n, T.gen()))
-        ec = self.last_output(tid)
-        self.crt_recipe = T.dec(self.session_key(n, z1), T.var(ec))
+        decrypts under a key we control, by the recipe self.crt_recipe."""
+        tid = yield from self.start(H.StartTerminal(0))
+        key = yield from self.handshake(tid, self.last_output(tid))
+        self.crt_recipe = T.dec(key, T.var(self.last_output(tid)))
+
+    def fake_terminal(self, card_idx):
+        """Fake terminal against an honest card: handshake, then the
+        harvested certificate. Returns (sid, key); key is None when the card
+        finished at the handshake (bdh)."""
+        sid = yield from self.start(H.StartCard(card_idx))
+        key = yield from self.handshake(sid)
+        if self.obs.session(sid).done:
+            return sid, None
+        yield H.Deliver(sid, T.enc(self.crt_recipe, key))
+        return sid, key
+
+    def send_tx(self, sid, key, slot=T.BOT):
+        """Fresh transaction details and slot in the PIN position, under
+        key; returns the alias of the last output of the session."""
+        tx = T.tup(self.own.data("atktx"), T.LO)
+        yield H.Deliver(sid, T.enc(T.tup(tx, slot), key))
+        return self.last_output(sid)
 
     def script(self):
         return iter(())
@@ -368,32 +399,18 @@ class ProbeCards(Scripted):
     baselines (which stop early on their own)."""
 
     name = "probe_cards"
-    pin_slot = None     # term delivered in the PIN position, default none
+    pin_slot = T.BOT    # term delivered in the PIN position
 
     def script(self):
-        harvest_needed = self.sc.protocol != "utxl"
-        if harvest_needed and self.sc.protocol != "bdh":
-            yield from self.harvest_crt()
-        elif self.sc.protocol == "utxl":
+        if self.sc.protocol == "utxl":
             self.crt_recipe = T.var(self.outputs_of("bulletin")[-1])
-        n_cards = 0
+        elif self.sc.protocol != "bdh":
+            yield from self.harvest_crt()
         for card_idx, _ in self.sc.resolved_schedule():
-            sid = f"C{n_cards}"
-            n_cards += 1
-            yield H.StartCard(card_idx)
-            n = self.own.scalar("atkn")
-            yield H.Deliver(sid, T.smult(n, T.gen()))
-            if self.obs.session(sid).done:
-                continue            # linkable baseline card is already done
-            z2 = self.last_output(sid)
-            key = self.session_key(n, z2)
-            yield H.Deliver(sid, T.enc(self.crt_recipe, key))
-            view = self.obs.session(sid)
-            if view.aborted or view.done:
-                continue
-            tx = T.tup(self.own.data("atktx"), T.LO)
-            slot = self.pin_slot if self.pin_slot is not None else T.BOT
-            yield H.Deliver(sid, T.enc(T.tup(tx, slot), key))
+            sid, key = yield from self.fake_terminal(card_idx)
+            if key is None or not self.obs.session(sid).alive():
+                continue            # the card session has ended
+            yield from self.send_tx(sid, key, self.pin_slot)
 
 
 class PinProbe(ProbeCards):
@@ -417,11 +434,7 @@ class MonthProbe(Scripted):
 
     def script(self):
         yield from self.harvest_crt()
-        yield H.StartCard(0)
-        n = self.own.scalar("atkn")
-        yield H.Deliver("C0", T.smult(n, T.gen()))
-        z2 = self.last_output("C0")
-        yield H.Deliver("C0", T.enc(self.crt_recipe, self.session_key(n, z2)))
+        yield from self.fake_terminal(0)
 
 
 class ChiFakeCard(Scripted):
@@ -435,16 +448,14 @@ class ChiFakeCard(Scripted):
         c_f = self.own.scalar("atkc")
         a_f = self.own.scalar("atka")
         pk_f = T.smult(c_f, T.gen())
-        tid = "T0"
-        yield H.StartTerminal(0)
+        tid = yield from self.start(H.StartTerminal(0))
         z1 = self.last_output(tid)
         z2 = T.smult(a_f, pk_f)
         yield H.Deliver(tid, z2)
         key = T.h(T.smult(T.mult(a_f, c_f), T.var(z1)))
         pair = T.tup(z2, T.smult(a_f, T.sigv(chi, pk_f)))
         yield H.Deliver(tid, T.enc(pair, key))
-        etx = self.last_output(tid)
-        tx = T.proj(1, T.dec(key, T.var(etx)))
+        tx = T.proj(1, T.dec(key, T.var(self.last_output(tid))))
         fake = T.enc(T.tup(self.own.data("atkblob"), T.BOT, tx), key)
         yield H.Deliver(tid, fake)
         req = self.last_output(tid)
@@ -461,33 +472,20 @@ class FakeCardCertReplay(Scripted):
     def script(self):
         yield from self.harvest_crt()
         # phase 1: fake terminal drains an honest card
-        yield H.StartCard(0)
-        n1 = self.own.scalar("atkn")
-        yield H.Deliver("C0", T.smult(n1, T.gen()))
-        z2 = self.last_output("C0")
-        k1 = self.session_key(n1, z2)
-        yield H.Deliver("C0", T.enc(self.crt_recipe, k1))
-        emc = self.last_output("C0")
-        pair = T.dec(k1, T.var(emc))
+        cid, k1 = yield from self.fake_terminal(0)
+        if k1 is None:
+            return                  # the card finished at the handshake
+        pair = T.dec(k1, T.var(self.last_output(cid)))
         b_old, bs_old = T.proj(1, pair), T.proj(2, pair)
-        tx_f = T.tup(self.own.data("atktx"), T.LO)
-        yield H.Deliver("C0", T.enc(T.tup(tx_f, T.BOT), k1))
-        eac = self.last_output("C0")
+        eac = yield from self.send_tx(cid, k1)
         opened = T.dec(k1, T.var(eac))
         ehac_old, flag_old = T.proj(1, opened), T.proj(2, opened)
         # phase 2: fake card built from the replayed pair
-        tid = f"T{self.obs.terminals_started}"
-        yield H.StartTerminal(1 if len(self.sc.terminals) > 1 else 0)
-        z1 = self.last_output(tid)
-        n2 = self.own.scalar("atkn")
-        yield H.Deliver(tid, T.smult(n2, T.gen()))
-        kt = self.session_key(n2, z1)
+        tid = yield from self.start(
+            H.StartTerminal(1 if len(self.sc.terminals) > 1 else 0))
+        kt = yield from self.handshake(tid, self.last_output(tid))
         yield H.Deliver(tid, T.enc(T.tup(b_old, bs_old), kt))
-        view = self.obs.session(tid)
-        if view.aborted:
-            return                  # honest terminal caught the replay
-        etx = self.last_output(tid)
-        tx1 = T.proj(1, T.dec(kt, T.var(etx)))
+        tx1 = T.proj(1, T.dec(kt, T.var(self.last_output(tid))))
         yield H.Deliver(tid, T.enc(T.tup(ehac_old, flag_old, tx1), kt))
         req = self.last_output(tid)
         yield H.DeliverBank(tid, T.var(req), source_alias=req)

@@ -489,6 +489,15 @@ def _parse_atom(tok: str) -> Term:
     return (NAME, tok, "data")
 
 
+def parse_all(text: str) -> tuple:
+    """The terms of a space-separated sequence, in order."""
+    toks, pos, terms = list(_tokenize(text)), 0, []
+    while pos < len(toks):
+        t, pos = _parse_tokens(toks, pos)
+        terms.append(t)
+    return tuple(terms)
+
+
 def parse(text: str) -> Term:
     toks = list(_tokenize(text))
     if not toks:

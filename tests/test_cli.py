@@ -375,6 +375,22 @@ def test_bad_flags_exit_with_one_line(tmp_path, monkeypatch, capsys, argv):
     assert_usage_error(capsys, cli.main(argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--trace", "dir"],
+    ["run", "--scenario", "dir"],
+    ["run", "--out", "dir"],
+    ["check", "--trace", "latin1.txt"],
+    ["run", "--scenario", "latin1.txt"],
+])
+def test_unreadable_files_exit_with_one_line(tmp_path, monkeypatch, capsys,
+                                             argv):
+    """A directory, or a file that is not UTF-8 text, is bad input."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.txt").write_bytes(b"protocol utx # \xe9\n")
+    assert_usage_error(capsys, cli.main(argv))
+
+
 def test_non_integer_seed_variable(capsys, monkeypatch):
     monkeypatch.setenv("UTXSIM_SEED", "abc")
     assert_usage_error(capsys, cli.main(["catalog"]))

@@ -195,17 +195,56 @@ def test_paired_frames_share_alias_domains():
     assert len(cards) == len([e for e in ideal.events if e.tag == "CRun"])
 
 
-def test_every_builtin_strategy_runs():
+PROTOCOLS = ("utx", "utx_multimonth", "utxl", "bdh", "ubdh")
+
+
+def _two_sessions(name, **kw):
+    return H.Scenario(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
+                      terminals=(("lo", None), ("lo", None)), strategy=name,
+                      replay_check=False, pin_leaked=name == "pin_probe", **kw)
+
+
+@pytest.mark.parametrize("world", ("real", "ideal"))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_builtin_strategy_runs(protocol, world):
+    """No program makes a move the runner refuses: a scripted attack stops
+    once the session it addresses has ended (chi_fake_card without a leaked
+    key, say, or fake_card_cert_replay against a bdh card)."""
     for name in builtin_strategies():
-        kw = dict(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
-                  terminals=(("lo", None), ("lo", None)),
-                  strategy=name, seed=1, replay_check=False)
-        if name == "chi_fake_card":
-            kw["chi_leaked"] = 1
-        if name == "pin_probe":
-            kw["pin_leaked"] = True
-        tr = H.run_scenario(H.Scenario(**kw))
+        tr = H.run_scenario(_two_sessions(name, protocol=protocol,
+                                          world=world, seed=1))
         assert tr.records, name
+
+
+def test_a_script_stops_at_a_session_that_has_ended():
+    """A terminal that verifies the month certificate rejects the replayed
+    pair, and the replay script makes no move after the abort."""
+    tr = H.run_scenario(replace(C.SCENARIOS["fake_card_no_checkv"],
+                                terminal_checks_month_cert=True))
+    assert tr.records[-1].kind == "abort"
+    assert tr.aborts == [("T1", "BadMonthCert")]
+
+
+# scripted runs that end when a session they address has ended; the pin
+# below leaves them out
+_STOPPED = {("month_probe", "bdh"), ("chi_fake_card", "utxl"),
+            ("chi_fake_card", "bdh"), ("chi_fake_card", "ubdh"),
+            ("fake_card_cert_replay", "bdh"),
+            ("fake_card_cert_replay", "ubdh")}
+
+
+def test_scripted_traces_pinned():
+    """Dumped traces of every scripted attack under each protocol, in both
+    worlds, at seeds 0-1, pinned byte for byte."""
+    runs = [_two_sessions(name, protocol=p, world=w, seed=seed,
+                          chi_leaked=1 if name == "chi_fake_card" else None)
+            for name, cls in S._CATALOG.items()
+            if issubclass(cls, S.Scripted)
+            for p in PROTOCOLS if (name, p) not in _STOPPED
+            for w in ("real", "ideal") for seed in (0, 1)]
+    assert len(runs) == 96
+    assert _digest(runs) == (
+        "87f9d7562677a50fffac515679358948a181f72f7e40a1c66e1da69cce0575ac")
 
 
 def test_fuzzer_keeps_agreement_events_well_formed():

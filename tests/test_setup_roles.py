@@ -275,6 +275,18 @@ def test_window_shifts_on_newest_month():
     assert r.abort == "StaleMonth"
 
 
+@pytest.mark.parametrize("window", [(1,), (0, 1), (0, 1, 2), (0, 1, 2, 3)])
+def test_window_keeps_its_length_as_it_slides(window):
+    fresh = T.FreshNames()
+    auth = S.make_authority(fresh, horizon=8)
+    cred = S.make_bank_credential(auth, fresh)
+    card = S.issue_card_multimonth(auth, fresh, window, card_id="c0")
+    for shift in (1, 2):
+        r = probe_month(fresh, auth, cred, card, card.window[-1], shift)
+        assert r.abort is None
+        assert card.window == tuple(m + shift for m in window)
+
+
 def test_event_arity_schema():
     with pytest.raises(ValueError, match="TComC takes 6 arguments, got 1"):
         R.Event("TComC", (T.gen(),), "s", "r")

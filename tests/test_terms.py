@@ -293,6 +293,15 @@ def test_text_roundtrip_on_normal_forms(depth, seed):
     assert T.parse(T.to_text(n)) == n
 
 
+@given(st.integers(0, 3), st.integers())
+@settings(max_examples=100, deadline=None)
+def test_parse_all_reads_a_sequence(count, seed):
+    rng = random.Random(seed)
+    ts = tuple(T.normalize(random_term(rng, 3, NAME_POOL))
+               for _ in range(count))
+    assert T.parse_all(" ".join(map(T.to_text, ts))) == ts
+
+
 @given(depths, st.integers())
 @settings(max_examples=200, deadline=None)
 def test_normal_form_shape_invariants(depth, seed):
