@@ -213,11 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--sessions", type=count, default=None)
         if world:
-            sp.add_argument("--world", choices=("real", "ideal"),
-                            default=None)
-        sp.add_argument("--protocol", default=None,
-                        choices=("utx", "utx_multimonth", "utxl",
-                                 "bdh", "ubdh"))
+            sp.add_argument("--world", choices=harness.WORLDS, default=None)
+        sp.add_argument("--protocol", default=None, choices=harness.PROTOCOLS)
         sp.add_argument("--replay-check", dest="replay_check",
                         action="store_true", default=None)
         sp.add_argument("--no-replay-check", dest="replay_check",

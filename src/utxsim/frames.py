@@ -494,9 +494,9 @@ class _Bijection:
         self._file(ia, where_a, 0)
         self._file(ib, where_b, 1)
         # pool only composition material: small recipes and destructor
-        # applications that reduced somewhere. Composites of fresh
-        # constructor images distinguish nothing their parts do not, except
-        # through a later reduction, and reductions re-enter here.
+        # applications that reduced somewhere. A constructor image never
+        # becomes a part, so a test over one is missed: h(h(w0)) = w2 tells
+        # [a, b, h(h(a))] from [a, b, h(c)], yet the pass holds.
         op = recipe[0]
         useful = size <= 1 or (
             op in (T.DEC, T.PROJ, T.CHECK, T.CHECKV)

@@ -64,10 +64,14 @@ class AlignmentFailure(Exception):
         self.step = step
 
 
+PROTOCOLS = ("utx", "utx_multimonth", "utxl", "bdh", "ubdh")
+WORLDS = ("real", "ideal")
+
+
 @dataclass(frozen=True)
 class Scenario:
-    protocol: str = "utx"            # utx | utx_multimonth | utxl | bdh | ubdh
-    world: str = "real"
+    protocol: str = "utx"            # one of PROTOCOLS
+    world: str = "real"              # one of WORLDS
     cards: int = 1
     issue_months: tuple = ()
     card_windows: tuple = ()         # multi-month window per card
@@ -97,9 +101,9 @@ class Scenario:
         """The checks on the fields a trace's SCEN header records. A dump
         records no terminals, so a parsed trace keeps the default onhi
         one, which validate() rejects for utxl."""
-        if self.protocol not in ("utx", "utx_multimonth", "utxl", "bdh", "ubdh"):
+        if self.protocol not in PROTOCOLS:
             raise ScenarioInvalid(f"unknown protocol {self.protocol}")
-        if self.world not in ("real", "ideal"):
+        if self.world not in WORLDS:
             raise ScenarioInvalid(f"unknown world {self.world}")
         for what, count in (("cards", self.cards), ("sessions", self.sessions)):
             if count < 0:
@@ -297,6 +301,7 @@ class _Session:
     session's view."""
     state: object                  # the role's CardState or TerminalState
     wired_card: str = ""           # card session that answered the handshake
+    mistypes: bool = False         # a terminal whose user mistypes the PIN
 
 
 @dataclass(frozen=True)
@@ -323,14 +328,9 @@ class Obs:
     """What the attacker sees before one action: read-only views of the
     runner's records, valid until the next Runner.apply."""
     sessions: MappingProxyType     # sid -> SessionView, in start order
-    terminals_started: int
     outputs: MappingProxyType      # alias -> actor, the full output log
-    card_sessions: int             # card sessions started
     live_cards: MappingProxyType   # card idx -> its live card sessions (> 0)
     holder: MappingProxyType       # pending alias -> the session holding it
-
-    def session(self, sid):
-        return self.sessions.get(sid)
 
 
 class _SysFresh(T.FreshNames):
@@ -456,9 +456,7 @@ class Runner:
     def observe(self) -> Obs:
         """The current observation; it reads the live records, so it is
         valid only until the next apply."""
-        views, outputs, live_cards, holder = self._proxies
-        return Obs(views, self.n_terms, outputs, self.n_card_sessions,
-                   live_cards, holder)
+        return Obs(*self._proxies)
 
     # -- actions ------------------------------------------------------------------
 
@@ -506,12 +504,13 @@ class Runner:
         mode, month = self.sc.terminals[cfg_idx]
         month = self.sc.current_month if month is None else month
         sid = f"T{self.n_terms}"
+        mistypes = self.n_terms in self.sc.wrong_pin_sessions
         self.n_terms += 1
         term = setup_phase.provision_terminal(
             self.cred, self.auth, self.fresh, month, mode,
             terminal_id=sid, **self._terminal_flags)
         term.session_id = sid
-        self.sessions[sid] = _Session(term)
+        self.sessions[sid] = _Session(term, mistypes=mistypes)
         self.views[sid] = SessionView(sid, "terminal", mode,
                                       term.stage_label())
         self._record("start", sid, f"terminal {mode} month={month}")
@@ -556,20 +555,19 @@ class Runner:
         else:
             user_pin = None
             if sess.state.wants_pin():
-                user_pin = self._user_pin(sid)
+                user_pin = self._user_pin(sess)
             res = roles.terminal_step(sess.state, value, self.fresh,
                                       user_pin=user_pin)
         self._absorb(sid, res)
 
-    def _user_pin(self, sid: str) -> Term:
+    def _user_pin(self, sess: _Session) -> Term:
         """PIN entry models a conscious purchase: the pad reads the real PIN
         only when the handshake reply came from an honest card; a decoy name
         otherwise. Scenario-selected sessions mistype."""
-        if int(sid[1:]) in self.sc.wrong_pin_sessions:
+        if sess.mistypes:
             return self.fresh.data("wrongpin")
-        wired = self.sessions[sid].wired_card
-        if wired:
-            return self.sessions[wired].state.pin
+        if sess.wired_card:
+            return self.sessions[sess.wired_card].state.pin
         return self.fresh.data("decoypin")
 
     def _deliver_bank(self, action: DeliverBank) -> None:

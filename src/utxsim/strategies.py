@@ -37,7 +37,9 @@ class Pump:
 
     Pairs terminal session i with a card session per the scenario schedule;
     sessions of one physical card run back to back. Every scheduled terminal
-    starts before any card, so start order is T0, T1, ..., then C0, C1, ...
+    starts before any card, in schedule order. The pump learns each sid as
+    the newest in obs.sessions after starting it, and records its rank (start
+    index); a card session and its pair's terminal are each other's peer.
 
     The next card session goes to the least pair at the head of an idle
     card's queue of unstarted pairs. The next message routed is the first,
@@ -55,16 +57,15 @@ class Pump:
     def __init__(self, sc: H.Scenario):
         self.sc = sc
         self.schedule = list(sc.resolved_schedule())
-        self.card_sid_of_pair: dict = {}
-        self.pair_of_card_sid: dict = {}
+        self.rank: dict = {}           # sid -> start index, in start order
+        self.peer: dict = {}           # terminal sid <-> its pair's card sid
+        self.starting = None           # terminal whose card was just started
         self.dropped: set = set()
-        self.queues: dict = {}         # card idx -> its unstarted pairs, in order
-        for pair, (card_idx, _) in enumerate(self.schedule):
-            self.queues.setdefault(card_idx, deque()).append(pair)
-        self.ready: list = []          # heap of (start key, sid)
+        self.queues: dict = {}         # card idx -> its unstarted pairs' terminals
+        self.ready: list = []          # heap of (rank, sid)
         self.in_ready: set = set()
         self.aside: set = set()        # pending aliases a visit found no route for
-        self.waiting: dict = {}        # pair -> aliases waiting for its card
+        self.waiting: dict = {}        # terminal -> aliases waiting for its card
         self.n_outputs = 0             # outputs whose holder was looked up
 
     # subclass hooks
@@ -72,34 +73,41 @@ class Pump:
         return None
 
     def decide(self, obs):
+        if len(self.rank) < len(obs.sessions):
+            self._learn(next(reversed(obs.sessions)))
         return self.intercept(obs) or self._start(obs) or self._route(obs)
+
+    def _learn(self, sid):
+        """Records the session that the last action started."""
+        n = self.rank[sid] = len(self.rank)
+        if n < len(self.schedule):      # the terminal of pair n
+            self.queues.setdefault(self.schedule[n][0], deque()).append(sid)
+            return
+        tsid = self.starting
+        self.peer[sid], self.peer[tsid] = tsid, sid
+        waiting = self.waiting.pop(tsid, ())
+        if waiting:
+            self.aside.difference_update(waiting)
+            self._make_ready(tsid)
 
     def _start(self, obs):
         """The first unstarted pair whose card is idle and whose terminal
         lives: the least head of the idle cards' queues, once each has shed
         the pairs whose terminal died."""
-        if obs.terminals_started < len(self.schedule):
-            return H.StartTerminal(self.schedule[obs.terminals_started][1])
+        if len(self.rank) < len(self.schedule):
+            return H.StartTerminal(self.schedule[len(self.rank)][1])
         best = None
         for card_idx, queue in self.queues.items():
             if card_idx in obs.live_cards:
                 continue
-            while queue and not obs.sessions[f"T{queue[0]}"].alive():
+            while queue and not obs.sessions[queue[0]].alive():
                 queue.popleft()
-            if queue and (best is None or queue[0] < best[0]):
-                best = queue[0], card_idx
+            if queue and (best is None or self.rank[queue[0]] < best[0]):
+                best = self.rank[queue[0]], card_idx
         if best is None:
             return None
-        pair, card_idx = best
-        self.queues[card_idx].popleft()
-        sid = f"C{obs.card_sessions}"
-        self.card_sid_of_pair[pair] = sid
-        self.pair_of_card_sid[sid] = pair
-        waiting = self.waiting.pop(pair, ())
-        if waiting:
-            self.aside.difference_update(waiting)
-            self._make_ready(f"T{pair}")
-        return H.StartCard(card_idx)
+        self.starting = self.queues[best[1]].popleft()
+        return H.StartCard(best[1])
 
     def _route_one(self, obs, view, alias, hint):
         if (view.sid, alias) in self.dropped:
@@ -110,12 +118,7 @@ class Pump:
             if not view.alive():
                 return None
             return H.Deliver(view.sid, T.var(alias), source_alias=alias)
-        if view.kind == "terminal":
-            pair = int(view.sid[1:])
-            target = obs.session(self.card_sid_of_pair.get(pair, ""))
-        else:
-            pair = self.pair_of_card_sid.get(view.sid)
-            target = obs.session(f"T{pair}") if pair is not None else None
+        target = obs.sessions.get(self.peer.get(view.sid))
         if target is None or not target.alive():
             return None
         return H.Deliver(target.sid, T.var(alias), source_alias=alias)
@@ -123,16 +126,14 @@ class Pump:
     def _make_ready(self, sid):
         if sid not in self.in_ready:
             self.in_ready.add(sid)
-            key = int(sid[1:]) + (len(self.schedule) if sid[0] == "C" else 0)
-            heapq.heappush(self.ready, (key, sid))
+            heapq.heappush(self.ready, (self.rank[sid], sid))
 
     def _set_aside(self, view, alias, hint):
         self.aside.add(alias)
         if (view.kind == "terminal" and hint == "to_card"
-                and (view.sid, alias) not in self.dropped):
-            pair = int(view.sid[1:])
-            if pair not in self.card_sid_of_pair:
-                self.waiting.setdefault(pair, []).append(alias)
+                and (view.sid, alias) not in self.dropped
+                and view.sid not in self.peer):
+            self.waiting.setdefault(view.sid, []).append(alias)
 
     def _route(self, obs):
         # every pending message is an output: the holders of the outputs
@@ -218,17 +219,18 @@ class ReplayCardReply(Pump):
 
     def _route_one(self, obs, view, alias, hint):
         act = super()._route_one(obs, view, alias, hint)
-        if (act is not None and view.kind == "card" and view.sid == "C0"
+        # the first card session starts right after the last terminal
+        if (act is not None and self.rank[view.sid] == len(self.schedule)
                 and self.stash is None and view.stage == "C5"):
             self.stash = alias
         return act
 
     def intercept(self, obs):
-        if not self.replayed and self.stash:
-            t1 = obs.session("T1")
-            if t1 is not None and t1.alive() and t1.stage.endswith("4"):
+        if not self.replayed and self.stash and len(self.schedule) > 1:
+            t1 = obs.sessions[next(islice(self.rank, 1, None))]  # 2nd terminal
+            if t1.alive() and t1.stage.endswith("4"):
                 self.replayed = True
-                return H.Deliver("T1", T.var(self.stash))
+                return H.Deliver(t1.sid, T.var(self.stash))
         return None
 
 
@@ -366,7 +368,7 @@ class Scripted:
         finished at the handshake (bdh)."""
         sid = yield from self.start(H.StartCard(card_idx))
         key = yield from self.handshake(sid)
-        if self.obs.session(sid).done:
+        if self.obs.sessions[sid].done:
             return sid, None
         yield H.Deliver(sid, T.enc(self.crt_recipe, key))
         return sid, key
@@ -408,7 +410,7 @@ class ProbeCards(Scripted):
             yield from self.harvest_crt()
         for card_idx, _ in self.sc.resolved_schedule():
             sid, key = yield from self.fake_terminal(card_idx)
-            if key is None or not self.obs.session(sid).alive():
+            if key is None or not self.obs.sessions[sid].alive():
                 continue            # the card session has ended
             yield from self.send_tx(sid, key, self.pin_slot)
 

@@ -435,12 +435,21 @@ def _index(tok: str) -> int:
         raise MalformedTerm(f"bad index {tok!r}") from None
 
 
-def _parse_tokens(toks: list[str], pos: int) -> tuple[Term, int]:
+# the deepest nesting of applications parse accepts: built-in runs nest
+# under 10, and a far deeper term would overrun the recursion of the parser
+# and of normalisation
+MAX_NESTING = 256
+
+
+def _parse_tokens(toks: list[str], pos: int,
+                  room: int = MAX_NESTING) -> tuple[Term, int]:
     tok = _token(toks, pos)
     if tok == ")":
         raise MalformedTerm("unexpected ')'")
     if tok != "(":
         return _parse_atom(tok), pos + 1
+    if not room:
+        raise MalformedTerm(f"term nested deeper than {MAX_NESTING}")
     head = _token(toks, pos + 1)
     pos += 2
     if head == "gen":
@@ -454,7 +463,7 @@ def _parse_tokens(toks: list[str], pos: int) -> tuple[Term, int]:
         return (CONST, "mm", k), pos + 2
     if head == "proj":
         idx = _index(_token(toks, pos))
-        body, pos = _parse_tokens(toks, pos + 1)
+        body, pos = _parse_tokens(toks, pos + 1, room - 1)
         if _token(toks, pos) != ")":
             raise MalformedTerm("proj takes an index and a term")
         return (PROJ, idx, body), pos + 1
@@ -463,7 +472,7 @@ def _parse_tokens(toks: list[str], pos: int) -> tuple[Term, int]:
         raise MalformedTerm(f"unknown operator {head!r}")
     args = []
     while _token(toks, pos) != ")":
-        arg, pos = _parse_tokens(toks, pos)
+        arg, pos = _parse_tokens(toks, pos, room - 1)
         args.append(arg)
     pos += 1
     if op == MULT:

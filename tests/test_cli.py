@@ -8,6 +8,7 @@ import pytest
 import utxsim.checks as C
 import utxsim.cli as cli
 import utxsim.harness as H
+import utxsim.terms as T
 
 
 def run_cli(capsys, *argv):
@@ -256,6 +257,34 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
             cut.write_text(mutated)
             _exits_cleanly(capsys, ["check", "--trace", str(cut)],
                            f"{name}: {how}")
+
+
+def test_deep_trace_terms_exit_cleanly(tmp_path, capsys):
+    """A trace term nested as deep as the parser accepts checks normally;
+    one level deeper exits 2 with one line, not a RecursionError."""
+    trace = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_onhi", "--out", str(trace))
+    text = trace.read_text()
+    lineno = text.count("\n") + 1
+
+    def nested(depth):
+        t = "a0"
+        for _ in range(depth):
+            t = f"(enc {t} k0)"
+        return t
+
+    for line in ("BIND w99 {}", "TARGET deep {}", "EV TAccept T0 T0 {} b0"):
+        for depth in (T.MAX_NESTING, T.MAX_NESTING + 1):
+            trace.write_text(text + line.format(nested(depth)) + "\n")
+            code = cli.main(["check", "--trace", str(trace)])
+            out, err = capsys.readouterr()
+            if depth == T.MAX_NESTING:
+                assert (code, err, out.count("CHECK")) == (0, "", 5)
+            else:
+                head = line.split()[0]
+                assert (code, out, err) == (2, "", (
+                    f"error: bad trace line {lineno} ({head}): "
+                    f"term nested deeper than {T.MAX_NESTING}\n"))
 
 
 def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):

@@ -243,7 +243,7 @@ def test_static_equiv_decryptability_probe():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2, open: a pass can miss a short test, since a "
+    "ROADMAP item 1, open: a pass can miss a short test, since a "
     "constructor image never joins the pool as a part"))
 def test_static_equiv_misses_hash_of_composite():
     a, b, c = T.name("a"), T.name("b"), T.name("c")
