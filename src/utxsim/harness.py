@@ -8,13 +8,14 @@ validated against the frame, so the attacker is never omniscient.
 
 The runner keeps each fact once: a session's public state only in its
 SessionView (which keeps the session's own last stage), the output log only
-in Runner.outputs, and what the attacker has seen only in its one Frame. That
-frame grows in place and is the trace's frame: the honest agents' name source
-adds every name it mints to its restricted set, and every output binds an
-alias in it. Three facts that could be read off the views are kept as the
-views change, so that no step scans every session: the live card sessions of
-each card, the number of card sessions started, and the session holding
-each pending alias. A trace record keeps the term it shows (an output's
+in Runner.outputs, each message in flight only in Runner.pending (alias ->
+the session holding it and its routing hint, in output order), and what the
+attacker has seen only in its one Frame. That frame grows in place and is
+the trace's frame: the honest agents' name source adds every name it mints
+to its restricted set, and every output binds an alias in it. Two facts that
+could be read off the views are kept as the views change, so that no step
+scans every session: the live card sessions of each card, and the number of
+card sessions started. A trace record keeps the term it shows (an output's
 bound image, a delivery's recipe) and renders its text only when the text is
 read, as a dump does; checking a run reads no record text.
 
@@ -132,8 +133,14 @@ class Scenario:
                 raise ScenarioInvalid(
                     f"card_window {' '.join(map(str, window))} "
                     "has a negative month")
+        if self.horizon > setup_phase.HORIZON:
+            raise ScenarioInvalid(
+                f"horizon {self.horizon} is above {setup_phase.HORIZON}")
         if self.max_steps < 0:
             raise ScenarioInvalid(f"max_steps {self.max_steps} is negative")
+        for n in self.wrong_pin_sessions:
+            if n < 0:
+                raise ScenarioInvalid(f"wrong_pin {n} is negative")
         for entry in self.schedule:
             if len(entry) != 2:
                 raise ScenarioInvalid(
@@ -306,15 +313,15 @@ class _Session:
 
 @dataclass(frozen=True)
 class SessionView:
-    """A session's public state, the only record of it. The runner replaces
-    the view whenever the session steps, so a finished session keeps the
-    stage it ended in even after a later session on the same real-world
-    card moves their shared card state on."""
+    """A session's public state, the only record of it; the messages it
+    holds are in Obs.pending. The runner replaces the view whenever the
+    session steps, so a finished session keeps the stage it ended in even
+    after a later session on the same real-world card moves their shared
+    card state on."""
     sid: str
     kind: str
     mode: str
     stage: str
-    pending: tuple = ()            # (alias, routing hint) pairs
     aborted: bool = False
     done: bool = False
     card_idx: int = -1
@@ -330,7 +337,8 @@ class Obs:
     sessions: MappingProxyType     # sid -> SessionView, in start order
     outputs: MappingProxyType      # alias -> actor, the full output log
     live_cards: MappingProxyType   # card idx -> its live card sessions (> 0)
-    holder: MappingProxyType       # pending alias -> the session holding it
+    pending: MappingProxyType      # alias -> (holding sid, routing hint),
+                                   # the messages in flight in output order
 
 
 class _SysFresh(T.FreshNames):
@@ -366,9 +374,9 @@ class Runner:
         self.n_cards_started: dict = {}
         self.n_card_sessions = 0
         self.live_cards: dict = {}     # card idx -> its live card sessions
-        self.holder: dict = {}         # pending alias -> the session holding it
+        self.pending: dict = {}        # alias -> (holding sid, routing hint)
         self._proxies = tuple(map(MappingProxyType, (
-            self.views, self.outputs, self.live_cards, self.holder)))
+            self.views, self.outputs, self.live_cards, self.pending)))
         self.n_terms = 0
         self.n_bank_requests = 0
         self._idx = 0
@@ -523,15 +531,6 @@ class Runner:
         # recipe_ok has checked the aliases that recipe_value would walk again
         return T.apply(self.frame.bindings, recipe)
 
-    def _consume_pending(self, alias: str) -> None:
-        sid = self.holder.pop(alias, None)
-        if sid is not None:
-            view = self.views[sid]
-            pending = tuple(e for e in view.pending if e[0] != alias)
-            self.views[sid] = SessionView(
-                sid, view.kind, view.mode, view.stage, pending, view.aborted,
-                view.done, view.card_idx)
-
     def _deliver(self, action: Deliver) -> None:
         sid = action.sid
         view = self.views.get(sid)
@@ -540,7 +539,7 @@ class Runner:
         sess = self.sessions[sid]
         value = self._value_of(action.recipe)
         if action.source_alias:
-            self._consume_pending(action.source_alias)
+            self.pending.pop(action.source_alias, None)
             if view.kind == "terminal" and sess.state.stage == 2:
                 origin = self.views.get(self.outputs.get(action.source_alias))
                 if origin is not None and origin.kind == "card":
@@ -576,58 +575,49 @@ class Runner:
         if view is None or view.kind != "terminal":
             raise StrategyError("bank endpoint needs a terminal session")
         value = self._value_of(action.recipe)
-        if action.source_alias:
-            self._consume_pending(action.source_alias)
+        self.pending.pop(action.source_alias, None)
         sid = f"B{self.n_bank_requests}.{tsid}"
         self.n_bank_requests += 1
         self._record("deliver", sid, action.recipe, action.source_alias)
         res = roles.bank_step(self.bank, self.sessions[tsid].state.kbt,
                               value, sid)
-        for e in res.events:
-            self.trace.events.append(e)
-            self._record("event", sid, e.tag)
-        replies = tuple((self._publish(out, sid), "to_terminal")
-                        for out in res.outputs)
-        for alias, _ in replies:
-            self.holder[alias] = tsid
-        view = self.views[tsid]         # _consume_pending may have replaced it
-        self.views[tsid] = SessionView(
-            tsid, view.kind, view.mode, view.stage, view.pending + replies,
-            view.aborted, view.done, view.card_idx)
-        if res.abort:
-            self.trace.aborts.append((sid, res.abort))
-            self._record("abort", sid, res.abort)
+        self._record_step(sid, tsid, res, "to_terminal")
 
     def _absorb(self, sid: str, res: roles.StepResult) -> None:
         view, state = self.views[sid], self.sessions[sid].state
-        for e in res.events:
-            self.trace.events.append(e)
-            self._record("event", sid, e.tag)
-        hint = "to_terminal" if view.kind == "card" else "to_card"
-        pending = list(view.pending)
-        for out in res.outputs:
-            alias = self._publish(out, sid)
-            out = self.frame.bindings[alias]    # its normal form
-            if out == T.AUTH:
-                continue             # a verdict signal, not a protocol message
-            if (view.kind == "terminal" and state.stage == 9
-                    and state.req is not None and out == state.req):
-                pending.append((alias, "to_bank"))
-            else:
-                pending.append((alias, hint))
-            self.holder[alias] = sid
-        if res.abort:
-            self.trace.aborts.append((sid, res.abort))
-            self._record("abort", sid, res.abort)
-        stage = state.stage if view.kind == "card" else state.stage_label()
+        if view.kind == "card":
+            self._record_step(sid, sid, res, "to_terminal")
+            stage = state.stage
+        else:
+            # the bank request goes to the bank, the rest to the card
+            req = state.req if state.stage == 9 else None
+            self._record_step(sid, sid, res, "to_card", req)
+            stage = state.stage_label()
         # only a live session steps, so this step's abort/done are its own
         self.views[sid] = SessionView(sid, view.kind, view.mode, stage,
-                                      tuple(pending), bool(res.abort),
-                                      res.done, view.card_idx)
+                                      bool(res.abort), res.done, view.card_idx)
         if view.kind == "card" and (res.abort or res.done):
             left = self.live_cards.pop(view.card_idx) - 1
             if left:
                 self.live_cards[view.card_idx] = left
+
+    def _record_step(self, actor: str, holder: str, res: roles.StepResult,
+                     hint: str, to_bank=None) -> None:
+        """Records a step's events, outputs and abort under actor, and files
+        each output but auth as pending at holder: to the bank if it is
+        to_bank, else along hint."""
+        for e in res.events:
+            self.trace.events.append(e)
+            self._record("event", actor, e.tag)
+        for out in res.outputs:
+            alias = self._publish(out, actor)
+            out = self.frame.bindings[alias]    # its normal form
+            if out != T.AUTH:        # a verdict signal, not a protocol message
+                self.pending[alias] = (
+                    holder, "to_bank" if out == to_bank else hint)
+        if res.abort:
+            self.trace.aborts.append((actor, res.abort))
+            self._record("abort", actor, res.abort)
 
 
 def run_scenario(sc: Scenario) -> Trace:

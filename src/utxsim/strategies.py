@@ -42,14 +42,15 @@ class Pump:
     index); a card session and its pair's terminal are each other's peer.
 
     The next card session goes to the least pair at the head of an idle
-    card's queue of unstarted pairs. The next message routed is the first,
-    in start order and then pending order, that has a route. Instead of
-    walking every session for it, the pump keeps the sessions that may hold
-    one in a heap (ready) and sets aside each message a visit found without
-    a route (aside): for good when it is dropped or bound for a dead
-    session, which never comes back to life; a terminal's message for the
-    card of a pair that has none yet waits until that card session starts.
-    Skipping set-aside messages therefore changes no decision.
+    card's queue of unstarted pairs. The next message routed is the first
+    pending one, by its holder's rank and then output order, that has a
+    route. Instead of walking every pending message for it, the pump keeps
+    the ones it has looked up on one heap (messages) and pops each message a
+    visit finds without a route: for good when it is dropped or bound for a
+    dead session, which never comes back to life; a terminal's message for
+    the card of a pair that has none yet waits until that card session
+    starts, and then goes back on the heap. Popping a message that has no
+    route therefore changes no decision.
     """
 
     name = "passive"
@@ -62,11 +63,9 @@ class Pump:
         self.starting = None           # terminal whose card was just started
         self.dropped: set = set()
         self.queues: dict = {}         # card idx -> its unstarted pairs' terminals
-        self.ready: list = []          # heap of (rank, sid)
-        self.in_ready: set = set()
-        self.aside: set = set()        # pending aliases a visit found no route for
-        self.waiting: dict = {}        # terminal -> aliases waiting for its card
-        self.n_outputs = 0             # outputs whose holder was looked up
+        self.messages: list = []       # heap of (holder's rank, output idx, alias)
+        self.waiting: dict = {}        # terminal -> entries waiting for its card
+        self.n_outputs = 0             # outputs looked up in obs.pending
 
     # subclass hooks
     def intercept(self, obs):
@@ -85,10 +84,8 @@ class Pump:
             return
         tsid = self.starting
         self.peer[sid], self.peer[tsid] = tsid, sid
-        waiting = self.waiting.pop(tsid, ())
-        if waiting:
-            self.aside.difference_update(waiting)
-            self._make_ready(tsid)
+        for entry in self.waiting.pop(tsid, ()):
+            heapq.heappush(self.messages, entry)
 
     def _start(self, obs):
         """The first unstarted pair whose card is idle and whose terminal
@@ -123,40 +120,26 @@ class Pump:
             return None
         return H.Deliver(target.sid, T.var(alias), source_alias=alias)
 
-    def _make_ready(self, sid):
-        if sid not in self.in_ready:
-            self.in_ready.add(sid)
-            heapq.heappush(self.ready, (self.rank[sid], sid))
-
-    def _set_aside(self, view, alias, hint):
-        self.aside.add(alias)
-        if (view.kind == "terminal" and hint == "to_card"
-                and (view.sid, alias) not in self.dropped
-                and view.sid not in self.peer):
-            self.waiting.setdefault(view.sid, []).append(alias)
-
     def _route(self, obs):
-        # every pending message is an output: the holders of the outputs
-        # made since the last call may hold new ones
-        new = len(obs.outputs) - self.n_outputs
-        if new:
-            self.n_outputs += new
-            for alias in islice(reversed(obs.outputs), new):
-                sid = obs.holder.get(alias)
-                if sid is not None:
-                    self._make_ready(sid)
-        while self.ready:
-            sid = self.ready[0][1]
+        # every pending message is an output: queue the pending ones among
+        # the outputs made since the last call
+        end = len(obs.outputs)
+        for idx, alias in zip(range(end - 1, self.n_outputs - 1, -1),
+                              reversed(obs.outputs)):
+            held = obs.pending.get(alias)
+            if held is not None:
+                heapq.heappush(self.messages, (self.rank[held[0]], idx, alias))
+        self.n_outputs = end
+        while self.messages:
+            entry = heapq.heappop(self.messages)
+            sid, hint = obs.pending[entry[2]]
             view = obs.sessions[sid]
-            for alias, hint in view.pending:
-                if alias in self.aside:
-                    continue
-                act = self._route_one(obs, view, alias, hint)
-                if act is not None:
-                    return act
-                self._set_aside(view, alias, hint)
-            heapq.heappop(self.ready)
-            self.in_ready.discard(sid)
+            act = self._route_one(obs, view, entry[2], hint)
+            if act is not None:
+                return act
+            if (view.kind == "terminal" and hint == "to_card"
+                    and sid not in self.peer):
+                self.waiting.setdefault(sid, []).append(entry)
         return None
 
 
@@ -246,9 +229,9 @@ class Reflect(Pump):
 
     def _route_one(self, obs, view, alias, hint):
         act = super()._route_one(obs, view, alias, hint)
-        # any visit counts, routed or not; the pump sets aside only messages
-        # it has visited, so the first visit of a card's message still comes
-        # at the same step
+        # any visit counts, routed or not; the pump pops only messages it
+        # has visited, so the first visit of a card's message still comes at
+        # the same step
         if view.kind == "card" and self.z2_seen is None:
             self.z2_seen = alias
         return act
@@ -302,10 +285,12 @@ class Fuzzer(Pump):
         if kind == 0 and obs.outputs:
             alias = list(obs.outputs)[self.rng.randrange(len(obs.outputs))]
             return H.Deliver(target.sid, T.var(alias))
-        if kind == 1 and target.pending:
-            alias, _ = target.pending[0]
-            self.dropped.add((target.sid, alias))
-            return None
+        if kind == 1:
+            held = [a for a, (sid, _) in obs.pending.items()
+                    if sid == target.sid]
+            if held:
+                self.dropped.add((target.sid, held[0]))
+                return None
         return H.Deliver(target.sid, self._random_recipe(obs))
 
 

@@ -466,7 +466,7 @@ def _parse_tokens(toks: list[str], pos: int,
         body, pos = _parse_tokens(toks, pos + 1, room - 1)
         if _token(toks, pos) != ")":
             raise MalformedTerm("proj takes an index and a term")
-        return (PROJ, idx, body), pos + 1
+        return proj(idx, body), pos + 1
     op = _OPS_BY_NAME.get(head)
     if op is None:
         raise MalformedTerm(f"unknown operator {head!r}")

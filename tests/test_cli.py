@@ -287,6 +287,21 @@ def test_deep_trace_terms_exit_cleanly(tmp_path, capsys):
                     f"term nested deeper than {T.MAX_NESTING}\n"))
 
 
+@pytest.mark.parametrize("line", ["BIND w0 (proj 0 a)",
+                                  "TARGET x (proj 0 a)"])
+def test_projection_index_below_one_in_trace_exits_cleanly(tmp_path, capsys,
+                                                          line):
+    path = tmp_path / "tr.txt"
+    path.write_text("SCEN protocol=utx world=real seed=0 cards=1 sessions=1 "
+                    f"strategy=passive\nREST a\n{line}\n")
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    head = line.split()[0]
+    assert (code, captured.out, captured.err) == (2, "", (
+        f"error: bad trace line 3 ({head}): "
+        "projection index must be positive\n"))
+
+
 def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
     # a frame binds each alias once; a repeated BIND line is not a trace
     path = tmp_path / "tr.txt"
@@ -352,6 +367,8 @@ def assert_usage_error(capsys, code):
      "card_window -1 0 1 has a negative month"),
     ("cards -2\nsessions 0", [], "cards -2 is negative"),
     ("max_steps -7", [], "max_steps -7 is negative"),
+    ("wrong_pin -1", [], "wrong_pin -1 is negative"),
+    ("horizon 62", [], "horizon 62 is above 61"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
                                                    flags, field):

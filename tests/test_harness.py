@@ -85,12 +85,20 @@ def _digest(scenarios):
 
 def test_pinned_traces():
     """Dumped traces pinned byte for byte: the built-in scenarios in both
-    worlds, and many-card attacker runs that stress scheduling."""
+    worlds, each also under every honest-pump program, and many-card
+    attacker runs that stress scheduling."""
     builtins = [replace(sc, seed=s, world=w)
                 for _, sc in sorted(C.SCENARIOS.items())
                 for s in range(4) for w in ("real", "ideal")]
     assert _digest(builtins) == (
         "163771c4a0668aa94c96c7a5d4b6535dde7d67b28aea51cc57acde434f75c99a")
+    pumped = [replace(sc, strategy=name, world=w, seed=s)
+              for _, sc in sorted(C.SCENARIOS.items())
+              for name, cls in S._CATALOG.items() if issubclass(cls, S.Pump)
+              for w in ("real", "ideal") for s in range(3)]
+    assert len(pumped) == 612
+    assert _digest(pumped) == (
+        "35da3e08bca5016a2655d5775c95cef25d1987a8f7208f3de5fcf8bc50f78244")
     strategies = ("passive", "fuzzer", "drop", "replay_bank_request",
                   "replay_card_reply", "reflect")
     terminals = (("onhi", None), ("offhi", None), ("lo", None))
@@ -264,16 +272,43 @@ _ATTACKERS = ("passive", "fuzzer", "drop", "replay_bank_request",
               "replay_card_reply", "reflect")
 
 
-def _assert_records(runner, strategy, obs):
+def _pending_from_records(runner):
+    """The messages in flight, rebuilt from the trace records: the outputs
+    of session steps and bank requests, less auth and less the aliases
+    delivered with source_alias, each hinted by its sender."""
+    views, bindings = runner.views, runner.frame.bindings
+    pending, prev = {}, ""
+    for r in runner.trace.records:
+        if r.kind == "deliver" and r.alias:
+            pending.pop(r.alias, None)
+        # a session's first output is its challenge, not a message
+        elif (r.kind == "output" and prev != "start"
+              and bindings[r.alias] != T.AUTH):
+            if r.actor.startswith("B"):            # a bank request's reply
+                pending[r.alias] = (r.actor.partition(".")[2], "to_terminal")
+            elif r.actor in views:
+                if views[r.actor].kind == "card":
+                    hint = "to_terminal"
+                elif bindings[r.alias] == runner.sessions[r.actor].state.req:
+                    hint = "to_bank"
+                else:
+                    hint = "to_card"
+                pending[r.alias] = (r.actor, hint)
+        prev = r.kind
+    return pending
+
+
+def _assert_records(runner, strategy, obs, action):
     """The runner's and the pump's incremental records equal a scan of the
-    views from scratch; obs is what the strategy has just decided on."""
+    views and the trace from scratch; obs is what the strategy has just
+    decided on, and action what it decided."""
     views = runner.views
     assert runner.live_cards == Counter(
         v.card_idx for v in views.values() if v.kind == "card" and v.alive())
     assert runner.n_card_sessions == sum(
         v.kind == "card" for v in views.values())
-    assert runner.holder == {alias: sid for sid, v in views.items()
-                             for alias, _ in v.pending}
+    assert list(runner.pending.items()) == \
+        list(_pending_from_records(runner).items())
     if not isinstance(strategy, S.Pump):
         return
     # the pump has learned every session's rank, its start index; a card
@@ -284,24 +319,28 @@ def _assert_records(runner, strategy, obs):
     for sid, v in views.items():
         if v.kind == "card":
             assert strategy.schedule[rank[peer[sid]]][0] == v.card_idx
-    # every session holding a pending message that the pump has looked up
-    # (the outputs before n_outputs) and not set aside is ready, and the
-    # ready heap orders sessions by rank
-    assert strategy.in_ready == {sid for _, sid in strategy.ready}
-    assert all(rank[sid] == key for key, sid in strategy.ready)
-    noted = set(list(obs.outputs)[:strategy.n_outputs])
-    assert {sid for sid, v in views.items()
-            if any(a in noted and a not in strategy.aside
-                   for a, _ in v.pending)} <= strategy.in_ready
-    # a pending message set aside has no route; one waiting for its pair's
-    # card sits on a terminal that has no card session yet
-    for alias, sid in obs.holder.items():
-        if alias in strategy.aside:
-            assert S.Pump._route_one(strategy, obs, views[sid], alias,
-                                     dict(views[sid].pending)[alias]) is None
-    for tsid, aliases in strategy.waiting.items():
+    # the message heap is a heap of pending messages, each keyed by its
+    # holder's rank and its output index
+    index = {alias: n for n, alias in enumerate(obs.outputs)}
+    heap = strategy.messages
+    assert all(heap[(n - 1) // 2] <= heap[n] for n in range(1, len(heap)))
+    waiting = [e for entries in strategy.waiting.values() for e in entries]
+    for key, idx, alias in heap + waiting:
+        assert key == rank[obs.pending[alias][0]] and idx == index[alias]
+    # a waiting message sits on a terminal that has no card session yet
+    for tsid, entries in strategy.waiting.items():
         assert views[tsid].kind == "terminal" and tsid not in peer
-        assert all(obs.holder.get(a, tsid) == tsid for a in aliases)
+        assert all(obs.pending[a] == (tsid, "to_card") for _, _, a in entries)
+    # every pending message the pump has looked up (the outputs before
+    # n_outputs), but the one it routes now, is on the heap, is waiting, or
+    # has no route
+    queued = {alias for _, _, alias in heap + waiting}
+    routed = getattr(action, "source_alias", "")
+    for alias in list(obs.outputs)[:strategy.n_outputs]:
+        if alias in obs.pending and alias not in queued and alias != routed:
+            sid, hint = obs.pending[alias]
+            assert S.Pump._route_one(strategy, obs, views[sid], alias,
+                                     hint) is None
     # each card's queue is the terminals of its unstarted pairs, less a
     # prefix of terminals that died
     for card_idx, queue in strategy.queues.items():
@@ -316,7 +355,8 @@ def _assert_records(runner, strategy, obs):
 class _RenamedSids:
     """A runner as a strategy sees it when every session id is renamed by a
     bijection that tells nothing of the ids the runner mints: in the session
-    views and their keys, the holders, and the actors of outputs."""
+    views and their keys, the holders of pending messages, and the actors
+    of outputs."""
 
     def __init__(self, runner):
         self.runner = runner
@@ -335,9 +375,10 @@ class _RenamedSids:
         outputs = {alias: actor if actor == "bulletin"
                    or actor.startswith("opin") else self._rename(actor)
                    for alias, actor in obs.outputs.items()}
-        holder = {alias: self.new[sid] for alias, sid in obs.holder.items()}
+        pending = {alias: (self.new[sid], hint)
+                   for alias, (sid, hint) in obs.pending.items()}
         return H.Obs(*map(MappingProxyType, (
-            sessions, outputs, dict(obs.live_cards), holder)))
+            sessions, outputs, dict(obs.live_cards), pending)))
 
     def apply(self, action):
         if isinstance(action, H.Deliver):
@@ -355,7 +396,7 @@ def _run_checking_records(sc):
     for _ in range(sc.max_steps):
         obs = renamed.observe()
         action = strategy.decide(obs)
-        _assert_records(runner, strategy, obs)
+        _assert_records(runner, strategy, obs, action)
         if action is None:
             break
         renamed.apply(action)

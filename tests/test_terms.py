@@ -93,7 +93,8 @@ def test_malformed():
         T.proj(0, M)
     with pytest.raises(T.MalformedTerm):
         T.normalize((T.TUP, (M,)))
-    for text in ("(enc m", "(proj 1", "(", "(mm x)", "(proj one m)"):
+    for text in ("(enc m", "(proj 1", "(", "(mm x)", "(proj one m)",
+                 "(proj 0 m)", "(hash (proj -1 m))"):
         with pytest.raises(T.MalformedTerm):
             T.parse(text)
 
