@@ -19,6 +19,10 @@ card sessions started. A trace record keeps the term it shows (an output's
 bound image, a delivery's recipe) and renders its text only when the text is
 read, as a dump does; checking a run reads no record text.
 
+A delivered value is a normal form, which the roles take as given. A forward
+is a bare alias, so its value is the alias's binding, normal since
+Frame.bind; any other recipe is checked against the frame and evaluated.
+
 An observation costs the same however long the run: Obs hands the strategy
 read-only views of the runner's own dicts, not copies. An Obs is therefore
 valid only until the next apply, which changes what it shows; run_scenario
@@ -251,12 +255,14 @@ def parse_trace(text: str) -> Trace:
                 alias, _, img = rest.partition(" ")
                 if alias in bindings:
                     raise ValueError(f"alias {alias} is bound twice")
-                bindings[alias] = T.parse(img)
+                # a frame holds normal forms, as Frame.bind makes them
+                bindings[alias] = T.normalize(T.parse(img))
             elif head == "EV":
                 tag, _, rest = rest.partition(" ")
                 sid, _, rest = rest.partition(" ")
                 role, _, args = rest.partition(" ")
-                args = T.parse_all(args)
+                # agreement matches event arguments structurally
+                args = tuple(map(T.normalize, T.parse_all(args)))
                 tr.events.append(roles.Event(tag, args, sid, role))
             elif head == "ABORT":
                 sid, _, reason = rest.partition(" ")
@@ -526,6 +532,9 @@ class Runner:
         self._absorb(sid, roles.terminal_step(term, None, self.fresh))
 
     def _value_of(self, recipe: Term) -> Term:
+        # a forward is a bare alias: its value is its binding, a normal form
+        if recipe[0] == T.VAR and recipe[1] in self.frame.bindings:
+            return self.frame.bindings[recipe[1]]
         if not frames.recipe_ok(self.frame, recipe):
             raise StrategyError(f"recipe not constructible: {T.to_text(recipe)}")
         # recipe_ok has checked the aliases that recipe_value would walk again
@@ -647,6 +656,11 @@ def run_paired(sc: Scenario):
 
 
 def make_strategy(sc: Scenario):
-    from .strategies import make_strategy as factory
-    return factory(sc)
+    """The scenario's attacker program; run_scenario looks it up here."""
+    return strategies.make_strategy(sc)
+
+
+# strategies imports this module, so it is imported once Scenario and the
+# actions it builds on are defined
+from . import strategies  # noqa: E402
 

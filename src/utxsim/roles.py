@@ -1,10 +1,16 @@
 """Card, terminal and bank state machines.
 
 Each role is a deterministic step function over an explicit state: feed it
-the next incoming message (a normal-form term), get back outputs, emitted
-events, and possibly an abort. Stages carry the conventional labels
-(C1..C7, TONH1..11, TOFH1..11, TLO1..10, B1..B4) so traces can cite exact
-protocol positions.
+the next incoming message, get back outputs, emitted events, and possibly an
+abort. Stages carry the conventional labels (C1..C7, TONH1..11, TOFH1..11,
+TLO1..10, B1..B4) so traces can cite exact protocol positions.
+
+The incoming message must be a normal form, as every value the harness
+delivers is, and a step does not normalize it again. Its parts and the
+state's keys are normal too, so a destructor applied to them (dec, check,
+checkv) is rewritten by T.norm_root, at the root only and without the term
+memo; a nested construction, or one over a part that is not normal, goes
+through T.normalize. Every output is a normal form.
 
 Control roles for the key-establishment baselines (linkable blinded DH and
 its unlinkable truncation) are provided as flags on the card/terminal
@@ -103,7 +109,6 @@ class CardState:
 
 
 def card_step(s: CardState, incoming: Term, fresh: T.FreshNames) -> StepResult:
-    incoming = T.normalize(incoming)
     if s.stage == "C1":
         return _card_handshake(s, incoming, fresh)
     if s.stage == "C3":
@@ -129,7 +134,7 @@ def _card_handshake(s: CardState, z1: Term, fresh: T.FreshNames) -> StepResult:
 
 
 def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
-    dm = T.normalize(T.dec(s.k_c, m))
+    dm = T.norm_root(T.dec(s.k_c, m))
     parts = _tuple_items(dm, 2)
     if parts is None:
         return _fail("MalformedInput")
@@ -141,7 +146,7 @@ def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
     k = T.month_index(month_term)
     if k is None:
         return _fail("MalformedInput")
-    if T.normalize(T.check(s.authority_vk, mc_s)) != mc:
+    if T.norm_root(T.check(s.authority_vk, mc_s)) != mc:
         return _fail("BadCertificate")
     outcome = _month_decision(s, k, fresh)
     if outcome is not None:
@@ -184,7 +189,7 @@ def _month_decision(s: CardState, k: int, fresh: T.FreshNames):
 
 
 def _card_cryptogram(s: CardState, x: Term) -> StepResult:
-    dx = T.normalize(T.dec(s.k_c, x))
+    dx = T.norm_root(T.dec(s.k_c, x))
     parts = _tuple_items(dx, 2)
     if parts is None:
         return _fail("MalformedInput")
@@ -263,7 +268,6 @@ def terminal_step(s: TerminalState, incoming: Optional[Term],
         s.z1 = T.normalize(T.smult(s.t, T.gen()))
         s.stage = 2
         return StepResult(outputs=[s.z1])
-    incoming = T.normalize(incoming)
     if s.stage == 2:
         s.z2 = incoming
         s.k_t = T.normalize(T.h(T.smult(s.t, s.z2)))
@@ -284,13 +288,13 @@ def terminal_step(s: TerminalState, incoming: Optional[Term],
 
 
 def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
-    dn = T.normalize(T.dec(s.k_t, n))
+    dn = T.norm_root(T.dec(s.k_t, n))
     parts = _tuple_items(dn, 2)
     if parts is None:
         return _fail("MalformedInput")
     b, b_s = parts
     if s.checks_month_cert:
-        if T.normalize(T.checkv(s.pk_mm, b_s)) != b:
+        if T.norm_root(T.checkv(s.pk_mm, b_s)) != b:
             return _fail("BadMonthCert")
         # binding the pair to the handshake key defeats replayed pairs; the
         # linkable baseline never had this check
@@ -311,7 +315,7 @@ def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
 
 
 def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
-    dy = T.normalize(T.dec(s.k_t, y))
+    dy = T.norm_root(T.dec(s.k_t, y))
     parts = _tuple_items(dy, 3)
     if parts is None:
         return _fail("MalformedInput")
@@ -334,7 +338,7 @@ def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
 
 
 def _terminal_bank_reply(s: TerminalState, r: Term) -> StepResult:
-    dr = T.normalize(T.dec(s.kbt, r))
+    dr = T.norm_root(T.dec(s.kbt, r))
     parts = _tuple_items(dr, 2)
     if parts is None:
         return _fail("MalformedInput")
@@ -373,8 +377,7 @@ class BankAgent:
 def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResult:
     """One full request: the internal database read is not a network step,
     so a single call walks B1 through B4."""
-    x = T.normalize(x)
-    dx = T.normalize(T.dec(kbt, x))
+    dx = T.norm_root(T.dec(kbt, x))
     parts = _tuple_items(dx, 4)
     if parts is None:
         return _fail("MalformedInput")

@@ -40,7 +40,10 @@ term's fields, then applies norm_root(), the one table of root rewrites.
 norm_root(t) is the memo-free entry point for a term whose fields are already
 normal forms, such as a constructor applied to normal parts. It rewrites at
 the root only and normalizes no field; on such a term it equals normalize(t).
-Its result on a term with a non-normal field is unspecified.
+Its result on a term with a non-normal field is unspecified. Its callers are
+saturation and the distinguisher, which apply one operator to frame images,
+and the roles, which open a delivered message (normal, as are their keys)
+with one dec, check or checkv.
 
 All operations are pure; terms are immutable tuples, safe to share freely.
 """

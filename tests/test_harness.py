@@ -11,6 +11,7 @@ import pytest
 import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
+import utxsim.roles as R
 import utxsim.strategies as S
 import utxsim.terms as T
 from utxsim.strategies import builtin_strategies
@@ -506,3 +507,38 @@ def test_runner_binds_variable_free_images():
             assert tr.frame.bindings
             assert not any(T.free_vars(img)
                            for img in tr.frame.bindings.values())
+
+
+def test_role_steps_see_and_give_normal_forms(monkeypatch):
+    """Every value the runner delivers to a role step, and every output a
+    step gives, is a normal form: the roles take their input as given and
+    open it with T.norm_root, and a forward's value is its binding."""
+    seen = Counter()
+
+    def normal(t, what):
+        assert T.normalize(t) == t, f"{what} {T.to_text(t)}"
+
+    def checked(name, inner, arg):
+        def step(*args, **kw):
+            if args[arg] is not None:
+                normal(args[arg], f"{name} input")
+                seen[name] += 1
+            res = inner(*args, **kw)
+            for out in res.outputs:
+                normal(out, f"{name} output")
+            return res
+        return step
+
+    # the incoming message is argument 1 of a card or terminal step and
+    # argument 2 of a bank step
+    for name, arg in (("card_step", 1), ("terminal_step", 1),
+                      ("bank_step", 2)):
+        monkeypatch.setattr(R, name, checked(name, getattr(R, name), arg))
+    for _, sc in sorted(C.SCENARIOS.items()):
+        for strategy in builtin_strategies():
+            for world in H.WORLDS:
+                for seed in range(3):
+                    H.run_scenario(replace(sc, strategy=strategy, world=world,
+                                           seed=seed))
+    assert all(seen[name] for name in ("card_step", "terminal_step",
+                                       "bank_step")), seen
