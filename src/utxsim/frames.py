@@ -380,8 +380,7 @@ class _Bijection:
     recipes feed further levels.
 
     Images are evaluated incrementally: a level-0 seed is substituted and
-    normalized in each frame (an alias's images are its bindings, which
-    are normal forms), and each pool entry keeps both images, so a
+    normalized in each frame, and each pool entry keeps both images, so a
     composed candidate's image is its root over its parts' images,
     rewritten at the root by T.norm_root, not looked up in the term memo.
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
@@ -453,15 +452,11 @@ class _Bijection:
         self.keys = 0
 
     def seed(self, recipe: Term):
-        if recipe[0] == T.VAR:
-            # an alias: its images are its bindings, normal since bind
-            ia, ib = self.sub_a[recipe[1]], self.sub_b[recipe[1]]
-        else:
-            try:
-                ia = T.apply(self.sub_a, recipe)
-                ib = T.apply(self.sub_b, recipe)
-            except T.MalformedTerm:
-                return None
+        try:
+            ia = T.apply(self.sub_a, recipe)
+            ib = T.apply(self.sub_b, recipe)
+        except T.MalformedTerm:
+            return None
         if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
         return self.admit(recipe, 1, ia, ib)

@@ -261,8 +261,7 @@ def parse_trace(text: str) -> Trace:
                 tag, _, rest = rest.partition(" ")
                 sid, _, rest = rest.partition(" ")
                 role, _, args = rest.partition(" ")
-                # agreement matches event arguments structurally
-                args = tuple(map(T.normalize, T.parse_all(args)))
+                args = T.parse_all(args)
                 tr.events.append(roles.Event(tag, args, sid, role))
             elif head == "ABORT":
                 sid, _, reason = rest.partition(" ")

@@ -302,10 +302,9 @@ def test_projection_index_below_one_in_trace_exits_cleanly(tmp_path, capsys,
         "projection index must be positive\n"))
 
 
-def test_trace_terms_are_read_as_normal_forms(tmp_path, capsys):
-    """A BIND image or an event argument is the message it equals:
-    (proj 1 (tuple m k)) is m, so a trace that binds it leaks m, and an
-    honest trace that writes an event argument so still agrees."""
+def test_trace_bind_images_are_read_as_normal_forms(tmp_path, capsys):
+    """A BIND image is the message it equals: (proj 1 (tuple m k)) is m,
+    so a trace that binds it leaks m."""
     path = tmp_path / "tr.txt"
     path.write_text("SCEN protocol=utx world=real seed=0 cards=0 sessions=0 "
                     "strategy=passive\nREST m k\n"
@@ -314,15 +313,6 @@ def test_trace_terms_are_read_as_normal_forms(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().out.splitlines()[-1] == \
         "CHECK secrecy violated s<-?w0"
-    run_cli(capsys, "run", "--scenario", "honest_onhi", "--out", str(path))
-    text = path.read_text()
-    z1 = "EV TComC T0 T0 (smult $t0 (gen))"
-    assert z1 in text
-    path.write_text(text.replace(
-        z1, "EV TComC T0 T0 (proj 1 (tuple (smult $t0 (gen)) bot))"))
-    code = cli.main(["check", "--trace", str(path)])
-    assert code == 0
-    assert "violated" not in capsys.readouterr().out
 
 
 def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
