@@ -39,10 +39,11 @@ those passes; whatever joins meanwhile is the next frontier.
 The bound is on recipe size: a building block has size 1 and an
 application 1 plus its parts; the level-0 seeds are tested at any bound,
 and the enc(dec(k, u), k) probe may exceed it by 3. Only the level-0 seeds
-are evaluated by substitution; every composed candidate's image in each
-frame is its root over its parts' stored images, rewritten at the root
-only (terms.norm_root) rather than looked up in the term memo. That gives
-the same normal form because normal forms are fixpoints. The tests count
+other than aliases are evaluated by substitution (an alias's images are its
+bindings); every composed candidate's image in each frame is its root
+over its parts' stored images, rewritten at the root only
+(terms.norm_root) rather than looked up in the term memo. That gives the
+same normal form because normal forms are fixpoints. The tests count
 is every enumerated candidate. Three kinds are counted but neither tested
 nor filed in the bijection, because their outcome is already known: the
 mirror of a pair of entries that joined the pool at the same level (the
@@ -93,9 +94,11 @@ class Frame:
     bindings: dict = field(default_factory=dict)
 
     def bind(self, t: Term) -> str:
-        """Record a protocol output under a fresh alias; returns the alias."""
+        """Record a protocol output under a fresh alias; returns the alias.
+        t must be a normal form, as every role output and issued key is
+        built; it is stored as given, not normalized again."""
         alias = f"{ALIAS_PREFIX}{len(self.bindings)}"
-        self.bindings[alias] = T.normalize(t)
+        self.bindings[alias] = t
         return alias
 
 
@@ -345,12 +348,21 @@ _PAIR_SHAPES = tuple(
 _PAIR_TESTS = len(_PAIR_SHAPES)
 # the ops whose root rewrite can fire over an entry, by the entry's root: a
 # pair op over it as second operand, MULT over a product as either operand,
-# and PROJ over a tuple
+# and PROJ over a tuple; _opens adds CHECKV over a blinded signature
 _OPENS = {T.ENC: (T.DEC,), T.SIG: (T.CHECK,), T.SIGV: (T.CHECKV,),
-          T.SMULT: (T.CHECKV, T.SMULT, T.SIGV), T.MULT: (T.MULT,),
-          T.TUP: (T.PROJ,)}
+          T.SMULT: (T.SMULT, T.SIGV), T.MULT: (T.MULT,), T.TUP: (T.PROJ,)}
 # the pair ops whose unrewritten image is op(x, y)
 _FIELD_OPS = frozenset(_BINARY) - {T.MULT, T.TUP}
+
+
+def _opens(img: Term) -> tuple:
+    """The ops whose root rewrite can fire over an entry whose image is
+    img: _OPENS by its root, and CHECKV over an SMULT only when its point
+    is a SIGV, as _opening says for saturation."""
+    ops = _OPENS.get(img[0], ())
+    if img[0] == T.SMULT and img[2][0] == T.SIGV:
+        return ops + (T.CHECKV,)
+    return ops
 
 
 @functools.cache   # at most one entry per two subsets of seven ops
@@ -380,7 +392,8 @@ class _Bijection:
     recipes feed further levels.
 
     Images are evaluated incrementally: a level-0 seed is substituted and
-    normalized in each frame, and each pool entry keeps both images, so a
+    normalized in each frame (an alias seed's images are its two bindings,
+    normal forms as bound), and each pool entry keeps both images, so a
     composed candidate's image is its root over its parts' images,
     rewritten at the root by T.norm_root, not looked up in the term memo.
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
@@ -397,9 +410,10 @@ class _Bijection:
     (op, i, j) for i op j (MULT's sorted, as its product is). A plain
     candidate's images are its root over the two frames' pool images:
     - one-field: HASH, PK and PKV never rewrite, and PROJ only over a tuple;
-    - pair: ENC, SIG and TUP never rewrite, the other ops only where _OPENS
-      says, and MULT only over a product, so a plain one's image is the
-      two-factor product of two pool images.
+    - pair: ENC, SIG and TUP never rewrite, the other ops only where _opens
+      says (CHECKV over an SMULT only when its point is a SIGV, the one
+      shape its rewrite opens), and MULT only over a product, so a plain
+      one's image is the two-factor product of two pool images.
     An entry joins the pool only after missing both by_a and by_b, so pool
     images are pairwise distinct in each frame, and a product operand gives
     three or more factors (products only flatten): no other candidate of a
@@ -452,11 +466,15 @@ class _Bijection:
         self.keys = 0
 
     def seed(self, recipe: Term):
-        try:
-            ia = T.apply(self.sub_a, recipe)
-            ib = T.apply(self.sub_b, recipe)
-        except T.MalformedTerm:
-            return None
+        if recipe[0] == T.VAR:
+            # an alias's images are its bindings, normal forms as bound
+            ia, ib = self.sub_a[recipe[1]], self.sub_b[recipe[1]]
+        else:
+            try:
+                ia = T.apply(self.sub_a, recipe)
+                ib = T.apply(self.sub_b, recipe)
+            except T.MalformedTerm:
+                return None
         if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
         return self.admit(recipe, 1, ia, ib)
@@ -581,8 +599,7 @@ class _Bijection:
     def _join(self, entry):
         n = len(self.pool)
         self.pool.append(entry)
-        self.opens.append(frozenset(
-            _OPENS.get(entry[2][0], ()) + _OPENS.get(entry[3][0], ())))
+        self.opens.append(frozenset(_opens(entry[2]) + _opens(entry[3])))
         for side in (0, 1):
             img = entry[2 + side]
             self.at[side][img] = n

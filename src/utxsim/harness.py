@@ -20,8 +20,9 @@ bound image, a delivery's recipe) and renders its text only when the text is
 read, as a dump does; checking a run reads no record text.
 
 A delivered value is a normal form, which the roles take as given. A forward
-is a bare alias, so its value is the alias's binding, normal since
-Frame.bind; any other recipe is checked against the frame and evaluated.
+is a bare alias, so its value is the alias's binding, normal as the roles
+build it (Frame.bind stores what it is given); any other recipe is checked
+against the frame and evaluated.
 
 An observation costs the same however long the run: Obs hands the strategy
 read-only views of the runner's own dicts, not copies. An Obs is therefore
@@ -255,13 +256,14 @@ def parse_trace(text: str) -> Trace:
                 alias, _, img = rest.partition(" ")
                 if alias in bindings:
                     raise ValueError(f"alias {alias} is bound twice")
-                # a frame holds normal forms, as Frame.bind makes them
+                # a frame holds normal forms, as the roles build them
                 bindings[alias] = T.normalize(T.parse(img))
             elif head == "EV":
                 tag, _, rest = rest.partition(" ")
                 sid, _, rest = rest.partition(" ")
                 role, _, args = rest.partition(" ")
-                args = T.parse_all(args)
+                # the checks compare event arguments as normal forms
+                args = tuple(map(T.normalize, T.parse_all(args)))
                 tr.events.append(roles.Event(tag, args, sid, role))
             elif head == "ABORT":
                 sid, _, reason = rest.partition(" ")

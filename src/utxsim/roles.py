@@ -7,10 +7,13 @@ TLO1..10, B1..B4) so traces can cite exact protocol positions.
 
 The incoming message must be a normal form, as every value the harness
 delivers is, and a step does not normalize it again. Its parts and the
-state's keys are normal too, so a destructor applied to them (dec, check,
-checkv) is rewritten by T.norm_root, at the root only and without the term
-memo; a nested construction, or one over a part that is not normal, goes
-through T.normalize. Every output is a normal form.
+state's keys (as setup_phase issues them) are normal too, so a step builds
+every term as a normal form, innermost first and without the term memo: a
+node that never rewrites at its root (hash, enc, tuple, pk, sig, pkv) over
+normal parts is the plain constructor, and one that can (smult, mult, sigv,
+and the destructors dec, check, checkv) is rewritten by T.norm_root. Every
+output, event argument and secret a step leaves in its state is therefore a
+normal form.
 
 Control roles for the key-establishment baselines (linkable blinded DH and
 its unlinkable truncation) are provided as flags on the card/terminal
@@ -121,12 +124,12 @@ def card_step(s: CardState, incoming: Term, fresh: T.FreshNames) -> StepResult:
 def _card_handshake(s: CardState, z1: Term, fresh: T.FreshNames) -> StepResult:
     s.z1 = z1
     s.a = fresh.scalar("a")
-    s.z2 = T.normalize(T.smult(s.a, s.pk_c))
-    s.k_c = T.normalize(T.h(T.smult(T.mult(s.a, s.c), z1)))
+    s.z2 = T.norm_root(T.smult(s.a, s.pk_c))
+    s.k_c = T.h(T.norm_root(T.smult(T.norm_root(T.mult(s.a, s.c)), z1)))
     if s.bdh:
         # linkable baseline: the signed public key leaves the card unblinded
         month = s.window[0] if s.window else s.pointer
-        payload = T.normalize(T.enc(T.tup(s.pk_c, s.certs[month]), s.k_c))
+        payload = T.enc(T.tup(s.pk_c, s.certs[month]), s.k_c)
         s.stage = "C7"
         return StepResult(outputs=[s.z2, payload], done=True)
     s.stage = "C3"
@@ -154,7 +157,7 @@ def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
     s.y_b = y_b
     s.month = k
     s.m_msg = m
-    s.emc = T.normalize(T.enc(T.tup(s.z2, T.smult(s.a, s.certs[k])), s.k_c))
+    s.emc = T.enc(T.tup(s.z2, T.norm_root(T.smult(s.a, s.certs[k]))), s.k_c)
     if s.truncate_after_validity:
         s.stage = "C7"
         return StepResult(outputs=[s.emc], done=True)
@@ -172,7 +175,7 @@ def _month_decision(s: CardState, k: int, fresh: T.FreshNames):
             nxt = k + 1
             if nxt not in s.certs:
                 chi = fresh.scalar("chiw")
-                s.certs[nxt] = T.normalize(T.sigv(chi, s.pk_c))
+                s.certs[nxt] = T.norm_root(T.sigv(chi, s.pk_c))
             s.window = s.window[1:] + (nxt,)
         return None
     if k == s.pointer or k == s.pointer - 1:
@@ -202,11 +205,10 @@ def _card_cryptogram(s: CardState, x: Term) -> StepResult:
         ac, flag = T.tup(s.a, s.pan, tx, T.OK), T.OK
     else:
         ac, flag = T.tup(s.a, s.pan, tx, T.NO), T.NO
-    k_cb = T.h(T.smult(T.mult(s.a, s.c), s.y_b))
-    s.k_cb = T.normalize(k_cb)
-    s.ac = T.normalize(ac)
-    ehac = T.normalize(T.enc(T.tup(ac, T.h(T.tup(ac, s.mk))), k_cb))
-    eac = T.normalize(T.enc(T.tup(ehac, flag, tx), s.k_c))
+    s.ac = ac
+    s.k_cb = T.h(T.norm_root(T.smult(T.norm_root(T.mult(s.a, s.c)), s.y_b)))
+    ehac = T.enc(T.tup(ac, T.h(T.tup(ac, s.mk))), s.k_cb)
+    eac = T.enc(T.tup(ehac, flag, tx), s.k_c)
     events = [
         Event("CRunB", (ehac,), s.session_id, s.card_id),
         Event("CRun", (s.z1, s.z2, s.m_msg, s.emc, x, eac),
@@ -263,20 +265,20 @@ def terminal_step(s: TerminalState, incoming: Optional[Term],
                   fresh: T.FreshNames, user_pin: Optional[Term] = None) -> StepResult:
     if s.stage == 1:
         txdata = fresh.data("TXdata")
-        s.tx = T.normalize(T.tup(txdata, T.HI if s.mode != "lo" else T.LO))
+        s.tx = T.tup(txdata, T.HI if s.mode != "lo" else T.LO)
         s.t = fresh.scalar("t")
-        s.z1 = T.normalize(T.smult(s.t, T.gen()))
+        s.z1 = T.norm_root(T.smult(s.t, T.gen()))
         s.stage = 2
         return StepResult(outputs=[s.z1])
     if s.stage == 2:
         s.z2 = incoming
-        s.k_t = T.normalize(T.h(T.smult(s.t, s.z2)))
+        s.k_t = T.h(T.norm_root(T.smult(s.t, s.z2)))
         s.stage = 4
         if s.bdh:
             # the linkable baseline sends no certificate; it awaits the
             # card's signed key directly
             return StepResult()
-        s.ec = T.normalize(T.enc(s.crt, s.k_t))
+        s.ec = T.enc(s.crt, s.k_t)
         return StepResult(outputs=[s.ec])
     if s.stage == 4:
         return _terminal_validity(s, incoming, user_pin)
@@ -307,9 +309,9 @@ def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
     if s.mode in ("onhi", "offhi"):
         if user_pin is None:
             raise ValueError("hi-value terminal needs a PIN at this stage")
-        s.upin = T.normalize(user_pin)
+        s.upin = user_pin
     card_pin_slot = s.upin if s.mode == "offhi" else T.BOT
-    s.etx = T.normalize(T.enc(T.tup(s.tx, card_pin_slot), s.k_t))
+    s.etx = T.enc(T.tup(s.tx, card_pin_slot), s.k_t)
     s.stage = 7
     return StepResult(outputs=[s.etx])
 
@@ -329,7 +331,7 @@ def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
     if s.mode == "offhi" and pin_v == T.OK:
         outputs.append(T.AUTH)       # offline authorisation before upload
     bank_pin_slot = s.upin if s.mode == "onhi" else T.BOT
-    s.req = T.normalize(T.enc(T.tup(s.tx, s.z2, ehac, bank_pin_slot), s.kbt))
+    s.req = T.enc(T.tup(s.tx, s.z2, ehac, bank_pin_slot), s.kbt)
     events.append(Event("TRunBC", (s.req, s.z1, s.z2, s.ec, s.n_msg, s.etx, y),
                         s.session_id, s.terminal_id))
     outputs.append(s.req)
@@ -371,7 +373,7 @@ class BankAgent:
     replay_log: set = field(default_factory=set)
 
     def register_card(self, card: CardState) -> None:
-        self.db[T.normalize(card.pan)] = (card.pin, card.mk, card.pk_c)
+        self.db[card.pan] = (card.pin, card.mk, card.pk_c)
 
 
 def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResult:
@@ -382,8 +384,8 @@ def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResul
     if parts is None:
         return _fail("MalformedInput")
     tx_req, z2, ehac, upin = parts
-    k_bc = T.h(T.smult(bank.b_t, z2))
-    dac = T.normalize(T.dec(k_bc, ehac))
+    k_bc = T.h(T.norm_root(T.smult(bank.b_t, z2)))
+    dac = T.norm_root(T.dec(k_bc, ehac))
     parts = _tuple_items(dac, 2)
     if parts is None:
         return _fail("MalformedInput")
@@ -396,11 +398,11 @@ def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResul
     if entry is None:
         return _fail("UnknownPAN")
     pin, mk, pk_c = entry
-    if T.normalize(T.h(T.tup(ac, mk))) != ac_hmac:
+    if T.h(T.tup(ac, mk)) != ac_hmac:
         return _fail("BadMac")
     if tx != tx_req:
         return _fail("TxMismatch")
-    if T.normalize(T.smult(x_a, pk_c)) != z2:
+    if T.norm_root(T.smult(x_a, pk_c)) != z2:
         return _fail("BadBlinding")
     uniq = (pan, tx, x_a)
     if bank.replay_check and uniq in bank.replay_log:
@@ -416,7 +418,7 @@ def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResul
         verdict = T.ACCEPT if (pin_v == T.OK or upin == pin) else T.REJECT
     else:
         return _fail("MalformedInput")
-    reply = T.normalize(T.enc(T.tup(tx_req, verdict), kbt))
+    reply = T.enc(T.tup(tx_req, verdict), kbt)
     events = []
     if verdict == T.REJECT:
         events.append(Event("BReject", (kbt, tx_req), session_id, bank.bank_id))

@@ -6,6 +6,10 @@ list of month credentials for their validity span plus the pointer that
 limits disclosure to a two-month window. Terminals are provisioned with one
 month's bank certificate, that month's verification key, and a fresh shared
 key with the bank.
+
+Every key, certificate and credential issued here is a normal form, built
+as the roles build their messages: plain constructors over normal parts, and
+T.norm_root on each smult and sigv, so issuance never uses the term memo.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ class Authority:
     horizon: int
 
     def vk(self) -> Term:
-        return T.normalize(T.pk(self.s))
+        return T.pk(self.s)
 
     def month_vk(self, month: int) -> Term:
-        return T.normalize(T.pkv(self.chi[month]))
+        return T.pkv(self.chi[month])
 
     def secret_names(self):
         return [self.s, *self.chi.values()]
@@ -60,11 +64,11 @@ def make_authority(fresh: T.FreshNames, horizon: int = HORIZON) -> Authority:
 
 def make_bank_credential(auth: Authority, fresh: T.FreshNames) -> BankCredential:
     b_t = fresh.scalar("bt")
-    pk_bt = T.smult(b_t, T.gen())
+    pk_bt = T.norm_root(T.smult(b_t, T.gen()))
     crts = {}
     for m in range(auth.horizon):
         body = T.tup(T.mm(m), pk_bt)
-        crts[m] = T.normalize(T.tup(body, T.sig(auth.s, body)))
+        crts[m] = T.tup(body, T.sig(auth.s, body))
     return BankCredential(b_t=b_t, crt_by_month=crts)
 
 
@@ -75,8 +79,8 @@ def issue_card(auth: Authority, fresh: T.FreshNames, issue_month: int,
     if not 0 <= issue_month <= auth.horizon - 1:
         raise HorizonExceeded(f"issue month {issue_month}")
     c = fresh.scalar("c")
-    pk_c = T.normalize(T.smult(c, T.gen()))
-    certs = {m: T.normalize(T.sigv(auth.chi[m], pk_c))
+    pk_c = T.norm_root(T.smult(c, T.gen()))
+    certs = {m: T.norm_root(T.sigv(auth.chi[m], pk_c))
              for m in range(auth.horizon)}
     return roles.CardState(
         card_id=card_id,
@@ -103,7 +107,7 @@ def issue_card_multimonth(auth: Authority, fresh: T.FreshNames,
     for m in window:
         if m not in card.certs:
             chi = fresh.scalar("chiw")
-            card.certs[m] = T.normalize(T.sigv(chi, card.pk_c))
+            card.certs[m] = T.norm_root(T.sigv(chi, card.pk_c))
     card.window = tuple(window)
     return card
 

@@ -42,8 +42,13 @@ normal forms, such as a constructor applied to normal parts. It rewrites at
 the root only and normalizes no field; on such a term it equals normalize(t).
 Its result on a term with a non-normal field is unspecified. Its callers are
 saturation and the distinguisher, which apply one operator to frame images,
-and the roles, which open a delivered message (normal, as are their keys)
-with one dec, check or checkv.
+and the roles and setup_phase, which build every key, certificate and
+message of a run innermost first over normal parts: norm_root on each node
+that can rewrite (smult, mult, sigv, and the destructors dec, check and
+checkv that open a delivered message), the plain constructor on every other.
+A protocol run therefore never goes through the memo. normalize() and its
+memo serve the terms that arrive in arbitrary form: attacker recipes (through
+apply), derive targets, and the terms of a parsed trace.
 
 All operations are pure; terms are immutable tuples, safe to share freely.
 """

@@ -315,6 +315,24 @@ def test_trace_bind_images_are_read_as_normal_forms(tmp_path, capsys):
         "CHECK secrecy violated s<-?w0"
 
 
+def test_trace_event_arguments_are_read_as_normal_forms(tmp_path, capsys):
+    """An EV argument is the message it equals: a terminal commit whose
+    first argument is written as (proj 1 (tuple z1 bot)) still matches the
+    card's run on z1."""
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_onhi", "--seed", "0",
+            "--out", str(path))
+    z1 = "(smult $t0 (gen))"
+    lines = path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("EV TComC"))
+    assert lines[i].split(" ", 4)[4].startswith(z1 + " ")
+    lines[i] = lines[i].replace(z1, f"(proj 1 (tuple {z1} bot))", 1)
+    path.write_text("".join(lines))
+    code, text = run_cli(capsys, "check", "--trace", str(path))
+    assert code == 0
+    assert "CHECK terminal-agrees-card holds" in text.splitlines()
+
+
 def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
     # a frame binds each alias once; a repeated BIND line is not a trace
     path = tmp_path / "tr.txt"

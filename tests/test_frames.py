@@ -19,7 +19,7 @@ G = T.gen()
 
 def build(restricted, images):
     f = F.Frame({n[1] for n in restricted})
-    return f, [f.bind(img) for img in images]
+    return f, [f.bind(T.normalize(img)) for img in images]
 
 
 # -- blind oracles -----------------------------------------------------------
@@ -274,7 +274,7 @@ def test_saturate_idempotent_and_monotone():
     f, _ = build([m, k], [T.enc(T.tup(m, k), k), k])
     images1 = set(F.saturate(f).entries)
     assert set(F.saturate(f).entries) == images1
-    f.bind(T.h(m))
+    f.bind(T.normalize(T.h(m)))
     assert images1 <= set(F.saturate(f).entries)
 
 
@@ -560,7 +560,7 @@ def _renamed(f, ren):
     renaming can reorder the factors of a product."""
     g = F.Frame({ren[n] for n in f.restricted})
     for img in f.bindings.values():
-        g.bind(_rename_term(img, ren))
+        g.bind(T.normalize(_rename_term(img, ren)))
     return g
 
 

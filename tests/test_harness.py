@@ -510,9 +510,10 @@ def test_runner_binds_variable_free_images():
 
 
 def test_role_steps_see_and_give_normal_forms(monkeypatch):
-    """Every value the runner delivers to a role step, and every output a
-    step gives, is a normal form: the roles take their input as given and
-    open it with T.norm_root, and a forward's value is its binding."""
+    """Every value the runner delivers to a role step, every output a step
+    gives, and every image the run's frame binds is a normal form: the roles
+    take their input as given, build their terms with T.norm_root, and
+    Frame.bind stores them as given; a forward's value is its binding."""
     seen = Counter()
 
     def normal(t, what):
@@ -538,7 +539,9 @@ def test_role_steps_see_and_give_normal_forms(monkeypatch):
         for strategy in builtin_strategies():
             for world in H.WORLDS:
                 for seed in range(3):
-                    H.run_scenario(replace(sc, strategy=strategy, world=world,
-                                           seed=seed))
+                    tr = H.run_scenario(replace(sc, strategy=strategy,
+                                                world=world, seed=seed))
+                    for alias, img in tr.frame.bindings.items():
+                        normal(img, f"binding {alias}")
     assert all(seen[name] for name in ("card_step", "terminal_step",
                                        "bank_step")), seen

@@ -82,6 +82,36 @@ def test_setup_keeps_secrets_out_of_frame():
         assert F.derive(frame, secret, 4) is None
 
 
+def test_setup_issues_normal_forms():
+    """Every key and certificate issuance makes is a normal form, the
+    privately minted certificates of a multi-month card's months beyond the
+    horizon too, so a frame binds them and the roles use them as given."""
+    fresh = T.FreshNames()
+    auth = S.make_authority(fresh, horizon=3)
+    cred = S.make_bank_credential(auth, fresh)
+    card = S.issue_card(auth, fresh, 1)
+    window = S.issue_card_multimonth(auth, fresh, (1, 2, 3, 4))
+    assert len(window.certs) == 5          # months 3 and 4 minted privately
+    issued = [auth.vk(), *map(auth.month_vk, range(3)),
+              *cred.crt_by_month.values()]
+    for c in (card, window):
+        issued += [c.pk_c, *c.certs.values()]
+    for t in issued:
+        assert T.normalize(t) == t, T.to_text(t)
+
+
+@pytest.mark.parametrize("mode", ["onhi", "offhi", "lo"])
+def test_honest_session_skips_the_term_memo(monkeypatch, mode):
+    """Issuance and the three roles build every term as a normal form
+    without T.normalize, so an honest session leaves the memo untouched."""
+    def refused(t):
+        raise AssertionError(f"normalize({T.to_text(t)})")
+    monkeypatch.setattr(T, "normalize", refused)
+    _, aborts, _, card, term, _ = run_honest(mode)
+    assert not aborts
+    assert card.stage == "C7" and term.stage == 11
+
+
 # -- honest session, hand-wired -------------------------------------------------
 
 def run_honest(mode, wrong_pin=False, term_month=1, issue_month=1,
