@@ -55,7 +55,9 @@ not fire; and a MULT one whose entries are products in neither frame;
 and an enc(dec(k, u), k) probe whose dec rewrites in neither frame (in
 each frame only the key that is u's own can open u). A plain candidate's
 or a counted probe's images are new unless a candidate reached by another
-route has the same image; _Bijection keeps that case exact. A pass is a
+route has the same image; _Bijection keeps that case exact, holding such
+an image back only on a field that can still join the pool (a binding or
+its opening, a pool image or a stuck destructor). A pass is a
 bounded guarantee, never a proof; it also says when the pool cap, not the
 bound, ended the search.
 
@@ -385,6 +387,35 @@ def _pair_key(op, i, j):
     return (op, j, i) if op == T.MULT and j < i else (op, i, j)
 
 
+# a candidate rooted at a destructor joins the pool where it rewrites
+_DESTRUCTORS = frozenset((T.DEC, T.PROJ, T.CHECK, T.CHECKV))
+
+
+def _joinable(f: Frame):
+    """(f's bindings closed under splitting tuples and under _opening's
+    openings; whether any binding holds a variable), in one walk."""
+    joinable, stack, rest = set(), list(f.bindings.values()), []
+    while stack:
+        t = stack.pop()
+        if t in joinable:
+            continue
+        joinable.add(t)
+        opening = _opening(t)
+        if t[0] == T.TUP:
+            stack += t[1]
+        elif opening is None:
+            rest.append(t)
+        else:   # the opened image; its key is walked for variables only
+            stack.append(T.norm_root((*opening, t)))
+            rest.append(opening[1])
+    has_vars = False
+    while rest and not has_vars:
+        x = rest.pop()
+        has_vars = x[0] == T.VAR
+        rest += T.fields(x)
+    return joinable, has_vars
+
+
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
@@ -404,7 +435,7 @@ class _Bijection:
     (static_equiv counts those), a plain one, which neither frame rewrites
     at the root, and a probe whose dec rewrites in neither frame (see the
     end). Candidates are composed in passes: extend runs the one-field pass
-    over an entry n, compose the pair pass over entries i and j. A pass is
+    over an entry n, row the pair passes of a frontier entry. A pass is
     keyed by its pool indices, (n,) or (i, j) with i <= j, and a candidate
     by its root over the indices of its fields: (op, n) or (PROJ, k, n), and
     (op, i, j) for i op j (MULT's sorted, as its product is). A plain
@@ -428,9 +459,15 @@ class _Bijection:
       second-frame image) once its pass is done. A root rewrite never keeps
       its fields as fields, so no candidate of a pass has the image of a
       plain candidate of the same pass, and done records a pass when all
-      its candidates are. A pair may be composed twice, once from each end;
-      done keeps the entry its first run put first, the order of a counted
-      product's recipe.
+      its candidates are. A pair may be composed twice, once in each end's
+      row; done keeps the entry its first run put first, the order of a
+      counted product's recipe.
+    Filing rule: waiting holds an image only on a field in its frame's
+    joinable set (at's keys: _joinable of the bindings, then each pool
+    image) or rooted at a destructor. Lemma: an image joins only as an atom
+    seed's (all join before anything is filed), a joinable one, or one
+    stuck at a destructor that the other frame reduces, since an entry
+    seed is a binding under destructors and a rewrite opens a pool image.
     The probes run over the level-0 pool before any pass. A counted
     probe's images are enc(dec(k, u), k) over the two frames' pool images;
     three rules keep it exact, as if it had been tested and filed:
@@ -446,9 +483,9 @@ class _Bijection:
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
+        (ja, va), (jb, vb) = _joinable(fa), _joinable(fb)
         # a seed's images can hold a variable only where a frame image does
-        self.has_vars = any(T.free_vars(t) for t in (*fa.bindings.values(),
-                                                     *fb.bindings.values()))
+        self.has_vars = va or vb
         self.pool_cap = pool_cap
         self.capped = False
         self.by_a: dict = {}
@@ -456,7 +493,8 @@ class _Bijection:
         self.pool: list = []     # (recipe, size, img_a, img_b)
         self.tests = 0
         self.opens: list = []    # per pool entry: ops it opens, either frame
-        self.at = ({}, {})       # per frame: pool image -> pool index
+        # per frame: pool image -> pool index, other joinable image -> None
+        self.at = (dict.fromkeys(ja), dict.fromkeys(jb))
         self.waiting = ({}, {})  # per frame: field -> images awaiting it
         self.earlier: dict = {}  # pass -> keys of candidates filed images name
         self.done: dict = {}     # pass -> the entry its first run put first
@@ -517,8 +555,7 @@ class _Bijection:
         # [a, b, h(h(a))] from [a, b, h(c)], yet the pass holds.
         op = recipe[0]
         useful = size <= 1 or (
-            op in (T.DEC, T.PROJ, T.CHECK, T.CHECKV)
-            and (ia[0] != op or ib[0] != op))
+            op in _DESTRUCTORS and (ia[0] != op or ib[0] != op))
         if useful:
             if len(self.pool) < self.pool_cap:
                 self._join((recipe, size, ia, ib))
@@ -530,27 +567,30 @@ class _Bijection:
         """(pass, key) of the candidate whose unrewritten image in side's
         frame is img: a one-field op, a pair op other than MULT, a two-item
         tuple or a two-factor product over pool images. While a field is
-        not yet a pool image, (None, the first such field); for any other
-        image, None."""
+        not yet a pool image, (None, the first such field), if that field
+        can still join the pool; for any other image, None."""
         # fields read by hand, not by T.fields: it runs once per filed image
         op = img[0]
-        at = self.at[side]
         if op in _FIELD_OPS or (
                 (op == T.TUP or op == T.MULT) and len(img[1]) == 2):
-            x, y = img[1] if op == T.TUP or op == T.MULT else img[1:]
-            i = at.get(x)
+            fields = img[1] if op == T.TUP or op == T.MULT else img[1:]
+        elif op in _UNARY or op == T.PROJ:
+            fields = img[-1:]
+        else:
+            return None
+        at = self.at[side]
+        ix = []
+        for x in fields:
+            i = at.get(x, -1)
             if i is None:
                 return None, x
-            j = at.get(y)
-            if j is None:
-                return None, y
-            return ((i, j) if i <= j else (j, i)), _pair_key(op, i, j)
-        if op in _UNARY or op == T.PROJ:
-            i = at.get(img[-1])
-            if i is None:
-                return None, img[-1]
+            if i < 0:   # x can join only if stuck at a destructor
+                return (None, x) if x[0] in _DESTRUCTORS else None
+            ix.append(i)
+        if len(ix) == 1:
             return (i,), (*img[:-1], i)
-        return None
+        i, j = ix
+        return ((i, j) if i <= j else (j, i)), _pair_key(op, i, j)
 
     def _counted(self, img: Term, where, side: int):
         """The by_a entry (recipe, second-frame image) of the counted
@@ -697,34 +737,46 @@ class _Bijection:
         self.done[(n,)] = n
         return None
 
-    def compose(self, n1: int, n2: int, size: int):
-        """Test the pair candidates over pool entries n1 and n2 in
-        _PAIR_SHAPES order, counting each plain one that earlier does not
-        name instead of testing it."""
+    def row(self, n1: int, k: int, m: int, test_bound: int):
+        """Run the pair pass of frontier entry n1 (the frontier starts at k)
+        with each pool entry n2 < m, as extend runs its one-field pass. A
+        frontier entry n2 < n1 ran the pair both ways round (MULT's product
+        is sorted), which fixed each outcome, so its mirror is counted."""
         # candidates built by hand by _pair_term: the hot loop
-        run = (n1, n2) if n1 <= n2 else (n2, n1)
-        shapes = _rewritable(self.opens[n1], self.opens[n2])
-        named = self.earlier.get(run, ())
-        if named:
-            named = {s for s in _PAIR_SHAPES if (
-                _pair_key(s[1], n2, n1) if s[2]
-                else _pair_key(s[1], n1, n2)) in named}
-            shapes = sorted({*shapes, *named})
-        e1, e2 = self.pool[n1], self.pool[n2]
-        start = self.tests
-        for shape in shapes:
-            pos, op, swapped = shape
-            (r1, _, a1, b1), (r2, _, a2, b2) = (e2, e1) if swapped else (e1, e2)
-            ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
-            ia, ib = T.norm_root(ta), T.norm_root(tb)
-            if ia is ta and ib is tb and shape not in named:
-                continue   # plain after all
-            self.tests = start + pos
-            verdict = self._test(_pair_term(op, r1, r2), size, ia, ib)
-            if verdict is not None:
-                return verdict
-        self.tests = start + _PAIR_TESTS
-        self.done.setdefault(run, n1)
+        pool, opens, done = self.pool, self.opens, self.done
+        e1, opens1 = pool[n1], opens[n1]
+        tests = self.tests
+        for n2 in range(m):
+            e2 = pool[n2]
+            size = e1[1] + e2[1] + 1
+            if size > test_bound:
+                continue
+            if k <= n2 < n1:
+                tests += _PAIR_TESTS
+                continue
+            run = (n1, n2) if n1 <= n2 else (n2, n1)
+            shapes = _rewritable(opens1, opens[n2])
+            named = self.earlier.get(run, ())
+            if named:
+                named = {s for s in _PAIR_SHAPES if (
+                    _pair_key(s[1], n2, n1) if s[2]
+                    else _pair_key(s[1], n1, n2)) in named}
+                shapes = sorted({*shapes, *named})
+            for shape in shapes:
+                pos, op, swapped = shape
+                (r1, _, a1, b1), (r2, _, a2, b2) = \
+                    (e2, e1) if swapped else (e1, e2)
+                ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
+                ia, ib = T.norm_root(ta), T.norm_root(tb)
+                if ia is ta and ib is tb and shape not in named:
+                    continue   # plain after all
+                self.tests = tests + pos
+                verdict = self._test(_pair_term(op, r1, r2), size, ia, ib)
+                if verdict is not None:
+                    return verdict
+            tests += _PAIR_TESTS
+            done.setdefault(run, n1)
+        self.tests = tests
         return None
 
 
@@ -782,22 +834,10 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
                 verdict = bij.extend(n, size)
                 if verdict is not None:
                     return verdict
-        # Frontier entries n2 < n1 were composed both ways round in n2's
-        # pass. That fixed the outcome of each of their candidates (MULT
-        # sorts its product, so its one order covers both), so the mirror's
-        # tests are all consistent: they are counted, not rebuilt.
         m = len(bij.pool)
         for n1 in range(k, end):
-            s1 = bij.pool[n1][1]
-            for n2 in range(m):
-                size = s1 + bij.pool[n2][1] + 1
-                if size > test_bound:
-                    continue
-                if k <= n2 < n1:
-                    bij.tests += _PAIR_TESTS
-                    continue
-                verdict = bij.compose(n1, n2, size)
-                if verdict is not None:
-                    return verdict
+            verdict = bij.row(n1, k, m, test_bound)
+            if verdict is not None:
+                return verdict
         k, end = end, len(bij.pool)
     return Equivalent(test_bound, bij.tests, bij.capped)

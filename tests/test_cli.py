@@ -211,8 +211,10 @@ def _mutate(rng, text, alphabet="()|= _.-0129wxmT\n"):
 
 
 def test_mutated_scenario_text_exits_cleanly(tmp_path, capsys):
-    f = tmp_path / "scen.txt"
-    for text in (_SCENARIO_TEXT, _EVERY_KEY_TEXT):
+    # each text goes to a fresh file: rewriting one just written can wait
+    # on the file system for tens of milliseconds a time
+    for i, text in enumerate((_SCENARIO_TEXT, _EVERY_KEY_TEXT)):
+        f = tmp_path / f"scen{i}.txt"
         f.write_text(text)
         assert _exits_cleanly(capsys, ["check", "--scenario", str(f)],
                               "unmutated")[0] in (0, 1)
@@ -223,6 +225,7 @@ def test_mutated_scenario_text_exits_cleanly(tmp_path, capsys):
     for k in range(200):
         text = (_SCENARIO_TEXT, _EVERY_KEY_TEXT)[k % 2]
         mutated, how = _mutate(rng, text, alphabet="0129-:# .\nx")
+        f = tmp_path / f"mutated{k}.txt"
         f.write_text(mutated)
         codes.add(_exits_cleanly(capsys, ["check", "--scenario", str(f)],
                                  f"{k}: {how}")[0])
@@ -241,7 +244,9 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == \
         "error: bad trace line 10 (BIND): unexpected end of input\n"
+    # each cut or mutation goes to a fresh file, as in the test above
     for n in range(0, len(text), 7):
+        cut = tmp_path / f"cut{n}.txt"
         cut.write_text(text[:n])
         code, err = _exits_cleanly(capsys, ["check", "--trace", str(cut)], n)
         if code == 2:
@@ -250,10 +255,12 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
     rng = random.Random("trace-mutations")
     for name in ("honest_onhi", "replay_cryptogram", "fake_card_no_checkv",
                  "utxl_lo"):
+        full = tmp_path / f"{name}.txt"
         run_cli(capsys, "run", "--scenario", name, "--out", str(full))
         text = full.read_text()
-        for _ in range(40):
+        for k in range(40):
             mutated, how = _mutate(rng, text)
+            cut = tmp_path / f"{name}.mutated{k}.txt"
             cut.write_text(mutated)
             _exits_cleanly(capsys, ["check", "--trace", str(cut)],
                            f"{name}: {how}")

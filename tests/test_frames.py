@@ -686,10 +686,12 @@ def test_counted_candidate_keeps_its_entry():
     at = {e[0]: n for n, e in enumerate(bij.pool)}
     w0, w1, w2 = (at[T.var(f"w{i}")] for i in range(3))
     blinded = T.normalize(T.smult(T.mult(a, b), G))
-    # smult(w0, gen) is counted, smult(w1, w2) rewrites onto its image
-    assert bij.compose(at[G], w0, 3) is None
+    # gen's row counts smult(w0, gen); in w1's, smult(w1, w2) rewrites
+    # onto its image
+    m = len(bij.pool)
+    assert bij.row(at[G], at[G], m, 3) is None
     assert blinded not in bij.by_a
-    assert bij.compose(w1, w2, 3) is None
+    assert bij.row(w1, w1, m, 3) is None
     assert blinded not in bij.by_a
     verdict = bij.admit(T.var("w9"), 3, blinded, T.smult(c, G))
     assert T.to_text(verdict.left) == "(smult ?w0 (gen))"
@@ -711,10 +713,10 @@ def _alias_bijection(restricted, images):
 def test_counted_product_of_one_level_keeps_its_order():
     """a*b over w0 and w1, neither a product, is counted in their pair's
     pass; a later candidate with its image in one frame finds the counted
-    recipe, built as compose built it: the first entry first."""
+    recipe, built as w0's row built it: the first entry first."""
     a, b, c = (T.name(x, "scalar") for x in "abc")
     bij = _alias_bijection([a, b, c], [a, b, c])
-    assert bij.compose(0, 1, 3) is None
+    assert bij.row(0, 0, 3, 3) is None
     assert T.normalize(T.mult(a, b)) not in bij.by_a
     # the same images on both sides: the counted entry stands, unfiled
     assert bij.admit(T.var("w7"), 3, T.mult(b, a), T.mult(a, b)) is None
@@ -733,10 +735,10 @@ def test_counted_product_across_levels_keeps_its_order():
     that order, though its key sorts the two pool indices."""
     a, b, c, k = (T.name(x, "scalar") for x in "abck")
     bij = _alias_bijection([a, b, c, k], [T.enc(a, k), k, b])
-    assert bij.compose(1, 0, 3) is None
+    assert bij.row(1, 1, 3, 3) is None
     opened, = bij.pool[3:]
     assert (T.to_text(opened[0]), opened[2]) == ("(dec ?w1 ?w0)", a)
-    assert bij.compose(3, 2, 5) is None
+    assert bij.row(3, 3, 4, 5) is None
     verdict = bij.admit(T.var("w9"), 5, T.mult(a, b), T.mult(a, c))
     assert verdict.describe() == \
         "(mult (dec ?w1 ?w0) ?w2) = ?w9 holds in the first frame only"
@@ -843,7 +845,7 @@ def test_stuck_dec_joining_after_the_probes_names_its_enc_pair():
                                                  T.dec(k1, c))
     assert other[2:] == (n, n)
     assert bij.admit(T.var("w9"), 4, T.enc(T.dec(n, c), n), T.h(n)) is None
-    verdict = bij.compose(3, 1, 4)
+    verdict = bij.row(3, 3, len(bij.pool), 4)
     assert verdict.describe() == ("(enc (dec ?w1 ?w0) ?w1) = "
                                   "(enc (proj 1 ?w2) ?w1) holds in the first "
                                   "frame only")
@@ -1014,6 +1016,88 @@ def test_static_equiv_probe_corpus_pinned():
     assert sum("Distinguished" in line for line in lines) == 130
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _PROBE_DIGEST
+
+
+# -- the filing rule's lemma ----------------------------------------------------
+#
+# An image that names a candidate not yet buildable waits in _Bijection only
+# on a field that can still join the pool. That is exact only if every image
+# that joins in a frame is an atom seed's image, in the frame's joinable set,
+# or rooted at a destructor.
+
+def _openings_closure(f):
+    """f's bindings closed under the openings: a tuple's items, the body of
+    enc, sig and sigv, and [s]m of a blinded [s]sigv(k, m)."""
+    out, stack = set(), list(f.bindings.values())
+    while stack:
+        t = stack.pop()
+        if t in out:
+            continue
+        out.add(t)
+        if t[0] == T.TUP:
+            stack += t[1]
+        elif t[0] == T.ENC:
+            stack.append(t[1])
+        elif t[0] in (T.SIG, T.SIGV):
+            stack.append(t[2])
+        elif t[0] == T.SMULT and t[2][0] == T.SIGV:
+            stack.append(T.normalize(T.smult(t[1], t[2][2])))
+    return out
+
+
+def test_static_equiv_image_waits_on_a_stuck_destructor():
+    """proj 1 of w0 is a seed from the second frame's saturation and stuck
+    in the first, where it is in no binding's openings: w1's image there
+    waits on it, since a destructor can join where the other frame reduces
+    it, and then names the hash over it."""
+    p, x, y, z = (T.name(n) for n in "pxyz")
+    fa, _ = build([p, x, y, z], [p, T.h(T.proj(1, p))])
+    fb, _ = build([p, x, y, z], [T.tup(x, y), T.h(z)])
+    for bound in (2, 6):
+        for u, v, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(u, v, test_bound=bound)
+            assert verdict.describe() == (
+                f"?w1 = (hash (proj 1 ?w0)) holds in the {side} frame only")
+            assert verdict.tests == 109
+
+
+def test_only_joinable_images_join_the_pool(monkeypatch):
+    """Over the random, named, group and probe corpora in both orders and
+    the unlinkability battery, each image that joins the pool on a side is
+    an atom seed's image, in that side's initial joinable set, or rooted at
+    a destructor; each kind occurs."""
+    init, join = F._Bijection.__init__, F._Bijection._join
+    kinds = {"atom": 0, "joinable": 0, "destructor": 0}
+
+    def spy_init(self, fa, fb, pool_cap):
+        init(self, fa, fb, pool_cap)
+        self.initial = (_openings_closure(fa), _openings_closure(fb))
+        assert tuple(map(set, self.at)) == self.initial
+
+    def spy_join(self, entry):
+        recipe = entry[0]
+        for side in (0, 1):
+            img = entry[2 + side]
+            if recipe[0] in (T.GEN, T.CONST, T.NAME) and img == recipe:
+                kinds["atom"] += 1
+            elif img in self.initial[side]:
+                kinds["joinable"] += 1
+            else:
+                assert img[0] in F._DESTRUCTORS, (T.to_text(recipe), side)
+                kinds["destructor"] += 1
+        join(self, entry)
+
+    monkeypatch.setattr(F._Bijection, "__init__", spy_init)
+    monkeypatch.setattr(F._Bijection, "_join", spy_join)
+    pairs = [_frame_pair(f"random{k}")[:2] for k in range(48)]
+    for make in (_random_named_pair, _random_group_pair, _random_probe_pair):
+        name = make.__name__[len("_random_"):-len("_pair")]
+        pairs += [make(random.Random(f"{name}{k}")) for k in range(32)]
+    for fa, fb in pairs:
+        F.static_equiv(fa, fb)
+        F.static_equiv(fb, fa)
+    C.run_suite("unlinkability", seed=0)
+    assert min(kinds.values()) > 0
 
 
 # -- pinned deduction ------------------------------------------------------------
