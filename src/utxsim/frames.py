@@ -44,7 +44,7 @@ bindings); every composed candidate's image in each frame is its root
 over its parts' stored images, rewritten at the root only
 (terms.norm_root) rather than looked up in the term memo. That gives the
 same normal form because normal forms are fixpoints. The tests count
-is every enumerated candidate. Three kinds are counted but neither tested
+is every enumerated candidate. Four kinds are counted but neither tested
 nor filed in the bijection, because their outcome is already known: the
 mirror of a pair of entries that joined the pool at the same level (the
 pair's first pass fixed it); a plain candidate, one that neither frame
@@ -52,9 +52,15 @@ rewrites at the root: every HASH, PK and PKV of an entry and a PROJ of an
 entry that is a tuple in neither frame; every ENC, SIG and TUP pair
 candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one whose rewrite does
 not fire; and a MULT one whose entries are products in neither frame;
-and an enc(dec(k, u), k) probe whose dec rewrites in neither frame (in
-each frame only the key that is u's own can open u). A plain candidate's
-or a counted probe's images are new unless a candidate reached by another
+an enc(dec(k, u), k) probe whose dec rewrites in neither frame (in
+each frame only the key that is u's own can open u); and a Diffie-Hellman
+rebase over an entry e2 that is a point [s]p in a frame, in each such
+frame: e1 smult e2 when no factor of e1 is one of the scalar of a point
+in the frame's joinable set (its bindings and their openings) and that
+set holds no product, since then nothing else reaches its image
+[e1*s]p; and sigv(e1, e2) when s can never be a pool image. Elsewhere a
+counted rebase is plain. The images of a plain candidate, a counted probe
+or a counted sigv rebase are new unless a candidate reached by another
 route has the same image; _Bijection keeps that case exact, holding such
 an image back only on a field that can still join the pool (a binding or
 its opening, a pool image or a stuck destructor). A pass is a
@@ -350,30 +356,42 @@ _PAIR_SHAPES = tuple(
 _PAIR_TESTS = len(_PAIR_SHAPES)
 # the ops whose root rewrite can fire over an entry, by the entry's root: a
 # pair op over it as second operand, MULT over a product as either operand,
-# and PROJ over a tuple; _opens adds CHECKV over a blinded signature
+# and PROJ over a tuple; _Bijection._opens adds CHECKV over a blinded
+# signature and the rebase marks below over an [s]p
 _OPENS = {T.ENC: (T.DEC,), T.SIG: (T.CHECK,), T.SIGV: (T.CHECKV,),
-          T.SMULT: (T.SMULT, T.SIGV), T.MULT: (T.MULT,), T.TUP: (T.PROJ,)}
+          T.MULT: (T.MULT,), T.TUP: (T.PROJ,)}
+# per frame, the marks of the smult rebase rule (see _Bijection): POINT on
+# an entry that is an [s]p there, SHARED on one that breaks the rule as e1
+# there (a factor of it is one of a joinable scalar's, or a joinable image
+# is a product)
+_POINT = (("point", 0), ("point", 1))
+_SHARED = (("shared", 0), ("shared", 1))
 # the pair ops whose unrewritten image is op(x, y)
 _FIELD_OPS = frozenset(_BINARY) - {T.MULT, T.TUP}
 
 
-def _opens(img: Term) -> tuple:
-    """The ops whose root rewrite can fire over an entry whose image is
-    img: _OPENS by its root, and CHECKV over an SMULT only when its point
-    is a SIGV, as _opening says for saturation."""
-    ops = _OPENS.get(img[0], ())
-    if img[0] == T.SMULT and img[2][0] == T.SIGV:
-        return ops + (T.CHECKV,)
-    return ops
-
-
-@functools.cache   # at most one entry per two subsets of seven ops
+@functools.cache   # one entry per two mark sets that occur together
 def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
-    """The pair shapes whose root rewrite can fire over entries that open
-    opens1 and opens2: MULT when either entry is a product, and each other
-    op its second operand opens."""
-    return tuple(s for s in _PAIR_SHAPES if s[1] in (
-        opens1 | opens2 if s[1] == T.MULT else opens1 if s[2] else opens2))
+    """The pair shapes to test over entries that open opens1 and opens2:
+    MULT when either entry is a product; SMULT where, in some frame, the
+    second operand is an [s]p (POINT) and the first breaks the smult rule
+    (SHARED); and each other op its second operand opens, SIGV only over
+    an [s]p whose s is poolable. A rebase left out is counted (see
+    _Bijection)."""
+    shapes = []
+    for shape in _PAIR_SHAPES:
+        op = shape[1]
+        first, second = (opens2, opens1) if shape[2] else (opens1, opens2)
+        if op == T.MULT:
+            fires = op in first or op in second
+        elif op == T.SMULT:
+            fires = any(p in second and x in first
+                        for p, x in zip(_POINT, _SHARED))
+        else:
+            fires = op in second
+        if fires:
+            shapes.append(shape)
+    return tuple(shapes)
 
 
 def _pair_term(op, x, y):
@@ -393,13 +411,19 @@ _DESTRUCTORS = frozenset((T.DEC, T.PROJ, T.CHECK, T.CHECKV))
 
 def _joinable(f: Frame):
     """(f's bindings closed under splitting tuples and under _opening's
-    openings; whether any binding holds a variable), in one walk."""
+    openings; whether any binding holds a variable; the factors of the
+    scalars of the [s]p images in that closure, or None when it holds a
+    product), in one walk."""
     joinable, stack, rest = set(), list(f.bindings.values()), []
+    factors, product = set(), False
     while stack:
         t = stack.pop()
         if t in joinable:
             continue
         joinable.add(t)
+        if t[0] == T.SMULT:
+            factors.update(T.m_factors(t[1]))
+        product |= t[0] == T.MULT
         opening = _opening(t)
         if t[0] == T.TUP:
             stack += t[1]
@@ -413,7 +437,7 @@ def _joinable(f: Frame):
         x = rest.pop()
         has_vars = x[0] == T.VAR
         rest += T.fields(x)
-    return joinable, has_vars
+    return joinable, has_vars, None if product else factors
 
 
 class _Bijection:
@@ -430,21 +454,24 @@ class _Bijection:
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
-    Three kinds of candidate are counted without a test, so their images
+    Four kinds of candidate are counted without a test, so their images
     are never hashed or filed in by_a and by_b: a mirrored pair's
     (static_equiv counts those), a plain one, which neither frame rewrites
-    at the root, and a probe whose dec rewrites in neither frame (see the
-    end). Candidates are composed in passes: extend runs the one-field pass
-    over an entry n, row the pair passes of a frontier entry. A pass is
-    keyed by its pool indices, (n,) or (i, j) with i <= j, and a candidate
-    by its root over the indices of its fields: (op, n) or (PROJ, k, n), and
-    (op, i, j) for i op j (MULT's sorted, as its product is). A plain
+    at the root, a probe whose dec rewrites in neither frame, and a
+    Diffie-Hellman rebase that each frame leaves plain or rewrites under a
+    rebase rule (see the end for the last two). Candidates are composed in
+    passes: extend runs the one-field pass over an entry n, row the pair
+    passes of a frontier entry. A pass is keyed by its pool indices, (n,)
+    or (i, j) with i <= j, and a candidate by its root over the indices of
+    its fields: (op, n) or (PROJ, k, n), and (op, i, j) for i op j (MULT's
+    sorted, as its product is). A plain
     candidate's images are its root over the two frames' pool images:
     - one-field: HASH, PK and PKV never rewrite, and PROJ only over a tuple;
-    - pair: ENC, SIG and TUP never rewrite, the other ops only where _opens
-      says (CHECKV over an SMULT only when its point is a SIGV, the one
-      shape its rewrite opens), and MULT only over a product, so a plain
-      one's image is the two-factor product of two pool images.
+    - pair: ENC, SIG and TUP never rewrite, DEC, CHECK and CHECKV only
+      over the roots _OPENS gives (CHECKV over an SMULT only when its point
+      is a SIGV, the one shape its rewrite opens), SMULT and SIGV only over
+      an SMULT, and MULT only over a product, so a plain one's image is the
+      two-factor product of two pool images.
     An entry joins the pool only after missing both by_a and by_b, so pool
     images are pairwise distinct in each frame, and a product operand gives
     three or more factors (products only flatten): no other candidate of a
@@ -479,13 +506,32 @@ class _Bijection:
       a pool entry d whose image in that frame is the stuck dec(k, u)
       (waiting held the image until d joined): _name_enc names it for the
       entries pooled when the probes end, and for each later one as it
-      joins."""
+      joins.
+    Rebases: in a frame where pool entry e2's image is [s]p, e1 smult e2
+    has the image [fac(e1)*s]p and sigv(e1, e2) has [s]sigv(e1, p). An
+    SMULT-rooted image there is a joinable one (a seed's, or a rewrite's,
+    which opens a joinable pool image), a plain s' smult p' over pool
+    images, or a rebase over a joinable [s']p'. The smult rule: with no
+    joinable product no pool image is a product, and with no factor of e1
+    among the joinable scalars' (factors), [fac(e1)*s]p is no joinable
+    image, no plain one (its scalar is a product), no other smult rebase's
+    (e1 is one factor, not in s'), and no sigv rebase's (its scalar s'
+    would hold e1). The sigv rule: with s never a pool image (_poolable),
+    no plain smult has [s]sigv(e1, p), and _locate's inverse step names
+    the rebase from any image of that shape; its own pass holds no other
+    candidate with that image. So either kind is exact as a plain
+    candidate is, through earlier and _counted. _opens folds the rules
+    into marks per frame: POINT on an [s]p, SHARED on an entry that breaks
+    the smult rule as e1, and SIGV only on an [s]p whose s is poolable;
+    _rewritable leaves out the rebases it counts."""
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
-        (ja, va), (jb, vb) = _joinable(fa), _joinable(fb)
+        (ja, va, xa), (jb, vb, xb) = _joinable(fa), _joinable(fb)
         # a seed's images can hold a variable only where a frame image does
         self.has_vars = va or vb
+        # per frame: the joinable scalars' factors, None past a product
+        self.factors = (xa, xb)
         self.pool_cap = pool_cap
         self.capped = False
         self.by_a: dict = {}
@@ -566,7 +612,9 @@ class _Bijection:
     def _locate(self, img: Term, side: int):
         """(pass, key) of the candidate whose unrewritten image in side's
         frame is img: a one-field op, a pair op other than MULT, a two-item
-        tuple or a two-factor product over pool images. While a field is
+        tuple or a two-factor product over pool images; or, the inverse
+        step, sigv(x, [s]p) for an image [s]sigv(x, p) whose s is not
+        poolable, the one candidate with that image. While a field is
         not yet a pool image, (None, the first such field), if that field
         can still join the pool; for any other image, None."""
         # fields read by hand, not by T.fields: it runs once per filed image
@@ -578,6 +626,12 @@ class _Bijection:
             fields = img[-1:]
         else:
             return None
+        if op == T.SMULT and fields[1][0] == T.SIGV and \
+                not self._poolable(fields[0], side):
+            # the inverse step: the one candidate with this image is the
+            # rebase sigv(x, [s]p) (no plain SMULT has a scalar off the pool)
+            (_, x, p), op = fields[1], T.SIGV
+            fields = x, (T.SMULT, fields[0], p)
         at = self.at[side]
         ix = []
         for x in fields:
@@ -621,7 +675,8 @@ class _Bijection:
         if op == T.MULT and i != first:
             i, j = j, i
         (r1, _, _, b1), (r2, _, _, b2) = self.pool[i], self.pool[j]
-        # a plain candidate's second image is itself, a product's sorted
+        # the second image: a plain candidate's is itself, a product's
+        # sorted, a rebase's rewritten
         return _pair_term(op, r1, r2), T.norm_root(_pair_term(op, b1, b2))
 
     def _file(self, img: Term, where, side: int):
@@ -639,7 +694,8 @@ class _Bijection:
     def _join(self, entry):
         n = len(self.pool)
         self.pool.append(entry)
-        self.opens.append(frozenset(_opens(entry[2]) + _opens(entry[3])))
+        self.opens.append(frozenset(
+            self._opens(entry[2], 0) + self._opens(entry[3], 1)))
         for side in (0, 1):
             img = entry[2 + side]
             self.at[side][img] = n
@@ -647,6 +703,29 @@ class _Bijection:
                 self._file(held, self._locate(held, side), side)
         if self.keys:
             self._name_enc(n)
+
+    def _poolable(self, x: Term, side: int) -> bool:
+        """Whether x is or can become a pool image in side's frame, once
+        every atom seed has joined or been turned away."""
+        return x in self.at[side] or x[0] in _DESTRUCTORS
+
+    def _opens(self, img: Term, side: int) -> tuple:
+        """The ops and marks _rewritable reads off an entry whose image in
+        side's frame is img: _OPENS by its root; SHARED when a factor of
+        img is one of a joinable scalar's or the frame holds a product; and
+        over an [s]p, POINT, SIGV only when s is poolable, and CHECKV only
+        when p is a SIGV, as _opening says for saturation."""
+        ops = _OPENS.get(img[0], ())
+        factors = self.factors[side]
+        if factors is None or not factors.isdisjoint(T.m_factors(img)):
+            ops += (_SHARED[side],)
+        if img[0] == T.SMULT:
+            ops += (_POINT[side],)
+            if self._poolable(img[1], side):
+                ops += (T.SIGV,)
+            if img[2][0] == T.SIGV:
+                ops += (T.CHECKV,)
+        return ops
 
     def _counted_probe(self, key: Term, body: Term, side: int):
         """(u, k) of the probe that probes counted over pool entries u and k

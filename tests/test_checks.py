@@ -1,6 +1,7 @@
 """Verdict-layer tests: correspondence matching (with a counting oracle for
 injectivity), secrecy, distinguishing, and the suite wiring."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -401,3 +402,14 @@ def test_suite_verdicts_pinned():
     for name, want in PINNED_SUITES.items():
         got = "".join(line + "\n" for line in C.run_suite(name, seed=0).render())
         assert got == want, name
+
+
+def test_unlinkability_at_eight_sessions_pinned():
+    """The unlinkability battery at eight sessions an experiment, whose
+    frames hold more blinded points than at three: every verdict line,
+    witness and tests= count byte for byte."""
+    rep = C.run_suite("unlinkability", seed=0, sessions=8)
+    assert len(rep.lines) == 50 and rep.ok()
+    rendered = "".join(line + "\n" for line in rep.render())
+    assert hashlib.sha256(rendered.encode()).hexdigest() == \
+        "229ab3f3ce8fbaaa010dd1bb63e9804e8123411bf49237f89dfc7b0c1a208971"

@@ -1062,10 +1062,10 @@ def test_static_equiv_image_waits_on_a_stuck_destructor():
 
 
 def test_only_joinable_images_join_the_pool(monkeypatch):
-    """Over the random, named, group and probe corpora in both orders and
-    the unlinkability battery, each image that joins the pool on a side is
-    an atom seed's image, in that side's initial joinable set, or rooted at
-    a destructor; each kind occurs."""
+    """Over the random, named, group, probe and DH corpora in both orders
+    and the unlinkability battery, each image that joins the pool on a side
+    is an atom seed's image, in that side's initial joinable set, or rooted
+    at a destructor; each kind occurs."""
     init, join = F._Bijection.__init__, F._Bijection._join
     kinds = {"atom": 0, "joinable": 0, "destructor": 0}
 
@@ -1090,7 +1090,8 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
     monkeypatch.setattr(F._Bijection, "__init__", spy_init)
     monkeypatch.setattr(F._Bijection, "_join", spy_join)
     pairs = [_frame_pair(f"random{k}")[:2] for k in range(48)]
-    for make in (_random_named_pair, _random_group_pair, _random_probe_pair):
+    for make in (_random_named_pair, _random_group_pair, _random_probe_pair,
+                 _random_dh_pair):
         name = make.__name__[len("_random_"):-len("_pair")]
         pairs += [make(random.Random(f"{name}{k}")) for k in range(32)]
     for fa, fb in pairs:
@@ -1098,6 +1099,192 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
         F.static_equiv(fb, fa)
     C.run_suite("unlinkability", seed=0)
     assert min(kinds.values()) > 0
+
+
+# -- the rebase rule -------------------------------------------------------------
+#
+# A pass counts an SMULT rebase e1 smult e2 over an [s]p entry untested in a
+# frame where no factor of e1 is one of a joinable scalar's and no product
+# is joinable, and a SIGV rebase sigv(e1, e2) where s can never be a pool
+# image: the first's image is no other candidate's, and the second's is one
+# that _locate's inverse step names it by. The cases and the DH corpus
+# below, and the eight-session unlinkability battery in test_checks, were
+# recorded before the rule.
+
+def test_static_equiv_tested_smult_rebase_meets_a_counted_sigv_rebase():
+    """sigv(w0, w1) is [r*c]sigv(chi, gen) in the first frame, and counted:
+    r*c is no pool image there. [r]([c]sigv(chi, gen)) is tested, as r is a
+    factor of a joinable scalar, and meets it through the inverse step."""
+    chi, r, c, d = (T.name(x, "scalar") for x in ("chi", "r", "c", "d"))
+    blinded = T.smult(c, T.sigv(chi, G))
+    fa, _ = build([chi, r, c, d], [chi, T.smult(T.mult(r, c), G), blinded, r])
+    fb, _ = build([chi, r, c, d], [chi, T.smult(d, G), blinded, r])
+    for bound in (4, 6):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"(sigv ?w0 ?w1) = (smult ?w3 ?w2) holds in the {side} "
+                f"frame only")
+            assert verdict.tests == 3917
+
+
+def test_static_equiv_rebase_by_a_public_factor_is_tested():
+    """nn is public and a factor of w2's scalar in the first frame, so the
+    rebase [nn]w1 is tested there and meets w2."""
+    b, d, nn = (T.name(x, "scalar") for x in ("b", "d", "nn"))
+    fa, _ = build([b, d], [nn, T.smult(b, G), T.smult(T.mult(nn, b), G)])
+    fb, _ = build([b, d], [nn, T.smult(b, G), T.smult(d, G)])
+    for bound in (4, 6):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == \
+                f"?w2 = (smult $nn ?w1) holds in the {side} frame only"
+            assert verdict.tests == 2947
+
+
+def test_static_equiv_sigv_rebase_over_a_stuck_scalar_is_tested():
+    """w3's scalar proj(1, h(m)) is stuck in the first frame, and joins the
+    pool as a seed from the second frame's saturation, after w3: sigv(w0,
+    w3) is tested there, and meets the plain smult over that seed and w1."""
+    z, chi, d = (T.name(x, "scalar") for x in ("z", "chi", "d"))
+    m, n = T.name("m"), T.name("n")
+    hm, p = T.h(m), T.h(n)
+    fa, _ = build([z, chi, d, m, n],
+                  [chi, T.sigv(chi, p), hm, T.smult(T.proj(1, hm), p)])
+    fb, _ = build([z, chi, d, m, n],
+                  [chi, T.sigv(chi, p), T.tup(z, m), T.smult(d, p)])
+    for bound in (4, 6):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"(sigv ?w0 ?w3) = (smult (proj 1 ?w2) ?w1) holds in the "
+                f"{side} frame only")
+            assert verdict.tests == 4103
+
+
+def _random_dh_pair(rng):
+    """A random frame of Diffie-Hellman material and a copy with one image
+    changed: renamed, swapped for a fresh [d]p, or h(m) opened to a tuple.
+    It binds scalars that, with a public one, are factors of [s]p scalars,
+    their product, chi and a blinded signature [s]sigv(chi, p) under it,
+    and a point whose scalar proj(1, h(m)) is stuck, and joins the pool
+    where h(m) is a tuple in the other frame. So rebases meet seeds, each
+    other and plain candidates over a stuck scalar."""
+    x, y, z, chi, d = (T.name(n, "scalar")
+                       for n in ("x", "y", "z", "chi", "d"))
+    m, n = T.name("m"), T.name("n")
+    secret = [x, y, z, chi, d, m, n]
+    u, v = rng.sample([x, y, T.name("nn", "scalar")], 2)
+    hm, p = T.h(m), rng.choice([G, T.h(n)])
+    menu = [T.mult(u, v), T.smult(u, G), T.smult(T.mult(u, v), G),
+            T.smult(T.mult(u, z), p), T.sigv(chi, p),
+            T.smult(rng.choice([u, z]), T.sigv(chi, p)),
+            T.smult(T.proj(1, hm), p)]
+    images = [t for t in (u, v) if t[1] != "nn"] + [chi, hm]
+    images += rng.sample(menu, rng.randrange(2, 6))
+    rng.shuffle(images)
+    fa, _ = build(secret, images)
+    images = list(fa.bindings.values())
+    kind = rng.randrange(3)
+    if kind == 0:
+        images[images.index(hm)] = T.tup(z, m)
+    else:
+        i = rng.randrange(len(images))
+        if kind == 1:
+            old, new = rng.sample([x, y, z, d], 2)
+            images[i] = _rename_term(images[i], {old[1]: new[1]})
+        else:
+            images[i] = T.smult(d, p)
+    fb, _ = build(secret, images)
+    return fa, fb
+
+
+_DH_DIGEST = \
+    "9f05d076388d2890f3c0d7173219410d1a8e955021b58b2d7b56180a4f808c14"
+
+
+def test_static_equiv_dh_corpus_pinned():
+    lines = []
+    for k in range(32):
+        fa, fb = _random_dh_pair(random.Random(f"dh{k}"))
+        lines += _pinned_lines(f"dh{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    assert len(lines) == 288
+    assert sum("Distinguished" in line for line in lines) == 60
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _DH_DIGEST
+
+
+def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
+    """Over the group and DH corpora in both orders, the three cases above
+    and the unlinkability battery, each tested image that equals in a frame
+    the image of an SMULT or SIGV rebase a pass counted is one _locate
+    names that rebase by; both kinds are counted, and such images occur."""
+    init, test, row = F._Bijection.__init__, F._Bijection._test, \
+        F._Bijection.row
+    live, seen = [], {T.SMULT: 0, T.SIGV: 0, "met": 0}
+
+    def check(bij):
+        counted = {}
+        for images, key in bij.counted:
+            seen[key[0]] += 1
+            for side in (0, 1):
+                counted[images[side], side] = key
+        for side, img in bij.tested:
+            key = counted.get((img, side))
+            if key is not None:
+                seen["met"] += 1
+                run = tuple(sorted(key[1:]))
+                assert bij._locate(img, side) == (run, key), T.to_text(img)
+
+    def spy_init(self, fa, fb, pool_cap):
+        init(self, fa, fb, pool_cap)
+        self.tested, self.counted, self.recipes = [], [], []
+        while live:
+            check(live.pop())
+        live.append(self)
+
+    def spy_test(self, recipe, size, ia, ib):
+        self.tested += [(0, ia), (1, ib)]
+        self.recipes.append(recipe)
+        return test(self, recipe, size, ia, ib)
+
+    def spy_row(self, n1, k, m, test_bound):
+        rebases = []
+        for n2 in range(m):
+            if self.pool[n1][1] + self.pool[n2][1] >= test_bound or \
+                    k <= n2 < n1:
+                continue
+            for op in (T.SMULT, T.SIGV):
+                for i, j in ((n1, n2), (n2, n1)):
+                    (r1, _, a1, b1), (r2, _, a2, b2) = \
+                        self.pool[i], self.pool[j]
+                    ta, tb = (op, a1, a2), (op, b1, b2)
+                    images = T.norm_root(ta), T.norm_root(tb)
+                    if images != (ta, tb):
+                        rebases.append(((op, r1, r2), images, (op, i, j)))
+        self.recipes = []
+        verdict = row(self, n1, k, m, test_bound)
+        if verdict is None:
+            tested = set(self.recipes)
+            self.counted += [(images, key) for recipe, images, key in rebases
+                             if recipe not in tested]
+        return verdict
+
+    monkeypatch.setattr(F._Bijection, "__init__", spy_init)
+    monkeypatch.setattr(F._Bijection, "_test", spy_test)
+    monkeypatch.setattr(F._Bijection, "row", spy_row)
+    pairs = [_random_group_pair(random.Random(f"group{k}"))
+             for k in range(32)]
+    pairs += [_random_dh_pair(random.Random(f"dh{k}")) for k in range(32)]
+    for fa, fb in pairs:
+        F.static_equiv(fa, fb)
+        F.static_equiv(fb, fa)
+    test_static_equiv_tested_smult_rebase_meets_a_counted_sigv_rebase()
+    test_static_equiv_rebase_by_a_public_factor_is_tested()
+    test_static_equiv_sigv_rebase_over_a_stuck_scalar_is_tested()
+    C.run_suite("unlinkability", seed=0)
+    check(live.pop())
+    assert min(seen.values()) > 0
 
 
 # -- pinned deduction ------------------------------------------------------------
