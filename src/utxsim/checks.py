@@ -306,10 +306,6 @@ def _honest(tr):
     return [_holds(not tr.aborts and auths >= 1)]
 
 
-def _agreements(tr):
-    return check_all_agreements(tr)
-
-
 def _agreement(i: int):
     return lambda tr: [check_agreement(tr, CORRESPONDENCES[i])]
 
@@ -353,7 +349,7 @@ def _window_shift(_):
 
 def _checked(tag: str) -> tuple:
     """The agreement and secrecy lines of a run tagged ``[tag]``."""
-    return ((_agreements, "{}[" + tag + "]", "holds"),
+    return ((check_all_agreements, "{}[" + tag + "]", "holds"),
             (_secrecy, f"secrecy[{tag}]", "holds"))
 
 
@@ -387,11 +383,12 @@ def suites(sessions: int = 3, n_fuzzers: int = 42) -> dict:
             _paired("bdh_2session", "bdh-2-session", "violated"),
             _paired("ubdh_2session", "ubdh-2-session", "bounded-pass"),
             Row("fake_card_no_checkv",
-                ((_agreements, "{}[no-checkv]", _FORGED),)),
+                ((check_all_agreements, "{}[no-checkv]", _FORGED),)),
             Row("fake_card_no_checkv",
                 ((_agreement(0), "checkv-defends-replay", "holds"),),
                 dict(terminal_checks_month_cert=True)),
-            Row("chi_leak_fake_card", ((_agreements, "{}[chi-leak]", _FORGED),)),
+            Row("chi_leak_fake_card",
+                ((check_all_agreements, "{}[chi-leak]", _FORGED),)),
         ],
         "unlinkability": [
             _paired("unlink_utx", f"utx[{name}.{arg}]", "bounded-pass",

@@ -39,11 +39,11 @@ those passes; whatever joins meanwhile is the next frontier.
 The bound is on recipe size: a building block has size 1 and an
 application 1 plus its parts; the level-0 seeds are tested at any bound,
 and the enc(dec(k, u), k) probe may exceed it by 3. Only the level-0 seeds
-other than aliases are evaluated by substitution (an alias's images are its
-bindings); every composed candidate's image in each frame is its root
-over its parts' stored images, rewritten at the root only
-(terms.norm_root) rather than looked up in the term memo. That gives the
-same normal form because normal forms are fixpoints. The tests count
+are evaluated by substitution (terms.apply, which gives an alias's
+bindings as bound); every composed candidate's image in each frame is its
+root over its parts' stored images, rewritten at the root only
+(terms.norm_root) rather than walked again. That gives the same normal
+form because normal forms are fixpoints. The tests count
 is every enumerated candidate. Four kinds are counted but neither tested
 nor filed in the bijection, because their outcome is already known: the
 mirror of a pair of entries that joined the pool at the same level (the
@@ -446,11 +446,11 @@ class _Bijection:
     counted in tests, in enumeration order; the pool cap only limits which
     recipes feed further levels.
 
-    Images are evaluated incrementally: a level-0 seed is substituted and
-    normalized in each frame (an alias seed's images are its two bindings,
-    normal forms as bound), and each pool entry keeps both images, so a
-    composed candidate's image is its root over its parts' images,
-    rewritten at the root by T.norm_root, not looked up in the term memo.
+    Images are evaluated incrementally: a level-0 seed is evaluated in each
+    frame by T.apply, which takes the bindings as given (an alias seed's
+    images are its two bindings), and each pool entry keeps both images, so
+    a composed candidate's image is its root over its parts' images,
+    rewritten at the root by T.norm_root, not walked again.
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
@@ -550,15 +550,11 @@ class _Bijection:
         self.keys = 0
 
     def seed(self, recipe: Term):
-        if recipe[0] == T.VAR:
-            # an alias's images are its bindings, normal forms as bound
-            ia, ib = self.sub_a[recipe[1]], self.sub_b[recipe[1]]
-        else:
-            try:
-                ia = T.apply(self.sub_a, recipe)
-                ib = T.apply(self.sub_b, recipe)
-            except T.MalformedTerm:
-                return None
+        try:
+            ia = T.apply(self.sub_a, recipe)
+            ib = T.apply(self.sub_b, recipe)
+        except T.MalformedTerm:
+            return None
         if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
         return self.admit(recipe, 1, ia, ib)

@@ -8,7 +8,7 @@ TLO1..10, B1..B4) so traces can cite exact protocol positions.
 The incoming message must be a normal form, as every value the harness
 delivers is, and a step does not normalize it again. Its parts and the
 state's keys (as setup_phase issues them) are normal too, so a step builds
-every term as a normal form, innermost first and without the term memo: a
+every term as a normal form, innermost first and without a normalize walk: a
 node that never rewrites at its root (hash, enc, tuple, pk, sig, pkv) over
 normal parts is the plain constructor, and one that can (smult, mult, sigv,
 and the destructors dec, check, checkv) is rewritten by T.norm_root. Every

@@ -9,7 +9,7 @@ key with the bank.
 
 Every key, certificate and credential issued here is a normal form, built
 as the roles build their messages: plain constructors over normal parts, and
-T.norm_root on each smult and sigv, so issuance never uses the term memo.
+T.norm_root on each smult and sigv, so issuance never calls T.normalize.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ fields() and with_fields() are the one table of these shapes: fields(t) is
 t's subterms in order (none for an atom, never a projection's index), and
 with_fields(t, fs) is the same node over new subterms. Every walk over a
 term and every rebuild of a node goes through them, except the rewrite
-kernel (_normalize, norm_root) and the distinguisher's per-candidate loop,
+kernel (_eval, norm_root) and the distinguisher's per-candidate loop,
 which read fields by hand because they run once per term or per candidate
 and a call per node there shows in the wall time.
 
@@ -34,21 +34,24 @@ constructor matches, products flattened and sorted, and scalars hoisted so
 that a point multiplication never nests and a blindable signature carries a
 blinding-free body. The result of normalize() is a fixpoint; callers may
 rely on structural equality of normal forms coinciding with equality in the
-message theory. normalize() memoizes every term it is given; it normalizes a
-term's fields, then applies norm_root(), the one table of root rewrites.
+message theory. normalize() and apply() are one stateless walk, _eval: it
+normalizes a term's fields, innermost first, then applies norm_root(), the
+one table of root rewrites. apply(s, t) is the same walk with a variable
+bound in s replaced by its binding, which must be a normal form and is taken
+as given, never walked. Nothing is kept between calls.
 
-norm_root(t) is the memo-free entry point for a term whose fields are already
-normal forms, such as a constructor applied to normal parts. It rewrites at
-the root only and normalizes no field; on such a term it equals normalize(t).
+norm_root(t) is the entry point for a term whose fields are already normal
+forms, such as a constructor applied to normal parts. It rewrites at the
+root only and normalizes no field; on such a term it equals normalize(t).
 Its result on a term with a non-normal field is unspecified. Its callers are
 saturation and the distinguisher, which apply one operator to frame images,
 and the roles and setup_phase, which build every key, certificate and
 message of a run innermost first over normal parts: norm_root on each node
 that can rewrite (smult, mult, sigv, and the destructors dec, check and
 checkv that open a delivered message), the plain constructor on every other.
-A protocol run therefore never goes through the memo. normalize() and its
-memo serve the terms that arrive in arbitrary form: attacker recipes (through
-apply), derive targets, and the terms of a parsed trace.
+The roles and setup therefore never walk a term. The walk serves the terms
+that arrive in arbitrary form: attacker recipes (through apply), derive
+targets, and the terms of a parsed trace.
 
 All operations are pure; terms are immutable tuples, safe to share freely.
 """
@@ -215,11 +218,8 @@ def with_fields(t: Term, fs) -> Term:
 
 # -- the theory ----------------------------------------------------------
 
-_memo = {}
-
-
 def clear_cache() -> None:
-    _memo.clear()
+    """Does nothing: the kernel keeps no state between calls."""
 
 
 def m_factors(t: Term) -> tuple:
@@ -234,33 +234,37 @@ def mult_of(factors: list) -> Term:
     return (MULT, tuple(sorted(factors)))
 
 
+_NO_ENV: dict = {}
+
+
 def normalize(t: Term) -> Term:
-    """Normal form of t, memoized process-wide."""
-    r = _memo.get(t)
-    if r is None:
-        r = _normalize(t)
-        _memo[t] = r
-    return r
+    """Normal form of t."""
+    return _eval(t, _NO_ENV)
 
 
-# _normalize recurses through this private binding, so an instrumentation
-# wrapper installed over the public name sees only entry calls.
-_norm = normalize
+def apply(s: dict, t: Term) -> Term:
+    """Normal form of t with each variable bound in s (id -> term) replaced
+    by its binding. The terms of s must be normal forms, as Frame.bind
+    requires: they are taken as given and never walked."""
+    return _eval(t, s)
 
 
-def _normalize(t: Term) -> Term:
-    # dispatched by hand: the memo's miss path, slower through with_fields
+def _eval(t: Term, env: dict) -> Term:
+    # the one walk behind normalize and apply; it recurses on its private
+    # name, so a wrapper installed over either public name sees only entry
+    # calls. Dispatched by hand: a call per node through with_fields shows
+    # in the wall time.
     op = t[0]
     if op <= VAR:
-        return t
+        return env.get(t[1], t) if op == VAR else t
     if op == MULT or op == TUP:
-        t = (op, tuple([_norm(x) for x in t[1]]))
+        t = (op, tuple([_eval(x, env) for x in t[1]]))
     elif op == PROJ:
-        t = (PROJ, t[1], _norm(t[2]))
+        t = (PROJ, t[1], _eval(t[2], env))
     elif op == HASH or op == PK or op == PKV:
-        t = (op, _norm(t[1]))
+        t = (op, _eval(t[1], env))
     elif op <= DEC:
-        t = (op, _norm(t[1]), _norm(t[2]))
+        t = (op, _eval(t[1], env), _eval(t[2], env))
     return norm_root(t)
 
 
@@ -270,7 +274,7 @@ _NO_ROOT_REWRITE = frozenset((GEN, CONST, NAME, VAR, HASH, ENC, PK, SIG, PKV))
 
 def norm_root(t: Term) -> Term:
     """Normal form of t, whose fields must already be normal forms: the root
-    rewrite only, without the memo. On such a term it equals normalize(t),
+    rewrite only, walking no field. On such a term it equals normalize(t),
     because normal forms are fixpoints."""
     # dispatched by hand: the distinguisher calls it once per candidate
     op = t[0]
@@ -331,24 +335,9 @@ def norm_root(t: Term) -> Term:
     raise MalformedTerm("unknown opcode %r" % (op,))
 
 
-def subst_vars(t: Term, env: dict) -> Term:
-    """Replace variables per env (id -> term); no normalization."""
-    op = t[0]
-    if op == VAR:
-        return env.get(t[1], t)
-    if op <= NAME:
-        return t
-    return with_fields(t, [subst_vars(x, env) for x in fields(t)])
-
-
 def equal_mod_E(a: Term, b: Term) -> bool:
     """Equality in the message theory."""
     return normalize(a) == normalize(b)
-
-
-def apply(s: dict, t: Term) -> Term:
-    """Apply a substitution (var id -> term) and normalize the result."""
-    return normalize(subst_vars(t, s)) if s else normalize(t)
 
 
 def _nodes(t: Term, op: int) -> set:

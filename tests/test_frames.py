@@ -489,14 +489,15 @@ def test_composed_image_equals_recipe_evaluation(pair):
         want = T.apply(sigma, recipe)
         assert T.normalize(shape(a, b, _same)) == want, T.to_text(recipe)
         assert not T.free_vars(want)
-        # the memo-free root rewrite over the parts' images agrees too
+        # the root rewrite over the parts' images agrees too
         assert shape(a, b, T.norm_root) == want, T.to_text(recipe)
 
 
 def test_distinguisher_bypasses_the_memo(monkeypatch):
-    """Composed candidates are rewritten at the root, not normalized through
-    the memo: a wrapper installed over T.normalize (as a tracer does) sees
-    the seeds and the saturation, a small fraction of the tests made."""
+    """Composed candidates are rewritten at the root, never walked by
+    T.normalize: a wrapper installed over T.normalize (as a tracer does)
+    sees only the saturation's key searches, a small fraction of the tests
+    made."""
     fa, fb, _ = _frame_pair("unlink_utx")
     calls = []
     inner = T.normalize

@@ -103,7 +103,7 @@ def test_setup_issues_normal_forms():
 @pytest.mark.parametrize("mode", ["onhi", "offhi", "lo"])
 def test_honest_session_skips_the_term_memo(monkeypatch, mode):
     """Issuance and the three roles build every term as a normal form
-    without T.normalize, so an honest session leaves the memo untouched."""
+    without T.normalize, so an honest session never walks a term."""
     def refused(t):
         raise AssertionError(f"normalize({T.to_text(t)})")
     monkeypatch.setattr(T, "normalize", refused)

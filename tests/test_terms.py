@@ -2,6 +2,7 @@
 structural properties of normal forms."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,8 +224,9 @@ def _subst_reference(t, env):
 @pytest.mark.parametrize("seed", range(4))
 def test_shape_table_matches_the_reference(seed):
     """fields and with_fields agree with _children and _replace_child on
-    every node of random terms over every opcode, and the walks built on
-    them agree with recursive references."""
+    every node of random terms over every opcode, the walks built on them
+    agree with recursive references, and apply agrees with normalizing the
+    reference substitution."""
     rng = random.Random(f"shape{seed}")
     pool = NAME_POOL + [T.var("w0"), T.var("w1")]
     env = {"w0": T.h(A), "w9": B}
@@ -243,8 +245,19 @@ def test_shape_table_matches_the_reference(seed):
         nodes = list(_all_nodes(t))
         assert T.free_names(t) == {x for x in nodes if x[0] == T.NAME}
         assert T.free_vars(t) == {x[1] for x in nodes if x[0] == T.VAR}
-        assert T.subst_vars(t, env) == _subst_reference(t, env)
+        want = T.normalize(_subst_reference(t, env))
+        assert T.apply(env, t) == want, T.to_text(t)
     assert ops == set(range(T.DEC + 1))
+    # a binding is taken as given
+    assert T.apply(env, T.var("w0")) is env["w0"]
+    # where the reference is ill-formed, apply raises as normalize does
+    w0, w9 = T.var("w0"), T.var("w9")
+    for bad in ((T.TUP, (w0,)), (T.MULT, (w9,)), (T.PROJ, 0, w0),
+                (T.DEC + 1, w0, w9)):
+        with pytest.raises(T.MalformedTerm):
+            T.normalize(_subst_reference(bad, env))
+        with pytest.raises(T.MalformedTerm):
+            T.apply(env, bad)
 
 
 # opcodes whose root norm_root may rewrite; every other root is left alone
@@ -354,7 +367,28 @@ def test_instrumentation_sees_only_entry_calls(monkeypatch):
         return inner(t)
 
     monkeypatch.setattr(T, "normalize", counting)
-    T.clear_cache()
     t = T.dec(K, T.enc(T.tup(T.smult(A, T.smult(B, G)), T.h(M)), K))
     assert T.normalize(t) == (T.TUP, (T.smult(T.mult(A, B), G), T.h(M)))
     assert len(calls) == 1
+
+
+def test_the_kernel_retains_nothing():
+    """normalize and apply keep no state between calls: thousands of
+    distinct terms through each, their results dropped, leave the memory
+    the process had."""
+    env = {"w0": T.h(M)}
+
+    def fresh(i):
+        return T.h(T.tup(T.name(f"n{i}"), T.smult(A, T.smult(B, G))))
+
+    tracemalloc.start()
+    try:
+        T.apply(env, T.tup(fresh(-1), T.var("w0")))
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(5000):
+            T.normalize(fresh(i))
+            T.apply(env, T.tup(fresh(i), T.var("w0")))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 32_000, retained
