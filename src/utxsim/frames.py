@@ -43,29 +43,36 @@ are evaluated by substitution (terms.apply, which gives an alias's
 bindings as bound); every composed candidate's image in each frame is its
 root over its parts' stored images, rewritten at the root only
 (terms.norm_root) rather than walked again. That gives the same normal
-form because normal forms are fixpoints. The tests count
-is every enumerated candidate. Four kinds are counted but neither tested
-nor filed in the bijection, because their outcome is already known: the
-mirror of a pair of entries that joined the pool at the same level (the
-pair's first pass fixed it); a plain candidate, one that neither frame
-rewrites at the root: every HASH, PK and PKV of an entry and a PROJ of an
-entry that is a tuple in neither frame; every ENC, SIG and TUP pair
-candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one whose rewrite does
-not fire; and a MULT one whose entries are products in neither frame;
-an enc(dec(k, u), k) probe whose dec rewrites in neither frame (in
-each frame only the key that is u's own can open u); and a Diffie-Hellman
-rebase over an entry e2 that is a point [s]p in a frame, in each such
-frame: e1 smult e2 when no factor of e1 is one of the scalar of a point
-in the frame's joinable set (its bindings and their openings) and that
-set holds no product, since then nothing else reaches its image
-[e1*s]p; and sigv(e1, e2) when s can never be a pool image. Elsewhere a
-counted rebase is plain. The images of a plain candidate, a counted probe
-or a counted sigv rebase are new unless a candidate reached by another
-route has the same image; _Bijection keeps that case exact, holding such
-an image back only on a field that can still join the pool (a binding or
-its opening, a pool image or a stuck destructor). A pass is a
-bounded guarantee, never a proof; it also says when the pool cap, not the
-bound, ended the search.
+form because normal forms are fixpoints. The tests count is every
+enumerated candidate, but a pair pass visits only the partners where a
+candidate can rewrite or is named: a destructor rewrites only where one
+entry's image is the key that opens the other's, MULT, SMULT and SIGV only
+where the two entries' roots and marks allow, and a named candidate is one
+a filed image names. Every other slot is counted by arithmetic over the
+sizes of the pool entries below it. Which row ran a pair pass first, and
+whether it has yet, follows from the levels and the rows' cursor, not
+from a record per pair (see _Bijection). Four kinds are counted but
+neither tested nor filed in the bijection, because their outcome is
+already known: the mirror of a pair of entries that joined the pool at
+the same level (the pair's first pass fixed it); a plain candidate, one
+that neither frame rewrites at the root: every HASH, PK and PKV of an
+entry and a PROJ of an entry that is a tuple in neither frame; every ENC,
+SIG and TUP pair candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one
+whose rewrite does not fire; and a MULT one whose entries are products
+in neither frame; an enc(dec(k, u), k) probe whose dec rewrites in
+neither frame (in each frame only the key that is u's own can open u);
+and a Diffie-Hellman rebase over an entry e2 that is a point [s]p in a
+frame, in each such frame: e1 smult e2 when no factor of e1 is one of
+the scalar of a point in the frame's joinable set (its bindings and
+their openings) and that set holds no product, since then nothing else
+reaches its image [e1*s]p; and sigv(e1, e2) when s can never be a pool
+image. Elsewhere a counted rebase is plain. The images of a plain
+candidate, a counted probe or a counted sigv rebase are new unless a
+candidate reached by another route has the same image; _Bijection keeps
+that case exact, holding such an image back only on a field that can
+still join the pool (a binding or its opening, a pool image or a stuck
+destructor). A pass is a bounded guarantee, never a proof; it also says
+when the pool cap, not the bound, ended the search.
 
 A run's frame is its one record of what the attacker has seen, and it only
 grows, through Frame.bind. The analyses here only read their frames, so
@@ -75,6 +82,7 @@ enumeration order (and therefore the first witness) is deterministic.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 from dataclasses import dataclass, field
@@ -394,6 +402,16 @@ def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
     return tuple(shapes)
 
 
+_KEYLESS = frozenset((T.MULT, T.SMULT, T.SIGV))
+
+
+@functools.cache   # one entry per two mark sets that occur together
+def _broad(opens1: frozenset, opens2: frozenset) -> bool:
+    """Whether _rewritable(opens1, opens2) holds a MULT, SMULT or SIGV
+    shape, the ops whose rewrite needs no key."""
+    return any(shape[1] in _KEYLESS for shape in _rewritable(opens1, opens2))
+
+
 def _pair_term(op, x, y):
     # built by hand, not by T.with_fields: it runs once per pair candidate
     return (op, (x, y)) if op == T.MULT or op == T.TUP else (op, x, y)
@@ -485,10 +503,10 @@ class _Bijection:
       image would have found, and _counted rebuilds it (recipe and
       second-frame image) once its pass is done. A root rewrite never keeps
       its fields as fields, so no candidate of a pass has the image of a
-      plain candidate of the same pass, and done records a pass when all
-      its candidates are. A pair may be composed twice, once in each end's
-      row; done keeps the entry its first run put first, the order of a
-      counted product's recipe.
+      plain candidate of the same pass, and a pass is done when all its
+      candidates are: done records a one-field pass, and _ran a pair pass
+      (see the end). A pair may be composed twice, once in each end's row;
+      the entry its first run put first orders a counted product's recipe.
     Filing rule: waiting holds an image only on a field in its frame's
     joinable set (at's keys: _joinable of the bindings, then each pool
     image) or rooted at a destructor. Lemma: an image joins only as an atom
@@ -523,7 +541,38 @@ class _Bijection:
     candidate is, through earlier and _counted. _opens folds the rules
     into marks per frame: POINT on an [s]p, SHARED on an entry that breaks
     the smult rule as e1, and SIGV only on an [s]p whose s is poolable;
-    _rewritable leaves out the rebases it counts."""
+    _rewritable leaves out the rebases it counts.
+    Rows: row n1 runs the inner shape loop only at the slots n2 < m where a
+    candidate can rewrite or is named; at any other slot every candidate
+    is plain and unnamed, so the loop would test none. The visit set is
+    the union of:
+    - key partners: DEC, CHECK and CHECKV rewrite only where, in a frame,
+      one entry's image is the key _opening gives for the other's. Pool
+      images are distinct in each frame, so at[side] gives the one entry
+      whose image is n1's key, and openers[side] the entries that n1's
+      image opens as a key;
+    - broad partners: each member of an opens class c for which
+      _broad(opens1, c) holds, the MULT, SMULT and SIGV shapes _rewritable
+      keeps, whose rewrite needs no key;
+    - named partners: partners holds the other end of every pair pass
+      earlier names, kept by _name beside it;
+    - late-named partners: a test of the row can name a later slot of the
+      same row; _name pushes that slot onto the row's heap (visits), as
+      the full scan read earlier afresh at each slot.
+    The heap gives the visits in index order whatever the sets' order.
+    The count is arithmetic: a slot within the bound adds _PAIR_TESTS
+    whether visited, mirrored or plain, so tests at slot n2 is the row's
+    start plus _PAIR_TESTS for each pool index below n2 whose size is at
+    most bound - size(n1) - 1, read off by_size with bisect.
+    First runs: rows run in increasing n1, each over n2 in increasing
+    order, so the row cursor (n1, n2) orders every slot that has run. Pair
+    pass (i, j), i <= j, runs first in row i when j < m of i's level: row
+    i visits it (j >= i is no mirror), and no row before i holds it. Else j
+    joined after i's level had fixed m, in a later level, so row j runs it,
+    with i below j's frontier (no mirror), and row i never does. The pass
+    is done once the cursor is past that row's slot, and never when its
+    size exceeds the bound, a slot no row runs; _ran applies this rule in
+    place of a done entry per pair."""
 
     def __init__(self, fa, fb, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
@@ -543,7 +592,18 @@ class _Bijection:
         self.at = (dict.fromkeys(ja), dict.fromkeys(jb))
         self.waiting = ({}, {})  # per frame: field -> images awaiting it
         self.earlier: dict = {}  # pass -> keys of candidates filed images name
-        self.done: dict = {}     # pass -> the entry its first run put first
+        self.partners: dict = {}  # pool index -> other ends of named passes
+        self.done: dict = {}     # one-field pass (n,) -> n, once run
+        # per frame: key image -> the pool entries it opens (see _opening)
+        self.openers = ({}, {})
+        self.classes: dict = {}  # opens -> pool indices, ascending
+        self.by_size: dict = {}  # recipe size -> pool indices, ascending
+        # the levels rows ran: first frontier index, and the m they ran to
+        self.starts: list = []
+        self.ends: list = []
+        self.bound = 0           # the rows' test bound
+        self.cursor = (-1, 0)    # (n1, n2) of the slot row is at
+        self.visits = None       # the running row's heap of n2 still to visit
         # once the probes ran: ENC-rooted entry -> the keys its probes
         # tested, and how many keys each ran over (0 before)
         self.probed: dict = {}
@@ -661,7 +721,7 @@ class _Bijection:
         if where is None or where[0] is None:
             return None
         run, key = where
-        first = self.done.get(run)
+        first = self.done.get(run) if len(run) == 1 else self._ran(run)
         if first is None:
             return None
         if len(run) == 1:
@@ -675,6 +735,18 @@ class _Bijection:
         # sorted, a rebase's rewritten
         return _pair_term(op, r1, r2), T.norm_root(_pair_term(op, b1, b2))
 
+    def _ran(self, run):
+        """The entry whose row first ran pair pass run = (i, j), i <= j,
+        once that row is past it; else None. That row is i's when j < m of
+        i's level, and j's otherwise."""
+        i, j = run
+        pool = self.pool
+        level = bisect.bisect_right(self.starts, i) - 1
+        if level < 0 or pool[i][1] + pool[j][1] >= self.bound:
+            return None
+        first, other = (i, j) if j < self.ends[level] else (j, i)
+        return first if (first, other) < self.cursor else None
+
     def _file(self, img: Term, where, side: int):
         """Index an image just filed in side's frame in earlier, under the
         pass and key of the candidate it names; until its fields are pool
@@ -685,16 +757,34 @@ class _Bijection:
         if run is None:
             self.waiting[side].setdefault(key, []).append(img)
         else:
-            self.earlier.setdefault(run, set()).add(key)
+            self._name(run, key)
+
+    def _name(self, run, key):
+        """File key in earlier under its pass; a pair pass's ends become
+        each other's partners, and a later slot of the running row joins
+        its heap."""
+        self.earlier.setdefault(run, set()).add(key)
+        if len(run) == 2:
+            i, j = run
+            self.partners.setdefault(i, set()).add(j)
+            self.partners.setdefault(j, set()).add(i)
+            n1, n2 = self.cursor
+            if self.visits is not None and n1 in run and i + j - n1 > n2:
+                heapq.heappush(self.visits, i + j - n1)
 
     def _join(self, entry):
         n = len(self.pool)
         self.pool.append(entry)
-        self.opens.append(frozenset(
-            self._opens(entry[2], 0) + self._opens(entry[3], 1)))
+        opens = frozenset(self._opens(entry[2], 0) + self._opens(entry[3], 1))
+        self.opens.append(opens)
+        self.classes.setdefault(opens, []).append(n)
+        self.by_size.setdefault(entry[1], []).append(n)
         for side in (0, 1):
             img = entry[2 + side]
             self.at[side][img] = n
+            opening = _opening(img)
+            if opening is not None:
+                self.openers[side].setdefault(opening[1], []).append(n)
             for held in self.waiting[side].pop(img, ()):
                 self._file(held, self._locate(held, side), side)
         if self.keys:
@@ -743,8 +833,7 @@ class _Bijection:
                 probe = self._counted_probe(img[1], img[2], side)
                 if probe is not None:
                     k = probe[1]
-                    self.earlier.setdefault(
-                        (d, k) if d <= k else (k, d), set()).add((T.ENC, d, k))
+                    self._name((d, k) if d <= k else (k, d), (T.ENC, d, k))
 
     def probes(self, test_bound: int):
         """Test the decryptability probes enc(dec(k, u), k) = u over the
@@ -816,19 +905,45 @@ class _Bijection:
         """Run the pair pass of frontier entry n1 (the frontier starts at k)
         with each pool entry n2 < m, as extend runs its one-field pass. A
         frontier entry n2 < n1 ran the pair both ways round (MULT's product
-        is sorted), which fixed each outcome, so its mirror is counted."""
+        is sorted), which fixed each outcome, so its mirror is counted. Only
+        the slots whose rewrite can fire or that earlier names are visited;
+        the tests count of every other slot is arithmetic."""
         # candidates built by hand by _pair_term: the hot loop
-        pool, opens, done = self.pool, self.opens, self.done
+        pool, opens = self.pool, self.opens
         e1, opens1 = pool[n1], opens[n1]
-        tests = self.tests
-        for n2 in range(m):
+        room = test_bound - e1[1] - 1   # the largest size of a partner
+        if not self.starts or self.starts[-1] != k:
+            self.starts.append(k)
+            self.ends.append(m)
+        self.bound = test_bound
+        sizes = [ix for size, ix in self.by_size.items() if size <= room]
+        base = self.tests
+        visits = set(self.partners.get(n1, ()))
+        for side in (0, 1):
+            img = e1[2 + side]
+            visits.update(self.openers[side].get(img, ()))
+            opening = _opening(img)
+            if opening is not None:
+                visits.add(self.at[side].get(opening[1]))
+        visits.discard(None)
+        for c, ix in self.classes.items():
+            if _broad(opens1, c):
+                visits.update(ix)
+        heap = self.visits = list(visits)
+        heapq.heapify(heap)
+        last = -1
+        while heap:
+            n2 = heapq.heappop(heap)
+            if n2 >= m:
+                break
             e2 = pool[n2]
+            if n2 == last or e2[1] > room or k <= n2 < n1:
+                continue
+            last = n2
+            self.cursor = (n1, n2)
+            tests = base + _PAIR_TESTS * sum(
+                bisect.bisect_left(ix, n2) for ix in sizes)
             size = e1[1] + e2[1] + 1
-            if size > test_bound:
-                continue
-            if k <= n2 < n1:
-                tests += _PAIR_TESTS
-                continue
             run = (n1, n2) if n1 <= n2 else (n2, n1)
             shapes = _rewritable(opens1, opens[n2])
             named = self.earlier.get(run, ())
@@ -848,10 +963,12 @@ class _Bijection:
                 self.tests = tests + pos
                 verdict = self._test(_pair_term(op, r1, r2), size, ia, ib)
                 if verdict is not None:
+                    self.visits = None
                     return verdict
-            tests += _PAIR_TESTS
-            done.setdefault(run, n1)
-        self.tests = tests
+        self.cursor = (n1, m)
+        self.visits = None
+        self.tests = base + _PAIR_TESTS * sum(
+            bisect.bisect_left(ix, m) for ix in sizes)
         return None
 
 

@@ -1288,6 +1288,129 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
     assert min(seen.values()) > 0
 
 
+# -- the full-scan row, as an oracle -------------------------------------------
+#
+# _Bijection.row visits only the slots whose rewrite can fire or that a
+# filed image names, counts the rest by arithmetic, and _ran tells from the
+# row cursor which row ran a pair pass first. The oracle is the row that
+# walks every slot and records each pair pass in done as its first run ends;
+# _ran then reads done. Both must give the same verdict, tests= count and
+# witness.
+
+def _full_scan_row(self, n1, k, m, test_bound):
+    pool, opens, done = self.pool, self.opens, self.done
+    e1, opens1 = pool[n1], opens[n1]
+    tests = self.tests
+    for n2 in range(m):
+        e2 = pool[n2]
+        size = e1[1] + e2[1] + 1
+        if size > test_bound:
+            continue
+        if k <= n2 < n1:
+            tests += F._PAIR_TESTS
+            continue
+        run = (n1, n2) if n1 <= n2 else (n2, n1)
+        shapes = F._rewritable(opens1, opens[n2])
+        named = self.earlier.get(run, ())
+        if named:
+            named = {s for s in F._PAIR_SHAPES if (
+                F._pair_key(s[1], n2, n1) if s[2]
+                else F._pair_key(s[1], n1, n2)) in named}
+            shapes = sorted({*shapes, *named})
+        for shape in shapes:
+            pos, op, swapped = shape
+            (r1, _, a1, b1), (r2, _, a2, b2) = \
+                (e2, e1) if swapped else (e1, e2)
+            ta, tb = F._pair_term(op, a1, a2), F._pair_term(op, b1, b2)
+            ia, ib = T.norm_root(ta), T.norm_root(tb)
+            if ia is ta and ib is tb and shape not in named:
+                continue
+            self.tests = tests + pos
+            verdict = self._test(F._pair_term(op, r1, r2), size, ia, ib)
+            if verdict is not None:
+                return verdict
+        tests += F._PAIR_TESTS
+        done.setdefault(run, n1)
+    self.tests = tests
+    return None
+
+
+def _full_scan(monkeypatch):
+    monkeypatch.setattr(F._Bijection, "row", _full_scan_row)
+    monkeypatch.setattr(F._Bijection, "_ran",
+                        lambda self, run: self.done.get(run))
+
+
+def _outcome(verdict):
+    detail = verdict.capped if verdict else verdict.describe()
+    return _kind(verdict), verdict.tests, detail
+
+
+def _outcomes(pairs, bounds):
+    return [_outcome(F.static_equiv(x, y, test_bound=bound))
+            for fa, fb in pairs for x, y in ((fa, fb), (fb, fa))
+            for bound in bounds]
+
+
+def _hashed_one_binding(case):
+    """The paired scenario's real frame against its ideal frame with one
+    structured binding hashed, for each such binding."""
+    fa, fb, _ = _frame_pair(case)
+    for alias, img in fb.bindings.items():
+        if img[0] != T.NAME:
+            bindings = dict(fb.bindings)
+            bindings[alias] = T.normalize(T.h(img))
+            yield fa, F.Frame(fb.restricted, bindings)
+
+
+def test_row_matches_the_full_scan(monkeypatch):
+    """Over the group, named, probe and DH corpora, 1,500 more random named
+    and probe pairs and the paired scenarios with one binding hashed, in
+    both frame orders at bounds 2 to 6."""
+    pairs = [make(random.Random(f"{label}{k}")) for label, make in (
+        ("group", _random_group_pair), ("named", _random_named_pair),
+        ("probe", _random_probe_pair), ("dh", _random_dh_pair))
+        for k in range(32)]
+    for k in range(750):
+        pairs.append(_random_named_pair(random.Random(f"scan-named{k}")))
+        pairs.append(_random_probe_pair(random.Random(f"scan-probe{k}")))
+    for case in _PAIRED:
+        pairs += _hashed_one_binding(case)
+    got = _outcomes(pairs, range(2, 7))
+    with monkeypatch.context() as m:
+        _full_scan(m)
+        want = _outcomes(pairs, range(2, 7))
+    assert got == want
+    assert sum(kind == "Distinguished" for kind, _, _ in got) > len(got) // 4
+
+
+def _late_named_bijection():
+    """w0 is a key k, w1 is enc(enc(x, k), k), and w2 is x in the first
+    frame and y in the second; seeded with the aliases only, so that pool
+    entry n is wn."""
+    x, y, k = T.name("x"), T.name("y"), T.name("k")
+    fa, _ = build([x, y, k], [k, T.enc(T.enc(x, k), k), x])
+    fb, _ = build([x, y, k], [k, T.enc(T.enc(x, k), k), y])
+    bij = F._Bijection(fa, fb, F.POOL_CAP)
+    for alias in ("w0", "w1", "w2"):
+        assert bij.seed(T.var(alias)) is None
+    return bij
+
+
+def test_row_visits_a_slot_named_during_the_row(monkeypatch):
+    """In w0's row, dec(w0, w1) opens to enc(x, k) in both frames; the
+    first frame's image names enc(w2, w0), a later slot of the same row
+    that no key relation or rebase reaches. The row must still visit it,
+    as the full scan does, and meet the first frame's equality there."""
+    with monkeypatch.context() as m:
+        _full_scan(m)
+        oracle = _late_named_bijection().row(0, 0, 3, 3)
+    assert oracle.describe() == \
+        "(dec ?w0 ?w1) = (enc ?w2 ?w0) holds in the first frame only"
+    verdict = _late_named_bijection().row(0, 0, 3, 3)
+    assert verdict is not None and _outcome(verdict) == _outcome(oracle)
+
+
 # -- pinned deduction ------------------------------------------------------------
 #
 # Reorganising saturation and deduction must not move which entries a

@@ -3,11 +3,14 @@
 A bounded search that never finds anything would still produce green
 bounded-pass lines, so these tests feed it defects it must catch: mutated
 frames from genuine paired runs, a card that reuses its blinding scalar,
-and a credential shown unblinded. Each is detected at small bounds.
+and a credential shown unblinded. Each is detected at small bounds. The
+last tests break the distinguisher's pair pass itself and check that the
+tests of test_frames notice.
 """
 
 import pytest
 
+import test_frames
 from test_frames import build
 
 import utxsim.frames as F
@@ -89,3 +92,42 @@ def test_mutated_multimonth_run_detected():
         bindings[i] = T.normalize(T.pk(bindings[i]))
         mutated = F.Frame(ideal.frame.restricted, bindings)
         assert not bool(F.static_equiv(real.frame, mutated, test_bound=4))
+
+
+# -- defects in the pair pass --------------------------------------------------
+#
+# _Bijection.row visits only the slots whose rewrite can fire or that a filed
+# image names. It loses a slot if it skips the reverse-key lookup (the pool
+# entries a row's entry opens as a key) or drops the push of a later slot
+# that a test of the running row names.
+
+def _skip_reverse_key_lookup(monkeypatch):
+    join = F._Bijection._join
+
+    def join_without_openers(self, entry):
+        join(self, entry)
+        for openers in self.openers:
+            openers.clear()
+
+    monkeypatch.setattr(F._Bijection, "_join", join_without_openers)
+
+
+def _drop_late_named_push(monkeypatch):
+    name = F._Bijection._name
+
+    def name_without_push(self, run, key):
+        visits, self.visits = self.visits, None
+        name(self, run, key)
+        self.visits = visits
+
+    monkeypatch.setattr(F._Bijection, "_name", name_without_push)
+
+
+@pytest.mark.parametrize("defect, check", [
+    (_skip_reverse_key_lookup, test_frames.test_row_matches_the_full_scan),
+    (_drop_late_named_push,
+     test_frames.test_row_visits_a_slot_named_during_the_row)])
+def test_pair_pass_defect_is_caught(monkeypatch, defect, check):
+    defect(monkeypatch)
+    with pytest.raises(AssertionError):
+        check(monkeypatch)
