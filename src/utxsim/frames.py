@@ -32,6 +32,11 @@ so sharing the memo changes no recipe.
 static_equiv() enumerates candidate recipes breadth-first from saturated
 building blocks and maintains a partial bijection between the two frames'
 value spaces; the first inconsistency is a distinguishing equality test.
+The level-0 seeds are gen, the other constants, the months and public
+names that occur in a binding, and both saturations' entries. An opening
+adds no atom, so those months and names are the atoms of every saturated
+entry; the walk that finds each frame's joinable set (_joinable) meets
+them, and no saturation is walked for them.
 A level is a range of the pool: its frontier pool[k:end] holds what joined
 during the level before. A level runs the one-field pass over each
 frontier entry, then composes each with every entry the pool holds after
@@ -429,9 +434,11 @@ _DESTRUCTORS = frozenset((T.DEC, T.PROJ, T.CHECK, T.CHECKV))
 
 def _joinable(f: Frame):
     """(f's bindings closed under splitting tuples and under _opening's
-    openings; whether any binding holds a variable; the factors of the
-    scalars of the [s]p images in that closure, or None when it holds a
-    product), in one walk."""
+    openings; the atoms of the bindings: their month constants, names and
+    variables; the factors of the scalars of the [s]p images in that
+    closure, or None when it holds a product), in one walk. An opening's
+    image is a subterm of what it opens, or [s]m of a blinded [s]sigv(k,
+    m), so the walk meets every atom once it walks each opening's key."""
     joinable, stack, rest = set(), list(f.bindings.values()), []
     factors, product = set(), False
     while stack:
@@ -447,22 +454,26 @@ def _joinable(f: Frame):
             stack += t[1]
         elif opening is None:
             rest.append(t)
-        else:   # the opened image; its key is walked for variables only
+        else:   # the opened image; its key is walked for atoms only
             stack.append(T.norm_root((*opening, t)))
             rest.append(opening[1])
-    has_vars = False
-    while rest and not has_vars:
+    atoms = set()
+    while rest:
         x = rest.pop()
-        has_vars = x[0] == T.VAR
-        rest += T.fields(x)
-    return joinable, has_vars, None if product else factors
+        if x[0] == T.NAME or x[0] == T.VAR or (
+                x[0] == T.CONST and x[1] == "mm"):
+            atoms.add(x)
+        else:
+            rest += T.fields(x)
+    return joinable, atoms, None if product else factors
 
 
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
     counted in tests, in enumeration order; the pool cap only limits which
-    recipes feed further levels.
+    recipes feed further levels. The test bound is set once, at
+    construction, and probes, extend, row and _ran all read it.
 
     Images are evaluated incrementally: a level-0 seed is evaluated in each
     frame by T.apply, which takes the bindings as given (an alias seed's
@@ -496,9 +507,9 @@ class _Bijection:
     pass has the image of a plain one, and a plain one never joins the
     pool. Its outcome is known unless an image reached by another route (a
     seed, a probe or a rewritten candidate) is equal:
-    - reached earlier: earlier files that image under the pass and key of
-      the candidate it names (waiting holds it until its fields are pool
-      images), and the pass tests the named candidate;
+    - reached earlier: earlier files that image under the ends of the
+      pass and the key of the candidate it names (waiting holds it until
+      its fields are pool images), and the pass tests the named candidate;
     - reached later: the counted candidate is the by_a or by_b entry the
       image would have found, and _counted rebuilds it (recipe and
       second-frame image) once its pass is done. A root rewrite never keeps
@@ -554,8 +565,10 @@ class _Bijection:
     - broad partners: each member of an opens class c for which
       _broad(opens1, c) holds, the MULT, SMULT and SIGV shapes _rewritable
       keeps, whose rewrite needs no key;
-    - named partners: partners holds the other end of every pair pass
-      earlier names, kept by _name beside it;
+    - named partners: earlier[n1] is keyed by the other end of every
+      pass over n1 that a filed image names (None for the one-field
+      pass), and both ends of a pair pass share one key set. The row
+      reads that dict live, so a pass named during the row is seen;
     - late-named partners: a test of the row can name a later slot of the
       same row; _name pushes that slot onto the row's heap (visits), as
       the full scan read earlier afresh at each slot.
@@ -574,13 +587,15 @@ class _Bijection:
     size exceeds the bound, a slot no row runs; _ran applies this rule in
     place of a done entry per pair."""
 
-    def __init__(self, fa, fb, pool_cap):
+    def __init__(self, fa, fb, bound, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
-        (ja, va, xa), (jb, vb, xb) = _joinable(fa), _joinable(fb)
+        (ja, aa, xa), (jb, ab, xb) = _joinable(fa), _joinable(fb)
+        self.atoms = aa | ab     # the atoms of either frame's bindings
         # a seed's images can hold a variable only where a frame image does
-        self.has_vars = va or vb
+        self.has_vars = any(x[0] == T.VAR for x in self.atoms)
         # per frame: the joinable scalars' factors, None past a product
         self.factors = (xa, xb)
+        self.bound = bound       # the test bound, on recipe size
         self.pool_cap = pool_cap
         self.capped = False
         self.by_a: dict = {}
@@ -591,9 +606,10 @@ class _Bijection:
         # per frame: pool image -> pool index, other joinable image -> None
         self.at = (dict.fromkeys(ja), dict.fromkeys(jb))
         self.waiting = ({}, {})  # per frame: field -> images awaiting it
-        self.earlier: dict = {}  # pass -> keys of candidates filed images name
-        self.partners: dict = {}  # pool index -> other ends of named passes
-        self.done: dict = {}     # one-field pass (n,) -> n, once run
+        # pool index -> other end of a pass over it (None for the one-field
+        # pass) -> keys of the candidates filed images name, one set per pass
+        self.earlier: dict = {}
+        self.done: dict = {}     # one-field pass (n, None) -> n, once run
         # per frame: key image -> the pool entries it opens (see _opening)
         self.openers = ({}, {})
         self.classes: dict = {}  # opens -> pool indices, ascending
@@ -601,7 +617,6 @@ class _Bijection:
         # the levels rows ran: first frontier index, and the m they ran to
         self.starts: list = []
         self.ends: list = []
-        self.bound = 0           # the rows' test bound
         self.cursor = (-1, 0)    # (n1, n2) of the slot row is at
         self.visits = None       # the running row's heap of n2 still to visit
         # once the probes ran: ENC-rooted entry -> the keys its probes
@@ -698,7 +713,7 @@ class _Bijection:
                 return (None, x) if x[0] in _DESTRUCTORS else None
             ix.append(i)
         if len(ix) == 1:
-            return (i,), (*img[:-1], i)
+            return (i, None), (*img[:-1], i)
         i, j = ix
         return ((i, j) if i <= j else (j, i)), _pair_key(op, i, j)
 
@@ -721,10 +736,10 @@ class _Bijection:
         if where is None or where[0] is None:
             return None
         run, key = where
-        first = self.done.get(run) if len(run) == 1 else self._ran(run)
+        first = self.done.get(run) if run[1] is None else self._ran(run)
         if first is None:
             return None
-        if len(run) == 1:
+        if run[1] is None:
             r, _, _, b = self.pool[first]
             return (*key[:-1], r), (*key[:-1], b)
         op, i, j = key
@@ -760,14 +775,13 @@ class _Bijection:
             self._name(run, key)
 
     def _name(self, run, key):
-        """File key in earlier under its pass; a pair pass's ends become
-        each other's partners, and a later slot of the running row joins
-        its heap."""
-        self.earlier.setdefault(run, set()).add(key)
-        if len(run) == 2:
-            i, j = run
-            self.partners.setdefault(i, set()).add(j)
-            self.partners.setdefault(j, set()).add(i)
+        """File key in earlier under both ends of its pass, which share one
+        key set; a later slot of the running row joins its heap."""
+        i, j = run
+        keys = self.earlier.setdefault(i, {}).setdefault(j, set())
+        keys.add(key)
+        if j is not None:
+            self.earlier.setdefault(j, {})[i] = keys
             n1, n2 = self.cursor
             if self.visits is not None and n1 in run and i + j - n1 > n2:
                 heapq.heappush(self.visits, i + j - n1)
@@ -835,16 +849,16 @@ class _Bijection:
                     k = probe[1]
                     self._name((d, k) if d <= k else (k, d), (T.ENC, d, k))
 
-    def probes(self, test_bound: int):
+    def probes(self):
         """Test the decryptability probes enc(dec(k, u), k) = u over the
         level-0 pool, u ENC-rooted in either frame and k any entry, in that
         order, counting each that neither frame's dec rewrites and no filed
         image names instead of testing it. Level-0 entries have size 1, so
-        a probe has size 5: within test_bound + 3 from bound 2. Pool images
+        a probe has size 5: within the bound + 3 from bound 2. Pool images
         are distinct in each frame, so the one key whose dec can rewrite
         over u there is the entry whose image is u's key. A probe never
         joins the pool."""
-        if test_bound < 2:
+        if self.bound < 2:
             return None
         pool, at = self.pool, self.at
         named = {}   # u -> keys of the probes that filed images name
@@ -879,12 +893,15 @@ class _Bijection:
             self._name_enc(d)
         return None
 
-    def extend(self, n: int, size: int):
+    def extend(self, n: int):
         """Test the one-field candidates over pool entry n in _ONE_SHAPES
         order, counting each plain one that earlier does not name instead
-        of testing it."""
+        of testing it; none when they exceed the bound."""
+        size = self.pool[n][1] + 1
+        if size > self.bound:
+            return None
         # candidates built by hand from _ONE_SHAPES heads: the hot loop
-        named = self.earlier.get((n,), ())
+        named = self.earlier.get(n, {}).get(None, ())
         start = self.tests
         if named or T.PROJ in self.opens[n]:
             r, _, a, b = self.pool[n]
@@ -898,10 +915,10 @@ class _Bijection:
                 if verdict is not None:
                     return verdict
         self.tests = start + len(_ONE_SHAPES)
-        self.done[(n,)] = n
+        self.done[n, None] = n
         return None
 
-    def row(self, n1: int, k: int, m: int, test_bound: int):
+    def row(self, n1: int, k: int, m: int):
         """Run the pair pass of frontier entry n1 (the frontier starts at k)
         with each pool entry n2 < m, as extend runs its one-field pass. A
         frontier entry n2 < n1 ran the pair both ways round (MULT's product
@@ -911,14 +928,15 @@ class _Bijection:
         # candidates built by hand by _pair_term: the hot loop
         pool, opens = self.pool, self.opens
         e1, opens1 = pool[n1], opens[n1]
-        room = test_bound - e1[1] - 1   # the largest size of a partner
+        room = self.bound - e1[1] - 1   # the largest size of a partner
         if not self.starts or self.starts[-1] != k:
             self.starts.append(k)
             self.ends.append(m)
-        self.bound = test_bound
         sizes = [ix for size, ix in self.by_size.items() if size <= room]
         base = self.tests
-        visits = set(self.partners.get(n1, ()))
+        # the live index: a test of this row can name a pass over n1
+        earlier = self.earlier.setdefault(n1, {})
+        visits = set(earlier)
         for side in (0, 1):
             img = e1[2 + side]
             visits.update(self.openers[side].get(img, ()))
@@ -944,9 +962,8 @@ class _Bijection:
             tests = base + _PAIR_TESTS * sum(
                 bisect.bisect_left(ix, n2) for ix in sizes)
             size = e1[1] + e2[1] + 1
-            run = (n1, n2) if n1 <= n2 else (n2, n1)
             shapes = _rewritable(opens1, opens[n2])
-            named = self.earlier.get(run, ())
+            named = earlier.get(n2, ())
             if named:
                 named = {s for s in _PAIR_SHAPES if (
                     _pair_key(s[1], n2, n1) if s[2]
@@ -972,26 +989,16 @@ class _Bijection:
         return None
 
 
-def _seed_recipes(sa: Saturated, sb: Saturated):
-    """Deterministic level-0 candidates: constants, public names, months and
-    the saturated building blocks of both frames."""
+def _seed_recipes(sa: Saturated, sb: Saturated, atoms):
+    """Deterministic level-0 candidates: gen and the other constants, the
+    months and public names among the atoms (_joinable's, of both frames'
+    bindings, so of every saturated entry), in term order, then the
+    saturated building blocks of both frames."""
     seeds = [T.gen()]
     seeds += [T.const(t) for t in T.CONST_TAGS if t != "mm"]
-    months = set()
-    pub_names = set()
     restricted = sa.frame.restricted | sb.frame.restricted
-    for img in [*sa.entries, *sb.entries]:
-        stack = [img]
-        while stack:
-            x = stack.pop()
-            if x[0] == T.CONST and x[1] == "mm":
-                months.add(x[2])
-            elif x[0] == T.NAME and x[1] not in restricted:
-                pub_names.add(x)
-            else:
-                stack.extend(T.fields(x))
-    seeds += [T.mm(k) for k in sorted(months)]
-    seeds += sorted(pub_names)
+    seeds += sorted(x for x in atoms if x[0] == T.CONST or (
+        x[0] == T.NAME and x[1] not in restricted))
     seeds += sa.entries.values()
     seeds += sb.entries.values()
     return seeds
@@ -1005,15 +1012,15 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
         raise DomainMismatch(
             f"alias domains differ: {domain} vs {list(fb.bindings)}")
     sa, sb = saturate(fa), saturate(fb)
-    bij = _Bijection(fa, fb, pool_cap)
+    bij = _Bijection(fa, fb, test_bound, pool_cap)
 
-    for r in _seed_recipes(sa, sb):
+    for r in _seed_recipes(sa, sb, bij.atoms):
         verdict = bij.seed(r)
         if verdict is not None:
             return verdict
 
     # decryptability probes: enc(dec(k, u), k) = u tests made explicit
-    verdict = bij.probes(test_bound)
+    verdict = bij.probes()
     if verdict is not None:
         return verdict
 
@@ -1021,14 +1028,12 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
     k, end = 0, len(bij.pool)
     while k < end:
         for n in range(k, end):
-            size = bij.pool[n][1] + 1
-            if size <= test_bound:
-                verdict = bij.extend(n, size)
-                if verdict is not None:
-                    return verdict
+            verdict = bij.extend(n)
+            if verdict is not None:
+                return verdict
         m = len(bij.pool)
         for n1 in range(k, end):
-            verdict = bij.row(n1, k, m, test_bound)
+            verdict = bij.row(n1, k, m)
             if verdict is not None:
                 return verdict
         k, end = end, len(bij.pool)

@@ -275,6 +275,8 @@ def parse_trace(text: str) -> Trace:
                 idx, kind, actor, alias, text_ = rest.split("|", 4)
                 tr.records.append(
                     TraceRecord(int(idx), kind, actor, text_, alias))
+            else:
+                raise ValueError("unknown record")
         except (ValueError, T.MalformedTerm, ScenarioInvalid) as e:
             msg = f"bad trace line {lineno} ({head}): {e}"
             raise TraceInvalid(msg) from None

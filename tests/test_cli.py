@@ -66,9 +66,11 @@ def test_distinguish_exit_codes(capsys):
 
 
 def test_distinguish_counts_at_small_bounds(capsys):
-    """The README's bound-0 count, and bound 2, the smallest at which the
-    enc(dec(k, u), k) probes run."""
-    for bound, tests in (("0", 83), ("2", 713)):
+    """The README's bound-0 count, bound 2, the smallest at which the
+    enc(dec(k, u), k) probes run, and bounds 4 and 6, within which pair
+    candidates fit."""
+    for bound, tests in (("0", 83), ("2", 713), ("4", 35138),
+                         ("6", 35138)):
         code, text = run_cli(capsys, "distinguish", "--scenario",
                              "unlink_utx", "--test-bound", bound)
         assert (code, text) == (
@@ -352,6 +354,24 @@ def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == \
         "error: bad trace line 5 (BIND): alias w1 is bound twice\n"
+
+
+def test_unknown_trace_record_exits_cleanly(tmp_path, capsys):
+    """A line whose first word is no record type is not a trace: a
+    misspelt BIND would otherwise drop its binding and check as holds."""
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_lo", "--out", str(path))
+    text = path.read_text()
+    assert text.splitlines()[5] == "BIND w3 cht0"
+    scen = text.splitlines()[0]
+    for bad, lineno, head in (
+            (text.replace("BIND w3 cht0", "BIDN w3 cht0"), 6, "BIDN"),
+            (f"{scen}\nHELLO world\n", 2, "HELLO")):
+        path.write_text(bad)
+        code = cli.main(["check", "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", (
+            f"error: bad trace line {lineno} ({head}): unknown record\n"))
 
 
 def test_every_builtin_dump_checks(tmp_path, capsys):

@@ -681,8 +681,8 @@ def test_counted_candidate_keeps_its_entry():
     a, b, c = (T.name(x, "scalar") for x in "abc")
     f, _ = build([a, b, c], [T.mult(a, b), a, T.smult(b, G)])
     sat = F.saturate(f)
-    bij = F._Bijection(f, f, F.POOL_CAP)
-    for r in F._seed_recipes(sat, sat):
+    bij = F._Bijection(f, f, 3, F.POOL_CAP)
+    for r in F._seed_recipes(sat, sat, bij.atoms):
         assert bij.seed(r) is None
     at = {e[0]: n for n, e in enumerate(bij.pool)}
     w0, w1, w2 = (at[T.var(f"w{i}")] for i in range(3))
@@ -690,21 +690,21 @@ def test_counted_candidate_keeps_its_entry():
     # gen's row counts smult(w0, gen); in w1's, smult(w1, w2) rewrites
     # onto its image
     m = len(bij.pool)
-    assert bij.row(at[G], at[G], m, 3) is None
+    assert bij.row(at[G], at[G], m) is None
     assert blinded not in bij.by_a
-    assert bij.row(w1, w1, m, 3) is None
+    assert bij.row(w1, w1, m) is None
     assert blinded not in bij.by_a
     verdict = bij.admit(T.var("w9"), 3, blinded, T.smult(c, G))
     assert T.to_text(verdict.left) == "(smult ?w0 (gen))"
     assert verdict.side == "first"
 
 
-def _alias_bijection(restricted, images):
-    """A _Bijection over a frame compared with itself, seeded with the
-    frame's aliases only, so that pool entry n is wn: level 0 is the pool
-    as it stands."""
+def _alias_bijection(restricted, images, bound):
+    """A _Bijection at the bound over a frame compared with itself, seeded
+    with the frame's aliases only, so that pool entry n is wn: level 0 is
+    the pool as it stands."""
     f, aliases = build(restricted, images)
-    bij = F._Bijection(f, f, F.POOL_CAP)
+    bij = F._Bijection(f, f, bound, F.POOL_CAP)
     for alias in aliases:
         assert bij.seed(T.var(alias)) is None
     assert [e[0] for e in bij.pool] == [T.var(x) for x in aliases]
@@ -716,8 +716,8 @@ def test_counted_product_of_one_level_keeps_its_order():
     pass; a later candidate with its image in one frame finds the counted
     recipe, built as w0's row built it: the first entry first."""
     a, b, c = (T.name(x, "scalar") for x in "abc")
-    bij = _alias_bijection([a, b, c], [a, b, c])
-    assert bij.row(0, 0, 3, 3) is None
+    bij = _alias_bijection([a, b, c], [a, b, c], 3)
+    assert bij.row(0, 0, 3) is None
     assert T.normalize(T.mult(a, b)) not in bij.by_a
     # the same images on both sides: the counted entry stands, unfiled
     assert bij.admit(T.var("w7"), 3, T.mult(b, a), T.mult(a, b)) is None
@@ -735,11 +735,11 @@ def test_counted_product_across_levels_keeps_its_order():
     pass over it and w2 puts it first: the counted product's recipe keeps
     that order, though its key sorts the two pool indices."""
     a, b, c, k = (T.name(x, "scalar") for x in "abck")
-    bij = _alias_bijection([a, b, c, k], [T.enc(a, k), k, b])
-    assert bij.row(1, 1, 3, 3) is None
+    bij = _alias_bijection([a, b, c, k], [T.enc(a, k), k, b], 5)
+    assert bij.row(1, 1, 3) is None
     opened, = bij.pool[3:]
     assert (T.to_text(opened[0]), opened[2]) == ("(dec ?w1 ?w0)", a)
-    assert bij.row(3, 3, 4, 5) is None
+    assert bij.row(3, 3, 4) is None
     verdict = bij.admit(T.var("w9"), 5, T.mult(a, b), T.mult(a, c))
     assert verdict.describe() == \
         "(mult (dec ?w1 ?w0) ?w2) = ?w9 holds in the first frame only"
@@ -751,10 +751,10 @@ def test_counted_one_field_candidates_keep_their_entries():
     A later candidate with a counted image in one frame finds the counted
     recipe, on either side."""
     a, b, c = T.name("a"), T.name("b"), T.name("c")
-    bij = _alias_bijection([a, b, c], [a, T.tup(a, b), c])
+    bij = _alias_bijection([a, b, c], [a, T.tup(a, b), c], 2)
     start = bij.tests
-    assert bij.extend(0, 2) is None
-    assert bij.extend(1, 2) is None
+    assert bij.extend(0) is None
+    assert bij.extend(1) is None
     assert bij.tests == start + 14
     assert T.h(a) not in bij.by_a and T.proj(3, T.tup(a, b)) not in bij.by_a
     verdict = bij.admit(T.var("w7"), 3, T.h(a), T.h(c))
@@ -835,18 +835,18 @@ def test_stuck_dec_joining_after_the_probes_names_its_enc_pair():
     c = T.enc(m, k0)
     fa, _ = build([m, n, k0, k1], [c, k1, T.tup(T.dec(k1, c), n)])
     fb, _ = build([m, n, k0, k1], [c, k1, T.tup(m, n)])
-    bij = F._Bijection(fa, fb, F.POOL_CAP)
+    bij = F._Bijection(fa, fb, 4, F.POOL_CAP)
     for alias in ("w0", "w1", "w2"):
         assert bij.seed(T.var(alias)) is None
-    assert bij.probes(6) is None
+    assert bij.probes() is None
     assert bij.tests == 6      # three seeds, three counted probes
-    assert bij.extend(2, 2) is None
+    assert bij.extend(2) is None
     opened, other = bij.pool[3:]
     assert (T.to_text(opened[0]), opened[2]) == ("(proj 1 ?w2)",
                                                  T.dec(k1, c))
     assert other[2:] == (n, n)
     assert bij.admit(T.var("w9"), 4, T.enc(T.dec(n, c), n), T.h(n)) is None
-    verdict = bij.row(3, 3, len(bij.pool), 4)
+    verdict = bij.row(3, 3, len(bij.pool))
     assert verdict.describe() == ("(enc (dec ?w1 ?w0) ?w1) = "
                                   "(enc (proj 1 ?w2) ?w1) holds in the first "
                                   "frame only")
@@ -863,13 +863,13 @@ def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
         tested.append(args[0])
         return real_test(self, *args)
 
-    def probes(self, test_bound):
+    def probes(self):
         enc = sum(e[2][0] == T.ENC or e[3][0] == T.ENC for e in self.pool)
         named = sum(img[0] == T.ENC and img[1][0] == T.DEC
                     and img[1][1] == img[2]
                     for filed in (self.by_a, self.by_b) for img in filed)
         before, tests = len(tested), self.tests
-        verdict = real_probes(self, test_bound)
+        verdict = real_probes(self)
         assert len(tested) - before <= 2 * enc + named
         counted.append(self.tests - tests - (len(tested) - before))
         return verdict
@@ -1070,8 +1070,8 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
     init, join = F._Bijection.__init__, F._Bijection._join
     kinds = {"atom": 0, "joinable": 0, "destructor": 0}
 
-    def spy_init(self, fa, fb, pool_cap):
-        init(self, fa, fb, pool_cap)
+    def spy_init(self, fa, fb, bound, pool_cap):
+        init(self, fa, fb, bound, pool_cap)
         self.initial = (_openings_closure(fa), _openings_closure(fb))
         assert tuple(map(set, self.at)) == self.initial
 
@@ -1237,8 +1237,8 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
                 run = tuple(sorted(key[1:]))
                 assert bij._locate(img, side) == (run, key), T.to_text(img)
 
-    def spy_init(self, fa, fb, pool_cap):
-        init(self, fa, fb, pool_cap)
+    def spy_init(self, fa, fb, bound, pool_cap):
+        init(self, fa, fb, bound, pool_cap)
         self.tested, self.counted, self.recipes = [], [], []
         while live:
             check(live.pop())
@@ -1249,10 +1249,10 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
         self.recipes.append(recipe)
         return test(self, recipe, size, ia, ib)
 
-    def spy_row(self, n1, k, m, test_bound):
+    def spy_row(self, n1, k, m):
         rebases = []
         for n2 in range(m):
-            if self.pool[n1][1] + self.pool[n2][1] >= test_bound or \
+            if self.pool[n1][1] + self.pool[n2][1] >= self.bound or \
                     k <= n2 < n1:
                 continue
             for op in (T.SMULT, T.SIGV):
@@ -1264,7 +1264,7 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
                     if images != (ta, tb):
                         rebases.append(((op, r1, r2), images, (op, i, j)))
         self.recipes = []
-        verdict = row(self, n1, k, m, test_bound)
+        verdict = row(self, n1, k, m)
         if verdict is None:
             tested = set(self.recipes)
             self.counted += [(images, key) for recipe, images, key in rebases
@@ -1288,6 +1288,53 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
     assert min(seen.values()) > 0
 
 
+# -- the seeds' atoms ----------------------------------------------------------
+#
+# The months and public names among the level-0 seeds are read off the atoms
+# _joinable meets as it walks the bindings, not found by walking every
+# subterm of both saturations. The walk below is that reference.
+
+def _walked_atoms(sa, sb):
+    """The months and public names in the subterms of either saturation's
+    entries."""
+    restricted = sa.frame.restricted | sb.frame.restricted
+    found, stack = set(), [*sa.entries, *sb.entries]
+    while stack:
+        x = stack.pop()
+        if x[0] == T.CONST and x[1] == "mm" or (
+                x[0] == T.NAME and x[1] not in restricted):
+            found.add(x)
+        else:
+            stack.extend(T.fields(x))
+    return found
+
+
+def test_seed_atoms_match_the_saturation_walk():
+    """Over the group, named, probe and DH corpora and the paired
+    scenarios' frames at seeds 0 and 1, in both frame orders, the seeds'
+    months and public names are those the reference walk finds, each
+    once, in term order."""
+    pairs = [make(random.Random(f"{label}{k}")) for label, make in (
+        ("group", _random_group_pair), ("named", _random_named_pair),
+        ("probe", _random_probe_pair), ("dh", _random_dh_pair))
+        for k in range(32)]
+    for case in _PAIRED:
+        for seed in (0, 1):
+            real, ideal = H.run_paired(replace(C.SCENARIOS[case], seed=seed))
+            pairs.append((real.frame, ideal.frame))
+    months = names = 0
+    for fa, fb in pairs:
+        for x, y in ((fa, fb), (fb, fa)):
+            sx, sy = F.saturate(x), F.saturate(y)
+            bij = F._Bijection(x, y, F.TEST_BOUND, F.POOL_CAP)
+            atoms = [r for r in F._seed_recipes(sx, sy, bij.atoms)
+                     if r[0] == T.NAME or r[0] == T.CONST and r[1] == "mm"]
+            assert atoms == sorted(_walked_atoms(sx, sy))
+            months += sum(r[0] == T.CONST for r in atoms)
+            names += sum(r[0] == T.NAME for r in atoms)
+    assert months > 0 and names > 0
+
+
 # -- the full-scan row, as an oracle -------------------------------------------
 #
 # _Bijection.row visits only the slots whose rewrite can fire or that a
@@ -1297,21 +1344,21 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
 # _ran then reads done. Both must give the same verdict, tests= count and
 # witness.
 
-def _full_scan_row(self, n1, k, m, test_bound):
+def _full_scan_row(self, n1, k, m):
     pool, opens, done = self.pool, self.opens, self.done
     e1, opens1 = pool[n1], opens[n1]
     tests = self.tests
     for n2 in range(m):
         e2 = pool[n2]
         size = e1[1] + e2[1] + 1
-        if size > test_bound:
+        if size > self.bound:
             continue
         if k <= n2 < n1:
             tests += F._PAIR_TESTS
             continue
         run = (n1, n2) if n1 <= n2 else (n2, n1)
         shapes = F._rewritable(opens1, opens[n2])
-        named = self.earlier.get(run, ())
+        named = self.earlier.get(n1, {}).get(n2, ())
         if named:
             named = {s for s in F._PAIR_SHAPES if (
                 F._pair_key(s[1], n2, n1) if s[2]
@@ -1391,7 +1438,7 @@ def _late_named_bijection():
     x, y, k = T.name("x"), T.name("y"), T.name("k")
     fa, _ = build([x, y, k], [k, T.enc(T.enc(x, k), k), x])
     fb, _ = build([x, y, k], [k, T.enc(T.enc(x, k), k), y])
-    bij = F._Bijection(fa, fb, F.POOL_CAP)
+    bij = F._Bijection(fa, fb, 3, F.POOL_CAP)
     for alias in ("w0", "w1", "w2"):
         assert bij.seed(T.var(alias)) is None
     return bij
@@ -1404,10 +1451,10 @@ def test_row_visits_a_slot_named_during_the_row(monkeypatch):
     as the full scan does, and meet the first frame's equality there."""
     with monkeypatch.context() as m:
         _full_scan(m)
-        oracle = _late_named_bijection().row(0, 0, 3, 3)
+        oracle = _late_named_bijection().row(0, 0, 3)
     assert oracle.describe() == \
         "(dec ?w0 ?w1) = (enc ?w2 ?w0) holds in the first frame only"
-    verdict = _late_named_bijection().row(0, 0, 3, 3)
+    verdict = _late_named_bijection().row(0, 0, 3)
     assert verdict is not None and _outcome(verdict) == _outcome(oracle)
 
 
