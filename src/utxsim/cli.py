@@ -5,8 +5,10 @@ secrecy over a trace), distinguish (paired real/ideal experiment), suite
 (named experiment battery), difftest (numeric backend cross-check).
 
 Exit codes: 0 all expected verdicts, 1 property violation or unexpected
-verdict, 2 usage error. Identical argv and seed give byte-identical output;
-UTXSIM_SEED sets the default seed.
+verdict, 2 usage error, 3 internal error of a search (a witness that fails
+its re-check, or a candidate joining the distinguisher's pool after the
+seeds), with its traceback on stderr. Identical argv and seed give
+byte-identical output; UTXSIM_SEED sets the default seed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from . import checks, concrete, frames, harness
@@ -284,6 +287,9 @@ def main(argv=None) -> int:
             OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (checks.UncertifiedWitness, frames.LateJoin):
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,10 +8,11 @@ non-restricted names.
 
 saturate() closes a frame under destructor analysis, generalizing the
 building-block normalization used in the protocol's proofs to arbitrary
-frames. It splits tuples and opens an entry when the key that opens it
-derives within SATURATE_KEY_BOUND: enc(m, k) by dec with k, sig(k, m) by
-check with pk(k), and sigv(k, m) or a blinded [s]sigv(k, m) by checkv with
-pkv(k). The opened image is the root rewrite of (destructor, key, entry).
+frames. It splits tuples and opens every entry whose key derives, at any
+cost: enc(m, k) by dec with k, sig(k, m) by check with pk(k), and sigv(k,
+m) or a blinded [s]sigv(k, m) by checkv with pkv(k). The opened image is
+the root rewrite of (destructor, key, entry), and the key's recipe is the
+first smallest one derive would give.
 
 derive() finds a minimal-size recipe for a target by composing saturated
 building blocks with constructors (Abadi & Cortier's saturate-then-compose
@@ -24,26 +25,31 @@ recipes the earliest block in saturation order wins. The [s]p blocks are
 filed under their point p and then under the first factor of s, so a rebase
 tries only the blocks whose first factor is one of the target's: no other
 block lies inside the target's scalar. A saturation keeps one cost memo,
-shared by every derive over it (saturate's key searches and each secrecy
+shared by every search over it (saturate's key searches and each secrecy
 target alike) and cleared by Saturated.add: a cost is a function of the
-entries and blocks alone, and the size bound is applied after the lookup,
-so sharing the memo changes no recipe.
+entries and blocks alone, and derive's size bound is applied after the
+lookup, so sharing the memo changes no recipe.
 
-static_equiv() enumerates candidate recipes breadth-first from saturated
-building blocks and maintains a partial bijection between the two frames'
-value spaces; the first inconsistency is a distinguishing equality test.
-The level-0 seeds are gen, the other constants, the months and public
-names that occur in a binding, and both saturations' entries. An opening
-adds no atom, so those months and names are the atoms of every saturated
-entry; the walk that finds each frame's joinable set (_joinable) meets
-them, and no saturation is walked for them.
-A level is a range of the pool: its frontier pool[k:end] holds what joined
-during the level before. A level runs the one-field pass over each
-frontier entry, then composes each with every entry the pool holds after
-those passes; whatever joins meanwhile is the next frontier.
+static_equiv() tests candidate recipes composed from saturated building
+blocks and maintains a partial bijection between the two frames' value
+spaces; the first inconsistency is a distinguishing equality test.
+The seeds are gen, the other constants, the months and public names that
+occur in a binding, and both saturations' entries. An opening adds no
+atom, so those months and names are the atoms of every saturated entry;
+the walk that finds each frame's joinable set (_joinable) meets them, and
+no saturation is walked for them.
+The pool is the seeds: nothing joins it after them. A destructor
+candidate that reduces in a frame reduces to an entry of that frame's
+saturation, which opens every entry whose key derives, and that entry's
+seed has already filed its image; a candidate that would join anyway
+raises LateJoin, an internal error. So the search is one pass: the seeds,
+the probes, the one-field pass over each pool entry, then the pair pass
+(a row) of each pool entry with every pool entry.
 The bound is on recipe size: a building block has size 1 and an
-application 1 plus its parts; the level-0 seeds are tested at any bound,
-and the enc(dec(k, u), k) probe may exceed it by 3. Only the level-0 seeds
+application 1 plus its parts. The seeds are tested at any bound, the
+one-field candidates (size 2) and the enc(dec(k, u), k) probes (size 5,
+which may exceed the bound by 3) from bound 2, and the pair candidates
+(size 3) from bound 3; a larger bound tests nothing more. Only the seeds
 are evaluated by substitution (terms.apply, which gives an alias's
 bindings as bound); every composed candidate's image in each frame is its
 root over its parts' stored images, rewritten at the root only
@@ -53,14 +59,13 @@ enumerated candidate, but a pair pass visits only the partners where a
 candidate can rewrite or is named: a destructor rewrites only where one
 entry's image is the key that opens the other's, MULT, SMULT and SIGV only
 where the two entries' roots and marks allow, and a named candidate is one
-a filed image names. Every other slot is counted by arithmetic over the
-sizes of the pool entries below it. Which row ran a pair pass first, and
-whether it has yet, follows from the levels and the rows' cursor, not
-from a record per pair (see _Bijection). Four kinds are counted but
-neither tested nor filed in the bijection, because their outcome is
-already known: the mirror of a pair of entries that joined the pool at
-the same level (the pair's first pass fixed it); a plain candidate, one
-that neither frame rewrites at the root: every HASH, PK and PKV of an
+a filed image names. Every other slot is counted by arithmetic, one slot
+per pool entry below it. Whether a pair pass has run follows from the
+rows' cursor, not from a record per pair (see _Bijection). Four kinds are
+counted but neither tested nor filed in the bijection, because their
+outcome is already known: the mirror of a pair of pool entries (the
+pair's pass, in the row of its lower index, fixed it); a plain candidate,
+one that neither frame rewrites at the root: every HASH, PK and PKV of an
 entry and a PROJ of an entry that is a tuple in neither frame; every ENC,
 SIG and TUP pair candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one
 whose rewrite does not fire; and a MULT one whose entries are products
@@ -87,7 +92,6 @@ enumeration order (and therefore the first witness) is deterministic.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 from dataclasses import dataclass, field
@@ -97,13 +101,18 @@ from .terms import Term
 
 DERIVE_BOUND = 8
 TEST_BOUND = 6
-SATURATE_KEY_BOUND = 6
 POOL_CAP = 6000
 ALIAS_PREFIX = "w"
 
 
 class DomainMismatch(Exception):
     pass
+
+
+class LateJoin(Exception):
+    """A candidate would join static_equiv's pool after the seeds: an
+    internal error of the search (a saturation missed an opening), never a
+    verdict."""
 
 
 @dataclass
@@ -200,9 +209,9 @@ def saturate(f: Frame) -> Saturated:
             if opening is None:
                 continue
             op, key = opening
-            key_recipe = _derive(sat, key, SATURATE_KEY_BOUND)
-            if key_recipe is not None:
-                changed |= sat.add((op, key_recipe, recipe),
+            key_cost = _cost(sat, key)
+            if key_cost is not None:
+                changed |= sat.add((op, key_cost[1], recipe),
                                    T.norm_root((op, key, img)))
     return sat
 
@@ -332,7 +341,7 @@ def _smult_cost(sat: Saturated, t: Term):
 class Equivalent:
     bound: int
     tests: int
-    capped: bool = False   # the pool cap turned away composition material
+    capped: bool = False   # the pool cap turned seeds away
 
     def __bool__(self):
         return True
@@ -428,7 +437,8 @@ def _pair_key(op, i, j):
     return (op, j, i) if op == T.MULT and j < i else (op, i, j)
 
 
-# a candidate rooted at a destructor joins the pool where it rewrites
+# the destructor roots: a seed outside a frame's joinable set is stuck there
+# at one of these
 _DESTRUCTORS = frozenset((T.DEC, T.PROJ, T.CHECK, T.CHECKV))
 
 
@@ -472,29 +482,36 @@ class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
     counted in tests, in enumeration order; the pool cap only limits which
-    recipes feed further levels. The test bound is set once, at
-    construction, and probes, extend, row and _ran all read it.
+    seeds join the pool. The test bound is set once, at construction, and
+    probes, extend and row read it.
 
-    Images are evaluated incrementally: a level-0 seed is evaluated in each
-    frame by T.apply, which takes the bindings as given (an alias seed's
-    images are its two bindings), and each pool entry keeps both images, so
-    a composed candidate's image is its root over its parts' images,
+    Images are evaluated incrementally: a seed is evaluated in each frame
+    by T.apply, which takes the bindings as given (an alias seed's images
+    are its two bindings), and each pool entry keeps both images, so a
+    composed candidate's image is its root over its parts' images,
     rewritten at the root by T.norm_root, not walked again.
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
+    Phases: seed tests and pools each seed; seal ends the seed phase and
+    indexes the pool; then the probes, extend and row compose candidates
+    over it. A sealed pool takes no entry: a destructor candidate that
+    reduces in a frame reduces to a saturated entry there, whose seed
+    already filed that image, so _test raises LateJoin for one that would
+    join.
+
     Four kinds of candidate are counted without a test, so their images
-    are never hashed or filed in by_a and by_b: a mirrored pair's
-    (static_equiv counts those), a plain one, which neither frame rewrites
-    at the root, a probe whose dec rewrites in neither frame, and a
-    Diffie-Hellman rebase that each frame leaves plain or rewrites under a
-    rebase rule (see the end for the last two). Candidates are composed in
-    passes: extend runs the one-field pass over an entry n, row the pair
-    passes of a frontier entry. A pass is keyed by its pool indices, (n,)
-    or (i, j) with i <= j, and a candidate by its root over the indices of
-    its fields: (op, n) or (PROJ, k, n), and (op, i, j) for i op j (MULT's
-    sorted, as its product is). A plain
-    candidate's images are its root over the two frames' pool images:
+    are never hashed or filed in by_a and by_b: a mirrored pair's, a plain
+    one, which neither frame rewrites at the root, a probe whose dec
+    rewrites in neither frame, and a Diffie-Hellman rebase that each frame
+    leaves plain or rewrites under a rebase rule (see the end for the last
+    two). Candidates are composed in passes: extend runs the one-field
+    pass over an entry n, row the pair passes of n1 with each entry. A
+    pass is keyed by its pool indices, (n, None) or (i, j) with i <= j, and
+    a candidate by its root over the indices of its fields: (op, n) or
+    (PROJ, k, n), and (op, i, j) for i op j (MULT's sorted, as its product
+    is). A plain candidate's images are its root over the two frames' pool
+    images:
     - one-field: HASH, PK and PKV never rewrite, and PROJ only over a tuple;
     - pair: ENC, SIG and TUP never rewrite, DEC, CHECK and CHECKV only
       over the roots _OPENS gives (CHECKV over an SMULT only when its point
@@ -512,30 +529,27 @@ class _Bijection:
       its fields are pool images), and the pass tests the named candidate;
     - reached later: the counted candidate is the by_a or by_b entry the
       image would have found, and _counted rebuilds it (recipe and
-      second-frame image) once its pass is done. A root rewrite never keeps
+      second-frame image) once its pass has run. A root rewrite never keeps
       its fields as fields, so no candidate of a pass has the image of a
-      plain candidate of the same pass, and a pass is done when all its
-      candidates are: done records a one-field pass, and _ran a pair pass
-      (see the end). A pair may be composed twice, once in each end's row;
-      the entry its first run put first orders a counted product's recipe.
+      plain candidate of the same pass, and a pass has run when all its
+      candidates have: _ran says which (see the end). Row i runs pair (i,
+      j) both ways round, i first in a counted product's recipe.
     Filing rule: waiting holds an image only on a field in its frame's
     joinable set (at's keys: _joinable of the bindings, then each pool
-    image) or rooted at a destructor. Lemma: an image joins only as an atom
-    seed's (all join before anything is filed), a joinable one, or one
-    stuck at a destructor that the other frame reduces, since an entry
-    seed is a binding under destructors and a rewrite opens a pool image.
-    The probes run over the level-0 pool before any pass. A counted
-    probe's images are enc(dec(k, u), k) over the two frames' pool images;
-    three rules keep it exact, as if it had been tested and filed:
+    image) or rooted at a destructor. Lemma: only seeds join, and a seed's
+    image is an atom's (all join before anything is filed), a joinable
+    one, or one stuck at a destructor that the other frame reduces, since
+    an entry seed is a binding under destructors.
+    The probes run over the sealed pool before any pass. A counted probe's
+    images are enc(dec(k, u), k) over the two frames' pool images; three
+    rules keep it exact, as if it had been tested and filed:
     - reached earlier: only seeds are filed before the probes, and a seed
       with that image in a frame names the probe, which is tested;
     - reached later: _counted finds the probe's entry before it looks up a
       pass, since every probe ran before every pass;
     - the filed probe would have named the ENC pair candidate enc(d, k) of
-      a pool entry d whose image in that frame is the stuck dec(k, u)
-      (waiting held the image until d joined): _name_enc names it for the
-      entries pooled when the probes end, and for each later one as it
-      joins.
+      a pool entry d whose image in that frame is the stuck dec(k, u):
+      _name_enc names it for every pool entry once the probes end.
     Rebases: in a frame where pool entry e2's image is [s]p, e1 smult e2
     has the image [fac(e1)*s]p and sigv(e1, e2) has [s]sigv(e1, p). An
     SMULT-rooted image there is a joinable one (a seed's, or a rewrite's,
@@ -553,8 +567,8 @@ class _Bijection:
     into marks per frame: POINT on an [s]p, SHARED on an entry that breaks
     the smult rule as e1, and SIGV only on an [s]p whose s is poolable;
     _rewritable leaves out the rebases it counts.
-    Rows: row n1 runs the inner shape loop only at the slots n2 < m where a
-    candidate can rewrite or is named; at any other slot every candidate
+    Rows: row n1 runs the inner shape loop only at the slots n2 >= n1 where
+    a candidate can rewrite or is named; at any other slot every candidate
     is plain and unnamed, so the loop would test none. The visit set is
     the union of:
     - key partners: DEC, CHECK and CHECKV rewrite only where, in a frame,
@@ -573,19 +587,14 @@ class _Bijection:
       same row; _name pushes that slot onto the row's heap (visits), as
       the full scan read earlier afresh at each slot.
     The heap gives the visits in index order whatever the sets' order.
-    The count is arithmetic: a slot within the bound adds _PAIR_TESTS
-    whether visited, mirrored or plain, so tests at slot n2 is the row's
-    start plus _PAIR_TESTS for each pool index below n2 whose size is at
-    most bound - size(n1) - 1, read off by_size with bisect.
-    First runs: rows run in increasing n1, each over n2 in increasing
-    order, so the row cursor (n1, n2) orders every slot that has run. Pair
-    pass (i, j), i <= j, runs first in row i when j < m of i's level: row
-    i visits it (j >= i is no mirror), and no row before i holds it. Else j
-    joined after i's level had fixed m, in a later level, so row j runs it,
-    with i below j's frontier (no mirror), and row i never does. The pass
-    is done once the cursor is past that row's slot, and never when its
-    size exceeds the bound, a slot no row runs; _ran applies this rule in
-    place of a done entry per pair."""
+    The count is arithmetic: every slot adds _PAIR_TESTS whether visited,
+    mirrored or plain, so tests at slot n2 is the row's start plus
+    _PAIR_TESTS * n2.
+    Runs: rows run in increasing n1, each over n2 in increasing order, and
+    pair pass (i, j), i <= j, runs in row i only (row j counts it as a
+    mirror), so it has run once the row cursor (n1, n2) is past (i, j);
+    _ran reads that off the cursor in place of a record per pair. A
+    one-field pass has run once it is in done."""
 
     def __init__(self, fa, fb, bound, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
@@ -600,23 +609,23 @@ class _Bijection:
         self.capped = False
         self.by_a: dict = {}
         self.by_b: dict = {}
-        self.pool: list = []     # (recipe, size, img_a, img_b)
+        self.pool: list = []     # (recipe, img_a, img_b)
         self.tests = 0
-        self.opens: list = []    # per pool entry: ops it opens, either frame
         # per frame: pool image -> pool index, other joinable image -> None
         self.at = (dict.fromkeys(ja), dict.fromkeys(jb))
         self.waiting = ({}, {})  # per frame: field -> images awaiting it
         # pool index -> other end of a pass over it (None for the one-field
         # pass) -> keys of the candidates filed images name, one set per pass
         self.earlier: dict = {}
-        self.done: dict = {}     # one-field pass (n, None) -> n, once run
-        # per frame: key image -> the pool entries it opens (see _opening)
+        self.done: set = set()   # the one-field passes (n, None) that ran
+        # the pass indexes seal builds once the seeds are in: per pool entry
+        # the ops it opens in either frame; opens -> pool indices,
+        # ascending; per frame, key image -> the entries it opens (see
+        # _opening)
+        self.sealed = False
+        self.opens: list = []
+        self.classes: dict = {}
         self.openers = ({}, {})
-        self.classes: dict = {}  # opens -> pool indices, ascending
-        self.by_size: dict = {}  # recipe size -> pool indices, ascending
-        # the levels rows ran: first frontier index, and the m they ran to
-        self.starts: list = []
-        self.ends: list = []
         self.cursor = (-1, 0)    # (n1, n2) of the slot row is at
         self.visits = None       # the running row's heap of n2 still to visit
         # once the probes ran: ENC-rooted entry -> the keys its probes
@@ -632,15 +641,15 @@ class _Bijection:
             return None
         if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
-        return self.admit(recipe, 1, ia, ib)
+        return self.admit(recipe, ia, ib)
 
-    def admit(self, recipe: Term, size: int, ta: Term, tb: Term):
+    def admit(self, recipe: Term, ta: Term, tb: Term):
         """Test a candidate whose images in the two frames are the root
         rewrites of ta and tb, well-formed terms over normal parts (so the
         rewrite raises no MalformedTerm)."""
-        return self._test(recipe, size, T.norm_root(ta), T.norm_root(tb))
+        return self._test(recipe, T.norm_root(ta), T.norm_root(tb))
 
-    def _test(self, recipe: Term, size: int, ia: Term, ib: Term):
+    def _test(self, recipe: Term, ia: Term, ib: Term):
         self.tests += 1
         # setdefault hashes each image once; a by_b clash ends the search,
         # so the by_a entry it leaves behind is never read
@@ -666,18 +675,20 @@ class _Bijection:
             return Distinguished(r0, recipe, "second", self.tests)
         self._file(ia, where_a, 0)
         self._file(ib, where_b, 1)
-        # pool only composition material: small recipes and destructor
-        # applications that reduced somewhere. A constructor image never
-        # becomes a part, so a test over one is missed: h(h(w0)) = w2 tells
-        # [a, b, h(h(a))] from [a, b, h(c)], yet the pass holds.
-        op = recipe[0]
-        useful = size <= 1 or (
-            op in _DESTRUCTORS and (ia[0] != op or ib[0] != op))
-        if useful:
-            if len(self.pool) < self.pool_cap:
-                self._join((recipe, size, ia, ib))
-            else:
-                self.capped = True
+        # the pool is the seeds: a destructor application that reduced
+        # somewhere reduces to a saturated entry, whose seed has its image.
+        # A constructor image never becomes a part, so a test over one is
+        # missed: h(h(w0)) = w2 tells [a, b, h(h(a))] from [a, b, h(c)],
+        # yet the pass holds.
+        if self.sealed:
+            op = recipe[0]
+            if op in _DESTRUCTORS and (ia[0] != op or ib[0] != op):
+                raise LateJoin(f"{T.to_text(recipe)} would join the pool "
+                               f"after the seeds")
+        elif len(self.pool) < self.pool_cap:
+            self._join(recipe, ia, ib)
+        else:
+            self.capped = True
         return None
 
     def _locate(self, img: Term, side: int):
@@ -720,7 +731,7 @@ class _Bijection:
     def _counted(self, img: Term, where, side: int):
         """The by_a entry (recipe, second-frame image) of the counted
         candidate whose image in side's frame is img: a counted probe, else
-        the candidate located by where, once its pass is done; else None.
+        the candidate located by where, once its pass has run; else None.
         Only a by_a or by_b miss asks, so the pass counted it: had it tested
         the candidate, its image here would be filed (a frame that rewrites
         the candidate holds no such image, since images are normal). Every
@@ -729,50 +740,40 @@ class _Bijection:
             probe = self._counted_probe(img[2], img[1][2], side)
             if probe is not None:
                 u, k = probe
-                (ur, _, _, ub), (kr, _, _, kb) = self.pool[u], self.pool[k]
+                (ur, _, ub), (kr, _, kb) = self.pool[u], self.pool[k]
                 # counted, so its dec rewrites in neither frame
                 return ((T.ENC, (T.DEC, kr, ur), kr),
                         (T.ENC, (T.DEC, kb, ub), kb))
-        if where is None or where[0] is None:
+        if where is None or where[0] is None or not self._ran(where[0]):
             return None
         run, key = where
-        first = self.done.get(run) if run[1] is None else self._ran(run)
-        if first is None:
-            return None
         if run[1] is None:
-            r, _, _, b = self.pool[first]
+            r, _, b = self.pool[run[0]]
             return (*key[:-1], r), (*key[:-1], b)
         op, i, j = key
-        if op == T.MULT and i != first:
-            i, j = j, i
-        (r1, _, _, b1), (r2, _, _, b2) = self.pool[i], self.pool[j]
+        (r1, _, b1), (r2, _, b2) = self.pool[i], self.pool[j]
         # the second image: a plain candidate's is itself, a product's
         # sorted, a rebase's rewritten
         return _pair_term(op, r1, r2), T.norm_root(_pair_term(op, b1, b2))
 
-    def _ran(self, run):
-        """The entry whose row first ran pair pass run = (i, j), i <= j,
-        once that row is past it; else None. That row is i's when j < m of
-        i's level, and j's otherwise."""
-        i, j = run
-        pool = self.pool
-        level = bisect.bisect_right(self.starts, i) - 1
-        if level < 0 or pool[i][1] + pool[j][1] >= self.bound:
-            return None
-        first, other = (i, j) if j < self.ends[level] else (j, i)
-        return first if (first, other) < self.cursor else None
+    def _ran(self, run) -> bool:
+        """Whether pass run has run: a one-field pass (n, None) once
+        extend(n) ended, and a pair pass (i, j), i <= j, once row i's cursor
+        is past it (no row runs below bound 3)."""
+        return run in self.done if run[1] is None else run < self.cursor
 
     def _file(self, img: Term, where, side: int):
         """Index an image just filed in side's frame in earlier, under the
         pass and key of the candidate it names; until its fields are pool
-        images it waits on the first that is not."""
+        images it waits on the first that is not, unless the pool is sealed
+        and none can join."""
         if where is None:
             return
         run, key = where
-        if run is None:
-            self.waiting[side].setdefault(key, []).append(img)
-        else:
+        if run is not None:
             self._name(run, key)
+        elif not self.sealed:
+            self.waiting[side].setdefault(key, []).append(img)
 
     def _name(self, run, key):
         """File key in earlier under both ends of its pass, which share one
@@ -786,23 +787,27 @@ class _Bijection:
             if self.visits is not None and n1 in run and i + j - n1 > n2:
                 heapq.heappush(self.visits, i + j - n1)
 
-    def _join(self, entry):
+    def _join(self, recipe: Term, ia: Term, ib: Term):
         n = len(self.pool)
-        self.pool.append(entry)
-        opens = frozenset(self._opens(entry[2], 0) + self._opens(entry[3], 1))
-        self.opens.append(opens)
-        self.classes.setdefault(opens, []).append(n)
-        self.by_size.setdefault(entry[1], []).append(n)
-        for side in (0, 1):
-            img = entry[2 + side]
+        self.pool.append((recipe, ia, ib))
+        for side, img in enumerate((ia, ib)):
             self.at[side][img] = n
-            opening = _opening(img)
-            if opening is not None:
-                self.openers[side].setdefault(opening[1], []).append(n)
             for held in self.waiting[side].pop(img, ()):
                 self._file(held, self._locate(held, side), side)
-        if self.keys:
-            self._name_enc(n)
+
+    def seal(self):
+        """End the seed phase: from here no candidate joins the pool (_test
+        raises LateJoin instead). Index the pool, in one loop, for the
+        passes, the only readers of opens, classes and openers."""
+        self.sealed = True
+        for n, (_, a, b) in enumerate(self.pool):
+            opens = frozenset(self._opens(a, 0) + self._opens(b, 1))
+            self.opens.append(opens)
+            self.classes.setdefault(opens, []).append(n)
+            for side, img in enumerate((a, b)):
+                opening = _opening(img)
+                if opening is not None:
+                    self.openers[side].setdefault(opening[1], []).append(n)
 
     def _poolable(self, x: Term, side: int) -> bool:
         """Whether x is or can become a pool image in side's frame, once
@@ -842,7 +847,7 @@ class _Bijection:
         dec(k, u) of a counted probe (u, k): there the candidate has the
         probe's image, which a tested probe's filed image would have named."""
         for side in (0, 1):
-            img = self.pool[d][2 + side]
+            img = self.pool[d][1 + side]
             if img[0] == T.DEC:
                 probe = self._counted_probe(img[1], img[2], side)
                 if probe is not None:
@@ -851,10 +856,10 @@ class _Bijection:
 
     def probes(self):
         """Test the decryptability probes enc(dec(k, u), k) = u over the
-        level-0 pool, u ENC-rooted in either frame and k any entry, in that
+        sealed pool, u ENC-rooted in either frame and k any entry, in that
         order, counting each that neither frame's dec rewrites and no filed
-        image names instead of testing it. Level-0 entries have size 1, so
-        a probe has size 5: within the bound + 3 from bound 2. Pool images
+        image names instead of testing it. Pool entries have size 1, so a
+        probe has size 5: within the bound + 3 from bound 2. Pool images
         are distinct in each frame, so the one key whose dec can rewrite
         over u there is the entry whose image is u's key. A probe never
         joins the pool."""
@@ -869,7 +874,7 @@ class _Bijection:
                     u, k = at[side].get(img[1][2]), at[side].get(img[2])
                     if u is not None and k is not None:
                         named.setdefault(u, set()).add(k)
-        for u, (r, _, a, b) in enumerate(pool):
+        for u, (r, a, b) in enumerate(pool):
             if a[0] != T.ENC and b[0] != T.ENC:
                 continue
             keys = named.get(u, set())
@@ -879,10 +884,10 @@ class _Bijection:
             tested = self.probed[u] = sorted(keys)
             start = self.tests
             for k in tested:
-                kr, _, ka, kb = pool[k]
+                kr, ka, kb = pool[k]
                 self.tests = start + k
                 # ENC never rewrites at the root
-                verdict = self._test((T.ENC, (T.DEC, kr, r), kr), 5,
+                verdict = self._test((T.ENC, (T.DEC, kr, r), kr),
                                      (T.ENC, T.norm_root((T.DEC, ka, a)), ka),
                                      (T.ENC, T.norm_root((T.DEC, kb, b)), kb))
                 if verdict is not None:
@@ -896,49 +901,45 @@ class _Bijection:
     def extend(self, n: int):
         """Test the one-field candidates over pool entry n in _ONE_SHAPES
         order, counting each plain one that earlier does not name instead
-        of testing it; none when they exceed the bound."""
-        size = self.pool[n][1] + 1
-        if size > self.bound:
+        of testing it; none below bound 2, which they exceed."""
+        if self.bound < 2:
             return None
         # candidates built by hand from _ONE_SHAPES heads: the hot loop
         named = self.earlier.get(n, {}).get(None, ())
         start = self.tests
         if named or T.PROJ in self.opens[n]:
-            r, _, a, b = self.pool[n]
+            r, a, b = self.pool[n]
             for pos, head in enumerate(_ONE_SHAPES):
                 ta, tb = (*head, a), (*head, b)
                 ia, ib = T.norm_root(ta), T.norm_root(tb)
                 if ia is ta and ib is tb and (*head, n) not in named:
                     continue   # plain
                 self.tests = start + pos
-                verdict = self._test((*head, r), size, ia, ib)
+                verdict = self._test((*head, r), ia, ib)
                 if verdict is not None:
                     return verdict
         self.tests = start + len(_ONE_SHAPES)
-        self.done[n, None] = n
+        self.done.add((n, None))
         return None
 
-    def row(self, n1: int, k: int, m: int):
-        """Run the pair pass of frontier entry n1 (the frontier starts at k)
-        with each pool entry n2 < m, as extend runs its one-field pass. A
-        frontier entry n2 < n1 ran the pair both ways round (MULT's product
-        is sorted), which fixed each outcome, so its mirror is counted. Only
+    def row(self, n1: int):
+        """Run the pair pass of pool entry n1 with each pool entry, as
+        extend runs its one-field pass; none below bound 3, which they
+        exceed. Row n2 < n1 ran the pair both ways round (MULT's product is
+        sorted), which fixed each outcome, so its mirror is counted. Only
         the slots whose rewrite can fire or that earlier names are visited;
         the tests count of every other slot is arithmetic."""
+        if self.bound < 3:
+            return None
         # candidates built by hand by _pair_term: the hot loop
         pool, opens = self.pool, self.opens
         e1, opens1 = pool[n1], opens[n1]
-        room = self.bound - e1[1] - 1   # the largest size of a partner
-        if not self.starts or self.starts[-1] != k:
-            self.starts.append(k)
-            self.ends.append(m)
-        sizes = [ix for size, ix in self.by_size.items() if size <= room]
         base = self.tests
         # the live index: a test of this row can name a pass over n1
         earlier = self.earlier.setdefault(n1, {})
         visits = set(earlier)
         for side in (0, 1):
-            img = e1[2 + side]
+            img = e1[1 + side]
             visits.update(self.openers[side].get(img, ()))
             opening = _opening(img)
             if opening is not None:
@@ -947,21 +948,17 @@ class _Bijection:
         for c, ix in self.classes.items():
             if _broad(opens1, c):
                 visits.update(ix)
-        heap = self.visits = list(visits)
+        heap = self.visits = [n2 for n2 in visits if n2 >= n1]
         heapq.heapify(heap)
         last = -1
         while heap:
             n2 = heapq.heappop(heap)
-            if n2 >= m:
-                break
-            e2 = pool[n2]
-            if n2 == last or e2[1] > room or k <= n2 < n1:
+            if n2 == last:
                 continue
             last = n2
             self.cursor = (n1, n2)
-            tests = base + _PAIR_TESTS * sum(
-                bisect.bisect_left(ix, n2) for ix in sizes)
-            size = e1[1] + e2[1] + 1
+            tests = base + _PAIR_TESTS * n2
+            e2 = pool[n2]
             shapes = _rewritable(opens1, opens[n2])
             named = earlier.get(n2, ())
             if named:
@@ -971,26 +968,25 @@ class _Bijection:
                 shapes = sorted({*shapes, *named})
             for shape in shapes:
                 pos, op, swapped = shape
-                (r1, _, a1, b1), (r2, _, a2, b2) = \
+                (r1, a1, b1), (r2, a2, b2) = \
                     (e2, e1) if swapped else (e1, e2)
                 ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
                 ia, ib = T.norm_root(ta), T.norm_root(tb)
                 if ia is ta and ib is tb and shape not in named:
                     continue   # plain after all
                 self.tests = tests + pos
-                verdict = self._test(_pair_term(op, r1, r2), size, ia, ib)
+                verdict = self._test(_pair_term(op, r1, r2), ia, ib)
                 if verdict is not None:
                     self.visits = None
                     return verdict
-        self.cursor = (n1, m)
+        self.cursor = (n1, len(pool))
         self.visits = None
-        self.tests = base + _PAIR_TESTS * sum(
-            bisect.bisect_left(ix, m) for ix in sizes)
+        self.tests = base + _PAIR_TESTS * len(pool)
         return None
 
 
 def _seed_recipes(sa: Saturated, sb: Saturated, atoms):
-    """Deterministic level-0 candidates: gen and the other constants, the
+    """The seeds, in a deterministic order: gen and the other constants, the
     months and public names among the atoms (_joinable's, of both frames'
     bindings, so of every saturated entry), in term order, then the
     saturated building blocks of both frames."""
@@ -1019,22 +1015,20 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
         if verdict is not None:
             return verdict
 
+    bij.seal()
+
     # decryptability probes: enc(dec(k, u), k) = u tests made explicit
     verdict = bij.probes()
     if verdict is not None:
         return verdict
 
-    # the frontier is the pool range [k, end): the entries of the last level
-    k, end = 0, len(bij.pool)
-    while k < end:
-        for n in range(k, end):
-            verdict = bij.extend(n)
-            if verdict is not None:
-                return verdict
-        m = len(bij.pool)
-        for n1 in range(k, end):
-            verdict = bij.row(n1, k, m)
-            if verdict is not None:
-                return verdict
-        k, end = end, len(bij.pool)
+    # one pass over the pool: it holds everything a pass composes
+    for n in range(len(bij.pool)):
+        verdict = bij.extend(n)
+        if verdict is not None:
+            return verdict
+    for n1 in range(len(bij.pool)):
+        verdict = bij.row(n1)
+        if verdict is not None:
+            return verdict
     return Equivalent(test_bound, bij.tests, bij.capped)

@@ -7,6 +7,7 @@ import pytest
 
 import utxsim.checks as C
 import utxsim.cli as cli
+import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
 
@@ -512,3 +513,19 @@ def test_suite_flags_reach_every_experiment(capsys):
                          "--pool-cap", "10")
     assert "utxl-hypothesis[passive] bounded-pass bound=2" in text
     assert "capped=1" in text
+
+
+@pytest.mark.parametrize("error", [C.UncertifiedWitness, F.LateJoin])
+def test_internal_search_error_exits_3(capsys, monkeypatch, error):
+    """An internal error of a search is neither a violation (exit 1) nor
+    bad input (exit 2): it exits 3 with its traceback on stderr."""
+    def fail(*args, **kwargs):
+        raise error("the search broke its own rule")
+
+    monkeypatch.setattr(F, "static_equiv", fail)
+    code = cli.main(["distinguish", "--scenario", "unlink_utx"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.rstrip().endswith(
+        f"{error.__name__}: the search broke its own rule")

@@ -378,13 +378,19 @@ def test_shared_cost_memo_is_exact(seed, monkeypatch):
     answers = {i: F.derive(shuffled, *asks[i]) for i in order}
     assert [answers[i] for i in range(len(asks))] == got
     assert [F.derive(F.saturate(f), t, bound) for t, bound in asks] == got
-    # a fresh memo for every search, saturate's key searches included
-    derive_once = F._derive
+    # a fresh memo for every search, saturate's key searches included: a
+    # search is a _cost call from outside _cost
+    cost, depth = F._cost, [0]
 
-    def fresh_memo(s, target, bound):
-        s.memo.clear()
-        return derive_once(s, target, bound)
-    monkeypatch.setattr(F, "_derive", fresh_memo)
+    def fresh_memo(s, t):
+        if not depth[0]:
+            s.memo.clear()
+        depth[0] += 1
+        try:
+            return cost(s, t)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(F, "_cost", fresh_memo)
     ref = F.saturate(f)
     assert list(ref.entries.items()) == list(sat.entries.items())
     assert [F.derive(ref, t, bound) for t, bound in asks] == got
@@ -613,7 +619,8 @@ def test_deduction_invariant_under_renaming(case):
 #
 # Cutting the cost of a test must not move what the search reports: the
 # kind, the witness, its side, the tests= count (also at a witness) and the
-# capped flag. The bounds reach the binary levels, and pool cap 10 cuts them.
+# capped flag. Bounds 4 and 6 reach the pair passes, the last candidates a
+# search composes, and pool cap 10 turns seeds away.
 
 _PINNED_SETTINGS = ((4, F.POOL_CAP), (6, F.POOL_CAP), (6, 10))
 _PINNED_DIGEST = \
@@ -684,30 +691,32 @@ def test_counted_candidate_keeps_its_entry():
     bij = F._Bijection(f, f, 3, F.POOL_CAP)
     for r in F._seed_recipes(sat, sat, bij.atoms):
         assert bij.seed(r) is None
+    bij.seal()
     at = {e[0]: n for n, e in enumerate(bij.pool)}
     w0, w1, w2 = (at[T.var(f"w{i}")] for i in range(3))
     blinded = T.normalize(T.smult(T.mult(a, b), G))
     # gen's row counts smult(w0, gen); in w1's, smult(w1, w2) rewrites
     # onto its image
-    m = len(bij.pool)
-    assert bij.row(at[G], at[G], m) is None
+    assert bij.row(at[G]) is None
     assert blinded not in bij.by_a
-    assert bij.row(w1, w1, m) is None
+    assert bij.row(w1) is None
     assert blinded not in bij.by_a
-    verdict = bij.admit(T.var("w9"), 3, blinded, T.smult(c, G))
+    verdict = bij.admit(T.var("w9"), blinded, T.smult(c, G))
     assert T.to_text(verdict.left) == "(smult ?w0 (gen))"
     assert verdict.side == "first"
 
 
 def _alias_bijection(restricted, images, bound):
-    """A _Bijection at the bound over a frame compared with itself, seeded
-    with the frame's aliases only, so that pool entry n is wn: level 0 is
-    the pool as it stands."""
+    """A sealed _Bijection at the bound over a frame compared with itself,
+    seeded with the frame's saturated entries only, so that pool entry n
+    is wn for each alias wn."""
     f, aliases = build(restricted, images)
     bij = F._Bijection(f, f, bound, F.POOL_CAP)
-    for alias in aliases:
-        assert bij.seed(T.var(alias)) is None
-    assert [e[0] for e in bij.pool] == [T.var(x) for x in aliases]
+    for recipe in F.saturate(f).entries.values():
+        assert bij.seed(recipe) is None
+    bij.seal()
+    assert [e[0] for e in bij.pool[:len(aliases)]] == \
+        [T.var(x) for x in aliases]
     return bij
 
 
@@ -717,39 +726,25 @@ def test_counted_product_of_one_level_keeps_its_order():
     recipe, built as w0's row built it: the first entry first."""
     a, b, c = (T.name(x, "scalar") for x in "abc")
     bij = _alias_bijection([a, b, c], [a, b, c], 3)
-    assert bij.row(0, 0, 3) is None
+    assert bij.row(0) is None
     assert T.normalize(T.mult(a, b)) not in bij.by_a
     # the same images on both sides: the counted entry stands, unfiled
-    assert bij.admit(T.var("w7"), 3, T.mult(b, a), T.mult(a, b)) is None
+    assert bij.admit(T.var("w7"), T.mult(b, a), T.mult(a, b)) is None
     assert T.normalize(T.mult(a, b)) not in bij.by_a
-    verdict = bij.admit(T.var("w8"), 3, T.mult(b, a), T.mult(a, c))
+    verdict = bij.admit(T.var("w8"), T.mult(b, a), T.mult(a, c))
     assert verdict.describe() == \
         "(mult ?w0 ?w1) = ?w8 holds in the first frame only"
-    verdict = bij.admit(T.var("w9"), 3, T.h(a), T.mult(b, a))
+    verdict = bij.admit(T.var("w9"), T.h(a), T.mult(b, a))
     assert verdict.describe() == \
         "(mult ?w0 ?w1) = ?w9 holds in the second frame only"
 
 
-def test_counted_product_across_levels_keeps_its_order():
-    """dec(w1, w0) opens to a and joins the pool at the next level, whose
-    pass over it and w2 puts it first: the counted product's recipe keeps
-    that order, though its key sorts the two pool indices."""
-    a, b, c, k = (T.name(x, "scalar") for x in "abck")
-    bij = _alias_bijection([a, b, c, k], [T.enc(a, k), k, b], 5)
-    assert bij.row(1, 1, 3) is None
-    opened, = bij.pool[3:]
-    assert (T.to_text(opened[0]), opened[2]) == ("(dec ?w1 ?w0)", a)
-    assert bij.row(3, 3, 4) is None
-    verdict = bij.admit(T.var("w9"), 5, T.mult(a, b), T.mult(a, c))
-    assert verdict.describe() == \
-        "(mult (dec ?w1 ?w0) ?w2) = ?w9 holds in the first frame only"
-
-
 def test_counted_one_field_candidates_keep_their_entries():
     """The one-field pass over w0 counts all seven candidates; the pass
-    over the tuple w1 tests its two projections and counts the stuck third.
-    A later candidate with a counted image in one frame finds the counted
-    recipe, on either side."""
+    over the tuple w1 tests its two projections, which meet w0 and the
+    saturated entry proj 2 of w1, and counts the stuck third. A later
+    candidate with a counted image in one frame finds the counted recipe,
+    on either side."""
     a, b, c = T.name("a"), T.name("b"), T.name("c")
     bij = _alias_bijection([a, b, c], [a, T.tup(a, b), c], 2)
     start = bij.tests
@@ -757,13 +752,13 @@ def test_counted_one_field_candidates_keep_their_entries():
     assert bij.extend(1) is None
     assert bij.tests == start + 14
     assert T.h(a) not in bij.by_a and T.proj(3, T.tup(a, b)) not in bij.by_a
-    verdict = bij.admit(T.var("w7"), 3, T.h(a), T.h(c))
+    verdict = bij.admit(T.var("w7"), T.h(a), T.h(c))
     assert verdict.describe() == \
         "(hash ?w0) = ?w7 holds in the first frame only"
-    verdict = bij.admit(T.var("w8"), 3, T.h(b), T.proj(3, T.tup(a, b)))
+    verdict = bij.admit(T.var("w8"), T.h(b), T.proj(3, T.tup(a, b)))
     assert verdict.describe() == \
         "(proj 3 ?w1) = ?w8 holds in the second frame only"
-    verdict = bij.admit(T.var("w9"), 3, T.pkv(a), T.h(b))
+    verdict = bij.admit(T.var("w9"), T.pkv(a), T.h(b))
     assert verdict.describe() == \
         "(pkv ?w0) = ?w9 holds in the first frame only"
 
@@ -826,32 +821,6 @@ def test_static_equiv_stuck_dec_names_its_enc_pair():
         assert F.static_equiv(fa, fa, test_bound=bound).tests == 3979
 
 
-def test_stuck_dec_joining_after_the_probes_names_its_enc_pair():
-    """proj 1 of w2 opens to the stuck dec(k1, w0) in the first frame once
-    the probes have run: as it joins, it names enc over it and w1, which
-    meets the counted probe over w0 and w1. proj 2 of w2 joins too, but no
-    probe ran over it as a key."""
-    m, n, k0, k1 = (T.name(x) for x in ("m", "n", "k0", "k1"))
-    c = T.enc(m, k0)
-    fa, _ = build([m, n, k0, k1], [c, k1, T.tup(T.dec(k1, c), n)])
-    fb, _ = build([m, n, k0, k1], [c, k1, T.tup(m, n)])
-    bij = F._Bijection(fa, fb, 4, F.POOL_CAP)
-    for alias in ("w0", "w1", "w2"):
-        assert bij.seed(T.var(alias)) is None
-    assert bij.probes() is None
-    assert bij.tests == 6      # three seeds, three counted probes
-    assert bij.extend(2) is None
-    opened, other = bij.pool[3:]
-    assert (T.to_text(opened[0]), opened[2]) == ("(proj 1 ?w2)",
-                                                 T.dec(k1, c))
-    assert other[2:] == (n, n)
-    assert bij.admit(T.var("w9"), 4, T.enc(T.dec(n, c), n), T.h(n)) is None
-    verdict = bij.row(3, 3, len(bij.pool))
-    assert verdict.describe() == ("(enc (dec ?w1 ?w0) ?w1) = "
-                                  "(enc (proj 1 ?w2) ?w1) holds in the first "
-                                  "frame only")
-
-
 def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
     """On the paired scenarios' final frames, the probes over an ENC-rooted
     entry test at most the two keys whose dec can rewrite, one per frame,
@@ -864,7 +833,7 @@ def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
         return real_test(self, *args)
 
     def probes(self):
-        enc = sum(e[2][0] == T.ENC or e[3][0] == T.ENC for e in self.pool)
+        enc = sum(e[1][0] == T.ENC or e[2][0] == T.ENC for e in self.pool)
         named = sum(img[0] == T.ENC and img[1][0] == T.DEC
                     and img[1][1] == img[2]
                     for filed in (self.by_a, self.by_b) for img in filed)
@@ -881,7 +850,7 @@ def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
             real, ideal = H.run_paired(replace(C.SCENARIOS[case], seed=seed))
             for x, y in ((real, ideal), (real, real), (ideal, ideal)):
                 F.static_equiv(x.frame, y.frame)
-    # a level-0 seed tells bdh_2session's and utxl_hi_probe's worlds apart
+    # a seed tells bdh_2session's and utxl_hi_probe's worlds apart
     assert len(counted) == 20 and min(counted) > 0
 
 
@@ -1075,10 +1044,8 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
         self.initial = (_openings_closure(fa), _openings_closure(fb))
         assert tuple(map(set, self.at)) == self.initial
 
-    def spy_join(self, entry):
-        recipe = entry[0]
-        for side in (0, 1):
-            img = entry[2 + side]
+    def spy_join(self, recipe, ia, ib):
+        for side, img in enumerate((ia, ib)):
             if recipe[0] in (T.GEN, T.CONST, T.NAME) and img == recipe:
                 kinds["atom"] += 1
             elif img in self.initial[side]:
@@ -1086,7 +1053,7 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
             else:
                 assert img[0] in F._DESTRUCTORS, (T.to_text(recipe), side)
                 kinds["destructor"] += 1
-        join(self, entry)
+        join(self, recipe, ia, ib)
 
     monkeypatch.setattr(F._Bijection, "__init__", spy_init)
     monkeypatch.setattr(F._Bijection, "_join", spy_join)
@@ -1244,27 +1211,23 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
             check(live.pop())
         live.append(self)
 
-    def spy_test(self, recipe, size, ia, ib):
+    def spy_test(self, recipe, ia, ib):
         self.tested += [(0, ia), (1, ib)]
         self.recipes.append(recipe)
-        return test(self, recipe, size, ia, ib)
+        return test(self, recipe, ia, ib)
 
-    def spy_row(self, n1, k, m):
+    def spy_row(self, n1):
         rebases = []
-        for n2 in range(m):
-            if self.pool[n1][1] + self.pool[n2][1] >= self.bound or \
-                    k <= n2 < n1:
-                continue
+        for n2 in range(n1, len(self.pool) if self.bound >= 3 else 0):
             for op in (T.SMULT, T.SIGV):
                 for i, j in ((n1, n2), (n2, n1)):
-                    (r1, _, a1, b1), (r2, _, a2, b2) = \
-                        self.pool[i], self.pool[j]
+                    (r1, a1, b1), (r2, a2, b2) = self.pool[i], self.pool[j]
                     ta, tb = (op, a1, a2), (op, b1, b2)
                     images = T.norm_root(ta), T.norm_root(tb)
                     if images != (ta, tb):
                         rebases.append(((op, r1, r2), images, (op, i, j)))
         self.recipes = []
-        verdict = row(self, n1, k, m)
+        verdict = row(self, n1)
         if verdict is None:
             tested = set(self.recipes)
             self.counted += [(images, key) for recipe, images, key in rebases
@@ -1288,9 +1251,135 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
     assert min(seen.values()) > 0
 
 
+# -- one pass over the seeds ------------------------------------------------
+#
+# Saturation opens every entry whose key derives, whatever the key's cost,
+# so a destructor candidate that reduces in a frame reduces to a saturated
+# entry, whose seed already has that image: nothing joins the pool after
+# the seeds, and static_equiv runs one pass over them. A join after the
+# seeds raises LateJoin.
+
+def _hashed(x, times):
+    for _ in range(times):
+        x = T.h(x)
+    return x
+
+
+def _costly_key_pair(layers, body_a, body_b, order=(0, 1, 2)):
+    """The second frame binds c under enc(., k) for each key k of layers in
+    turn, k1, and body_b under c; the first binds a in c's place, k1, and
+    body_a under the stuck decryption of a by the same layers. Where the
+    layers are hashes of k1, the second frame opens them all, so c is an
+    entry there, while the first frame's key costs the whole decryption
+    chain, the image there of the second frame's recipe for c. Every name
+    is restricted, and order permutes the three bindings."""
+    k1, a, c = T.name("k1"), T.name("a"), T.name("c")
+    key, layered = a, c
+    for k in layers:
+        layered = T.enc(layered, k)
+    for k in reversed(layers):
+        key = T.dec(k, key)
+    restricted = {k1, a, c} | T.free_names(T.tup(body_a, body_b))
+    images_a = [a, k1, T.enc(body_a, key)]
+    images_b = [layered, k1, T.enc(body_b, c)]
+    fa, _ = build(restricted, [images_a[i] for i in order])
+    fb, _ = build(restricted, [images_b[i] for i in order])
+    return fa, fb
+
+
+def test_static_equiv_opens_with_a_costly_key():
+    """Four layers under h(k1): the first frame's key costs 8. Its
+    ciphertext opens to a tuple, and its projections rebuild it, which the
+    second frame's opening does not allow. Both saturations open their
+    third binding, so the witness is a pair over seeds: found at bound 3,
+    not at bound 2."""
+    s1, s2, n = T.name("s1"), T.name("s2"), T.name("n")
+    fa, fb = _costly_key_pair([T.h(T.name("k1"))] * 4, T.tup(s1, s2), n)
+    for x, y, side, tests in ((fa, fb, "first", 5916),
+                              (fb, fa, "second", 7412)):
+        assert isinstance(F.static_equiv(x, y, test_bound=2), F.Equivalent)
+        verdict = F.static_equiv(x, y, test_bound=3)
+        assert (verdict.side, verdict.tests) == (side, tests)
+        assert verdict.right[0] == T.TUP
+        holds = [F.recipe_value(f, verdict.left) ==
+                 F.recipe_value(f, verdict.right) for f in (x, y)]
+        assert holds == [side == "first", side == "second"]
+
+
+def test_secrecy_opens_with_a_costly_key():
+    n, m = T.name("n"), T.name("m")
+    f, _ = build([n, m], [n, T.enc(m, _hashed(n, 7))])
+    verdict = C.check_secrecy(f, [("m", m)])
+    assert verdict.line() == ("CHECK secrecy violated m<-(dec (hash (hash "
+                              "(hash (hash (hash (hash (hash ?w0))))))) ?w1)")
+
+
+def _random_costly_key_pair(rng):
+    """A _costly_key_pair drawn at random: each layer's key is h(k1) or
+    h(h(k1)), so that the first frame's key costs 7 to 9; the binding
+    order and the bodies, over two disjoint sets of names, are drawn
+    too."""
+    k1 = T.name("k1")
+    names = [T.name(f"{x}{i}") for x in "st" for i in range(3)]
+    layers, cost = [], 0
+    while cost < 7:     # a layer under h^j(k1) costs 1 + j to open
+        j = rng.randrange(1, 3)
+        layers.append(_hashed(k1, j))
+        cost += 1 + j
+
+    def body(msgs):     # mostly one that opens further
+        return rng.choice((T.tup(*rng.sample(msgs, 2)), T.tup(*msgs),
+                           T.enc(rng.choice(msgs), k1), rng.choice(msgs)))
+
+    order = rng.sample(range(3), 3)
+    return _costly_key_pair(layers, body(names[:3]), body(names[3:]), order)
+
+
+_PAIR_MAKERS = {"group": _random_group_pair, "named": _random_named_pair,
+                "probe": _random_probe_pair, "dh": _random_dh_pair,
+                "costly": _random_costly_key_pair}
+
+
+@given(st.sampled_from(sorted(_PAIR_MAKERS)), st.integers(0, 2**32))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_nothing_joins_the_pool_after_the_seeds(kind, seed):
+    """Over random pairs from each corpus generator and from one whose key
+    costs 7 to 9 in one frame, at bounds 2 to 6 in both orders, no search
+    raises LateJoin, and a witness tells its frames apart."""
+    fa, fb = _PAIR_MAKERS[kind](random.Random(seed))
+    for x, y in ((fa, fb), (fb, fa)):
+        for bound in range(2, 7):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            if not verdict:
+                holds = [F.recipe_value(f, verdict.left) ==
+                         F.recipe_value(f, verdict.right) for f in (x, y)]
+                assert holds == [verdict.side == "first",
+                                 verdict.side == "second"]
+
+
+def test_bound_3_verdicts_equal_bound_6_verdicts():
+    """The pool is the seeds, so every pair candidate has size 3 and the
+    probes size 5: above bound 3 the search is the same. Over the cases,
+    the group, named, probe and DH corpora as they are pinned, and as many
+    costly-key pairs, each verdict at bound 3 equals the verdict at bound 6
+    but for its bound."""
+    pairs = [_frame_pair(case)[:2] for case in _CASES]
+    pairs = [p for fa, fb in pairs for p in ((fa, fb), (fb, fa))]
+    for label, make in sorted(_PAIR_MAKERS.items()):
+        for k in range(32):
+            fa, fb = make(random.Random(f"{label}{k}"))
+            pairs += [(fa, fb), (fb, fa), (fa, fa)]
+    distinguished = 0
+    for x, y in pairs:
+        at3 = F.static_equiv(x, y, test_bound=3)
+        assert _outcome(at3) == _outcome(F.static_equiv(x, y, test_bound=6))
+        distinguished += not at3
+    assert 0 < distinguished < len(pairs)
+
+
 # -- the seeds' atoms ----------------------------------------------------------
 #
-# The months and public names among the level-0 seeds are read off the atoms
+# The months and public names among the seeds are read off the atoms
 # _joinable meets as it walks the bindings, not found by walking every
 # subterm of both saturations. The walk below is that reference.
 
@@ -1339,24 +1428,20 @@ def test_seed_atoms_match_the_saturation_walk():
 #
 # _Bijection.row visits only the slots whose rewrite can fire or that a
 # filed image names, counts the rest by arithmetic, and _ran tells from the
-# row cursor which row ran a pair pass first. The oracle is the row that
-# walks every slot and records each pair pass in done as its first run ends;
-# _ran then reads done. Both must give the same verdict, tests= count and
-# witness.
+# row cursor whether a pair pass has run. The oracle is the row that walks
+# every slot and records each pair pass in done as it ends; _ran then reads
+# done. Both must give the same verdict, tests= count and witness.
 
-def _full_scan_row(self, n1, k, m):
-    pool, opens, done = self.pool, self.opens, self.done
+def _full_scan_row(self, n1):
+    if self.bound < 3:
+        return None
+    pool, opens = self.pool, self.opens
     e1, opens1 = pool[n1], opens[n1]
     tests = self.tests
-    for n2 in range(m):
-        e2 = pool[n2]
-        size = e1[1] + e2[1] + 1
-        if size > self.bound:
-            continue
-        if k <= n2 < n1:
+    for n2, e2 in enumerate(pool):
+        if n2 < n1:
             tests += F._PAIR_TESTS
             continue
-        run = (n1, n2) if n1 <= n2 else (n2, n1)
         shapes = F._rewritable(opens1, opens[n2])
         named = self.earlier.get(n1, {}).get(n2, ())
         if named:
@@ -1366,18 +1451,17 @@ def _full_scan_row(self, n1, k, m):
             shapes = sorted({*shapes, *named})
         for shape in shapes:
             pos, op, swapped = shape
-            (r1, _, a1, b1), (r2, _, a2, b2) = \
-                (e2, e1) if swapped else (e1, e2)
+            (r1, a1, b1), (r2, a2, b2) = (e2, e1) if swapped else (e1, e2)
             ta, tb = F._pair_term(op, a1, a2), F._pair_term(op, b1, b2)
             ia, ib = T.norm_root(ta), T.norm_root(tb)
             if ia is ta and ib is tb and shape not in named:
                 continue
             self.tests = tests + pos
-            verdict = self._test(F._pair_term(op, r1, r2), size, ia, ib)
+            verdict = self._test(F._pair_term(op, r1, r2), ia, ib)
             if verdict is not None:
                 return verdict
         tests += F._PAIR_TESTS
-        done.setdefault(run, n1)
+        self.done.add((n1, n2))
     self.tests = tests
     return None
 
@@ -1385,7 +1469,7 @@ def _full_scan_row(self, n1, k, m):
 def _full_scan(monkeypatch):
     monkeypatch.setattr(F._Bijection, "row", _full_scan_row)
     monkeypatch.setattr(F._Bijection, "_ran",
-                        lambda self, run: self.done.get(run))
+                        lambda self, run: run in self.done)
 
 
 def _outcome(verdict):
@@ -1431,31 +1515,32 @@ def test_row_matches_the_full_scan(monkeypatch):
     assert sum(kind == "Distinguished" for kind, _, _ in got) > len(got) // 4
 
 
-def _late_named_bijection():
-    """w0 is a key k, w1 is enc(enc(x, k), k), and w2 is x in the first
-    frame and y in the second; seeded with the aliases only, so that pool
-    entry n is wn."""
-    x, y, k = T.name("x"), T.name("y"), T.name("k")
-    fa, _ = build([x, y, k], [k, T.enc(T.enc(x, k), k), x])
-    fb, _ = build([x, y, k], [k, T.enc(T.enc(x, k), k), y])
-    bij = F._Bijection(fa, fb, 3, F.POOL_CAP)
-    for alias in ("w0", "w1", "w2"):
-        assert bij.seed(T.var(alias)) is None
-    return bij
+def _late_named_pair():
+    """w0 is a scalar s, w1 the point [s]h(n), and w2 is sigv(s, h(n)) in
+    the first frame and sigv(s, h(m)) in the second."""
+    s, n, m = T.name("s", "scalar"), T.name("n"), T.name("m")
+    fa, _ = build([s, n, m], [s, T.smult(s, T.h(n)), T.sigv(s, T.h(n))])
+    fb, _ = build([s, n, m], [s, T.smult(s, T.h(n)), T.sigv(s, T.h(m))])
+    return fa, fb
 
 
 def test_row_visits_a_slot_named_during_the_row(monkeypatch):
-    """In w0's row, dec(w0, w1) opens to enc(x, k) in both frames; the
-    first frame's image names enc(w2, w0), a later slot of the same row
-    that no key relation or rebase reaches. The row must still visit it,
-    as the full scan does, and meet the first frame's equality there."""
-    with monkeypatch.context() as m:
-        _full_scan(m)
-        oracle = _late_named_bijection().row(0, 0, 3)
-    assert oracle.describe() == \
-        "(dec ?w0 ?w1) = (enc ?w2 ?w0) holds in the first frame only"
-    verdict = _late_named_bijection().row(0, 0, 3)
-    assert verdict is not None and _outcome(verdict) == _outcome(oracle)
+    """In w0's row, the rebase sigv(w0, w1) is [s]sigv(s, h(n)) in both
+    frames; the first frame's image names smult(w0, w2), a later slot of
+    the same row that no key relation or rebase reaches. The row must still
+    visit it, as the full scan does, and meet the first frame's equality
+    there, in either frame order."""
+    fa, fb = _late_named_pair()
+    for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+        with monkeypatch.context() as m:
+            _full_scan(m)
+            oracle = F.static_equiv(x, y, test_bound=3)
+        assert oracle.describe() == (
+            f"(sigv ?w0 ?w1) = (smult ?w0 ?w2) holds in the {side} frame "
+            f"only")
+        verdict = F.static_equiv(x, y, test_bound=3)
+        assert _outcome(verdict) == _outcome(oracle) == \
+            ("Distinguished", 3159, oracle.describe())
 
 
 # -- pinned deduction ------------------------------------------------------------

@@ -102,14 +102,14 @@ def test_mutated_multimonth_run_detected():
 # that a test of the running row names.
 
 def _skip_reverse_key_lookup(monkeypatch):
-    join = F._Bijection._join
+    seal = F._Bijection.seal
 
-    def join_without_openers(self, entry):
-        join(self, entry)
+    def seal_without_openers(self):
+        seal(self)
         for openers in self.openers:
             openers.clear()
 
-    monkeypatch.setattr(F._Bijection, "_join", join_without_openers)
+    monkeypatch.setattr(F._Bijection, "seal", seal_without_openers)
 
 
 def _drop_late_named_push(monkeypatch):
