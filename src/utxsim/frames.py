@@ -75,14 +75,14 @@ and a Diffie-Hellman rebase over an entry e2 that is a point [s]p in a
 frame, in each such frame: e1 smult e2 when no factor of e1 is one of
 the scalar of a point in the frame's joinable set (its bindings and
 their openings) and that set holds no product, since then nothing else
-reaches its image [e1*s]p; and sigv(e1, e2) when s can never be a pool
-image. Elsewhere a counted rebase is plain. The images of a plain
-candidate, a counted probe or a counted sigv rebase are new unless a
-candidate reached by another route has the same image; _Bijection keeps
-that case exact, holding such an image back only on a field that can
-still join the pool (a binding or its opening, a pool image or a stuck
-destructor). A pass is a bounded guarantee, never a proof; it also says
-when the pool cap, not the bound, ended the search.
+reaches its image [e1*s]p; and sigv(e1, e2) when s is no pool image.
+Elsewhere a counted rebase is plain. The images of a plain candidate, a
+counted probe or a counted sigv rebase are new unless a candidate reached
+by another route has the same image; _Bijection keeps that case exact:
+each filed image names the candidate it equals over the final pool (the
+seeds' images all at once, when the pool is sealed). A pass is a bounded
+guarantee, never a proof; it also says when the pool cap, not the bound,
+ended the search.
 
 A run's frame is its one record of what the attacker has seen, and it only
 grows, through Frame.bind. The analyses here only read their frames, so
@@ -398,7 +398,7 @@ def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
     MULT when either entry is a product; SMULT where, in some frame, the
     second operand is an [s]p (POINT) and the first breaks the smult rule
     (SHARED); and each other op its second operand opens, SIGV only over
-    an [s]p whose s is poolable. A rebase left out is counted (see
+    an [s]p whose s is a pool image. A rebase left out is counted (see
     _Bijection)."""
     shapes = []
     for shape in _PAIR_SHAPES:
@@ -443,12 +443,13 @@ _DESTRUCTORS = frozenset((T.DEC, T.PROJ, T.CHECK, T.CHECKV))
 
 
 def _joinable(f: Frame):
-    """(f's bindings closed under splitting tuples and under _opening's
-    openings; the atoms of the bindings: their month constants, names and
-    variables; the factors of the scalars of the [s]p images in that
-    closure, or None when it holds a product), in one walk. An opening's
-    image is a subterm of what it opens, or [s]m of a blinded [s]sigv(k,
-    m), so the walk meets every atom once it walks each opening's key."""
+    """(the atoms of f's bindings: their month constants, names and
+    variables; the factors of the scalars of the [s]p images in f's
+    joinable set, its bindings closed under splitting tuples and under
+    _opening's openings, or None when that set holds a product), in one
+    walk. An opening's image is a subterm of what it opens, or [s]m of a
+    blinded [s]sigv(k, m), so the walk meets every atom once it walks each
+    opening's key."""
     joinable, stack, rest = set(), list(f.bindings.values()), []
     factors, product = set(), False
     while stack:
@@ -475,7 +476,7 @@ def _joinable(f: Frame):
             atoms.add(x)
         else:
             rest += T.fields(x)
-    return joinable, atoms, None if product else factors
+    return atoms, None if product else factors
 
 
 class _Bijection:
@@ -493,9 +494,12 @@ class _Bijection:
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
-    Phases: seed tests and pools each seed; seal ends the seed phase and
-    indexes the pool; then the probes, extend and row compose candidates
-    over it. A sealed pool takes no entry: a destructor candidate that
+    Phases: seed tests and pools each seed, and names nothing; seal ends
+    the seed phase, names the candidate each seed image locates over the
+    final pool, and indexes the pool; then the probes, extend and row
+    compose candidates over it, and each test names the candidate its
+    images locate. Before seal no probe or pass has run, so nothing is
+    counted. A sealed pool takes no entry: a destructor candidate that
     reduces in a frame reduces to a saturated entry there, whose seed
     already filed that image, so _test raises LateJoin for one that would
     join.
@@ -525,8 +529,8 @@ class _Bijection:
     pool. Its outcome is known unless an image reached by another route (a
     seed, a probe or a rewritten candidate) is equal:
     - reached earlier: earlier files that image under the ends of the
-      pass and the key of the candidate it names (waiting holds it until
-      its fields are pool images), and the pass tests the named candidate;
+      pass and the key of the candidate it names, and the pass tests the
+      named candidate;
     - reached later: the counted candidate is the by_a or by_b entry the
       image would have found, and _counted rebuilds it (recipe and
       second-frame image) once its pass has run. A root rewrite never keeps
@@ -534,12 +538,11 @@ class _Bijection:
       plain candidate of the same pass, and a pass has run when all its
       candidates have: _ran says which (see the end). Row i runs pair (i,
       j) both ways round, i first in a counted product's recipe.
-    Filing rule: waiting holds an image only on a field in its frame's
-    joinable set (at's keys: _joinable of the bindings, then each pool
-    image) or rooted at a destructor. Lemma: only seeds join, and a seed's
-    image is an atom's (all join before anything is filed), a joinable
-    one, or one stuck at a destructor that the other frame reduces, since
-    an entry seed is a binding under destructors.
+    Lemma, the smult rule's premise (see Rebases): only seeds join, and a
+    seed's image is an atom's, a joinable one (in its frame's joinable
+    set, _joinable's walk of the bindings and their openings), or one
+    stuck at a destructor that the other frame reduces, since an entry
+    seed is a binding under destructors.
     The probes run over the sealed pool before any pass. A counted probe's
     images are enc(dec(k, u), k) over the two frames' pool images; three
     rules keep it exact, as if it had been tested and filed:
@@ -559,14 +562,14 @@ class _Bijection:
     among the joinable scalars' (factors), [fac(e1)*s]p is no joinable
     image, no plain one (its scalar is a product), no other smult rebase's
     (e1 is one factor, not in s'), and no sigv rebase's (its scalar s'
-    would hold e1). The sigv rule: with s never a pool image (_poolable),
-    no plain smult has [s]sigv(e1, p), and _locate's inverse step names
-    the rebase from any image of that shape; its own pass holds no other
-    candidate with that image. So either kind is exact as a plain
-    candidate is, through earlier and _counted. _opens folds the rules
-    into marks per frame: POINT on an [s]p, SHARED on an entry that breaks
-    the smult rule as e1, and SIGV only on an [s]p whose s is poolable;
-    _rewritable leaves out the rebases it counts.
+    would hold e1). The sigv rule: with s no pool image (_poolable; the
+    pool is final before any pass), no plain smult has [s]sigv(e1, p), and
+    _locate's inverse step names the rebase from any image of that shape;
+    its own pass holds no other candidate with that image. So either kind
+    is exact as a plain candidate is, through earlier and _counted. _opens
+    folds the rules into marks per frame: POINT on an [s]p, SHARED on an
+    entry that breaks the smult rule as e1, and SIGV only on an [s]p whose
+    s is a pool image; _rewritable leaves out the rebases it counts.
     Rows: row n1 runs the inner shape loop only at the slots n2 >= n1 where
     a candidate can rewrite or is named; at any other slot every candidate
     is plain and unnamed, so the loop would test none. The visit set is
@@ -598,7 +601,7 @@ class _Bijection:
 
     def __init__(self, fa, fb, bound, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
-        (ja, aa, xa), (jb, ab, xb) = _joinable(fa), _joinable(fb)
+        (aa, xa), (ab, xb) = _joinable(fa), _joinable(fb)
         self.atoms = aa | ab     # the atoms of either frame's bindings
         # a seed's images can hold a variable only where a frame image does
         self.has_vars = any(x[0] == T.VAR for x in self.atoms)
@@ -611,9 +614,7 @@ class _Bijection:
         self.by_b: dict = {}
         self.pool: list = []     # (recipe, img_a, img_b)
         self.tests = 0
-        # per frame: pool image -> pool index, other joinable image -> None
-        self.at = (dict.fromkeys(ja), dict.fromkeys(jb))
-        self.waiting = ({}, {})  # per frame: field -> images awaiting it
+        self.at = ({}, {})       # per frame: pool image -> pool index
         # pool index -> other end of a pass over it (None for the one-field
         # pass) -> keys of the candidates filed images name, one set per pass
         self.earlier: dict = {}
@@ -628,10 +629,8 @@ class _Bijection:
         self.openers = ({}, {})
         self.cursor = (-1, 0)    # (n1, n2) of the slot row is at
         self.visits = None       # the running row's heap of n2 still to visit
-        # once the probes ran: ENC-rooted entry -> the keys its probes
-        # tested, and how many keys each ran over (0 before)
+        # once the probes ran: ENC-rooted entry -> the keys its probes tested
         self.probed: dict = {}
-        self.keys = 0
 
     def seed(self, recipe: Term):
         try:
@@ -641,13 +640,7 @@ class _Bijection:
             return None
         if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
-        return self.admit(recipe, ia, ib)
-
-    def admit(self, recipe: Term, ta: Term, tb: Term):
-        """Test a candidate whose images in the two frames are the root
-        rewrites of ta and tb, well-formed terms over normal parts (so the
-        rewrite raises no MalformedTerm)."""
-        return self._test(recipe, T.norm_root(ta), T.norm_root(tb))
+        return self._test(recipe, ia, ib)
 
     def _test(self, recipe: Term, ia: Term, ib: Term):
         self.tests += 1
@@ -673,8 +666,9 @@ class _Bijection:
                 r0 = got[0]
         if r0 is not recipe:
             return Distinguished(r0, recipe, "second", self.tests)
-        self._file(ia, where_a, 0)
-        self._file(ib, where_b, 1)
+        # before seal, _locate gives None: seal names the seeds' images
+        self._name(where_a)
+        self._name(where_b)
         # the pool is the seeds: a destructor application that reduced
         # somewhere reduces to a saturated entry, whose seed has its image.
         # A constructor image never becomes a part, so a test over one is
@@ -695,10 +689,12 @@ class _Bijection:
         """(pass, key) of the candidate whose unrewritten image in side's
         frame is img: a one-field op, a pair op other than MULT, a two-item
         tuple or a two-factor product over pool images; or, the inverse
-        step, sigv(x, [s]p) for an image [s]sigv(x, p) whose s is not
-        poolable, the one candidate with that image. While a field is
-        not yet a pool image, (None, the first such field), if that field
-        can still join the pool; for any other image, None."""
+        step, sigv(x, [s]p) for an image [s]sigv(x, p) whose s is no pool
+        image, the one candidate with that image. None for any other
+        image, and for every image before seal: the pool is not yet final,
+        and seal locates the seeds' images."""
+        if not self.sealed:
+            return None
         # fields read by hand, not by T.fields: it runs once per filed image
         op = img[0]
         if op in _FIELD_OPS or (
@@ -717,11 +713,9 @@ class _Bijection:
         at = self.at[side]
         ix = []
         for x in fields:
-            i = at.get(x, -1)
+            i = at.get(x)
             if i is None:
-                return None, x
-            if i < 0:   # x can join only if stuck at a destructor
-                return (None, x) if x[0] in _DESTRUCTORS else None
+                return None
             ix.append(i)
         if len(ix) == 1:
             return (i, None), (*img[:-1], i)
@@ -731,7 +725,8 @@ class _Bijection:
     def _counted(self, img: Term, where, side: int):
         """The by_a entry (recipe, second-frame image) of the counted
         candidate whose image in side's frame is img: a counted probe, else
-        the candidate located by where, once its pass has run; else None.
+        the candidate located by where, once its pass has run; else None,
+        as always before seal, when no probe or pass has run.
         Only a by_a or by_b miss asks, so the pass counted it: had it tested
         the candidate, its image here would be filed (a frame that rewrites
         the candidate holds no such image, since images are normal). Every
@@ -744,7 +739,7 @@ class _Bijection:
                 # counted, so its dec rewrites in neither frame
                 return ((T.ENC, (T.DEC, kr, ur), kr),
                         (T.ENC, (T.DEC, kb, ub), kb))
-        if where is None or where[0] is None or not self._ran(where[0]):
+        if where is None or not self._ran(where[0]):
             return None
         run, key = where
         if run[1] is None:
@@ -762,22 +757,13 @@ class _Bijection:
         is past it (no row runs below bound 3)."""
         return run in self.done if run[1] is None else run < self.cursor
 
-    def _file(self, img: Term, where, side: int):
-        """Index an image just filed in side's frame in earlier, under the
-        pass and key of the candidate it names; until its fields are pool
-        images it waits on the first that is not, unless the pool is sealed
-        and none can join."""
+    def _name(self, where):
+        """File the key of the candidate where locates in earlier, under
+        both ends of its pass, which share one key set; a later slot of the
+        running row joins its heap. Nothing for where None."""
         if where is None:
             return
         run, key = where
-        if run is not None:
-            self._name(run, key)
-        elif not self.sealed:
-            self.waiting[side].setdefault(key, []).append(img)
-
-    def _name(self, run, key):
-        """File key in earlier under both ends of its pass, which share one
-        key set; a later slot of the running row joins its heap."""
         i, j = run
         keys = self.earlier.setdefault(i, {}).setdefault(j, set())
         keys.add(key)
@@ -790,16 +776,18 @@ class _Bijection:
     def _join(self, recipe: Term, ia: Term, ib: Term):
         n = len(self.pool)
         self.pool.append((recipe, ia, ib))
-        for side, img in enumerate((ia, ib)):
-            self.at[side][img] = n
-            for held in self.waiting[side].pop(img, ()):
-                self._file(held, self._locate(held, side), side)
+        self.at[0][ia] = self.at[1][ib] = n
 
     def seal(self):
         """End the seed phase: from here no candidate joins the pool (_test
-        raises LateJoin instead). Index the pool, in one loop, for the
-        passes, the only readers of opens, classes and openers."""
+        raises LateJoin instead), so the pool is final. Over it, name the
+        candidate each filed (seed) image locates, in one walk over by_a
+        and by_b, and index the pool for the passes, the only readers of
+        opens, classes and openers, in one loop."""
         self.sealed = True
+        for side, filed in enumerate((self.by_a, self.by_b)):
+            for img in filed:
+                self._name(self._locate(img, side))
         for n, (_, a, b) in enumerate(self.pool):
             opens = frozenset(self._opens(a, 0) + self._opens(b, 1))
             self.opens.append(opens)
@@ -810,16 +798,16 @@ class _Bijection:
                     self.openers[side].setdefault(opening[1], []).append(n)
 
     def _poolable(self, x: Term, side: int) -> bool:
-        """Whether x is or can become a pool image in side's frame, once
-        every atom seed has joined or been turned away."""
-        return x in self.at[side] or x[0] in _DESTRUCTORS
+        """Whether x is a pool image in side's frame; asked only once the
+        pool is sealed, so final."""
+        return x in self.at[side]
 
     def _opens(self, img: Term, side: int) -> tuple:
         """The ops and marks _rewritable reads off an entry whose image in
         side's frame is img: _OPENS by its root; SHARED when a factor of
         img is one of a joinable scalar's or the frame holds a product; and
-        over an [s]p, POINT, SIGV only when s is poolable, and CHECKV only
-        when p is a SIGV, as _opening says for saturation."""
+        over an [s]p, POINT, SIGV only when s is a pool image, and CHECKV
+        only when p is a SIGV, as _opening says for saturation."""
         ops = _OPENS.get(img[0], ())
         factors = self.factors[side]
         if factors is None or not factors.isdisjoint(T.m_factors(img)):
@@ -838,7 +826,7 @@ class _Bijection:
         at = self.at[side]
         u, k = at.get(body), at.get(key)
         tested = self.probed.get(u)
-        if tested is None or k is None or k >= self.keys or k in tested:
+        if tested is None or k is None or k in tested:
             return None
         return u, k
 
@@ -852,7 +840,7 @@ class _Bijection:
                 probe = self._counted_probe(img[1], img[2], side)
                 if probe is not None:
                     k = probe[1]
-                    self._name((d, k) if d <= k else (k, d), (T.ENC, d, k))
+                    self._name(((d, k) if d <= k else (k, d), (T.ENC, d, k)))
 
     def probes(self):
         """Test the decryptability probes enc(dec(k, u), k) = u over the
@@ -867,6 +855,7 @@ class _Bijection:
             return None
         pool, at = self.pool, self.at
         named = {}   # u -> keys of the probes that filed images name
+        probed = {}  # published when the loop ends: until then none counts
         for side, filed in enumerate((self.by_a, self.by_b)):
             for img in filed:
                 if img[0] == T.ENC and img[1][0] == T.DEC and \
@@ -881,7 +870,7 @@ class _Bijection:
             keys |= {at[0].get(a[2]) if a[0] == T.ENC else None,
                      at[1].get(b[2]) if b[0] == T.ENC else None}
             keys.discard(None)
-            tested = self.probed[u] = sorted(keys)
+            tested = probed[u] = sorted(keys)
             start = self.tests
             for k in tested:
                 kr, ka, kb = pool[k]
@@ -893,8 +882,8 @@ class _Bijection:
                 if verdict is not None:
                     return verdict
             self.tests = start + len(pool)
-        self.keys = len(pool)
-        for d in range(self.keys):
+        self.probed = probed
+        for d in range(len(pool)):
             self._name_enc(d)
         return None
 

@@ -462,7 +462,7 @@ def _image_pair(draw):
 def _distinguisher_shapes():
     """Every candidate shape static_equiv builds, over parts p and q; node
     is applied to each node the shape builds above the parts (the identity
-    builds the recipe, T.norm_root rewrites each node as admit does)."""
+    builds the recipe, T.norm_root rewrites each node as a pass does)."""
     for op in F._UNARY:
         yield lambda p, q, node, op=op: node((op, p))
         yield lambda p, q, node, op=op: node((op, q))
@@ -650,8 +650,8 @@ def test_static_equiv_counts_pinned():
 
 
 def test_static_equiv_witness_count_after_mirrored_pairs():
-    """The witness composes two frontier entries past the frontier's first,
-    so its tests= count includes the mirrored pairs counted before it."""
+    """The witness pairs two seeds past the pool's first, so its tests=
+    count includes the mirrored pairs its row counts before it."""
     a, b, p = T.name("a", "scalar"), T.name("b", "scalar"), T.name("p")
     fa, _ = build([a, b, p], [T.smult(a, p), a, p])
     fb, _ = build([a, b, p], [T.smult(b, p), a, p])
@@ -681,6 +681,13 @@ def test_static_equiv_witness_through_counted_candidate():
         assert verdict.tests == 3447
 
 
+def _admit(bij, recipe, ta, tb):
+    """Test a candidate whose images in the two frames are the root
+    rewrites of ta and tb, well-formed terms over normal parts, as a pass
+    tests one."""
+    return bij._test(recipe, T.norm_root(ta), T.norm_root(tb))
+
+
 def test_counted_candidate_keeps_its_entry():
     """A counted candidate stands for the by_a entry the first candidate
     with its image would have left: a later candidate with the same images
@@ -701,7 +708,7 @@ def test_counted_candidate_keeps_its_entry():
     assert blinded not in bij.by_a
     assert bij.row(w1) is None
     assert blinded not in bij.by_a
-    verdict = bij.admit(T.var("w9"), blinded, T.smult(c, G))
+    verdict = _admit(bij, T.var("w9"), blinded, T.smult(c, G))
     assert T.to_text(verdict.left) == "(smult ?w0 (gen))"
     assert verdict.side == "first"
 
@@ -720,7 +727,7 @@ def _alias_bijection(restricted, images, bound):
     return bij
 
 
-def test_counted_product_of_one_level_keeps_its_order():
+def test_counted_product_keeps_its_order():
     """a*b over w0 and w1, neither a product, is counted in their pair's
     pass; a later candidate with its image in one frame finds the counted
     recipe, built as w0's row built it: the first entry first."""
@@ -729,12 +736,12 @@ def test_counted_product_of_one_level_keeps_its_order():
     assert bij.row(0) is None
     assert T.normalize(T.mult(a, b)) not in bij.by_a
     # the same images on both sides: the counted entry stands, unfiled
-    assert bij.admit(T.var("w7"), T.mult(b, a), T.mult(a, b)) is None
+    assert _admit(bij, T.var("w7"), T.mult(b, a), T.mult(a, b)) is None
     assert T.normalize(T.mult(a, b)) not in bij.by_a
-    verdict = bij.admit(T.var("w8"), T.mult(b, a), T.mult(a, c))
+    verdict = _admit(bij, T.var("w8"), T.mult(b, a), T.mult(a, c))
     assert verdict.describe() == \
         "(mult ?w0 ?w1) = ?w8 holds in the first frame only"
-    verdict = bij.admit(T.var("w9"), T.h(a), T.mult(b, a))
+    verdict = _admit(bij, T.var("w9"), T.h(a), T.mult(b, a))
     assert verdict.describe() == \
         "(mult ?w0 ?w1) = ?w9 holds in the second frame only"
 
@@ -752,13 +759,13 @@ def test_counted_one_field_candidates_keep_their_entries():
     assert bij.extend(1) is None
     assert bij.tests == start + 14
     assert T.h(a) not in bij.by_a and T.proj(3, T.tup(a, b)) not in bij.by_a
-    verdict = bij.admit(T.var("w7"), T.h(a), T.h(c))
+    verdict = _admit(bij, T.var("w7"), T.h(a), T.h(c))
     assert verdict.describe() == \
         "(hash ?w0) = ?w7 holds in the first frame only"
-    verdict = bij.admit(T.var("w8"), T.h(b), T.proj(3, T.tup(a, b)))
+    verdict = _admit(bij, T.var("w8"), T.h(b), T.proj(3, T.tup(a, b)))
     assert verdict.describe() == \
         "(proj 3 ?w1) = ?w8 holds in the second frame only"
-    verdict = bij.admit(T.var("w9"), T.pkv(a), T.h(b))
+    verdict = _admit(bij, T.var("w9"), T.pkv(a), T.h(b))
     assert verdict.describe() == \
         "(pkv ?w0) = ?w9 holds in the first frame only"
 
@@ -988,12 +995,14 @@ def test_static_equiv_probe_corpus_pinned():
     assert digest == _PROBE_DIGEST
 
 
-# -- the filing rule's lemma ----------------------------------------------------
+# -- the final pool -----------------------------------------------------------
 #
-# An image that names a candidate not yet buildable waits in _Bijection only
-# on a field that can still join the pool. That is exact only if every image
+# seal names the candidate each seed image locates over the final pool, so a
+# seed image names a candidate over seeds that join after it. A pass counts
+# an smult rebase e1 smult e2 untested where no factor of e1 is one of a
+# joinable scalar's (_joinable's factors). That is exact only if every image
 # that joins in a frame is an atom seed's image, in the frame's joinable set,
-# or rooted at a destructor.
+# or rooted at a destructor: then every SMULT-rooted pool image is joinable.
 
 def _openings_closure(f):
     """f's bindings closed under the openings: a tuple's items, the body of
@@ -1017,32 +1026,36 @@ def _openings_closure(f):
 
 def test_static_equiv_image_waits_on_a_stuck_destructor():
     """proj 1 of w0 is a seed from the second frame's saturation and stuck
-    in the first, where it is in no binding's openings: w1's image there
-    waits on it, since a destructor can join where the other frame reduces
-    it, and then names the hash over it."""
+    in the first, where it is in no binding's openings. It joins the pool
+    after w1, whose image there names the hash over it: seal names that
+    candidate over the final pool, so the pass tests it."""
     p, x, y, z = (T.name(n) for n in "pxyz")
     fa, _ = build([p, x, y, z], [p, T.h(T.proj(1, p))])
     fb, _ = build([p, x, y, z], [T.tup(x, y), T.h(z)])
     for bound in (2, 6):
         for u, v, side in ((fa, fb, "first"), (fb, fa, "second")):
             verdict = F.static_equiv(u, v, test_bound=bound)
-            assert verdict.describe() == (
-                f"?w1 = (hash (proj 1 ?w0)) holds in the {side} frame only")
-            assert verdict.tests == 109
+            assert _outcome(verdict) == ("Distinguished", 109, (
+                f"?w1 = (hash (proj 1 ?w0)) holds in the {side} frame only"))
 
 
 def test_only_joinable_images_join_the_pool(monkeypatch):
     """Over the random, named, group, probe and DH corpora in both orders
     and the unlinkability battery, each image that joins the pool on a side
-    is an atom seed's image, in that side's initial joinable set, or rooted
-    at a destructor; each kind occurs."""
+    is an atom seed's image, in that side's joinable set, or rooted at a
+    destructor; each kind occurs. The smult rule reads that set through
+    _joinable's factors: those of its [s]p scalars, None past a product."""
     init, join = F._Bijection.__init__, F._Bijection._join
     kinds = {"atom": 0, "joinable": 0, "destructor": 0}
 
     def spy_init(self, fa, fb, bound, pool_cap):
         init(self, fa, fb, bound, pool_cap)
         self.initial = (_openings_closure(fa), _openings_closure(fb))
-        assert tuple(map(set, self.at)) == self.initial
+        assert self.factors == tuple(
+            None if any(t[0] == T.MULT for t in joinable)
+            else {x for t in joinable if t[0] == T.SMULT
+                  for x in T.m_factors(t[1])}
+            for joinable in self.initial)
 
     def spy_join(self, recipe, ia, ib):
         for side, img in enumerate((ia, ib)):
@@ -1130,6 +1143,33 @@ def test_static_equiv_sigv_rebase_over_a_stuck_scalar_is_tested():
             assert verdict.tests == 4103
 
 
+def _sealed_scalar_pair():
+    """w0 hides the scalar s under k, which is never published, w1 is the
+    point [s]h(n), w2 a scalar x, and w3 is sigv(x, h(n)) in the first
+    frame and sigv(y, h(n)) in the second. s is in each frame's joinable
+    set, but no pool image."""
+    s, x, y = (T.name(v, "scalar") for v in "sxy")
+    k, n = T.name("k"), T.name("n")
+    base = [T.enc(s, k), T.smult(s, T.h(n)), x]
+    fa, _ = build([s, x, y, k, n], base + [T.sigv(x, T.h(n))])
+    fb, _ = build([s, x, y, k, n], base + [T.sigv(y, T.h(n))])
+    return fa, fb
+
+
+def test_static_equiv_sigv_rebase_over_a_sealed_scalar_is_counted():
+    """s is no pool image, so the sigv rebases over w1 are counted; the
+    witness rebuilds w3 in the first frame from the key w2 and w3's
+    opening, a seed."""
+    fa, fb = _sealed_scalar_pair()
+    for bound in (4, 6):
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=bound)
+            assert verdict.describe() == (
+                f"?w3 = (sigv ?w2 (checkv (pkv ?w2) ?w3)) holds in the "
+                f"{side} frame only")
+            assert verdict.tests == 3955
+
+
 def _random_dh_pair(rng):
     """A random frame of Diffie-Hellman material and a copy with one image
     changed: renamed, swapped for a fresh [d]p, or h(m) opened to a tuple.
@@ -1183,7 +1223,7 @@ def test_static_equiv_dh_corpus_pinned():
 
 
 def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
-    """Over the group and DH corpora in both orders, the three cases above
+    """Over the group and DH corpora in both orders, the four cases above
     and the unlinkability battery, each tested image that equals in a frame
     the image of an SMULT or SIGV rebase a pass counted is one _locate
     names that rebase by; both kinds are counted, and such images occur."""
@@ -1246,6 +1286,7 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
     test_static_equiv_tested_smult_rebase_meets_a_counted_sigv_rebase()
     test_static_equiv_rebase_by_a_public_factor_is_tested()
     test_static_equiv_sigv_rebase_over_a_stuck_scalar_is_tested()
+    test_static_equiv_sigv_rebase_over_a_sealed_scalar_is_counted()
     C.run_suite("unlinkability", seed=0)
     check(live.pop())
     assert min(seen.values()) > 0
@@ -1541,6 +1582,37 @@ def test_row_visits_a_slot_named_during_the_row(monkeypatch):
         verdict = F.static_equiv(x, y, test_bound=3)
         assert _outcome(verdict) == _outcome(oracle) == \
             ("Distinguished", 3159, oracle.describe())
+
+
+# -- the exact _poolable, against testing every sigv rebase -------------------
+#
+# A pass counts sigv(e1, e2) over an [s]p entry where s is no pool image:
+# _poolable reads the sealed pool. The oracle tests every sigv rebase, as if
+# every scalar were a pool image. Both must give the same verdict, tests=
+# count and witness, and the oracle must test more sigv candidates.
+
+def test_exact_poolable_matches_testing_every_sigv_rebase(monkeypatch):
+    """Over the group, named, probe, DH and costly-key corpora and the
+    sealed-scalar pair, in both frame orders at bounds 2 to 6."""
+    pairs = [make(random.Random(f"{label}{k}"))
+             for label, make in sorted(_PAIR_MAKERS.items())
+             for k in range(32)]
+    pairs.append(_sealed_scalar_pair())
+    sigv, test = [], F._Bijection._test
+
+    def counting_test(self, recipe, ia, ib):
+        sigv[-1] += recipe[0] == T.SIGV
+        return test(self, recipe, ia, ib)
+
+    monkeypatch.setattr(F._Bijection, "_test", counting_test)
+    sigv.append(0)
+    got = _outcomes(pairs, range(2, 7))
+    sigv.append(0)
+    with monkeypatch.context() as m:
+        m.setattr(F._Bijection, "_poolable", lambda self, x, side: True)
+        want = _outcomes(pairs, range(2, 7))
+    assert got == want
+    assert sigv[0] < sigv[1]
 
 
 # -- pinned deduction ------------------------------------------------------------

@@ -4,8 +4,8 @@ A bounded search that never finds anything would still produce green
 bounded-pass lines, so these tests feed it defects it must catch: mutated
 frames from genuine paired runs, a card that reuses its blinding scalar,
 and a credential shown unblinded. Each is detected at small bounds. The
-last tests break the distinguisher's pair pass itself and check that the
-tests of test_frames notice.
+last tests break the distinguisher's seal and pair pass themselves and
+check that the tests of test_frames notice.
 """
 
 import pytest
@@ -94,6 +94,42 @@ def test_mutated_multimonth_run_detected():
         assert not bool(F.static_equiv(real.frame, mutated, test_bound=4))
 
 
+# -- defects in seal ----------------------------------------------------------
+#
+# _Bijection.seal names the candidate each seed image locates, over the final
+# pool, in one walk over by_a and by_b. It loses those names if it walks
+# neither, or the first frame's images only.
+
+def _seal_hiding(monkeypatch, *hidden):
+    seal = F._Bijection.seal
+
+    def seal_blind(self):
+        kept = {name: getattr(self, name) for name in hidden}
+        for name in hidden:
+            setattr(self, name, {})
+        seal(self)
+        for name, filed in kept.items():
+            setattr(self, name, filed)
+
+    monkeypatch.setattr(F._Bijection, "seal", seal_blind)
+
+
+def _seal_names_nothing(monkeypatch):
+    _seal_hiding(monkeypatch, "by_a", "by_b")
+
+
+def _seal_names_the_first_frames_images_only(monkeypatch):
+    _seal_hiding(monkeypatch, "by_b")
+
+
+@pytest.mark.parametrize("defect", [
+    _seal_names_nothing, _seal_names_the_first_frames_images_only])
+def test_seal_defect_is_caught(monkeypatch, defect):
+    defect(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_frames.test_static_equiv_image_waits_on_a_stuck_destructor()
+
+
 # -- defects in the pair pass --------------------------------------------------
 #
 # _Bijection.row visits only the slots whose rewrite can fire or that a filed
@@ -115,9 +151,9 @@ def _skip_reverse_key_lookup(monkeypatch):
 def _drop_late_named_push(monkeypatch):
     name = F._Bijection._name
 
-    def name_without_push(self, run, key):
+    def name_without_push(self, where):
         visits, self.visits = self.visits, None
-        name(self, run, key)
+        name(self, where)
         self.visits = visits
 
     monkeypatch.setattr(F._Bijection, "_name", name_without_push)
