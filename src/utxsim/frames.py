@@ -42,9 +42,9 @@ The pool is the seeds: nothing joins it after them. A destructor
 candidate that reduces in a frame reduces to an entry of that frame's
 saturation, which opens every entry whose key derives, and that entry's
 seed has already filed its image; a candidate that would join anyway
-raises LateJoin, an internal error. So the search is one pass: the seeds,
-the probes, the one-field pass over each pool entry, then the pair pass
-(a row) of each pool entry with every pool entry.
+raises LateJoin, an internal error. So the candidates are enumerated once,
+in one order: the seeds, the probes, the one-field candidates over each
+pool entry, then the pair candidates over each two pool entries.
 The bound is on recipe size: a building block has size 1 and an
 application 1 plus its parts. The seeds are tested at any bound, the
 one-field candidates (size 2) and the enc(dec(k, u), k) probes (size 5,
@@ -54,33 +54,11 @@ are evaluated by substitution (terms.apply, which gives an alias's
 bindings as bound); every composed candidate's image in each frame is its
 root over its parts' stored images, rewritten at the root only
 (terms.norm_root) rather than walked again. That gives the same normal
-form because normal forms are fixpoints. The tests count is every
-enumerated candidate, but a pair pass visits only the partners where a
-candidate can rewrite or is named: a destructor rewrites only where one
-entry's image is the key that opens the other's, MULT, SMULT and SIGV only
-where the two entries' roots and marks allow, and a named candidate is one
-a filed image names. Every other slot is counted by arithmetic, one slot
-per pool entry below it. Whether a pair pass has run follows from the
-rows' cursor, not from a record per pair (see _Bijection). Four kinds are
-counted but neither tested nor filed in the bijection, because their
-outcome is already known: the mirror of a pair of pool entries (the
-pair's pass, in the row of its lower index, fixed it); a plain candidate,
-one that neither frame rewrites at the root: every HASH, PK and PKV of an
-entry and a PROJ of an entry that is a tuple in neither frame; every ENC,
-SIG and TUP pair candidate, and a DEC, CHECK, CHECKV, SMULT or SIGV one
-whose rewrite does not fire; and a MULT one whose entries are products
-in neither frame; an enc(dec(k, u), k) probe whose dec rewrites in
-neither frame (in each frame only the key that is u's own can open u);
-and a Diffie-Hellman rebase over an entry e2 that is a point [s]p in a
-frame, in each such frame: e1 smult e2 when no factor of e1 is one of
-the scalar of a point in the frame's joinable set (its bindings and
-their openings) and that set holds no product, since then nothing else
-reaches its image [e1*s]p; and sigv(e1, e2) when s is no pool image.
-Elsewhere a counted rebase is plain. The images of a plain candidate, a
-counted probe or a counted sigv rebase are new unless a candidate reached
-by another route has the same image; _Bijection keeps that case exact:
-each filed image names the candidate it equals over the final pool (the
-seeds' images all at once, when the pool is sealed). A pass is a bounded
+form because normal forms are fixpoints.
+The tests count is every enumerated candidate, each at the position its
+pool indices give; only a candidate that a rewrite or a known image can
+make collide is tested, and every other is counted by arithmetic
+(_Bijection states the rule and why it is exact). A pass is a bounded
 guarantee, never a proof; it also says when the pool cap, not the bound,
 ended the search.
 
@@ -225,12 +203,8 @@ def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
     target = T.normalize(target)
     if T.free_vars(target):
         return None
-    return _derive(sat, target, size_bound)
-
-
-def _derive(sat: Saturated, target: Term, bound: int):
     best = _cost(sat, target)
-    if best is None or best[0] > bound:
+    if best is None or best[0] > size_bound:
         return None
     return best[1]
 
@@ -363,19 +337,20 @@ class Distinguished:
 
 
 _UNARY = (T.HASH, T.PK, T.PKV)
-# the candidates over one pool entry x, in test order, as the head each puts
-# before x: (HASH, x), (PK, x), (PKV, x), then (PROJ, i, x) for i = 1..4
-_ONE_SHAPES = tuple((op,) for op in _UNARY) + tuple(
-    (T.PROJ, i) for i in range(1, 5))
+# the candidates over one pool entry x, by the head each puts before x, to
+# their place in test order: (HASH, x), (PK, x), (PKV, x), then
+# (PROJ, i, x) for i = 1..4
+_ONE_POS = {head: pos for pos, head in enumerate(
+    [(op,) for op in _UNARY] + [(T.PROJ, i) for i in range(1, 5)])}
 # destructor probes first: they reduce and collide, constructors mint fresh
 _BINARY = (T.DEC, T.CHECK, T.CHECKV, T.ENC, T.SMULT, T.MULT, T.TUP, T.SIG, T.SIGV)
 # the candidates over a pair of pool entries e1, e2, in test order, as
-# (position, op, swapped): e1 op e2, then e2 op e1; MULT in one order only
-_PAIR_SHAPES = tuple(
-    (pos, op, swapped) for pos, (op, swapped) in enumerate(
-        (op, swapped) for op in _BINARY for swapped in (False, True)
-        if not (op == T.MULT and swapped)))
+# (op, swapped): e1 op e2, then e2 op e1; MULT in one order only
+_PAIR_SHAPES = tuple((op, swapped) for op in _BINARY
+                     for swapped in (False, True)
+                     if not (op == T.MULT and swapped))
 _PAIR_TESTS = len(_PAIR_SHAPES)
+_PAIR_POS = {shape: pos for pos, shape in enumerate(_PAIR_SHAPES)}
 # the ops whose root rewrite can fire over an entry, by the entry's root: a
 # pair op over it as second operand, MULT over a product as either operand,
 # and PROJ over a tuple; _Bijection._opens adds CHECKV over a blinded
@@ -388,8 +363,9 @@ _OPENS = {T.ENC: (T.DEC,), T.SIG: (T.CHECK,), T.SIGV: (T.CHECKV,),
 # is a product)
 _POINT = (("point", 0), ("point", 1))
 _SHARED = (("shared", 0), ("shared", 1))
+_PAIR_OPS = frozenset(_BINARY)
 # the pair ops whose unrewritten image is op(x, y)
-_FIELD_OPS = frozenset(_BINARY) - {T.MULT, T.TUP}
+_FIELD_OPS = _PAIR_OPS - {T.MULT, T.TUP}
 
 
 @functools.cache   # one entry per two mark sets that occur together
@@ -401,9 +377,8 @@ def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
     an [s]p whose s is a pool image. A rebase left out is counted (see
     _Bijection)."""
     shapes = []
-    for shape in _PAIR_SHAPES:
-        op = shape[1]
-        first, second = (opens2, opens1) if shape[2] else (opens1, opens2)
+    for op, swapped in _PAIR_SHAPES:
+        first, second = (opens2, opens1) if swapped else (opens1, opens2)
         if op == T.MULT:
             fires = op in first or op in second
         elif op == T.SMULT:
@@ -412,7 +387,7 @@ def _rewritable(opens1: frozenset, opens2: frozenset) -> tuple:
         else:
             fires = op in second
         if fires:
-            shapes.append(shape)
+            shapes.append((op, swapped))
     return tuple(shapes)
 
 
@@ -423,7 +398,7 @@ _KEYLESS = frozenset((T.MULT, T.SMULT, T.SIGV))
 def _broad(opens1: frozenset, opens2: frozenset) -> bool:
     """Whether _rewritable(opens1, opens2) holds a MULT, SMULT or SIGV
     shape, the ops whose rewrite needs no key."""
-    return any(shape[1] in _KEYLESS for shape in _rewritable(opens1, opens2))
+    return any(op in _KEYLESS for op, _ in _rewritable(opens1, opens2))
 
 
 def _pair_term(op, x, y):
@@ -484,7 +459,7 @@ class _Bijection:
     images break it witness a distinguishing test. Every candidate is
     counted in tests, in enumeration order; the pool cap only limits which
     seeds join the pool. The test bound is set once, at construction, and
-    probes, extend and row read it.
+    _candidate reads it.
 
     Images are evaluated incrementally: a seed is evaluated in each frame
     by T.apply, which takes the bindings as given (an alias seed's images
@@ -494,86 +469,72 @@ class _Bijection:
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
-    Phases: seed tests and pools each seed, and names nothing; seal ends
-    the seed phase, names the candidate each seed image locates over the
-    final pool, and indexes the pool; then the probes, extend and row
-    compose candidates over it, and each test names the candidate its
-    images locate. Before seal no probe or pass has run, so nothing is
-    counted. A sealed pool takes no entry: a destructor candidate that
-    reduces in a frame reduces to a saturated entry there, whose seed
-    already filed that image, so _test raises LateJoin for one that would
-    join.
+    Phases: seed tests and pools each seed; seal ends the seed phase and
+    indexes the final pool; search then tests the composed candidates over
+    it. A sealed pool takes no entry: a destructor candidate that reduces
+    in a frame reduces to a saturated entry there, whose seed already
+    filed that image, so _test raises LateJoin for one that would join.
 
-    Four kinds of candidate are counted without a test, so their images
-    are never hashed or filed in by_a and by_b: a mirrored pair's, a plain
-    one, which neither frame rewrites at the root, a probe whose dec
-    rewrites in neither frame, and a Diffie-Hellman rebase that each frame
-    leaves plain or rewrites under a rebase rule (see the end for the last
-    two). Candidates are composed in passes: extend runs the one-field
-    pass over an entry n, row the pair passes of n1 with each entry. A
-    pass is keyed by its pool indices, (n, None) or (i, j) with i <= j, and
-    a candidate by its root over the indices of its fields: (op, n) or
-    (PROJ, k, n), and (op, i, j) for i op j (MULT's sorted, as its product
-    is). A plain candidate's images are its root over the two frames' pool
-    images:
+    A composed candidate is keyed by its root over the pool indices of its
+    fields: (op, n) or (PROJ, i, n) over one entry, (op, i, j) for i op j
+    (MULT's sorted, as its product is), and (ENC, (DEC, k, u), k) for the
+    probe enc(dec(k, u), k). Its position, the tests count before it,
+    follows from its key (_candidate): after the seeds come len(pool)
+    probes per entry ENC-rooted in either frame, 7 one-field candidates
+    per entry, then a row of slots per entry n1, one slot per entry n2 and
+    _PAIR_TESTS candidates per slot. i op j is tested in the slot (min(i,
+    j), max(i, j)), which runs the pair both ways round; the mirror slot
+    repeats it and is counted.
+
+    The rule: a candidate is tested when a rewrite or a known image can
+    make it collide, and counted otherwise. A plain candidate, one that
+    neither frame rewrites at the root, has its root over the two frames'
+    pool images as images:
     - one-field: HASH, PK and PKV never rewrite, and PROJ only over a tuple;
     - pair: ENC, SIG and TUP never rewrite, DEC, CHECK and CHECKV only
       over the roots _OPENS gives (CHECKV over an SMULT only when its point
       is a SIGV, the one shape its rewrite opens), SMULT and SIGV only over
       an SMULT, and MULT only over a product, so a plain one's image is the
-      two-factor product of two pool images.
+      two-factor product of two pool images;
+    - probe: its dec rewrites in neither frame (in each frame only the key
+      that is u's own can open u).
     An entry joins the pool only after missing both by_a and by_b, so pool
     images are pairwise distinct in each frame, and a product operand gives
-    three or more factors (products only flatten): no other candidate of a
-    pass has the image of a plain one, and a plain one never joins the
-    pool. Its outcome is known unless an image reached by another route (a
-    seed, a probe or a rewritten candidate) is equal:
-    - reached earlier: earlier files that image under the ends of the
-      pass and the key of the candidate it names, and the pass tests the
-      named candidate;
-    - reached later: the counted candidate is the by_a or by_b entry the
-      image would have found, and _counted rebuilds it (recipe and
-      second-frame image) once its pass has run. A root rewrite never keeps
-      its fields as fields, so no candidate of a pass has the image of a
-      plain candidate of the same pass, and a pass has run when all its
-      candidates have: _ran says which (see the end). Row i runs pair (i,
-      j) both ways round, i first in a counted product's recipe.
+    three or more factors (products only flatten): a plain candidate's
+    image is no other candidate's unrewritten image but in two cases, a
+    probe's, which is also the ENC pair enc(d, k)'s over an entry d whose
+    image is the stuck dec(k, u), and the sigv rebase's (see Rebases).
+    _locate yields, for an image, every candidate whose unrewritten image
+    it is. So search collects the candidates that rewrite (_rewriting),
+    adds the ENC pairs over a stuck dec, since such a pair and its probe
+    can both be plain with one value, closes that set under naming by the
+    seeds' images and its own, and tests it in enumeration order. A
+    counted candidate's value is then no seed's, no tested candidate's and
+    no other counted candidate's: testing it would change nothing.
     Lemma, the smult rule's premise (see Rebases): only seeds join, and a
     seed's image is an atom's, a joinable one (in its frame's joinable
     set, _joinable's walk of the bindings and their openings), or one
     stuck at a destructor that the other frame reduces, since an entry
     seed is a binding under destructors.
-    The probes run over the sealed pool before any pass. A counted probe's
-    images are enc(dec(k, u), k) over the two frames' pool images; three
-    rules keep it exact, as if it had been tested and filed:
-    - reached earlier: only seeds are filed before the probes, and a seed
-      with that image in a frame names the probe, which is tested;
-    - reached later: _counted finds the probe's entry before it looks up a
-      pass, since every probe ran before every pass;
-    - the filed probe would have named the ENC pair candidate enc(d, k) of
-      a pool entry d whose image in that frame is the stuck dec(k, u):
-      _name_enc names it for every pool entry once the probes end.
     Rebases: in a frame where pool entry e2's image is [s]p, e1 smult e2
-    has the image [fac(e1)*s]p and sigv(e1, e2) has [s]sigv(e1, p). An
-    SMULT-rooted image there is a joinable one (a seed's, or a rewrite's,
-    which opens a joinable pool image), a plain s' smult p' over pool
-    images, or a rebase over a joinable [s']p'. The smult rule: with no
-    joinable product no pool image is a product, and with no factor of e1
-    among the joinable scalars' (factors), [fac(e1)*s]p is no joinable
-    image, no plain one (its scalar is a product), no other smult rebase's
-    (e1 is one factor, not in s'), and no sigv rebase's (its scalar s'
-    would hold e1). The sigv rule: with s no pool image (_poolable; the
-    pool is final before any pass), no plain smult has [s]sigv(e1, p), and
-    _locate's inverse step names the rebase from any image of that shape;
-    its own pass holds no other candidate with that image. So either kind
-    is exact as a plain candidate is, through earlier and _counted. _opens
-    folds the rules into marks per frame: POINT on an [s]p, SHARED on an
-    entry that breaks the smult rule as e1, and SIGV only on an [s]p whose
-    s is a pool image; _rewritable leaves out the rebases it counts.
-    Rows: row n1 runs the inner shape loop only at the slots n2 >= n1 where
-    a candidate can rewrite or is named; at any other slot every candidate
-    is plain and unnamed, so the loop would test none. The visit set is
-    the union of:
+    has the image [fac(e1)*s]p and sigv(e1, e2) has [s]sigv(e1, p); each
+    is counted, though it rewrites, where each frame leaves it plain or
+    rewrites it under a rule below. An SMULT-rooted image there is a
+    joinable one (a seed's, or a rewrite's, which opens a joinable pool
+    image), a plain s' smult p' over pool images, or a rebase over a
+    joinable [s']p'. The smult rule: with no joinable product no pool image
+    is a product, and with no factor of e1 among the joinable scalars'
+    (factors), [fac(e1)*s]p is no joinable image, no plain one (its scalar
+    is a product), no other smult rebase's (e1 is one factor, not in s'),
+    and no sigv rebase's (its scalar s' would hold e1). The sigv rule: with
+    s no pool image (_poolable), no plain smult has [s]sigv(e1, p), and
+    _locate's inverse step names the rebase from any image of that shape.
+    So either kind is exact as a plain candidate is. _opens folds the
+    rules into marks per frame: POINT on an [s]p, SHARED on an entry that
+    breaks the smult rule as e1, and SIGV only on an [s]p whose s is a pool
+    image; _rewritable leaves out the rebases it counts.
+    Rows: in row n1, _rewriting visits only the slots n2 >= n1 where a
+    candidate can rewrite, the union of:
     - key partners: DEC, CHECK and CHECKV rewrite only where, in a frame,
       one entry's image is the key _opening gives for the other's. Pool
       images are distinct in each frame, so at[side] gives the one entry
@@ -581,23 +542,9 @@ class _Bijection:
       image opens as a key;
     - broad partners: each member of an opens class c for which
       _broad(opens1, c) holds, the MULT, SMULT and SIGV shapes _rewritable
-      keeps, whose rewrite needs no key;
-    - named partners: earlier[n1] is keyed by the other end of every
-      pass over n1 that a filed image names (None for the one-field
-      pass), and both ends of a pair pass share one key set. The row
-      reads that dict live, so a pass named during the row is seen;
-    - late-named partners: a test of the row can name a later slot of the
-      same row; _name pushes that slot onto the row's heap (visits), as
-      the full scan read earlier afresh at each slot.
-    The heap gives the visits in index order whatever the sets' order.
-    The count is arithmetic: every slot adds _PAIR_TESTS whether visited,
-    mirrored or plain, so tests at slot n2 is the row's start plus
-    _PAIR_TESTS * n2.
-    Runs: rows run in increasing n1, each over n2 in increasing order, and
-    pair pass (i, j), i <= j, runs in row i only (row j counts it as a
-    mirror), so it has run once the row cursor (n1, n2) is past (i, j);
-    _ran reads that off the cursor in place of a record per pair. A
-    one-field pass has run once it is in done."""
+      keeps, whose rewrite needs no key.
+    Those visits come out of sets; search sorts what it tests by
+    position."""
 
     def __init__(self, fa, fb, bound, pool_cap):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
@@ -615,22 +562,17 @@ class _Bijection:
         self.pool: list = []     # (recipe, img_a, img_b)
         self.tests = 0
         self.at = ({}, {})       # per frame: pool image -> pool index
-        # pool index -> other end of a pass over it (None for the one-field
-        # pass) -> keys of the candidates filed images name, one set per pass
-        self.earlier: dict = {}
-        self.done: set = set()   # the one-field passes (n, None) that ran
-        # the pass indexes seal builds once the seeds are in: per pool entry
+        # the indexes seal builds once the seeds are in: per pool entry
         # the ops it opens in either frame; opens -> pool indices,
         # ascending; per frame, key image -> the entries it opens (see
-        # _opening)
+        # _opening); ENC-rooted entry -> its probes' rank; and the tests
+        # count before the probes, the one-field candidates and the rows
         self.sealed = False
         self.opens: list = []
         self.classes: dict = {}
         self.openers = ({}, {})
-        self.cursor = (-1, 0)    # (n1, n2) of the slot row is at
-        self.visits = None       # the running row's heap of n2 still to visit
-        # once the probes ran: ENC-rooted entry -> the keys its probes tested
-        self.probed: dict = {}
+        self.enc: dict = {}
+        self.starts = ()
 
     def seed(self, recipe: Term):
         try:
@@ -648,27 +590,14 @@ class _Bijection:
         # so the by_a entry it leaves behind is never read
         entry = (recipe, ib)
         got = self.by_a.setdefault(ia, entry)
-        if got is entry:
-            where_a = self._locate(ia, 0)
-            got = self._counted(ia, where_a, 0)
-            if got is not None:
-                del self.by_a[ia]
-        if got is not None:
+        if got is not entry:
             r0, ib0 = got
             if ib0 != ib:
                 return Distinguished(r0, recipe, "first", self.tests)
             return None
         r0 = self.by_b.setdefault(ib, recipe)
-        if r0 is recipe:
-            where_b = self._locate(ib, 1)
-            got = self._counted(ib, where_b, 1)
-            if got is not None:
-                r0 = got[0]
         if r0 is not recipe:
             return Distinguished(r0, recipe, "second", self.tests)
-        # before seal, _locate gives None: seal names the seeds' images
-        self._name(where_a)
-        self._name(where_b)
         # the pool is the seeds: a destructor application that reduced
         # somewhere reduces to a saturated entry, whose seed has its image.
         # A constructor image never becomes a part, so a test over one is
@@ -686,16 +615,14 @@ class _Bijection:
         return None
 
     def _locate(self, img: Term, side: int):
-        """(pass, key) of the candidate whose unrewritten image in side's
+        """Yield the key of each candidate whose unrewritten image in side's
         frame is img: a one-field op, a pair op other than MULT, a two-item
-        tuple or a two-factor product over pool images; or, the inverse
-        step, sigv(x, [s]p) for an image [s]sigv(x, p) whose s is no pool
-        image, the one candidate with that image. None for any other
-        image, and for every image before seal: the pool is not yet final,
-        and seal locates the seeds' images."""
-        if not self.sealed:
-            return None
-        # fields read by hand, not by T.fields: it runs once per filed image
+        tuple or a two-factor product over pool images; for enc(dec(k, u),
+        k) also the probe over u and k; and, the inverse step, sigv(x,
+        [s]p) for an image [s]sigv(x, p) whose s is no pool image, the one
+        candidate with that image. Keys of candidates no pass enumerates
+        are yielded too; _candidate drops them."""
+        # fields read by hand, not by T.fields: it runs once per image
         op = img[0]
         if op in _FIELD_OPS or (
                 (op == T.TUP or op == T.MULT) and len(img[1]) == 2):
@@ -703,75 +630,25 @@ class _Bijection:
         elif op in _UNARY or op == T.PROJ:
             fields = img[-1:]
         else:
-            return None
-        if op == T.SMULT and fields[1][0] == T.SIGV and \
+            return
+        at = self.at[side]
+        if op == T.ENC and fields[0][0] == T.DEC and fields[0][1] == img[2]:
+            u, k = at.get(fields[0][2]), at.get(img[2])
+            if u is not None and k is not None:
+                yield T.ENC, (T.DEC, k, u), k
+        elif op == T.SMULT and fields[1][0] == T.SIGV and \
                 not self._poolable(fields[0], side):
             # the inverse step: the one candidate with this image is the
             # rebase sigv(x, [s]p) (no plain SMULT has a scalar off the pool)
             (_, x, p), op = fields[1], T.SIGV
             fields = x, (T.SMULT, fields[0], p)
-        at = self.at[side]
-        ix = []
-        for x in fields:
-            i = at.get(x)
-            if i is None:
-                return None
-            ix.append(i)
-        if len(ix) == 1:
-            return (i, None), (*img[:-1], i)
-        i, j = ix
-        return ((i, j) if i <= j else (j, i)), _pair_key(op, i, j)
-
-    def _counted(self, img: Term, where, side: int):
-        """The by_a entry (recipe, second-frame image) of the counted
-        candidate whose image in side's frame is img: a counted probe, else
-        the candidate located by where, once its pass has run; else None,
-        as always before seal, when no probe or pass has run.
-        Only a by_a or by_b miss asks, so the pass counted it: had it tested
-        the candidate, its image here would be filed (a frame that rewrites
-        the candidate holds no such image, since images are normal). Every
-        probe runs before every pass, so a probe's entry comes first."""
-        if img[0] == T.ENC and img[1][0] == T.DEC and img[1][1] == img[2]:
-            probe = self._counted_probe(img[2], img[1][2], side)
-            if probe is not None:
-                u, k = probe
-                (ur, _, ub), (kr, _, kb) = self.pool[u], self.pool[k]
-                # counted, so its dec rewrites in neither frame
-                return ((T.ENC, (T.DEC, kr, ur), kr),
-                        (T.ENC, (T.DEC, kb, ub), kb))
-        if where is None or not self._ran(where[0]):
-            return None
-        run, key = where
-        if run[1] is None:
-            r, _, b = self.pool[run[0]]
-            return (*key[:-1], r), (*key[:-1], b)
-        op, i, j = key
-        (r1, _, b1), (r2, _, b2) = self.pool[i], self.pool[j]
-        # the second image: a plain candidate's is itself, a product's
-        # sorted, a rebase's rewritten
-        return _pair_term(op, r1, r2), T.norm_root(_pair_term(op, b1, b2))
-
-    def _ran(self, run) -> bool:
-        """Whether pass run has run: a one-field pass (n, None) once
-        extend(n) ended, and a pair pass (i, j), i <= j, once row i's cursor
-        is past it (no row runs below bound 3)."""
-        return run in self.done if run[1] is None else run < self.cursor
-
-    def _name(self, where):
-        """File the key of the candidate where locates in earlier, under
-        both ends of its pass, which share one key set; a later slot of the
-        running row joins its heap. Nothing for where None."""
-        if where is None:
+        ix = [at.get(x) for x in fields]
+        if None in ix:
             return
-        run, key = where
-        i, j = run
-        keys = self.earlier.setdefault(i, {}).setdefault(j, set())
-        keys.add(key)
-        if j is not None:
-            self.earlier.setdefault(j, {})[i] = keys
-            n1, n2 = self.cursor
-            if self.visits is not None and n1 in run and i + j - n1 > n2:
-                heapq.heappush(self.visits, i + j - n1)
+        if len(ix) == 1:
+            yield (*img[:-1], ix[0])
+        else:
+            yield _pair_key(op, *ix)
 
     def _join(self, recipe: Term, ia: Term, ib: Term):
         n = len(self.pool)
@@ -780,14 +657,10 @@ class _Bijection:
 
     def seal(self):
         """End the seed phase: from here no candidate joins the pool (_test
-        raises LateJoin instead), so the pool is final. Over it, name the
-        candidate each filed (seed) image locates, in one walk over by_a
-        and by_b, and index the pool for the passes, the only readers of
-        opens, classes and openers, in one loop."""
+        raises LateJoin instead), so the pool is final. Index it for
+        _rewriting and _candidate, the only readers of opens, classes,
+        openers, enc and starts, in one loop."""
         self.sealed = True
-        for side, filed in enumerate((self.by_a, self.by_b)):
-            for img in filed:
-                self._name(self._locate(img, side))
         for n, (_, a, b) in enumerate(self.pool):
             opens = frozenset(self._opens(a, 0) + self._opens(b, 1))
             self.opens.append(opens)
@@ -796,6 +669,11 @@ class _Bijection:
                 opening = _opening(img)
                 if opening is not None:
                     self.openers[side].setdefault(opening[1], []).append(n)
+            if a[0] == T.ENC or b[0] == T.ENC:
+                self.enc[n] = len(self.enc)
+        m = len(self.pool)
+        ones = self.tests + m * len(self.enc)
+        self.starts = (self.tests, ones, ones + len(_ONE_POS) * m)
 
     def _poolable(self, x: Term, side: int) -> bool:
         """Whether x is a pool image in side's frame; asked only once the
@@ -820,157 +698,126 @@ class _Bijection:
                 ops += (T.CHECKV,)
         return ops
 
-    def _counted_probe(self, key: Term, body: Term, side: int):
-        """(u, k) of the probe that probes counted over pool entries u and k
-        whose images in side's frame are body and key; else None."""
-        at = self.at[side]
-        u, k = at.get(body), at.get(key)
-        tested = self.probed.get(u)
-        if tested is None or k is None or k in tested:
-            return None
-        return u, k
-
-    def _name_enc(self, d: int):
-        """Name enc(d, k) in earlier where pool entry d's image in a frame is
-        dec(k, u) of a counted probe (u, k): there the candidate has the
-        probe's image, which a tested probe's filed image would have named."""
-        for side in (0, 1):
-            img = self.pool[d][1 + side]
-            if img[0] == T.DEC:
-                probe = self._counted_probe(img[1], img[2], side)
-                if probe is not None:
-                    k = probe[1]
-                    self._name(((d, k) if d <= k else (k, d), (T.ENC, d, k)))
-
-    def probes(self):
-        """Test the decryptability probes enc(dec(k, u), k) = u over the
-        sealed pool, u ENC-rooted in either frame and k any entry, in that
-        order, counting each that neither frame's dec rewrites and no filed
-        image names instead of testing it. Pool entries have size 1, so a
-        probe has size 5: within the bound + 3 from bound 2. Pool images
-        are distinct in each frame, so the one key whose dec can rewrite
-        over u there is the entry whose image is u's key. A probe never
-        joins the pool."""
+    def _candidate(self, key):
+        """(position, recipe, image a, image b, plain) of the candidate key
+        names: the tests count before it, its recipe over the pool's, its
+        images rewritten at the root, and whether neither frame rewrites
+        it there. None for a key that no pass enumerates at the bound: a
+        probe over an entry ENC-rooted in neither frame, PROJ i for i > 4,
+        a probe or one-field candidate below bound 2 and a pair one below
+        bound 3."""
         if self.bound < 2:
             return None
-        pool, at = self.pool, self.at
-        named = {}   # u -> keys of the probes that filed images name
-        probed = {}  # published when the loop ends: until then none counts
-        for side, filed in enumerate((self.by_a, self.by_b)):
-            for img in filed:
-                if img[0] == T.ENC and img[1][0] == T.DEC and \
-                        img[1][1] == img[2]:
-                    u, k = at[side].get(img[1][2]), at[side].get(img[2])
-                    if u is not None and k is not None:
-                        named.setdefault(u, set()).add(k)
-        for u, (r, a, b) in enumerate(pool):
-            if a[0] != T.ENC and b[0] != T.ENC:
-                continue
-            keys = named.get(u, set())
-            keys |= {at[0].get(a[2]) if a[0] == T.ENC else None,
-                     at[1].get(b[2]) if b[0] == T.ENC else None}
-            keys.discard(None)
-            tested = probed[u] = sorted(keys)
-            start = self.tests
-            for k in tested:
-                kr, ka, kb = pool[k]
-                self.tests = start + k
-                # ENC never rewrites at the root
-                verdict = self._test((T.ENC, (T.DEC, kr, r), kr),
-                                     (T.ENC, T.norm_root((T.DEC, ka, a)), ka),
-                                     (T.ENC, T.norm_root((T.DEC, kb, b)), kb))
-                if verdict is not None:
-                    return verdict
-            self.tests = start + len(pool)
-        self.probed = probed
-        for d in range(len(pool)):
-            self._name_enc(d)
-        return None
+        pool, (probes, ones, rows) = self.pool, self.starts
+        # candidates built by hand: this runs once per collected or named key
+        if key[0] not in _PAIR_OPS:
+            head, n = key[:-1], key[-1]
+            pos = _ONE_POS.get(head)
+            if pos is None:
+                return None
+            r, a, b = pool[n]
+            pos += ones + len(_ONE_POS) * n
+            recipe, ta, tb = (*head, r), (*head, a), (*head, b)
+        elif type(key[1]) is tuple:
+            _, (_, k, u), _ = key
+            rank = self.enc.get(u)
+            if rank is None:
+                return None
+            (ur, ua, ub), (kr, ka, kb) = pool[u], pool[k]
+            ta, tb = (T.DEC, ka, ua), (T.DEC, kb, ub)
+            ia, ib = T.norm_root(ta), T.norm_root(tb)
+            # ENC never rewrites at the root
+            return (probes + len(pool) * rank + k,
+                    (T.ENC, (T.DEC, kr, ur), kr), (T.ENC, ia, ka),
+                    (T.ENC, ib, kb), ia is ta and ib is tb)
+        else:
+            if self.bound < 3:
+                return None
+            op, i, j = key
+            (r1, a1, b1), (r2, a2, b2) = pool[i], pool[j]
+            n1, n2 = (i, j) if i <= j else (j, i)
+            pos = rows + _PAIR_TESTS * (len(pool) * n1 + n2) + \
+                _PAIR_POS[op, i > j]
+            recipe = _pair_term(op, r1, r2)
+            ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
+        ia, ib = T.norm_root(ta), T.norm_root(tb)
+        return pos, recipe, ia, ib, ia is ta and ib is tb
 
-    def extend(self, n: int):
-        """Test the one-field candidates over pool entry n in _ONE_SHAPES
-        order, counting each plain one that earlier does not name instead
-        of testing it; none below bound 2, which they exceed."""
-        if self.bound < 2:
-            return None
-        # candidates built by hand from _ONE_SHAPES heads: the hot loop
-        named = self.earlier.get(n, {}).get(None, ())
-        start = self.tests
-        if named or T.PROJ in self.opens[n]:
-            r, a, b = self.pool[n]
-            for pos, head in enumerate(_ONE_SHAPES):
-                ta, tb = (*head, a), (*head, b)
-                ia, ib = T.norm_root(ta), T.norm_root(tb)
-                if ia is ta and ib is tb and (*head, n) not in named:
-                    continue   # plain
-                self.tests = start + pos
-                verdict = self._test((*head, r), ia, ib)
-                if verdict is not None:
-                    return verdict
-        self.tests = start + len(_ONE_SHAPES)
-        self.done.add((n, None))
-        return None
+    def _rewriting(self):
+        """Yield, as _candidate gives them, the candidates that a frame
+        rewrites at the root, but for the rebases the rules count: the
+        probes by the key of an entry ENC-rooted in a frame, the
+        projections of a tuple, and each row's slots with its key and
+        broad partners, over the shapes _rewritable keeps. Then yield the
+        ENC pairs enc(d, k) over each entry d whose image in a frame is a
+        stuck dec under pool entry k's image, which need not rewrite."""
+        pool, at, opens = self.pool, self.at, self.opens
+        keys, stuck = [], []
+        for u, (_, a, b) in enumerate(pool):
+            if T.PROJ in opens[u]:
+                keys += [(T.PROJ, i, u) for i in range(1, 5)]
+            for side, img in ((0, a), (1, b)):
+                if img[0] == T.ENC and img[2] in at[side]:
+                    k = at[side][img[2]]
+                    keys.append((T.ENC, (T.DEC, k, u), k))
+                elif img[0] == T.DEC and img[1] in at[side]:
+                    stuck.append((T.ENC, u, at[side][img[1]]))
+        for n1, (_, a, b) in enumerate(pool):
+            visits = set()
+            for side, img in ((0, a), (1, b)):
+                visits.update(self.openers[side].get(img, ()))
+                opening = _opening(img)
+                if opening is not None:
+                    visits.add(at[side].get(opening[1]))
+            visits.discard(None)
+            for c, ix in self.classes.items():
+                if _broad(opens[n1], c):
+                    visits.update(ix)
+            for n2 in visits:
+                if n2 >= n1:
+                    keys += [(op, n2, n1) if swapped else (op, n1, n2)
+                             for op, swapped in
+                             _rewritable(opens[n1], opens[n2])]
+        for key in keys:
+            cand = self._candidate(key)
+            if cand is not None and not cand[-1]:
+                yield cand
+        for key in stuck:
+            cand = self._candidate(key)
+            if cand is not None:
+                yield cand
 
-    def row(self, n1: int):
-        """Run the pair pass of pool entry n1 with each pool entry, as
-        extend runs its one-field pass; none below bound 3, which they
-        exceed. Row n2 < n1 ran the pair both ways round (MULT's product is
-        sorted), which fixed each outcome, so its mirror is counted. Only
-        the slots whose rewrite can fire or that earlier names are visited;
-        the tests count of every other slot is arithmetic."""
-        if self.bound < 3:
-            return None
-        # candidates built by hand by _pair_term: the hot loop
-        pool, opens = self.pool, self.opens
-        e1, opens1 = pool[n1], opens[n1]
-        base = self.tests
-        # the live index: a test of this row can name a pass over n1
-        earlier = self.earlier.setdefault(n1, {})
-        visits = set(earlier)
-        for side in (0, 1):
-            img = e1[1 + side]
-            visits.update(self.openers[side].get(img, ()))
-            opening = _opening(img)
-            if opening is not None:
-                visits.add(self.at[side].get(opening[1]))
-        visits.discard(None)
-        for c, ix in self.classes.items():
-            if _broad(opens1, c):
-                visits.update(ix)
-        heap = self.visits = [n2 for n2 in visits if n2 >= n1]
-        heapq.heapify(heap)
-        last = -1
-        while heap:
-            n2 = heapq.heappop(heap)
-            if n2 == last:
-                continue
-            last = n2
-            self.cursor = (n1, n2)
-            tests = base + _PAIR_TESTS * n2
-            e2 = pool[n2]
-            shapes = _rewritable(opens1, opens[n2])
-            named = earlier.get(n2, ())
-            if named:
-                named = {s for s in _PAIR_SHAPES if (
-                    _pair_key(s[1], n2, n1) if s[2]
-                    else _pair_key(s[1], n1, n2)) in named}
-                shapes = sorted({*shapes, *named})
-            for shape in shapes:
-                pos, op, swapped = shape
-                (r1, a1, b1), (r2, a2, b2) = \
-                    (e2, e1) if swapped else (e1, e2)
-                ta, tb = _pair_term(op, a1, a2), _pair_term(op, b1, b2)
-                ia, ib = T.norm_root(ta), T.norm_root(tb)
-                if ia is ta and ib is tb and shape not in named:
-                    continue   # plain after all
-                self.tests = tests + pos
-                verdict = self._test(_pair_term(op, r1, r2), ia, ib)
-                if verdict is not None:
-                    self.visits = None
-                    return verdict
-        self.cursor = (n1, len(pool))
-        self.visits = None
-        self.tests = base + _PAIR_TESTS * len(pool)
+    def search(self):
+        """Test, over the sealed pool, the candidates _rewriting yields and
+        every candidate that a seed's image or a tested candidate's names
+        (_locate), in enumeration order, each at its position, and count
+        every other candidate. The witness of the first clash, or None."""
+        chosen = {cand[0]: cand for cand in self._rewriting()}
+        # the images still to locate: every seed's, pooled or capped, then
+        # each chosen candidate's
+        images = [(img, side) for side, filed in enumerate(
+            (self.by_a, self.by_b)) for img in filed]
+        for cand in chosen.values():
+            images += ((cand[2], 0), (cand[3], 1))
+        named = set()
+        while images:
+            for key in self._locate(*images.pop()):
+                if key in named:
+                    continue
+                named.add(key)
+                cand = self._candidate(key)
+                if cand is not None and cand[0] not in chosen:
+                    chosen[cand[0]] = cand
+                    images += ((cand[2], 0), (cand[3], 1))
+        for pos, recipe, ia, ib, _ in sorted(chosen.values()):
+            self.tests = pos
+            verdict = self._test(recipe, ia, ib)
+            if verdict is not None:
+                return verdict
+        start, _, rows = self.starts
+        m = len(self.pool)
+        self.tests = start if self.bound < 2 else rows + (
+            _PAIR_TESTS * m * m if self.bound >= 3 else 0)
         return None
 
 
@@ -1005,19 +852,7 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
             return verdict
 
     bij.seal()
-
-    # decryptability probes: enc(dec(k, u), k) = u tests made explicit
-    verdict = bij.probes()
+    verdict = bij.search()
     if verdict is not None:
         return verdict
-
-    # one pass over the pool: it holds everything a pass composes
-    for n in range(len(bij.pool)):
-        verdict = bij.extend(n)
-        if verdict is not None:
-            return verdict
-    for n1 in range(len(bij.pool)):
-        verdict = bij.row(n1)
-        if verdict is not None:
-            return verdict
     return Equivalent(test_bound, bij.tests, bij.capped)

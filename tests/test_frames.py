@@ -689,9 +689,10 @@ def _admit(bij, recipe, ta, tb):
 
 
 def test_counted_candidate_keeps_its_entry():
-    """A counted candidate stands for the by_a entry the first candidate
-    with its image would have left: a later candidate with the same images
-    leaves it in place, and a clash names the counted recipe."""
+    """smult(w0, gen) is plain, [a*b]gen in both frames, so it would be
+    counted; smult(w1, w2), [a]([b]gen), rewrites onto that image, which
+    names it. The search tests it at its own position, in gen's row before
+    w1's, so its entry stands and a clash names the plain recipe."""
     a, b, c = (T.name(x, "scalar") for x in "abc")
     f, _ = build([a, b, c], [T.mult(a, b), a, T.smult(b, G)])
     sat = F.saturate(f)
@@ -699,15 +700,10 @@ def test_counted_candidate_keeps_its_entry():
     for r in F._seed_recipes(sat, sat, bij.atoms):
         assert bij.seed(r) is None
     bij.seal()
-    at = {e[0]: n for n, e in enumerate(bij.pool)}
-    w0, w1, w2 = (at[T.var(f"w{i}")] for i in range(3))
     blinded = T.normalize(T.smult(T.mult(a, b), G))
-    # gen's row counts smult(w0, gen); in w1's, smult(w1, w2) rewrites
-    # onto its image
-    assert bij.row(at[G]) is None
     assert blinded not in bij.by_a
-    assert bij.row(w1) is None
-    assert blinded not in bij.by_a
+    assert bij.search() is None
+    assert T.to_text(bij.by_a[blinded][0]) == "(smult ?w0 (gen))"
     verdict = _admit(bij, T.var("w9"), blinded, T.smult(c, G))
     assert T.to_text(verdict.left) == "(smult ?w0 (gen))"
     assert verdict.side == "first"
@@ -728,46 +724,42 @@ def _alias_bijection(restricted, images, bound):
 
 
 def test_counted_product_keeps_its_order():
-    """a*b over w0 and w1, neither a product, is counted in their pair's
-    pass; a later candidate with its image in one frame finds the counted
-    recipe, built as w0's row built it: the first entry first."""
+    """b*a over w0 = b and w1 = a, neither a product, is plain. w3's image
+    a*b names it in one frame, so it is tested in w0's row, built as that
+    row builds it, the first entry first, and meets w3 there, on either
+    side."""
     a, b, c = (T.name(x, "scalar") for x in "abc")
-    bij = _alias_bijection([a, b, c], [a, b, c], 3)
-    assert bij.row(0) is None
-    assert T.normalize(T.mult(a, b)) not in bij.by_a
-    # the same images on both sides: the counted entry stands, unfiled
-    assert _admit(bij, T.var("w7"), T.mult(b, a), T.mult(a, b)) is None
-    assert T.normalize(T.mult(a, b)) not in bij.by_a
-    verdict = _admit(bij, T.var("w8"), T.mult(b, a), T.mult(a, c))
-    assert verdict.describe() == \
-        "(mult ?w0 ?w1) = ?w8 holds in the first frame only"
-    verdict = _admit(bij, T.var("w9"), T.h(a), T.mult(b, a))
-    assert verdict.describe() == \
-        "(mult ?w0 ?w1) = ?w9 holds in the second frame only"
+    fa, _ = build([a, b, c], [b, a, c, T.mult(a, b)])
+    fb, _ = build([a, b, c], [b, a, c, T.mult(a, c)])
+    for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+        verdict = F.static_equiv(x, y, test_bound=3)
+        assert _outcome(verdict) == ("Distinguished", 3144, (
+            f"?w3 = (mult ?w0 ?w1) holds in the {side} frame only"))
 
 
 def test_counted_one_field_candidates_keep_their_entries():
-    """The one-field pass over w0 counts all seven candidates; the pass
-    over the tuple w1 tests its two projections, which meet w0 and the
-    saturated entry proj 2 of w1, and counts the stuck third. A later
-    candidate with a counted image in one frame finds the counted recipe,
-    on either side."""
+    """The one-field candidates over w0 are all plain, and so are those
+    over the tuple w1 but its projections 1 and 2, which rewrite and meet
+    w0 and the saturated entry proj 2 of w1: the search counts seven per
+    entry and files no plain image. An image that names a plain one has
+    it tested, and a clash names its recipe, on either side."""
     a, b, c = T.name("a"), T.name("b"), T.name("c")
     bij = _alias_bijection([a, b, c], [a, T.tup(a, b), c], 2)
     start = bij.tests
-    assert bij.extend(0) is None
-    assert bij.extend(1) is None
-    assert bij.tests == start + 14
+    assert bij.search() is None
+    # seven one-field candidates over each of w0, w1, w2 and proj 2 of w1
+    assert len(bij.pool) == 4 and bij.tests == start + 28
     assert T.h(a) not in bij.by_a and T.proj(3, T.tup(a, b)) not in bij.by_a
-    verdict = _admit(bij, T.var("w7"), T.h(a), T.h(c))
-    assert verdict.describe() == \
-        "(hash ?w0) = ?w7 holds in the first frame only"
-    verdict = _admit(bij, T.var("w8"), T.h(b), T.proj(3, T.tup(a, b)))
-    assert verdict.describe() == \
-        "(proj 3 ?w1) = ?w8 holds in the second frame only"
-    verdict = _admit(bij, T.var("w9"), T.pkv(a), T.h(b))
-    assert verdict.describe() == \
-        "(pkv ?w0) = ?w9 holds in the first frame only"
+    for named, other, recipe, tests in (
+            (T.h(a), T.h(c), "(hash ?w0)", 99),
+            (T.proj(3, T.tup(a, b)), T.h(b), "(proj 3 ?w1)", 111),
+            (T.pkv(a), T.h(b), "(pkv ?w0)", 101)):
+        fa, _ = build([a, b, c], [a, T.tup(a, b), c, named])
+        fb, _ = build([a, b, c], [a, T.tup(a, b), c, other])
+        for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
+            verdict = F.static_equiv(x, y, test_bound=2)
+            assert _outcome(verdict) == ("Distinguished", tests, (
+                f"?w3 = {recipe} holds in the {side} frame only"))
 
 
 # Below, every ciphertext is under k0, which is never published, so no
@@ -793,8 +785,9 @@ def test_static_equiv_frame_image_names_a_probe():
 
 def test_static_equiv_candidate_meets_a_counted_probe():
     """w0 is the stuck dec(k1, w1) in one frame, so there enc(w0, w2) has
-    the image of the counted probe over w1 and w2: the candidate meets the
-    probe as if it had been tested, in either frame."""
+    the image of the plain probe over w1 and w2. The search names enc(w0,
+    w2), whose image names the probe, and tests both: the candidate meets
+    the probe, in either frame."""
     m, n, k0, k1 = (T.name(x) for x in ("m", "n", "k0", "k1"))
     c = T.enc(m, k0)
     fa, _ = build([m, n, k0, k1], [T.dec(k1, c), c, k1])
@@ -828,30 +821,70 @@ def test_static_equiv_stuck_dec_names_its_enc_pair():
         assert F.static_equiv(fa, fa, test_bound=bound).tests == 3979
 
 
-def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
-    """On the paired scenarios' final frames, the probes over an ENC-rooted
-    entry test at most the two keys whose dec can rewrite, one per frame,
-    plus the probes that filed images name; the rest are counted."""
-    tested, counted = [], []
-    real_test, real_probes = F._Bijection._test, F._Bijection.probes
+def _spy_search(monkeypatch, check):
+    """Call check(bij, verdict) after each search, where bij.tested maps
+    the position of each candidate tested so far, seeds included, to its
+    images, and bij.yielded holds the positions _rewriting yielded."""
+    init, test = F._Bijection.__init__, F._Bijection._test
+    rewriting, search = F._Bijection._rewriting, F._Bijection.search
 
-    def counting_test(self, *args):
-        tested.append(args[0])
-        return real_test(self, *args)
+    def spy_init(self, *args):
+        init(self, *args)
+        self.tested, self.yielded = {}, set()
 
-    def probes(self):
-        enc = sum(e[1][0] == T.ENC or e[2][0] == T.ENC for e in self.pool)
-        named = sum(img[0] == T.ENC and img[1][0] == T.DEC
-                    and img[1][1] == img[2]
-                    for filed in (self.by_a, self.by_b) for img in filed)
-        before, tests = len(tested), self.tests
-        verdict = real_probes(self)
-        assert len(tested) - before <= 2 * enc + named
-        counted.append(self.tests - tests - (len(tested) - before))
+    def spy_test(self, recipe, ia, ib):
+        self.tested[self.tests] = (ia, ib)
+        return test(self, recipe, ia, ib)
+
+    def spy_rewriting(self):
+        for cand in rewriting(self):
+            self.yielded.add(cand[0])
+            yield cand
+
+    def spy_search(self):
+        verdict = search(self)
+        check(self, verdict)
         return verdict
 
-    monkeypatch.setattr(F._Bijection, "_test", counting_test)
-    monkeypatch.setattr(F._Bijection, "probes", probes)
+    monkeypatch.setattr(F._Bijection, "__init__", spy_init)
+    monkeypatch.setattr(F._Bijection, "_test", spy_test)
+    monkeypatch.setattr(F._Bijection, "_rewriting", spy_rewriting)
+    monkeypatch.setattr(F._Bijection, "search", spy_search)
+
+
+def _named(bij):
+    """The keys that the images of bij's tested candidates locate."""
+    return {key for ia, ib in bij.tested.values()
+            for side, img in ((0, ia), (1, ib))
+            for key in bij._locate(img, side)}
+
+
+def _probe_key(bij, pos):
+    """The key of the probe at position pos of a sealed _Bijection."""
+    start, m = bij.starts[0], len(bij.pool)
+    rank, k = divmod(pos - start, m)
+    u = next(u for u, r in bij.enc.items() if r == rank)
+    return T.ENC, (T.DEC, k, u), k
+
+
+def test_probes_test_only_rewriting_or_named_keys(monkeypatch):
+    """On the paired scenarios' final frames, _rewriting yields at most
+    the two probes per ENC-rooted entry whose dec can rewrite, one per
+    frame; every other probe the search tests is one that a seed's or a
+    tested candidate's image names (_locate), and the rest are counted."""
+    counted = []
+
+    def check(bij, verdict):
+        start, ones, _ = bij.starts
+        yielded = {p for p in bij.yielded if start <= p < ones}
+        assert len(yielded) <= 2 * len(bij.enc)
+        probes = {p for p in bij.tested if start <= p < ones}
+        named = _named(bij)
+        for p in probes - yielded:
+            assert _probe_key(bij, p) in named
+        counted.append(ones - start - len(probes))
+
+    _spy_search(monkeypatch, check)
     for case in _PAIRED:
         for seed in (0, 1):
             real, ideal = H.run_paired(replace(C.SCENARIOS[case], seed=seed))
@@ -997,12 +1030,13 @@ def test_static_equiv_probe_corpus_pinned():
 
 # -- the final pool -----------------------------------------------------------
 #
-# seal names the candidate each seed image locates over the final pool, so a
-# seed image names a candidate over seeds that join after it. A pass counts
-# an smult rebase e1 smult e2 untested where no factor of e1 is one of a
-# joinable scalar's (_joinable's factors). That is exact only if every image
-# that joins in a frame is an atom seed's image, in the frame's joinable set,
-# or rooted at a destructor: then every SMULT-rooted pool image is joinable.
+# search names the candidate each seed image locates once the pool is
+# final, so a seed image names a candidate over seeds that join after it. A
+# pass counts an smult rebase e1 smult e2 untested where no factor of e1 is
+# one of a joinable scalar's (_joinable's factors). That is exact only if
+# every image that joins in a frame is an atom seed's image, in the frame's
+# joinable set, or rooted at a destructor: then every SMULT-rooted pool
+# image is joinable.
 
 def _openings_closure(f):
     """f's bindings closed under the openings: a tuple's items, the body of
@@ -1027,8 +1061,8 @@ def _openings_closure(f):
 def test_static_equiv_image_waits_on_a_stuck_destructor():
     """proj 1 of w0 is a seed from the second frame's saturation and stuck
     in the first, where it is in no binding's openings. It joins the pool
-    after w1, whose image there names the hash over it: seal names that
-    candidate over the final pool, so the pass tests it."""
+    after w1, whose image there names the hash over it: the search names
+    that candidate once the pool is final, and tests it."""
     p, x, y, z = (T.name(n) for n in "pxyz")
     fa, _ = build([p, x, y, z], [p, T.h(T.proj(1, p))])
     fb, _ = build([p, x, y, z], [T.tup(x, y), T.h(z)])
@@ -1224,59 +1258,34 @@ def test_static_equiv_dh_corpus_pinned():
 
 def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
     """Over the group and DH corpora in both orders, the four cases above
-    and the unlinkability battery, each tested image that equals in a frame
-    the image of an SMULT or SIGV rebase a pass counted is one _locate
-    names that rebase by; both kinds are counted, and such images occur."""
-    init, test, row = F._Bijection.__init__, F._Bijection._test, \
-        F._Bijection.row
-    live, seen = [], {T.SMULT: 0, T.SIGV: 0, "met": 0}
+    and the unlinkability battery, in each search that ends Equivalent: no
+    seed's or tested candidate's image equals in a frame the image of an
+    SMULT or SIGV rebase the search counted, and each rebase it tests that
+    _rewriting did not yield is one such an image names (_locate). Both
+    kinds are counted, and such named rebases occur."""
+    seen = {T.SMULT: 0, T.SIGV: 0, "met": 0}
 
-    def check(bij):
-        counted = {}
-        for images, key in bij.counted:
-            seen[key[0]] += 1
-            for side in (0, 1):
-                counted[images[side], side] = key
-        for side, img in bij.tested:
-            key = counted.get((img, side))
-            if key is not None:
+    def check(bij, verdict):
+        if verdict is not None:
+            return
+        images = {(img, side) for ia, ib in bij.tested.values()
+                  for side, img in ((0, ia), (1, ib))}
+        named = _named(bij)
+        m = len(bij.pool)
+        for key in {(op, i, j) for op in (T.SMULT, T.SIGV)
+                    for i in range(m) for j in range(m)}:
+            cand = bij._candidate(key)
+            if cand is None or cand[-1]:
+                continue   # over the bound, or plain: no rebase
+            if cand[0] not in bij.tested:
+                seen[key[0]] += 1
+                assert (cand[2], 0) not in images, T.to_text(cand[1])
+                assert (cand[3], 1) not in images, T.to_text(cand[1])
+            elif cand[0] not in bij.yielded:
                 seen["met"] += 1
-                run = tuple(sorted(key[1:]))
-                assert bij._locate(img, side) == (run, key), T.to_text(img)
+                assert key in named, T.to_text(cand[1])
 
-    def spy_init(self, fa, fb, bound, pool_cap):
-        init(self, fa, fb, bound, pool_cap)
-        self.tested, self.counted, self.recipes = [], [], []
-        while live:
-            check(live.pop())
-        live.append(self)
-
-    def spy_test(self, recipe, ia, ib):
-        self.tested += [(0, ia), (1, ib)]
-        self.recipes.append(recipe)
-        return test(self, recipe, ia, ib)
-
-    def spy_row(self, n1):
-        rebases = []
-        for n2 in range(n1, len(self.pool) if self.bound >= 3 else 0):
-            for op in (T.SMULT, T.SIGV):
-                for i, j in ((n1, n2), (n2, n1)):
-                    (r1, a1, b1), (r2, a2, b2) = self.pool[i], self.pool[j]
-                    ta, tb = (op, a1, a2), (op, b1, b2)
-                    images = T.norm_root(ta), T.norm_root(tb)
-                    if images != (ta, tb):
-                        rebases.append(((op, r1, r2), images, (op, i, j)))
-        self.recipes = []
-        verdict = row(self, n1)
-        if verdict is None:
-            tested = set(self.recipes)
-            self.counted += [(images, key) for recipe, images, key in rebases
-                             if recipe not in tested]
-        return verdict
-
-    monkeypatch.setattr(F._Bijection, "__init__", spy_init)
-    monkeypatch.setattr(F._Bijection, "_test", spy_test)
-    monkeypatch.setattr(F._Bijection, "row", spy_row)
+    _spy_search(monkeypatch, check)
     pairs = [_random_group_pair(random.Random(f"group{k}"))
              for k in range(32)]
     pairs += [_random_dh_pair(random.Random(f"dh{k}")) for k in range(32)]
@@ -1288,8 +1297,7 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
     test_static_equiv_sigv_rebase_over_a_stuck_scalar_is_tested()
     test_static_equiv_sigv_rebase_over_a_sealed_scalar_is_counted()
     C.run_suite("unlinkability", seed=0)
-    check(live.pop())
-    assert min(seen.values()) > 0
+    assert min(seen.values()) > 0, seen
 
 
 # -- one pass over the seeds ------------------------------------------------
@@ -1465,52 +1473,42 @@ def test_seed_atoms_match_the_saturation_walk():
     assert months > 0 and names > 0
 
 
-# -- the full-scan row, as an oracle -------------------------------------------
+# -- the full-scan rows, as an oracle -----------------------------------------
 #
-# _Bijection.row visits only the slots whose rewrite can fire or that a
-# filed image names, counts the rest by arithmetic, and _ran tells from the
-# row cursor whether a pair pass has run. The oracle is the row that walks
-# every slot and records each pair pass in done as it ends; _ran then reads
-# done. Both must give the same verdict, tests= count and witness.
+# _Bijection._rewriting visits, in each pair row, only the slots whose
+# rewrite can fire: the entry's key partners and broad partners. The oracle
+# is the _rewriting that visits every slot n2 >= n1 of each row. Both must
+# give the same verdict, tests= count and witness.
 
-def _full_scan_row(self, n1):
-    if self.bound < 3:
-        return None
-    pool, opens = self.pool, self.opens
-    e1, opens1 = pool[n1], opens[n1]
-    tests = self.tests
-    for n2, e2 in enumerate(pool):
-        if n2 < n1:
-            tests += F._PAIR_TESTS
-            continue
-        shapes = F._rewritable(opens1, opens[n2])
-        named = self.earlier.get(n1, {}).get(n2, ())
-        if named:
-            named = {s for s in F._PAIR_SHAPES if (
-                F._pair_key(s[1], n2, n1) if s[2]
-                else F._pair_key(s[1], n1, n2)) in named}
-            shapes = sorted({*shapes, *named})
-        for shape in shapes:
-            pos, op, swapped = shape
-            (r1, a1, b1), (r2, a2, b2) = (e2, e1) if swapped else (e1, e2)
-            ta, tb = F._pair_term(op, a1, a2), F._pair_term(op, b1, b2)
-            ia, ib = T.norm_root(ta), T.norm_root(tb)
-            if ia is ta and ib is tb and shape not in named:
-                continue
-            self.tests = tests + pos
-            verdict = self._test(F._pair_term(op, r1, r2), ia, ib)
-            if verdict is not None:
-                return verdict
-        tests += F._PAIR_TESTS
-        self.done.add((n1, n2))
-    self.tests = tests
-    return None
+def _full_scan_rewriting(self):
+    pool, at, opens = self.pool, self.at, self.opens
+    keys, stuck = [], []
+    for u, (_, a, b) in enumerate(pool):
+        if T.PROJ in opens[u]:
+            keys += [(T.PROJ, i, u) for i in range(1, 5)]
+        for side, img in ((0, a), (1, b)):
+            if img[0] == T.ENC and img[2] in at[side]:
+                k = at[side][img[2]]
+                keys.append((T.ENC, (T.DEC, k, u), k))
+            elif img[0] == T.DEC and img[1] in at[side]:
+                stuck.append((T.ENC, u, at[side][img[1]]))
+    for n1 in range(len(pool)):
+        for n2 in range(n1, len(pool)):
+            keys += [(op, n2, n1) if swapped else (op, n1, n2)
+                     for op, swapped in
+                     F._rewritable(opens[n1], opens[n2])]
+    for key in keys:
+        cand = self._candidate(key)
+        if cand is not None and not cand[-1]:
+            yield cand
+    for key in stuck:
+        cand = self._candidate(key)
+        if cand is not None:
+            yield cand
 
 
 def _full_scan(monkeypatch):
-    monkeypatch.setattr(F._Bijection, "row", _full_scan_row)
-    monkeypatch.setattr(F._Bijection, "_ran",
-                        lambda self, run: run in self.done)
+    monkeypatch.setattr(F._Bijection, "_rewriting", _full_scan_rewriting)
 
 
 def _outcome(verdict):
@@ -1568,9 +1566,9 @@ def _late_named_pair():
 def test_row_visits_a_slot_named_during_the_row(monkeypatch):
     """In w0's row, the rebase sigv(w0, w1) is [s]sigv(s, h(n)) in both
     frames; the first frame's image names smult(w0, w2), a later slot of
-    the same row that no key relation or rebase reaches. The row must still
-    visit it, as the full scan does, and meet the first frame's equality
-    there, in either frame order."""
+    the same row that no key relation or rebase reaches. The search must
+    still test it, as under the full scan, and meet the first frame's
+    equality there, in either frame order."""
     fa, fb = _late_named_pair()
     for x, y, side in ((fa, fb, "first"), (fb, fa, "second")):
         with monkeypatch.context() as m:
@@ -1582,6 +1580,43 @@ def test_row_visits_a_slot_named_during_the_row(monkeypatch):
         verdict = F.static_equiv(x, y, test_bound=3)
         assert _outcome(verdict) == _outcome(oracle) == \
             ("Distinguished", 3159, oracle.describe())
+
+
+# -- every candidate tested, as an oracle -------------------------------------
+#
+# The search tests the candidates that a frame rewrites and those that an
+# image names, and counts the rest by arithmetic. The oracle tests every
+# candidate the enumeration holds at the bound, in enumeration order, and
+# counts none. Both must give the same verdict, tests= count, witness and
+# capped flag.
+
+def _every_candidate(self):
+    m = len(self.pool)
+    keys = [(T.ENC, (T.DEC, k, u), k) for u in range(m) for k in range(m)]
+    keys += [(*head, n) for n in range(m) for head in F._ONE_POS]
+    keys += [F._pair_key(op, i, j) for op in F._PAIR_OPS
+             for i in range(m) for j in range(m)]
+    for key in keys:
+        cand = self._candidate(key)
+        if cand is not None:
+            yield cand
+
+
+def test_search_matches_testing_every_candidate(monkeypatch):
+    """Over the five pinned corpora at bound 3, in both frame orders: every
+    case, and the even-numbered half of the group, named, probe and DH
+    corpora (all of them take the oracle about 3 s more)."""
+    pairs = [_frame_pair(case)[:2] for case in _CASES]
+    pairs += [make(random.Random(f"{label}{k}")) for label, make in (
+        ("group", _random_group_pair), ("named", _random_named_pair),
+        ("probe", _random_probe_pair), ("dh", _random_dh_pair))
+        for k in range(0, 32, 2)]
+    got = _outcomes(pairs, (3,))
+    with monkeypatch.context() as m:
+        m.setattr(F._Bijection, "_rewriting", _every_candidate)
+        want = _outcomes(pairs, (3,))
+    assert got == want
+    assert 0 < sum(kind == "Distinguished" for kind, _, _ in got) < len(got)
 
 
 # -- the exact _poolable, against testing every sigv rebase -------------------

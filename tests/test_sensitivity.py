@@ -4,7 +4,7 @@ A bounded search that never finds anything would still produce green
 bounded-pass lines, so these tests feed it defects it must catch: mutated
 frames from genuine paired runs, a card that reuses its blinding scalar,
 and a credential shown unblinded. Each is detected at small bounds. The
-last tests break the distinguisher's seal and pair pass themselves and
+last tests break the distinguisher's search and pair rows themselves and
 check that the tests of test_frames notice.
 """
 
@@ -94,48 +94,64 @@ def test_mutated_multimonth_run_detected():
         assert not bool(F.static_equiv(real.frame, mutated, test_bound=4))
 
 
-# -- defects in seal ----------------------------------------------------------
+# -- defects in the search ----------------------------------------------------
 #
-# _Bijection.seal names the candidate each seed image locates, over the final
-# pool, in one walk over by_a and by_b. It loses those names if it walks
-# neither, or the first frame's images only.
+# _Bijection.search names, from the seeds' images (the keys of by_a and
+# by_b) and from the images of the candidates _rewriting yields, every
+# candidate whose unrewritten image they are; _rewriting ends with the ENC
+# pairs over a stuck dec, the only candidates it yields that need not
+# rewrite. The search loses names if its worklist starts without the seeds'
+# images, or with the first frame's only, and a probe's clash if those ENC
+# pairs are dropped. Each defect returns the test that must catch it.
 
-def _seal_hiding(monkeypatch, *hidden):
-    seal = F._Bijection.seal
+class _Unlisted(dict):
+    """A dict that still answers lookups but lists no keys."""
 
-    def seal_blind(self):
-        kept = {name: getattr(self, name) for name in hidden}
-        for name in hidden:
-            setattr(self, name, {})
-        seal(self)
-        for name, filed in kept.items():
-            setattr(self, name, filed)
-
-    monkeypatch.setattr(F._Bijection, "seal", seal_blind)
+    def __iter__(self):
+        return iter(())
 
 
-def _seal_names_nothing(monkeypatch):
-    _seal_hiding(monkeypatch, "by_a", "by_b")
+def _hiding(monkeypatch, *names):
+    search = F._Bijection.search
+
+    def search_blind(self):
+        for name in names:
+            setattr(self, name, _Unlisted(getattr(self, name)))
+        return search(self)
+
+    monkeypatch.setattr(F._Bijection, "search", search_blind)
 
 
-def _seal_names_the_first_frames_images_only(monkeypatch):
-    _seal_hiding(monkeypatch, "by_b")
+def _no_seed_images(monkeypatch):
+    _hiding(monkeypatch, "by_a", "by_b")
+    return test_frames.test_static_equiv_image_waits_on_a_stuck_destructor
+
+
+def _first_frame_seed_images_only(monkeypatch):
+    _hiding(monkeypatch, "by_b")
+    return test_frames.test_static_equiv_image_waits_on_a_stuck_destructor
+
+
+def _no_stuck_dec_rule(monkeypatch):
+    rewriting = F._Bijection._rewriting
+    monkeypatch.setattr(F._Bijection, "_rewriting", lambda self: (
+        cand for cand in rewriting(self) if not cand[-1]))
+    return test_frames.test_static_equiv_stuck_dec_names_its_enc_pair
 
 
 @pytest.mark.parametrize("defect", [
-    _seal_names_nothing, _seal_names_the_first_frames_images_only])
-def test_seal_defect_is_caught(monkeypatch, defect):
-    defect(monkeypatch)
+    _no_seed_images, _first_frame_seed_images_only, _no_stuck_dec_rule])
+def test_search_defect_is_caught(monkeypatch, defect):
+    check = defect(monkeypatch)
     with pytest.raises(AssertionError):
-        test_frames.test_static_equiv_image_waits_on_a_stuck_destructor()
+        check()
 
 
-# -- defects in the pair pass --------------------------------------------------
+# -- defects in the pair rows -------------------------------------------------
 #
-# _Bijection.row visits only the slots whose rewrite can fire or that a filed
-# image names. It loses a slot if it skips the reverse-key lookup (the pool
-# entries a row's entry opens as a key) or drops the push of a later slot
-# that a test of the running row names.
+# _Bijection._rewriting visits, in each pair row, only the slots whose
+# rewrite can fire. It loses a slot if it skips the reverse-key lookup (the
+# pool entries a row's entry opens as a key).
 
 def _skip_reverse_key_lookup(monkeypatch):
     seal = F._Bijection.seal
@@ -148,21 +164,8 @@ def _skip_reverse_key_lookup(monkeypatch):
     monkeypatch.setattr(F._Bijection, "seal", seal_without_openers)
 
 
-def _drop_late_named_push(monkeypatch):
-    name = F._Bijection._name
-
-    def name_without_push(self, where):
-        visits, self.visits = self.visits, None
-        name(self, where)
-        self.visits = visits
-
-    monkeypatch.setattr(F._Bijection, "_name", name_without_push)
-
-
 @pytest.mark.parametrize("defect, check", [
-    (_skip_reverse_key_lookup, test_frames.test_row_matches_the_full_scan),
-    (_drop_late_named_push,
-     test_frames.test_row_visits_a_slot_named_during_the_row)])
+    (_skip_reverse_key_lookup, test_frames.test_row_matches_the_full_scan)])
 def test_pair_pass_defect_is_caught(monkeypatch, defect, check):
     defect(monkeypatch)
     with pytest.raises(AssertionError):
