@@ -6,7 +6,11 @@ the same exchanged messages, and no run event justifies two commits. Each
 obligation's events are hash-joined on the values of the variables bound
 before it, so a commit meets only the events that can match it; the
 injective choice is a backtracking search with an explicit stack, so a
-trace of any length checks without deep recursion.
+trace of any length checks without deep recursion. check_all_agreements
+groups a trace's events by tag once, into one index for all four
+correspondences, and the index builds each join table at most once, under
+its (tag, key positions): CRun's table, keyed on all six of its
+arguments, serves three correspondences.
 check_secrecy asks the deduction engine for each secret. distinguish runs
 the bounded static-equivalence search over a paired run's final frames;
 paired_verdict runs the paired experiment itself, for the suites and the
@@ -30,7 +34,7 @@ from . import frames, harness, roles, setup_phase
 from . import terms as T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correspondence:
     name: str
     trigger: tuple            # (tag, var names)
@@ -68,7 +72,7 @@ class UncertifiedWitness(Exception):
     internal error of the search that found it, never a verdict."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     name: str
     status: str               # holds | violated | bounded-pass
@@ -90,43 +94,57 @@ def _unify(args, varnames, binding):
     return new
 
 
-def _join_tables(corr, pools):
+class _EventIndex:
+    """A trace's events grouped by tag, each tag's (index, event) pairs in
+    event order, and the join tables built over them so far, each under
+    its (tag, key positions)."""
+    __slots__ = ("pools", "tables")
+
+    def __init__(self, events):
+        self.pools: dict = {}
+        for idx, ev in enumerate(events):
+            self.pools.setdefault(ev.tag, []).append((idx, ev))
+        self.tables: dict = {}
+
+
+def _join_tables(corr, index: _EventIndex):
     """Per obligation, (key positions, table): the positions of its
     variables bound before it (by the trigger or an earlier obligation),
     and its tag's (index, event) pairs keyed by their values there, each
-    bucket in event order."""
+    bucket in event order. A table is built at most once per index and
+    shared by every correspondence that joins the same tag on the same
+    positions."""
     bound = set(corr.trigger[1])
     tables = []
     for tag, varnames in corr.obligations:
         pos = tuple(j for j, vn in enumerate(varnames) if vn in bound)
-        table: dict = {}
-        for idx, ev in pools.get(tag, ()):
-            table.setdefault(tuple(ev.args[j] for j in pos), []).append(
-                (idx, ev))
+        table = index.tables.get((tag, pos))
+        if table is None:
+            table = index.tables[tag, pos] = {}
+            for idx, ev in index.pools.get(tag, ()):
+                table.setdefault(tuple(ev.args[j] for j in pos), []).append(
+                    (idx, ev))
         tables.append((pos, table))
         bound.update(varnames)
     return tables
 
 
-def _candidate_tuples(corr, binding, tables):
-    """All ways to satisfy the obligation conjunction with consistent
-    existential variables; yields tuples of event indices, in the order a
-    scan of each obligation's events would find them."""
-
-    def go(i, bound, chosen):
-        if i == len(corr.obligations):
-            yield tuple(chosen)
-            return
-        varnames = corr.obligations[i][1]
-        pos, table = tables[i]
-        for idx, ev in table.get(tuple(bound[varnames[j]] for j in pos), ()):
-            if idx in chosen:
-                continue
-            nxt = _unify(ev.args, varnames, bound)
-            if nxt is not None:
-                yield from go(i + 1, nxt, chosen + [idx])
-
-    yield from go(0, binding, [])
+def _candidate_tuples(corr, binding, tables, i=0, chosen=()):
+    """All ways to satisfy the obligation conjunction from obligation i on,
+    with consistent existential variables; yields tuples of event indices,
+    in the order a scan of each obligation's events would find them."""
+    if i == len(corr.obligations):
+        yield chosen
+        return
+    varnames = corr.obligations[i][1]
+    pos, table = tables[i]
+    for idx, ev in table.get(tuple(binding[varnames[j]] for j in pos), ()):
+        if idx in chosen:
+            continue
+        nxt = _unify(ev.args, varnames, binding)
+        if nxt is not None:
+            yield from _candidate_tuples(corr, nxt, tables, i + 1,
+                                         chosen + (idx,))
 
 
 def _injective(candidates) -> bool:
@@ -156,13 +174,15 @@ def _injective(candidates) -> bool:
     return False
 
 
-def check_agreement(trace, corr: Correspondence) -> Verdict:
-    pools: dict = {}
-    for idx, ev in enumerate(trace.events):
-        pools.setdefault(ev.tag, []).append((idx, ev))
-    tables = _join_tables(corr, pools)
+def check_agreement(trace, corr: Correspondence,
+                    index: _EventIndex | None = None) -> Verdict:
+    """One correspondence's verdict; index is the trace's event index when
+    the caller shares one across correspondences."""
+    if index is None:
+        index = _EventIndex(trace.events)
+    tables = _join_tables(corr, index)
     candidates = []
-    for idx, ev in pools.get(corr.trigger[0], ()):
+    for idx, ev in index.pools.get(corr.trigger[0], ()):
         binding = _unify(ev.args, corr.trigger[1], {})
         tuples = list(_candidate_tuples(corr, binding, tables))
         if not tuples:
@@ -179,7 +199,9 @@ def check_agreement(trace, corr: Correspondence) -> Verdict:
 
 
 def check_all_agreements(trace):
-    return [check_agreement(trace, c) for c in CORRESPONDENCES]
+    """The four correspondences' verdicts, from one event index."""
+    index = _EventIndex(trace.events)
+    return [check_agreement(trace, c, index) for c in CORRESPONDENCES]
 
 
 def check_secrecy(frame: frames.Frame, targets, bound: int = frames.DERIVE_BOUND):
@@ -271,7 +293,7 @@ def paired_verdict(sc, test_bound: int = frames.TEST_BOUND,
     return distinguish(real, ideal, test_bound, pool_cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     """One experiment of a battery: a SCENARIOS entry ("" runs nothing) with
     field overrides, seeded with the suite seed plus ``seed_offset``. Its
@@ -415,7 +437,7 @@ def suites(sessions: int = 3, n_fuzzers: int = 42) -> dict:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     name: str
     lines: list = field(default_factory=list)    # (Verdict, expected status)

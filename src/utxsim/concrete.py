@@ -23,7 +23,7 @@ from . import terms as T
 Q = 2305843009213693951
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stuck:
     """Value of an irreducible destructor; carries the stuck normal form so
     that equal stuck terms evaluate equal."""
@@ -35,7 +35,7 @@ class UnvaluedName(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupEnv:
     """Valuation of fresh names in the toy group. Insecure by design."""
 
@@ -176,7 +176,7 @@ def equal_variant(rng: random.Random, t: T.Term, names) -> T.Term:
     return T.checkv(T.pkv(a), T.sigv(a, t))
 
 
-@dataclass
+@dataclass(slots=True)
 class DiffReport:
     samples: int
     soundness_violations: list

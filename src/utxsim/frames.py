@@ -93,7 +93,7 @@ class LateJoin(Exception):
     verdict."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """The one record of what the attacker has seen: the restricted name ids
     and the substitution alias -> normal form, in output order. It grows
@@ -129,7 +129,7 @@ def recipe_value(f: Frame, recipe: Term) -> Term:
 
 # -- saturation -------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Saturated:
     frame: Frame
     entries: dict = field(default_factory=dict)   # image -> first recipe
@@ -142,11 +142,11 @@ class Saturated:
     memo: dict = field(default_factory=dict)
 
     def add(self, recipe: Term, image: Term) -> bool:
-        if image in self.entries:
+        n = len(self.entries)
+        self.entries.setdefault(image, recipe)     # one hash of the image
+        if len(self.entries) == n:
             return False
         self.memo.clear()
-        n = len(self.entries)
-        self.entries[image] = recipe
         if image[0] == T.MULT:
             self.blocks.setdefault(None, []).append((image[1], recipe))
         elif image[0] == T.SMULT:
@@ -311,7 +311,7 @@ def _smult_cost(sat: Saturated, t: Term):
 
 # -- bounded static equivalence ----------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Equivalent:
     bound: int
     tests: int
@@ -321,7 +321,7 @@ class Equivalent:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class Distinguished:
     left: Term
     right: Term

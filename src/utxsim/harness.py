@@ -24,10 +24,10 @@ is a bare alias, so its value is the alias's binding, normal as the roles
 build it (Frame.bind stores what it is given); any other recipe is checked
 against the frame and evaluated.
 
-An observation costs the same however long the run: Obs hands the strategy
-read-only views of the runner's own dicts, not copies. An Obs is therefore
-valid only until the next apply, which changes what it shows; run_scenario
-and the strategies read each Obs only before acting on it.
+An observation costs nothing however long the run: the runner builds one
+Obs, of read-only views of its own dicts, not copies, and hands the same
+one out at every step. Each apply therefore changes what it shows;
+run_scenario and the strategies read it only before acting on it.
 
 Worlds: "real" lets a card run any number of sessions; "ideal" spawns a
 disposable fresh card per session (with the card database and, in leaked-PIN
@@ -74,7 +74,7 @@ PROTOCOLS = ("utx", "utx_multimonth", "utxl", "bdh", "ubdh")
 WORLDS = ("real", "ideal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     protocol: str = "utx"            # one of PROTOCOLS
     world: str = "real"              # one of WORLDS
@@ -185,7 +185,7 @@ class TraceRecord:
         return self._text
 
 
-@dataclass
+@dataclass(slots=True)
 class Trace:
     scenario: Scenario
     records: list = field(default_factory=list)
@@ -285,24 +285,24 @@ def parse_trace(text: str) -> Trace:
 
 # -- actions an attacker program may take --------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartCard:
     card_idx: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartTerminal:
     cfg_idx: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deliver:
     sid: str
     recipe: Term
     source_alias: str = ""        # set when forwarding a held output verbatim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverBank:
     terminal_sid: str
     recipe: Term
@@ -311,7 +311,7 @@ class DeliverBank:
 
 # -- live session handles --------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Session:
     """What only the runner sees of a session; its public state is the
     session's view."""
@@ -320,7 +320,7 @@ class _Session:
     mistypes: bool = False         # a terminal whose user mistypes the PIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionView:
     """A session's public state, the only record of it; the messages it
     holds are in Obs.pending. The runner replaces the view whenever the
@@ -339,10 +339,10 @@ class SessionView:
         return not self.done and not self.aborted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obs:
-    """What the attacker sees before one action: read-only views of the
-    runner's records, valid until the next Runner.apply."""
+    """What the attacker sees: live read-only views of the runner's
+    records, which each Runner.apply changes."""
     sessions: MappingProxyType     # sid -> SessionView, in start order
     outputs: MappingProxyType      # alias -> actor, the full output log
     live_cards: MappingProxyType   # card idx -> its live card sessions (> 0)
@@ -384,7 +384,7 @@ class Runner:
         self.n_card_sessions = 0
         self.live_cards: dict = {}     # card idx -> its live card sessions
         self.pending: dict = {}        # alias -> (holding sid, routing hint)
-        self._proxies = tuple(map(MappingProxyType, (
+        self._obs = Obs(*map(MappingProxyType, (
             self.views, self.outputs, self.live_cards, self.pending)))
         self.n_terms = 0
         self.n_bank_requests = 0
@@ -471,9 +471,9 @@ class Runner:
     # -- observation ------------------------------------------------------------
 
     def observe(self) -> Obs:
-        """The current observation; it reads the live records, so it is
-        valid only until the next apply."""
-        return Obs(*self._proxies)
+        """The runner's one observation: live read-only views of its
+        records, so each apply changes what it shows."""
+        return self._obs
 
     # -- actions ------------------------------------------------------------------
 

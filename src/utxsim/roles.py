@@ -36,7 +36,7 @@ EVENT_ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     tag: str
     args: tuple
@@ -52,7 +52,7 @@ class Event:
                              f"got {len(self.args)}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     outputs: list = field(default_factory=list)
     events: list = field(default_factory=list)
@@ -72,7 +72,7 @@ def _tuple_items(t: Term, arity: int):
 
 # -- card --------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CardState:
     card_id: str
     c: Term
@@ -228,7 +228,7 @@ _STAGE_LABEL = {
 _STAGE_PREFIX = {"onhi": "TONH", "offhi": "TOFH", "lo": "TLO"}
 
 
-@dataclass
+@dataclass(slots=True)
 class TerminalState:
     terminal_id: str
     mode: str                        # onhi | offhi | lo
@@ -361,7 +361,7 @@ def _terminal_bank_reply(s: TerminalState, r: Term) -> StepResult:
 
 # -- bank ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class BankAgent:
     """The merged acquiring/issuing bank: card database, per-terminal shared
     keys, and the transaction-uniqueness log."""

@@ -31,7 +31,7 @@ class NoCertForMonth(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Authority:
     s: Term
     chi: dict                       # month index -> signing scalar
@@ -47,7 +47,7 @@ class Authority:
         return [self.s, *self.chi.values()]
 
 
-@dataclass
+@dataclass(slots=True)
 class BankCredential:
     b_t: Term
     crt_by_month: dict = field(default_factory=dict)

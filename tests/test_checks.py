@@ -1,15 +1,19 @@
 """Verdict-layer tests: correspondence matching (with a counting oracle for
 injectivity), secrecy, distinguishing, and the suite wiring."""
 
+import gc
 import hashlib
 import random
 from dataclasses import replace
+
+import pytest
 
 import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
 from utxsim.roles import Event
+from test_harness import _ATTACKERS
 
 
 def _trace_with(events):
@@ -185,39 +189,82 @@ def _nested_loop_tuples(corr, binding, pools):
 
 
 def _assert_join_matches_nested_loop(events):
-    pools: dict = {}
-    for idx, ev in enumerate(events):
-        pools.setdefault(ev.tag, []).append((idx, ev))
+    index = C._EventIndex(events)
     for corr in C.CORRESPONDENCES:
-        tables = C._join_tables(corr, pools)
-        for _, ev in pools.get(corr.trigger[0], ()):
+        tables = C._join_tables(corr, index)
+        for _, ev in index.pools.get(corr.trigger[0], ()):
             binding = C._unify(ev.args, corr.trigger[1], {})
             assert list(C._candidate_tuples(corr, binding, tables)) == \
-                list(_nested_loop_tuples(corr, binding, pools)), corr.name
+                list(_nested_loop_tuples(corr, binding, index.pools)), \
+                corr.name
 
 
-def test_hash_join_matches_nested_loop():
-    """The hash-joined candidate tuples, in order, on the built-in
-    scenarios, many-session attacker runs, and duplicated and shuffled
-    events (so that buckets hold several events, out of order)."""
-    traces = [H.run_scenario(replace(sc, seed=s, world=w))
-              for sc in C.SCENARIOS.values()
+def _attacker_scenarios():
+    """One many-session run per attacker, over mixed terminals."""
+    return [H.Scenario(cards=3, sessions=24, strategy=name, strategy_arg=3,
+                       seed=i, max_steps=1200,
+                       terminals=(("onhi", None), ("offhi", None),
+                                  ("lo", None)))
+            for i, name in enumerate(_ATTACKERS)]
+
+
+@pytest.fixture(scope="module")
+def checked_traces():
+    """(label, trace): every built-in scenario at seeds 0-3 in both worlds,
+    labelled by its name, then the attacker runs, labelled by attacker."""
+    traces = [(name, H.run_scenario(replace(sc, seed=s, world=w)))
+              for name, sc in C.SCENARIOS.items()
               for s in range(4) for w in ("real", "ideal")]
-    traces += [H.run_scenario(H.Scenario(
-        cards=3, sessions=24, strategy=name, strategy_arg=3, seed=i,
-        terminals=(("onhi", None), ("offhi", None), ("lo", None)),
-        max_steps=1200))
-        for i, name in enumerate(("passive", "fuzzer", "drop",
-                                  "replay_bank_request", "replay_card_reply",
-                                  "reflect"))]
+    traces += [(sc.strategy, H.run_scenario(sc))
+               for sc in _attacker_scenarios()]
+    return traces
+
+
+def test_hash_join_matches_nested_loop(checked_traces):
+    """The hash-joined candidate tuples, with every correspondence's tables
+    taken from one shared index, in order, on the built-in scenarios,
+    many-session attacker runs, and duplicated and shuffled events (so that
+    buckets hold several events, out of order)."""
+    traces = [tr for _, tr in checked_traces]
     rng = random.Random(11)
     for tr in traces:
         _assert_join_matches_nested_loop(tr.events)
-    for tr in traces[-6:]:
+    for tr in traces[-len(_ATTACKERS):]:
         events = list(tr.events)
         events += rng.sample(events, len(events) // 3)
         rng.shuffle(events)
         _assert_join_matches_nested_loop(events)
+
+
+def test_all_agreements_share_one_index(checked_traces):
+    """check_all_agreements, with one event index for the four
+    correspondences, gives the verdicts of four one-off check_agreement
+    calls, on runs that include the controls that violate one."""
+    violated = set()
+    for label, tr in checked_traces:
+        verdicts = C.check_all_agreements(tr)
+        assert verdicts == [C.check_agreement(tr, corr)
+                            for corr in C.CORRESPONDENCES], label
+        if any(v.status == "violated" for v in verdicts):
+            violated.add(label)
+    assert {"replay_cryptogram_nocheck", "fake_card_no_checkv",
+            "chi_leak_fake_card"} <= violated
+
+
+def test_checking_leaves_no_cyclic_garbage():
+    """Attacker runs, their checks and a paired battery drop nothing that
+    only the cycle collector can free: with it off, it then finds none."""
+    gc.collect()
+    gc.disable()
+    try:
+        for sc in _attacker_scenarios():
+            tr = H.run_scenario(sc)
+            C.check_all_agreements(tr)
+            C.check_secrecy(tr.frame, tr.secrets)
+        C.run_suite("unlinkability", seed=0, n_fuzzers=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_secrecy_honest_and_leaky():

@@ -420,10 +420,10 @@ def test_incremental_records_match_a_scan():
 
 
 def test_costs_grow_linearly_in_sessions(monkeypatch):
-    """Per session, a passive run and its agreement and secrecy checks make
-    about as many routing visits, unifications, multiset subtractions and
-    deduction cost lookups at 160 sessions as at 40: none of them scans
-    every session, event or block."""
+    """Per session, a run under each attacker and its agreement and secrecy
+    checks make about as many routing visits, unifications, multiset
+    subtractions and deduction cost lookups at 160 sessions as at 40: none
+    of them scans every session, event or block."""
     counts = Counter()
 
     def counted(owner, name):
@@ -438,20 +438,25 @@ def test_costs_grow_linearly_in_sessions(monkeypatch):
     counted(F, "_minus")
     counted(F, "_cost")
     counted(S.Pump, "_route_one")
-    per_session = {}
-    for n in (40, 160):
-        counts.clear()
-        tr = H.run_scenario(H.Scenario(
-            cards=4, sessions=n, terminals=(("lo", None),),
-            strategy="passive", max_steps=40 * n + 200))
-        verdicts = C.check_all_agreements(tr)
-        verdicts.append(C.check_secrecy(tr.frame, tr.secrets))
-        assert {v.status for v in verdicts} == {"holds"}
-        per_session[n] = {k: c / n for k, c in counts.items()}
-    assert per_session[40].keys() == {"_unify", "_minus", "_cost",
-                                      "_route_one"}
-    for name, small in per_session[40].items():
-        assert per_session[160][name] <= 1.5 * small, name
+    fired = set()
+    for name in _ATTACKERS:
+        per_session = {}
+        for n in (40, 160):
+            counts.clear()
+            tr = H.run_scenario(H.Scenario(
+                cards=4, sessions=n, terminals=(("lo", None),),
+                strategy=name, max_steps=40 * n + 200))
+            verdicts = C.check_all_agreements(tr)
+            verdicts.append(C.check_secrecy(tr.frame, tr.secrets))
+            assert {v.status for v in verdicts} == {"holds"}, name
+            per_session[n] = {k: c / n for k, c in counts.items()}
+        # compare the counters that fired: a run that drops every message
+        # has no commit to unify
+        assert per_session[160].keys() == per_session[40].keys(), name
+        for counter, small in per_session[40].items():
+            assert per_session[160][counter] <= 1.5 * small, (name, counter)
+        fired |= per_session[40].keys()
+    assert fired == {"_unify", "_minus", "_cost", "_route_one"}
 
 
 # -- what a checked run reads ---------------------------------------------------
