@@ -323,8 +323,10 @@ def _distinguished(verdict):
 
 def _honest(tr):
     """Nothing aborted and the terminal authorised the payment: an auth
-    output, found by its term so that no record text is rendered."""
-    auths = sum(1 for r in tr.records if r.kind == "output" and r.term == T.AUTH)
+    output, found by its term in the trace's log, so that no record is
+    built."""
+    auths = sum(1 for kind, _, shown, _ in tr.log
+                if kind == "output" and shown == T.AUTH)
     return [_holds(not tr.aborts and auths >= 1)]
 
 

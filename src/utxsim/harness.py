@@ -15,9 +15,11 @@ the trace's frame: the honest agents' name source adds every name it mints
 to its restricted set, and every output binds an alias in it. Two facts that
 could be read off the views are kept as the views change, so that no step
 scans every session: the live card sessions of each card, and the number of
-card sessions started. A trace record keeps the term it shows (an output's
-bound image, a delivery's recipe) and renders its text only when the text is
-read, as a dump does; checking a run reads no record text.
+card sessions started. The trace logs each record as one (kind, actor,
+shown, alias) tuple, where shown is the term a record shows (an output's
+bound image, a delivery's recipe) or its text; its index is its position.
+A TraceRecord is built only when a record is read, and renders its text only
+when the text is read, as a dump does; checking a run builds no record.
 
 A delivered value is a normal form, which the roles take as given. A forward
 is a bare alias, so its value is the alias's binding, normal as the roles
@@ -40,9 +42,10 @@ Determinism: a (scenario, seed) pair fixes the trace byte-for-byte.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import frames, roles, setup_phase
 from . import terms as T
@@ -160,17 +163,17 @@ class Scenario:
 
 
 class TraceRecord:
-    """One trace line. shown is the record's text, or the term it shows: an
-    output's bound image or a delivery's recipe. A term is rendered as text
-    only when text is read, since a run that is only checked never reads it;
-    term is None for a record that shows plain text, and for every parsed
-    record."""
+    """One trace line, read from the trace's log. shown is the record's
+    text, or the term it shows: an output's bound image or a delivery's
+    recipe. A term is rendered as text only when text is read, since a run
+    that is only checked never reads it; term is None for a record that
+    shows plain text, and for every parsed record."""
     __slots__ = ("idx", "kind", "actor", "alias", "term", "_text")
 
     def __init__(self, idx: int, kind: str, actor: str, shown,
                  alias: str = ""):
         self.idx = idx
-        self.kind = kind              # start | deliver | output | event | abort
+        self.kind = kind              # one of RECORD_KINDS
         self.actor = actor
         self.alias = alias
         if isinstance(shown, str):
@@ -185,20 +188,51 @@ class TraceRecord:
         return self._text
 
 
+RECORD_KINDS = ("start", "deliver", "output", "event", "abort")
+
+
+class _Records(Sequence):
+    """Trace.records: the log read as TraceRecords. A record is built the
+    first time its index is read and kept, so its text renders once."""
+    __slots__ = ("_log", "_built")
+
+    def __init__(self, log: list):
+        self._log = log
+        self._built: dict = {}        # index -> its TraceRecord
+
+    def __len__(self):
+        return len(self._log)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self._log))[i]]
+        i = range(len(self._log))[i]      # counts a negative i from the end
+        rec = self._built.get(i)
+        if rec is None:
+            rec = self._built[i] = TraceRecord(i, *self._log[i])
+        return rec
+
+
 @dataclass(slots=True)
 class Trace:
+    """A run's output. log holds one (kind, actor, shown, alias) tuple per
+    record, in order; records reads it as TraceRecords."""
     scenario: Scenario
-    records: list = field(default_factory=list)
+    log: list = field(default_factory=list)
     events: list = field(default_factory=list)
     aborts: list = field(default_factory=list)      # (session_id, reason)
     frame: frames.Frame = field(default_factory=frames.Frame)
     secrets: list = field(default_factory=list)     # (label, term) targets
+    records: _Records = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.records = _Records(self.log)
 
     def observable_shape(self):
         """World-independent skeleton used for paired-run alignment: kinds,
         actors and alias names, never term contents or abort reasons."""
-        return [(r.kind, r.actor, r.alias) for r in self.records
-                if r.kind in ("start", "deliver", "output", "abort")]
+        return [(kind, actor, alias) for kind, actor, _, alias in self.log
+                if kind != "event"]
 
     def to_lines(self):
         sc = self.scenario
@@ -273,8 +307,12 @@ def parse_trace(text: str) -> Trace:
                 tr.secrets.append((label, T.parse(t)))
             elif head == "REC":
                 idx, kind, actor, alias, text_ = rest.split("|", 4)
-                tr.records.append(
-                    TraceRecord(int(idx), kind, actor, text_, alias))
+                # a record's index is its position, as the dump writes it
+                if idx != str(len(tr.log)):
+                    raise ValueError(f"index {idx} is not {len(tr.log)}")
+                if kind not in RECORD_KINDS:
+                    raise ValueError(f"unknown kind {kind!r}")
+                tr.log.append((kind, actor, text_, alias))
             else:
                 raise ValueError("unknown record")
         except (ValueError, T.MalformedTerm, ScenarioInvalid) as e:
@@ -284,26 +322,25 @@ def parse_trace(text: str) -> Trace:
 
 
 # -- actions an attacker program may take --------------------------------------
+# Named tuples, which cost a third of a frozen dataclass to build: a run
+# builds one a step. Two actions with equal fields compare equal, so
+# Runner.apply tells them apart by class.
 
-@dataclass(frozen=True, slots=True)
-class StartCard:
+class StartCard(NamedTuple):
     card_idx: int
 
 
-@dataclass(frozen=True, slots=True)
-class StartTerminal:
+class StartTerminal(NamedTuple):
     cfg_idx: int
 
 
-@dataclass(frozen=True, slots=True)
-class Deliver:
+class Deliver(NamedTuple):
     sid: str
     recipe: Term
     source_alias: str = ""        # set when forwarding a held output verbatim
 
 
-@dataclass(frozen=True, slots=True)
-class DeliverBank:
+class DeliverBank(NamedTuple):
     terminal_sid: str
     recipe: Term
     source_alias: str = ""
@@ -320,13 +357,12 @@ class _Session:
     mistypes: bool = False         # a terminal whose user mistypes the PIN
 
 
-@dataclass(frozen=True, slots=True)
-class SessionView:
+class SessionView(NamedTuple):
     """A session's public state, the only record of it; the messages it
-    holds are in Obs.pending. The runner replaces the view whenever the
-    session steps, so a finished session keeps the stage it ended in even
-    after a later session on the same real-world card moves their shared
-    card state on."""
+    holds are in Obs.pending. The runner replaces the view (a named tuple,
+    cheap to build) whenever the session steps, so a finished session keeps
+    the stage it ended in even after a later session on the same real-world
+    card moves their shared card state on."""
     sid: str
     kind: str
     mode: str
@@ -388,7 +424,7 @@ class Runner:
             self.views, self.outputs, self.live_cards, self.pending)))
         self.n_terms = 0
         self.n_bank_requests = 0
-        self._idx = 0
+        self._log = self.trace.log
         self._spawn_queue: dict = {}
         self._card_flags = dict(_VARIANT_FLAGS.get(sc.protocol, {}))
         if sc.protocol == "utxl" and not sc.contact:
@@ -460,13 +496,8 @@ class Runner:
         bulletin's too, is made here."""
         alias = self.frame.bind(t)
         self.outputs[alias] = actor
-        self._record("output", actor, self.frame.bindings[alias], alias)
+        self._log.append(("output", actor, self.frame.bindings[alias], alias))
         return alias
-
-    def _record(self, kind, actor, shown, alias=""):
-        self.trace.records.append(
-            TraceRecord(self._idx, kind, actor, shown, alias))
-        self._idx += 1
 
     # -- observation ------------------------------------------------------------
 
@@ -512,7 +543,7 @@ class Runner:
         self.sessions[sid] = _Session(card)
         self.views[sid] = SessionView(sid, "card", "", card.stage,
                                       card_idx=idx)
-        self._record("start", sid, f"card idx={idx}")
+        self._log.append(("start", sid, f"card idx={idx}", ""))
         self._publish(self.fresh.data("chc"), sid)
 
     def _start_terminal(self, cfg_idx: int) -> None:
@@ -530,7 +561,7 @@ class Runner:
         self.sessions[sid] = _Session(term, mistypes=mistypes)
         self.views[sid] = SessionView(sid, "terminal", mode,
                                       term.stage_label())
-        self._record("start", sid, f"terminal {mode} month={month}")
+        self._log.append(("start", sid, f"terminal {mode} month={month}", ""))
         self._publish(self.fresh.data("cht"), sid)
         self._absorb(sid, roles.terminal_step(term, None, self.fresh))
 
@@ -556,7 +587,7 @@ class Runner:
                 origin = self.views.get(self.outputs.get(action.source_alias))
                 if origin is not None and origin.kind == "card":
                     sess.wired_card = origin.sid
-        self._record("deliver", sid, action.recipe, action.source_alias)
+        self._log.append(("deliver", sid, action.recipe, action.source_alias))
         if view.kind == "card":
             res = roles.card_step(sess.state, value, self.fresh)
             self.odometer[view.card_idx] = self._card_position(sess.state)
@@ -590,7 +621,7 @@ class Runner:
         self.pending.pop(action.source_alias, None)
         sid = f"B{self.n_bank_requests}.{tsid}"
         self.n_bank_requests += 1
-        self._record("deliver", sid, action.recipe, action.source_alias)
+        self._log.append(("deliver", sid, action.recipe, action.source_alias))
         res = roles.bank_step(self.bank, self.sessions[tsid].state.kbt,
                               value, sid)
         self._record_step(sid, tsid, res, "to_terminal")
@@ -620,7 +651,7 @@ class Runner:
         to_bank, else along hint."""
         for e in res.events:
             self.trace.events.append(e)
-            self._record("event", actor, e.tag)
+            self._log.append(("event", actor, e.tag, ""))
         for out in res.outputs:
             alias = self._publish(out, actor)
             out = self.frame.bindings[alias]    # its normal form
@@ -629,7 +660,7 @@ class Runner:
                     holder, "to_bank" if out == to_bank else hint)
         if res.abort:
             self.trace.aborts.append((actor, res.abort))
-            self._record("abort", actor, res.abort)
+            self._log.append(("abort", actor, res.abort, ""))
 
 
 def run_scenario(sc: Scenario) -> Trace:

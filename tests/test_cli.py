@@ -375,6 +375,36 @@ def test_unknown_trace_record_exits_cleanly(tmp_path, capsys):
             f"error: bad trace line {lineno} ({head}): unknown record\n"))
 
 
+def _check_rec_line(tmp_path, capsys, old, new):
+    """check --trace of honest_lo's dump with one REC line changed."""
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_lo", "--out", str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[19] == old + "\n"
+    lines[19] = new + "\n"
+    path.write_text("".join(lines))
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_trace_record_out_of_place_exits_cleanly(tmp_path, capsys):
+    """A record's index is its position, as a dump writes it: a file with
+    another index would not dump back to the same text."""
+    for idx in ("4", "2", "03", "x"):
+        assert _check_rec_line(
+            tmp_path, capsys, "REC 3|start|T0||terminal lo month=1",
+            f"REC {idx}|start|T0||terminal lo month=1") == (2, "", (
+                f"error: bad trace line 20 (REC): index {idx} is not 3\n"))
+
+
+def test_trace_record_of_unknown_kind_exits_cleanly(tmp_path, capsys):
+    assert _check_rec_line(
+        tmp_path, capsys, "REC 3|start|T0||terminal lo month=1",
+        "REC 3|bogus|T0||terminal lo month=1") == (2, "", (
+            "error: bad trace line 20 (REC): unknown kind 'bogus'\n"))
+
+
 def test_every_builtin_dump_checks(tmp_path, capsys):
     """The header check leaves every valid dump alone: each built-in
     scenario's trace checks as the scenario itself does (utxl dumps

@@ -371,7 +371,7 @@ class _RenamedSids:
 
     def observe(self):
         obs = self.runner.observe()
-        sessions = {self._rename(sid): replace(v, sid=self._rename(sid))
+        sessions = {self._rename(sid): v._replace(sid=self._rename(sid))
                     for sid, v in obs.sessions.items()}
         outputs = {alias: actor if actor == "bulletin"
                    or actor.startswith("opin") else self._rename(actor)
@@ -383,10 +383,10 @@ class _RenamedSids:
 
     def apply(self, action):
         if isinstance(action, H.Deliver):
-            action = replace(action, sid=self.old[action.sid])
+            action = action._replace(sid=self.old[action.sid])
         elif isinstance(action, H.DeliverBank):
-            action = replace(action,
-                             terminal_sid=self.old[action.terminal_sid])
+            action = action._replace(
+                terminal_sid=self.old[action.terminal_sid])
         self.runner.apply(action)
 
 
@@ -501,6 +501,70 @@ def test_record_text_survives_a_dump():
         assert [(r.idx, r.kind, r.actor, r.alias, r.text)
                 for r in tr.records] == \
             [(r.idx, r.kind, r.actor, r.alias, r.text) for r in back.records]
+
+
+def test_checking_a_run_builds_no_record(monkeypatch):
+    """A run keeps its records as a log; counting them, checking the run
+    and aligning it build no record object."""
+    built = Counter()
+
+    class Counted(H.TraceRecord):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built["records"] += 1
+            super().__init__(*args)
+    monkeypatch.setattr(H, "TraceRecord", Counted)
+    for sc in _attacker_runs():
+        tr = H.run_scenario(sc)
+        C.check_all_agreements(tr)
+        C.check_secrecy(tr.frame, tr.secrets)
+        assert tr.observable_shape()
+        n = len(tr.records)
+        assert built["records"] == 0, sc.strategy
+        assert n == sum(line.startswith("REC ")
+                        for line in tr.dump().splitlines())
+        # the dump read each record once, and keeps what it built
+        assert built["records"] == n
+        assert tr.records[-1] is tr.records[n - 1]
+        assert built["records"] == n
+        built.clear()
+
+
+def test_views_and_actions_are_immutable():
+    runner = H.Runner(H.Scenario())
+    runner.apply(H.StartTerminal(0))
+    runner.apply(H.StartCard(0))
+    views = runner.observe().sessions
+    assert set(views) == {"T0", "C0"}
+    for view in views.values():
+        with pytest.raises(AttributeError):
+            view.stage = "done"
+    for action in (H.StartCard(0), H.StartTerminal(0),
+                   H.Deliver("T0", T.var("w0")),
+                   H.DeliverBank("T0", T.var("w0"))):
+        with pytest.raises(AttributeError):
+            setattr(action, action._fields[0], 1)
+
+
+def test_apply_dispatches_by_class():
+    """Two actions with equal fields compare equal as tuples; apply still
+    sends a Deliver to the session and a DeliverBank to the bank, and a
+    plain tuple is no action."""
+    fields = ("T0", T.var("w0"), "")
+    assert H.Deliver(*fields) == H.DeliverBank(*fields) == fields
+    actors = {}
+    for cls in (H.Deliver, H.DeliverBank):
+        runner = H.Runner(H.Scenario())
+        runner.apply(H.StartTerminal(0))
+        n = len(runner.trace.log)
+        runner.apply(cls(*fields))
+        actors[cls] = runner.trace.log[n][:2]
+        assert runner.n_bank_requests == (cls is H.DeliverBank)
+    assert actors == {H.Deliver: ("deliver", "T0"),
+                      H.DeliverBank: ("deliver", "B0.T0")}
+    with pytest.raises(H.StrategyError, match="unknown action"):
+        runner.apply(("C0", T.var("w0"), ""))
 
 
 def test_runner_binds_variable_free_images():
