@@ -37,7 +37,9 @@ The seeds are gen, the other constants, the months and public names that
 occur in a binding, and both saturations' entries. An opening adds no
 atom, so those months and names are the atoms of every saturated entry;
 the walk that finds each frame's joinable set (_joinable) meets them, and
-no saturation is walked for them.
+no saturation is walked for them. A recipe that both saturations hold,
+each alias at least, is evaluated once: its repeat adds to the tests count
+what its first run added.
 The pool is the seeds: nothing joins it after them. A destructor
 candidate that reduces in a frame reduces to an entry of that frame's
 saturation, which opens every entry whose key derives, and that entry's
@@ -424,14 +426,17 @@ def _joinable(f: Frame):
     _opening's openings, or None when that set holds a product), in one
     walk. An opening's image is a subterm of what it opens, or [s]m of a
     blinded [s]sigv(k, m), so the walk meets every atom once it walks each
-    opening's key."""
+    opening's key. Each joinable term is hashed once (the set's size tells
+    whether it was new, as in Saturated.add), and the atom walk reads
+    fields by hand, not by T.fields: it runs once per node."""
     joinable, stack, rest = set(), list(f.bindings.values()), []
     factors, product = set(), False
     while stack:
         t = stack.pop()
-        if t in joinable:
-            continue
+        n = len(joinable)
         joinable.add(t)
+        if len(joinable) == n:
+            continue
         if t[0] == T.SMULT:
             factors.update(T.m_factors(t[1]))
         product |= t[0] == T.MULT
@@ -446,11 +451,15 @@ def _joinable(f: Frame):
     atoms = set()
     while rest:
         x = rest.pop()
-        if x[0] == T.NAME or x[0] == T.VAR or (
-                x[0] == T.CONST and x[1] == "mm"):
+        op = x[0]
+        if op == T.NAME or op == T.VAR or (op == T.CONST and x[1] == "mm"):
             atoms.add(x)
-        else:
-            rest += T.fields(x)
+        elif op == T.MULT or op == T.TUP:
+            rest += x[1]
+        elif op == T.PROJ:
+            rest.append(x[2])
+        elif op > T.VAR:
+            rest += x[1:]
     return atoms, None if product else factors
 
 
@@ -533,17 +542,19 @@ class _Bijection:
     rules into marks per frame: POINT on an [s]p, SHARED on an entry that
     breaks the smult rule as e1, and SIGV only on an [s]p whose s is a pool
     image; _rewritable leaves out the rebases it counts.
-    Rows: in row n1, _rewriting visits only the slots n2 >= n1 where a
-    candidate can rewrite, the union of:
+    Rows: _rewriting visits only the slots (n1, n2), n2 >= n1, where a
+    candidate can rewrite. _slots reads them off seal's indexes, without
+    a scan of the pool, as the union of:
     - key partners: DEC, CHECK and CHECKV rewrite only where, in a frame,
       one entry's image is the key _opening gives for the other's. Pool
-      images are distinct in each frame, so at[side] gives the one entry
-      whose image is n1's key, and openers[side] the entries that n1's
-      image opens as a key;
-    - broad partners: each member of an opens class c for which
-      _broad(opens1, c) holds, the MULT, SMULT and SIGV shapes _rewritable
-      keeps, whose rewrite needs no key.
-    Those visits come out of sets; search sorts what it tests by
+      images are distinct in each frame, so each key image in
+      openers[side] that at[side] holds names the one entry whose image
+      it is, and it pairs with each entry openers[side] lists under it,
+      in the slot (min, max) of the two;
+    - broad partners: for each two opens classes c1, c2 with _broad(c1,
+      c2), the MULT, SMULT and SIGV shapes _rewritable keeps, whose
+      rewrite needs no key, every slot from a member of c1 to one of c2.
+    Those slots come out of a set; search sorts what it tests by
     position."""
 
     def __init__(self, fa, fb, bound, pool_cap):
@@ -658,8 +669,8 @@ class _Bijection:
     def seal(self):
         """End the seed phase: from here no candidate joins the pool (_test
         raises LateJoin instead), so the pool is final. Index it for
-        _rewriting and _candidate, the only readers of opens, classes,
-        openers, enc and starts, in one loop."""
+        _slots, _rewriting and _candidate, the only readers of opens,
+        classes, openers, enc and starts, in one loop."""
         self.sealed = True
         for n, (_, a, b) in enumerate(self.pool):
             opens = frozenset(self._opens(a, 0) + self._opens(b, 1))
@@ -743,14 +754,32 @@ class _Bijection:
         ia, ib = T.norm_root(ta), T.norm_root(tb)
         return pos, recipe, ia, ib, ia is ta and ib is tb
 
+    def _slots(self) -> set:
+        """The pair slots (n1, n2), n2 >= n1, where a candidate can
+        rewrite: the key and broad partners of Rows, read off openers, at
+        and classes."""
+        slots = set()
+        for at, openers in zip(self.at, self.openers):
+            for key, opened in openers.items():
+                k = at.get(key)
+                if k is not None:
+                    slots.update((k, n) if k <= n else (n, k) for n in opened)
+        classes = self.classes.items()
+        for c1, ix1 in classes:
+            for c2, ix2 in classes:
+                if _broad(c1, c2):
+                    slots.update((n1, n2) for n1 in ix1 for n2 in ix2
+                                 if n2 >= n1)
+        return slots
+
     def _rewriting(self):
         """Yield, as _candidate gives them, the candidates that a frame
         rewrites at the root, but for the rebases the rules count: the
         probes by the key of an entry ENC-rooted in a frame, the
-        projections of a tuple, and each row's slots with its key and
-        broad partners, over the shapes _rewritable keeps. Then yield the
-        ENC pairs enc(d, k) over each entry d whose image in a frame is a
-        stuck dec under pool entry k's image, which need not rewrite."""
+        projections of a tuple, and in each of _slots' slots the shapes
+        _rewritable keeps. Then yield the ENC pairs enc(d, k) over each
+        entry d whose image in a frame is a stuck dec under pool entry k's
+        image, which need not rewrite."""
         pool, at, opens = self.pool, self.at, self.opens
         keys, stuck = [], []
         for u, (_, a, b) in enumerate(pool):
@@ -762,22 +791,9 @@ class _Bijection:
                     keys.append((T.ENC, (T.DEC, k, u), k))
                 elif img[0] == T.DEC and img[1] in at[side]:
                     stuck.append((T.ENC, u, at[side][img[1]]))
-        for n1, (_, a, b) in enumerate(pool):
-            visits = set()
-            for side, img in ((0, a), (1, b)):
-                visits.update(self.openers[side].get(img, ()))
-                opening = _opening(img)
-                if opening is not None:
-                    visits.add(at[side].get(opening[1]))
-            visits.discard(None)
-            for c, ix in self.classes.items():
-                if _broad(opens[n1], c):
-                    visits.update(ix)
-            for n2 in visits:
-                if n2 >= n1:
-                    keys += [(op, n2, n1) if swapped else (op, n1, n2)
-                             for op, swapped in
-                             _rewritable(opens[n1], opens[n2])]
+        for n1, n2 in self._slots():
+            keys += [(op, n2, n1) if swapped else (op, n1, n2)
+                     for op, swapped in _rewritable(opens[n1], opens[n2])]
         for key in keys:
             cand = self._candidate(key)
             if cand is not None and not cand[-1]:
@@ -791,12 +807,14 @@ class _Bijection:
         """Test, over the sealed pool, the candidates _rewriting yields and
         every candidate that a seed's image or a tested candidate's names
         (_locate), in enumeration order, each at its position, and count
-        every other candidate. The witness of the first clash, or None."""
+        every other candidate. The witness of the first clash, or None.
+        An atom seed image (a constant, a name or gen) is no candidate's
+        unrewritten image, so it names nothing and is not located."""
         chosen = {cand[0]: cand for cand in self._rewriting()}
-        # the images still to locate: every seed's, pooled or capped, then
-        # each chosen candidate's
+        # the images still to locate: every seed's, pooled or capped, but
+        # the atoms, then each chosen candidate's
         images = [(img, side) for side, filed in enumerate(
-            (self.by_a, self.by_b)) for img in filed]
+            (self.by_a, self.by_b)) for img in filed if img[0] > T.VAR]
         for cand in chosen.values():
             images += ((cand[2], 0), (cand[3], 1))
         named = set()
@@ -846,10 +864,19 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
     sa, sb = saturate(fa), saturate(fb)
     bij = _Bijection(fa, fb, test_bound, pool_cap)
 
+    # each alias, and any recipe the two saturations share, is a seed of
+    # both: a repeat adds to tests what its first run added, and no more
+    added = {}
     for r in _seed_recipes(sa, sb, bij.atoms):
+        tests = added.get(r)
+        if tests is not None:
+            bij.tests += tests
+            continue
+        tests = bij.tests
         verdict = bij.seed(r)
         if verdict is not None:
             return verdict
+        added[r] = bij.tests - tests
 
     bij.seal()
     verdict = bij.search()

@@ -272,6 +272,16 @@ def _parse_scen(rest: str) -> Scenario:
     return sc
 
 
+def _ground(t: Term) -> Term:
+    """t, which must hold no variable: a run's frame, events and targets
+    hold none, and derive finds no recipe for a target that holds one, so
+    such a TARGET would check as secret whatever the frame."""
+    vs = T.free_vars(t)
+    if vs:
+        raise ValueError(f"variable ?{min(vs)} in a term")
+    return t
+
+
 def parse_trace(text: str) -> Trace:
     """Rebuild the scenario header, events, aborts and frame from a dumped
     trace; this is everything the property checkers consume."""
@@ -291,20 +301,21 @@ def parse_trace(text: str) -> Trace:
                 if alias in bindings:
                     raise ValueError(f"alias {alias} is bound twice")
                 # a frame holds normal forms, as the roles build them
-                bindings[alias] = T.normalize(T.parse(img))
+                bindings[alias] = T.normalize(_ground(T.parse(img)))
             elif head == "EV":
                 tag, _, rest = rest.partition(" ")
                 sid, _, rest = rest.partition(" ")
                 role, _, args = rest.partition(" ")
                 # the checks compare event arguments as normal forms
-                args = tuple(map(T.normalize, T.parse_all(args)))
+                args = tuple(T.normalize(_ground(a))
+                             for a in T.parse_all(args))
                 tr.events.append(roles.Event(tag, args, sid, role))
             elif head == "ABORT":
                 sid, _, reason = rest.partition(" ")
                 tr.aborts.append((sid, reason))
             elif head == "TARGET":
                 label, _, t = rest.partition(" ")
-                tr.secrets.append((label, T.parse(t)))
+                tr.secrets.append((label, _ground(T.parse(t))))
             elif head == "REC":
                 idx, kind, actor, alias, text_ = rest.split("|", 4)
                 # a record's index is its position, as the dump writes it

@@ -25,9 +25,10 @@ fields() and with_fields() are the one table of these shapes: fields(t) is
 t's subterms in order (none for an atom, never a projection's index), and
 with_fields(t, fs) is the same node over new subterms. Every walk over a
 term and every rebuild of a node goes through them, except the rewrite
-kernel (_eval, norm_root) and the distinguisher's per-candidate loop,
-which read fields by hand because they run once per term or per candidate
-and a call per node there shows in the wall time.
+kernel (_eval, norm_root), the distinguisher's per-candidate loop and its
+walk of each frame's joinable set (frames._joinable), which read fields
+by hand because they run once per term, candidate or node and a call per
+node there shows in the wall time.
 
 normalize() computes the canonical form: destructors reduced where their
 constructor matches, products flattened and sorted, and scalars hoisted so

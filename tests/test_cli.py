@@ -405,6 +405,29 @@ def test_trace_record_of_unknown_kind_exits_cleanly(tmp_path, capsys):
             "error: bad trace line 20 (REC): unknown kind 'bogus'\n"))
 
 
+def test_trace_term_holding_a_variable_exits_cleanly(tmp_path, capsys):
+    """A run's frame, events and targets hold no variable, and a dump
+    writes none: a TARGET ?w0 would otherwise check as secret, though w0
+    is public. A BIND image or an EV argument holding one is rejected the
+    same way."""
+    full = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_lo", "--out", str(full))
+    lines = full.read_text().splitlines(keepends=True)
+    for head, old, new, var in (
+            ("TARGET", "TARGET card0.pin PIN0", "TARGET card0.pin ?w0", "w0"),
+            ("BIND", "BIND w0 (pk $s0)", "BIND w0 (pk ?w1)", "w1"),
+            ("EV", "EV TAccept T0 T0 kbt0 (tuple TXdata0 lo)",
+             "EV TAccept T0 T0 kbt0 (tuple ?w2 lo)", "w2")):
+        i = lines.index(old + "\n")
+        path = tmp_path / f"{head}.txt"
+        path.write_text("".join(lines[:i] + [new + "\n"] + lines[i + 1:]))
+        code = cli.main(["check", "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", (
+            f"error: bad trace line {i + 1} ({head}): variable ?{var} "
+            f"in a term\n"))
+
+
 def test_every_builtin_dump_checks(tmp_path, capsys):
     """The header check leaves every valid dump alone: each built-in
     scenario's trace checks as the scenario itself does (utxl dumps

@@ -1475,40 +1475,15 @@ def test_seed_atoms_match_the_saturation_walk():
 
 # -- the full-scan rows, as an oracle -----------------------------------------
 #
-# _Bijection._rewriting visits, in each pair row, only the slots whose
-# rewrite can fire: the entry's key partners and broad partners. The oracle
-# is the _rewriting that visits every slot n2 >= n1 of each row. Both must
-# give the same verdict, tests= count and witness.
-
-def _full_scan_rewriting(self):
-    pool, at, opens = self.pool, self.at, self.opens
-    keys, stuck = [], []
-    for u, (_, a, b) in enumerate(pool):
-        if T.PROJ in opens[u]:
-            keys += [(T.PROJ, i, u) for i in range(1, 5)]
-        for side, img in ((0, a), (1, b)):
-            if img[0] == T.ENC and img[2] in at[side]:
-                k = at[side][img[2]]
-                keys.append((T.ENC, (T.DEC, k, u), k))
-            elif img[0] == T.DEC and img[1] in at[side]:
-                stuck.append((T.ENC, u, at[side][img[1]]))
-    for n1 in range(len(pool)):
-        for n2 in range(n1, len(pool)):
-            keys += [(op, n2, n1) if swapped else (op, n1, n2)
-                     for op, swapped in
-                     F._rewritable(opens[n1], opens[n2])]
-    for key in keys:
-        cand = self._candidate(key)
-        if cand is not None and not cand[-1]:
-            yield cand
-    for key in stuck:
-        cand = self._candidate(key)
-        if cand is not None:
-            yield cand
-
+# _Bijection._rewriting visits only the pair slots that _slots reads off
+# seal's indexes, where a rewrite can fire: each entry's key partners and
+# broad partners. The oracle's _slots is every slot (n1, n2), n2 >= n1.
+# Both must give the same verdict, tests= count and witness.
 
 def _full_scan(monkeypatch):
-    monkeypatch.setattr(F._Bijection, "_rewriting", _full_scan_rewriting)
+    monkeypatch.setattr(F._Bijection, "_slots", lambda self: {
+        (n1, n2) for n1 in range(len(self.pool))
+        for n2 in range(n1, len(self.pool))})
 
 
 def _outcome(verdict):
@@ -1533,10 +1508,9 @@ def _hashed_one_binding(case):
             yield fa, F.Frame(fb.restricted, bindings)
 
 
-def test_row_matches_the_full_scan(monkeypatch):
-    """Over the group, named, probe and DH corpora, 1,500 more random named
-    and probe pairs and the paired scenarios with one binding hashed, in
-    both frame orders at bounds 2 to 6."""
+def _row_pairs():
+    """The group, named, probe and DH corpora, 1,500 more random named and
+    probe pairs and the paired scenarios with one binding hashed."""
     pairs = [make(random.Random(f"{label}{k}")) for label, make in (
         ("group", _random_group_pair), ("named", _random_named_pair),
         ("probe", _random_probe_pair), ("dh", _random_dh_pair))
@@ -1546,12 +1520,73 @@ def test_row_matches_the_full_scan(monkeypatch):
         pairs.append(_random_probe_pair(random.Random(f"scan-probe{k}")))
     for case in _PAIRED:
         pairs += _hashed_one_binding(case)
+    return pairs
+
+
+def test_row_matches_the_full_scan(monkeypatch):
+    """Over _row_pairs, in both frame orders at bounds 2 to 6."""
+    pairs = _row_pairs()
     got = _outcomes(pairs, range(2, 7))
     with monkeypatch.context() as m:
         _full_scan(m)
         want = _outcomes(pairs, range(2, 7))
     assert got == want
     assert sum(kind == "Distinguished" for kind, _, _ in got) > len(got) // 4
+
+
+def _per_entry_slots(bij):
+    """The slots of each row n1 of a sealed _Bijection, one entry at a
+    time: n1's key partners, looked up both ways (the entries whose opening
+    key is n1's image, and the entry whose image is n1's opening key), and
+    its broad partners, each n2 >= n1."""
+    pool, at, opens = bij.pool, bij.at, bij.opens
+    openers = ({}, {})
+    for n, (_, a, b) in enumerate(pool):
+        for side, img in ((0, a), (1, b)):
+            opening = F._opening(img)
+            if opening is not None:
+                openers[side].setdefault(opening[1], []).append(n)
+    slots = set()
+    for n1, (_, a, b) in enumerate(pool):
+        visits = set()
+        for side, img in ((0, a), (1, b)):
+            visits.update(openers[side].get(img, ()))
+            opening = F._opening(img)
+            if opening is not None:
+                visits.add(at[side].get(opening[1]))
+        visits.discard(None)
+        visits.update(n2 for n2 in range(len(pool))
+                      if F._broad(opens[n1], opens[n2]))
+        slots.update((n1, n2) for n2 in visits if n2 >= n1)
+    return slots
+
+
+def test_slots_match_the_per_entry_scan(monkeypatch):
+    """Over _row_pairs and the paired scenarios' final frames, in both
+    frame orders, _slots is the union that scanning each pool entry for
+    its partners gives; among them are key partners in either order, the
+    key's entry before or after the entry it opens."""
+    pairs = _row_pairs() + [_frame_pair(case)[:2] for case in _PAIRED]
+    got, want, orders, search = [], [], set(), F._Bijection.search
+
+    def comparing_search(self):
+        got.append(self._slots())
+        want.append(_per_entry_slots(self))
+        # whether a key's entry comes before the entry it opens
+        for side, at in enumerate(self.at):
+            for n, entry in enumerate(self.pool):
+                opening = F._opening(entry[1 + side])
+                k = None if opening is None else at.get(opening[1])
+                if k is not None:
+                    orders.add(k < n)
+        return search(self)
+
+    monkeypatch.setattr(F._Bijection, "search", comparing_search)
+    for fa, fb in pairs:
+        F.static_equiv(fa, fb)
+        F.static_equiv(fb, fa)
+    assert got == want
+    assert len(got) > len(pairs) and orders == {False, True}
 
 
 def _late_named_pair():

@@ -149,9 +149,11 @@ def test_search_defect_is_caught(monkeypatch, defect):
 
 # -- defects in the pair rows -------------------------------------------------
 #
-# _Bijection._rewriting visits, in each pair row, only the slots whose
-# rewrite can fire. It loses a slot if it skips the reverse-key lookup (the
-# pool entries a row's entry opens as a key).
+# _Bijection._rewriting visits only the pair slots whose rewrite can fire,
+# which _slots reads off seal's indexes. It loses slots if it skips the
+# key lookup (no entry pairs with the entries its image opens as a key), or
+# only its forward direction (a key's entry pairs only with the entries
+# after it that it opens).
 
 def _skip_reverse_key_lookup(monkeypatch):
     seal = F._Bijection.seal
@@ -164,8 +166,23 @@ def _skip_reverse_key_lookup(monkeypatch):
     monkeypatch.setattr(F._Bijection, "seal", seal_without_openers)
 
 
+def _skip_forward_key_lookup(monkeypatch):
+    seal = F._Bijection.seal
+
+    def seal_with_later_openers(self):
+        seal(self)
+        for at, openers in zip(self.at, self.openers):
+            for key, opened in openers.items():
+                k = at.get(key)
+                opened[:] = [n for n in opened if k is None or k <= n]
+
+    monkeypatch.setattr(F._Bijection, "seal", seal_with_later_openers)
+
+
 @pytest.mark.parametrize("defect, check", [
-    (_skip_reverse_key_lookup, test_frames.test_row_matches_the_full_scan)])
+    (_skip_reverse_key_lookup, test_frames.test_row_matches_the_full_scan),
+    (_skip_forward_key_lookup,
+     test_frames.test_slots_match_the_per_entry_scan)])
 def test_pair_pass_defect_is_caught(monkeypatch, defect, check):
     defect(monkeypatch)
     with pytest.raises(AssertionError):
