@@ -3,18 +3,22 @@
 check_agreement evaluates the four built-in injective-agreement
 correspondences: a commit event must be justified by run events carrying
 the same exchanged messages, and no run event justifies two commits. Each
-obligation's events are hash-joined on the values of the variables bound
-before it, so a commit meets only the events that can match it; the
-injective choice is a backtracking search with an explicit stack, so a
-trace of any length checks without deep recursion. check_all_agreements
-groups a trace's events by tag once, into one index for all four
-correspondences, and the index builds each join table at most once, under
-its (tag, key positions): CRun's table, keyed on all six of its
-arguments, serves three correspondences.
-check_secrecy asks the deduction engine for each secret. distinguish runs
-the bounded static-equivalence search over a paired run's final frames;
-paired_verdict runs the paired experiment itself, for the suites and the
-CLI alike.
+obligation's events are hash-joined on one argument, the first whose
+variable is bound before it, and each event of the bucket is tested on the
+other bound arguments, so a commit meets only the events that can match it
+and hashes one value to find them (for CRun, z1 rather than all six
+arguments). The candidates are enumerated from an explicit stack and the
+injective choice is a backtracking search over another, so a trace of any
+length checks without deep recursion. check_all_agreements groups a
+trace's events by tag once, into one index for all four correspondences,
+and the index builds each join table at most once, under its (tag, key
+position): CRun's table, keyed on z1, serves three correspondences.
+check_secrecy asks the deduction engine for each secret. Its targets must
+be normal forms holding no variable, as every Trace holds them (the roles
+build them so, and parse_trace normalizes and grounds each TARGET), so the
+search runs on each as given. distinguish runs the bounded
+static-equivalence search over a paired run's final frames; paired_verdict
+runs the paired experiment itself, for the suites and the CLI alike.
 Each violation certifies itself before it is returned: a leak's recipe is
 evaluated in the frame and must give the secret, and a distinguishing
 test's two recipes are evaluated in both frames and must be equal in the
@@ -29,6 +33,7 @@ way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import frames, harness, roles, setup_phase
 from . import terms as T
@@ -36,9 +41,16 @@ from . import terms as T
 
 @dataclass(frozen=True, slots=True)
 class Correspondence:
+    """A commit (the trigger) and the run events that must justify it, as
+    (tag, variable names) patterns; no pattern names a variable twice."""
     name: str
     trigger: tuple            # (tag, var names)
     obligations: tuple        # ((tag, var names), ...)
+
+    def __post_init__(self):
+        for tag, varnames in (self.trigger, *self.obligations):
+            if len(set(varnames)) != len(varnames):
+                raise ValueError(f"{self.name}: {tag} repeats a variable")
 
 
 CORRESPONDENCES = (
@@ -83,21 +95,10 @@ class Verdict:
         return f"CHECK {self.name} {self.status}{tail}"
 
 
-def _unify(args, varnames, binding):
-    new = dict(binding)
-    for value, vn in zip(args, varnames):
-        if vn in new:
-            if new[vn] != value:
-                return None
-        else:
-            new[vn] = value
-    return new
-
-
 class _EventIndex:
     """A trace's events grouped by tag, each tag's (index, event) pairs in
     event order, and the join tables built over them so far, each under
-    its (tag, key positions)."""
+    its (tag, key position)."""
     __slots__ = ("pools", "tables")
 
     def __init__(self, events):
@@ -107,44 +108,92 @@ class _EventIndex:
         self.tables: dict = {}
 
 
-def _join_tables(corr, index: _EventIndex):
-    """Per obligation, (key positions, table): the positions of its
-    variables bound before it (by the trigger or an earlier obligation),
-    and its tag's (index, event) pairs keyed by their values there, each
-    bucket in event order. A table is built at most once per index and
-    shared by every correspondence that joins the same tag on the same
-    positions."""
-    bound = set(corr.trigger[1])
-    tables = []
+class _Join(NamedTuple):
+    """How one obligation's events are looked up and tested against a
+    binding: the arguments of the trigger and of each event chosen so far,
+    concatenated, so that a variable's value sits at the slot of its first
+    occurrence. The events are the table's bucket under the value at the
+    key slot, or with no key (None) the whole pool. An event agrees when
+    its argument at each position of checks equals the binding at the
+    paired slot."""
+    key: int | None
+    events: object        # the table (dict) or, with no key, the pool
+    checks: tuple         # (position, slot) of each other bound argument
+
+
+def _join_tables(corr, index: _EventIndex) -> list:
+    """Per obligation, its _Join: its tag's events keyed on one argument,
+    the first whose variable the trigger or an earlier obligation binds,
+    each bucket in event order. Keyed on that one value, CRun's table
+    hashes z1 per event and per lookup, not all six arguments (ec, emc,
+    etx and eac are deep). Every other bound argument is compared per
+    event, so an obligation's agreeing events are those a scan of its tag
+    would find, in the same order. An obligation with no bound argument
+    reads its whole pool. A table is built at most once per index and
+    shared by every correspondence that keys the same tag on the same
+    position: CRun's, keyed on z1, serves three."""
+    slot = {vn: j for j, vn in enumerate(corr.trigger[1])}
+    width = len(slot)
+    joins = []
     for tag, varnames in corr.obligations:
-        pos = tuple(j for j, vn in enumerate(varnames) if vn in bound)
-        table = index.tables.get((tag, pos))
-        if table is None:
-            table = index.tables[tag, pos] = {}
-            for idx, ev in index.pools.get(tag, ()):
-                table.setdefault(tuple(ev.args[j] for j in pos), []).append(
-                    (idx, ev))
-        tables.append((pos, table))
-        bound.update(varnames)
-    return tables
+        key = next((j for j, vn in enumerate(varnames) if vn in slot), None)
+        pool = index.pools.get(tag, [])
+        if key is None:
+            events = pool
+        else:
+            events = index.tables.get((tag, key))
+            if events is None:
+                events = index.tables[tag, key] = {}
+                for pair in pool:
+                    events.setdefault(pair[1].args[key], []).append(pair)
+        checks = tuple((j, slot[vn]) for j, vn in enumerate(varnames)
+                       if vn in slot and j != key)
+        joins.append(_Join(None if key is None else slot[varnames[key]],
+                           events, checks))
+        for j, vn in enumerate(varnames):
+            slot.setdefault(vn, width + j)
+        width += len(varnames)
+    return joins
 
 
-def _candidate_tuples(corr, binding, tables, i=0, chosen=()):
-    """All ways to satisfy the obligation conjunction from obligation i on,
-    with consistent existential variables; yields tuples of event indices,
-    in the order a scan of each obligation's events would find them."""
-    if i == len(corr.obligations):
-        yield chosen
-        return
-    varnames = corr.obligations[i][1]
-    pos, table = tables[i]
-    for idx, ev in table.get(tuple(binding[varnames[j]] for j in pos), ()):
-        if idx in chosen:
+def _agrees(args, join: _Join, binding) -> bool:
+    """Whether an event's arguments agree with the binding at every bound
+    position but the key; a test only, that builds nothing."""
+    for j, s in join.checks:
+        if binding[s] != args[j]:
+            return False
+    return True
+
+
+def _candidate_tuples(binding, joins) -> list:
+    """All ways to satisfy the obligation conjunction, with consistent
+    existential variables, from a commit's binding (its arguments), as
+    tuples of event indices in the order a scan of each obligation's
+    events would find them: depth-first, from an explicit stack of partial
+    choices (binding, chosen indices), each level's children pushed in
+    reverse. Only a level below the last extends the binding, by the
+    chosen event's arguments."""
+    if not joins:
+        return [()]
+    last = len(joins) - 1
+    found = []
+    stack = [(binding, ())]
+    while stack:
+        binding, chosen = stack.pop()
+        level = len(chosen)
+        join = joins[level]
+        events = join.events if join.key is None else \
+            join.events.get(binding[join.key], ())
+        if level == last:
+            for idx, ev in events:
+                if idx not in chosen and _agrees(ev.args, join, binding):
+                    found.append(chosen + (idx,))
             continue
-        nxt = _unify(ev.args, varnames, binding)
-        if nxt is not None:
-            yield from _candidate_tuples(corr, nxt, tables, i + 1,
-                                         chosen + (idx,))
+        children = [(binding + ev.args, chosen + (idx,))
+                    for idx, ev in events
+                    if idx not in chosen and _agrees(ev.args, join, binding)]
+        stack += reversed(children)
+    return found
 
 
 def _injective(candidates) -> bool:
@@ -180,11 +229,10 @@ def check_agreement(trace, corr: Correspondence,
     the caller shares one across correspondences."""
     if index is None:
         index = _EventIndex(trace.events)
-    tables = _join_tables(corr, index)
+    joins = _join_tables(corr, index)
     candidates = []
     for idx, ev in index.pools.get(corr.trigger[0], ()):
-        binding = _unify(ev.args, corr.trigger[1], {})
-        tuples = list(_candidate_tuples(corr, binding, tables))
+        tuples = _candidate_tuples(ev.args, joins)
         if not tuples:
             return Verdict(corr.name, "violated",
                            f"commit#{idx}:{ev.tag}@{ev.session_id} unmatched")
@@ -205,13 +253,18 @@ def check_all_agreements(trace):
 
 
 def check_secrecy(frame: frames.Frame, targets, bound: int = frames.DERIVE_BOUND):
-    """Violated iff any target is attacker-derivable within the bound."""
+    """Violated iff any target is attacker-derivable within the bound. Each
+    target must be a normal form holding no variable, as every Trace holds
+    them: the roles build them so and parse_trace normalizes and grounds
+    each TARGET. So the cost search runs on a target as given
+    (frames.derive_nf), without derive's normalize and free_vars walks, and
+    a leak's recipe must evaluate to the target itself."""
     sat = frames.saturate(frame)
     leaks = []
     for label, target in targets:
-        recipe = frames.derive(sat, target, bound)
+        recipe = frames.derive_nf(sat, target, bound)
         if recipe is not None:
-            if frames.recipe_value(frame, recipe) != T.normalize(target):
+            if frames.recipe_value(frame, recipe) != target:
                 raise UncertifiedWitness(
                     f"leak recipe {T.to_text(recipe)} does not give {label}")
             leaks.append(f"{label}<-{T.to_text(recipe)}")

@@ -315,7 +315,9 @@ def parse_trace(text: str) -> Trace:
                 tr.aborts.append((sid, reason))
             elif head == "TARGET":
                 label, _, t = rest.partition(" ")
-                tr.secrets.append((label, _ground(T.parse(t))))
+                # check_secrecy reads a target as a normal form, as the
+                # roles build it
+                tr.secrets.append((label, T.normalize(_ground(T.parse(t)))))
             elif head == "REC":
                 idx, kind, actor, alias, text_ = rest.split("|", 4)
                 # a record's index is its position, as the dump writes it

@@ -11,8 +11,9 @@ import pytest
 import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
+import utxsim.strategies as S
 import utxsim.terms as T
-from utxsim.roles import Event
+from utxsim.roles import EVENT_ARITY, Event
 from test_harness import _ATTACKERS
 
 
@@ -169,6 +170,17 @@ def test_agreement_checks_long_traces():
     assert counting_oracle(tr, corr) == "violated"
 
 
+def _unify(args, varnames, binding):
+    new = dict(binding)
+    for value, vn in zip(args, varnames):
+        if vn in new:
+            if new[vn] != value:
+                return None
+        else:
+            new[vn] = value
+    return new
+
+
 def _nested_loop_tuples(corr, binding, pools):
     """Reference: every event of each obligation's tag, in event order,
     unified against the variables bound so far."""
@@ -181,20 +193,20 @@ def _nested_loop_tuples(corr, binding, pools):
         for idx, ev in pools.get(tag, ()):
             if idx in chosen:
                 continue
-            nxt = C._unify(ev.args, varnames, bound)
+            nxt = _unify(ev.args, varnames, bound)
             if nxt is not None:
                 yield from go(i + 1, nxt, chosen + [idx])
 
     yield from go(0, binding, [])
 
 
-def _assert_join_matches_nested_loop(events):
+def _assert_join_matches_nested_loop(events, correspondences=C.CORRESPONDENCES):
     index = C._EventIndex(events)
-    for corr in C.CORRESPONDENCES:
-        tables = C._join_tables(corr, index)
+    for corr in correspondences:
+        joins = C._join_tables(corr, index)
         for _, ev in index.pools.get(corr.trigger[0], ()):
-            binding = C._unify(ev.args, corr.trigger[1], {})
-            assert list(C._candidate_tuples(corr, binding, tables)) == \
+            binding = _unify(ev.args, corr.trigger[1], {})
+            assert C._candidate_tuples(ev.args, joins) == \
                 list(_nested_loop_tuples(corr, binding, index.pools)), \
                 corr.name
 
@@ -236,6 +248,62 @@ def test_hash_join_matches_nested_loop(checked_traces):
         _assert_join_matches_nested_loop(events)
 
 
+_OBLIGATION_TAGS = {tag for corr in C.CORRESPONDENCES
+                    for tag, _ in corr.obligations}
+
+
+def _with_decoys(events):
+    """The events with, before each event of an obligation's tag, one copy
+    per argument after its first, hashed there: equal to it at the first
+    argument, which every built-in obligation is joined on, and different
+    in one other."""
+    out = []
+    for ev in events:
+        if ev.tag in _OBLIGATION_TAGS:
+            out += [replace(ev, args=ev.args[:j] + (T.h(ev.args[j]),)
+                            + ev.args[j + 1:])
+                    for j in range(1, len(ev.args))]
+        out.append(ev)
+    return out
+
+
+# an obligation with no bound argument; one keyed on the trigger's; one
+# keyed on a variable an earlier obligation binds, which also checks
+# another and reuses the first one's tag; and a correspondence with no
+# obligation at all
+_SYNTHETIC = (
+    C.Correspondence("unkeyed-first", ("BComC", ("u",)),
+                     (("BRunT", ("x", "w")), ("TAccept", ("u", "y")),
+                      ("BRunT", ("y", "x")))),
+    C.Correspondence("trigger-only", ("BComC", ("u",)), ()),
+)
+
+
+def test_join_compares_every_bound_argument():
+    """A table is keyed on one argument, so a bucket also holds events that
+    agree there and differ in another bound argument: the candidate tuples
+    still match the nested loop's, on runs with a decoy before each event
+    an obligation reads, and on synthetic correspondences over events
+    drawn from three names."""
+    for name in ("honest_onhi", "mixed_fuzz", "replay_cryptogram_nocheck"):
+        for seed in range(2):
+            tr = H.run_scenario(replace(C.SCENARIOS[name], seed=seed))
+            _assert_join_matches_nested_loop(_with_decoys(tr.events))
+    rng = random.Random(5)
+    names = [T.name(f"v{i}", "data") for i in range(3)]
+    for _ in range(20):
+        events = []
+        for _ in range(30):
+            tag = rng.choice(("BComC", "BRunT", "TAccept"))
+            args = tuple(rng.choice(names)
+                         for _ in range(EVENT_ARITY[tag]))
+            events.append(Event(tag, args, "S", "R"))
+        _assert_join_matches_nested_loop(events, _SYNTHETIC)
+    with pytest.raises(ValueError):
+        C.Correspondence("repeats", ("BComC", ("u",)),
+                         (("BRunT", ("x", "x")),))
+
+
 def test_all_agreements_share_one_index(checked_traces):
     """check_all_agreements, with one event index for the four
     correspondences, gives the verdicts of four one-off check_agreement
@@ -265,6 +333,25 @@ def test_checking_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_secrecy_targets_are_normal_and_ground():
+    """check_secrecy searches each target as given, so every Trace holds
+    its targets as normal forms without variables: every built-in scenario
+    under every built-in attacker, in both worlds at seeds 0-2, and the
+    many-session attacker runs."""
+    runs = [replace(sc, strategy=strategy, world=w, seed=s)
+            for sc in C.SCENARIOS.values()
+            for strategy in S.builtin_strategies()
+            for w in ("real", "ideal") for s in range(3)]
+    runs += _attacker_scenarios()
+    seen = 0
+    for sc in runs:
+        for label, target in H.run_scenario(sc).secrets:
+            assert T.normalize(target) == target, (sc, label)
+            assert not T.free_vars(target), (sc, label)
+            seen += 1
+    assert seen > len(runs)
 
 
 def test_secrecy_honest_and_leaky():
@@ -326,20 +413,21 @@ def test_distinguish_rechecks_its_witness(monkeypatch):
 
 def test_secrecy_rechecks_each_leak(monkeypatch):
     """A leak's recipe is evaluated in the frame before it becomes a
-    verdict, and must give the secret."""
+    verdict, and must give the secret: corrupt the cost search that
+    check_secrecy runs, and the re-check refuses its recipe."""
     import pytest
     leaky = H.run_scenario(H.Scenario(protocol="utxl",
                                       terminals=(("lo", None),),
                                       strategy="passive",
                                       pin_leaked=True, contact=False))
     assert C.check_secrecy(leaky.frame, leaky.secrets).status == "violated"
-    derive = F.derive
+    derive_nf = F.derive_nf
 
     def wrong(sat, target, bound):
-        got = derive(sat, target, bound)
+        got = derive_nf(sat, target, bound)
         return None if got is None else T.h(got)
 
-    monkeypatch.setattr(F, "derive", wrong)
+    monkeypatch.setattr(F, "derive_nf", wrong)
     with pytest.raises(C.UncertifiedWitness):
         C.check_secrecy(leaky.frame, leaky.secrets)
 

@@ -343,6 +343,24 @@ def test_trace_event_arguments_are_read_as_normal_forms(tmp_path, capsys):
     assert "CHECK terminal-agrees-card holds" in text.splitlines()
 
 
+def test_trace_targets_are_read_as_normal_forms(tmp_path, capsys):
+    """A TARGET is the message it equals: a leaked pin written as
+    (proj 1 (tuple PIN0 mk0)) still reads violated, with the recipe the
+    run's own target gets, though mk0 is secret."""
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "utxl_lo", "--seed", "0",
+            "--out", str(path))
+    code, want = run_cli(capsys, "check", "--trace", str(path))
+    assert code == 1
+    assert "CHECK secrecy violated card0.pin<-?w4" in want.splitlines()
+    text = path.read_text()
+    old = "TARGET card0.pin PIN0\n"
+    assert old in text
+    path.write_text(text.replace(
+        old, "TARGET card0.pin (proj 1 (tuple PIN0 mk0))\n"))
+    assert run_cli(capsys, "check", "--trace", str(path)) == (1, want)
+
+
 def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
     # a frame binds each alias once; a repeated BIND line is not a trace
     path = tmp_path / "tr.txt"

@@ -421,9 +421,9 @@ def test_incremental_records_match_a_scan():
 
 def test_costs_grow_linearly_in_sessions(monkeypatch):
     """Per session, a run under each attacker and its agreement and secrecy
-    checks make about as many routing visits, unifications, multiset
-    subtractions and deduction cost lookups at 160 sessions as at 40: none
-    of them scans every session, event or block."""
+    checks make about as many routing visits, join consistency tests,
+    multiset subtractions and deduction cost lookups at 160 sessions as at
+    40: none of them scans every session, event or block."""
     counts = Counter()
 
     def counted(owner, name):
@@ -434,7 +434,7 @@ def test_costs_grow_linearly_in_sessions(monkeypatch):
             return fn(*args, **kw)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(C, "_unify")
+    counted(C, "_agrees")
     counted(F, "_minus")
     counted(F, "_cost")
     counted(S.Pump, "_route_one")
@@ -451,12 +451,12 @@ def test_costs_grow_linearly_in_sessions(monkeypatch):
             assert {v.status for v in verdicts} == {"holds"}, name
             per_session[n] = {k: c / n for k, c in counts.items()}
         # compare the counters that fired: a run that drops every message
-        # has no commit to unify
+        # has no commit to match
         assert per_session[160].keys() == per_session[40].keys(), name
         for counter, small in per_session[40].items():
             assert per_session[160][counter] <= 1.5 * small, (name, counter)
         fired |= per_session[40].keys()
-    assert fired == {"_unify", "_minus", "_cost", "_route_one"}
+    assert fired == {"_agrees", "_minus", "_cost", "_route_one"}
 
 
 # -- what a checked run reads ---------------------------------------------------

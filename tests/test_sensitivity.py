@@ -4,15 +4,19 @@ A bounded search that never finds anything would still produce green
 bounded-pass lines, so these tests feed it defects it must catch: mutated
 frames from genuine paired runs, a card that reuses its blinding scalar,
 and a credential shown unblinded. Each is detected at small bounds. The
-last tests break the distinguisher's search and pair rows themselves and
-check that the tests of test_frames notice.
+last tests break the distinguisher's search and pair rows, and the
+property checks' join and secrecy targets, and check that the tests of
+test_frames, test_checks and test_cli notice.
 """
 
 import pytest
 
+import test_checks
+import test_cli
 import test_frames
 from test_frames import build
 
+import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
@@ -187,3 +191,39 @@ def test_pair_pass_defect_is_caught(monkeypatch, defect, check):
     defect(monkeypatch)
     with pytest.raises(AssertionError):
         check(monkeypatch)
+
+
+# -- defects in the property checks -------------------------------------------
+#
+# An agreement's join tables are keyed on one argument, so the consistency
+# test must still compare every other bound argument; and check_secrecy
+# searches each target as given, so parse_trace must hand it a TARGET as
+# its normal form.
+
+def _join_skips_other_arguments(monkeypatch, tmp_path, capsys):
+    join_tables = C._join_tables
+    monkeypatch.setattr(C, "_join_tables", lambda corr, index: [
+        join._replace(checks=())
+        for join in join_tables(corr, index)])
+    test_checks.test_join_compares_every_bound_argument()
+
+
+def _targets_left_unnormalized(monkeypatch, tmp_path, capsys):
+    parse_trace = H.parse_trace
+
+    def parse_keeping_targets(text):
+        tr = parse_trace(text)
+        tr.secrets = [(label, T.parse(t)) for label, _, t in (
+            line[len("TARGET "):].partition(" ")
+            for line in text.splitlines() if line.startswith("TARGET "))]
+        return tr
+
+    monkeypatch.setattr(H, "parse_trace", parse_keeping_targets)
+    test_cli.test_trace_targets_are_read_as_normal_forms(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("defect", [
+    _join_skips_other_arguments, _targets_left_unnormalized])
+def test_check_defect_is_caught(monkeypatch, tmp_path, capsys, defect):
+    with pytest.raises(AssertionError):
+        defect(monkeypatch, tmp_path, capsys)
