@@ -252,17 +252,18 @@ def check_all_agreements(trace):
     return [check_agreement(trace, c, index) for c in CORRESPONDENCES]
 
 
-def check_secrecy(frame: frames.Frame, targets, bound: int = frames.DERIVE_BOUND):
-    """Violated iff any target is attacker-derivable within the bound. Each
-    target must be a normal form holding no variable, as every Trace holds
-    them: the roles build them so and parse_trace normalizes and grounds
-    each TARGET. So the cost search runs on a target as given
-    (frames.derive_nf), without derive's normalize and free_vars walks, and
-    a leak's recipe must evaluate to the target itself."""
+def check_secrecy(frame: frames.Frame, targets):
+    """Violated iff any target is attacker-derivable within the size bound
+    frames.DERIVE_BOUND. Each target must be a normal form holding no
+    variable, as every Trace holds them: the roles build them so and
+    parse_trace normalizes and grounds each TARGET. So the cost search runs
+    on a target as given (frames.derive_nf), without derive's normalize and
+    free_vars walks, and a leak's recipe must evaluate to the target
+    itself."""
     sat = frames.saturate(frame)
     leaks = []
     for label, target in targets:
-        recipe = frames.derive_nf(sat, target, bound)
+        recipe = frames.derive_nf(sat, target, frames.DERIVE_BOUND)
         if recipe is not None:
             if frames.recipe_value(frame, recipe) != target:
                 raise UncertifiedWitness(
@@ -270,18 +271,15 @@ def check_secrecy(frame: frames.Frame, targets, bound: int = frames.DERIVE_BOUND
             leaks.append(f"{label}<-{T.to_text(recipe)}")
     if leaks:
         return Verdict("secrecy", "violated", "; ".join(leaks))
-    return Verdict("secrecy", "holds", f"bound={bound}")
+    return Verdict("secrecy", "holds", f"bound={frames.DERIVE_BOUND}")
 
 
-def distinguish(real, ideal, test_bound: int = frames.TEST_BOUND,
-                pool_cap: int = frames.POOL_CAP) -> Verdict:
+def distinguish(real, ideal, test_bound: int = frames.TEST_BOUND) -> Verdict:
     """Bounded real-vs-ideal distinguishing experiment over final frames."""
-    verdict = frames.static_equiv(real.frame, ideal.frame,
-                                  test_bound=test_bound, pool_cap=pool_cap)
+    verdict = frames.static_equiv(real.frame, ideal.frame, test_bound)
     if verdict:
-        capped = " capped=1" if verdict.capped else ""
         return Verdict("distinguish", "bounded-pass",
-                       f"bound={test_bound} tests={verdict.tests}{capped}")
+                       f"bound={test_bound} tests={verdict.tests}")
     holds = [frames.recipe_value(f, verdict.left)
              == frames.recipe_value(f, verdict.right)
              for f in (real.frame, ideal.frame)]
@@ -334,8 +332,7 @@ SCENARIOS = {
 }
 
 
-def paired_verdict(sc, test_bound: int = frames.TEST_BOUND,
-                   pool_cap: int = frames.POOL_CAP) -> Verdict:
+def paired_verdict(sc, test_bound: int = frames.TEST_BOUND) -> Verdict:
     """The paired real/ideal experiment of a scenario: violated at the first
     step where the two worlds stop aligning, else distinguish's verdict
     over the final frames."""
@@ -343,7 +340,7 @@ def paired_verdict(sc, test_bound: int = frames.TEST_BOUND,
         real, ideal = harness.run_paired(sc)
     except harness.AlignmentFailure as e:
         return Verdict("distinguish", "violated", f"alignment step {e.step}")
-    return distinguish(real, ideal, test_bound, pool_cap)
+    return distinguish(real, ideal, test_bound)
 
 
 @dataclass(frozen=True, slots=True)
@@ -510,25 +507,24 @@ class Report:
         yield f"SUITE {self.name} {'pass' if self.ok() else 'FAIL'}"
 
 
-def _run_row(row: Row, seed: int, test_bound: int, pool_cap: int):
+def _run_row(row: Row, seed: int, test_bound: int):
     if not row.scenario:
         return None
     sc = replace(SCENARIOS[row.scenario], seed=seed + row.seed_offset,
                  **row.overrides)
     if not row.paired:
         return harness.run_scenario(sc)
-    return paired_verdict(sc, test_bound, pool_cap)
+    return paired_verdict(sc, test_bound)
 
 
 def run_suite(name: str, seed: int = 0, test_bound: int = frames.TEST_BOUND,
-              pool_cap: int = frames.POOL_CAP, sessions: int = 3,
-              n_fuzzers: int = 42) -> Report:
+              sessions: int = 3, n_fuzzers: int = 42) -> Report:
     table = suites(sessions, n_fuzzers)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(table)}")
     rep = Report(name)
     for row in table[name]:
-        result = _run_row(row, seed, test_bound, pool_cap)
+        result = _run_row(row, seed, test_bound)
         for prop, label, expected in row.lines:
             verdicts = prop(result)
             if isinstance(expected, str):

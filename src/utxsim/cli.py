@@ -130,16 +130,14 @@ def cmd_check(args) -> int:
     else:
         trace = harness.run_scenario(_scenario(args))
     verdicts = checks.check_all_agreements(trace)
-    verdicts.append(checks.check_secrecy(trace.frame, trace.secrets,
-                                         args.derive_bound))
+    verdicts.append(checks.check_secrecy(trace.frame, trace.secrets))
     lines = "".join(v.line() + "\n" for v in verdicts)
     _emit(lines, args.out)
     return 1 if any(v.status == "violated" for v in verdicts) else 0
 
 
 def cmd_distinguish(args) -> int:
-    verdict = checks.paired_verdict(_scenario(args), args.test_bound,
-                                    args.pool_cap)
+    verdict = checks.paired_verdict(_scenario(args), args.test_bound)
     _emit(verdict.line() + "\n", args.out)
     return 0 if verdict.status == "bounded-pass" else 1
 
@@ -147,8 +145,7 @@ def cmd_distinguish(args) -> int:
 def cmd_suite(args) -> int:
     report = checks.run_suite(args.name, seed=args.seed,
                               test_bound=args.test_bound,
-                              pool_cap=args.pool_cap, sessions=args.sessions,
-                              n_fuzzers=args.fuzzers)
+                              sessions=args.sessions, n_fuzzers=args.fuzzers)
     _emit("".join(line + "\n" for line in report.render()), args.out)
     return 0 if report.ok() else 1
 
@@ -205,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     count = _at_least(0)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def bounds(sp):     # the distinguisher's
-        sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
-        sp.add_argument("--pool-cap", type=count, default=frames.POOL_CAP)
-
     def scenario_flags(sp, world=True):
         sp.add_argument("--scenario", default=None,
                         help="built-in scenario name or scenario file "
@@ -238,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check",
                         help="agreement and secrecy verdicts over a trace")
     scenario_flags(sp)
-    sp.add_argument("--derive-bound", type=count,
-                    default=frames.DERIVE_BOUND)
     sp.add_argument("--trace", default=None,
                     help="previously dumped trace, in place of a scenario")
     sp.set_defaults(fn=cmd_check)
@@ -247,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distinguish",
                         help="paired real/ideal bounded distinguishing run")
     scenario_flags(sp, world=False)     # run_paired runs both worlds
-    bounds(sp)
+    sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("suite", help="run a named experiment battery")
     sp.add_argument("name", choices=sorted(checks.suites()))
     sp.add_argument("--seed", type=int, default=default_seed)
-    bounds(sp)
+    sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
     sp.add_argument("--out", default=None, help="output file (stdout)")
     sp.add_argument("--sessions", type=count, default=3,
                     help="sessions per unlinkability experiment")

@@ -64,8 +64,7 @@ The tests count is every enumerated candidate, each at the position its
 pool indices give; only a candidate that a rewrite or a known image can
 make collide is tested, and every other is counted by arithmetic
 (_Bijection states the rule and why it is exact). A pass is a bounded
-guarantee, never a proof; it also says when the pool cap, not the bound,
-ended the search.
+guarantee, never a proof.
 
 A run's frame is its one record of what the attacker has seen, and it only
 grows, through Frame.bind. The analyses here only read their frames, so
@@ -84,7 +83,6 @@ from .terms import Term
 
 DERIVE_BOUND = 8
 TEST_BOUND = 6
-POOL_CAP = 6000
 ALIAS_PREFIX = "w"
 
 
@@ -333,9 +331,7 @@ def _smult_cost(sat: Saturated, t: Term):
 
 @dataclass(slots=True)
 class Equivalent:
-    bound: int
     tests: int
-    capped: bool = False   # the pool cap turned seeds away
 
     def __bool__(self):
         return True
@@ -484,9 +480,8 @@ def _joinable(f: Frame):
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
-    counted in tests, in enumeration order; the pool cap only limits which
-    seeds join the pool. The test bound is set once, at construction, and
-    _candidate reads it.
+    counted in tests, in enumeration order. The test bound is set once, at
+    construction, and _candidate reads it.
 
     Images are evaluated incrementally: a seed is evaluated in each frame
     by T.apply, which takes the bindings as given (an alias seed's images
@@ -575,7 +570,7 @@ class _Bijection:
     Those slots come out of a set; search sorts what it tests by
     position."""
 
-    def __init__(self, fa, fb, bound, pool_cap):
+    def __init__(self, fa, fb, bound):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
         (aa, xa), (ab, xb) = _joinable(fa), _joinable(fb)
         self.atoms = aa | ab     # the atoms of either frame's bindings
@@ -584,8 +579,6 @@ class _Bijection:
         # per frame: the joinable scalars' factors, None past a product
         self.factors = (xa, xb)
         self.bound = bound       # the test bound, on recipe size
-        self.pool_cap = pool_cap
-        self.capped = False
         self.by_a: dict = {}
         self.by_b: dict = {}
         self.pool: list = []     # (recipe, img_a, img_b)
@@ -637,10 +630,9 @@ class _Bijection:
             if op in _DESTRUCTORS and (ia[0] != op or ib[0] != op):
                 raise LateJoin(f"{T.to_text(recipe)} would join the pool "
                                f"after the seeds")
-        elif len(self.pool) < self.pool_cap:
-            self._join(recipe, ia, ib)
         else:
-            self.capped = True
+            self.at[0][ia] = self.at[1][ib] = len(self.pool)
+            self.pool.append((recipe, ia, ib))
         return None
 
     def _locate(self, img: Term, side: int):
@@ -678,11 +670,6 @@ class _Bijection:
             yield (*img[:-1], ix[0])
         else:
             yield _pair_key(op, *ix)
-
-    def _join(self, recipe: Term, ia: Term, ib: Term):
-        n = len(self.pool)
-        self.pool.append((recipe, ia, ib))
-        self.at[0][ia] = self.at[1][ib] = n
 
     def seal(self):
         """End the seed phase: from here no candidate joins the pool (_test
@@ -829,8 +816,8 @@ class _Bijection:
         An atom seed image (a constant, a name or gen) is no candidate's
         unrewritten image, so it names nothing and is not located."""
         chosen = {cand[0]: cand for cand in self._rewriting()}
-        # the images still to locate: every seed's, pooled or capped, but
-        # the atoms, then each chosen candidate's
+        # the images still to locate: every seed's but the atoms, then each
+        # chosen candidate's
         images = [(img, side) for side, filed in enumerate(
             (self.by_a, self.by_b)) for img in filed if img[0] > T.VAR]
         for cand in chosen.values():
@@ -872,15 +859,14 @@ def _seed_recipes(sa: Saturated, sb: Saturated, atoms):
     return seeds
 
 
-def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
-                 pool_cap: int = POOL_CAP):
+def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND):
     """Bounded distinguisher search between two frames with equal domains."""
     domain = list(fa.bindings)
     if domain != list(fb.bindings):
         raise DomainMismatch(
             f"alias domains differ: {domain} vs {list(fb.bindings)}")
     sa, sb = saturate(fa), saturate(fb)
-    bij = _Bijection(fa, fb, test_bound, pool_cap)
+    bij = _Bijection(fa, fb, test_bound)
 
     # each alias, and any recipe the two saturations share, is a seed of
     # both: a repeat adds to tests what its first run added, and no more
@@ -900,4 +886,4 @@ def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND,
     verdict = bij.search()
     if verdict is not None:
         return verdict
-    return Equivalent(test_bound, bij.tests, bij.capped)
+    return Equivalent(bij.tests)

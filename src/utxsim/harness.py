@@ -114,6 +114,8 @@ class Scenario:
             raise ScenarioInvalid(f"unknown protocol {self.protocol}")
         if self.world not in WORLDS:
             raise ScenarioInvalid(f"unknown world {self.world}")
+        if self.strategy not in strategies._CATALOG:
+            raise ScenarioInvalid(f"unknown strategy {self.strategy!r}")
         for what, count in (("cards", self.cards), ("sessions", self.sessions)):
             if count < 0:
                 raise ScenarioInvalid(f"{what} {count} is negative")
@@ -312,6 +314,8 @@ def parse_trace(text: str) -> Trace:
                 tr.events.append(roles.Event(tag, args, sid, role))
             elif head == "ABORT":
                 sid, _, reason = rest.partition(" ")
+                if not sid or not reason:
+                    raise ValueError("want a session id and a reason")
                 tr.aborts.append((sid, reason))
             elif head == "TARGET":
                 label, _, t = rest.partition(" ")

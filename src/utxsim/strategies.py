@@ -493,8 +493,6 @@ def builtin_strategies():
 
 
 def make_strategy(sc: H.Scenario):
-    try:
-        cls = _CATALOG[sc.strategy]
-    except KeyError:
-        raise H.ScenarioInvalid(f"unknown strategy {sc.strategy!r}") from None
-    return cls(sc)
+    """The scenario's attacker program; its strategy name is one of
+    _CATALOG's, as Scenario.validate_header checks."""
+    return _CATALOG[sc.strategy](sc)

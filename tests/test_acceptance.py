@@ -114,7 +114,7 @@ def test_criterion_4_secrecy(mixed_traces):
     t0 = time.monotonic()
     leaks = []
     for k, tr in enumerate(mixed_traces):
-        v = C.check_secrecy(tr.frame, tr.secrets, bound=8)
+        v = C.check_secrecy(tr.frame, tr.secrets)
         if v.status != "holds":
             leaks.append((k, v.witness))
     # cross-validation of the deduction engine on small frames

@@ -449,13 +449,11 @@ def test_suite_report_rendering():
     assert not rep.ok()
 
 
-def test_distinguish_reports_pool_cap():
+def test_distinguish_reports_default_bound():
     real, ideal = H.run_paired(H.Scenario(sessions=3))
-    capped = C.distinguish(real, ideal, pool_cap=10)
-    assert capped.line() == \
-        "CHECK distinguish bounded-pass bound=6 tests=1850 capped=1"
-    full = C.distinguish(real, ideal)
-    assert full.line() == "CHECK distinguish bounded-pass bound=6 tests=35630"
+    verdict = C.distinguish(real, ideal)
+    assert verdict.line() == \
+        "CHECK distinguish bounded-pass bound=6 tests=35630"
 
 
 # Rendered reports of the short batteries at seed 0. A change to the search

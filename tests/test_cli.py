@@ -393,6 +393,34 @@ def test_unknown_trace_record_exits_cleanly(tmp_path, capsys):
             f"error: bad trace line {lineno} ({head}): unknown record\n"))
 
 
+@pytest.mark.parametrize("line", ["ABORT", "ABORT C0", "ABORT  Replay"])
+def test_abort_without_session_or_reason_exits_cleanly(tmp_path, capsys,
+                                                       line):
+    """An ABORT record names the session that aborted and why, as a dump
+    writes it."""
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_lo", "--out", str(path))
+    scen = path.read_text().splitlines()[0]
+    path.write_text(f"{scen}\n{line}\n")
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", (
+        "error: bad trace line 2 (ABORT): want a session id and a reason\n"))
+
+
+def test_trace_header_with_unknown_strategy_exits_cleanly(tmp_path, capsys):
+    """A SCEN header names one of the built-in attacker programs."""
+    path = tmp_path / "tr.txt"
+    run_cli(capsys, "run", "--scenario", "honest_lo", "--out", str(path))
+    text = path.read_text()
+    assert " strategy=passive" in text.splitlines()[0]
+    path.write_text(text.replace(" strategy=passive", " strategy=nosuch", 1))
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", (
+        "error: bad trace line 1 (SCEN): unknown strategy 'nosuch'\n"))
+
+
 def _check_rec_line(tmp_path, capsys, old, new):
     """check --trace of honest_lo's dump with one REC line changed."""
     path = tmp_path / "tr.txt"
@@ -544,6 +572,10 @@ def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
     ["check", "--trace", "tr.txt", "--sessions", "2"],
     ["check", "--trace", "tr.txt", "--world", "ideal"],
     ["check", "--trace", "tr.txt", "--leak-pin"],
+    # search settings that no longer exist, each at a value once accepted
+    ["distinguish", "--pool-cap", "40"],
+    ["suite", "unlinkability", "--pool-cap", "40"],
+    ["check", "--derive-bound", "8"],
 ])
 def test_bad_flags_exit_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)     # a real trace, so only the flags are wrong
@@ -574,16 +606,12 @@ def test_non_integer_seed_variable(capsys, monkeypatch):
 
 def test_suite_flags_reach_every_experiment(capsys):
     code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "0",
-                         "--fuzzers", "1", "--test-bound", "2",
-                         "--pool-cap", "10")
+                         "--fuzzers", "1", "--test-bound", "2")
     lines = text.splitlines()
     assert code == 0 and len(lines) == 10       # 8 catalog + 1 fuzzer rows
-    assert all(" bound=2 " in line and line.endswith(" capped=1")
-               for line in lines[:-1])
-    code, text = run_cli(capsys, "suite", "utxl", "--test-bound", "2",
-                         "--pool-cap", "10")
-    assert "utxl-hypothesis[passive] bounded-pass bound=2" in text
-    assert "capped=1" in text
+    assert all(" bound=2 tests=" in line for line in lines[:-1])
+    code, text = run_cli(capsys, "suite", "utxl", "--test-bound", "2")
+    assert "utxl-hypothesis[passive] bounded-pass bound=2 tests=" in text
 
 
 @pytest.mark.parametrize("error", [C.UncertifiedWitness, F.LateJoin])

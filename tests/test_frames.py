@@ -245,7 +245,7 @@ def test_static_equiv_skips_seeds_holding_a_variable():
         for first, second in ((fa, fb), (fb, fa)):
             verdict = F.static_equiv(first, second, test_bound=bound)
             assert isinstance(verdict, F.Equivalent)
-            assert (verdict.tests, verdict.capped) == (tests, False)
+            assert verdict.tests == tests
 
 
 def test_static_equiv_decryptability_probe():
@@ -621,24 +621,24 @@ def test_deduction_invariant_under_renaming(case):
 # -- pinned search counts ------------------------------------------------------
 #
 # Cutting the cost of a test must not move what the search reports: the
-# kind, the witness, its side, the tests= count (also at a witness) and the
-# capped flag. Bounds 4 and 6 reach the pair passes, the last candidates a
-# search composes, and pool cap 10 turns seeds away.
+# kind, the witness, its side and the tests= count (also at a witness).
+# Bounds 4 and 6 reach the pair passes, the last candidates a search
+# composes.
 
-_PINNED_SETTINGS = ((4, F.POOL_CAP), (6, F.POOL_CAP), (6, 10))
+_PINNED_BOUNDS = (4, 6)
 _PINNED_DIGEST = \
-    "47ff7406b58e7bd01ab06b55da956d8f76287a66ffb6577151f3656a686d254b"
+    "bc69ffae201fd1896a778d1207c34a30c9def30550f0b683353bf0dc1671852b"
 
 
 def _pinned_lines(label, pairs):
     for x, y in pairs:
-        for bound, cap in _PINNED_SETTINGS:
-            v = F.static_equiv(x, y, test_bound=bound, pool_cap=cap)
+        for bound in _PINNED_BOUNDS:
+            v = F.static_equiv(x, y, test_bound=bound)
             if v:
-                outcome = f"Equivalent {v.tests} {v.capped}"
+                outcome = f"Equivalent {v.tests}"
             else:
                 outcome = f"Distinguished {v.describe()} {v.tests}"
-            yield f"{label} {bound} {cap} {outcome}"
+            yield f"{label} {bound} {outcome}"
 
 
 def test_static_equiv_counts_pinned():
@@ -646,8 +646,8 @@ def test_static_equiv_counts_pinned():
     for case in _CASES:
         fa, fb, _ = _frame_pair(case)
         lines += _pinned_lines(case, ((fa, fb), (fb, fa)))
-    assert len(lines) == 312
-    assert sum("Distinguished" in line for line in lines) == 138
+    assert len(lines) == 208
+    assert sum("Distinguished" in line for line in lines) == 96
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _PINNED_DIGEST
 
@@ -699,7 +699,7 @@ def test_counted_candidate_keeps_its_entry():
     a, b, c = (T.name(x, "scalar") for x in "abc")
     f, _ = build([a, b, c], [T.mult(a, b), a, T.smult(b, G)])
     sat = F.saturate(f)
-    bij = F._Bijection(f, f, 3, F.POOL_CAP)
+    bij = F._Bijection(f, f, 3)
     for r in F._seed_recipes(sat, sat, bij.atoms):
         assert bij.seed(r) is None
     bij.seal()
@@ -717,7 +717,7 @@ def _alias_bijection(restricted, images, bound):
     seeded with the frame's saturated entries only, so that pool entry n
     is wn for each alias wn."""
     f, aliases = build(restricted, images)
-    bij = F._Bijection(f, f, bound, F.POOL_CAP)
+    bij = F._Bijection(f, f, bound)
     for recipe in F.saturate(f).entries.values():
         assert bij.seed(recipe) is None
     bij.seal()
@@ -922,7 +922,7 @@ def _random_group_pair(rng):
 
 
 _GROUP_DIGEST = \
-    "987add8184f78b8953b87677f6fcff44078b6370e6a0fb45572f0335a857cd0e"
+    "c3bc10ff8fd47a8b1e644142645a52673ab6e9e1d1a4a0a3588f9455cd86b893"
 
 
 def test_static_equiv_group_corpus_pinned():
@@ -930,8 +930,8 @@ def test_static_equiv_group_corpus_pinned():
     for k in range(32):
         fa, fb = _random_group_pair(random.Random(f"group{k}"))
         lines += _pinned_lines(f"group{k}", ((fa, fb), (fb, fa), (fa, fa)))
-    assert len(lines) == 288
-    assert sum("Distinguished" in line for line in lines) == 54
+    assert len(lines) == 192
+    assert sum("Distinguished" in line for line in lines) == 52
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _GROUP_DIGEST
 
@@ -964,7 +964,7 @@ def _random_named_pair(rng):
 
 
 _NAMED_DIGEST = \
-    "648dfae095bdf9891bab2779954a885bfeb1e1a709e432472cbb74a241a6fb8f"
+    "c44f010f7beefc934933348c4861c3ec27b55cce3245a8db3947a9f544cf3364"
 
 
 def test_static_equiv_named_corpus_pinned():
@@ -972,8 +972,8 @@ def test_static_equiv_named_corpus_pinned():
     for k in range(32):
         fa, fb = _random_named_pair(random.Random(f"named{k}"))
         lines += _pinned_lines(f"named{k}", ((fa, fb), (fb, fa), (fa, fa)))
-    assert len(lines) == 288
-    assert sum("Distinguished" in line for line in lines) == 118
+    assert len(lines) == 192
+    assert sum("Distinguished" in line for line in lines) == 116
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _NAMED_DIGEST
 
@@ -1017,7 +1017,7 @@ def _random_probe_pair(rng):
 
 
 _PROBE_DIGEST = \
-    "78fe2b15b8656f324792ef219df86e56feee9dc33de36e9043a028058101d23d"
+    "6fa81d1fbd8b7174145e837186da11e2748cfd70d7885c4211bd7d88fd2199d2"
 
 
 def test_static_equiv_probe_corpus_pinned():
@@ -1025,8 +1025,8 @@ def test_static_equiv_probe_corpus_pinned():
     for k in range(32):
         fa, fb = _random_probe_pair(random.Random(f"probe{k}"))
         lines += _pinned_lines(f"probe{k}", ((fa, fb), (fb, fa), (fa, fa)))
-    assert len(lines) == 288
-    assert sum("Distinguished" in line for line in lines) == 130
+    assert len(lines) == 192
+    assert sum("Distinguished" in line for line in lines) == 100
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _PROBE_DIGEST
 
@@ -1082,11 +1082,11 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
     is an atom seed's image, in that side's joinable set, or rooted at a
     destructor; each kind occurs. The smult rule reads that set through
     _joinable's factors: those of its [s]p scalars, None past a product."""
-    init, join = F._Bijection.__init__, F._Bijection._join
+    init, test = F._Bijection.__init__, F._Bijection._test
     kinds = {"atom": 0, "joinable": 0, "destructor": 0}
 
-    def spy_init(self, fa, fb, bound, pool_cap):
-        init(self, fa, fb, bound, pool_cap)
+    def spy_init(self, fa, fb, bound):
+        init(self, fa, fb, bound)
         self.initial = (_openings_closure(fa), _openings_closure(fb))
         assert self.factors == tuple(
             None if any(t[0] == T.MULT for t in joinable)
@@ -1094,7 +1094,12 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
                   for x in T.m_factors(t[1])}
             for joinable in self.initial)
 
-    def spy_join(self, recipe, ia, ib):
+    def spy_test(self, recipe, ia, ib):
+        n = len(self.pool)
+        verdict = test(self, recipe, ia, ib)
+        if len(self.pool) == n:
+            return verdict
+        assert self.pool[n] == (recipe, ia, ib)
         for side, img in enumerate((ia, ib)):
             if recipe[0] in (T.GEN, T.CONST, T.NAME) and img == recipe:
                 kinds["atom"] += 1
@@ -1103,10 +1108,10 @@ def test_only_joinable_images_join_the_pool(monkeypatch):
             else:
                 assert img[0] in F._DESTRUCTORS, (T.to_text(recipe), side)
                 kinds["destructor"] += 1
-        join(self, recipe, ia, ib)
+        return verdict
 
     monkeypatch.setattr(F._Bijection, "__init__", spy_init)
-    monkeypatch.setattr(F._Bijection, "_join", spy_join)
+    monkeypatch.setattr(F._Bijection, "_test", spy_test)
     pairs = [_frame_pair(f"random{k}")[:2] for k in range(48)]
     for make in (_random_named_pair, _random_group_pair, _random_probe_pair,
                  _random_dh_pair):
@@ -1245,7 +1250,7 @@ def _random_dh_pair(rng):
 
 
 _DH_DIGEST = \
-    "9f05d076388d2890f3c0d7173219410d1a8e955021b58b2d7b56180a4f808c14"
+    "2f3e89fde654cd3b60b5387d90f9aba1f403c6e62981bfb38d73ac92a85a1341"
 
 
 def test_static_equiv_dh_corpus_pinned():
@@ -1253,7 +1258,7 @@ def test_static_equiv_dh_corpus_pinned():
     for k in range(32):
         fa, fb = _random_dh_pair(random.Random(f"dh{k}"))
         lines += _pinned_lines(f"dh{k}", ((fa, fb), (fb, fa), (fa, fa)))
-    assert len(lines) == 288
+    assert len(lines) == 192
     assert sum("Distinguished" in line for line in lines) == 60
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _DH_DIGEST
@@ -1467,7 +1472,7 @@ def test_seed_atoms_match_the_saturation_walk():
     for fa, fb in pairs:
         for x, y in ((fa, fb), (fb, fa)):
             sx, sy = F.saturate(x), F.saturate(y)
-            bij = F._Bijection(x, y, F.TEST_BOUND, F.POOL_CAP)
+            bij = F._Bijection(x, y, F.TEST_BOUND)
             atoms = [r for r in F._seed_recipes(sx, sy, bij.atoms)
                      if r[0] == T.NAME or r[0] == T.CONST and r[1] == "mm"]
             assert atoms == sorted(_walked_atoms(sx, sy))
@@ -1490,7 +1495,7 @@ def _full_scan(monkeypatch):
 
 
 def _outcome(verdict):
-    detail = verdict.capped if verdict else verdict.describe()
+    detail = None if verdict else verdict.describe()
     return _kind(verdict), verdict.tests, detail
 
 
@@ -1625,8 +1630,7 @@ def test_row_visits_a_slot_named_during_the_row(monkeypatch):
 # The search tests the candidates that a frame rewrites and those that an
 # image names, and counts the rest by arithmetic. The oracle tests every
 # candidate the enumeration holds at the bound, in enumeration order, and
-# counts none. Both must give the same verdict, tests= count, witness and
-# capped flag.
+# counts none. Both must give the same verdict, tests= count and witness.
 
 def _every_candidate(self):
     m = len(self.pool)
