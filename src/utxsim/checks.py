@@ -13,12 +13,13 @@ length checks without deep recursion. check_all_agreements groups a
 trace's events by tag once, into one index for all four correspondences,
 and the index builds each join table at most once, under its (tag, key
 position): CRun's table, keyed on z1, serves three correspondences.
-check_secrecy asks the deduction engine for each secret. Its targets must
-be normal forms holding no variable, as every Trace holds them (the roles
-build them so, and parse_trace normalizes and grounds each TARGET), so the
-search runs on each as given. distinguish runs the bounded
-static-equivalence search over a paired run's final frames; paired_verdict
-runs the paired experiment itself, for the suites and the CLI alike.
+check_secrecy asks frames.derive for each secret, over one saturation of
+the frame. Its targets must be normal forms holding no variable, as every
+Trace holds them (the roles build them so, and parse_trace normalizes and
+grounds each TARGET), so the search runs on each as given. distinguish
+runs the bounded static-equivalence search over a paired run's final
+frames; paired_verdict runs the paired experiment itself, for the suites
+and the CLI alike.
 Each violation certifies itself before it is returned: a leak's recipe is
 evaluated in the frame and must give the secret, and a distinguishing
 test's two recipes are evaluated in both frames and must be equal in the
@@ -256,14 +257,13 @@ def check_secrecy(frame: frames.Frame, targets):
     """Violated iff any target is attacker-derivable within the size bound
     frames.DERIVE_BOUND. Each target must be a normal form holding no
     variable, as every Trace holds them: the roles build them so and
-    parse_trace normalizes and grounds each TARGET. So the cost search runs
-    on a target as given (frames.derive_nf), without derive's normalize and
-    free_vars walks, and a leak's recipe must evaluate to the target
-    itself."""
+    parse_trace normalizes and grounds each TARGET. So frames.derive
+    searches each target as given, over one saturation of the frame, and a
+    leak's recipe must evaluate to the target itself."""
     sat = frames.saturate(frame)
     leaks = []
     for label, target in targets:
-        recipe = frames.derive_nf(sat, target, frames.DERIVE_BOUND)
+        recipe = frames.derive(sat, target, frames.DERIVE_BOUND)
         if recipe is not None:
             if frames.recipe_value(frame, recipe) != target:
                 raise UncertifiedWitness(
@@ -373,9 +373,8 @@ def _distinguished(verdict):
 
 def _honest(tr):
     """Nothing aborted and the terminal authorised the payment: an auth
-    output, found by its term in the trace's log, so that no record is
-    built."""
-    auths = sum(1 for kind, _, shown, _ in tr.log
+    output, found by its term among the trace's records."""
+    auths = sum(1 for kind, _, shown, _ in tr.records
                 if kind == "output" and shown == T.AUTH)
     return [_holds(not tr.aborts and auths >= 1)]
 

@@ -191,7 +191,7 @@ def _default_seed() -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
-        prog="utxsim",
+        prog="utxsim", allow_abbrev=False,
         description="Symbolic engine and attacker harness for unlinkable "
                     "smart-card payments")
     try:
@@ -224,35 +224,37 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None)
         sp.add_argument("--out", default=None, help="output file (stdout)")
 
-    sp = sub.add_parser("run", help="execute a scenario and write its trace")
+    sp = sub.add_parser("run", allow_abbrev=False,
+                        help="execute a scenario and write its trace")
     scenario_flags(sp)
     sp.set_defaults(fn=cmd_run)
 
-    sp = sub.add_parser("check",
+    sp = sub.add_parser("check", allow_abbrev=False,
                         help="agreement and secrecy verdicts over a trace")
     scenario_flags(sp)
     sp.add_argument("--trace", default=None,
                     help="previously dumped trace, in place of a scenario")
     sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("distinguish",
+    sp = sub.add_parser("distinguish", allow_abbrev=False,
                         help="paired real/ideal bounded distinguishing run")
     scenario_flags(sp, world=False)     # run_paired runs both worlds
     sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
     sp.set_defaults(fn=cmd_distinguish)
 
-    sp = sub.add_parser("suite", help="run a named experiment battery")
+    sp = sub.add_parser("suite", allow_abbrev=False,
+                        help="run a named experiment battery")
     sp.add_argument("name", choices=sorted(checks.suites()))
     sp.add_argument("--seed", type=int, default=default_seed)
     sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
     sp.add_argument("--out", default=None, help="output file (stdout)")
-    sp.add_argument("--sessions", type=count, default=3,
-                    help="sessions per unlinkability experiment")
+    sp.add_argument("--sessions", type=_at_least(2), default=3,
+                    help="sessions per unlinkability experiment (at least 2)")
     sp.add_argument("--fuzzers", type=count, default=42,
                     help="seeded fuzzers in the unlinkability battery")
     sp.set_defaults(fn=cmd_suite)
 
-    sp = sub.add_parser("difftest",
+    sp = sub.add_parser("difftest", allow_abbrev=False,
                         help="symbolic-vs-numeric differential test")
     sp.add_argument("--samples", type=_at_least(1), default=10000)
     sp.add_argument("--depth", type=_at_least(1), default=6)
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_difftest)
 
-    sp = sub.add_parser("catalog",
+    sp = sub.add_parser("catalog", allow_abbrev=False,
                         help="list built-in scenarios and strategies")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_catalog)

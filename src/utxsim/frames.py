@@ -17,21 +17,20 @@ first smallest one derive would give.
 derive() finds a minimal-size recipe for a target by composing saturated
 building blocks with constructors (Abadi & Cortier's saturate-then-compose
 scheme); it is sound (returned recipes evaluate to the target) and complete
-only up to the size bound. It first normalizes its target and gives no
-recipe for one holding a variable: two walks of the target. derive_nf()
-is the search alone, for a caller whose targets are already normal forms
-without variables, as check_secrecy's are. Saturated entries and public
-atoms cost 0; an application costs 1 plus its parts; a product joined from
-several covered parts (product blocks or single factors) costs 1 plus
-theirs; a rebase [r]([s]p) on a block [s]p costs 1 plus r's cost. Among
-equally cheap recipes the earliest block in saturation order wins. The
-[s]p blocks are filed under their point p and then under the first factor
-of s, so a rebase tries only the blocks whose first factor is one of the
-target's: no other block lies inside the target's scalar. A saturation
-keeps one cost memo, shared by every search over it (saturate's key
-searches and each secrecy target alike) and cleared by Saturated.add: a
-cost is a function of the entries and blocks alone, and derive's size
-bound is applied after the lookup, so sharing the memo changes no recipe.
+only up to the size bound. Its target must be a normal form holding no
+variable, as every secrecy target is: the search takes it as given and
+never walks it first. Saturated entries and public atoms cost 0; an
+application costs 1 plus its parts; a product joined from several covered
+parts (product blocks or single factors) costs 1 plus theirs; a rebase
+[r]([s]p) on a block [s]p costs 1 plus r's cost. Among equally cheap
+recipes the earliest block in saturation order wins. The [s]p blocks are
+filed under their point p and then under the first factor of s, so a rebase
+tries only the blocks whose first factor is one of the target's: no other
+block lies inside the target's scalar. A saturation keeps one cost memo,
+shared by every search over it (saturate's key searches and each secrecy
+target alike) and cleared by Saturated.add: a cost is a function of the
+entries and blocks alone, and derive's size bound is applied after the
+lookup, so sharing the memo changes no recipe.
 
 static_equiv() tests candidate recipes composed from saturated building
 blocks and maintains a partial bijection between the two frames' value
@@ -201,22 +200,10 @@ def saturate(f: Frame) -> Saturated:
 
 def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
     """Recipe for target over the (saturated) frame, or None within the
-    bound. Sound; complete only up to size_bound. The target may be any
-    term: it is normalized, and one holding a variable has no recipe. Those
-    are two walks of the target; a caller whose targets are already normal
-    forms without variables calls derive_nf."""
+    bound. Sound; complete only up to size_bound. The target must be a
+    normal form holding no variable, as every Trace's secrecy targets are;
+    one that is not normal is searched as it stands, and may be missed."""
     sat = f if isinstance(f, Saturated) else saturate(f)
-    target = T.normalize(target)
-    if T.free_vars(target):
-        return None
-    return derive_nf(sat, target, size_bound)
-
-
-def derive_nf(sat: Saturated, target: Term, size_bound: int):
-    """derive over a saturation, for a target that is a normal form holding
-    no variable, as every Trace's secrecy targets are: the cost search
-    alone, without derive's two walks. A target that is not normal is
-    searched as it stands, and may be missed."""
     best = _cost(sat, target)
     if best is None or best[0] > size_bound:
         return None

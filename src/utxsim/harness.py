@@ -15,11 +15,10 @@ the trace's frame: the honest agents' name source adds every name it mints
 to its restricted set, and every output binds an alias in it. Two facts that
 could be read off the views are kept as the views change, so that no step
 scans every session: the live card sessions of each card, and the number of
-card sessions started. The trace logs each record as one (kind, actor,
+card sessions started. The trace keeps each record as one (kind, actor,
 shown, alias) tuple, where shown is the term a record shows (an output's
 bound image, a delivery's recipe) or its text; its index is its position.
-A TraceRecord is built only when a record is read, and renders its text only
-when the text is read, as a dump does; checking a run builds no record.
+Only a dump renders a term as text, so checking a run renders none.
 
 A delivered value is a normal form, which the roles take as given. A forward
 is a bare alias, so its value is the alias's binding, normal as the roles
@@ -42,7 +41,6 @@ Determinism: a (scenario, seed) pair fixes the trace byte-for-byte.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -164,76 +162,24 @@ class Scenario:
                 raise ScenarioInvalid("schedule references unknown card/terminal")
 
 
-class TraceRecord:
-    """One trace line, read from the trace's log. shown is the record's
-    text, or the term it shows: an output's bound image or a delivery's
-    recipe. A term is rendered as text only when text is read, since a run
-    that is only checked never reads it; term is None for a record that
-    shows plain text, and for every parsed record."""
-    __slots__ = ("idx", "kind", "actor", "alias", "term", "_text")
-
-    def __init__(self, idx: int, kind: str, actor: str, shown,
-                 alias: str = ""):
-        self.idx = idx
-        self.kind = kind              # one of RECORD_KINDS
-        self.actor = actor
-        self.alias = alias
-        if isinstance(shown, str):
-            self.term, self._text = None, shown
-        else:
-            self.term, self._text = shown, None
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._text = T.to_text(self.term)
-        return self._text
-
-
 RECORD_KINDS = ("start", "deliver", "output", "event", "abort")
-
-
-class _Records(Sequence):
-    """Trace.records: the log read as TraceRecords. A record is built the
-    first time its index is read and kept, so its text renders once."""
-    __slots__ = ("_log", "_built")
-
-    def __init__(self, log: list):
-        self._log = log
-        self._built: dict = {}        # index -> its TraceRecord
-
-    def __len__(self):
-        return len(self._log)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self._log))[i]]
-        i = range(len(self._log))[i]      # counts a negative i from the end
-        rec = self._built.get(i)
-        if rec is None:
-            rec = self._built[i] = TraceRecord(i, *self._log[i])
-        return rec
 
 
 @dataclass(slots=True)
 class Trace:
-    """A run's output. log holds one (kind, actor, shown, alias) tuple per
-    record, in order; records reads it as TraceRecords."""
+    """A run's output. records holds one (kind, actor, shown, alias) tuple
+    per record, in order; kind is one of RECORD_KINDS."""
     scenario: Scenario
-    log: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     events: list = field(default_factory=list)
     aborts: list = field(default_factory=list)      # (session_id, reason)
     frame: frames.Frame = field(default_factory=frames.Frame)
     secrets: list = field(default_factory=list)     # (label, term) targets
-    records: _Records = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.records = _Records(self.log)
 
     def observable_shape(self):
         """World-independent skeleton used for paired-run alignment: kinds,
         actors and alias names, never term contents or abort reasons."""
-        return [(kind, actor, alias) for kind, actor, _, alias in self.log
+        return [(kind, actor, alias) for kind, actor, _, alias in self.records
                 if kind != "event"]
 
     def to_lines(self):
@@ -243,8 +189,9 @@ class Trace:
         yield "REST " + " ".join(sorted(self.frame.restricted))
         for alias, img in self.frame.bindings.items():
             yield f"BIND {alias} {T.to_text(img)}"
-        for r in self.records:
-            yield f"REC {r.idx}|{r.kind}|{r.actor}|{r.alias}|{r.text}"
+        for i, (kind, actor, shown, alias) in enumerate(self.records):
+            text = shown if isinstance(shown, str) else T.to_text(shown)
+            yield f"REC {i}|{kind}|{actor}|{alias}|{text}"
         for e in self.events:
             args = " ".join(T.to_text(a) for a in e.args)
             yield f"EV {e.tag} {e.session_id} {e.role_id} {args}"
@@ -325,11 +272,11 @@ def parse_trace(text: str) -> Trace:
             elif head == "REC":
                 idx, kind, actor, alias, text_ = rest.split("|", 4)
                 # a record's index is its position, as the dump writes it
-                if idx != str(len(tr.log)):
-                    raise ValueError(f"index {idx} is not {len(tr.log)}")
+                if idx != str(len(tr.records)):
+                    raise ValueError(f"index {idx} is not {len(tr.records)}")
                 if kind not in RECORD_KINDS:
                     raise ValueError(f"unknown kind {kind!r}")
-                tr.log.append((kind, actor, text_, alias))
+                tr.records.append((kind, actor, text_, alias))
             else:
                 raise ValueError("unknown record")
         except (ValueError, T.MalformedTerm, ScenarioInvalid) as e:
@@ -441,7 +388,7 @@ class Runner:
             self.views, self.outputs, self.live_cards, self.pending)))
         self.n_terms = 0
         self.n_bank_requests = 0
-        self._log = self.trace.log
+        self._log = self.trace.records
         self._spawn_queue: dict = {}
         self._card_flags = dict(_VARIANT_FLAGS.get(sc.protocol, {}))
         if sc.protocol == "utxl" and not sc.contact:

@@ -51,8 +51,8 @@ message of a run innermost first over normal parts: norm_root on each node
 that can rewrite (smult, mult, sigv, and the destructors dec, check and
 checkv that open a delivered message), the plain constructor on every other.
 The roles and setup therefore never walk a term. The walk serves the terms
-that arrive in arbitrary form: attacker recipes (through apply), derive
-targets, and the terms of a parsed trace.
+that arrive in arbitrary form: attacker recipes (through apply) and the
+terms of a parsed trace.
 
 All operations are pure; terms are immutable tuples, safe to share freely.
 """

@@ -69,8 +69,8 @@ def test_criterion_2_honest_runs():
         for seed in range(20):
             tr = H.run_scenario(H.Scenario(terminals=((mode, None),),
                                            strategy="passive", seed=seed))
-            auth = [r for r in tr.records
-                    if r.kind == "output" and r.text == "auth"]
+            auth = [shown for kind, _, shown, _ in tr.records
+                    if kind == "output" and shown == T.AUTH]
             ok &= bool(auth) and not tr.aborts
             ok &= [e.tag for e in tr.events] == EXPECTED_EVENTS
     dt = time.monotonic() - t0

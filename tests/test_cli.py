@@ -576,6 +576,12 @@ def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
     ["distinguish", "--pool-cap", "40"],
     ["suite", "unlinkability", "--pool-cap", "40"],
     ["check", "--derive-bound", "8"],
+    # a flag is named in full: no prefix of it is accepted
+    ["distinguish", "--scenario", "unlink_utx", "--test", "2"],
+    ["check", "--scen", "honest_lo"],
+    ["suite", "security", "--fuzz", "1"],
+    # at one session a card, an experiment has no two sessions to link
+    ["suite", "unlinkability", "--sessions", "1"],
 ])
 def test_bad_flags_exit_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)     # a real trace, so only the flags are wrong
@@ -605,7 +611,7 @@ def test_non_integer_seed_variable(capsys, monkeypatch):
 
 
 def test_suite_flags_reach_every_experiment(capsys):
-    code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "0",
+    code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "2",
                          "--fuzzers", "1", "--test-bound", "2")
     lines = text.splitlines()
     assert code == 0 and len(lines) == 10       # 8 catalog + 1 fuzzer rows

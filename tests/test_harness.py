@@ -35,7 +35,8 @@ def test_honest_scenario_ends_authorized(mode):
     tr = H.run_scenario(H.Scenario(terminals=((mode, None),),
                                    strategy="passive"))
     assert not tr.aborts
-    auths = [r for r in tr.records if r.kind == "output" and r.text == "auth"]
+    auths = [shown for kind, _, shown, _ in tr.records
+             if kind == "output" and shown == T.AUTH]
     assert auths
     assert {e.tag for e in tr.events} >= {
         "TComC", "TRunBC", "TComBC", "TAccept", "CRun", "CRunB",
@@ -46,8 +47,8 @@ def test_wrong_pin_no_auth():
     tr = H.run_scenario(H.Scenario(terminals=(("offhi", None),),
                                    strategy="passive", wrong_pin_sessions=(0,)))
     assert "BReject" in {e.tag for e in tr.events}
-    assert not [r for r in tr.records
-                if r.kind == "output" and r.text == "auth"]
+    assert not [shown for kind, _, shown, _ in tr.records
+                if kind == "output" and shown == T.AUTH]
 
 
 def test_trace_is_deterministic():
@@ -198,8 +199,8 @@ def test_paired_frames_share_alias_domains():
     real, ideal = H.run_paired(sc)
     assert list(real.frame.bindings) == list(ideal.frame.bindings)
     # the ideal world used two distinct cards for the two sessions
-    pans = {rec.text.split("=")[-1] for rec in ideal.records
-            if rec.kind == "start" and rec.actor.startswith("C")}
+    pans = {shown.split("=")[-1] for kind, actor, shown, _ in ideal.records
+            if kind == "start" and actor.startswith("C")}
     assert len(pans) == 1          # same scenario card index
     cards = {e.role_id for e in ideal.events if e.tag == "CRun"}
     assert len(cards) == len([e for e in ideal.events if e.tag == "CRun"])
@@ -231,7 +232,7 @@ def test_a_script_stops_at_a_session_that_has_ended():
     pair, and the replay script makes no move after the abort."""
     tr = H.run_scenario(replace(C.SCENARIOS["fake_card_no_checkv"],
                                 terminal_checks_month_cert=True))
-    assert tr.records[-1].kind == "abort"
+    assert tr.records[-1][0] == "abort"
     assert tr.aborts == [("T1", "BadMonthCert")]
 
 
@@ -279,23 +280,23 @@ def _pending_from_records(runner):
     delivered with source_alias, each hinted by its sender."""
     views, bindings = runner.views, runner.frame.bindings
     pending, prev = {}, ""
-    for r in runner.trace.records:
-        if r.kind == "deliver" and r.alias:
-            pending.pop(r.alias, None)
+    for kind, actor, _, alias in runner.trace.records:
+        if kind == "deliver" and alias:
+            pending.pop(alias, None)
         # a session's first output is its challenge, not a message
-        elif (r.kind == "output" and prev != "start"
-              and bindings[r.alias] != T.AUTH):
-            if r.actor.startswith("B"):            # a bank request's reply
-                pending[r.alias] = (r.actor.partition(".")[2], "to_terminal")
-            elif r.actor in views:
-                if views[r.actor].kind == "card":
+        elif (kind == "output" and prev != "start"
+              and bindings[alias] != T.AUTH):
+            if actor.startswith("B"):            # a bank request's reply
+                pending[alias] = (actor.partition(".")[2], "to_terminal")
+            elif actor in views:
+                if views[actor].kind == "card":
                     hint = "to_terminal"
-                elif bindings[r.alias] == runner.sessions[r.actor].state.req:
+                elif bindings[alias] == runner.sessions[actor].state.req:
                     hint = "to_bank"
                 else:
                     hint = "to_card"
-                pending[r.alias] = (r.actor, hint)
-        prev = r.kind
+                pending[alias] = (actor, hint)
+        prev = kind
     return pending
 
 
@@ -471,8 +472,7 @@ def _attacker_runs():
 
 
 def test_checking_a_run_renders_no_text(monkeypatch):
-    """A run and its checks never render a term as text; a record renders
-    its text only when it is read."""
+    """A run and its checks never render a term as text; a dump does."""
     calls = Counter()
     to_text = T.to_text
 
@@ -486,49 +486,18 @@ def test_checking_a_run_renders_no_text(monkeypatch):
         verdicts.append(C.check_secrecy(tr.frame, tr.secrets))
         assert {v.status for v in verdicts} == {"holds"}, sc.strategy
         assert calls["to_text"] == 0, sc.strategy
-    # reading the text renders the terms, and a second reading renders none
-    assert all(r.text for r in tr.records)
-    rendered = calls["to_text"]
-    assert rendered > 0
-    assert all(r.text for r in tr.records)
-    assert calls["to_text"] == rendered
+    tr.dump()
+    assert calls["to_text"] > 0
 
 
 def test_record_text_survives_a_dump():
     for sc in _attacker_runs():
         tr = H.run_scenario(sc)
         back = H.parse_trace(tr.dump())
-        assert [(r.idx, r.kind, r.actor, r.alias, r.text)
-                for r in tr.records] == \
-            [(r.idx, r.kind, r.actor, r.alias, r.text) for r in back.records]
-
-
-def test_checking_a_run_builds_no_record(monkeypatch):
-    """A run keeps its records as a log; counting them, checking the run
-    and aligning it build no record object."""
-    built = Counter()
-
-    class Counted(H.TraceRecord):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built["records"] += 1
-            super().__init__(*args)
-    monkeypatch.setattr(H, "TraceRecord", Counted)
-    for sc in _attacker_runs():
-        tr = H.run_scenario(sc)
-        C.check_all_agreements(tr)
-        C.check_secrecy(tr.frame, tr.secrets)
-        assert tr.observable_shape()
-        n = len(tr.records)
-        assert built["records"] == 0, sc.strategy
-        assert n == sum(line.startswith("REC ")
-                        for line in tr.dump().splitlines())
-        # the dump read each record once, and keeps what it built
-        assert built["records"] == n
-        assert tr.records[-1] is tr.records[n - 1]
-        assert built["records"] == n
-        built.clear()
+        # a run's record shows a term or text; a parsed one shows its text
+        assert [(kind, actor,
+                 shown if isinstance(shown, str) else T.to_text(shown), alias)
+                for kind, actor, shown, alias in tr.records] == back.records
 
 
 def test_views_and_actions_are_immutable():
@@ -557,9 +526,9 @@ def test_apply_dispatches_by_class():
     for cls in (H.Deliver, H.DeliverBank):
         runner = H.Runner(H.Scenario())
         runner.apply(H.StartTerminal(0))
-        n = len(runner.trace.log)
+        n = len(runner.trace.records)
         runner.apply(cls(*fields))
-        actors[cls] = runner.trace.log[n][:2]
+        actors[cls] = runner.trace.records[n][:2]
         assert runner.n_bank_requests == (cls is H.DeliverBank)
     assert actors == {H.Deliver: ("deliver", "T0"),
                       H.DeliverBank: ("deliver", "B0.T0")}
