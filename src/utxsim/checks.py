@@ -263,7 +263,7 @@ def check_secrecy(frame: frames.Frame, targets):
     sat = frames.saturate(frame)
     leaks = []
     for label, target in targets:
-        recipe = frames.derive(sat, target, frames.DERIVE_BOUND)
+        recipe = frames.derive(sat, target)
         if recipe is not None:
             if frames.recipe_value(frame, recipe) != target:
                 raise UncertifiedWitness(
@@ -274,12 +274,12 @@ def check_secrecy(frame: frames.Frame, targets):
     return Verdict("secrecy", "holds", f"bound={frames.DERIVE_BOUND}")
 
 
-def distinguish(real, ideal, test_bound: int = frames.TEST_BOUND) -> Verdict:
+def distinguish(real, ideal) -> Verdict:
     """Bounded real-vs-ideal distinguishing experiment over final frames."""
-    verdict = frames.static_equiv(real.frame, ideal.frame, test_bound)
+    verdict = frames.static_equiv(real.frame, ideal.frame)
     if verdict:
         return Verdict("distinguish", "bounded-pass",
-                       f"bound={test_bound} tests={verdict.tests}")
+                       f"bound={frames.TEST_BOUND} tests={verdict.tests}")
     holds = [frames.recipe_value(f, verdict.left)
              == frames.recipe_value(f, verdict.right)
              for f in (real.frame, ideal.frame)]
@@ -332,7 +332,7 @@ SCENARIOS = {
 }
 
 
-def paired_verdict(sc, test_bound: int = frames.TEST_BOUND) -> Verdict:
+def paired_verdict(sc) -> Verdict:
     """The paired real/ideal experiment of a scenario: violated at the first
     step where the two worlds stop aligning, else distinguish's verdict
     over the final frames."""
@@ -340,7 +340,7 @@ def paired_verdict(sc, test_bound: int = frames.TEST_BOUND) -> Verdict:
         real, ideal = harness.run_paired(sc)
     except harness.AlignmentFailure as e:
         return Verdict("distinguish", "violated", f"alignment step {e.step}")
-    return distinguish(real, ideal, test_bound)
+    return distinguish(real, ideal)
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,24 +506,24 @@ class Report:
         yield f"SUITE {self.name} {'pass' if self.ok() else 'FAIL'}"
 
 
-def _run_row(row: Row, seed: int, test_bound: int):
+def _run_row(row: Row, seed: int):
     if not row.scenario:
         return None
     sc = replace(SCENARIOS[row.scenario], seed=seed + row.seed_offset,
                  **row.overrides)
     if not row.paired:
         return harness.run_scenario(sc)
-    return paired_verdict(sc, test_bound)
+    return paired_verdict(sc)
 
 
-def run_suite(name: str, seed: int = 0, test_bound: int = frames.TEST_BOUND,
-              sessions: int = 3, n_fuzzers: int = 42) -> Report:
+def run_suite(name: str, seed: int = 0, sessions: int = 3,
+              n_fuzzers: int = 42) -> Report:
     table = suites(sessions, n_fuzzers)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(table)}")
     rep = Report(name)
     for row in table[name]:
-        result = _run_row(row, seed, test_bound)
+        result = _run_row(row, seed)
         for prop, label, expected in row.lines:
             verdicts = prop(result)
             if isinstance(expected, str):

@@ -3,6 +3,8 @@
 Subcommands: run (execute a scenario, write the trace), check (agreement +
 secrecy over a trace), distinguish (paired real/ideal experiment), suite
 (named experiment battery), difftest (numeric backend cross-check).
+The two searches take no size setting: a pass line's bound=6 is
+frames.TEST_BOUND and a secrecy line's bound=8 is frames.DERIVE_BOUND.
 
 Exit codes: 0 all expected verdicts, 1 property violation or unexpected
 verdict, 2 usage error, 3 internal error of a search (a witness that fails
@@ -137,14 +139,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    verdict = checks.paired_verdict(_scenario(args), args.test_bound)
+    verdict = checks.paired_verdict(_scenario(args))
     _emit(verdict.line() + "\n", args.out)
     return 0 if verdict.status == "bounded-pass" else 1
 
 
 def cmd_suite(args) -> int:
     report = checks.run_suite(args.name, seed=args.seed,
-                              test_bound=args.test_bound,
                               sessions=args.sessions, n_fuzzers=args.fuzzers)
     _emit("".join(line + "\n" for line in report.render()), args.out)
     return 0 if report.ok() else 1
@@ -239,14 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distinguish", allow_abbrev=False,
                         help="paired real/ideal bounded distinguishing run")
     scenario_flags(sp, world=False)     # run_paired runs both worlds
-    sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("suite", allow_abbrev=False,
                         help="run a named experiment battery")
     sp.add_argument("name", choices=sorted(checks.suites()))
     sp.add_argument("--seed", type=int, default=default_seed)
-    sp.add_argument("--test-bound", type=count, default=frames.TEST_BOUND)
     sp.add_argument("--out", default=None, help="output file (stdout)")
     sp.add_argument("--sessions", type=_at_least(2), default=3,
                     help="sessions per unlinkability experiment (at least 2)")

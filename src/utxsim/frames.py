@@ -17,9 +17,9 @@ first smallest one derive would give.
 derive() finds a minimal-size recipe for a target by composing saturated
 building blocks with constructors (Abadi & Cortier's saturate-then-compose
 scheme); it is sound (returned recipes evaluate to the target) and complete
-only up to the size bound. Its target must be a normal form holding no
-variable, as every secrecy target is: the search takes it as given and
-never walks it first. Saturated entries and public atoms cost 0; an
+only up to its size bound, DERIVE_BOUND. Its target must be a normal form
+holding no variable, as every secrecy target is: the search takes it as
+given and never walks it first. Saturated entries and public atoms cost 0; an
 application costs 1 plus its parts; a product joined from several covered
 parts (product blocks or single factors) costs 1 plus theirs; a rebase
 [r]([s]p) on a block [s]p costs 1 plus r's cost. Among equally cheap
@@ -49,11 +49,10 @@ seed has already filed its image; a candidate that would join anyway
 raises LateJoin, an internal error. So the candidates are enumerated once,
 in one order: the seeds, the probes, the one-field candidates over each
 pool entry, then the pair candidates over each two pool entries.
-The bound is on recipe size: a building block has size 1 and an
-application 1 plus its parts. The seeds are tested at any bound, the
-one-field candidates (size 2) and the enc(dec(k, u), k) probes (size 5,
-which may exceed the bound by 3) from bound 2, and the pair candidates
-(size 3) from bound 3; a larger bound tests nothing more. Only the seeds
+No setting changes that enumeration. Counting a building block as size 1
+and an application as 1 plus its parts, a probe enc(dec(k, u), k) has size
+5, a one-field candidate size 2 and a pair candidate size 3: TEST_BOUND,
+the bound a pass reports, bounds them all. Only the seeds
 are evaluated by substitution (terms.apply, which gives an alias's
 bindings as bound); every composed candidate's image in each frame is its
 root over its parts' stored images, rewritten at the root only
@@ -198,14 +197,14 @@ def saturate(f: Frame) -> Saturated:
 
 # -- deduction --------------------------------------------------------------
 
-def derive(f, target: Term, size_bound: int = DERIVE_BOUND):
-    """Recipe for target over the (saturated) frame, or None within the
-    bound. Sound; complete only up to size_bound. The target must be a
+def derive(f, target: Term):
+    """Recipe for target over the (saturated) frame, or None within
+    DERIVE_BOUND. Sound; complete only up to that size. The target must be a
     normal form holding no variable, as every Trace's secrecy targets are;
     one that is not normal is searched as it stands, and may be missed."""
     sat = f if isinstance(f, Saturated) else saturate(f)
     best = _cost(sat, target)
-    if best is None or best[0] > size_bound:
+    if best is None or best[0] > DERIVE_BOUND:
         return None
     return best[1]
 
@@ -467,8 +466,7 @@ def _joinable(f: Frame):
 class _Bijection:
     """Partial bijection between the two frames' value spaces; recipes whose
     images break it witness a distinguishing test. Every candidate is
-    counted in tests, in enumeration order. The test bound is set once, at
-    construction, and _candidate reads it.
+    counted in tests, in enumeration order.
 
     Images are evaluated incrementally: a seed is evaluated in each frame
     by T.apply, which takes the bindings as given (an alias seed's images
@@ -557,7 +555,7 @@ class _Bijection:
     Those slots come out of a set; search sorts what it tests by
     position."""
 
-    def __init__(self, fa, fb, bound):
+    def __init__(self, fa, fb):
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
         (aa, xa), (ab, xb) = _joinable(fa), _joinable(fb)
         self.atoms = aa | ab     # the atoms of either frame's bindings
@@ -565,7 +563,6 @@ class _Bijection:
         self.has_vars = any(x[0] == T.VAR for x in self.atoms)
         # per frame: the joinable scalars' factors, None past a product
         self.factors = (xa, xb)
-        self.bound = bound       # the test bound, on recipe size
         self.by_a: dict = {}
         self.by_b: dict = {}
         self.pool: list = []     # (recipe, img_a, img_b)
@@ -705,12 +702,9 @@ class _Bijection:
         """(position, recipe, image a, image b, plain) of the candidate key
         names: the tests count before it, its recipe over the pool's, its
         images rewritten at the root, and whether neither frame rewrites
-        it there. None for a key that no pass enumerates at the bound: a
-        probe over an entry ENC-rooted in neither frame, PROJ i for i > 4,
-        a probe or one-field candidate below bound 2 and a pair one below
-        bound 3."""
-        if self.bound < 2:
-            return None
+        it there. None for a key that the search does not enumerate: a
+        probe over an entry ENC-rooted in neither frame, or PROJ i for
+        i > 4."""
         pool, (probes, ones, rows) = self.pool, self.starts
         # candidates built by hand: this runs once per collected or named key
         if key[0] not in _PAIR_OPS:
@@ -734,8 +728,6 @@ class _Bijection:
                     (T.ENC, (T.DEC, kr, ur), kr), (T.ENC, ia, ka),
                     (T.ENC, ib, kb), ia is ta and ib is tb)
         else:
-            if self.bound < 3:
-                return None
             op, i, j = key
             (r1, a1, b1), (r2, a2, b2) = pool[i], pool[j]
             n1, n2 = (i, j) if i <= j else (j, i)
@@ -824,10 +816,8 @@ class _Bijection:
             verdict = self._test(recipe, ia, ib)
             if verdict is not None:
                 return verdict
-        start, _, rows = self.starts
         m = len(self.pool)
-        self.tests = start if self.bound < 2 else rows + (
-            _PAIR_TESTS * m * m if self.bound >= 3 else 0)
+        self.tests = self.starts[2] + _PAIR_TESTS * m * m
         return None
 
 
@@ -846,14 +836,14 @@ def _seed_recipes(sa: Saturated, sb: Saturated, atoms):
     return seeds
 
 
-def static_equiv(fa: Frame, fb: Frame, test_bound: int = TEST_BOUND):
+def static_equiv(fa: Frame, fb: Frame):
     """Bounded distinguisher search between two frames with equal domains."""
     domain = list(fa.bindings)
     if domain != list(fb.bindings):
         raise DomainMismatch(
             f"alias domains differ: {domain} vs {list(fb.bindings)}")
     sa, sb = saturate(fa), saturate(fb)
-    bij = _Bijection(fa, fb, test_bound)
+    bij = _Bijection(fa, fb)
 
     # each alias, and any recipe the two saturations share, is a seed of
     # both: a repeat adds to tests what its first run added, and no more

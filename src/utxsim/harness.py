@@ -120,6 +120,9 @@ class Scenario:
 
     def validate(self):
         self.validate_header()
+        if not self.terminals:
+            raise ScenarioInvalid("a scenario needs a terminal; terminals "
+                                  "is empty")
         if self.protocol == "utxl" and any(m != "lo" for m, _ in self.terminals):
             raise ScenarioInvalid("low-value worlds admit lo terminals only")
         for mode, _ in self.terminals:

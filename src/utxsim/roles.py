@@ -107,9 +107,6 @@ class CardState:
         self.a = self.z1 = self.z2 = self.k_c = self.y_b = None
         self.month = self.m_msg = self.emc = self.k_cb = self.ac = None
 
-    def secret_names(self):
-        return [self.c, self.pan, self.pin, self.mk]
-
 
 def card_step(s: CardState, incoming: Term, fresh: T.FreshNames) -> StepResult:
     if s.stage == "C1":

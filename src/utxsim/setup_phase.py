@@ -43,17 +43,11 @@ class Authority:
     def month_vk(self, month: int) -> Term:
         return T.pkv(self.chi[month])
 
-    def secret_names(self):
-        return [self.s, *self.chi.values()]
-
 
 @dataclass(slots=True)
 class BankCredential:
     b_t: Term
     crt_by_month: dict = field(default_factory=dict)
-
-    def secret_names(self):
-        return [self.b_t]
 
 
 def make_authority(fresh: T.FreshNames, horizon: int = HORIZON) -> Authority:

@@ -126,7 +126,7 @@ def test_criterion_4_secrecy(mixed_traces):
         targets = [secret[0], T.h(T.gen())] + list(f.bindings.values())
         for tgt in targets:
             want = T.normalize(tgt) in vals
-            got = F.derive(f, tgt, 2)
+            got = F.derive(f, tgt)
             if want and got is None:
                 agree = False
             if got is not None:
@@ -164,7 +164,7 @@ def test_criterion_5_replay_protection():
 
 def test_criterion_6_negative_controls():
     t0 = time.monotonic()
-    rep = C.run_suite("controls", seed=0, test_bound=6)
+    rep = C.run_suite("controls", seed=0)
     by_name = {v.name: (v, exp) for v, exp in rep.lines}
     bdh, _ = by_name["bdh-2-session"]
     ubdh, _ = by_name["ubdh-2-session"]
@@ -189,7 +189,7 @@ def test_criterion_6_negative_controls():
 
 def test_criterion_7_unlinkability_bounded():
     t0 = time.monotonic()
-    rep = C.run_suite("unlinkability", seed=0, sessions=3, test_bound=6,
+    rep = C.run_suite("unlinkability", seed=0, sessions=3,
                       n_fuzzers=42)
     n = len(rep.lines)
     all_pass = all(v.status == "bounded-pass" for v, _ in rep.lines)
@@ -243,7 +243,7 @@ def test_criterion_8_month_mechanics():
                         schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
                         strategy=name, replay_check=False)
         real, ideal = H.run_paired(sc)
-        paired_ok &= C.distinguish(real, ideal, 6).status == "bounded-pass"
+        paired_ok &= C.distinguish(real, ideal).status == "bounded-pass"
     dt = time.monotonic() - t0
     accept(8, "month-mechanics", matrix and stale and shifts and paired_ok,
            f"({dt:.1f}s)")
@@ -253,7 +253,7 @@ def test_criterion_8_month_mechanics():
 
 def test_criterion_9_low_value():
     t0 = time.monotonic()
-    rep = C.run_suite("utxl", seed=0, test_bound=6)
+    rep = C.run_suite("utxl", seed=0)
     by_name = {v.name: v for v, _ in rep.lines}
     hypothesis_ok = all(
         v.status == "bounded-pass" for name, v in by_name.items()

@@ -372,8 +372,8 @@ def test_distinguish_is_symmetric():
                     terminals=(("lo", None),), strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
-    a = C.distinguish(real, ideal, test_bound=4)
-    b = C.distinguish(ideal, real, test_bound=4)
+    a = C.distinguish(real, ideal)
+    b = C.distinguish(ideal, real)
     assert a.status == b.status == "violated"
 
 
@@ -382,7 +382,7 @@ def test_distinguish_verdict_witness_replays():
                     terminals=(("lo", None),), strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
-    verdict = F.static_equiv(real.frame, ideal.frame, test_bound=4)
+    verdict = F.static_equiv(real.frame, ideal.frame)
     assert not bool(verdict)
     ra = T.apply(real.frame.bindings, verdict.left)
     rb = T.apply(real.frame.bindings, verdict.right)
@@ -399,8 +399,8 @@ def test_distinguish_rechecks_its_witness(monkeypatch):
                     terminals=(("lo", None),), strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
-    good = F.static_equiv(real.frame, ideal.frame, test_bound=4)
-    assert C.distinguish(real, ideal, test_bound=4).witness == \
+    good = F.static_equiv(real.frame, ideal.frame)
+    assert C.distinguish(real, ideal).witness == \
         good.describe()
     other = "second" if good.side == "first" else "first"
     w0 = T.var("w0")
@@ -408,7 +408,7 @@ def test_distinguish_rechecks_its_witness(monkeypatch):
                   replace(good, left=w0, right=T.h(w0))):
         monkeypatch.setattr(F, "static_equiv", lambda *a, v=wrong, **k: v)
         with pytest.raises(C.UncertifiedWitness):
-            C.distinguish(real, ideal, test_bound=4)
+            C.distinguish(real, ideal)
 
 
 def test_secrecy_rechecks_each_leak(monkeypatch):
@@ -423,8 +423,8 @@ def test_secrecy_rechecks_each_leak(monkeypatch):
     assert C.check_secrecy(leaky.frame, leaky.secrets).status == "violated"
     derive = F.derive
 
-    def wrong(sat, target, bound):
-        got = derive(sat, target, bound)
+    def wrong(sat, target):
+        got = derive(sat, target)
         return None if got is None else T.h(got)
 
     monkeypatch.setattr(F, "derive", wrong)

@@ -58,24 +58,18 @@ def test_check_empty_trace_vacuous(tmp_path, capsys):
 
 
 def test_distinguish_exit_codes(capsys):
-    code, text = run_cli(capsys, "distinguish", "--scenario", "bdh_2session",
-                         "--test-bound", "4")
+    code, text = run_cli(capsys, "distinguish", "--scenario", "bdh_2session")
     assert code == 1 and "violated" in text
-    code, text = run_cli(capsys, "distinguish", "--scenario", "ubdh_2session",
-                         "--test-bound", "4")
+    code, text = run_cli(capsys, "distinguish", "--scenario", "ubdh_2session")
     assert code == 0 and "bounded-pass" in text
 
 
 def test_distinguish_counts_at_small_bounds(capsys):
-    """The README's bound-0 count, bound 2, the smallest at which the
-    enc(dec(k, u), k) probes run, and bounds 4 and 6, within which pair
-    candidates fit."""
-    for bound, tests in (("0", 83), ("2", 713), ("4", 35138),
-                         ("6", 35138)):
-        code, text = run_cli(capsys, "distinguish", "--scenario",
-                             "unlink_utx", "--test-bound", bound)
-        assert (code, text) == (
-            0, f"CHECK distinguish bounded-pass bound={bound} tests={tests}\n")
+    """The README's count for unlink_utx: 83 seed runs, then the probes,
+    one-field and pair candidates over a pool of 45, all within bound 6."""
+    code, text = run_cli(capsys, "distinguish", "--scenario", "unlink_utx")
+    assert (code, text) == (
+        0, "CHECK distinguish bounded-pass bound=6 tests=35138\n")
 
 
 def test_alignment_failure_reads_alike_in_cli_and_suite(monkeypatch, capsys):
@@ -93,7 +87,7 @@ def test_alignment_failure_reads_alike_in_cli_and_suite(monkeypatch, capsys):
 
 
 def test_controls_battery_exit_zero(capsys):
-    code, text = run_cli(capsys, "suite", "controls", "--test-bound", "4")
+    code, text = run_cli(capsys, "suite", "controls")
     assert code == 0
     assert "SUITE controls pass" in text
 
@@ -582,6 +576,9 @@ def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
     ["suite", "security", "--fuzz", "1"],
     # at one session a card, an experiment has no two sessions to link
     ["suite", "unlinkability", "--sessions", "1"],
+    # the searches take no size setting, not even at its printed value
+    ["distinguish", "--test-bound", "6"],
+    ["suite", "security", "--test-bound", "6"],
 ])
 def test_bad_flags_exit_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)     # a real trace, so only the flags are wrong
@@ -612,12 +609,12 @@ def test_non_integer_seed_variable(capsys, monkeypatch):
 
 def test_suite_flags_reach_every_experiment(capsys):
     code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "2",
-                         "--fuzzers", "1", "--test-bound", "2")
+                         "--fuzzers", "1")
     lines = text.splitlines()
     assert code == 0 and len(lines) == 10       # 8 catalog + 1 fuzzer rows
-    assert all(" bound=2 tests=" in line for line in lines[:-1])
-    code, text = run_cli(capsys, "suite", "utxl", "--test-bound", "2")
-    assert "utxl-hypothesis[passive] bounded-pass bound=2 tests=" in text
+    assert all(" bound=6 tests=" in line for line in lines[:-1])
+    code, text = run_cli(capsys, "suite", "utxl")
+    assert "utxl-hypothesis[passive] bounded-pass bound=6 tests=" in text
 
 
 @pytest.mark.parametrize("error", [C.UncertifiedWitness, F.LateJoin])

@@ -3,7 +3,7 @@
 A bounded search that never finds anything would still produce green
 bounded-pass lines, so these tests feed it defects it must catch: mutated
 frames from genuine paired runs, a card that reuses its blinding scalar,
-and a credential shown unblinded. Each is detected at small bounds. The
+and a credential shown unblinded. The search detects each. The
 last tests break the distinguisher's search and pair rows, and the
 property checks' join and secrecy targets, and check that the tests of
 test_frames, test_checks and test_cli notice.
@@ -34,13 +34,13 @@ def paired(protocol="utx", strategy="probe_cards"):
 
 def test_self_comparison_is_equivalent():
     real, _ = paired()
-    assert bool(F.static_equiv(real.frame, real.frame, test_bound=4))
+    assert bool(F.static_equiv(real.frame, real.frame))
 
 
 @pytest.mark.parametrize("idx_frac", [0.0, 0.3, 0.6, 0.9])
 def test_mutated_ideal_binding_is_detected(idx_frac):
     # corrupt one structured message of a genuine ideal run; the search must
-    # notice the divergence from the real run at a small bound. (Opaque name
+    # notice the divergence from the real run. (Opaque name
     # announcements are excluded: a fresh name and the hash of a never-seen
     # secret really are statically equivalent.)
     real, ideal = paired()
@@ -50,7 +50,7 @@ def test_mutated_ideal_binding_is_detected(idx_frac):
     bindings = dict(ideal.frame.bindings)
     bindings[alias] = T.normalize(T.h(bindings[alias]))
     mutated = F.Frame(ideal.frame.restricted, bindings)
-    verdict = F.static_equiv(real.frame, mutated, test_bound=4)
+    verdict = F.static_equiv(real.frame, mutated)
     assert not bool(verdict), f"mutation at {alias} went unnoticed"
 
 
@@ -62,7 +62,7 @@ def test_blinding_reuse_is_detected():
     pk_c = T.smult(c, G)
     reused, _ = build([c, a1, a2], [T.smult(a1, pk_c), T.smult(a1, pk_c)])
     correct, _ = build([c, a1, a2], [T.smult(a1, pk_c), T.smult(a2, pk_c)])
-    verdict = F.static_equiv(reused, correct, test_bound=2)
+    verdict = F.static_equiv(reused, correct)
     assert not bool(verdict)
     assert {verdict.left, verdict.right} == {T.var("w0"), T.var("w1")}
 
@@ -77,10 +77,10 @@ def test_unblinded_credential_is_detected():
     secrets = [c, chi, a1, a2]
     leaky, _ = build(secrets, [cert, cert])
     blinded, _ = build(secrets, [T.smult(a, cert) for a in (a1, a2)])
-    assert not bool(F.static_equiv(leaky, blinded, test_bound=2))
+    assert not bool(F.static_equiv(leaky, blinded))
     # and two honestly blinded sessions pass
     other, _ = build(secrets, [T.smult(a, cert) for a in (a2, a1)])
-    assert bool(F.static_equiv(blinded, other, test_bound=3))
+    assert bool(F.static_equiv(blinded, other))
 
 
 def test_mutated_multimonth_run_detected():
@@ -95,7 +95,7 @@ def test_mutated_multimonth_run_detected():
         # additionally hash one to force a structural divergence
         bindings[i] = T.normalize(T.pk(bindings[i]))
         mutated = F.Frame(ideal.frame.restricted, bindings)
-        assert not bool(F.static_equiv(real.frame, mutated, test_bound=4))
+        assert not bool(F.static_equiv(real.frame, mutated))
 
 
 # -- defects in the search ----------------------------------------------------

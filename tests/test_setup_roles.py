@@ -60,13 +60,13 @@ def test_terminal_provisioning():
 def test_bulletin_publishes_released_keys_only():
     fresh = T.FreshNames()
     auth = S.make_authority(fresh, horizon=3)
-    frame = F.Frame({n[1] for n in auth.secret_names()})
+    frame = F.Frame({n[1] for n in (auth.s, *auth.chi.values())})
     keys = S.publish_bulletin(auth, current_month=0)
     assert keys == [auth.vk(), auth.month_vk(0)]  # generic key + month 0
     for key in keys:
         frame.bind(key)
-    assert F.derive(frame, auth.month_vk(0), 1) is not None
-    assert F.derive(frame, auth.month_vk(1), 4) is None
+    assert F.derive(frame, auth.month_vk(0)) is not None
+    assert F.derive(frame, auth.month_vk(1)) is None
 
 
 def test_setup_keeps_secrets_out_of_frame():
@@ -74,12 +74,12 @@ def test_setup_keeps_secrets_out_of_frame():
     auth = S.make_authority(fresh, horizon=3)
     cred = S.make_bank_credential(auth, fresh)
     card = S.issue_card(auth, fresh, 1)
-    frame = F.Frame({n[1] for n in auth.secret_names() + cred.secret_names()
-                     + card.secret_names()})
+    frame = F.Frame({n[1] for n in (auth.s, *auth.chi.values(), cred.b_t,
+                                    card.c, card.pan, card.pin, card.mk)})
     for key in S.publish_bulletin(auth, 1):
         frame.bind(key)
     for secret in [card.c, card.pin, card.mk, cred.b_t, auth.s, auth.chi[1]]:
-        assert F.derive(frame, secret, 4) is None
+        assert F.derive(frame, secret) is None
 
 
 def test_setup_issues_normal_forms():
