@@ -12,7 +12,10 @@ frames. It splits tuples and opens every entry whose key derives, at any
 cost: enc(m, k) by dec with k, sig(k, m) by check with pk(k), and sigv(k,
 m) or a blinded [s]sigv(k, m) by checkv with pkv(k). The opened image is
 the root rewrite of (destructor, key, entry), and the key's recipe is the
-first smallest one derive would give.
+first smallest one derive would give. It adds entries round by round, each
+round in entry order, and visits each entry once but for one whose key has
+not derived yet, which each later round retries; every entry's recipe
+evaluates to its image in the frame.
 
 derive() finds a minimal-size recipe for a target by composing saturated
 building blocks with constructors (Abadi & Cortier's saturate-then-compose
@@ -54,10 +57,11 @@ and an application as 1 plus its parts, a probe enc(dec(k, u), k) has size
 5, a one-field candidate size 2 and a pair candidate size 3: TEST_BOUND,
 the bound a pass reports, bounds them all. Only the seeds
 are evaluated by substitution (terms.apply, which gives an alias's
-bindings as bound); every composed candidate's image in each frame is its
-root over its parts' stored images, rewritten at the root only
-(terms.norm_root) rather than walked again. That gives the same normal
-form because normal forms are fixpoints.
+bindings as bound), and a saturated entry's seed only in the other frame:
+its image in its own frame is the entry. Every composed candidate's image
+in each frame is its root over its parts' stored images, rewritten at the
+root only (terms.norm_root) rather than walked again. That gives the same
+normal form because normal forms are fixpoints.
 The tests count is every enumerated candidate, each at the position its
 pool indices give; only a candidate that a rewrite or a known image can
 make collide is tested, and every other is counted by arithmetic
@@ -172,26 +176,32 @@ def _opening(img: Term):
 
 
 def saturate(f: Frame) -> Saturated:
-    """Destructor closure of the frame, to fixpoint."""
+    """Destructor closure of the frame, in rounds: each visits, in entry
+    order, the entries still shut (their key did not derive) and those the
+    round before added, and the last adds nothing."""
     sat = Saturated(f)
     for alias, img in f.bindings.items():
         sat.add(T.var(alias), img)
-    changed = True
-    while changed:
-        changed = False
-        for img, recipe in list(sat.entries.items()):
+    todo = list(sat.entries.items())
+    while todo:
+        n, shut = len(sat.entries), []
+        for entry in todo:
+            img, recipe = entry
             if img[0] == T.TUP:
                 for i, item in enumerate(img[1]):
-                    changed |= sat.add(T.proj(i + 1, recipe), item)
+                    sat.add(T.proj(i + 1, recipe), item)
                 continue
             opening = _opening(img)
             if opening is None:
                 continue
             op, key = opening
             key_cost = _cost(sat, key)
-            if key_cost is not None:
-                changed |= sat.add((op, key_cost[1], recipe),
-                                   T.norm_root((op, key, img)))
+            if key_cost is None:
+                shut.append(entry)
+            else:
+                sat.add((op, key_cost[1], recipe), T.norm_root((op, key, img)))
+        todo = (shut + list(sat.entries.items())[n:]
+                if len(sat.entries) > n else [])
     return sat
 
 
@@ -468,11 +478,13 @@ class _Bijection:
     images break it witness a distinguishing test. Every candidate is
     counted in tests, in enumeration order.
 
-    Images are evaluated incrementally: a seed is evaluated in each frame
-    by T.apply, which takes the bindings as given (an alias seed's images
-    are its two bindings), and each pool entry keeps both images, so a
-    composed candidate's image is its root over its parts' images,
-    rewritten at the root by T.norm_root, not walked again.
+    Images are evaluated incrementally: an atom seed is evaluated in each
+    frame by T.apply, which takes the bindings as given (an alias seed's
+    images are its two bindings), and a saturated entry's seed only in the
+    frame it did not come from, its image in its own being the entry. Each
+    pool entry keeps both images, so a composed candidate's image is its
+    root over its parts' images, rewritten at the root by T.norm_root, not
+    walked again.
     Normal forms are fixpoints, so this equals evaluating the whole recipe,
     and the images stay variable-free.
 
@@ -580,10 +592,11 @@ class _Bijection:
         self.enc: dict = {}
         self.starts = ()
 
-    def seed(self, recipe: Term):
+    def seed(self, recipe: Term, side=None, image=None):
+        """Test a seed; one from side's saturation brings its image there."""
         try:
-            ia = T.apply(self.sub_a, recipe)
-            ib = T.apply(self.sub_b, recipe)
+            ia = image if side == 0 else T.apply(self.sub_a, recipe)
+            ib = image if side == 1 else T.apply(self.sub_b, recipe)
         except T.MalformedTerm:
             return None
         if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
@@ -822,17 +835,19 @@ class _Bijection:
 
 
 def _seed_recipes(sa: Saturated, sb: Saturated, atoms):
-    """The seeds, in a deterministic order: gen and the other constants, the
-    months and public names among the atoms (_joinable's, of both frames'
-    bindings, so of every saturated entry), in term order, then the
-    saturated building blocks of both frames."""
+    """The seeds as _Bijection.seed's arguments, in a deterministic order:
+    gen and the other constants, the months and public names among the
+    atoms (_joinable's, of both frames' bindings, so of every saturated
+    entry), in term order, then each frame's saturated building blocks
+    with that frame's side and their image there."""
     seeds = [T.gen()]
     seeds += [T.const(t) for t in T.CONST_TAGS if t != "mm"]
     restricted = sa.frame.restricted | sb.frame.restricted
     seeds += sorted(x for x in atoms if x[0] == T.CONST or (
         x[0] == T.NAME and x[1] not in restricted))
-    seeds += sa.entries.values()
-    seeds += sb.entries.values()
+    seeds = [(x, None, None) for x in seeds]
+    for side, sat in enumerate((sa, sb)):
+        seeds += [(r, side, img) for img, r in sat.entries.items()]
     return seeds
 
 
@@ -848,13 +863,13 @@ def static_equiv(fa: Frame, fb: Frame):
     # each alias, and any recipe the two saturations share, is a seed of
     # both: a repeat adds to tests what its first run added, and no more
     added = {}
-    for r in _seed_recipes(sa, sb, bij.atoms):
+    for r, side, img in _seed_recipes(sa, sb, bij.atoms):
         tests = added.get(r)
         if tests is not None:
             bij.tests += tests
             continue
         tests = bij.tests
-        verdict = bij.seed(r)
+        verdict = bij.seed(r, side, img)
         if verdict is not None:
             return verdict
         added[r] = bij.tests - tests
