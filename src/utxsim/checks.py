@@ -432,13 +432,12 @@ UNLINK_CATALOG = ("passive", "probe_cards", "drop", "replay_bank_request",
 _FORGED = ("violated", "holds", "holds", "holds")
 
 
-def suites(sessions: int = 3, n_fuzzers: int = 42) -> dict:
-    """Every battery as its rows, in report order. ``sessions`` and
-    ``n_fuzzers`` shape only the unlinkability battery: the catalog plus
-    that many seeded fuzzers, each against one card's ``sessions``
-    sessions."""
+def suites(sessions: int = 3) -> dict:
+    """Every battery as its rows, in report order. ``sessions`` shapes
+    only the unlinkability battery: the catalog plus 42 seeded fuzzers,
+    each against one card's ``sessions`` sessions."""
     unlink = [(name, 0) for name in UNLINK_CATALOG] + \
-        [("fuzzer", k) for k in range(n_fuzzers)]
+        [("fuzzer", k) for k in range(42)]
     return {
         "security": [
             *(Row(f"honest_{m}",
@@ -516,9 +515,8 @@ def _run_row(row: Row, seed: int):
     return paired_verdict(sc)
 
 
-def run_suite(name: str, seed: int = 0, sessions: int = 3,
-              n_fuzzers: int = 42) -> Report:
-    table = suites(sessions, n_fuzzers)
+def run_suite(name: str, seed: int = 0, sessions: int = 3) -> Report:
+    table = suites(sessions)
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(table)}")
     rep = Report(name)

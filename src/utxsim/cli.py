@@ -2,15 +2,19 @@
 
 Subcommands: run (execute a scenario, write the trace), check (agreement +
 secrecy over a trace), distinguish (paired real/ideal experiment), suite
-(named experiment battery), difftest (numeric backend cross-check).
-The two searches take no size setting: a pass line's bound=6 is
+(named experiment battery), difftest (numeric backend cross-check),
+catalog (built-in scenarios and strategies).
+A scenario, a built-in name or a scenario file, is the one way to set a
+run's fields; --seed and --sessions replace its seed and its sessions
+(and schedule) only when given. suite and difftest seed with --seed, else
+0. The two searches take no size setting: a pass line's bound=6 is
 frames.TEST_BOUND and a secrecy line's bound=8 is frames.DERIVE_BOUND.
 
 Exit codes: 0 all expected verdicts, 1 property violation or unexpected
 verdict, 2 usage error, 3 internal error of a search (a witness that fails
 its re-check, or a candidate joining the distinguisher's pool after the
-seeds), with its traceback on stderr. Identical argv and seed give
-byte-identical output; UTXSIM_SEED sets the default seed.
+seeds), with its traceback on stderr. Identical argv and scenario files
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -91,21 +95,14 @@ def load_scenario(spec: str) -> harness.Scenario:
         f"built-ins: {', '.join(sorted(checks.SCENARIOS))}")
 
 
-# flags whose destination is the Scenario field they override when given;
-# every scenario flag left unset is None
-_OVERRIDES = ("world", "protocol", "replay_check",
-              "terminal_checks_month_cert", "chi_leaked", "pin_leaked")
-_SCENARIO_FLAGS = ("scenario", "seed", "sessions") + _OVERRIDES
-
-
 def _scenario(args) -> harness.Scenario:
+    """The named scenario, with --seed and --sessions applied when given."""
     sc = load_scenario(args.scenario or "honest_onhi")
-    changes = {k: getattr(args, k, None) for k in _OVERRIDES}
-    changes = {k: v for k, v in changes.items() if v is not None}
-    changes["seed"] = _default_seed() if args.seed is None else args.seed
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
     if args.sessions is not None:
-        changes.update(sessions=args.sessions, schedule=())
-    return replace(sc, **changes)
+        sc = replace(sc, sessions=args.sessions, schedule=())
+    return sc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -124,9 +121,10 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     if args.trace:
-        if any(getattr(args, k) is not None for k in _SCENARIO_FLAGS):
+        if any(v is not None for v in (args.scenario, args.seed,
+                                       args.sessions)):
             raise harness.ScenarioInvalid(
-                "--trace takes no scenario or override flag")
+                "--trace takes no --scenario, --seed or --sessions")
         with open(args.trace, encoding="utf-8") as fh:
             trace = harness.parse_trace(fh.read())
     else:
@@ -146,13 +144,13 @@ def cmd_distinguish(args) -> int:
 
 def cmd_suite(args) -> int:
     report = checks.run_suite(args.name, seed=args.seed,
-                              sessions=args.sessions, n_fuzzers=args.fuzzers)
+                              sessions=args.sessions)
     _emit("".join(line + "\n" for line in report.render()), args.out)
     return 0 if report.ok() else 1
 
 
 def cmd_difftest(args) -> int:
-    rep = concrete.differential_test(args.samples, args.depth, args.seed)
+    rep = concrete.differential_test(args.samples, args.seed)
     _emit("".join(line + "\n" for line in rep.lines()), args.out)
     return 1 if rep.soundness_violations else 0
 
@@ -186,43 +184,21 @@ def _at_least(minimum: int):
     return integer
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("UTXSIM_SEED", "0"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="utxsim", allow_abbrev=False,
         description="Symbolic engine and attacker harness for unlinkable "
                     "smart-card payments")
-    try:
-        default_seed = _default_seed()
-    except ValueError:
-        p.error("UTXSIM_SEED must be an integer, got "
-                f"{os.environ['UTXSIM_SEED']!r}")
-    count = _at_least(0)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def scenario_flags(sp, world=True):
+    def scenario_flags(sp):
         sp.add_argument("--scenario", default=None,
                         help="built-in scenario name or scenario file "
                              "(honest_onhi)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--sessions", type=count, default=None)
-        if world:
-            sp.add_argument("--world", choices=harness.WORLDS, default=None)
-        sp.add_argument("--protocol", default=None, choices=harness.PROTOCOLS)
-        sp.add_argument("--replay-check", dest="replay_check",
-                        action="store_true", default=None)
-        sp.add_argument("--no-replay-check", dest="replay_check",
-                        action="store_false")
-        sp.add_argument("--no-terminal-cert-check",
-                        dest="terminal_checks_month_cert",
-                        action="store_false", default=None)
-        sp.add_argument("--leak-chi", dest="chi_leaked", type=int,
-                        default=None, metavar="MONTH")
-        sp.add_argument("--leak-pin", dest="pin_leaked", action="store_true",
-                        default=None)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="(the scenario's own)")
+        sp.add_argument("--sessions", type=_at_least(0), default=None,
+                        help="(the scenario's own; drops its schedule)")
         sp.add_argument("--out", default=None, help="output file (stdout)")
 
     sp = sub.add_parser("run", allow_abbrev=False,
@@ -239,25 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("distinguish", allow_abbrev=False,
                         help="paired real/ideal bounded distinguishing run")
-    scenario_flags(sp, world=False)     # run_paired runs both worlds
+    scenario_flags(sp)
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("suite", allow_abbrev=False,
                         help="run a named experiment battery")
     sp.add_argument("name", choices=sorted(checks.suites()))
-    sp.add_argument("--seed", type=int, default=default_seed)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="output file (stdout)")
     sp.add_argument("--sessions", type=_at_least(2), default=3,
                     help="sessions per unlinkability experiment (at least 2)")
-    sp.add_argument("--fuzzers", type=count, default=42,
-                    help="seeded fuzzers in the unlinkability battery")
     sp.set_defaults(fn=cmd_suite)
 
     sp = sub.add_parser("difftest", allow_abbrev=False,
                         help="symbolic-vs-numeric differential test")
     sp.add_argument("--samples", type=_at_least(1), default=10000)
-    sp.add_argument("--depth", type=_at_least(1), default=6)
-    sp.add_argument("--seed", type=int, default=default_seed)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_difftest)
 

@@ -101,8 +101,9 @@ class LateJoin(Exception):
 @dataclass(slots=True)
 class Frame:
     """The one record of what the attacker has seen: the restricted name ids
-    and the substitution alias -> normal form, in output order. It grows
-    only through bind, the one place an alias is made."""
+    and the substitution alias -> ground normal form (one holding no
+    variable), in output order. It grows only through bind, the one place
+    an alias is made."""
     restricted: set = field(default_factory=set)
     bindings: dict = field(default_factory=dict)
 
@@ -430,15 +431,15 @@ _DESTRUCTORS = frozenset((T.DEC, T.PROJ, T.CHECK, T.CHECKV))
 
 
 def _joinable(f: Frame):
-    """(the atoms of f's bindings: their month constants, names and
-    variables; the factors of the scalars of the [s]p images in f's
-    joinable set, its bindings closed under splitting tuples and under
-    _opening's openings, or None when that set holds a product), in one
-    walk. An opening's image is a subterm of what it opens, or [s]m of a
-    blinded [s]sigv(k, m), so the walk meets every atom once it walks each
-    opening's key. Each joinable term is hashed once (the set's size tells
-    whether it was new, as in Saturated.add), and the atom walk reads
-    fields by hand, not by T.fields: it runs once per node."""
+    """(the atoms of f's bindings: their month constants and names; the
+    factors of the scalars of the [s]p images in f's joinable set, its
+    bindings closed under splitting tuples and under _opening's openings,
+    or None when that set holds a product), in one walk. An opening's
+    image is a subterm of what it opens, or [s]m of a blinded [s]sigv(k,
+    m), so the walk meets every atom once it walks each opening's key.
+    Each joinable term is hashed once (the set's size tells whether it was
+    new, as in Saturated.add), and the atom walk reads fields by hand, not
+    by T.fields: it runs once per node."""
     joinable, stack, rest = set(), list(f.bindings.values()), []
     factors, product = set(), False
     while stack:
@@ -462,7 +463,7 @@ def _joinable(f: Frame):
     while rest:
         x = rest.pop()
         op = x[0]
-        if op == T.NAME or op == T.VAR or (op == T.CONST and x[1] == "mm"):
+        if op == T.NAME or (op == T.CONST and x[1] == "mm"):
             atoms.add(x)
         elif op == T.MULT or op == T.TUP:
             rest += x[1]
@@ -571,8 +572,6 @@ class _Bijection:
         self.sub_a, self.sub_b = fa.bindings, fb.bindings
         (aa, xa), (ab, xb) = _joinable(fa), _joinable(fb)
         self.atoms = aa | ab     # the atoms of either frame's bindings
-        # a seed's images can hold a variable only where a frame image does
-        self.has_vars = any(x[0] == T.VAR for x in self.atoms)
         # per frame: the joinable scalars' factors, None past a product
         self.factors = (xa, xb)
         self.by_a: dict = {}
@@ -598,8 +597,6 @@ class _Bijection:
             ia = image if side == 0 else T.apply(self.sub_a, recipe)
             ib = image if side == 1 else T.apply(self.sub_b, recipe)
         except T.MalformedTerm:
-            return None
-        if self.has_vars and (T.free_vars(ia) or T.free_vars(ib)):
             return None
         return self._test(recipe, ia, ib)
 

@@ -239,14 +239,19 @@ def parse_trace(text: str) -> Trace:
     trace; this is everything the property checkers consume."""
     tr = Trace(scenario=Scenario())
     bindings = tr.frame.bindings
+    seen = set()        # the SCEN and REST lines, each at most once
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         head, _, rest = line.partition(" ")
         try:
+            if head in seen:
+                raise ValueError(f"a second {head} line")
             if head == "SCEN":
+                seen.add(head)
                 tr.scenario = _parse_scen(rest)
             elif head == "REST":
+                seen.add(head)
                 tr.frame.restricted = set(rest.split())
             elif head == "BIND":
                 alias, _, img = rest.partition(" ")

@@ -299,7 +299,8 @@ class Fuzzer(Pump):
 class Scripted:
     """Imperative attack scripts: a generator, made of the moves below,
     yields actions and reads the newest observation from self.obs after
-    every yield. A script ends at a delivery to a session that has ended."""
+    every yield. A script ends at a delivery to a session that has ended,
+    and at the start of a card the scenario does not have."""
 
     name = "scripted"
 
@@ -312,7 +313,9 @@ class Scripted:
     def decide(self, obs):
         self.obs = obs
         act = next(self._gen, None)
-        if isinstance(act, H.Deliver) and not obs.sessions[act.sid].alive():
+        if (isinstance(act, H.Deliver) and not obs.sessions[act.sid].alive()
+                or isinstance(act, H.StartCard)
+                and act.card_idx >= self.sc.cards):
             self._gen.close()
             return None
         return act

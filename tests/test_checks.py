@@ -329,7 +329,7 @@ def test_checking_leaves_no_cyclic_garbage():
             tr = H.run_scenario(sc)
             C.check_all_agreements(tr)
             C.check_secrecy(tr.frame, tr.secrets)
-        C.run_suite("unlinkability", seed=0, n_fuzzers=2)
+        C.run_suite("unlinkability", seed=0)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -94,7 +94,7 @@ def test_controls_battery_exit_zero(capsys):
 
 def test_difftest(capsys):
     code, text = run_cli(capsys, "difftest", "--samples", "500",
-                         "--depth", "4", "--seed", "2")
+                         "--seed", "2")
     assert code == 0
     assert "difftest-soundness holds" in text
 
@@ -145,6 +145,74 @@ def test_scenario_file(tmp_path, capsys):
     assert code == 0
     body = (tmp_path / "t.txt").read_text()
     assert "strategy=probe_cards" in body
+
+
+def test_scenario_file_seed_applies_unless_seed_given(tmp_path, capsys):
+    """A file's seed line sets the run's seed; --seed replaces it."""
+    f = tmp_path / "scen.txt"
+    f.write_text(_SCENARIO_TEXT.replace("seed 3", "seed 5"))
+    for flags, seed in (([], 5), (["--seed", "7"], 7)):
+        code, text = run_cli(capsys, "run", "--scenario", str(f), *flags)
+        assert code == 0
+        assert f" seed={seed} " in text.splitlines()[0]
+
+
+def _scenario_file_text(sc):
+    """sc as scenario-file text, a line for each field."""
+    onoff = {True: "on", False: "off"}
+    lines = [f"{key} {getattr(sc, key)}"
+             for key in ("protocol", "world", "cards", "sessions", "seed",
+                         "current_month", "horizon", "max_steps")]
+    lines += [f"terminal {mode} {'.' if month is None else month}"
+              for mode, month in sc.terminals]
+    lines += [f"card_window {' '.join(map(str, w))}"
+              for w in sc.card_windows]
+    lines += [f"schedule {' '.join(f'{c}:{t}' for c, t in sc.schedule)}",
+              f"issue_months {' '.join(map(str, sc.issue_months))}",
+              f"wrong_pin {' '.join(map(str, sc.wrong_pin_sessions))}",
+              f"strategy {sc.strategy} {sc.strategy_arg}",
+              f"replay_check {onoff[sc.replay_check]}",
+              f"terminal_cert_check {onoff[sc.terminal_checks_month_cert]}",
+              f"leak_pin {onoff[sc.pin_leaked]}",
+              f"contact {onoff[sc.contact]}"]
+    if sc.chi_leaked is not None:
+        lines.append(f"leak_chi {sc.chi_leaked}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_scenario_file_reaches_every_builtin_and_flipped_field():
+    """Every built-in scenario reads back from its file text, and so does
+    each one with a field flipped that only a file sets: world, protocol,
+    replay_check, terminal_cert_check, leak_chi and leak_pin."""
+    for name, sc in sorted(C.SCENARIOS.items()):
+        variants = [sc, replace(sc, world={"real": "ideal",
+                                           "ideal": "real"}[sc.world]),
+                    replace(sc, replay_check=not sc.replay_check),
+                    replace(sc, terminal_checks_month_cert=not
+                            sc.terminal_checks_month_cert),
+                    replace(sc, chi_leaked=0 if sc.chi_leaked is None
+                            else None),
+                    replace(sc, pin_leaked=not sc.pin_leaked)]
+        variants += [replace(sc, protocol=p) for p in H.PROTOCOLS]
+        for v in variants:
+            assert cli.parse_scenario_text(_scenario_file_text(v)) == v, \
+                (name, v)
+
+
+@pytest.mark.parametrize("strategy", ["month_probe", "fake_card_cert_replay"])
+def test_script_starting_a_missing_card_ends(tmp_path, capsys, strategy):
+    """A script ends at the start of a card the scenario does not have, as
+    at a delivery to a session that has ended: each command runs the
+    scenario through, with no traceback."""
+    f = tmp_path / "scen.txt"
+    f.write_text(f"strategy {strategy}\ncards 0\nsessions 0\nterminal lo\n")
+    code, text = run_cli(capsys, "run", "--scenario", str(f))
+    assert code == 0 and "|start|T0|" in text and "|start|C" not in text
+    for cmd, last in (("check", "CHECK secrecy holds bound=8"),
+                      ("distinguish", "CHECK distinguish bounded-pass "
+                                      "bound=6 tests=9212")):
+        code, text = run_cli(capsys, cmd, "--scenario", str(f))
+        assert (code, text.splitlines()[-1]) == (0, last), cmd
 
 
 def test_usage_errors(capsys):
@@ -369,6 +437,22 @@ def test_rebound_alias_in_trace_exits_cleanly(tmp_path, capsys):
         "error: bad trace line 5 (BIND): alias w1 is bound twice\n"
 
 
+@pytest.mark.parametrize("head", ["SCEN", "REST"])
+def test_second_header_line_in_trace_exits_cleanly(tmp_path, capsys, head):
+    """A trace has one SCEN and one REST line: a second REST m after REST
+    k would otherwise make k public and read as a secrecy violation."""
+    path = tmp_path / "tr.txt"
+    scen = ("SCEN protocol=utx world=real seed=0 cards=0 sessions=0 "
+            "strategy=passive")
+    second = {"SCEN": scen, "REST": "REST m"}[head]
+    path.write_text(f"{scen}\nREST k\nBIND w0 (enc m k)\n{second}\n"
+                    "TARGET s m\n")
+    code = cli.main(["check", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", (
+        f"error: bad trace line 4 ({head}): a second {head} line\n"))
+
+
 def test_unknown_trace_record_exits_cleanly(tmp_path, capsys):
     """A line whose first word is no record type is not a trace: a
     misspelt BIND would otherwise drop its binding and check as holds."""
@@ -503,7 +587,7 @@ def assert_usage_error(capsys, code):
 
 
 @pytest.mark.parametrize("line, flags, field", [
-    ("", ["--leak-chi", "99"], "chi_leaked"),
+    ("leak_chi 99", [], "chi_leaked"),
     ("leak_chi -9", [], "chi_leaked"),
     ("terminal xx .", [], "terminal mode"),
     ("current_month 9", [], "current_month"),
@@ -579,6 +663,17 @@ def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
     # the searches take no size setting, not even at its printed value
     ["distinguish", "--test-bound", "6"],
     ["suite", "security", "--test-bound", "6"],
+    # a scenario file sets these fields, and no flag does: each deleted
+    # flag on each command that took it, at a value once accepted
+    *([cmd, *flag] for cmd in ("run", "check", "distinguish")
+      for flag in (["--world", "real"], ["--protocol", "utx"],
+                   ["--replay-check"], ["--no-replay-check"],
+                   ["--no-terminal-cert-check"], ["--leak-chi", "1"],
+                   ["--leak-pin"])
+      if [cmd, *flag] != ["distinguish", "--world", "real"]),
+    # the battery is always 42 fuzzers, and difftest's terms 1 to 6 deep
+    ["suite", "unlinkability", "--fuzzers", "42"],
+    ["difftest", "--depth", "6"],
 ])
 def test_bad_flags_exit_with_one_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)     # a real trace, so only the flags are wrong
@@ -602,16 +697,10 @@ def test_unreadable_files_exit_with_one_line(tmp_path, monkeypatch, capsys,
     assert_usage_error(capsys, cli.main(argv))
 
 
-def test_non_integer_seed_variable(capsys, monkeypatch):
-    monkeypatch.setenv("UTXSIM_SEED", "abc")
-    assert_usage_error(capsys, cli.main(["catalog"]))
-
-
 def test_suite_flags_reach_every_experiment(capsys):
-    code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "2",
-                         "--fuzzers", "1")
+    code, text = run_cli(capsys, "suite", "unlinkability", "--sessions", "2")
     lines = text.splitlines()
-    assert code == 0 and len(lines) == 10       # 8 catalog + 1 fuzzer rows
+    assert code == 0 and len(lines) == 51       # 8 catalog + 42 fuzzer rows
     assert all(" bound=6 tests=" in line for line in lines[:-1])
     code, text = run_cli(capsys, "suite", "utxl")
     assert "utxl-hypothesis[passive] bounded-pass bound=6 tests=" in text

@@ -73,7 +73,7 @@ def test_tuples_evaluate_structurally():
 
 
 def test_differential_soundness_small():
-    rep = K.differential_test(samples=2000, depth=5, seed=3)
+    rep = K.differential_test(samples=2000, seed=3)
     assert rep.samples == 2000
     assert not rep.soundness_violations
     assert rep.collision_rate < 0.01
