@@ -116,7 +116,7 @@ def _ev(t, env):
 
 # -- random term sampling --------------------------------------------------
 
-def random_term(rng: random.Random, depth: int, names, allow_destructors=True):
+def random_term(rng: random.Random, depth: int, names):
     """Arbitrary raw term over the given name pool, at most `depth` deep."""
     if depth <= 0 or rng.random() < 0.25:
         kind = rng.randrange(4)
@@ -127,11 +127,9 @@ def random_term(rng: random.Random, depth: int, names, allow_destructors=True):
         if kind == 2:
             return (T.CONST, rng.choice(["bot", "ok", "no", "lo", "hi"]), -1)
         return T.mm(rng.randrange(3))
-    ops = [T.MULT, T.SMULT, T.HASH, T.ENC, T.TUP, T.PK, T.SIG, T.PKV, T.SIGV]
-    if allow_destructors:
-        ops += [T.CHECK, T.CHECKV, T.PROJ, T.DEC]
-    op = rng.choice(ops)
-    sub = lambda: random_term(rng, depth - 1, names, allow_destructors)
+    op = rng.choice((T.MULT, T.SMULT, T.HASH, T.ENC, T.TUP, T.PK, T.SIG,
+                     T.PKV, T.SIGV, T.CHECK, T.CHECKV, T.PROJ, T.DEC))
+    sub = lambda: random_term(rng, depth - 1, names)
     if op == T.MULT:
         return T.mult(*[sub() for _ in range(rng.randrange(2, 4))])
     if op == T.TUP:

@@ -43,8 +43,7 @@ occur in a binding, and both saturations' entries. An opening adds no
 atom, so those months and names are the atoms of every saturated entry;
 the walk that finds each frame's joinable set (_joinable) meets them, and
 no saturation is walked for them. A recipe that both saturations hold,
-each alias at least, is evaluated once: its repeat adds to the tests count
-what its first run added.
+each alias at least, is evaluated once: its repeat counts one test.
 The pool is the seeds: nothing joins it after them. A destructor
 candidate that reduces in a frame reduces to an entry of that frame's
 saturation, which opens every entry whose key derives, and that entry's
@@ -592,12 +591,11 @@ class _Bijection:
         self.starts = ()
 
     def seed(self, recipe: Term, side=None, image=None):
-        """Test a seed; one from side's saturation brings its image there."""
-        try:
-            ia = image if side == 0 else T.apply(self.sub_a, recipe)
-            ib = image if side == 1 else T.apply(self.sub_b, recipe)
-        except T.MalformedTerm:
-            return None
+        """Test a seed; one from side's saturation brings its image there.
+        A seed is an atom or a saturation recipe, which evaluates in any
+        frame with its frame's domain."""
+        ia = image if side == 0 else T.apply(self.sub_a, recipe)
+        ib = image if side == 1 else T.apply(self.sub_b, recipe)
         return self._test(recipe, ia, ib)
 
     def _test(self, recipe: Term, ia: Term, ib: Term):
@@ -858,18 +856,16 @@ def static_equiv(fa: Frame, fb: Frame):
     bij = _Bijection(fa, fb)
 
     # each alias, and any recipe the two saturations share, is a seed of
-    # both: a repeat adds to tests what its first run added, and no more
-    added = {}
+    # both: a repeat counts one test and is not run again
+    seen = set()
     for r, side, img in _seed_recipes(sa, sb, bij.atoms):
-        tests = added.get(r)
-        if tests is not None:
-            bij.tests += tests
+        if r in seen:
+            bij.tests += 1
             continue
-        tests = bij.tests
+        seen.add(r)
         verdict = bij.seed(r, side, img)
         if verdict is not None:
             return verdict
-        added[r] = bij.tests - tests
 
     bij.seal()
     verdict = bij.search()

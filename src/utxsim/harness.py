@@ -371,11 +371,6 @@ class _SysFresh(T.FreshNames):
         return n
 
 
-# protocol -> the role flags its cards and terminals both take
-_VARIANT_FLAGS = {"bdh": {"bdh": True},
-                  "ubdh": {"truncate_after_validity": True}}
-
-
 class Runner:
     """One world executing one scenario under one attacker program."""
 
@@ -398,12 +393,12 @@ class Runner:
         self.n_bank_requests = 0
         self._log = self.trace.records
         self._spawn_queue: dict = {}
-        self._card_flags = dict(_VARIANT_FLAGS.get(sc.protocol, {}))
-        if sc.protocol == "utxl" and not sc.contact:
-            self._card_flags["contactless_only"] = True
-        self._terminal_flags = dict(_VARIANT_FLAGS.get(sc.protocol, {}))
-        if not sc.terminal_checks_month_cert:
-            self._terminal_flags["checks_month_cert"] = False
+        self._card_flags = {
+            "protocol": sc.protocol,
+            "contactless_only": sc.protocol == "utxl" and not sc.contact}
+        self._terminal_flags = {
+            "protocol": sc.protocol,
+            "checks_month_cert": sc.terminal_checks_month_cert}
         self._build_world()
 
     # -- construction ------------------------------------------------------

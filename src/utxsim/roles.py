@@ -15,10 +15,10 @@ and the destructors dec, check, checkv) is rewritten by T.norm_root. Every
 output, event argument and secret a step leaves in its state is therefore a
 normal form.
 
-Control roles for the key-establishment baselines (linkable blinded DH and
-its unlinkable truncation) are provided as flags on the card/terminal
-states; their message framing beyond the handshake is this engine's
-reconstruction, see README.
+The control roles for the key-establishment baselines (linkable blinded DH
+and its unlinkable truncation) read the scenario's protocol, "bdh" or
+"ubdh", off the card/terminal states; their message framing beyond the
+handshake is this engine's reconstruction, see README.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class CardState:
     authority_vk: Term               # generic verification key
     window: Optional[tuple] = None   # sliding month window (multi-month card)
     contactless_only: bool = False
-    bdh: bool = False
-    truncate_after_validity: bool = False
+    protocol: str = "utx"            # the scenario's, which bdh and ubdh read
     stage: str = "C1"
     session_id: str = ""
     # per-session values
@@ -123,7 +122,7 @@ def _card_handshake(s: CardState, z1: Term, fresh: T.FreshNames) -> StepResult:
     s.a = fresh.scalar("a")
     s.z2 = T.norm_root(T.smult(s.a, s.pk_c))
     s.k_c = T.h(T.norm_root(T.smult(T.norm_root(T.mult(s.a, s.c)), z1)))
-    if s.bdh:
+    if s.protocol == "bdh":
         # linkable baseline: the signed public key leaves the card unblinded
         month = s.window[0] if s.window else s.pointer
         payload = T.enc(T.tup(s.pk_c, s.certs[month]), s.k_c)
@@ -155,7 +154,7 @@ def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
     s.month = k
     s.m_msg = m
     s.emc = T.enc(T.tup(s.z2, T.norm_root(T.smult(s.a, s.certs[k]))), s.k_c)
-    if s.truncate_after_validity:
+    if s.protocol == "ubdh":
         s.stage = "C7"
         return StepResult(outputs=[s.emc], done=True)
     s.stage = "C5"
@@ -234,8 +233,7 @@ class TerminalState:
     kbt: Term
     month: int
     checks_month_cert: bool = True
-    bdh: bool = False
-    truncate_after_validity: bool = False
+    protocol: str = "utx"            # the scenario's, which bdh and ubdh read
     stage: int = 1
     session_id: str = ""
     # per-session values
@@ -271,7 +269,7 @@ def terminal_step(s: TerminalState, incoming: Optional[Term],
         s.z2 = incoming
         s.k_t = T.h(T.norm_root(T.smult(s.t, s.z2)))
         s.stage = 4
-        if s.bdh:
+        if s.protocol == "bdh":
             # the linkable baseline sends no certificate; it awaits the
             # card's signed key directly
             return StepResult()
@@ -297,10 +295,10 @@ def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
             return _fail("BadMonthCert")
         # binding the pair to the handshake key defeats replayed pairs; the
         # linkable baseline never had this check
-        if not s.bdh and b != s.z2:
+        if s.protocol != "bdh" and b != s.z2:
             return _fail("BadMonthCert")
     s.n_msg = n
-    if s.bdh or s.truncate_after_validity:
+    if s.protocol in ("bdh", "ubdh"):
         s.stage = 11
         return StepResult(done=True)
     if s.mode in ("onhi", "offhi"):

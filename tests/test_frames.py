@@ -1536,6 +1536,36 @@ def test_nothing_joins_the_pool_after_the_seeds(kind, seed):
                              verdict.side == "second"]
 
 
+def test_saturation_recipes_evaluate_in_either_frame():
+    """static_equiv seeds each saturation recipe in the other frame too,
+    with no fallback for one that fails to evaluate there. Over the paired
+    battery scenarios' final frames at seeds 0-3, random frame pairs with
+    equal domains, and one pair that check and checkv open, every recipe
+    of either saturation evaluates in the other frame, to a term holding
+    no variable."""
+    paired = sorted({row.scenario for rows in C.suites().values()
+                     for row in rows if row.paired})
+    pairs = [(real.frame, ideal.frame) for real, ideal in (
+        H.run_paired(replace(C.SCENARIOS[name], seed=seed))
+        for name in paired for seed in range(4))]
+    rng = random.Random("either frame")
+    while len(pairs) < 4 * len(paired) + 100:
+        fa, fb = _random_frame(rng)[0], _random_frame(rng)[0]
+        if list(fa.bindings) == list(fb.bindings):
+            pairs.append((fa, fb))
+    k, n, s = T.name("k"), T.name("n"), T.name("s", "scalar")
+    pairs.append(tuple(build([k, n, s], images)[0] for images in (
+        [T.sig(k, n), T.pk(k), T.smult(s, T.sigv(k, n)), T.pkv(k)],
+        [n, T.pk(k), T.smult(s, n), T.pkv(k)])))
+    heads = set()
+    for fa, fb in pairs:
+        for f, g in ((fa, fb), (fb, fa)):
+            for recipe in F.saturate(f).entries.values():
+                heads.add(recipe[0])
+                assert not T.free_vars(T.apply(g.bindings, recipe))
+    assert heads == {T.VAR, T.PROJ, T.DEC, T.CHECK, T.CHECKV}
+
+
 # -- the seeds' atoms ----------------------------------------------------------
 #
 # The months and public names among the seeds are read off the atoms
@@ -1696,6 +1726,20 @@ def test_slots_match_the_per_entry_scan(monkeypatch):
         F.static_equiv(fb, fa)
     assert got == want
     assert len(got) > len(pairs) and orders == {False, True}
+
+
+def test_static_equiv_opens_with_a_later_key():
+    """A key's entry pairs with an entry it opens also when the key comes
+    after it: w1 = sigv(k0, h(s0)) opens only under w2 = pkv(k0), and no
+    seed or tested image names the slot (1, 2). Without that slot the
+    pair reads Equivalent(tests=3447)."""
+    s0, k0 = T.name("s0"), T.name("k0")
+    fa, _ = build([s0, k0], [T.h(s0), T.sigv(k0, T.h(s0)), T.pkv(k0)])
+    fb, _ = build([s0, k0], [T.h(s0), T.pk(k0), T.pkv(k0)])
+    verdict = F.static_equiv(fa, fb)
+    assert isinstance(verdict, F.Distinguished)
+    assert verdict.describe() == \
+        "?w0 = (checkv ?w2 ?w1) holds in the first frame only"
 
 
 def _late_named_pair():

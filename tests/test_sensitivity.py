@@ -157,7 +157,7 @@ def test_search_defect_is_caught(monkeypatch, defect):
 # which _slots reads off seal's indexes. It loses slots if it skips the
 # key lookup (no entry pairs with the entries its image opens as a key), or
 # only its forward direction (a key's entry pairs only with the entries
-# after it that it opens).
+# after it that it opens), which also moves a verdict.
 
 def _skip_reverse_key_lookup(monkeypatch):
     seal = F._Bijection.seal
@@ -183,10 +183,16 @@ def _skip_forward_key_lookup(monkeypatch):
     monkeypatch.setattr(F._Bijection, "seal", seal_with_later_openers)
 
 
+def _later_key_verdict(monkeypatch):
+    """The later-key verdict test, called as the scan checks are."""
+    test_frames.test_static_equiv_opens_with_a_later_key()
+
+
 @pytest.mark.parametrize("defect, check", [
     (_skip_reverse_key_lookup, test_frames.test_row_matches_the_full_scan),
     (_skip_forward_key_lookup,
-     test_frames.test_slots_match_the_per_entry_scan)])
+     test_frames.test_slots_match_the_per_entry_scan),
+    (_skip_forward_key_lookup, _later_key_verdict)])
 def test_pair_pass_defect_is_caught(monkeypatch, defect, check):
     defect(monkeypatch)
     with pytest.raises(AssertionError):

@@ -345,9 +345,9 @@ def _assert_shape(t):
 @settings(max_examples=200, deadline=None)
 def test_integrity_decryption_requires_equal_keys(seed, seed2):
     rng = random.Random(f"{seed}.{seed2}")
-    k1 = random_term(rng, 3, NAME_POOL, allow_destructors=False)
-    k2 = random_term(rng, 3, NAME_POOL, allow_destructors=False)
-    body = random_term(rng, 3, NAME_POOL, allow_destructors=False)
+    k1 = random_term(rng, 3, NAME_POOL)
+    k2 = random_term(rng, 3, NAME_POOL)
+    body = random_term(rng, 3, NAME_POOL)
     reduced = T.normalize(T.dec(k2, T.enc(body, k1)))
     if T.equal_mod_E(k1, k2):
         assert reduced == T.normalize(body)
