@@ -293,8 +293,7 @@ def distinguish(real, ideal) -> Verdict:
 
 LO, ONHI, OFFHI = ("lo", None), ("onhi", None), ("offhi", None)
 # one card, two sessions at one low-value terminal: the paired-world setup
-_TWO_SESSIONS = dict(sessions=2, schedule=((0, 0), (0, 0)), terminals=(LO,),
-                     replay_check=False)
+_TWO_SESSIONS = dict(sessions=2, terminals=(LO,), replay_check=False)
 _mk = harness.Scenario
 
 SCENARIOS = {
@@ -310,12 +309,12 @@ SCENARIOS = {
                                      strategy="replay_bank_request",
                                      replay_check=False),
     "harvest_cert": _mk(terminals=(LO,), sessions=0, strategy="harvest"),
-    "fake_card_no_checkv": _mk(terminals=(LO, LO), sessions=0,
+    "fake_card_no_checkv": _mk(terminals=(LO,), sessions=0,
                                strategy="fake_card_cert_replay",
                                terminal_checks_month_cert=False),
     "chi_leak_fake_card": _mk(terminals=(LO,), sessions=0,
                               strategy="chi_fake_card", chi_leaked=1),
-    "month_probe_stale": _mk(issue_months=(2,), horizon=4, current_month=2,
+    "month_probe_stale": _mk(horizon=4, current_month=2,
                              terminals=(("lo", 0),), sessions=0,
                              strategy="month_probe"),
     "unlink_utx": _mk(strategy="probe_cards", **_TWO_SESSIONS),
@@ -464,8 +463,7 @@ def suites(sessions: int = 3) -> dict:
         ],
         "unlinkability": [
             _paired("unlink_utx", f"utx[{name}.{arg}]", "bounded-pass",
-                    sessions=sessions, schedule=((0, 0),) * sessions,
-                    terminals=(LO, ONHI), strategy=name, strategy_arg=arg)
+                    sessions=sessions, strategy=name, strategy_arg=arg)
             for name, arg in unlink],
         "multimonth": [
             Row("", ((_window_matrix, "window-matrix", "holds"),)),

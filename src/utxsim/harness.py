@@ -337,7 +337,6 @@ class SessionView(NamedTuple):
     card moves their shared card state on."""
     sid: str
     kind: str
-    mode: str
     stage: str
     aborted: bool = False
     done: bool = False
@@ -463,7 +462,7 @@ class Runner:
         bulletin's too, is made here."""
         alias = self.frame.bind(t)
         self.outputs[alias] = actor
-        self._log.append(("output", actor, self.frame.bindings[alias], alias))
+        self._log.append(("output", actor, t, alias))
         return alias
 
     # -- observation ------------------------------------------------------------
@@ -508,8 +507,7 @@ class Runner:
         self.n_card_sessions += 1
         card.begin_session(sid)
         self.sessions[sid] = _Session(card)
-        self.views[sid] = SessionView(sid, "card", "", card.stage,
-                                      card_idx=idx)
+        self.views[sid] = SessionView(sid, "card", card.stage, card_idx=idx)
         self._log.append(("start", sid, f"card idx={idx}", ""))
         self._publish(self.fresh.data("chc"), sid)
 
@@ -526,8 +524,7 @@ class Runner:
             terminal_id=sid, **self._terminal_flags)
         term.session_id = sid
         self.sessions[sid] = _Session(term, mistypes=mistypes)
-        self.views[sid] = SessionView(sid, "terminal", mode,
-                                      term.stage_label())
+        self.views[sid] = SessionView(sid, "terminal", term.stage_label())
         self._log.append(("start", sid, f"terminal {mode} month={month}", ""))
         self._publish(self.fresh.data("cht"), sid)
         self._absorb(sid, roles.terminal_step(term, None, self.fresh))
@@ -604,7 +601,7 @@ class Runner:
             self._record_step(sid, sid, res, "to_card", req)
             stage = state.stage_label()
         # only a live session steps, so this step's abort/done are its own
-        self.views[sid] = SessionView(sid, view.kind, view.mode, stage,
+        self.views[sid] = SessionView(sid, view.kind, stage,
                                       bool(res.abort), res.done, view.card_idx)
         if view.kind == "card" and (res.abort or res.done):
             left = self.live_cards.pop(view.card_idx) - 1
@@ -621,7 +618,6 @@ class Runner:
             self._log.append(("event", actor, e.tag, ""))
         for out in res.outputs:
             alias = self._publish(out, actor)
-            out = self.frame.bindings[alias]    # its normal form
             if out != T.AUTH:        # a verdict signal, not a protocol message
                 self.pending[alias] = (
                     holder, "to_bank" if out == to_bank else hint)

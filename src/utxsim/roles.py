@@ -94,7 +94,6 @@ class CardState:
     z2: Optional[Term] = None
     k_c: Optional[Term] = None
     y_b: Optional[Term] = None
-    month: Optional[int] = None
     m_msg: Optional[Term] = None
     emc: Optional[Term] = None
     k_cb: Optional[Term] = None
@@ -104,7 +103,7 @@ class CardState:
         self.stage = "C1"
         self.session_id = session_id
         self.a = self.z1 = self.z2 = self.k_c = self.y_b = None
-        self.month = self.m_msg = self.emc = self.k_cb = self.ac = None
+        self.m_msg = self.emc = self.k_cb = self.ac = None
 
 
 def card_step(s: CardState, incoming: Term, fresh: T.FreshNames) -> StepResult:
@@ -151,7 +150,6 @@ def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
     if outcome is not None:
         return _fail(outcome)
     s.y_b = y_b
-    s.month = k
     s.m_msg = m
     s.emc = T.enc(T.tup(s.z2, T.norm_root(T.smult(s.a, s.certs[k]))), s.k_c)
     if s.protocol == "ubdh":
@@ -231,7 +229,6 @@ class TerminalState:
     pk_mm: Term                      # month verification key
     crt: Term                        # bank certificate for its month
     kbt: Term
-    month: int
     checks_month_cert: bool = True
     protocol: str = "utx"            # the scenario's, which bdh and ubdh read
     stage: int = 1

@@ -118,7 +118,6 @@ def provision_terminal(cred: BankCredential, auth: Authority,
         pk_mm=auth.month_vk(month),
         crt=cred.crt_by_month[month],
         kbt=fresh.data("kbt"),
-        month=month,
         **term_flags,
     )
 

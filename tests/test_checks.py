@@ -466,6 +466,50 @@ def test_suite_report_rendering():
     assert not rep.ok()
 
 
+def test_builtin_scenarios_set_only_what_their_runs_read():
+    """Every built-in scenario, and every battery row's with its overrides,
+    sets no field that its run does not read or that equals what the
+    scenario resolves to without it. No scenario is run."""
+    scenarios = dict(C.SCENARIOS)
+    for battery, rows in C.suites().items():
+        for i, row in enumerate(rows):
+            if row.scenario:
+                scenarios[f"{battery}[{i}] {row.scenario}"] = replace(
+                    C.SCENARIOS[row.scenario], **row.overrides)
+    problems = []
+    for label, sc in scenarios.items():
+        if len(set(sc.terminals)) != len(sc.terminals):
+            problems.append(f"{label}: a terminal config is listed twice")
+        schedule = sc.resolved_schedule()
+        default = replace(sc, schedule=()).resolved_schedule()
+        if sc.schedule and schedule == default:
+            problems.append(f"{label}: schedule equals its default")
+        if sc.issue_months and set(sc.issue_months) == {sc.current_month}:
+            problems.append(f"{label}: issue_months equal current_month")
+        # a pump starts terminals by the schedule, and no others
+        if (issubclass(S._CATALOG[sc.strategy], S.Pump)
+                and {t for _, t in schedule} != set(range(len(sc.terminals)))):
+            problems.append(f"{label}: a terminal is never scheduled")
+    assert problems == []
+
+
+def test_checkv_defends_replay_checks_terminal_agrees_card():
+    """The checkv-defends-replay row's own check, on fake_card_no_checkv at
+    seed 0: without the month-certificate check the replayed card's commit
+    goes unmatched in terminal-agrees-card (which the other agreements
+    miss), and with it the correspondence holds."""
+    row = next(r for r in C.suites()["controls"]
+               if r.lines[0][1] == "checkv-defends-replay")
+    check = row.lines[0][0]
+    sc = replace(C.SCENARIOS[row.scenario], seed=0)
+    assert not sc.terminal_checks_month_cert
+    off = check(H.run_scenario(sc))
+    on = check(H.run_scenario(replace(sc, **row.overrides)))
+    assert [v.line() for v in off] == [
+        "CHECK terminal-agrees-card violated commit#2:TComC@T1 unmatched"]
+    assert [v.line() for v in on] == ["CHECK terminal-agrees-card holds"]
+
+
 def test_distinguish_reports_default_bound():
     real, ideal = H.run_paired(H.Scenario(sessions=3))
     verdict = C.distinguish(real, ideal)

@@ -254,6 +254,21 @@ def test_static_equiv_misses_hash_of_composite():
         assert not F.static_equiv(f, other)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 25, open: the pair search rebases a point by one pool "
+    "entry, and a product of two known scalars is never a pool entry"))
+def test_static_equiv_misses_a_cofactor_rebase():
+    s, t, p, q = (T.name(x, "scalar") for x in ("s", "t", "p", "q"))
+    fa, _ = build([s, t], [T.smult(s, G), T.smult(T.mult(p, q, s), G), p, q])
+    fb, _ = build([s, t], [T.smult(s, G), T.smult(t, G), p, q])
+    # [w2]([w3]w0) = w1 holds in fa only
+    test = T.smult(T.var("w2"), T.smult(T.var("w3"), T.var("w0")))
+    assert [F.recipe_value(f, test) == F.recipe_value(f, T.var("w1"))
+            for f in (fa, fb)] == [True, False]
+    assert not F.static_equiv(fa, fb)
+    assert not F.static_equiv(fb, fa)
+
+
 def test_saturate_idempotent_and_monotone():
     m, k = T.name("m"), T.name("k")
     f, _ = build([m, k], [T.enc(T.tup(m, k), k), k])
@@ -1724,8 +1739,13 @@ def test_slots_match_the_per_entry_scan(monkeypatch):
     for fa, fb in pairs:
         F.static_equiv(fa, fb)
         F.static_equiv(fb, fa)
-    assert got == want
-    assert len(got) > len(pairs) and orders == {False, True}
+    # a count and the first few indices: pytest's diff of every slot set,
+    # which -v builds, runs for minutes
+    n_got, n_want = len(got), len(want)
+    differ = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert n_got == n_want and not differ, (
+        f"{len(differ)} of {n_got} searches differ, first at {differ[:5]}")
+    assert n_got > len(pairs) and orders == {False, True}
 
 
 def test_static_equiv_opens_with_a_later_key():
