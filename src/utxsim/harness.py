@@ -12,13 +12,11 @@ in Runner.outputs, each message in flight only in Runner.pending (alias ->
 the session holding it and its routing hint, in output order), and what the
 attacker has seen only in its one Frame. That frame grows in place and is
 the trace's frame: the honest agents' name source adds every name it mints
-to its restricted set, and every output binds an alias in it. Two facts that
-could be read off the views are kept as the views change, so that no step
-scans every session: the live card sessions of each card, and the number of
-card sessions started. The trace keeps each record as one (kind, actor,
-shown, alias) tuple, where shown is the term a record shows (an output's
-bound image, a delivery's recipe) or its text; its index is its position.
-Only a dump renders a term as text, so checking a run renders none.
+to its restricted set, and every output binds an alias in it. The trace
+keeps each record as one (kind, actor, shown, alias) tuple, where shown is
+the term a record shows (an output's bound image, a delivery's recipe) or
+its text; its index is its position. Only a dump renders a term as text, so
+checking a run renders none.
 
 A delivered value is a normal form, which the roles take as given. A forward
 is a bare alias, so its value is the alias's binding, normal as the roles
@@ -30,11 +28,14 @@ Obs, of read-only views of its own dicts, not copies, and hands the same
 one out at every step. Each apply therefore changes what it shows;
 run_scenario and the strategies read it only before acting on it.
 
-Worlds: "real" lets a card run any number of sessions; "ideal" spawns a
-disposable fresh card per session (with the card database and, in leaked-PIN
-worlds, the public PIN supply mirrored), which is the comparison target for
-unlinkability experiments. Sessions of one physical card are sequential, as
-on real hardware.
+Worlds: the ideal world is the real one with a fresh card for every
+session, the comparison target for unlinkability experiments. Both mint card
+i before the first step, card{i} in the real world and card{i}.0 in the
+ideal one, and publish its PIN when the scenario leaks PINs. A card index
+runs its sessions one after another in both, as on real hardware. When
+index i starts its session n > 0, counting from 0, the ideal world replaces
+its card with a fresh card{i}.{n}, registered with the bank and issued at
+the month position the card it replaces had reached.
 
 Determinism: a (scenario, seed) pair fixes the trace byte-for-byte.
 """
@@ -352,7 +353,6 @@ class Obs:
     records, which each Runner.apply changes."""
     sessions: MappingProxyType     # sid -> SessionView, in start order
     outputs: MappingProxyType      # alias -> actor, the full output log
-    live_cards: MappingProxyType   # card idx -> its live card sessions (> 0)
     pending: MappingProxyType      # alias -> (holding sid, routing hint),
                                    # the messages in flight in output order
 
@@ -383,15 +383,12 @@ class Runner:
         self.sessions: dict = {}       # sid -> _Session, in start order
         self.views: dict = {}          # sid -> SessionView
         self.n_cards_started: dict = {}
-        self.n_card_sessions = 0
-        self.live_cards: dict = {}     # card idx -> its live card sessions
         self.pending: dict = {}        # alias -> (holding sid, routing hint)
         self._obs = Obs(*map(MappingProxyType, (
-            self.views, self.outputs, self.live_cards, self.pending)))
+            self.views, self.outputs, self.pending)))
         self.n_terms = 0
         self.n_bank_requests = 0
         self._log = self.trace.records
-        self._spawn_queue: dict = {}
         self._card_flags = {
             "protocol": sc.protocol,
             "contactless_only": sc.protocol == "utxl" and not sc.contact}
@@ -409,10 +406,9 @@ class Runner:
         self.bank = roles.BankAgent(
             bank_id="bank", b_t=self.cred.b_t,
             replay_check=sc.replay_check)
-        self.cards = [self._mint_card(i) for i in range(sc.cards)]
-        # odometers let the ideal world mirror the month position a
-        # multi-session card would have reached, without cross-world peeking
-        self.odometer = [self._card_position(c) for c in self.cards]
+        first = ".0" if sc.world == "ideal" else ""
+        self.cards = [self._mint_card(i, f"card{i}{first}")
+                      for i in range(sc.cards)]
         for key in setup_phase.publish_bulletin(self.auth, sc.current_month):
             self._publish(key, "bulletin")
         if sc.chi_leaked is not None:
@@ -421,19 +417,14 @@ class Runner:
             # low-value worlds hand the attacker every terminal ingredient
             self._publish(self.cred.crt_by_month[sc.current_month], "bulletin")
         if sc.pin_leaked:
-            for i in range(sc.cards):
-                if sc.world == "ideal":
-                    card = self._mint_card(i, position=self.odometer[i])
-                    card.card_id = f"card{i}.0"
-                    self._spawn_queue[i] = card
-                    self._publish(card.pin, f"opin{i}")
-                else:
-                    self._publish(self.cards[i].pin, f"opin{i}")
+            for i, card in enumerate(self.cards):
+                self._publish(card.pin, f"opin{i}")
 
     def _card_position(self, card):
         return card.window if card.window is not None else card.pointer
 
-    def _mint_card(self, idx: int, position=None) -> roles.CardState:
+    def _mint_card(self, idx: int, card_id: str,
+                   position=None) -> roles.CardState:
         sc = self.sc
         if sc.protocol == "utx_multimonth":
             window = position or (
@@ -441,14 +432,14 @@ class Runner:
                 else (max(sc.current_month - 1, 0), sc.current_month,
                       sc.current_month + 1))
             card = setup_phase.issue_card_multimonth(
-                self.auth, self.fresh, window, card_id=f"card{idx}",
+                self.auth, self.fresh, window, card_id=card_id,
                 **self._card_flags)
         else:
             month = (position if position is not None else
                      (sc.issue_months[idx] if idx < len(sc.issue_months)
                       else sc.current_month))
             card = setup_phase.issue_card(
-                self.auth, self.fresh, month, card_id=f"card{idx}",
+                self.auth, self.fresh, month, card_id=card_id,
                 **self._card_flags)
         self.bank.register_card(card)
         for label, t in (("pin", card.pin), ("mk", card.mk), ("c", card.c)):
@@ -489,22 +480,17 @@ class Runner:
     def _start_card(self, idx: int) -> None:
         if not 0 <= idx < self.sc.cards:
             raise StrategyError("no such card")
+        card = self.cards[idx]
+        # a card index's sessions are sequential: only its latest may live
+        latest = self.views.get(card.session_id)
+        if latest is not None and latest.alive():
+            raise StrategyError("card already mid-session")
         n = self.n_cards_started.get(idx, 0)
-        if self.sc.world == "ideal":
-            card = self._spawn_queue.pop(idx, None)
-            if card is None:
-                card = self._mint_card(idx, position=self.odometer[idx])
-                card.card_id = f"card{idx}.{n}"
-        else:
-            card = self.cards[idx]
-            # a real card's sessions are sequential: only its latest may live
-            latest = self.views.get(card.session_id)
-            if latest is not None and latest.alive():
-                raise StrategyError("card already mid-session")
+        if n and self.sc.world == "ideal":
+            card = self.cards[idx] = self._mint_card(
+                idx, f"card{idx}.{n}", self._card_position(card))
         self.n_cards_started[idx] = n + 1
-        self.live_cards[idx] = self.live_cards.get(idx, 0) + 1
-        sid = f"C{self.n_card_sessions}"
-        self.n_card_sessions += 1
+        sid = f"C{len(self.sessions) - self.n_terms}"
         card.begin_session(sid)
         self.sessions[sid] = _Session(card)
         self.views[sid] = SessionView(sid, "card", card.stage, card_idx=idx)
@@ -522,7 +508,6 @@ class Runner:
         term = setup_phase.provision_terminal(
             self.cred, self.auth, self.fresh, month, mode,
             terminal_id=sid, **self._terminal_flags)
-        term.session_id = sid
         self.sessions[sid] = _Session(term, mistypes=mistypes)
         self.views[sid] = SessionView(sid, "terminal", term.stage_label())
         self._log.append(("start", sid, f"terminal {mode} month={month}", ""))
@@ -554,7 +539,6 @@ class Runner:
         self._log.append(("deliver", sid, action.recipe, action.source_alias))
         if view.kind == "card":
             res = roles.card_step(sess.state, value, self.fresh)
-            self.odometer[view.card_idx] = self._card_position(sess.state)
             if res.done and sess.state.k_cb is not None:
                 self.trace.secrets.append((f"{sid}.k_cb", sess.state.k_cb))
                 self.trace.secrets.append((f"{sid}.ac", sess.state.ac))
@@ -603,10 +587,6 @@ class Runner:
         # only a live session steps, so this step's abort/done are its own
         self.views[sid] = SessionView(sid, view.kind, stage,
                                       bool(res.abort), res.done, view.card_idx)
-        if view.kind == "card" and (res.abort or res.done):
-            left = self.live_cards.pop(view.card_idx) - 1
-            if left:
-                self.live_cards[view.card_idx] = left
 
     def _record_step(self, actor: str, holder: str, res: roles.StepResult,
                      hint: str, to_bank=None) -> None:

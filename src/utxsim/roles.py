@@ -232,7 +232,6 @@ class TerminalState:
     checks_month_cert: bool = True
     protocol: str = "utx"            # the scenario's, which bdh and ubdh read
     stage: int = 1
-    session_id: str = ""
     # per-session values
     t: Optional[Term] = None
     tx: Optional[Term] = None
@@ -318,14 +317,14 @@ def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
         return _fail("TxMismatch")
     s.y_msg = y
     events = [Event("TComC", (s.z1, s.z2, s.ec, s.n_msg, s.etx, y),
-                    s.session_id, s.terminal_id)]
+                    s.terminal_id, s.terminal_id)]
     outputs = []
     if s.mode == "offhi" and pin_v == T.OK:
         outputs.append(T.AUTH)       # offline authorisation before upload
     bank_pin_slot = s.upin if s.mode == "onhi" else T.BOT
     s.req = T.enc(T.tup(s.tx, s.z2, ehac, bank_pin_slot), s.kbt)
     events.append(Event("TRunBC", (s.req, s.z1, s.z2, s.ec, s.n_msg, s.etx, y),
-                        s.session_id, s.terminal_id))
+                        s.terminal_id, s.terminal_id))
     outputs.append(s.req)
     s.stage = 9
     return StepResult(outputs=outputs, events=events)
@@ -341,12 +340,13 @@ def _terminal_bank_reply(s: TerminalState, r: Term) -> StepResult:
         return _fail("TxMismatch")
     events = [Event("TComBC",
                     (s.req, r, s.z1, s.z2, s.ec, s.n_msg, s.etx, s.y_msg),
-                    s.session_id, s.terminal_id)]
+                    s.terminal_id, s.terminal_id)]
     if rtype != T.ACCEPT:
         res = _fail("BankReject")
         res.events = events
         return res
-    events.append(Event("TAccept", (s.kbt, s.tx), s.session_id, s.terminal_id))
+    events.append(Event("TAccept", (s.kbt, s.tx), s.terminal_id,
+                        s.terminal_id))
     s.stage = 11
     return StepResult(outputs=[T.AUTH], events=events, done=True)
 

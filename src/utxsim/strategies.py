@@ -39,10 +39,12 @@ class Pump:
     sessions of one physical card run back to back. Every scheduled terminal
     starts before any card, in schedule order. The pump learns each sid as
     the newest in obs.sessions after starting it, and records its rank (start
-    index); a card session and its pair's terminal are each other's peer.
+    index); a card session and its pair's terminal are each other's peer, and
+    it is its card's latest session.
 
     The next card session goes to the least pair at the head of an idle
-    card's queue of unstarted pairs. The next message routed is the first
+    card's queue of unstarted pairs; a card is idle when it has no session
+    or its latest one has ended. The next message routed is the first
     pending one, by its holder's rank and then output order, that has a
     route. Instead of walking every pending message for it, the pump keeps
     the ones it has looked up on one heap (messages) and pops each message a
@@ -60,6 +62,7 @@ class Pump:
         self.schedule = list(sc.resolved_schedule())
         self.rank: dict = {}           # sid -> start index, in start order
         self.peer: dict = {}           # terminal sid <-> its pair's card sid
+        self.latest: dict = {}         # card idx -> its latest card session
         self.starting = None           # terminal whose card was just started
         self.dropped: set = set()
         self.queues: dict = {}         # card idx -> its unstarted pairs' terminals
@@ -84,6 +87,7 @@ class Pump:
             return
         tsid = self.starting
         self.peer[sid], self.peer[tsid] = tsid, sid
+        self.latest[self.schedule[self.rank[tsid]][0]] = sid
         for entry in self.waiting.pop(tsid, ()):
             heapq.heappush(self.messages, entry)
 
@@ -95,7 +99,8 @@ class Pump:
             return H.StartTerminal(self.schedule[len(self.rank)][1])
         best = None
         for card_idx, queue in self.queues.items():
-            if card_idx in obs.live_cards:
+            latest = self.latest.get(card_idx)
+            if latest is not None and obs.sessions[latest].alive():
                 continue
             while queue and not obs.sessions[queue[0]].alive():
                 queue.popleft()

@@ -4,6 +4,7 @@ round-trips and paired-world alignment."""
 import hashlib
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from types import MappingProxyType
 
 import pytest
@@ -105,14 +106,14 @@ def test_pinned_traces():
                 for _, sc in sorted(C.SCENARIOS.items())
                 for s in range(4) for w in ("real", "ideal")]
     assert _digest(builtins) == (
-        "163771c4a0668aa94c96c7a5d4b6535dde7d67b28aea51cc57acde434f75c99a")
+        "7b419dd409743622923b4f6abcacc2e0e157f43987f85c6e8f7ba1dc4f1218b6")
     pumped = [replace(sc, strategy=name, world=w, seed=s)
               for _, sc in sorted(C.SCENARIOS.items())
               for name, cls in S._CATALOG.items() if issubclass(cls, S.Pump)
               for w in ("real", "ideal") for s in range(3)]
     assert len(pumped) == 612
     assert _digest(pumped) == (
-        "35da3e08bca5016a2655d5775c95cef25d1987a8f7208f3de5fcf8bc50f78244")
+        "fd8ba740d3983b582894012a14b79005a7593995fafbc326c0459f97c3d6eaf1")
     strategies = ("passive", "fuzzer", "drop", "replay_bank_request",
                   "replay_card_reply", "reflect")
     terminals = (("onhi", None), ("offhi", None), ("lo", None))
@@ -121,7 +122,7 @@ def test_pinned_traces():
                            max_steps=1200)
                 for i, s in enumerate(strategies) for w in ("real", "ideal")]
     assert _digest(campaign) == (
-        "cabcb8940a9717690ca093d8818abcb95491331c9e247c33e12cb7216ce407fe")
+        "b98759d5adcea365c704a38e2c8f35bffc8dce3713a3300a6adb54dbc09e5615")
 
 
 @pytest.mark.parametrize("header", [
@@ -158,15 +159,57 @@ def test_same_card_sessions_are_sequential():
 
 
 def test_ideal_world_uses_fresh_card_per_session():
-    runner = H.Runner(H.Scenario(world="ideal", cards=1, sessions=0))
-    runner.apply(H.StartCard(0))
-    runner.apply(H.Deliver("C0", T.smult(T.name("n0", "scalar"), T.gen())))
-    first = runner.sessions["C0"].state
-    # first session still alive would block in the real world; ideal spawns
-    runner.apply(H.StartCard(0))
-    second = runner.sessions["C1"].state
-    assert first is not second
-    assert first.pan != second.pan and first.c != second.c
+    """Both worlds refuse a card's next session while its latest lives.
+    Once that session has ended, the ideal world starts the next one on a
+    fresh card, card0.1, and the real world on the same card."""
+    for world in ("real", "ideal"):
+        runner = H.Runner(H.Scenario(world=world, cards=1, sessions=0))
+        runner.apply(H.StartCard(0))
+        runner.apply(H.Deliver("C0", T.smult(T.name("n0", "scalar"),
+                                             T.gen())))
+        with pytest.raises(H.StrategyError, match="mid-session"):
+            runner.apply(H.StartCard(0))
+        runner.apply(H.Deliver("C0", T.gen()))   # not a ciphertext: abort
+        assert runner.views["C0"].aborted
+        runner.apply(H.StartCard(0))
+        first = runner.sessions["C0"].state
+        second = runner.sessions["C1"].state
+        if world == "real":
+            assert first is second
+        else:
+            assert first.card_id == "card0.0"
+            assert second.card_id == "card0.1"
+            assert first.pan != second.pan and first.c != second.c
+
+
+@pytest.mark.parametrize("protocol", ("utx", "utx_multimonth"))
+def test_ideal_card_continues_where_the_last_one_stopped(protocol):
+    """A card that has shown month 2 refuses month 0 in its next session.
+    The ideal world's next card starts at the month position the card it
+    replaces reached, so it refuses too, and the worlds stay aligned."""
+    sc = H.Scenario(protocol=protocol, horizon=4, sessions=2,
+                    terminals=(("lo", 2), ("lo", 0)),
+                    schedule=((0, 0), (0, 1)), strategy="passive")
+    real, ideal = H.run_paired(sc)
+    for tr in (real, ideal):
+        assert ("C1", "StaleMonth") in tr.aborts
+
+
+def test_ideal_world_labels_each_card_once():
+    """An ideal run's secrecy targets name each card once: card{i}.0 for
+    every card index i, started or not, and card{i}.{n} for the n-th later
+    session of i, each with its pin, mk and c."""
+    for (name, sc), seed in product(sorted(C.SCENARIOS.items()), range(4)):
+        tr = H.run_scenario(replace(sc, seed=seed, world="ideal"))
+        labels = [label for label, _ in tr.secrets]
+        assert len(labels) == len(set(labels)), (name, seed)
+        started = Counter(shown for kind, _, shown, _ in tr.records
+                          if kind == "start" and shown.startswith("card"))
+        cards = [f"card{i}.{n}" for i in range(sc.cards)
+                 for n in range(max(1, started[f"card idx={i}"]))]
+        assert sorted(x for x in labels if x.startswith("card")) == sorted(
+            f"{card}.{part}" for card in cards for part in ("pin", "mk", "c")
+        ), (name, seed)
 
 
 def test_harvest_exposes_bank_certificate():
@@ -267,7 +310,7 @@ def test_scripted_traces_pinned():
             for w in ("real", "ideal") for seed in (0, 1)]
     assert len(runs) == 96
     assert _digest(runs) == (
-        "87f9d7562677a50fffac515679358948a181f72f7e40a1c66e1da69cce0575ac")
+        "f1a3c859e48e7133df5350600553b29e5e65445a13e3121b8b37069b7b69381a")
 
 
 def test_fuzzer_keeps_agreement_events_well_formed():
@@ -316,11 +359,6 @@ def _assert_records(runner, strategy, obs, action):
     """The runner's and the pump's incremental records equal a scan of the
     views and the trace from scratch; obs is what the strategy has just
     decided on, and action what it decided."""
-    views = runner.views
-    assert runner.live_cards == Counter(
-        v.card_idx for v in views.values() if v.kind == "card" and v.alive())
-    assert runner.n_card_sessions == sum(
-        v.kind == "card" for v in views.values())
     assert list(runner.pending.items()) == \
         list(_pending_from_records(runner).items())
     if not isinstance(strategy, S.Pump):
@@ -333,6 +371,9 @@ def _assert_records(runner, strategy, obs, action):
     for sid, v in views.items():
         if v.kind == "card":
             assert strategy.schedule[rank[peer[sid]]][0] == v.card_idx
+    # the pump's latest session of each card is the card's newest one
+    assert strategy.latest == {v.card_idx: sid for sid, v in views.items()
+                               if v.kind == "card"}
     # the message heap is a heap of pending messages, each keyed by its
     # holder's rank and its output index
     index = {alias: n for n, alias in enumerate(obs.outputs)}
@@ -391,8 +432,7 @@ class _RenamedSids:
                    for alias, actor in obs.outputs.items()}
         pending = {alias: (self.new[sid], hint)
                    for alias, (sid, hint) in obs.pending.items()}
-        return H.Obs(*map(MappingProxyType, (
-            sessions, outputs, dict(obs.live_cards), pending)))
+        return H.Obs(*map(MappingProxyType, (sessions, outputs, pending)))
 
     def apply(self, action):
         if isinstance(action, H.Deliver):

@@ -122,7 +122,6 @@ def run_honest(mode, wrong_pin=False, term_month=1, issue_month=1,
     if bank_override:
         bank_override(bank)
     card.begin_session("s0")
-    term.session_id = "s0"
     events, aborts, outputs = [], [], []
 
     def step(res):
@@ -220,7 +219,6 @@ def test_garbage_input_aborts_card():
 def test_replay_rejected_by_uniqueness_log():
     fresh, auth, cred, card, term, bank = world(mode="lo")
     card.begin_session("s0")
-    term.session_id = "s0"
     r = R.terminal_step(term, None, fresh)
     r = R.card_step(card, r.outputs[0], fresh)
     r = R.terminal_step(term, r.outputs[0], fresh)
@@ -282,7 +280,6 @@ def mm_world():
 def probe_month(fresh, auth, cred, card, month, sid):
     term = S.provision_terminal(cred, auth, fresh, month, "lo", f"t{sid}")
     card.begin_session(f"s{sid}")
-    term.session_id = f"s{sid}"
     r = R.terminal_step(term, None, fresh)
     r = R.card_step(card, r.outputs[0], fresh)
     r = R.terminal_step(term, r.outputs[0], fresh)
