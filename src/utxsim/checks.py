@@ -7,12 +7,16 @@ obligation's events are hash-joined on one argument, the first whose
 variable is bound before it, and each event of the bucket is tested on the
 other bound arguments, so a commit meets only the events that can match it
 and hashes one value to find them (for CRun, z1 rather than all six
-arguments). The candidates are enumerated from an explicit stack and the
-injective choice is a backtracking search over another, so a trace of any
-length checks without deep recursion. check_all_agreements groups a
-trace's events by tag once, into one index for all four correspondences,
-and the index builds each join table at most once, under its (tag, key
-position): CRun's table, keyed on z1, serves three correspondences.
+arguments). The candidates are enumerated by recursion, one level per
+obligation; only the injective choice, a backtracking search one level
+per commit, keeps an explicit stack, so a trace of any length checks
+without deep recursion. A violation names a commit: "commit#N:TAG@SID
+unmatched" the first that no run events justify, "commit#N contended" the
+first that no injective choice for the commits before it leaves a tuple
+for. check_all_agreements groups a trace's events by tag once, into one
+index for all four correspondences, and the index builds each join table
+at most once, under its (tag, key position): CRun's table, keyed on z1,
+serves three correspondences.
 check_secrecy asks frames.derive for each secret, over one saturation of
 the frame. Its targets must be normal forms holding no variable, as every
 Trace holds them (the roles build them so, and parse_trace normalizes and
@@ -166,48 +170,46 @@ def _agrees(args, join: _Join, binding) -> bool:
     return True
 
 
-def _candidate_tuples(binding, joins) -> list:
+def _candidate_tuples(binding, joins, chosen=()) -> list:
     """All ways to satisfy the obligation conjunction, with consistent
     existential variables, from a commit's binding (its arguments), as
     tuples of event indices in the order a scan of each obligation's
-    events would find them: depth-first, from an explicit stack of partial
-    choices (binding, chosen indices), each level's children pushed in
-    reverse. Only a level below the last extends the binding, by the
-    chosen event's arguments."""
-    if not joins:
-        return [()]
-    last = len(joins) - 1
+    events would find them: depth-first, one call per obligation, so the
+    depth is the obligation count. chosen holds the events taken for the
+    obligations before this one; only a level below the last extends the
+    binding, by the chosen event's arguments."""
+    level = len(chosen)
+    if level == len(joins):
+        return [chosen]
+    join = joins[level]
+    events = join.events if join.key is None else \
+        join.events.get(binding[join.key], ())
+    if level == len(joins) - 1:
+        return [chosen + (idx,) for idx, ev in events
+                if idx not in chosen and _agrees(ev.args, join, binding)]
     found = []
-    stack = [(binding, ())]
-    while stack:
-        binding, chosen = stack.pop()
-        level = len(chosen)
-        join = joins[level]
-        events = join.events if join.key is None else \
-            join.events.get(binding[join.key], ())
-        if level == last:
-            for idx, ev in events:
-                if idx not in chosen and _agrees(ev.args, join, binding):
-                    found.append(chosen + (idx,))
-            continue
-        children = [(binding + ev.args, chosen + (idx,))
-                    for idx, ev in events
-                    if idx not in chosen and _agrees(ev.args, join, binding)]
-        stack += reversed(children)
+    for idx, ev in events:
+        if idx not in chosen and _agrees(ev.args, join, binding):
+            found += _candidate_tuples(binding + ev.args, joins,
+                                       chosen + (idx,))
     return found
 
 
-def _injective(candidates) -> bool:
-    """Whether each commit can take one of its tuples, pairwise
-    event-disjoint: depth-first over the commits in order, each trying its
-    tuples in order, with one used set undone on backtrack."""
+def _injective(candidates) -> int:
+    """How far each commit, in order, can take one of its tuples, pairwise
+    event-disjoint: depth-first over the commits, each trying its tuples
+    in order, with one used set undone on backtrack. The deepest level the
+    search reached: len(candidates) when every commit is placed, else the
+    position of the first commit that no choice for the ones before it
+    leaves a tuple for."""
     used: set = set()
     chosen: list = []              # the tuple taken at each level
     nxt = [0]                      # per open level, its next tuple to try
+    deepest = 0
     while nxt:
         level = len(nxt) - 1
         if level == len(candidates):
-            return True
+            return level
         tuples = candidates[level][1]
         k = nxt[level]
         while k < len(tuples) and any(e in used for e in tuples[k]):
@@ -217,11 +219,12 @@ def _injective(candidates) -> bool:
             chosen.append(tuples[k])
             used.update(tuples[k])
             nxt.append(0)
-        else:
+        else:                      # a failed search backs out of each level
+            deepest = max(deepest, level)
             nxt.pop()
             if chosen:
                 used.difference_update(chosen.pop())
-    return False
+    return deepest
 
 
 def check_agreement(trace, corr: Correspondence,
@@ -240,10 +243,10 @@ def check_agreement(trace, corr: Correspondence,
         candidates.append((idx, tuples))
 
     # injectivity: pick pairwise event-disjoint obligation tuples
-    if not _injective(candidates):
-        which = candidates[-1][0]
-        return Verdict(corr.name, "violated",
-                       f"no injective matching (commit#{which} contended)")
+    placed = _injective(candidates)
+    if placed < len(candidates):
+        return Verdict(corr.name, "violated", "no injective matching "
+                       f"(commit#{candidates[placed][0]} contended)")
     return Verdict(corr.name, "holds")
 
 

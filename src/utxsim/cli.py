@@ -34,6 +34,7 @@ from .strategies import builtin_strategies
 _FLAG_KEYS = {"replay_check": "replay_check",
               "terminal_cert_check": "terminal_checks_month_cert",
               "leak_pin": "pin_leaked", "contact": "contact"}
+_LIST_KEYS = ("card_window", "schedule", "issue_months", "wrong_pin")
 
 
 def parse_scenario_text(text: str) -> harness.Scenario:
@@ -74,6 +75,11 @@ def parse_scenario_text(text: str) -> harness.Scenario:
                 fields[key] = args[0]
             else:
                 raise harness.ScenarioInvalid(f"unknown scenario key {key!r}")
+            # a list key takes any number of values, terminal and strategy
+            # one or two, every other key exactly one
+            if key not in _LIST_KEYS and \
+                    len(args) > 1 + (key in ("terminal", "strategy")):
+                raise ValueError
         except (ValueError, IndexError, KeyError):
             raise harness.ScenarioInvalid(
                 f"bad scenario line {lineno}: {line!r}") from None

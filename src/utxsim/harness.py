@@ -341,7 +341,6 @@ class SessionView(NamedTuple):
     stage: str
     aborted: bool = False
     done: bool = False
-    card_idx: int = -1
 
     def alive(self) -> bool:
         return not self.done and not self.aborted
@@ -493,7 +492,7 @@ class Runner:
         sid = f"C{len(self.sessions) - self.n_terms}"
         card.begin_session(sid)
         self.sessions[sid] = _Session(card)
-        self.views[sid] = SessionView(sid, "card", card.stage, card_idx=idx)
+        self.views[sid] = SessionView(sid, "card", card.stage)
         self._log.append(("start", sid, f"card idx={idx}", ""))
         self._publish(self.fresh.data("chc"), sid)
 
@@ -586,7 +585,7 @@ class Runner:
             stage = state.stage_label()
         # only a live session steps, so this step's abort/done are its own
         self.views[sid] = SessionView(sid, view.kind, stage,
-                                      bool(res.abort), res.done, view.card_idx)
+                                      bool(res.abort), res.done)
 
     def _record_step(self, actor: str, holder: str, res: roles.StepResult,
                      hint: str, to_bank=None) -> None:

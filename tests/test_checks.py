@@ -143,6 +143,22 @@ def test_injective_search_backtracks():
     assert v.witness == "no injective matching (commit#7 contended)"
 
 
+def test_contended_witness_is_the_first_commit_left_without_a_run():
+    """Two commits share one run and a third has its own: the witness is
+    the second of the two, the first commit that no choice for the ones
+    before it leaves a run for, not the last commit."""
+    v0, v2 = (tuple(T.name(f"m{i}.{j}", "data") for j in range(6))
+              for i in (0, 2))
+    ev = [Event("CRun", v0, "C0", "card0"),
+          Event("CRun", v2, "C1", "card1"),
+          Event("TComC", v0, "T0", "T0"),
+          Event("TComC", v0, "T1", "T1"),
+          Event("TComC", v2, "T2", "T2")]
+    assert C.check_agreement(_trace_with(ev), C.CORRESPONDENCES[0]).line() \
+        == ("CHECK terminal-agrees-card violated no injective matching "
+            "(commit#3 contended)")
+
+
 def _commits(n, contended):
     """n TComC commits on distinct message vectors, each with its own CRun;
     when contended, the last commit repeats the vector of the one before."""

@@ -566,7 +566,12 @@ def test_every_builtin_dump_checks(tmp_path, capsys):
                               name)[0] == live != 2, name
 
 
-@pytest.mark.parametrize("line", ["cards x", "strategy", "replay_check maybe"])
+@pytest.mark.parametrize("line", [
+    "cards x", "strategy", "replay_check maybe",
+    # more values than the key takes: one, or two for terminal and strategy
+    "cards 2 junk", "terminal onhi . extra", "strategy passive 3 4",
+    "leak_pin on off", "protocol utx extra",
+])
 def test_malformed_scenario_line_exits_cleanly(tmp_path, capsys, line):
     f = tmp_path / "scen.txt"
     f.write_text(f"protocol utx\n{line}\n")

@@ -1877,13 +1877,17 @@ def test_exact_poolable_matches_testing_every_sigv_rebase(monkeypatch):
 # first factor of s, each with its entry number.
 
 _DEDUCTION_DIGEST = \
-    "ef4a2e2b34203e5cda7b0ccb0bb72ff1c044a4ba7afd36849c398230bbe8c19b"
+    "8789bad2a7beed00a50bee1c98a106c03f7f56850edc549fa918ea3d34c159b0"
 
 
 def _deduction_corpus():
-    """(frame, secret targets): both frames of every _CASES pair, and the
-    final real and ideal frames of every built-in scenario at seeds 0-1."""
+    """(frame, secret targets): both frames of every random _CASES pair,
+    and the final real and ideal frames of every built-in scenario at seeds
+    0-1, each with its own trace's targets. The latter hold the _PAIRED
+    cases' frames, so the first loop skips them."""
     for case in _CASES:
+        if case in _PAIRED:
+            continue
         fa, fb, targets = _frame_pair(case)
         for f in (fa, fb):
             yield f, [t for _, t in targets]
@@ -1947,6 +1951,6 @@ def test_deduction_pinned():
             r = F.derive(sat, t)
             lines.append(f"{T.to_text(T.normalize(t))} "
                          f"{None if r is None else T.to_text(r)}")
-    assert len(lines) == 4442
+    assert len(lines) == 4006
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _DEDUCTION_DIGEST

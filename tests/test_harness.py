@@ -368,12 +368,17 @@ def _assert_records(runner, strategy, obs, action):
     views, rank, peer = obs.sessions, strategy.rank, strategy.peer
     assert rank == {sid: n for n, sid in enumerate(views)}
     assert all(peer[b] == a for a, b in peer.items())
-    for sid, v in views.items():
-        if v.kind == "card":
-            assert strategy.schedule[rank[peer[sid]]][0] == v.card_idx
+    # each card session's index, from its start record; the strategy's
+    # views are the runner's, renamed, in the same start order
+    card_idx = {sid: int(shown.partition("card idx=")[2])
+                for kind, sid, shown, _ in runner.trace.records
+                if kind == "start" and shown.startswith("card")}
+    idx_of = {sid: card_idx[old] for sid, old in zip(views, runner.views)
+              if views[sid].kind == "card"}
+    for sid, idx in idx_of.items():
+        assert strategy.schedule[rank[peer[sid]]][0] == idx
     # the pump's latest session of each card is the card's newest one
-    assert strategy.latest == {v.card_idx: sid for sid, v in views.items()
-                               if v.kind == "card"}
+    assert strategy.latest == {idx: sid for sid, idx in idx_of.items()}
     # the message heap is a heap of pending messages, each keyed by its
     # holder's rank and its output index
     index = {alias: n for n, alias in enumerate(obs.outputs)}
