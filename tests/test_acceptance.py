@@ -4,13 +4,13 @@ line. Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 Tolerances and runtime budgets are asserted here, not calibrated elsewhere.
 """
 
-import hashlib
 import random
 import time
 
 import pytest
 
 import test_terms
+from record_pins import assert_pinned
 
 import utxsim.checks as C
 import utxsim.concrete as K
@@ -177,9 +177,7 @@ def test_criterion_7_unlinkability_bounded():
     all_pass = all(v.status == "bounded-pass" for v, _ in rep.lines)
     labeled = all("bound=6" in v.witness for v, _ in rep.lines)
     # every verdict, witness and tests= count byte for byte
-    rendered = "".join(line + "\n" for line in rep.render())
-    assert hashlib.sha256(rendered.encode()).hexdigest() == \
-        "b1f80b2a9aab92b424f30359f6b434f54279344d13c764617b79ff9963d62c27"
+    assert_pinned("suite_unlinkability", rep.render())
     dt = time.monotonic() - t0
     accept(7, "unlinkability-bounded", n >= 50 and all_pass and labeled
            and dt < 600, f"({n} strategies, {dt:.1f}s)")

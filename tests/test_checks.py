@@ -1,10 +1,12 @@
 """Verdict-layer tests: correspondence matching (with a counting oracle for
 injectivity), secrecy, distinguishing, and the suite wiring."""
 
+import functools
 import gc
-import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -14,6 +16,7 @@ import utxsim.harness as H
 import utxsim.strategies as S
 import utxsim.terms as T
 from utxsim.roles import EVENT_ARITY, Event
+from record_pins import assert_pinned
 from test_harness import _ATTACKERS
 
 
@@ -533,93 +536,59 @@ def test_distinguish_reports_default_bound():
         "CHECK distinguish bounded-pass bound=6 tests=35630"
 
 
-# Rendered reports of the short batteries at seed 0. A change to the search
-# that only makes it faster must leave every verdict, witness and tests=
-# count byte-identical.
-PINNED_SUITES = {
-    "security": """\
-CHECK honest-onhi holds
-CHECK terminal-agrees-card[onhi] holds
-CHECK terminal-agrees-bank-card[onhi] holds
-CHECK bank-agrees-terminal-card[onhi] holds
-CHECK bank-agrees-card[onhi] holds
-CHECK secrecy[onhi] holds bound=8
-CHECK honest-offhi holds
-CHECK terminal-agrees-card[offhi] holds
-CHECK terminal-agrees-bank-card[offhi] holds
-CHECK bank-agrees-terminal-card[offhi] holds
-CHECK bank-agrees-card[offhi] holds
-CHECK secrecy[offhi] holds bound=8
-CHECK honest-lo holds
-CHECK terminal-agrees-card[lo] holds
-CHECK terminal-agrees-bank-card[lo] holds
-CHECK bank-agrees-terminal-card[lo] holds
-CHECK bank-agrees-card[lo] holds
-CHECK secrecy[lo] holds bound=8
-CHECK terminal-agrees-card[fuzz0] holds
-CHECK terminal-agrees-bank-card[fuzz0] holds
-CHECK bank-agrees-terminal-card[fuzz0] holds
-CHECK bank-agrees-card[fuzz0] holds
-CHECK secrecy[fuzz0] holds bound=8
-CHECK terminal-agrees-card[fuzz1] holds
-CHECK terminal-agrees-bank-card[fuzz1] holds
-CHECK bank-agrees-terminal-card[fuzz1] holds
-CHECK bank-agrees-card[fuzz1] holds
-CHECK secrecy[fuzz1] holds bound=8
-CHECK terminal-agrees-card[fuzz2] holds
-CHECK terminal-agrees-bank-card[fuzz2] holds
-CHECK bank-agrees-terminal-card[fuzz2] holds
-CHECK bank-agrees-card[fuzz2] holds
-CHECK secrecy[fuzz2] holds bound=8
-CHECK replay-rejected holds
-CHECK replay-injectivity-break violated no injective matching (commit#11 contended)
-SUITE security pass
-""",
-    "controls": """\
-CHECK bdh-2-session violated (dec (hash (smult $atkn0 ?w4)) ?w5) = (dec (hash (smult $atkn1 ?w7)) ?w8) holds in the first frame only
-CHECK ubdh-2-session bounded-pass bound=6 tests=21232
-CHECK terminal-agrees-card[no-checkv] violated commit#2:TComC@T1 unmatched
-CHECK terminal-agrees-bank-card[no-checkv] holds
-CHECK bank-agrees-terminal-card[no-checkv] holds
-CHECK bank-agrees-card[no-checkv] holds
-CHECK checkv-defends-replay holds
-CHECK terminal-agrees-card[chi-leak] violated commit#0:TComC@T0 unmatched
-CHECK terminal-agrees-bank-card[chi-leak] holds
-CHECK bank-agrees-terminal-card[chi-leak] holds
-CHECK bank-agrees-card[chi-leak] holds
-SUITE controls pass
-""",
-    "multimonth": """\
-CHECK window-matrix holds
-CHECK stale-month-abort holds
-CHECK window-shift holds
-CHECK utxmm[passive] bounded-pass bound=6 tests=21550
-CHECK utxmm[probe_cards] bounded-pass bound=6 tests=35138
-CHECK utxmm[fuzzer] bounded-pass bound=6 tests=19130
-SUITE multimonth pass
-""",
-    "utxl": """\
-CHECK utxl-hypothesis[passive] bounded-pass bound=6 tests=28032
-CHECK utxl-hypothesis[probe_cards] bounded-pass bound=6 tests=30612
-CHECK utxl-hypothesis[pin_probe] bounded-pass bound=6 tests=17748
-CHECK utxl-with-hi-probe violated ok = (proj 2 (dec (hash (smult $atkn1 ?w10)) ?w12)) holds in the first frame only
-SUITE utxl pass
-""",
-}
+# Rendered reports of the batteries at seed 0, each pinned as
+# tests/golden/suite_<battery>.txt. A change to the search that only makes
+# it faster must leave every verdict, witness and tests= count
+# byte-identical.
+def _suite_lines(name, sessions=3):
+    return list(C.run_suite(name, seed=0, sessions=sessions).render())
 
 
 def test_suite_verdicts_pinned():
-    for name, want in PINNED_SUITES.items():
-        got = "".join(line + "\n" for line in C.run_suite(name, seed=0).render())
-        assert got == want, name
+    for name in ("security", "controls", "multimonth", "utxl"):
+        assert_pinned(f"suite_{name}", _suite_lines(name))
 
 
 def test_unlinkability_at_eight_sessions_pinned():
     """The unlinkability battery at eight sessions an experiment, whose
     frames hold more blinded points than at three: every verdict line,
     witness and tests= count byte for byte."""
-    rep = C.run_suite("unlinkability", seed=0, sessions=8)
-    assert len(rep.lines) == 50 and rep.ok()
-    rendered = "".join(line + "\n" for line in rep.render())
-    assert hashlib.sha256(rendered.encode()).hexdigest() == \
-        "229ab3f3ce8fbaaa010dd1bb63e9804e8123411bf49237f89dfc7b0c1a208971"
+    lines = _suite_lines("unlinkability", sessions=8)
+    assert_pinned("suite_unlinkability_8", lines)
+    assert len(lines) == 51 and lines[-1] == "SUITE unlinkability pass"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 26, open: a paired run that starts at most one session "
+    "of each card index runs the same process in both worlds, so its pass "
+    "cannot fail; drop, harvest, month_probe and some fuzzers run so"))
+def test_every_paired_row_starts_a_second_card_session():
+    """Every paired battery row, at seeds 0-2 and 3 or 8 sessions, starts a
+    second session of some card index in its real run: the ideal world
+    differs from the real one only from such a session on."""
+    vacuous = []
+    for sessions in (3, 8):
+        for rows in C.suites(sessions).values():
+            for row, seed in product([r for r in rows if r.paired], range(3)):
+                sc = replace(C.SCENARIOS[row.scenario],
+                             seed=seed + row.seed_offset, **row.overrides)
+                real = H.run_scenario(replace(sc, world="real"))
+                starts = Counter(
+                    shown for kind, _, shown, _ in real.records
+                    if kind == "start" and shown.startswith("card idx="))
+                if max(starts.values(), default=0) < 2:
+                    vacuous.append(f"{row.lines[0][1]} seed={seed} "
+                                   f"sessions={sessions}")
+    assert not vacuous, (f"{len(vacuous)} paired row runs start no second "
+                         f"card session: {', '.join(vacuous)}")
+
+
+# the pins of this module: tests/golden/<name>.txt holds the lines of each;
+# test_acceptance's criterion 7 reads suite_unlinkability
+PINS = {
+    **{f"suite_{name}": functools.partial(_suite_lines, name)
+       for name in ("security", "controls", "multimonth", "utxl",
+                    "unlinkability")},
+    "suite_unlinkability_8": functools.partial(_suite_lines, "unlinkability",
+                                               sessions=8),
+}

@@ -2,7 +2,6 @@
 blind exhaustive recipe enumeration on small frames."""
 
 import functools
-import hashlib
 import random
 from dataclasses import replace
 
@@ -13,6 +12,7 @@ import utxsim.checks as C
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
+from record_pins import assert_pinned
 
 G = T.gen()
 
@@ -744,10 +744,10 @@ def test_deduction_invariant_under_renaming(case):
 #
 # Cutting the cost of a test must not move what the search reports: the
 # kind, the witness, its side and the tests= count (also at a witness).
-
-_PINNED_DIGEST = \
-    "54572e0ea038d5c37b9191c6ec15e0672e2e4bd6edb1cecd2f6ab177de105682"
-
+# Each pin's lines are committed as tests/golden/<pin>.txt, one line per
+# verdict as _pinned_lines writes it; tests/record_pins.py re-records them
+# from the builders in PINS (at the end of this module) and sorts every
+# moved line by class.
 
 def _pinned_lines(label, pairs):
     for x, y in pairs:
@@ -758,15 +758,29 @@ def _pinned_lines(label, pairs):
             yield f"{label} Distinguished {v.describe()} {v.tests}"
 
 
-def test_static_equiv_counts_pinned():
+def _count_lines():
     lines = []
     for case in _CASES:
         fa, fb, _ = _frame_pair(case)
         lines += _pinned_lines(case, ((fa, fb), (fb, fa)))
+    return lines
+
+
+def test_static_equiv_counts_pinned():
+    lines = _count_lines()
+    assert_pinned("static_equiv_counts", lines)
     assert len(lines) == 104
     assert sum("Distinguished" in line for line in lines) == 48
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _PINNED_DIGEST
+
+
+def _corpus_lines(prefix):
+    """Three verdicts, (fa, fb), (fb, fa) and (fa, fa), for each of 32 pairs
+    that _CORPORA[prefix] draws, seeded f"{prefix}{k}"."""
+    lines = []
+    for k in range(32):
+        fa, fb = _CORPORA[prefix](random.Random(f"{prefix}{k}"))
+        lines += _pinned_lines(f"{prefix}{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    return lines
 
 
 def _size(recipe, blocks):
@@ -1076,19 +1090,11 @@ def _random_group_pair(rng):
     return fa, fb
 
 
-_GROUP_DIGEST = \
-    "2d029f5918864fa57e924133261ca5781f19f91bca9495f49233d924ae8ebf42"
-
-
 def test_static_equiv_group_corpus_pinned():
-    lines = []
-    for k in range(32):
-        fa, fb = _random_group_pair(random.Random(f"group{k}"))
-        lines += _pinned_lines(f"group{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    lines = _corpus_lines("group")
+    assert_pinned("group_corpus", lines)
     assert len(lines) == 96
     assert sum("Distinguished" in line for line in lines) == 26
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _GROUP_DIGEST
 
 
 def _random_named_pair(rng):
@@ -1118,19 +1124,11 @@ def _random_named_pair(rng):
     return fa, fb
 
 
-_NAMED_DIGEST = \
-    "13f3597fd0c3acd8ccad8d1f997181e543417ee9f482c0bd649ef4aa4a82155d"
-
-
 def test_static_equiv_named_corpus_pinned():
-    lines = []
-    for k in range(32):
-        fa, fb = _random_named_pair(random.Random(f"named{k}"))
-        lines += _pinned_lines(f"named{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    lines = _corpus_lines("named")
+    assert_pinned("named_corpus", lines)
     assert len(lines) == 96
     assert sum("Distinguished" in line for line in lines) == 58
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _NAMED_DIGEST
 
 
 def _random_probe_pair(rng):
@@ -1171,19 +1169,11 @@ def _random_probe_pair(rng):
     return fa, fb
 
 
-_PROBE_DIGEST = \
-    "8d02a08f8a4322df5a9b276e0712e0228e50c5aeced484d6ae4bd01f1193a813"
-
-
 def test_static_equiv_probe_corpus_pinned():
-    lines = []
-    for k in range(32):
-        fa, fb = _random_probe_pair(random.Random(f"probe{k}"))
-        lines += _pinned_lines(f"probe{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    lines = _corpus_lines("probe")
+    assert_pinned("probe_corpus", lines)
     assert len(lines) == 96
     assert sum("Distinguished" in line for line in lines) == 50
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _PROBE_DIGEST
 
 
 # -- the final pool -----------------------------------------------------------
@@ -1399,19 +1389,11 @@ def _random_dh_pair(rng):
     return fa, fb
 
 
-_DH_DIGEST = \
-    "c1b91f7c25901e1d3d2fd34867015a828630add62a792b2791b5f3ff6623a393"
-
-
 def test_static_equiv_dh_corpus_pinned():
-    lines = []
-    for k in range(32):
-        fa, fb = _random_dh_pair(random.Random(f"dh{k}"))
-        lines += _pinned_lines(f"dh{k}", ((fa, fb), (fb, fa), (fa, fa)))
+    lines = _corpus_lines("dh")
+    assert_pinned("dh_corpus", lines)
     assert len(lines) == 96
     assert sum("Distinguished" in line for line in lines) == 30
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _DH_DIGEST
 
 
 def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
@@ -1876,10 +1858,6 @@ def test_exact_poolable_matches_testing_every_sigv_rebase(monkeypatch):
 # point, in entries order; under a point, the [s]p entries are filed by the
 # first factor of s, each with its entry number.
 
-_DEDUCTION_DIGEST = \
-    "8789bad2a7beed00a50bee1c98a106c03f7f56850edc549fa918ea3d34c159b0"
-
-
 def _deduction_corpus():
     """(frame, secret targets): both frames of every random _CASES pair,
     and the final real and ideal frames of every built-in scenario at seeds
@@ -1941,6 +1919,15 @@ def test_deduction_pinned():
         _assert_blocks(sat)
         assert T.to_text(F.derive(sat, target)) == want
 
+    lines = _deduction_lines()
+    assert_pinned("deduction", lines)
+    assert len(lines) == 4006
+
+
+def _deduction_lines():
+    """Per frame of _deduction_corpus, each saturation entry and its recipe,
+    then each secret target and each entry with the recipe derive finds for
+    it, or None."""
     lines = []
     for f, secrets in _deduction_corpus():
         sat = F.saturate(f)
@@ -1951,6 +1938,13 @@ def test_deduction_pinned():
             r = F.derive(sat, t)
             lines.append(f"{T.to_text(T.normalize(t))} "
                          f"{None if r is None else T.to_text(r)}")
-    assert len(lines) == 4006
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _DEDUCTION_DIGEST
+    return lines
+
+
+_CORPORA = {"group": _random_group_pair, "named": _random_named_pair,
+            "probe": _random_probe_pair, "dh": _random_dh_pair}
+# the pins of this module: tests/golden/<name>.txt holds the lines of each
+PINS = {"static_equiv_counts": _count_lines,
+        **{f"{p}_corpus": functools.partial(_corpus_lines, p)
+           for p in _CORPORA},
+        "deduction": _deduction_lines}

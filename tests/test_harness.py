@@ -15,6 +15,7 @@ import utxsim.harness as H
 import utxsim.roles as R
 import utxsim.strategies as S
 import utxsim.terms as T
+from record_pins import assert_pinned
 from utxsim.strategies import builtin_strategies
 
 
@@ -91,38 +92,41 @@ def test_every_builtin_trace_round_trips(seed):
         assert H.parse_trace(text).dump() == text, name
 
 
-def _digest(scenarios):
-    h = hashlib.sha256()
-    for sc in scenarios:
-        h.update(H.run_scenario(sc).dump().encode())
-    return h.hexdigest()
+def _dump_lines(runs):
+    """One line per (label, scenario) run: the label, world and seed that
+    name the run, and the sha256 of its dump."""
+    return [f"{label} {sc.world} {sc.seed} "
+            f"{hashlib.sha256(H.run_scenario(sc).dump().encode()).hexdigest()}"
+            for label, sc in runs]
 
 
-def test_pinned_traces():
-    """Dumped traces pinned byte for byte: the built-in scenarios in both
-    worlds, each also under every honest-pump program, and many-card
-    attacker runs that stress scheduling."""
-    builtins = [replace(sc, seed=s, world=w)
-                for _, sc in sorted(C.SCENARIOS.items())
+def _pinned_runs():
+    """The built-in scenarios in both worlds, each also under every
+    honest-pump program, and many-card attacker runs that stress
+    scheduling."""
+    builtins = [(name, replace(sc, seed=s, world=w))
+                for name, sc in sorted(C.SCENARIOS.items())
                 for s in range(4) for w in ("real", "ideal")]
-    assert _digest(builtins) == (
-        "7b419dd409743622923b4f6abcacc2e0e157f43987f85c6e8f7ba1dc4f1218b6")
-    pumped = [replace(sc, strategy=name, world=w, seed=s)
-              for _, sc in sorted(C.SCENARIOS.items())
+    pumped = [(f"{scen}/{name}", replace(sc, strategy=name, world=w, seed=s))
+              for scen, sc in sorted(C.SCENARIOS.items())
               for name, cls in S._CATALOG.items() if issubclass(cls, S.Pump)
               for w in ("real", "ideal") for s in range(3)]
     assert len(pumped) == 612
-    assert _digest(pumped) == (
-        "fd8ba740d3983b582894012a14b79005a7593995fafbc326c0459f97c3d6eaf1")
     strategies = ("passive", "fuzzer", "drop", "replay_bank_request",
                   "replay_card_reply", "reflect")
     terminals = (("onhi", None), ("offhi", None), ("lo", None))
-    campaign = [H.Scenario(cards=3, sessions=24, terminals=terminals,
-                           strategy=s, strategy_arg=3, seed=i, world=w,
-                           max_steps=1200)
+    campaign = [(f"campaign/{s}",
+                 H.Scenario(cards=3, sessions=24, terminals=terminals,
+                            strategy=s, strategy_arg=3, seed=i, world=w,
+                            max_steps=1200))
                 for i, s in enumerate(strategies) for w in ("real", "ideal")]
-    assert _digest(campaign) == (
-        "b98759d5adcea365c704a38e2c8f35bffc8dce3713a3300a6adb54dbc09e5615")
+    return builtins + pumped + campaign
+
+
+def test_pinned_traces():
+    """Dumped traces pinned byte for byte, each run by the sha256 of its
+    dump in tests/golden/traces.txt."""
+    assert_pinned("traces", _dump_lines(_pinned_runs()))
 
 
 @pytest.mark.parametrize("header", [
@@ -299,18 +303,24 @@ _STOPPED = {("month_probe", "bdh"), ("chi_fake_card", "utxl"),
             ("fake_card_cert_replay", "ubdh")}
 
 
-def test_scripted_traces_pinned():
-    """Dumped traces of every scripted attack under each protocol, in both
-    worlds, at seeds 0-1, pinned byte for byte."""
-    runs = [_two_sessions(name, protocol=p, world=w, seed=seed,
-                          chi_leaked=1 if name == "chi_fake_card" else None)
+def _scripted_runs():
+    """Every scripted attack under each protocol, in both worlds, at seeds
+    0-1."""
+    return [(f"{name}/{p}",
+             _two_sessions(name, protocol=p, world=w, seed=seed,
+                           chi_leaked=1 if name == "chi_fake_card" else None))
             for name, cls in S._CATALOG.items()
             if issubclass(cls, S.Scripted)
             for p in PROTOCOLS if (name, p) not in _STOPPED
             for w in ("real", "ideal") for seed in (0, 1)]
+
+
+def test_scripted_traces_pinned():
+    """Dumped traces of the scripted runs pinned byte for byte, each by the
+    sha256 of its dump in tests/golden/scripted_traces.txt."""
+    runs = _scripted_runs()
+    assert_pinned("scripted_traces", _dump_lines(runs))
     assert len(runs) == 96
-    assert _digest(runs) == (
-        "f1a3c859e48e7133df5350600553b29e5e65445a13e3121b8b37069b7b69381a")
 
 
 def test_fuzzer_keeps_agreement_events_well_formed():
@@ -640,3 +650,8 @@ def test_role_steps_see_and_give_normal_forms(monkeypatch):
                         normal(img, f"binding {alias}")
     assert all(seen[name] for name in ("card_step", "terminal_step",
                                        "bank_step")), seen
+
+
+# the pins of this module: tests/golden/<name>.txt holds the lines of each
+PINS = {"traces": lambda: _dump_lines(_pinned_runs()),
+        "scripted_traces": lambda: _dump_lines(_scripted_runs())}
