@@ -15,6 +15,10 @@ and the destructors dec, check, checkv) is rewritten by T.norm_root. Every
 output, event argument and secret a step leaves in its state is therefore a
 normal form.
 
+A message that does not parse raises _Malformed where it fails, which each
+public step turns into its one MalformedInput abort; every other abort names
+the check that failed.
+
 The control roles for the key-establishment baselines (linkable blinded DH
 and its unlinkable truncation) read the scenario's protocol, "bdh" or
 "ubdh", off the card/terminal states; their message framing beyond the
@@ -64,10 +68,19 @@ def _fail(reason: str) -> StepResult:
     return StepResult(abort=reason)
 
 
-def _tuple_items(t: Term, arity: int):
+class _Malformed(Exception):
+    """A message that does not parse; its public step aborts MalformedInput."""
+
+
+def _items(t: Term, arity: int) -> tuple:
     if t[0] != T.TUP or len(t[1]) != arity:
-        return None
+        raise _Malformed
     return t[1]
+
+
+def _opened(key: Term, msg: Term, arity: int) -> tuple:
+    """The items of msg decrypted under key."""
+    return _items(T.norm_root(T.dec(key, msg)), arity)
 
 
 # -- card --------------------------------------------------------------------
@@ -109,10 +122,13 @@ class CardState:
 def card_step(s: CardState, incoming: Term, fresh: T.FreshNames) -> StepResult:
     if s.stage == "C1":
         return _card_handshake(s, incoming, fresh)
-    if s.stage == "C3":
-        return _card_show_month(s, incoming, fresh)
-    if s.stage == "C5":
-        return _card_cryptogram(s, incoming)
+    try:
+        if s.stage == "C3":
+            return _card_show_month(s, incoming, fresh)
+        if s.stage == "C5":
+            return _card_cryptogram(s, incoming)
+    except _Malformed:
+        pass
     return _fail("MalformedInput")
 
 
@@ -132,18 +148,11 @@ def _card_handshake(s: CardState, z1: Term, fresh: T.FreshNames) -> StepResult:
 
 
 def _card_show_month(s: CardState, m: Term, fresh: T.FreshNames) -> StepResult:
-    dm = T.norm_root(T.dec(s.k_c, m))
-    parts = _tuple_items(dm, 2)
-    if parts is None:
-        return _fail("MalformedInput")
-    mc, mc_s = parts
-    inner = _tuple_items(mc, 2)
-    if inner is None:
-        return _fail("MalformedInput")
-    month_term, y_b = inner
+    mc, mc_s = _opened(s.k_c, m, 2)
+    month_term, y_b = _items(mc, 2)
     k = T.month_index(month_term)
     if k is None:
-        return _fail("MalformedInput")
+        raise _Malformed
     if T.norm_root(T.check(s.authority_vk, mc_s)) != mc:
         return _fail("BadCertificate")
     outcome = _month_decision(s, k, fresh)
@@ -186,13 +195,9 @@ def _month_decision(s: CardState, k: int, fresh: T.FreshNames):
 
 
 def _card_cryptogram(s: CardState, x: Term) -> StepResult:
-    dx = T.norm_root(T.dec(s.k_c, x))
-    parts = _tuple_items(dx, 2)
-    if parts is None:
-        return _fail("MalformedInput")
-    tx, upin = parts
+    tx, upin = _opened(s.k_c, x, 2)
     if s.contactless_only and upin != T.BOT:
-        return _fail("MalformedInput")
+        raise _Malformed
     if upin == T.BOT:
         ac, flag = T.tup(s.a, s.pan, tx), T.BOT
     elif upin == s.pin:
@@ -271,21 +276,20 @@ def terminal_step(s: TerminalState, incoming: Optional[Term],
             return StepResult()
         s.ec = T.enc(s.crt, s.k_t)
         return StepResult(outputs=[s.ec])
-    if s.stage == 4:
-        return _terminal_validity(s, incoming, user_pin)
-    if s.stage == 7:
-        return _terminal_forward_cryptogram(s, incoming)
-    if s.stage == 9:
-        return _terminal_bank_reply(s, incoming)
+    try:
+        if s.stage == 4:
+            return _terminal_validity(s, incoming, user_pin)
+        if s.stage == 7:
+            return _terminal_forward_cryptogram(s, incoming)
+        if s.stage == 9:
+            return _terminal_bank_reply(s, incoming)
+    except _Malformed:
+        pass
     return _fail("MalformedInput")
 
 
 def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
-    dn = T.norm_root(T.dec(s.k_t, n))
-    parts = _tuple_items(dn, 2)
-    if parts is None:
-        return _fail("MalformedInput")
-    b, b_s = parts
+    b, b_s = _opened(s.k_t, n, 2)
     if s.checks_month_cert:
         if T.norm_root(T.checkv(s.pk_mm, b_s)) != b:
             return _fail("BadMonthCert")
@@ -308,11 +312,7 @@ def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
 
 
 def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
-    dy = T.norm_root(T.dec(s.k_t, y))
-    parts = _tuple_items(dy, 3)
-    if parts is None:
-        return _fail("MalformedInput")
-    ehac, pin_v, tx = parts
+    ehac, pin_v, tx = _opened(s.k_t, y, 3)
     if tx != s.tx:
         return _fail("TxMismatch")
     s.y_msg = y
@@ -331,11 +331,7 @@ def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
 
 
 def _terminal_bank_reply(s: TerminalState, r: Term) -> StepResult:
-    dr = T.norm_root(T.dec(s.kbt, r))
-    parts = _tuple_items(dr, 2)
-    if parts is None:
-        return _fail("MalformedInput")
-    tx, rtype = parts
+    tx, rtype = _opened(s.kbt, r, 2)
     if tx != s.tx:
         return _fail("TxMismatch")
     events = [Event("TComBC",
@@ -371,44 +367,36 @@ class BankAgent:
 def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResult:
     """One full request: the internal database read is not a network step,
     so a single call walks B1 through B4."""
-    dx = T.norm_root(T.dec(kbt, x))
-    parts = _tuple_items(dx, 4)
-    if parts is None:
-        return _fail("MalformedInput")
-    tx_req, z2, ehac, upin = parts
-    k_bc = T.h(T.norm_root(T.smult(bank.b_t, z2)))
-    dac = T.norm_root(T.dec(k_bc, ehac))
-    parts = _tuple_items(dac, 2)
-    if parts is None:
-        return _fail("MalformedInput")
-    ac, ac_hmac = parts
-    if ac[0] != T.TUP or len(ac[1]) not in (3, 4):
-        return _fail("MalformedInput")
-    x_a, pan, tx = ac[1][0], ac[1][1], ac[1][2]
-    pin_v = ac[1][3] if len(ac[1]) == 4 else None
-    entry = bank.db.get(pan)
-    if entry is None:
-        return _fail("UnknownPAN")
-    pin, mk, pk_c = entry
-    if T.h(T.tup(ac, mk)) != ac_hmac:
-        return _fail("BadMac")
-    if tx != tx_req:
-        return _fail("TxMismatch")
-    if T.norm_root(T.smult(x_a, pk_c)) != z2:
-        return _fail("BadBlinding")
-    uniq = (pan, tx, x_a)
-    if bank.replay_check and uniq in bank.replay_log:
-        return _fail("Replay")
-    bank.replay_log.add(uniq)
-    tx_parts = _tuple_items(tx_req, 2)
-    if tx_parts is None:
-        return _fail("MalformedInput")
-    tx_type = tx_parts[1]
-    if tx_type == T.LO:
-        verdict = T.ACCEPT
-    elif tx_type == T.HI:
-        verdict = T.ACCEPT if (pin_v == T.OK or upin == pin) else T.REJECT
-    else:
+    try:
+        tx_req, z2, ehac, upin = _opened(kbt, x, 4)
+        k_bc = T.h(T.norm_root(T.smult(bank.b_t, z2)))
+        ac, ac_hmac = _opened(k_bc, ehac, 2)
+        if ac[0] != T.TUP or len(ac[1]) not in (3, 4):
+            raise _Malformed
+        x_a, pan, tx = ac[1][0], ac[1][1], ac[1][2]
+        pin_v = ac[1][3] if len(ac[1]) == 4 else None
+        entry = bank.db.get(pan)
+        if entry is None:
+            return _fail("UnknownPAN")
+        pin, mk, pk_c = entry
+        if T.h(T.tup(ac, mk)) != ac_hmac:
+            return _fail("BadMac")
+        if tx != tx_req:
+            return _fail("TxMismatch")
+        if T.norm_root(T.smult(x_a, pk_c)) != z2:
+            return _fail("BadBlinding")
+        uniq = (pan, tx, x_a)
+        if bank.replay_check and uniq in bank.replay_log:
+            return _fail("Replay")
+        bank.replay_log.add(uniq)
+        tx_type = _items(tx_req, 2)[1]
+        if tx_type == T.LO:
+            verdict = T.ACCEPT
+        elif tx_type == T.HI:
+            verdict = T.ACCEPT if (pin_v == T.OK or upin == pin) else T.REJECT
+        else:
+            raise _Malformed
+    except _Malformed:
         return _fail("MalformedInput")
     reply = T.enc(T.tup(tx_req, verdict), kbt)
     events = []

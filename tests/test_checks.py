@@ -558,6 +558,15 @@ def test_unlinkability_at_eight_sessions_pinned():
     assert len(lines) == 51 and lines[-1] == "SUITE unlinkability pass"
 
 
+def _real_runs(rows):
+    """Each battery row at seeds 0-2: the row, the seed, its scenario and
+    the trace of its real run."""
+    for row, seed in product(rows, range(3)):
+        sc = replace(C.SCENARIOS[row.scenario], seed=seed + row.seed_offset,
+                     **row.overrides)
+        yield row, seed, sc, H.run_scenario(replace(sc, world="real"))
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 26, open: a paired run that starts at most one session "
     "of each card index runs the same process in both worlds, so its pass "
@@ -569,10 +578,8 @@ def test_every_paired_row_starts_a_second_card_session():
     vacuous = []
     for sessions in (3, 8):
         for rows in C.suites(sessions).values():
-            for row, seed in product([r for r in rows if r.paired], range(3)):
-                sc = replace(C.SCENARIOS[row.scenario],
-                             seed=seed + row.seed_offset, **row.overrides)
-                real = H.run_scenario(replace(sc, world="real"))
+            paired = [r for r in rows if r.paired]
+            for row, seed, _, real in _real_runs(paired):
                 starts = Counter(
                     shown for kind, _, shown, _ in real.records
                     if kind == "start" and shown.startswith("card idx="))
@@ -581,6 +588,35 @@ def test_every_paired_row_starts_a_second_card_session():
                                    f"sessions={sessions}")
     assert not vacuous, (f"{len(vacuous)} paired row runs start no second "
                          f"card session: {', '.join(vacuous)}")
+
+
+_PUMPS = ("passive", "drop", "replay_bank_request", "replay_card_reply",
+          "reflect", "fuzzer")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 27, open: a card session left waiting for a message that "
+    "never comes lives for ever, and its card starts no later session; "
+    "drop, replay_card_reply and many fuzzers end so"))
+def test_every_pump_row_starts_its_sessions_or_ends_them():
+    """Every Pump-family unlinkability row, at seeds 0-2 and 3, 8 or 16
+    sessions, starts all its scheduled card sessions in its real run, or
+    ends with no card session live (none without an abort or a CRun)."""
+    stuck = []
+    for sessions in (3, 8, 16):
+        pumps = [r for r in C.suites(sessions)["unlinkability"]
+                 if r.overrides["strategy"] in _PUMPS]
+        for row, seed, sc, real in _real_runs(pumps):
+            cards = [sid for kind, sid, shown, _ in real.records
+                     if kind == "start" and shown.startswith("card idx=")]
+            ended = {sid for sid, _ in real.aborts} | {
+                e.session_id for e in real.events if e.tag == "CRun"}
+            if len(cards) < sc.sessions and set(cards) - ended:
+                stuck.append(f"{row.lines[0][1]} seed={seed} "
+                             f"sessions={sessions}")
+    assert not stuck, (f"{len(stuck)} Pump-family row runs start fewer card "
+                       f"sessions than scheduled and leave one live: "
+                       f"{', '.join(stuck)}")
 
 
 # the pins of this module: tests/golden/<name>.txt holds the lines of each;

@@ -1,6 +1,8 @@
 """Issuance/provisioning tests and a hand-wired honest session across the
 three role machines (no attacker, no harness)."""
 
+import copy
+
 import pytest
 
 import utxsim.frames as F
@@ -208,12 +210,85 @@ def test_stale_month_aborts():
     assert r.abort == "StaleMonth"
 
 
-def test_garbage_input_aborts_card():
-    fresh, auth, cred, card, term, bank = world()
+def _driven(n, **card_flags):
+    """A lo world whose honest session has taken its first n deliveries
+    after the terminal's start: the card reaches C3 at 1, C5 at 3 and C7 at
+    5, the terminal 4 at 2, 7 at 4, 9 at 6 and 11 at 8."""
+    fresh, auth, cred, card, term, bank = world(mode="lo", **card_flags)
     card.begin_session("s0")
-    R.card_step(card, T.gen(), fresh)
-    r = R.card_step(card, T.gen(), fresh)  # not decryptable at C3
-    assert r.abort == "MalformedInput"
+    steps = [lambda m: R.card_step(card, m, fresh),
+             lambda m: R.terminal_step(term, m, fresh)] * 3 + [
+             lambda m: R.bank_step(bank, term.kbt, m, "s0"),
+             lambda m: R.terminal_step(term, m, fresh)]
+    msg = R.terminal_step(term, None, fresh).outputs[-1]
+    for step in steps[:n]:
+        msg = step(msg).outputs[-1]
+    return fresh, card, term, bank
+
+
+_JUNK = [T.name(f"junk{i}") for i in range(3)]
+
+
+def _request(card, term, tx):
+    """A bank request for tx that passes every check up to the replay log:
+    the card's own blinding scalar, PAN and MAC key, sealed as it seals."""
+    ac = T.tup(card.a, card.pan, tx)
+    ehac = T.enc(T.tup(ac, T.h(T.tup(ac, card.mk))), card.k_cb)
+    return T.enc(T.tup(tx, term.z2, ehac, T.BOT), term.kbt)
+
+
+# (role, deliveries before the step, card flags, the message that fails)
+_UNPARSED = {
+    "card-month-undecryptable": ("card", 1, {}, lambda c, t: T.gen()),
+    "card-month-not-a-pair": (
+        "card", 1, {}, lambda c, t: T.enc(T.tup(*_JUNK[:2]), c.k_c)),
+    "card-month-no-constant": (
+        "card", 1, {},
+        lambda c, t: T.enc(T.tup(T.tup(*_JUNK[:2]), _JUNK[2]), c.k_c)),
+    "card-request-undecryptable": ("card", 3, {}, lambda c, t: T.gen()),
+    "card-contactless-pin-slot": (
+        "card", 3, {"contactless_only": True},
+        lambda c, t: T.enc(T.tup(t.tx, c.pin), c.k_c)),
+    "card-after-C7": ("card", 5, {}, lambda c, t: T.gen()),
+    "terminal-validity-not-a-pair": (
+        "terminal", 2, {}, lambda c, t: T.enc(_JUNK[0], t.k_t)),
+    "terminal-cryptogram-not-a-triple": (
+        "terminal", 4, {}, lambda c, t: T.enc(T.tup(*_JUNK[:2]), t.k_t)),
+    "terminal-reply-not-a-pair": (
+        "terminal", 6, {}, lambda c, t: T.enc(T.tup(*_JUNK), t.kbt)),
+    "terminal-after-11": ("terminal", 8, {}, lambda c, t: T.gen()),
+    "bank-request-not-a-quadruple": (
+        "bank", 6, {}, lambda c, t: T.enc(T.tup(*_JUNK[:2]), t.kbt)),
+    "bank-ehac-not-a-pair": (
+        "bank", 6, {}, lambda c, t: T.enc(
+            T.tup(t.tx, t.z2, T.enc(T.tup(*_JUNK), c.k_cb), T.BOT), t.kbt)),
+    "bank-ac-arity": (
+        "bank", 6, {}, lambda c, t: T.enc(T.tup(
+            t.tx, t.z2, T.enc(T.tup(T.tup(*_JUNK[:2]), _JUNK[2]), c.k_cb),
+            T.BOT), t.kbt)),
+    "bank-tx-not-a-pair": ("bank", 6, {}, lambda c, t: _request(c, t, _JUNK[0])),
+    "bank-unknown-tx-type": (
+        "bank", 6, {}, lambda c, t: _request(c, t, T.tup(_JUNK[0], T.OK))),
+}
+
+
+@pytest.mark.parametrize("case", _UNPARSED)
+def test_a_message_that_does_not_parse_aborts_its_step(case):
+    """Each place a step parses its message: a message that does not parse
+    there aborts MalformedInput with no output and no event, and leaves a
+    card's or terminal's state as it was."""
+    role, n, card_flags, bad = _UNPARSED[case]
+    fresh, card, term, bank = _driven(n, **card_flags)
+    msg = bad(card, term)
+    if role == "bank":
+        r = R.bank_step(bank, term.kbt, msg, "s1")
+    else:
+        state, step = ((card, R.card_step) if role == "card"
+                       else (term, R.terminal_step))
+        before = copy.deepcopy(state)
+        r = step(state, msg, fresh)
+        assert state == before
+    assert (r.abort, r.outputs, r.events) == ("MalformedInput", [], [])
 
 
 def test_replay_rejected_by_uniqueness_log():
