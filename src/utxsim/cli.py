@@ -6,9 +6,9 @@ secrecy over a trace), distinguish (paired real/ideal experiment), suite
 catalog (built-in scenarios and strategies).
 A scenario, a built-in name or a scenario file, is the one way to set a
 run's fields; --seed and --sessions replace its seed and its sessions
-(and schedule) only when given. suite and difftest seed with --seed, else
-0. The two searches take no size setting: a pass line's bound=6 is
-frames.TEST_BOUND and a secrecy line's bound=8 is frames.DERIVE_BOUND.
+only when given. suite and difftest seed with --seed, else 0. The two
+searches take no size setting: a pass line's bound=6 is frames.TEST_BOUND
+and a secrecy line's bound=8 is frames.DERIVE_BOUND.
 
 Exit codes: 0 all expected verdicts, 1 property violation or unexpected
 verdict, 2 usage error, 3 internal error of a search (a witness that fails
@@ -34,12 +34,13 @@ from .strategies import builtin_strategies
 _FLAG_KEYS = {"replay_check": "replay_check",
               "terminal_cert_check": "terminal_checks_month_cert",
               "leak_pin": "pin_leaked", "contact": "contact"}
-_LIST_KEYS = ("card_window", "schedule", "issue_months", "wrong_pin")
+_LIST_KEYS = ("wrong_pin",)
 
 
 def parse_scenario_text(text: str) -> harness.Scenario:
     """Line-oriented key/value scenario files; see README for the grammar."""
-    fields: dict = {"terminals": [], "card_windows": [], "schedule": []}
+    fields: dict = {}
+    terminals = []
     flags = {"on": True, "off": False, "true": True, "false": False}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -50,14 +51,7 @@ def parse_scenario_text(text: str) -> harness.Scenario:
             if key == "terminal":
                 month = (None if len(args) < 2 or args[1] == "."
                          else int(args[1]))
-                fields["terminals"].append((args[0], month))
-            elif key == "card_window":
-                fields["card_windows"].append(tuple(int(a) for a in args))
-            elif key == "schedule":
-                fields["schedule"] = [tuple(int(x) for x in a.split(":"))
-                                      for a in args]
-            elif key == "issue_months":
-                fields["issue_months"] = tuple(int(a) for a in args)
+                terminals.append((args[0], month))
             elif key == "wrong_pin":
                 fields["wrong_pin_sessions"] = tuple(int(a) for a in args)
             elif key in _FLAG_KEYS:
@@ -83,10 +77,8 @@ def parse_scenario_text(text: str) -> harness.Scenario:
         except (ValueError, IndexError, KeyError):
             raise harness.ScenarioInvalid(
                 f"bad scenario line {lineno}: {line!r}") from None
-    for k in ("terminals", "card_windows", "schedule"):
-        fields[k] = tuple(fields[k])
-    if not fields["terminals"]:
-        del fields["terminals"]
+    if terminals:
+        fields["terminals"] = tuple(terminals)
     return harness.Scenario(**fields)
 
 
@@ -107,7 +99,7 @@ def _scenario(args) -> harness.Scenario:
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
     if args.sessions is not None:
-        sc = replace(sc, sessions=args.sessions, schedule=())
+        sc = replace(sc, sessions=args.sessions)
     return sc
 
 
@@ -204,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="(the scenario's own)")
         sp.add_argument("--sessions", type=_at_least(0), default=None,
-                        help="(the scenario's own; drops its schedule)")
+                        help="(the scenario's own)")
         sp.add_argument("--out", default=None, help="output file (stdout)")
 
     sp = sub.add_parser("run", allow_abbrev=False,

@@ -81,10 +81,7 @@ class Scenario:
     protocol: str = "utx"            # one of PROTOCOLS
     world: str = "real"              # one of WORLDS
     cards: int = 1
-    issue_months: tuple = ()
-    card_windows: tuple = ()         # multi-month window per card
     terminals: tuple = (("onhi", None),)
-    schedule: tuple = ()             # (card_idx, terminal_cfg_idx) per session
     sessions: int = 1
     strategy: str = "passive"
     strategy_arg: int = 0
@@ -99,10 +96,10 @@ class Scenario:
     contact: bool = True             # utxl: False makes cards contactless-only
     wrong_pin_sessions: tuple = ()   # terminal ordinals that mistype the PIN
 
-    def resolved_schedule(self):
-        if self.schedule:
-            return self.schedule
-        return tuple((i % max(self.cards, 1), i % len(self.terminals))
+    def schedule(self):
+        """(card index, terminal config index) per session: session i pairs
+        card i mod cards with terminal i mod terminals."""
+        return tuple((i % self.cards, i % len(self.terminals))
                      for i in range(self.sessions))
 
     def validate_header(self):
@@ -129,22 +126,16 @@ class Scenario:
         for mode, _ in self.terminals:
             if mode not in ("onhi", "offhi", "lo"):
                 raise ScenarioInvalid(f"unknown terminal mode {mode!r}")
-        # multi-month card windows may run past the horizon; these may not
+        if self.sessions and not self.cards:
+            raise ScenarioInvalid(f"sessions {self.sessions} need a card; "
+                                  "cards is 0")
         months = [("current_month", self.current_month),
                   ("chi_leaked", self.chi_leaked)]
-        months += [("issue_months", m) for m in self.issue_months]
         months += [("terminal month", m) for _, m in self.terminals]
         for what, month in months:
             if month is not None and not 0 <= month < self.horizon:
                 raise ScenarioInvalid(
                     f"{what} {month} is not a month of horizon {self.horizon}")
-        for window in self.card_windows:
-            if not window:
-                raise ScenarioInvalid("card_window is empty")
-            if min(window) < 0:
-                raise ScenarioInvalid(
-                    f"card_window {' '.join(map(str, window))} "
-                    "has a negative month")
         if self.horizon > setup_phase.HORIZON:
             raise ScenarioInvalid(
                 f"horizon {self.horizon} is above {setup_phase.HORIZON}")
@@ -153,17 +144,6 @@ class Scenario:
         for n in self.wrong_pin_sessions:
             if n < 0:
                 raise ScenarioInvalid(f"wrong_pin {n} is negative")
-        for entry in self.schedule:
-            if len(entry) != 2:
-                raise ScenarioInvalid(
-                    f"schedule entry {':'.join(map(str, entry))} "
-                    "is not card:terminal")
-        if self.schedule and len(self.schedule) != self.sessions:
-            raise ScenarioInvalid(f"schedule lists {len(self.schedule)} "
-                                  f"sessions, not sessions {self.sessions}")
-        for cidx, tidx in self.resolved_schedule():
-            if not (0 <= cidx < self.cards and 0 <= tidx < len(self.terminals)):
-                raise ScenarioInvalid("schedule references unknown card/terminal")
 
 
 RECORD_KINDS = ("start", "deliver", "output", "event", "abort")
@@ -406,7 +386,7 @@ class Runner:
             bank_id="bank", b_t=self.cred.b_t,
             replay_check=sc.replay_check)
         first = ".0" if sc.world == "ideal" else ""
-        self.cards = [self._mint_card(i, f"card{i}{first}")
+        self.cards = [self._mint_card(f"card{i}{first}")
                       for i in range(sc.cards)]
         for key in setup_phase.publish_bulletin(self.auth, sc.current_month):
             self._publish(key, "bulletin")
@@ -422,24 +402,19 @@ class Runner:
     def _card_position(self, card):
         return card.window if card.window is not None else card.pointer
 
-    def _mint_card(self, idx: int, card_id: str,
-                   position=None) -> roles.CardState:
+    def _mint_card(self, card_id: str, position=None) -> roles.CardState:
+        """A card at position, else at current_month: for utx_multimonth,
+        the window around it."""
         sc = self.sc
+        month = sc.current_month
         if sc.protocol == "utx_multimonth":
-            window = position or (
-                tuple(sc.card_windows[idx]) if idx < len(sc.card_windows)
-                else (max(sc.current_month - 1, 0), sc.current_month,
-                      sc.current_month + 1))
-            card = setup_phase.issue_card_multimonth(
-                self.auth, self.fresh, window, card_id=card_id,
-                **self._card_flags)
+            issue = setup_phase.issue_card_multimonth
+            default = (max(month - 1, 0), month, month + 1)
         else:
-            month = (position if position is not None else
-                     (sc.issue_months[idx] if idx < len(sc.issue_months)
-                      else sc.current_month))
-            card = setup_phase.issue_card(
-                self.auth, self.fresh, month, card_id=card_id,
-                **self._card_flags)
+            issue, default = setup_phase.issue_card, month
+        card = issue(self.auth, self.fresh,
+                     default if position is None else position,
+                     card_id=card_id, **self._card_flags)
         self.bank.register_card(card)
         for label, t in (("pin", card.pin), ("mk", card.mk), ("c", card.c)):
             self.trace.secrets.append((f"{card.card_id}.{label}", t))
@@ -487,7 +462,7 @@ class Runner:
         n = self.n_cards_started.get(idx, 0)
         if n and self.sc.world == "ideal":
             card = self.cards[idx] = self._mint_card(
-                idx, f"card{idx}.{n}", self._card_position(card))
+                f"card{idx}.{n}", self._card_position(card))
         self.n_cards_started[idx] = n + 1
         sid = f"C{len(self.sessions) - self.n_terms}"
         card.begin_session(sid)

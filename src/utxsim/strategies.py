@@ -35,12 +35,13 @@ from . import terms as T
 class Pump:
     """Forwards messages along their natural routes, one action per call.
 
-    Pairs terminal session i with a card session per the scenario schedule;
-    sessions of one physical card run back to back. Every scheduled terminal
-    starts before any card, in schedule order. The pump learns each sid as
-    the newest in obs.sessions after starting it, and records its rank (start
-    index); a card session and its pair's terminal are each other's peer, and
-    it is its card's latest session.
+    Pairs terminal session i with a session of card i mod cards, the
+    scenario's round robin (Scenario.schedule); sessions of one physical
+    card run back to back. Every scheduled terminal starts before any card,
+    in schedule order. The pump learns each sid as the newest in
+    obs.sessions after starting it, and records its rank (start index); a
+    card session and its pair's terminal are each other's peer, and it is
+    its card's latest session.
 
     The next card session goes to the least pair at the head of an idle
     card's queue of unstarted pairs; a card is idle when it has no session
@@ -59,7 +60,7 @@ class Pump:
 
     def __init__(self, sc: H.Scenario):
         self.sc = sc
-        self.schedule = list(sc.resolved_schedule())
+        self.schedule = list(sc.schedule())
         self.rank: dict = {}           # sid -> start index, in start order
         self.peer: dict = {}           # terminal sid <-> its pair's card sid
         self.latest: dict = {}         # card idx -> its latest card session
@@ -280,8 +281,7 @@ class Fuzzer(Pump):
     def intercept(self, obs):
         if self.budget <= 0 or self.rng.random() > 0.18:
             return None
-        live = [v for v in obs.sessions.values() if v.alive()
-                and not (v.kind == "terminal" and v.stage.endswith("1"))]
+        live = [v for v in obs.sessions.values() if v.alive()]
         if not live:
             return None
         self.budget -= 1
@@ -401,7 +401,7 @@ class ProbeCards(Scripted):
             self.crt_recipe = T.var(self.outputs_of("bulletin")[-1])
         elif self.sc.protocol != "bdh":
             yield from self.harvest_crt()
-        for card_idx, _ in self.sc.resolved_schedule():
+        for card_idx, _ in self.sc.schedule():
             sid, key = yield from self.fake_terminal(card_idx)
             if key is None or not self.obs.sessions[sid].alive():
                 continue            # the card session has ended

@@ -200,9 +200,9 @@ def test_criterion_8_month_mechanics():
             else:
                 matrix &= outcome == "StaleMonth" and card.pointer == pointer
     # stale probe through the attacker-mediated network
-    tr = H.run_scenario(H.Scenario(issue_months=(2,), horizon=4,
-                                   current_month=2, terminals=(("lo", 0),),
-                                   sessions=0, strategy="month_probe"))
+    tr = H.run_scenario(H.Scenario(horizon=4, current_month=2,
+                                   terminals=(("lo", 0),), sessions=0,
+                                   strategy="month_probe"))
     stale = ("C0", "StaleMonth") in tr.aborts
     # sliding-window branches
     card = S.issue_card_multimonth(auth, fresh, (0, 1, 2))
@@ -220,7 +220,7 @@ def test_criterion_8_month_mechanics():
     paired_ok = True
     for name in ("passive", "probe_cards"):
         sc = H.Scenario(protocol="utx_multimonth", cards=1, sessions=2,
-                        schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
+                        terminals=(("lo", None),),
                         strategy=name, replay_check=False)
         real, ideal = H.run_paired(sc)
         paired_ok &= C.distinguish(real, ideal).status == "bounded-pass"

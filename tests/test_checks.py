@@ -387,8 +387,8 @@ def test_secrecy_honest_and_leaky():
 
 
 def test_distinguish_is_symmetric():
-    sc = H.Scenario(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
-                    terminals=(("lo", None),), strategy="probe_cards",
+    sc = H.Scenario(protocol="bdh", sessions=2, terminals=(("lo", None),),
+                    strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
     a = C.distinguish(real, ideal)
@@ -397,8 +397,8 @@ def test_distinguish_is_symmetric():
 
 
 def test_distinguish_verdict_witness_replays():
-    sc = H.Scenario(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
-                    terminals=(("lo", None),), strategy="probe_cards",
+    sc = H.Scenario(protocol="bdh", sessions=2, terminals=(("lo", None),),
+                    strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
     verdict = F.static_equiv(real.frame, ideal.frame)
@@ -414,8 +414,8 @@ def test_distinguish_rechecks_its_witness(monkeypatch):
     """A Distinguished witness is re-evaluated in both frames before it
     becomes a verdict: the equality must hold in the named frame only."""
     import pytest
-    sc = H.Scenario(protocol="bdh", sessions=2, schedule=((0, 0), (0, 0)),
-                    terminals=(("lo", None),), strategy="probe_cards",
+    sc = H.Scenario(protocol="bdh", sessions=2, terminals=(("lo", None),),
+                    strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
     good = F.static_equiv(real.frame, ideal.frame)
@@ -499,15 +499,10 @@ def test_builtin_scenarios_set_only_what_their_runs_read():
     for label, sc in scenarios.items():
         if len(set(sc.terminals)) != len(sc.terminals):
             problems.append(f"{label}: a terminal config is listed twice")
-        schedule = sc.resolved_schedule()
-        default = replace(sc, schedule=()).resolved_schedule()
-        if sc.schedule and schedule == default:
-            problems.append(f"{label}: schedule equals its default")
-        if sc.issue_months and set(sc.issue_months) == {sc.current_month}:
-            problems.append(f"{label}: issue_months equal current_month")
         # a pump starts terminals by the schedule, and no others
         if (issubclass(S._CATALOG[sc.strategy], S.Pump)
-                and {t for _, t in schedule} != set(range(len(sc.terminals)))):
+                and {t for _, t in sc.schedule()}
+                != set(range(len(sc.terminals)))):
             problems.append(f"{label}: a terminal is never scheduled")
     assert problems == []
 

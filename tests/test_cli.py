@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -105,36 +106,33 @@ protocol utx
 cards 1
 sessions 2
 terminal lo .
-schedule 0:0 0:0
 strategy probe_cards
 replay_check off
 seed 3
 """
 
-# every scenario key once (card_window once per card)
-_EVERY_KEY_TEXT = """
-protocol utx_multimonth
-world real
-cards 2
-sessions 3
-terminal onhi .
-terminal lo 1
-schedule 0:0 1:1 0:0
-strategy fuzzer 4
-seed 5
-current_month 1
-horizon 3
-max_steps 300
-replay_check off
-terminal_cert_check off
-leak_chi 1
-leak_pin on
-contact off
-wrong_pin 0 2
-issue_months 1 1
-card_window 0 1 2
-card_window 1 2 3
-"""
+def _readme_example():
+    """README's scenario-file example, the one copy of a file that sets
+    every key: the fenced block of its "Scenario files" section."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Scenario files\n", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+_EVERY_KEY_TEXT = _readme_example()
+
+
+def test_readme_example_sets_every_key():
+    """README's example sets each key that a scenario file can hold, the
+    keys that _scenario_file_text writes for a scenario that sets every
+    field."""
+    def keys(text):
+        return {words[0] for line in text.splitlines()
+                if (words := line.split("#", 1)[0].split())}
+    every_field = _scenario_file_text(H.Scenario(chi_leaked=0))
+    assert keys(_EVERY_KEY_TEXT) == keys(every_field)
+    assert len(keys(every_field)) == 16
 
 
 def test_scenario_file(tmp_path, capsys):
@@ -165,11 +163,7 @@ def _scenario_file_text(sc):
                          "current_month", "horizon", "max_steps")]
     lines += [f"terminal {mode} {'.' if month is None else month}"
               for mode, month in sc.terminals]
-    lines += [f"card_window {' '.join(map(str, w))}"
-              for w in sc.card_windows]
-    lines += [f"schedule {' '.join(f'{c}:{t}' for c, t in sc.schedule)}",
-              f"issue_months {' '.join(map(str, sc.issue_months))}",
-              f"wrong_pin {' '.join(map(str, sc.wrong_pin_sessions))}",
+    lines += [f"wrong_pin {' '.join(map(str, sc.wrong_pin_sessions))}",
               f"strategy {sc.strategy} {sc.strategy_arg}",
               f"replay_check {onoff[sc.replay_check]}",
               f"terminal_cert_check {onoff[sc.terminal_checks_month_cert]}",
@@ -283,8 +277,8 @@ def test_mutated_scenario_text_exits_cleanly(tmp_path, capsys):
         f.write_text(text)
         assert _exits_cleanly(capsys, ["check", "--scenario", str(f)],
                               "unmutated")[0] in (0, 1)
-    # the fixed seed draws, among others, a schedule entry that is not
-    # card:terminal and a card_window commented down to no month
+    # the fixed seed draws, among others, a terminal line with a stray third
+    # value and keys cut short by a comment or a line break
     rng = random.Random("scenario-mutations8")
     codes = set()
     for k in range(200):
@@ -600,12 +594,14 @@ def assert_usage_error(capsys, code):
     ("issue_months 9", [], "issue_months"),
     ("terminal lo 7", [], "terminal month"),
     ("sessions -1", [], "sessions"),
-    ("sessions 2\nschedule 0:0", [], "schedule lists 1 sessions"),
-    ("sessions 2\nschedule 0:0 030", [], "schedule entry 30 "),
-    ("schedule 0:0:1", [], "schedule entry 0:0:1 "),
-    ("protocol utx_multimonth\ncard_window", [], "card_window is empty"),
-    ("protocol utx_multimonth\ncard_window -1 0 1", [],
-     "card_window -1 0 1 has a negative month"),
+    # deleted keys, in the places of the rules they had, so that the cases
+    # after them keep their ids
+    ("schedule 0:0", [], "unknown scenario key 'schedule'"),
+    ("issue_months 1", [], "unknown scenario key 'issue_months'"),
+    ("card_window 0 1 2", [], "unknown scenario key 'card_window'"),
+    ("protocol utx_multimonth\ncard_window 0 1 2", [],
+     "unknown scenario key 'card_window'"),
+    ("cards 0\nsessions 2", [], "sessions 2 need a card; cards is 0"),
     ("cards -2\nsessions 0", [], "cards -2 is negative"),
     ("max_steps -7", [], "max_steps -7 is negative"),
     ("wrong_pin -1", [], "wrong_pin -1 is negative"),

@@ -24,12 +24,10 @@ def test_scenario_validation():
         H.Scenario(protocol="nope").validate()
     with pytest.raises(H.ScenarioInvalid, match="chi_leaked 3"):
         H.Scenario(chi_leaked=3).validate()
-    # multi-month card windows may run past the horizon on purpose
-    H.Scenario(protocol="utx_multimonth", card_windows=((2, 3, 4),)).validate()
     with pytest.raises(H.ScenarioInvalid):
         H.Scenario(protocol="utxl", terminals=(("onhi", None),)).validate()
-    with pytest.raises(H.ScenarioInvalid):
-        H.Scenario(schedule=((5, 0),)).validate()
+    with pytest.raises(H.ScenarioInvalid, match="need a card"):
+        H.Scenario(cards=0).validate()
 
 
 @pytest.mark.parametrize("sessions", [0, 1])
@@ -192,8 +190,7 @@ def test_ideal_card_continues_where_the_last_one_stopped(protocol):
     The ideal world's next card starts at the month position the card it
     replaces reached, so it refuses too, and the worlds stay aligned."""
     sc = H.Scenario(protocol=protocol, horizon=4, sessions=2,
-                    terminals=(("lo", 2), ("lo", 0)),
-                    schedule=((0, 0), (0, 1)), strategy="passive")
+                    terminals=(("lo", 2), ("lo", 0)), strategy="passive")
     real, ideal = H.run_paired(sc)
     for tr in (real, ideal):
         assert ("C1", "StaleMonth") in tr.aborts
@@ -228,9 +225,9 @@ def test_harvest_exposes_bank_certificate():
 
 
 def test_month_probe_stale_aborts():
-    tr = H.run_scenario(H.Scenario(issue_months=(2,), horizon=4,
-                                   current_month=2, terminals=(("lo", 0),),
-                                   sessions=0, strategy="month_probe"))
+    tr = H.run_scenario(H.Scenario(horizon=4, current_month=2,
+                                   terminals=(("lo", 0),), sessions=0,
+                                   strategy="month_probe"))
     assert ("C0", "StaleMonth") in tr.aborts
 
 
@@ -252,8 +249,8 @@ def test_paired_zero_sessions_trivially_aligned():
 
 
 def test_paired_frames_share_alias_domains():
-    sc = H.Scenario(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
-                    terminals=(("lo", None),), strategy="probe_cards",
+    sc = H.Scenario(cards=1, sessions=2, terminals=(("lo", None),),
+                    strategy="probe_cards",
                     replay_check=False)
     real, ideal = H.run_paired(sc)
     assert list(real.frame.bindings) == list(ideal.frame.bindings)
@@ -269,7 +266,7 @@ PROTOCOLS = ("utx", "utx_multimonth", "utxl", "bdh", "ubdh")
 
 
 def _two_sessions(name, **kw):
-    return H.Scenario(cards=1, sessions=2, schedule=((0, 0), (0, 0)),
+    return H.Scenario(cards=1, sessions=2,
                       terminals=(("lo", None), ("lo", None)), strategy=name,
                       replay_check=False, pin_leaked=name == "pin_probe", **kw)
 
@@ -331,6 +328,18 @@ def test_fuzzer_keeps_agreement_events_well_formed():
     from utxsim.roles import EVENT_ARITY
     for e in tr.events:
         assert len(e.args) == EVENT_ARITY[e.tag]
+
+
+@pytest.mark.parametrize("mode, stage", [("onhi", "TONH2"), ("offhi", "TOFH2"),
+                                         ("lo", "TLO2")])
+def test_a_started_terminal_is_past_its_first_stage(mode, stage):
+    """A terminal takes its first step as it starts, so no live session
+    sits at a terminal's first stage, and the fuzzer draws its targets from
+    every live session."""
+    runner = H.Runner(H.Scenario(terminals=((mode, None),), sessions=0))
+    runner.apply(H.StartTerminal(0))
+    view = runner.observe().sessions["T0"]
+    assert view.alive() and view.stage == stage
 
 
 # -- incremental records -----------------------------------------------------------

@@ -26,7 +26,7 @@ G = T.gen()
 
 def paired(protocol="utx", strategy="probe_cards"):
     sc = H.Scenario(protocol=protocol, cards=1, sessions=2,
-                    schedule=((0, 0), (0, 0)), terminals=(("lo", None),),
+                    terminals=(("lo", None),),
                     strategy=strategy, seed=13,
                     replay_check=False)
     return H.run_paired(sc)
