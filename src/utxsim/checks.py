@@ -304,7 +304,7 @@ SCENARIOS = {
     "honest_offhi": _mk(terminals=(OFFHI,), strategy="passive"),
     "honest_lo": _mk(terminals=(LO,), strategy="passive"),
     "wrong_pin_offhi": _mk(terminals=(OFFHI,), strategy="passive",
-                           wrong_pin_sessions=(0,)),
+                           wrong_pin=(0,)),
     "mixed_fuzz": _mk(cards=3, sessions=4, strategy="fuzzer",
                       terminals=(ONHI, OFFHI, LO)),
     "replay_cryptogram": _mk(terminals=(LO,), strategy="replay_bank_request"),
@@ -314,9 +314,9 @@ SCENARIOS = {
     "harvest_cert": _mk(terminals=(LO,), sessions=0, strategy="harvest"),
     "fake_card_no_checkv": _mk(terminals=(LO,), sessions=0,
                                strategy="fake_card_cert_replay",
-                               terminal_checks_month_cert=False),
+                               terminal_cert_check=False),
     "chi_leak_fake_card": _mk(terminals=(LO,), sessions=0,
-                              strategy="chi_fake_card", chi_leaked=1),
+                              strategy="chi_fake_card", leak_chi=1),
     "month_probe_stale": _mk(horizon=4, current_month=2,
                              terminals=(("lo", 0),), sessions=0,
                              strategy="month_probe"),
@@ -325,10 +325,10 @@ SCENARIOS = {
                         **_TWO_SESSIONS),
     "ubdh_2session": _mk(protocol="ubdh", strategy="probe_cards",
                          **_TWO_SESSIONS),
-    "utxl_lo": _mk(protocol="utxl", strategy="pin_probe", pin_leaked=True,
+    "utxl_lo": _mk(protocol="utxl", strategy="pin_probe", leak_pin=True,
                    contact=False, **_TWO_SESSIONS),
     "utxl_hi_probe": _mk(protocol="utxl", strategy="pin_probe",
-                         pin_leaked=True, contact=True, **_TWO_SESSIONS),
+                         leak_pin=True, contact=True, **_TWO_SESSIONS),
     "multimonth_probe": _mk(protocol="utx_multimonth", strategy="probe_cards",
                             **_TWO_SESSIONS),
 }
@@ -460,7 +460,7 @@ def suites(sessions: int = 3) -> dict:
                 ((check_all_agreements, "{}[no-checkv]", _FORGED),)),
             Row("fake_card_no_checkv",
                 ((_agreement(0), "checkv-defends-replay", "holds"),),
-                dict(terminal_checks_month_cert=True)),
+                dict(terminal_cert_check=True)),
             Row("chi_leak_fake_card",
                 ((check_all_agreements, "{}[chi-leak]", _FORGED),)),
         ],

@@ -6,9 +6,11 @@ secrecy over a trace), distinguish (paired real/ideal experiment), suite
 catalog (built-in scenarios and strategies).
 A scenario, a built-in name or a scenario file, is the one way to set a
 run's fields; --seed and --sessions replace its seed and its sessions
-only when given. suite and difftest seed with --seed, else 0. The two
-searches take no size setting: a pass line's bound=6 is frames.TEST_BOUND
-and a secrecy line's bound=8 is frames.DERIVE_BOUND.
+only when given; harness.parse_scenario_text reads a scenario file, so
+this module holds the command line only. suite and difftest seed with
+--seed, else 0. The two searches take no size setting: a pass line's
+bound=6 is frames.TEST_BOUND and a secrecy line's bound=8 is
+frames.DERIVE_BOUND.
 
 Exit codes: 0 all expected verdicts, 1 property violation or unexpected
 verdict, 2 usage error, 3 internal error of a search (a witness that fails
@@ -30,64 +32,12 @@ from . import terms as T
 from .strategies import builtin_strategies
 
 
-# scenario-file switches and the Scenario fields they set
-_FLAG_KEYS = {"replay_check": "replay_check",
-              "terminal_cert_check": "terminal_checks_month_cert",
-              "leak_pin": "pin_leaked", "contact": "contact"}
-_LIST_KEYS = ("wrong_pin",)
-
-
-def parse_scenario_text(text: str) -> harness.Scenario:
-    """Line-oriented key/value scenario files; see README for the grammar."""
-    fields: dict = {}
-    terminals = []
-    flags = {"on": True, "off": False, "true": True, "false": False}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *args = line.split()
-        try:
-            if key == "terminal":
-                month = (None if len(args) < 2 or args[1] == "."
-                         else int(args[1]))
-                terminals.append((args[0], month))
-            elif key == "wrong_pin":
-                fields["wrong_pin_sessions"] = tuple(int(a) for a in args)
-            elif key in _FLAG_KEYS:
-                fields[_FLAG_KEYS[key]] = flags[args[0]]
-            elif key == "leak_chi":
-                fields["chi_leaked"] = int(args[0])
-            elif key == "strategy":
-                fields["strategy"] = args[0]
-                if len(args) > 1:
-                    fields["strategy_arg"] = int(args[1])
-            elif key in ("cards", "sessions", "seed", "current_month",
-                         "horizon", "max_steps"):
-                fields[key] = int(args[0])
-            elif key in ("protocol", "world"):
-                fields[key] = args[0]
-            else:
-                raise harness.ScenarioInvalid(f"unknown scenario key {key!r}")
-            # a list key takes any number of values, terminal and strategy
-            # one or two, every other key exactly one
-            if key not in _LIST_KEYS and \
-                    len(args) > 1 + (key in ("terminal", "strategy")):
-                raise ValueError
-        except (ValueError, IndexError, KeyError):
-            raise harness.ScenarioInvalid(
-                f"bad scenario line {lineno}: {line!r}") from None
-    if terminals:
-        fields["terminals"] = tuple(terminals)
-    return harness.Scenario(**fields)
-
-
 def load_scenario(spec: str) -> harness.Scenario:
     if spec in checks.SCENARIOS:
         return checks.SCENARIOS[spec]
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
-            return parse_scenario_text(fh.read())
+            return harness.parse_scenario_text(fh.read())
     raise harness.ScenarioInvalid(
         f"{spec!r} is neither a built-in scenario nor a file; "
         f"built-ins: {', '.join(sorted(checks.SCENARIOS))}")

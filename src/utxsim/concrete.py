@@ -46,8 +46,7 @@ class GroupEnv:
         rng = random.Random(f"groupenv{seed}")
         vals = {}
         for nm in sorted(names):
-            ident = nm[1] if isinstance(nm, tuple) else nm
-            vals[ident] = rng.randrange(2, Q - 1)
+            vals[nm[1]] = rng.randrange(2, Q - 1)
         return cls(valuation=vals)
 
 

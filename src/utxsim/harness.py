@@ -37,12 +37,17 @@ index i starts its session n > 0, counting from 0, the ideal world replaces
 its card with a fresh card{i}.{n}, registered with the bank and issued at
 the month position the card it replaces had reached.
 
+Settings: each Scenario field but terminals and strategy_arg is named by
+the scenario-file key that sets it. parse_scenario_text reads a scenario
+file, and parse_trace a dump's SCEN header, by one rule typed by the
+field's default.
+
 Determinism: a (scenario, seed) pair fixes the trace byte-for-byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -90,11 +95,11 @@ class Scenario:
     horizon: int = 3
     max_steps: int = 600
     replay_check: bool = True        # the bank's transaction-uniqueness log
-    terminal_checks_month_cert: bool = True
-    chi_leaked: Optional[int] = None  # month whose key is published
-    pin_leaked: bool = False
+    terminal_cert_check: bool = True  # terminals check the month cert
+    leak_chi: Optional[int] = None   # month whose key is published
+    leak_pin: bool = False
     contact: bool = True             # utxl: False makes cards contactless-only
-    wrong_pin_sessions: tuple = ()   # terminal ordinals that mistype the PIN
+    wrong_pin: tuple = ()            # terminal ordinals that mistype the PIN
 
     def schedule(self):
         """(card index, terminal config index) per session: session i pairs
@@ -130,7 +135,7 @@ class Scenario:
             raise ScenarioInvalid(f"sessions {self.sessions} need a card; "
                                   "cards is 0")
         months = [("current_month", self.current_month),
-                  ("chi_leaked", self.chi_leaked)]
+                  ("leak_chi", self.leak_chi)]
         months += [("terminal month", m) for _, m in self.terminals]
         for what, month in months:
             if month is not None and not 0 <= month < self.horizon:
@@ -141,7 +146,7 @@ class Scenario:
                 f"horizon {self.horizon} is above {setup_phase.HORIZON}")
         if self.max_steps < 0:
             raise ScenarioInvalid(f"max_steps {self.max_steps} is negative")
-        for n in self.wrong_pin_sessions:
+        for n in self.wrong_pin:
             if n < 0:
                 raise ScenarioInvalid(f"wrong_pin {n} is negative")
 
@@ -188,6 +193,56 @@ class Trace:
         return "\n".join(self.to_lines()) + "\n"
 
 
+# the scenario-file keys, each a Scenario field, and the defaults that type
+# their values; a terminal line sets terminals
+_KEYS = {f.name: f.default for f in fields(Scenario)
+         if f.name not in ("terminals", "strategy_arg")}
+
+
+def _value(key: str, words: list):
+    """Field key's value, written as words, typed by the field's default: a
+    tuple takes any number of integers and every other field one word, on
+    or off for a bool, the word itself for a str, else an integer."""
+    default = _KEYS[key]
+    if isinstance(default, tuple):
+        return tuple(int(w) for w in words)
+    (word,) = words
+    if isinstance(default, bool):
+        return {"on": True, "off": False}[word]
+    return word if isinstance(default, str) else int(word)
+
+
+def parse_scenario_text(text: str) -> Scenario:
+    """Line-oriented key/value scenario files; see README for the grammar."""
+    kw: dict = {}
+    terminals = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *words = line.split()
+        if key != "terminal" and key not in _KEYS:
+            raise ScenarioInvalid(f"unknown scenario key {key!r}")
+        # a terminal's month and a strategy's argument are optional
+        second = (words.pop() if key in ("terminal", "strategy")
+                  and len(words) == 2 else None)
+        try:
+            if key == "terminal":
+                (mode,) = words
+                terminals.append(
+                    (mode, None if second in (None, ".") else int(second)))
+            else:
+                kw[key] = _value(key, words)
+                if second is not None:
+                    kw["strategy_arg"] = int(second)
+        except (ValueError, KeyError):
+            raise ScenarioInvalid(
+                f"bad scenario line {lineno}: {line!r}") from None
+    if terminals:
+        kw["terminals"] = tuple(terminals)
+    return Scenario(**kw)
+
+
 _SCEN_KEYS = ("protocol", "world", "seed", "cards", "sessions", "strategy")
 
 
@@ -197,10 +252,7 @@ def _parse_scen(rest: str) -> Scenario:
     if ([(k, sep) for k, sep, _ in pairs] != [(k, "=") for k in _SCEN_KEYS]
             or not all(v for _, _, v in pairs)):
         raise ValueError("want " + " ".join(f"{k}=..." for k in _SCEN_KEYS))
-    kw = {k: v for k, _, v in pairs}
-    for k in ("seed", "cards", "sessions"):
-        kw[k] = int(kw[k])
-    sc = Scenario(**kw)
+    sc = Scenario(**{k: _value(k, [v]) for k, _, v in pairs})
     sc.validate_header()
     return sc
 
@@ -373,7 +425,7 @@ class Runner:
             "contactless_only": sc.protocol == "utxl" and not sc.contact}
         self._terminal_flags = {
             "protocol": sc.protocol,
-            "checks_month_cert": sc.terminal_checks_month_cert}
+            "checks_month_cert": sc.terminal_cert_check}
         self._build_world()
 
     # -- construction ------------------------------------------------------
@@ -390,12 +442,12 @@ class Runner:
                       for i in range(sc.cards)]
         for key in setup_phase.publish_bulletin(self.auth, sc.current_month):
             self._publish(key, "bulletin")
-        if sc.chi_leaked is not None:
-            self._publish(self.auth.chi[sc.chi_leaked], "bulletin")
+        if sc.leak_chi is not None:
+            self._publish(self.auth.chi[sc.leak_chi], "bulletin")
         if sc.protocol == "utxl":
             # low-value worlds hand the attacker every terminal ingredient
             self._publish(self.cred.crt_by_month[sc.current_month], "bulletin")
-        if sc.pin_leaked:
+        if sc.leak_pin:
             for i, card in enumerate(self.cards):
                 self._publish(card.pin, f"opin{i}")
 
@@ -477,7 +529,7 @@ class Runner:
         mode, month = self.sc.terminals[cfg_idx]
         month = self.sc.current_month if month is None else month
         sid = f"T{self.n_terms}"
-        mistypes = self.n_terms in self.sc.wrong_pin_sessions
+        mistypes = self.n_terms in self.sc.wrong_pin
         self.n_terms += 1
         term = setup_phase.provision_terminal(
             self.cred, self.auth, self.fresh, month, mode,

@@ -302,12 +302,10 @@ class Fuzzer(Pump):
 # -- scripted attacks -------------------------------------------------------------
 
 class Scripted:
-    """Imperative attack scripts: a generator, made of the moves below,
-    yields actions and reads the newest observation from self.obs after
-    every yield. A script ends at a delivery to a session that has ended,
+    """Imperative attack scripts: each subclass's script, a generator made
+    of the moves below, yields actions and reads the newest observation
+    from self.obs after every yield. A script ends at a delivery to a session that has ended,
     and at the start of a card the scenario does not have."""
-
-    name = "scripted"
 
     def __init__(self, sc: H.Scenario):
         self.sc = sc
@@ -372,9 +370,6 @@ class Scripted:
         tx = T.tup(self.own.data("atktx"), T.LO)
         yield H.Deliver(sid, T.enc(T.tup(tx, slot), key))
         return self.last_output(sid)
-
-    def script(self):
-        return iter(())
 
 
 class Harvest(Scripted):

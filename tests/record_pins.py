@@ -38,7 +38,7 @@ import pytest
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 # the test modules whose PINS name the builders
-MODULES = ("test_checks", "test_frames", "test_harness")
+MODULES = ("test_checks", "test_cli", "test_frames", "test_harness")
 
 TESTS = "tests= only"
 BROKE = "pass -> violated"

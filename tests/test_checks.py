@@ -380,7 +380,7 @@ def test_secrecy_honest_and_leaky():
     leaky = H.run_scenario(H.Scenario(protocol="utxl",
                                       terminals=(("lo", None),),
                                       strategy="passive",
-                                      pin_leaked=True, contact=False))
+                                      leak_pin=True, contact=False))
     v = C.check_secrecy(leaky.frame, leaky.secrets)
     assert v.status == "violated"
     assert ".pin<-?w" in v.witness      # the published alias is the recipe
@@ -438,7 +438,7 @@ def test_secrecy_rechecks_each_leak(monkeypatch):
     leaky = H.run_scenario(H.Scenario(protocol="utxl",
                                       terminals=(("lo", None),),
                                       strategy="passive",
-                                      pin_leaked=True, contact=False))
+                                      leak_pin=True, contact=False))
     assert C.check_secrecy(leaky.frame, leaky.secrets).status == "violated"
     derive = F.derive
 
@@ -516,7 +516,7 @@ def test_checkv_defends_replay_checks_terminal_agrees_card():
                if r.lines[0][1] == "checkv-defends-replay")
     check = row.lines[0][0]
     sc = replace(C.SCENARIOS[row.scenario], seed=0)
-    assert not sc.terminal_checks_month_cert
+    assert not sc.terminal_cert_check
     off = check(H.run_scenario(sc))
     on = check(H.run_scenario(replace(sc, **row.overrides)))
     assert [v.line() for v in off] == [
@@ -585,8 +585,15 @@ def test_every_paired_row_starts_a_second_card_session():
                          f"card session: {', '.join(vacuous)}")
 
 
-_PUMPS = ("passive", "drop", "replay_bank_request", "replay_card_reply",
-          "reflect", "fuzzer")
+# the honest-pump programs: Pump and its subclasses
+_PUMPS = tuple(name for name, cls in S._CATALOG.items()
+               if issubclass(cls, S.Pump))
+
+
+def test_attacker_runs_cover_each_pump_once():
+    """The attacker runs of test_harness, in the order their pinned runs
+    follow, are the honest-pump programs."""
+    assert sorted(_ATTACKERS) == sorted(_PUMPS)
 
 
 @pytest.mark.xfail(strict=True, reason=(

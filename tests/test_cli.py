@@ -1,7 +1,9 @@
 """CLI behaviour: exit codes, determinism, scenario files, trace checking."""
 
+import contextlib
+import io
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import utxsim.cli as cli
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
+from record_pins import assert_pinned
 
 
 def run_cli(capsys, *argv):
@@ -124,15 +127,14 @@ _EVERY_KEY_TEXT = _readme_example()
 
 
 def test_readme_example_sets_every_key():
-    """README's example sets each key that a scenario file can hold, the
-    keys that _scenario_file_text writes for a scenario that sets every
-    field."""
-    def keys(text):
-        return {words[0] for line in text.splitlines()
-                if (words := line.split("#", 1)[0].split())}
-    every_field = _scenario_file_text(H.Scenario(chi_leaked=0))
-    assert keys(_EVERY_KEY_TEXT) == keys(every_field)
-    assert len(keys(every_field)) == 16
+    """README's example sets each key that a scenario file can hold: the
+    name of each Scenario field but terminals and strategy_arg, which the
+    terminal and strategy lines set, and terminal."""
+    keys = {words[0] for line in _EVERY_KEY_TEXT.splitlines()
+            if (words := line.split("#", 1)[0].split())}
+    names = {f.name for f in fields(H.Scenario)}
+    assert keys == names - {"terminals", "strategy_arg"} | {"terminal"}
+    assert len(keys) == 16
 
 
 def test_scenario_file(tmp_path, capsys):
@@ -156,21 +158,22 @@ def test_scenario_file_seed_applies_unless_seed_given(tmp_path, capsys):
 
 
 def _scenario_file_text(sc):
-    """sc as scenario-file text, a line for each field."""
-    onoff = {True: "on", False: "off"}
-    lines = [f"{key} {getattr(sc, key)}"
-             for key in ("protocol", "world", "cards", "sessions", "seed",
-                         "current_month", "horizon", "max_steps")]
-    lines += [f"terminal {mode} {'.' if month is None else month}"
-              for mode, month in sc.terminals]
-    lines += [f"wrong_pin {' '.join(map(str, sc.wrong_pin_sessions))}",
-              f"strategy {sc.strategy} {sc.strategy_arg}",
-              f"replay_check {onoff[sc.replay_check]}",
-              f"terminal_cert_check {onoff[sc.terminal_checks_month_cert]}",
-              f"leak_pin {onoff[sc.pin_leaked]}",
-              f"contact {onoff[sc.contact]}"]
-    if sc.chi_leaked is not None:
-        lines.append(f"leak_chi {sc.chi_leaked}")
+    """sc as scenario-file text, a line for each field: a terminal line for
+    each terminal, and strategy_arg on the strategy line."""
+    lines = []
+    for f in fields(sc):
+        key, value = f.name, getattr(sc, f.name)
+        if key == "terminals":
+            lines += [f"terminal {mode} {'.' if month is None else month}"
+                      for mode, month in value]
+        elif key == "strategy":
+            lines.append(f"strategy {value} {sc.strategy_arg}")
+        elif isinstance(value, tuple):
+            lines.append(" ".join((key, *map(str, value))))
+        elif isinstance(value, bool):
+            lines.append(f"{key} {'on' if value else 'off'}")
+        elif value is not None and key != "strategy_arg":
+            lines.append(f"{key} {value}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -182,14 +185,13 @@ def test_scenario_file_reaches_every_builtin_and_flipped_field():
         variants = [sc, replace(sc, world={"real": "ideal",
                                            "ideal": "real"}[sc.world]),
                     replace(sc, replay_check=not sc.replay_check),
-                    replace(sc, terminal_checks_month_cert=not
-                            sc.terminal_checks_month_cert),
-                    replace(sc, chi_leaked=0 if sc.chi_leaked is None
-                            else None),
-                    replace(sc, pin_leaked=not sc.pin_leaked)]
+                    replace(sc, terminal_cert_check=not
+                            sc.terminal_cert_check),
+                    replace(sc, leak_chi=0 if sc.leak_chi is None else None),
+                    replace(sc, leak_pin=not sc.leak_pin)]
         variants += [replace(sc, protocol=p) for p in H.PROTOCOLS]
         for v in variants:
-            assert cli.parse_scenario_text(_scenario_file_text(v)) == v, \
+            assert H.parse_scenario_text(_scenario_file_text(v)) == v, \
                 (name, v)
 
 
@@ -562,6 +564,8 @@ def test_every_builtin_dump_checks(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "cards x", "strategy", "replay_check maybe",
+    # a switch is on or off, in no other spelling
+    "replay_check true",
     # more values than the key takes: one, or two for terminal and strategy
     "cards 2 junk", "terminal onhi . extra", "strategy passive 3 4",
     "leak_pin on off", "protocol utx extra",
@@ -570,7 +574,7 @@ def test_malformed_scenario_line_exits_cleanly(tmp_path, capsys, line):
     f = tmp_path / "scen.txt"
     f.write_text(f"protocol utx\n{line}\n")
     with pytest.raises(H.ScenarioInvalid, match=f"line 2: '{line}'"):
-        cli.parse_scenario_text(f.read_text())
+        H.parse_scenario_text(f.read_text())
     code = cli.main(["run", "--scenario", str(f)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -586,8 +590,8 @@ def assert_usage_error(capsys, code):
 
 
 @pytest.mark.parametrize("line, flags, field", [
-    ("leak_chi 99", [], "chi_leaked"),
-    ("leak_chi -9", [], "chi_leaked"),
+    ("leak_chi 99", [], "leak_chi"),
+    ("leak_chi -9", [], "leak_chi"),
     ("terminal xx .", [], "terminal mode"),
     ("current_month 9", [], "current_month"),
     ("horizon 0", [], "horizon 0"),
@@ -606,6 +610,8 @@ def assert_usage_error(capsys, code):
     ("max_steps -7", [], "max_steps -7 is negative"),
     ("wrong_pin -1", [], "wrong_pin -1 is negative"),
     ("horizon 62", [], "horizon 62 is above 61"),
+    # a message names a setting by the key that sets it
+    ("leak_chi 5", [], "leak_chi 5 is not a month of horizon 3"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
                                                    flags, field):
@@ -721,3 +727,32 @@ def test_internal_search_error_exits_3(capsys, monkeypatch, error):
     assert captured.err.startswith("Traceback (most recent call last):")
     assert captured.err.rstrip().endswith(
         f"{error.__name__}: the search broke its own rule")
+
+
+def _cli_lines():
+    """Each command's ``$ argv -> exit code`` line, then its stdout: check
+    and distinguish of every built-in scenario at seeds 0 to 3, and the
+    unlinkability battery at 16 sessions, seeds 0 to 2, and at 8, seeds 1
+    and 2. The run dumps are pinned in traces, and each battery at seed 0
+    in its suite pin."""
+    argvs = [[cmd, "--scenario", name, "--seed", str(seed)]
+             for name in sorted(C.SCENARIOS) for seed in range(4)
+             for cmd in ("check", "distinguish")]
+    argvs += [["suite", "unlinkability", "--sessions", str(n), "--seed",
+               str(seed)]
+              for n, seeds in ((16, range(3)), (8, range(1, 3)))
+              for seed in seeds]
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        yield f"$ {' '.join(argv)} -> {code}"
+        yield from out.getvalue().splitlines()
+
+
+def test_cli_output_pinned():
+    assert_pinned("cli", _cli_lines())
+
+
+# the pin of this module: tests/golden/cli.txt holds its lines
+PINS = {"cli": _cli_lines}

@@ -22,8 +22,8 @@ from utxsim.strategies import builtin_strategies
 def test_scenario_validation():
     with pytest.raises(H.ScenarioInvalid):
         H.Scenario(protocol="nope").validate()
-    with pytest.raises(H.ScenarioInvalid, match="chi_leaked 3"):
-        H.Scenario(chi_leaked=3).validate()
+    with pytest.raises(H.ScenarioInvalid, match="leak_chi 3"):
+        H.Scenario(leak_chi=3).validate()
     with pytest.raises(H.ScenarioInvalid):
         H.Scenario(protocol="utxl", terminals=(("onhi", None),)).validate()
     with pytest.raises(H.ScenarioInvalid, match="need a card"):
@@ -57,7 +57,7 @@ def test_honest_scenario_ends_authorized(mode):
 
 def test_wrong_pin_no_auth():
     tr = H.run_scenario(H.Scenario(terminals=(("offhi", None),),
-                                   strategy="passive", wrong_pin_sessions=(0,)))
+                                   strategy="passive", wrong_pin=(0,)))
     assert "BReject" in {e.tag for e in tr.events}
     assert not [shown for kind, _, shown, _ in tr.records
                 if kind == "output" and shown == T.AUTH]
@@ -262,17 +262,14 @@ def test_paired_frames_share_alias_domains():
     assert len(cards) == len([e for e in ideal.events if e.tag == "CRun"])
 
 
-PROTOCOLS = ("utx", "utx_multimonth", "utxl", "bdh", "ubdh")
-
-
 def _two_sessions(name, **kw):
     return H.Scenario(cards=1, sessions=2,
                       terminals=(("lo", None), ("lo", None)), strategy=name,
-                      replay_check=False, pin_leaked=name == "pin_probe", **kw)
+                      replay_check=False, leak_pin=name == "pin_probe", **kw)
 
 
 @pytest.mark.parametrize("world", ("real", "ideal"))
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", H.PROTOCOLS)
 def test_every_builtin_strategy_runs(protocol, world):
     """No program makes a move the runner refuses: a scripted attack stops
     once the session it addresses has ended (chi_fake_card without a leaked
@@ -287,7 +284,7 @@ def test_a_script_stops_at_a_session_that_has_ended():
     """A terminal that verifies the month certificate rejects the replayed
     pair, and the replay script makes no move after the abort."""
     tr = H.run_scenario(replace(C.SCENARIOS["fake_card_no_checkv"],
-                                terminal_checks_month_cert=True))
+                                terminal_cert_check=True))
     assert tr.records[-1][0] == "abort"
     assert tr.aborts == [("T1", "BadMonthCert")]
 
@@ -305,10 +302,10 @@ def _scripted_runs():
     0-1."""
     return [(f"{name}/{p}",
              _two_sessions(name, protocol=p, world=w, seed=seed,
-                           chi_leaked=1 if name == "chi_fake_card" else None))
+                           leak_chi=1 if name == "chi_fake_card" else None))
             for name, cls in S._CATALOG.items()
             if issubclass(cls, S.Scripted)
-            for p in PROTOCOLS if (name, p) not in _STOPPED
+            for p in H.PROTOCOLS if (name, p) not in _STOPPED
             for w in ("real", "ideal") for seed in (0, 1)]
 
 

@@ -229,11 +229,13 @@ def _driven(n, **card_flags):
 _JUNK = [T.name(f"junk{i}") for i in range(3)]
 
 
-def _request(card, term, tx):
+def _request(card, term, tx, ac=None, mk=None):
     """A bank request for tx that passes every check up to the replay log:
-    the card's own blinding scalar, PAN and MAC key, sealed as it seals."""
-    ac = T.tup(card.a, card.pan, tx)
-    ehac = T.enc(T.tup(ac, T.h(T.tup(ac, card.mk))), card.k_cb)
+    the card's own blinding scalar, PAN and MAC key, sealed as it seals.
+    ac and mk, when given, replace the authorisation code and the MAC key."""
+    ac = T.tup(card.a, card.pan, tx) if ac is None else ac
+    mk = card.mk if mk is None else mk
+    ehac = T.enc(T.tup(ac, T.h(T.tup(ac, mk))), card.k_cb)
     return T.enc(T.tup(tx, term.z2, ehac, T.BOT), term.kbt)
 
 
@@ -272,23 +274,61 @@ _UNPARSED = {
 }
 
 
+def _step(role, n, card_flags, bad):
+    """The step of role at _driven(n) on bad's message, which must leave a
+    card's or terminal's state as it was."""
+    fresh, card, term, bank = _driven(n, **card_flags)
+    msg = bad(card, term)
+    if role == "bank":
+        return R.bank_step(bank, term.kbt, msg, "s1")
+    state, step = ((card, R.card_step) if role == "card"
+                   else (term, R.terminal_step))
+    before = copy.deepcopy(state)
+    r = step(state, msg, fresh)
+    assert state == before
+    return r
+
+
 @pytest.mark.parametrize("case", _UNPARSED)
 def test_a_message_that_does_not_parse_aborts_its_step(case):
     """Each place a step parses its message: a message that does not parse
     there aborts MalformedInput with no output and no event, and leaves a
     card's or terminal's state as it was."""
-    role, n, card_flags, bad = _UNPARSED[case]
-    fresh, card, term, bank = _driven(n, **card_flags)
-    msg = bad(card, term)
-    if role == "bank":
-        r = R.bank_step(bank, term.kbt, msg, "s1")
-    else:
-        state, step = ((card, R.card_step) if role == "card"
-                       else (term, R.terminal_step))
-        before = copy.deepcopy(state)
-        r = step(state, msg, fresh)
-        assert state == before
+    r = _step(*_UNPARSED[case])
     assert (r.abort, r.outputs, r.events) == ("MalformedInput", [], [])
+
+
+_OTHER_TX = T.tup(_JUNK[0], T.LO)
+
+# (role, deliveries before the step, abort, a message that parses and
+# fails the check the abort names)
+_FAILED = {
+    "bank-unknown-pan": ("bank", 6, "UnknownPAN", lambda c, t: _request(
+        c, t, t.tx, ac=T.tup(c.a, _JUNK[0], t.tx))),
+    "bank-mac-under-another-key": ("bank", 6, "BadMac", lambda c, t:
+                                   _request(c, t, t.tx, mk=_JUNK[0])),
+    "bank-ac-for-another-tx": ("bank", 6, "TxMismatch", lambda c, t: _request(
+        c, t, t.tx, ac=T.tup(c.a, c.pan, _OTHER_TX))),
+    "bank-blinding-not-z2": ("bank", 6, "BadBlinding", lambda c, t: _request(
+        c, t, t.tx, ac=T.tup(T.name("junka", "scalar"), c.pan, t.tx))),
+    "terminal-cryptogram-for-another-tx": (
+        "terminal", 4, "TxMismatch",
+        lambda c, t: T.enc(T.tup(_JUNK[1], T.BOT, _OTHER_TX), t.k_t)),
+    "terminal-reply-for-another-tx": (
+        "terminal", 6, "TxMismatch",
+        lambda c, t: T.enc(T.tup(_OTHER_TX, T.ACCEPT), t.kbt)),
+}
+
+
+@pytest.mark.parametrize("case", _FAILED)
+def test_a_message_that_fails_a_check_aborts_its_step(case):
+    """Each check the bank makes of a request, and the terminal of the
+    transaction a cryptogram or a bank reply names: a message that parses
+    and fails it aborts with the check's name, no output and no event (a
+    commit event least of all), and leaves a terminal's state as it was."""
+    role, n, abort, bad = _FAILED[case]
+    r = _step(role, n, {}, bad)
+    assert (r.abort, r.outputs, r.events) == (abort, [], [])
 
 
 def test_replay_rejected_by_uniqueness_log():
