@@ -39,8 +39,8 @@ the month position the card it replaces had reached.
 
 Settings: each Scenario field but terminals and strategy_arg is named by
 the scenario-file key that sets it. parse_scenario_text reads a scenario
-file, and parse_trace a dump's SCEN header, by one rule typed by the
-field's default.
+file by one rule typed by the field's default and scenario_lines writes
+one; a dump's SCEN line is its scenario's file lines joined by "; ".
 
 Determinism: a (scenario, seed) pair fixes the trace byte-for-byte.
 """
@@ -107,10 +107,7 @@ class Scenario:
         return tuple((i % self.cards, i % len(self.terminals))
                      for i in range(self.sessions))
 
-    def validate_header(self):
-        """The checks on the fields a trace's SCEN header records. A dump
-        records no terminals, so a parsed trace keeps the default onhi
-        one, which validate() rejects for utxl."""
+    def validate(self):
         if self.protocol not in PROTOCOLS:
             raise ScenarioInvalid(f"unknown protocol {self.protocol}")
         if self.world not in WORLDS:
@@ -120,9 +117,6 @@ class Scenario:
         for what, count in (("cards", self.cards), ("sessions", self.sessions)):
             if count < 0:
                 raise ScenarioInvalid(f"{what} {count} is negative")
-
-    def validate(self):
-        self.validate_header()
         if not self.terminals:
             raise ScenarioInvalid("a scenario needs a terminal; terminals "
                                   "is empty")
@@ -172,9 +166,7 @@ class Trace:
                 if kind != "event"]
 
     def to_lines(self):
-        sc = self.scenario
-        yield (f"SCEN protocol={sc.protocol} world={sc.world} seed={sc.seed} "
-               f"cards={sc.cards} sessions={sc.sessions} strategy={sc.strategy}")
+        yield "SCEN " + "; ".join(scenario_lines(self.scenario))
         yield "REST " + " ".join(sorted(self.frame.restricted))
         for alias, img in self.frame.bindings.items():
             yield f"BIND {alias} {T.to_text(img)}"
@@ -243,18 +235,24 @@ def parse_scenario_text(text: str) -> Scenario:
     return Scenario(**kw)
 
 
-_SCEN_KEYS = ("protocol", "world", "seed", "cards", "sessions", "strategy")
-
-
-def _parse_scen(rest: str) -> Scenario:
-    """The SCEN header: the scenario fields a dump records, in dump order."""
-    pairs = [tok.partition("=") for tok in rest.split()]
-    if ([(k, sep) for k, sep, _ in pairs] != [(k, "=") for k in _SCEN_KEYS]
-            or not all(v for _, _, v in pairs)):
-        raise ValueError("want " + " ".join(f"{k}=..." for k in _SCEN_KEYS))
-    sc = Scenario(**{k: _value(k, [v]) for k, _, v in pairs})
-    sc.validate_header()
-    return sc
+def scenario_lines(sc: Scenario) -> list:
+    """sc as the scenario-file lines that parse_scenario_text reads back
+    to it: a line per terminal, then a line per key, the strategy's with
+    its argument, and none for a leak_chi of None."""
+    lines = [f"terminal {mode} {'.' if month is None else month}"
+             for mode, month in sc.terminals]
+    for key, default in _KEYS.items():
+        value = getattr(sc, key)
+        if key == "strategy":
+            value = f"{value} {sc.strategy_arg}"
+        elif isinstance(default, tuple):
+            value = " ".join(map(str, value))
+        elif isinstance(default, bool):
+            value = "on" if value else "off"
+        elif value is None:
+            continue
+        lines.append(f"{key} {value}".rstrip())
+    return lines
 
 
 def _ground(t: Term) -> Term:
@@ -268,8 +266,8 @@ def _ground(t: Term) -> Term:
 
 
 def parse_trace(text: str) -> Trace:
-    """Rebuild the scenario header, events, aborts and frame from a dumped
-    trace; this is everything the property checkers consume."""
+    """Rebuild the scenario, events, aborts and frame from a dumped trace;
+    this is everything the property checkers consume."""
     tr = Trace(scenario=Scenario())
     bindings = tr.frame.bindings
     seen = set()        # the SCEN and REST lines, each at most once
@@ -282,7 +280,8 @@ def parse_trace(text: str) -> Trace:
                 raise ValueError(f"a second {head} line")
             if head == "SCEN":
                 seen.add(head)
-                tr.scenario = _parse_scen(rest)
+                tr.scenario = parse_scenario_text(rest.replace(";", "\n"))
+                tr.scenario.validate()
             elif head == "REST":
                 seen.add(head)
                 tr.frame.restricted = set(rest.split())

@@ -497,5 +497,5 @@ def builtin_strategies():
 
 def make_strategy(sc: H.Scenario):
     """The scenario's attacker program; its strategy name is one of
-    _CATALOG's, as Scenario.validate_header checks."""
+    _CATALOG's, as Scenario.validate checks."""
     return _CATALOG[sc.strategy](sc)

@@ -28,7 +28,9 @@ def test_run_writes_trace(tmp_path, capsys):
                       "--seed", "7", "--out", str(out))
     assert code == 0
     text = out.read_text()
-    assert text.startswith("SCEN protocol=utx")
+    # the SCEN line is the run's scenario file, its lines joined by "; "
+    sc = replace(C.SCENARIOS["honest_onhi"], seed=7)
+    assert text.startswith(f"SCEN {'; '.join(H.scenario_lines(sc))}\n")
     assert "EV TAccept" in text
 
 
@@ -144,7 +146,7 @@ def test_scenario_file(tmp_path, capsys):
                       "--out", str(tmp_path / "t.txt"))
     assert code == 0
     body = (tmp_path / "t.txt").read_text()
-    assert "strategy=probe_cards" in body
+    assert "; strategy probe_cards 0; " in body.splitlines()[0]
 
 
 def test_scenario_file_seed_applies_unless_seed_given(tmp_path, capsys):
@@ -154,27 +156,7 @@ def test_scenario_file_seed_applies_unless_seed_given(tmp_path, capsys):
     for flags, seed in (([], 5), (["--seed", "7"], 7)):
         code, text = run_cli(capsys, "run", "--scenario", str(f), *flags)
         assert code == 0
-        assert f" seed={seed} " in text.splitlines()[0]
-
-
-def _scenario_file_text(sc):
-    """sc as scenario-file text, a line for each field: a terminal line for
-    each terminal, and strategy_arg on the strategy line."""
-    lines = []
-    for f in fields(sc):
-        key, value = f.name, getattr(sc, f.name)
-        if key == "terminals":
-            lines += [f"terminal {mode} {'.' if month is None else month}"
-                      for mode, month in value]
-        elif key == "strategy":
-            lines.append(f"strategy {value} {sc.strategy_arg}")
-        elif isinstance(value, tuple):
-            lines.append(" ".join((key, *map(str, value))))
-        elif isinstance(value, bool):
-            lines.append(f"{key} {'on' if value else 'off'}")
-        elif value is not None and key != "strategy_arg":
-            lines.append(f"{key} {value}")
-    return "".join(line + "\n" for line in lines)
+        assert f"; seed {seed}; " in text.splitlines()[0]
 
 
 def test_scenario_file_reaches_every_builtin_and_flipped_field():
@@ -191,8 +173,8 @@ def test_scenario_file_reaches_every_builtin_and_flipped_field():
                     replace(sc, leak_pin=not sc.leak_pin)]
         variants += [replace(sc, protocol=p) for p in H.PROTOCOLS]
         for v in variants:
-            assert H.parse_scenario_text(_scenario_file_text(v)) == v, \
-                (name, v)
+            text = "\n".join(H.scenario_lines(v))
+            assert H.parse_scenario_text(text) == v, (name, v)
 
 
 @pytest.mark.parametrize("strategy", ["month_probe", "fake_card_cert_replay"])
@@ -299,7 +281,8 @@ def test_truncated_trace_exits_cleanly(tmp_path, capsys):
             "--out", str(full))
     text = full.read_text()
     cut = tmp_path / "cut.txt"
-    cut.write_text(text[:300])     # ends inside a BIND term
+    # ends inside a BIND term
+    cut.write_text(text[:text.index("BIND w7 (") + 9])
     code = cli.main(["check", "--trace", str(cut)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -355,13 +338,17 @@ def test_deep_trace_terms_exit_cleanly(tmp_path, capsys):
                     f"term nested deeper than {T.MAX_NESTING}\n"))
 
 
+def _scen_line(**kw):
+    """The SCEN line that a dump of a Scenario(**kw) run begins with."""
+    return next(H.Trace(H.Scenario(**kw)).to_lines())
+
+
 @pytest.mark.parametrize("line", ["BIND w0 (proj 0 a)",
                                   "TARGET x (proj 0 a)"])
 def test_projection_index_below_one_in_trace_exits_cleanly(tmp_path, capsys,
                                                           line):
     path = tmp_path / "tr.txt"
-    path.write_text("SCEN protocol=utx world=real seed=0 cards=1 sessions=1 "
-                    f"strategy=passive\nREST a\n{line}\n")
+    path.write_text(f"{_scen_line()}\nREST a\n{line}\n")
     code = cli.main(["check", "--trace", str(path)])
     captured = capsys.readouterr()
     head = line.split()[0]
@@ -374,8 +361,7 @@ def test_trace_bind_images_are_read_as_normal_forms(tmp_path, capsys):
     """A BIND image is the message it equals: (proj 1 (tuple m k)) is m,
     so a trace that binds it leaks m."""
     path = tmp_path / "tr.txt"
-    path.write_text("SCEN protocol=utx world=real seed=0 cards=0 sessions=0 "
-                    "strategy=passive\nREST m k\n"
+    path.write_text(f"{_scen_line(cards=0, sessions=0)}\nREST m k\n"
                     "BIND w0 (proj 1 (tuple m k))\nTARGET s m\n")
     code = cli.main(["check", "--trace", str(path)])
     assert code == 1
@@ -438,8 +424,7 @@ def test_second_header_line_in_trace_exits_cleanly(tmp_path, capsys, head):
     """A trace has one SCEN and one REST line: a second REST m after REST
     k would otherwise make k public and read as a secrecy violation."""
     path = tmp_path / "tr.txt"
-    scen = ("SCEN protocol=utx world=real seed=0 cards=0 sessions=0 "
-            "strategy=passive")
+    scen = _scen_line(cards=0, sessions=0)
     second = {"SCEN": scen, "REST": "REST m"}[head]
     path.write_text(f"{scen}\nREST k\nBIND w0 (enc m k)\n{second}\n"
                     "TARGET s m\n")
@@ -487,8 +472,9 @@ def test_trace_header_with_unknown_strategy_exits_cleanly(tmp_path, capsys):
     path = tmp_path / "tr.txt"
     run_cli(capsys, "run", "--scenario", "honest_lo", "--out", str(path))
     text = path.read_text()
-    assert " strategy=passive" in text.splitlines()[0]
-    path.write_text(text.replace(" strategy=passive", " strategy=nosuch", 1))
+    assert "; strategy passive 0; " in text.splitlines()[0]
+    path.write_text(text.replace("; strategy passive 0; ",
+                                 "; strategy nosuch 0; ", 1))
     code = cli.main(["check", "--trace", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", (
@@ -551,7 +537,7 @@ def test_trace_term_holding_a_variable_exits_cleanly(tmp_path, capsys):
 def test_every_builtin_dump_checks(tmp_path, capsys):
     """The header check leaves every valid dump alone: each built-in
     scenario's trace checks as the scenario itself does (utxl dumps
-    included, whose header records no terminals)."""
+    included, whose header records their lo terminals)."""
     path = tmp_path / "tr.txt"
     for name in sorted(C.SCENARIOS):
         run_cli(capsys, "run", "--scenario", name, "--seed", "0",
@@ -589,15 +575,15 @@ def assert_usage_error(capsys, code):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line, flags, field", [
-    ("leak_chi 99", [], "leak_chi"),
-    ("leak_chi -9", [], "leak_chi"),
-    ("terminal xx .", [], "terminal mode"),
-    ("current_month 9", [], "current_month"),
-    ("horizon 0", [], "horizon 0"),
-    ("issue_months 9", [], "issue_months"),
-    ("terminal lo 7", [], "terminal month"),
-    ("sessions -1", [], "sessions"),
+@pytest.mark.parametrize("line, flags, message", [
+    ("leak_chi 99", [], "leak_chi 99 is not a month of horizon 3"),
+    ("leak_chi -9", [], "leak_chi -9 is not a month of horizon 3"),
+    ("terminal xx .", [], "unknown terminal mode 'xx'"),
+    ("current_month 9", [], "current_month 9 is not a month of horizon 3"),
+    ("horizon 0", [], "current_month 1 is not a month of horizon 0"),
+    ("issue_months 9", [], "unknown scenario key 'issue_months'"),
+    ("terminal lo 7", [], "terminal month 7 is not a month of horizon 3"),
+    ("sessions -1", [], "sessions -1 is negative"),
     # deleted keys, in the places of the rules they had, so that the cases
     # after them keep their ids
     ("schedule 0:0", [], "unknown scenario key 'schedule'"),
@@ -614,14 +600,15 @@ def assert_usage_error(capsys, code):
     ("leak_chi 5", [], "leak_chi 5 is not a month of horizon 3"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
-                                                   flags, field):
+                                                   flags, message):
+    """Each file exits 2 with one line, the whole message of the rule it
+    breaks: the parser's bad scenario line quotes the line, so a part of
+    the message would not tell the two apart."""
     f = tmp_path / "scen.txt"
     f.write_text(f"protocol utx\n{line}\n")
     code = cli.main(["run", "--scenario", str(f), *flags])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and field in captured.err
-    assert captured.err.count("\n") == 1
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -731,10 +718,12 @@ def test_internal_search_error_exits_3(capsys, monkeypatch, error):
 
 def _cli_lines():
     """Each command's ``$ argv -> exit code`` line, then its stdout: check
-    and distinguish of every built-in scenario at seeds 0 to 3, and the
+    and distinguish of every built-in scenario at seeds 0 to 3, the
     unlinkability battery at 16 sessions, seeds 0 to 2, and at 8, seeds 1
-    and 2. The run dumps are pinned in traces, and each battery at seed 0
-    in its suite pin."""
+    and 2, then two dumps whose SCEN lines show a leak_chi unset and set,
+    switches on and off, and an empty wrong_pin. The other run dumps are
+    pinned by hash in traces, and each battery at seed 0 in its suite
+    pin."""
     argvs = [[cmd, "--scenario", name, "--seed", str(seed)]
              for name in sorted(C.SCENARIOS) for seed in range(4)
              for cmd in ("check", "distinguish")]
@@ -742,6 +731,8 @@ def _cli_lines():
                str(seed)]
               for n, seeds in ((16, range(3)), (8, range(1, 3)))
               for seed in seeds]
+    argvs += [["run", "--scenario", name, "--seed", "0"]
+              for name in ("utxl_lo", "chi_leak_fake_card")]
     for argv in argvs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -85,9 +85,15 @@ def test_trace_roundtrip():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_every_builtin_trace_round_trips(seed):
-    for name, sc in C.SCENARIOS.items():
-        text = H.run_scenario(replace(sc, seed=seed)).dump()
-        assert H.parse_trace(text).dump() == text, name
+    """A dump parses back to its own text and its run's scenario, in both
+    worlds, and that scenario re-runs to the same dump."""
+    for (name, sc), world in product(C.SCENARIOS.items(), H.WORLDS):
+        sc = replace(sc, seed=seed, world=world)
+        text = H.run_scenario(sc).dump()
+        back = H.parse_trace(text)
+        assert back.dump() == text, (name, world)
+        assert back.scenario == sc, (name, world)
+        assert H.run_scenario(back.scenario).dump() == text, (name, world)
 
 
 def _dump_lines(runs):
@@ -127,20 +133,49 @@ def test_pinned_traces():
     assert_pinned("traces", _dump_lines(_pinned_runs()))
 
 
+# the SCEN line of a default run's dump
+_SCEN = next(H.Trace(H.Scenario()).to_lines())
+
+
 @pytest.mark.parametrize("header", [
+    # the six-field header of older dumps: each is refused, for the unknown
+    # key that its first token is
     "SCEN protocol=utx world=real",
     "SCEN protocol=utx world=real seed=x cards=1 sessions=1 strategy=passive",
     "SCEN protocol=utx world=real seed=0 cards=1 sessions=1 strategy=",
     "SCEN world=real protocol=utx seed=0 cards=1 sessions=1 strategy=passive",
-    # well formed, out of range
     "SCEN protocol=utx world=real seed=0 cards=-2 sessions=1 strategy=passive",
     "SCEN protocol=utx world=real seed=0 cards=1 sessions=-5 strategy=passive",
     "SCEN protocol=zzz world=real seed=0 cards=1 sessions=1 strategy=passive",
     "SCEN protocol=utx world=both seed=0 cards=1 sessions=1 strategy=passive",
 ])
 def test_malformed_scenario_header(header):
-    with pytest.raises(H.TraceInvalid, match="bad trace line 1 \\(SCEN\\)"):
+    with pytest.raises(H.TraceInvalid) as e:
         H.parse_trace(header + "\n")
+    key = header.split()[1]
+    assert str(e.value) == \
+        f"bad trace line 1 (SCEN): unknown scenario key '{key}'"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed x", "bad scenario line 16: 'seed x'"),
+    ("strategy", "bad scenario line 16: 'strategy'"),
+    ("zzz 1", "unknown scenario key 'zzz'"),
+    ("cards -2", "cards -2 is negative"),
+    ("sessions -5", "sessions -5 is negative"),
+    ("protocol zzz", "unknown protocol zzz"),
+    ("world both", "unknown world both"),
+    # two rules that the six-field header could not break
+    ("terminal xx .", "unknown terminal mode 'xx'"),
+    ("protocol utxl", "low-value worlds admit lo terminals only"),
+])
+def test_trace_header_breaking_a_scenario_rule(line, message):
+    """A SCEN line is read and checked as a scenario file: the default
+    run's, with a last line that sets a key again or adds a terminal, is
+    refused by the one rule that line breaks."""
+    with pytest.raises(H.TraceInvalid) as e:
+        H.parse_trace(f"{_SCEN}; {line}\n")
+    assert str(e.value) == f"bad trace line 1 (SCEN): {message}"
 
 
 def test_attacker_closure_rejects_secret_recipes():
