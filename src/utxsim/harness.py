@@ -6,17 +6,24 @@ identifiers, abort/done flags) and decides to start sessions, forward or
 drop held messages, or inject recipes built from the frame. Injections are
 validated against the frame, so the attacker is never omniscient.
 
-The runner keeps each fact once: a session's public state only in its
-SessionView (which keeps the session's own last stage), the output log only
-in Runner.outputs, each message in flight only in Runner.pending (alias ->
-the session holding it and its routing hint, in output order), and what the
-attacker has seen only in its one Frame. That frame grows in place and is
-the trace's frame: the honest agents' name source adds every name it mints
-to its restricted set, and every output binds an alias in it. The trace
-keeps each record as one (kind, actor, shown, alias) tuple, where shown is
-the term a record shows (an output's bound image, a delivery's recipe) or
-its text; its index is its position. Only a dump renders a term as text, so
-checking a run renders none.
+The runner keeps each fact once, a session's in one record keyed by its
+sid: its role state in states (in start order), its public state in views
+(a SessionView, which keeps the session's own last stage), a terminal's
+card session in wired (the one whose output it was handed, as a plain
+forward, at its handshake) and the terminals whose user mistypes the PIN in
+mistyping. Each message in flight is only in Runner.pending: alias -> the
+session holding it and a hint naming where it goes, in output order. The
+hint is "peer" for a card's message to its terminal or a terminal's to its
+card, "self" for a bank reply, which goes to the terminal holding it, and
+"bank" for a terminal's request. The trace records hold every output;
+Runner.outputs indexes each output's alias by its sender, for the
+strategies. What the attacker has seen is only in its one Frame, which
+grows in place and is the trace's frame: the honest agents' name source
+adds every name it mints to its restricted set, and every output binds an
+alias in it. The trace keeps each record as one (kind, actor, shown, alias)
+tuple, where shown is the term a record shows (an output's bound image, a
+delivery's recipe) or its text; its index is its position. Only a dump
+renders a term as text, so checking a run renders none.
 
 A delivered value is a normal form, which the roles take as given. A forward
 is a bare alias, so its value is the alias's binding, normal as the roles
@@ -350,16 +357,7 @@ class DeliverBank(NamedTuple):
     source_alias: str = ""
 
 
-# -- live session handles --------------------------------------------------------
-
-@dataclass(slots=True)
-class _Session:
-    """What only the runner sees of a session; its public state is the
-    session's view."""
-    state: object                  # the role's CardState or TerminalState
-    wired_card: str = ""           # card session that answered the handshake
-    mistypes: bool = False         # a terminal whose user mistypes the PIN
-
+# -- live session views ----------------------------------------------------------
 
 class SessionView(NamedTuple):
     """A session's public state, the only record of it; the messages it
@@ -382,9 +380,11 @@ class Obs:
     """What the attacker sees: live read-only views of the runner's
     records, which each Runner.apply changes."""
     sessions: MappingProxyType     # sid -> SessionView, in start order
-    outputs: MappingProxyType      # alias -> actor, the full output log
-    pending: MappingProxyType      # alias -> (holding sid, routing hint),
-                                   # the messages in flight in output order
+    outputs: MappingProxyType      # alias -> actor, every output
+    pending: MappingProxyType      # alias -> (holding sid, destination),
+                                   # the messages in flight in output order;
+                                   # the destination is "peer", "self" or
+                                   # "bank", see the module docstring
 
 
 class _SysFresh(T.FreshNames):
@@ -410,21 +410,17 @@ class Runner:
         self.fresh = _SysFresh(self.frame.restricted)
         self.outputs: dict = {}        # alias -> actor, in output order
         self.trace = Trace(scenario=scenario, frame=self.frame)
-        self.sessions: dict = {}       # sid -> _Session, in start order
+        self.states: dict = {}         # sid -> role state, in start order
         self.views: dict = {}          # sid -> SessionView
+        self.wired: dict = {}          # terminal sid -> card sid it was handed
+        self.mistyping: set = set()    # terminal sids whose user mistypes
         self.n_cards_started: dict = {}
-        self.pending: dict = {}        # alias -> (holding sid, routing hint)
+        self.pending: dict = {}        # alias -> (holding sid, destination)
         self._obs = Obs(*map(MappingProxyType, (
             self.views, self.outputs, self.pending)))
         self.n_terms = 0
         self.n_bank_requests = 0
         self._log = self.trace.records
-        self._card_flags = {
-            "protocol": sc.protocol,
-            "contactless_only": sc.protocol == "utxl" and not sc.contact}
-        self._terminal_flags = {
-            "protocol": sc.protocol,
-            "checks_month_cert": sc.terminal_cert_check}
         self._build_world()
 
     # -- construction ------------------------------------------------------
@@ -465,7 +461,8 @@ class Runner:
             issue, default = setup_phase.issue_card, month
         card = issue(self.auth, self.fresh,
                      default if position is None else position,
-                     card_id=card_id, **self._card_flags)
+                     card_id=card_id, protocol=sc.protocol,
+                     contactless_only=sc.protocol == "utxl" and not sc.contact)
         self.bank.register_card(card)
         for label, t in (("pin", card.pin), ("mk", card.mk), ("c", card.c)):
             self.trace.secrets.append((f"{card.card_id}.{label}", t))
@@ -515,9 +512,9 @@ class Runner:
             card = self.cards[idx] = self._mint_card(
                 f"card{idx}.{n}", self._card_position(card))
         self.n_cards_started[idx] = n + 1
-        sid = f"C{len(self.sessions) - self.n_terms}"
+        sid = f"C{len(self.states) - self.n_terms}"
         card.begin_session(sid)
-        self.sessions[sid] = _Session(card)
+        self.states[sid] = card
         self.views[sid] = SessionView(sid, "card", card.stage)
         self._log.append(("start", sid, f"card idx={idx}", ""))
         self._publish(self.fresh.data("chc"), sid)
@@ -528,12 +525,14 @@ class Runner:
         mode, month = self.sc.terminals[cfg_idx]
         month = self.sc.current_month if month is None else month
         sid = f"T{self.n_terms}"
-        mistypes = self.n_terms in self.sc.wrong_pin
+        if self.n_terms in self.sc.wrong_pin:
+            self.mistyping.add(sid)
         self.n_terms += 1
         term = setup_phase.provision_terminal(
-            self.cred, self.auth, self.fresh, month, mode,
-            terminal_id=sid, **self._terminal_flags)
-        self.sessions[sid] = _Session(term, mistypes=mistypes)
+            self.cred, self.auth, self.fresh, month, mode, terminal_id=sid,
+            protocol=self.sc.protocol,
+            checks_month_cert=self.sc.terminal_cert_check)
+        self.states[sid] = term
         self.views[sid] = SessionView(sid, "terminal", term.stage_label())
         self._log.append(("start", sid, f"terminal {mode} month={month}", ""))
         self._publish(self.fresh.data("cht"), sid)
@@ -553,36 +552,34 @@ class Runner:
         view = self.views.get(sid)
         if view is None or not view.alive():
             raise StrategyError(f"no live session {sid}")
-        sess = self.sessions[sid]
+        state = self.states[sid]
         value = self._value_of(action.recipe)
         if action.source_alias:
             self.pending.pop(action.source_alias, None)
-            if view.kind == "terminal" and sess.state.stage == 2:
+            if view.kind == "terminal" and state.stage == 2:
                 origin = self.views.get(self.outputs.get(action.source_alias))
                 if origin is not None and origin.kind == "card":
-                    sess.wired_card = origin.sid
+                    self.wired[sid] = origin.sid
         self._log.append(("deliver", sid, action.recipe, action.source_alias))
         if view.kind == "card":
-            res = roles.card_step(sess.state, value, self.fresh)
-            if res.done and sess.state.k_cb is not None:
-                self.trace.secrets.append((f"{sid}.k_cb", sess.state.k_cb))
-                self.trace.secrets.append((f"{sid}.ac", sess.state.ac))
+            res = roles.card_step(state, value, self.fresh)
+            if res.done and state.k_cb is not None:
+                self.trace.secrets.append((f"{sid}.k_cb", state.k_cb))
+                self.trace.secrets.append((f"{sid}.ac", state.ac))
         else:
-            user_pin = None
-            if sess.state.wants_pin():
-                user_pin = self._user_pin(sess)
-            res = roles.terminal_step(sess.state, value, self.fresh,
+            user_pin = self._user_pin(sid) if state.wants_pin() else None
+            res = roles.terminal_step(state, value, self.fresh,
                                       user_pin=user_pin)
         self._absorb(sid, res)
 
-    def _user_pin(self, sess: _Session) -> Term:
+    def _user_pin(self, tsid: str) -> Term:
         """PIN entry models a conscious purchase: the pad reads the real PIN
         only when the handshake reply came from an honest card; a decoy name
-        otherwise. Scenario-selected sessions mistype."""
-        if sess.mistypes:
+        otherwise. Scenario-selected terminals mistype."""
+        if tsid in self.mistyping:
             return self.fresh.data("wrongpin")
-        if sess.wired_card:
-            return self.sessions[sess.wired_card].state.pin
+        if tsid in self.wired:
+            return self.states[self.wired[tsid]].pin
         return self.fresh.data("decoypin")
 
     def _deliver_bank(self, action: DeliverBank) -> None:
@@ -595,20 +592,18 @@ class Runner:
         sid = f"B{self.n_bank_requests}.{tsid}"
         self.n_bank_requests += 1
         self._log.append(("deliver", sid, action.recipe, action.source_alias))
-        res = roles.bank_step(self.bank, self.sessions[tsid].state.kbt,
-                              value, sid)
-        self._record_step(sid, tsid, res, "to_terminal")
+        res = roles.bank_step(self.bank, self.states[tsid].kbt, value, sid)
+        self._record_step(sid, tsid, res, "self")
 
     def _absorb(self, sid: str, res: roles.StepResult) -> None:
-        view, state = self.views[sid], self.sessions[sid].state
+        view, state = self.views[sid], self.states[sid]
         if view.kind == "card":
-            self._record_step(sid, sid, res, "to_terminal")
-            stage = state.stage
+            stage, req = state.stage, None
         else:
             # the bank request goes to the bank, the rest to the card
-            req = state.req if state.stage == 9 else None
-            self._record_step(sid, sid, res, "to_card", req)
             stage = state.stage_label()
+            req = state.req if state.stage == 9 else None
+        self._record_step(sid, sid, res, "peer", req)
         # only a live session steps, so this step's abort/done are its own
         self.views[sid] = SessionView(sid, view.kind, stage,
                                       bool(res.abort), res.done)
@@ -616,8 +611,8 @@ class Runner:
     def _record_step(self, actor: str, holder: str, res: roles.StepResult,
                      hint: str, to_bank=None) -> None:
         """Records a step's events, outputs and abort under actor, and files
-        each output but auth as pending at holder: to the bank if it is
-        to_bank, else along hint."""
+        each output but auth as pending at holder, hinted "bank" if it is
+        to_bank, else hint."""
         for e in res.events:
             self.trace.events.append(e)
             self._log.append(("event", actor, e.tag, ""))
@@ -625,7 +620,7 @@ class Runner:
             alias = self._publish(out, actor)
             if out != T.AUTH:        # a verdict signal, not a protocol message
                 self.pending[alias] = (
-                    holder, "to_bank" if out == to_bank else hint)
+                    holder, "bank" if out == to_bank else hint)
         if res.abort:
             self.trace.aborts.append((actor, res.abort))
             self._log.append(("abort", actor, res.abort, ""))
@@ -658,8 +653,9 @@ def run_paired(sc: Scenario):
 
 
 def make_strategy(sc: Scenario):
-    """The scenario's attacker program; run_scenario looks it up here."""
-    return strategies.make_strategy(sc)
+    """The scenario's attacker program, by its strategy name, one of the
+    catalog's as Scenario.validate checks; run_scenario looks it up here."""
+    return strategies._CATALOG[sc.strategy](sc)
 
 
 # strategies imports this module, so it is imported once Scenario and the

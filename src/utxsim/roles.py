@@ -181,16 +181,11 @@ def _month_decision(s: CardState, k: int, fresh: T.FreshNames):
                 s.certs[nxt] = T.norm_root(T.sigv(chi, s.pk_c))
             s.window = s.window[1:] + (nxt,)
         return None
-    if k == s.pointer or k == s.pointer - 1:
-        pass
-    elif k > s.pointer:
-        if k not in s.certs:
-            return "BadCertificate"
-        s.pointer = k
-    else:
+    if k < s.pointer - 1:
         return "StaleMonth"
     if k not in s.certs:
         return "BadCertificate"
+    s.pointer = max(s.pointer, k)
     return None
 
 

@@ -115,13 +115,10 @@ class Pump:
     def _route_one(self, obs, view, alias, hint):
         if (view.sid, alias) in self.dropped:
             return None
-        if hint == "to_bank":
+        if hint == "bank":
             return H.DeliverBank(view.sid, T.var(alias), source_alias=alias)
-        if view.kind == "terminal" and hint == "to_terminal":
-            if not view.alive():
-                return None
-            return H.Deliver(view.sid, T.var(alias), source_alias=alias)
-        target = obs.sessions.get(self.peer.get(view.sid))
+        target = (view if hint == "self"
+                  else obs.sessions.get(self.peer.get(view.sid)))
         if target is None or not target.alive():
             return None
         return H.Deliver(target.sid, T.var(alias), source_alias=alias)
@@ -143,8 +140,9 @@ class Pump:
             act = self._route_one(obs, view, entry[2], hint)
             if act is not None:
                 return act
-            if (view.kind == "terminal" and hint == "to_card"
-                    and sid not in self.peer):
+            # only a terminal lacks a peer: each card session has one from
+            # its start
+            if hint == "peer" and sid not in self.peer:
                 self.waiting.setdefault(sid, []).append(entry)
         return None
 
@@ -494,8 +492,3 @@ def builtin_strategies():
     return {name: (cls.__doc__ or "").strip().splitlines()[0]
             for name, cls in _CATALOG.items()}
 
-
-def make_strategy(sc: H.Scenario):
-    """The scenario's attacker program; its strategy name is one of
-    _CATALOG's, as Scenario.validate checks."""
-    return _CATALOG[sc.strategy](sc)

@@ -575,38 +575,33 @@ def assert_usage_error(capsys, code):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line, flags, message", [
-    ("leak_chi 99", [], "leak_chi 99 is not a month of horizon 3"),
-    ("leak_chi -9", [], "leak_chi -9 is not a month of horizon 3"),
-    ("terminal xx .", [], "unknown terminal mode 'xx'"),
-    ("current_month 9", [], "current_month 9 is not a month of horizon 3"),
-    ("horizon 0", [], "current_month 1 is not a month of horizon 0"),
-    ("issue_months 9", [], "unknown scenario key 'issue_months'"),
-    ("terminal lo 7", [], "terminal month 7 is not a month of horizon 3"),
-    ("sessions -1", [], "sessions -1 is negative"),
-    # deleted keys, in the places of the rules they had, so that the cases
-    # after them keep their ids
-    ("schedule 0:0", [], "unknown scenario key 'schedule'"),
-    ("issue_months 1", [], "unknown scenario key 'issue_months'"),
-    ("card_window 0 1 2", [], "unknown scenario key 'card_window'"),
-    ("protocol utx_multimonth\ncard_window 0 1 2", [],
-     "unknown scenario key 'card_window'"),
-    ("cards 0\nsessions 2", [], "sessions 2 need a card; cards is 0"),
-    ("cards -2\nsessions 0", [], "cards -2 is negative"),
-    ("max_steps -7", [], "max_steps -7 is negative"),
-    ("wrong_pin -1", [], "wrong_pin -1 is negative"),
-    ("horizon 62", [], "horizon 62 is above 61"),
+@pytest.mark.parametrize("line, message", [
+    ("leak_chi 99", "leak_chi 99 is not a month of horizon 3"),
+    ("leak_chi -9", "leak_chi -9 is not a month of horizon 3"),
+    ("terminal xx .", "unknown terminal mode 'xx'"),
+    ("current_month 9", "current_month 9 is not a month of horizon 3"),
+    ("horizon 0", "current_month 1 is not a month of horizon 0"),
+    ("terminal lo 7", "terminal month 7 is not a month of horizon 3"),
+    ("sessions -1", "sessions -1 is negative"),
+    ("schedule 0:0", "unknown scenario key 'schedule'"),
+    ("issue_months 9", "unknown scenario key 'issue_months'"),
+    ("card_window 0 1 2", "unknown scenario key 'card_window'"),
+    ("cards 0\nsessions 2", "sessions 2 need a card; cards is 0"),
+    ("cards -2\nsessions 0", "cards -2 is negative"),
+    ("max_steps -7", "max_steps -7 is negative"),
+    ("wrong_pin -1", "wrong_pin -1 is negative"),
+    ("horizon 62", "horizon 62 is above 61"),
     # a message names a setting by the key that sets it
-    ("leak_chi 5", [], "leak_chi 5 is not a month of horizon 3"),
+    ("leak_chi 5", "leak_chi 5 is not a month of horizon 3"),
 ])
 def test_out_of_range_scenario_values_exit_cleanly(tmp_path, capsys, line,
-                                                   flags, message):
+                                                   message):
     """Each file exits 2 with one line, the whole message of the rule it
     breaks: the parser's bad scenario line quotes the line, so a part of
     the message would not tell the two apart."""
     f = tmp_path / "scen.txt"
     f.write_text(f"protocol utx\n{line}\n")
-    code = cli.main(["run", "--scenario", str(f), *flags])
+    code = cli.main(["run", "--scenario", str(f)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 

@@ -210,6 +210,20 @@ def test_stale_month_aborts():
     assert r.abort == "StaleMonth"
 
 
+def test_month_beyond_the_certificates_aborts_pointer_untouched():
+    """A month certificate the authority signed for a month past the
+    horizon, which the card holds no credential for, aborts BadCertificate
+    and leaves the pointer where it was."""
+    fresh, auth, cred, card, term, bank = world(mode="lo")
+    card.begin_session("s0")
+    r = R.terminal_step(term, None, fresh)
+    R.card_step(card, r.outputs[0], fresh)
+    mc = T.tup(T.mm(auth.horizon), _JUNK[0])
+    r = R.card_step(card, T.enc(T.tup(mc, T.sig(auth.s, mc)), card.k_c),
+                    fresh)
+    assert (r.abort, r.outputs, card.pointer) == ("BadCertificate", [], 1)
+
+
 def _driven(n, **card_flags):
     """A lo world whose honest session has taken its first n deliveries
     after the terminal's start: the card reaches C3 at 1, C5 at 3 and C7 at
@@ -299,6 +313,8 @@ def test_a_message_that_does_not_parse_aborts_its_step(case):
 
 
 _OTHER_TX = T.tup(_JUNK[0], T.LO)
+_OTHER_KEY = T.name("junkkey", "scalar")
+_MC = T.tup(T.mm(1), _JUNK[0])
 
 # (role, deliveries before the step, abort, a message that parses and
 # fails the check the abort names)
@@ -317,15 +333,23 @@ _FAILED = {
     "terminal-reply-for-another-tx": (
         "terminal", 6, "TxMismatch",
         lambda c, t: T.enc(T.tup(_OTHER_TX, T.ACCEPT), t.kbt)),
+    "card-month-certificate-under-another-key": (
+        "card", 1, "BadCertificate",
+        lambda c, t: T.enc(T.tup(_MC, T.sig(_OTHER_KEY, _MC)), c.k_c)),
+    # the pair is bound to the handshake key, so only checkv refuses it
+    "terminal-month-cert-under-another-key": (
+        "terminal", 2, "BadMonthCert", lambda c, t: T.enc(T.tup(
+            t.z2, T.norm_root(T.sigv(_OTHER_KEY, t.z2))), t.k_t)),
 }
 
 
 @pytest.mark.parametrize("case", _FAILED)
 def test_a_message_that_fails_a_check_aborts_its_step(case):
-    """Each check the bank makes of a request, and the terminal of the
-    transaction a cryptogram or a bank reply names: a message that parses
-    and fails it aborts with the check's name, no output and no event (a
-    commit event least of all), and leaves a terminal's state as it was."""
+    """Each check the bank makes of a request, the card and the terminal of
+    a month certificate's signature, and the terminal of the transaction a
+    cryptogram or a bank reply names: a message that parses and fails it
+    aborts with the check's name, no output and no event (a commit event
+    least of all), and leaves a card's or terminal's state as it was."""
     role, n, abort, bad = _FAILED[case]
     r = _step(role, n, {}, bad)
     assert (r.abort, r.outputs, r.events) == (abort, [], [])
