@@ -533,7 +533,7 @@ class Runner:
             protocol=self.sc.protocol,
             checks_month_cert=self.sc.terminal_cert_check)
         self.states[sid] = term
-        self.views[sid] = SessionView(sid, "terminal", term.stage_label())
+        self.views[sid] = SessionView(sid, "terminal", term.stage)
         self._log.append(("start", sid, f"terminal {mode} month={month}", ""))
         self._publish(self.fresh.data("cht"), sid)
         self._absorb(sid, roles.terminal_step(term, None, self.fresh))
@@ -556,7 +556,7 @@ class Runner:
         value = self._value_of(action.recipe)
         if action.source_alias:
             self.pending.pop(action.source_alias, None)
-            if view.kind == "terminal" and state.stage == 2:
+            if view.stage == "T2":
                 origin = self.views.get(self.outputs.get(action.source_alias))
                 if origin is not None and origin.kind == "card":
                     self.wired[sid] = origin.sid
@@ -596,16 +596,12 @@ class Runner:
         self._record_step(sid, tsid, res, "self")
 
     def _absorb(self, sid: str, res: roles.StepResult) -> None:
-        view, state = self.views[sid], self.states[sid]
-        if view.kind == "card":
-            stage, req = state.stage, None
-        else:
-            # the bank request goes to the bank, the rest to the card
-            stage = state.stage_label()
-            req = state.req if state.stage == 9 else None
+        state = self.states[sid]
+        # a terminal's bank request goes to the bank, the rest to its peer
+        req = state.req if state.stage == "T9" else None
         self._record_step(sid, sid, res, "peer", req)
         # only a live session steps, so this step's abort/done are its own
-        self.views[sid] = SessionView(sid, view.kind, stage,
+        self.views[sid] = SessionView(sid, self.views[sid].kind, state.stage,
                                       bool(res.abort), res.done)
 
     def _record_step(self, actor: str, holder: str, res: roles.StepResult,

@@ -2,8 +2,9 @@
 
 Each role is a deterministic step function over an explicit state: feed it
 the next incoming message, get back outputs, emitted events, and possibly an
-abort. Stages carry the conventional labels (C1..C7, TONH1..11, TOFH1..11,
-TLO1..10, B1..B4) so traces can cite exact protocol positions.
+abort. A card's stage is a label, C1, C3, C5 or C7, and a terminal's is T1,
+T2, T4, T7, T9 or T11 in every mode; the attacker observes both. The bank
+keeps no stage, as it answers each request in one step.
 
 The incoming message must be a normal form, as every value the harness
 delivers is, and a step does not normalize it again. Its parts and the
@@ -214,14 +215,6 @@ def _card_cryptogram(s: CardState, x: Term) -> StepResult:
 
 # -- terminal ------------------------------------------------------------------
 
-_STAGE_LABEL = {
-    "onhi": dict(zip((1, 2, 4, 7, 9, 11), (1, 2, 4, 7, 9, 11))),
-    "offhi": dict(zip((1, 2, 4, 7, 9, 11), (1, 2, 4, 7, 9, 11))),
-    "lo": dict(zip((1, 2, 4, 7, 9, 11), (1, 2, 4, 6, 8, 10))),
-}
-_STAGE_PREFIX = {"onhi": "TONH", "offhi": "TOFH", "lo": "TLO"}
-
-
 @dataclass(slots=True)
 class TerminalState:
     terminal_id: str
@@ -231,7 +224,7 @@ class TerminalState:
     kbt: Term
     checks_month_cert: bool = True
     protocol: str = "utx"            # the scenario's, which bdh and ubdh read
-    stage: int = 1
+    stage: str = "T1"
     # per-session values
     t: Optional[Term] = None
     tx: Optional[Term] = None
@@ -245,26 +238,23 @@ class TerminalState:
     y_msg: Optional[Term] = None
     req: Optional[Term] = None
 
-    def stage_label(self) -> str:
-        return f"{_STAGE_PREFIX[self.mode]}{_STAGE_LABEL[self.mode][self.stage]}"
-
     def wants_pin(self) -> bool:
-        return self.mode in ("onhi", "offhi") and self.stage == 4
+        return self.mode in ("onhi", "offhi") and self.stage == "T4"
 
 
 def terminal_step(s: TerminalState, incoming: Optional[Term],
                   fresh: T.FreshNames, user_pin: Optional[Term] = None) -> StepResult:
-    if s.stage == 1:
+    if s.stage == "T1":
         txdata = fresh.data("TXdata")
         s.tx = T.tup(txdata, T.HI if s.mode != "lo" else T.LO)
         s.t = fresh.scalar("t")
         s.z1 = T.norm_root(T.smult(s.t, T.gen()))
-        s.stage = 2
+        s.stage = "T2"
         return StepResult(outputs=[s.z1])
-    if s.stage == 2:
+    if s.stage == "T2":
         s.z2 = incoming
         s.k_t = T.h(T.norm_root(T.smult(s.t, s.z2)))
-        s.stage = 4
+        s.stage = "T4"
         if s.protocol == "bdh":
             # the linkable baseline sends no certificate; it awaits the
             # card's signed key directly
@@ -272,11 +262,11 @@ def terminal_step(s: TerminalState, incoming: Optional[Term],
         s.ec = T.enc(s.crt, s.k_t)
         return StepResult(outputs=[s.ec])
     try:
-        if s.stage == 4:
+        if s.stage == "T4":
             return _terminal_validity(s, incoming, user_pin)
-        if s.stage == 7:
+        if s.stage == "T7":
             return _terminal_forward_cryptogram(s, incoming)
-        if s.stage == 9:
+        if s.stage == "T9":
             return _terminal_bank_reply(s, incoming)
     except _Malformed:
         pass
@@ -294,7 +284,7 @@ def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
             return _fail("BadMonthCert")
     s.n_msg = n
     if s.protocol in ("bdh", "ubdh"):
-        s.stage = 11
+        s.stage = "T11"
         return StepResult(done=True)
     if s.mode in ("onhi", "offhi"):
         if user_pin is None:
@@ -302,7 +292,7 @@ def _terminal_validity(s: TerminalState, n: Term, user_pin) -> StepResult:
         s.upin = user_pin
     card_pin_slot = s.upin if s.mode == "offhi" else T.BOT
     s.etx = T.enc(T.tup(s.tx, card_pin_slot), s.k_t)
-    s.stage = 7
+    s.stage = "T7"
     return StepResult(outputs=[s.etx])
 
 
@@ -321,7 +311,7 @@ def _terminal_forward_cryptogram(s: TerminalState, y: Term) -> StepResult:
     events.append(Event("TRunBC", (s.req, s.z1, s.z2, s.ec, s.n_msg, s.etx, y),
                         s.terminal_id, s.terminal_id))
     outputs.append(s.req)
-    s.stage = 9
+    s.stage = "T9"
     return StepResult(outputs=outputs, events=events)
 
 
@@ -338,7 +328,7 @@ def _terminal_bank_reply(s: TerminalState, r: Term) -> StepResult:
         return res
     events.append(Event("TAccept", (s.kbt, s.tx), s.terminal_id,
                         s.terminal_id))
-    s.stage = 11
+    s.stage = "T11"
     return StepResult(outputs=[T.AUTH], events=events, done=True)
 
 
@@ -361,7 +351,7 @@ class BankAgent:
 
 def bank_step(bank: BankAgent, kbt: Term, x: Term, session_id: str) -> StepResult:
     """One full request: the internal database read is not a network step,
-    so a single call walks B1 through B4."""
+    so a single call answers it."""
     try:
         tx_req, z2, ehac, upin = _opened(kbt, x, 4)
         k_bc = T.h(T.norm_root(T.smult(bank.b_t, z2)))

@@ -50,7 +50,7 @@ class BankCredential:
     crt_by_month: dict = field(default_factory=dict)
 
 
-def make_authority(fresh: T.FreshNames, horizon: int = HORIZON) -> Authority:
+def make_authority(fresh: T.FreshNames, horizon: int) -> Authority:
     s = fresh.scalar("s")
     chi = {m: fresh.scalar("chi") for m in range(horizon)}
     return Authority(s=s, chi=chi, horizon=horizon)

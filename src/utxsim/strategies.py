@@ -215,7 +215,7 @@ class ReplayCardReply(Pump):
     def intercept(self, obs):
         if not self.replayed and self.stash and len(self.schedule) > 1:
             t1 = obs.sessions[next(islice(self.rank, 1, None))]  # 2nd terminal
-            if t1.alive() and t1.stage.endswith("4"):
+            if t1.alive() and t1.stage == "T4":
                 self.replayed = True
                 return H.Deliver(t1.sid, T.var(self.stash))
         return None

@@ -228,13 +228,6 @@ def m_factors(t: Term) -> tuple:
     return t[1] if t[0] == MULT else (t,)
 
 
-def mult_of(factors: list) -> Term:
-    """Canonical product of already-normalized, m-atomic factors."""
-    if len(factors) == 1:
-        return factors[0]
-    return (MULT, tuple(sorted(factors)))
-
-
 _NO_ENV: dict = {}
 
 
@@ -311,8 +304,10 @@ def norm_root(t: Term) -> Term:
         p = t[2]
         if p[0] != SMULT:
             return t
-        # p is normal, so its own point is no point multiplication
-        return (SMULT, mult_of([*m_factors(t[1]), *m_factors(p[1])]), p[2])
+        # p is normal, so its own point is no point multiplication, and the
+        # two scalars give the product at least two factors
+        fs = m_factors(t[1]) + m_factors(p[1])
+        return (SMULT, (MULT, tuple(sorted(fs))), p[2])
     if op == MULT:
         fs = []
         for f in t[1]:

@@ -5,7 +5,7 @@ import hashlib
 from collections import Counter
 from dataclasses import replace
 from itertools import product
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -190,6 +190,38 @@ def test_same_card_sessions_are_sequential():
         runner.apply(H.StartCard(0))
 
 
+def _ended_card(runner):
+    """C0, aborted: a handshake, then a month message that is no
+    ciphertext."""
+    runner.apply(H.StartCard(0))
+    runner.apply(H.Deliver("C0", T.smult(T.name("n0", "scalar"), T.gen())))
+    runner.apply(H.Deliver("C0", T.gen()))
+    assert runner.views["C0"].aborted
+
+
+@pytest.mark.parametrize("setup, action, message", [
+    (None, H.StartCard(2), "no such card"),
+    (None, H.StartCard(-1), "no such card"),
+    (None, H.StartTerminal(1), "no such terminal config"),
+    (_ended_card, H.Deliver("C0", T.gen()), "no live session C0"),
+    (lambda r: r.apply(H.StartCard(0)), H.DeliverBank("C0", T.gen()),
+     "bank endpoint needs a terminal session"),
+], ids=["card-past-count", "card-minus-one", "terminal-config",
+        "ended-session", "bank-to-card"])
+def test_runner_refuses_an_action_it_cannot_apply(setup, action, message):
+    """A move naming no card, no terminal config, an ended session, or a
+    card session as a bank endpoint raises StrategyError and leaves no
+    record: StartCard(-1) does not wrap to the last card."""
+    runner = H.Runner(H.Scenario(cards=2, terminals=(("lo", None),),
+                                 sessions=0))
+    if setup is not None:
+        setup(runner)
+    records, views = list(runner.trace.records), dict(runner.views)
+    with pytest.raises(H.StrategyError, match=f"^{message}$"):
+        runner.apply(action)
+    assert runner.trace.records == records and runner.views == views
+
+
 def test_ideal_world_uses_fresh_card_per_session():
     """Both worlds refuse a card's next session while its latest lives.
     Once that session has ended, the ideal world starts the next one on a
@@ -278,6 +310,37 @@ def test_paired_zero_sessions_trivially_aligned():
     assert bool(F.static_equiv(real.frame, ideal.frame))
 
 
+_SHAPE = [("output", "bulletin", "w0"), ("start", "T0", ""),
+          ("output", "T0", "w1"), ("start", "C0", ""), ("output", "C0", "w2")]
+
+
+@pytest.mark.parametrize("real, ideal, step", [
+    (_SHAPE, _SHAPE[:3] + [("start", "C1", "")] + _SHAPE[4:], 3),
+    (_SHAPE, [("output", "bulletin", "w9")] + _SHAPE[1:], 0),
+    (_SHAPE, _SHAPE[:4], 4),
+    (_SHAPE[:2], _SHAPE, 2),
+], ids=["differ-at-3", "differ-at-0", "ideal-is-a-prefix",
+        "real-is-a-prefix"])
+def test_paired_runs_fail_at_the_first_misaligned_record(monkeypatch, real,
+                                                         ideal, step):
+    """run_paired compares the two worlds' observable shapes: it fails at
+    the first record where they differ, or, when one is a proper prefix of
+    the other, at the shorter one's length; the paired verdict names that
+    step."""
+    traces = {"real": real, "ideal": ideal}
+
+    def shaped(sc):
+        return SimpleNamespace(observable_shape=lambda: traces[sc.world])
+
+    monkeypatch.setattr(H, "run_scenario", shaped)
+    sc = H.Scenario(sessions=0, strategy="passive")
+    with pytest.raises(H.AlignmentFailure) as e:
+        H.run_paired(sc)
+    assert e.value.step == step
+    assert C.paired_verdict(sc) == C.Verdict(
+        "distinguish", "violated", f"alignment step {step}")
+
+
 def test_paired_frames_share_alias_domains():
     sc = H.Scenario(cards=1, sessions=2, terminals=(("lo", None),),
                     strategy="probe_cards",
@@ -357,16 +420,15 @@ def test_fuzzer_keeps_agreement_events_well_formed():
         assert len(e.args) == EVENT_ARITY[e.tag]
 
 
-@pytest.mark.parametrize("mode, stage", [("onhi", "TONH2"), ("offhi", "TOFH2"),
-                                         ("lo", "TLO2")])
-def test_a_started_terminal_is_past_its_first_stage(mode, stage):
+@pytest.mark.parametrize("mode", ["onhi", "offhi", "lo"])
+def test_a_started_terminal_is_past_its_first_stage(mode):
     """A terminal takes its first step as it starts, so no live session
     sits at a terminal's first stage, and the fuzzer draws its targets from
     every live session."""
     runner = H.Runner(H.Scenario(terminals=((mode, None),), sessions=0))
     runner.apply(H.StartTerminal(0))
     view = runner.observe().sessions["T0"]
-    assert view.alive() and view.stage == stage
+    assert view.alive() and view.stage == "T2"
 
 
 # -- incremental records -----------------------------------------------------------

@@ -111,7 +111,7 @@ def test_honest_session_skips_the_term_memo(monkeypatch, mode):
     monkeypatch.setattr(T, "normalize", refused)
     _, aborts, _, card, term, _ = run_honest(mode)
     assert not aborts
-    assert card.stage == "C7" and term.stage == 11
+    assert card.stage == "C7" and term.stage == "T11"
 
 
 # -- honest session, hand-wired -------------------------------------------------
@@ -164,7 +164,7 @@ def test_honest_run_completes(mode):
     for tag in ("CRunB", "CRun", "TComC", "TRunBC", "BComC", "BRunT",
                 "BComTC", "TComBC", "TAccept"):
         assert tag in tags, tag
-    assert card.stage == "C7" and term.stage == 11
+    assert card.stage == "C7" and term.stage == "T11"
 
 
 def test_honest_keys_agree():

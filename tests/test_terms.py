@@ -2,6 +2,7 @@
 structural properties of normal forms."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -98,6 +99,20 @@ def test_malformed():
                  "(proj 0 m)", "(hash (proj -1 m))"):
         with pytest.raises(T.MalformedTerm):
             T.parse(text)
+    for text, message in ((")", "unexpected ')'"),
+                          ("(gen m)", "gen takes no arguments"),
+                          ("(mm 1 2)", "mm takes one index"),
+                          ("(proj 1 m n)", "proj takes an index and a term"),
+                          ("m n", "trailing tokens")):
+        with pytest.raises(T.MalformedTerm, match=re.escape(message)):
+            T.parse(text)
+    for build, message in ((lambda: T.const("nope"), "unknown constant"),
+                           (lambda: T.name("x", "bogus"), "bad name sort"),
+                           (lambda: T.mult(A), "at least two factors")):
+        with pytest.raises(T.MalformedTerm, match=message):
+            build()
+    with pytest.raises(ValueError, match="bad name hint 'w'"):
+        T.FreshNames().data("w")
 
 
 def test_out_of_range_projection_is_stuck():
