@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import utxsim.cli as cli
 import utxsim.frames as F
 import utxsim.harness as H
 import utxsim.terms as T
-from record_pins import assert_pinned
+from record_pins import assert_pinned, read
 
 
 def run_cli(capsys, *argv):
@@ -711,14 +712,37 @@ def test_internal_search_error_exits_3(capsys, monkeypatch, error):
         f"{error.__name__}: the search broke its own rule")
 
 
+# mixed_fuzz at seed 1, at its own four sessions and at 48, which fill the
+# agreement join tables, each keyed on one argument: the label of each
+# run's dump file and the flags that name the run
+_DUMPS = (("mixed_fuzz-1.txt", ["--scenario", "mixed_fuzz", "--seed", "1"]),
+          ("mixed_fuzz-1-48.txt", ["--scenario", "mixed_fuzz", "--seed", "1",
+                                   "--sessions", "48"]))
+
+
 def _cli_lines():
-    """Each command's ``$ argv -> exit code`` line, then its stdout: check
-    and distinguish of every built-in scenario at seeds 0 to 3, the
-    unlinkability battery at 16 sessions, seeds 0 to 2, and at 8, seeds 1
-    and 2, then two dumps whose SCEN lines show a leak_chi unset and set,
-    switches on and off, and an empty wrong_pin. The other run dumps are
-    pinned by hash in traces, and each battery at seed 0 in its suite
-    pin."""
+    """Each command's ``$ argv -> exit code`` line, then its stdout:
+
+    - check and distinguish of every built-in scenario at seeds 0 to 3;
+    - the unlinkability battery at 16 sessions, seeds 0 to 2, and at 8,
+      seeds 1 and 2. Eight and sixteen sessions give the distinguisher the
+      most candidates to order: its search gathers the pair slots it
+      visits in one set, read off its key and class indexes, and tests
+      what it collects sorted by count; the distinguish runs read their
+      seeds' months and names off sets of atoms, sorted;
+    - two dumps whose SCEN lines show a leak_chi unset and set, switches on
+      and off, and an empty wrong_pin;
+    - every battery at seeds 1 and 2;
+    - each of _DUMPS checked from its scenario, run to its file and checked
+      from that file;
+    - README's scenario example, as written and in the ideal world, which
+      runs each session on a fresh card: run, check (which exits 1, since
+      leak_pin on leaks the PINs) and distinguish;
+    - catalog.
+
+    A file is named by its label: the commands run in a scratch directory
+    that the ``$`` lines leave out. The other run dumps are pinned by hash
+    in traces, and each battery at seed 0 in its suite pin."""
     argvs = [[cmd, "--scenario", name, "--seed", str(seed)]
              for name in sorted(C.SCENARIOS) for seed in range(4)
              for cmd in ("check", "distinguish")]
@@ -728,16 +752,69 @@ def _cli_lines():
               for seed in seeds]
     argvs += [["run", "--scenario", name, "--seed", "0"]
               for name in ("utxl_lo", "chi_leak_fake_card")]
-    for argv in argvs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        yield f"$ {' '.join(argv)} -> {code}"
-        yield from out.getvalue().splitlines()
+    argvs += [["suite", name, "--seed", str(seed)]
+              for name in ("security", "controls", "multimonth", "utxl",
+                           "unlinkability") for seed in (1, 2)]
+    for label, flags in _DUMPS:
+        argvs += [["check", *flags], ["run", *flags, "--out", label],
+                  ["check", "--trace", label]]
+    argvs += [[cmd, "--scenario", label]
+              for label in ("readme.txt", "readme-ideal.txt")
+              for cmd in ("run", "check", "distinguish")]
+    argvs.append(["catalog"])
+    ideal = _EVERY_KEY_TEXT.replace("\nworld real\n", "\nworld ideal\n")
+    assert ideal != _EVERY_KEY_TEXT
+    with tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp)
+        (files / "readme.txt").write_text(_EVERY_KEY_TEXT)
+        (files / "readme-ideal.txt").write_text(ideal)
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([str(files / a) if a.endswith(".txt") else a
+                                 for a in argv])
+            yield f"$ {' '.join(argv)} -> {code}"
+            yield from out.getvalue().splitlines()
 
 
 def test_cli_output_pinned():
     assert_pinned("cli", _cli_lines())
+
+
+def _pinned_commands():
+    """The commands of the cli pin: each ``$`` line's argv, mapped to its
+    exit code and stdout lines."""
+    commands = {}
+    for line in read("cli"):
+        if line.startswith("$ "):
+            argv, code = line[2:].rsplit(" -> ", 1)
+            commands[argv] = out = [code]
+        else:
+            out.append(line)
+    return commands
+
+
+def test_dump_checks_as_its_scenario():
+    """Each of _DUMPS, checked from its file, gives the lines and exit code
+    that its scenario gives: the dump -> parse path loses nothing that the
+    checks read."""
+    commands = _pinned_commands()
+    for label, flags in _DUMPS:
+        assert commands[f"check --trace {label}"] == \
+            commands[f"check {' '.join(flags)}"], label
+
+
+@pytest.mark.parametrize("label, flags", _DUMPS,
+                         ids=[label for label, _ in _DUMPS])
+def test_dump_scen_line_runs_the_dump_again(tmp_path, capsys, label, flags):
+    """A dump's SCEN line is its scenario file, its lines joined by "; ":
+    run from that file, the dump comes back byte for byte."""
+    code, dump = run_cli(capsys, "run", *flags)
+    scen = tmp_path / label
+    scen.write_text(dump.splitlines()[0].removeprefix("SCEN ")
+                    .replace("; ", "\n"))
+    assert code == 0
+    assert run_cli(capsys, "run", "--scenario", str(scen)) == (0, dump)
 
 
 # the pin of this module: tests/golden/cli.txt holds its lines

@@ -139,6 +139,12 @@ def oracle_distinguishable(fa, fb, bound):
 
 # -- worked examples ---------------------------------------------------------
 
+def test_recipe_value_refuses_an_unbound_alias():
+    f, _ = build([], [G, G])
+    with pytest.raises(KeyError, match=r"\?w9"):
+        F.recipe_value(f, T.var("w9"))
+
+
 def test_extend_gives_distinct_aliases():
     f, (a1, a2) = build([], [G, G])
     assert a1 != a2
@@ -1447,6 +1453,23 @@ def test_counted_rebases_meet_only_images_that_name_them(monkeypatch):
 # entry, whose seed already has that image: nothing joins the pool after
 # the seeds, and static_equiv runs one pass over them. A join after the
 # seeds raises LateJoin.
+
+def test_a_join_after_the_seeds_raises(monkeypatch):
+    """With a saturation that opens nothing, the seeds are the bindings
+    alone: dec(w0, w1) reduces to m in either frame of [enc(m, k), k], and
+    the search raises LateJoin as it tests it."""
+    def bindings_only(f):
+        sat = F.Saturated(f)
+        for alias, img in f.bindings.items():
+            sat.add(T.var(alias), img)
+        return sat
+
+    monkeypatch.setattr(F, "saturate", bindings_only)
+    m, k = T.name("m"), T.name("k")
+    f, _ = build([m, k], [T.enc(m, k), k])
+    with pytest.raises(F.LateJoin, match=r"^\(dec \?w1 \?w0\) would join"):
+        F.static_equiv(f, f)
+
 
 def _hashed(x, times):
     for _ in range(times):

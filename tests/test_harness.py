@@ -106,8 +106,9 @@ def _dump_lines(runs):
 
 def _pinned_runs():
     """The built-in scenarios in both worlds, each also under every
-    honest-pump program, and many-card attacker runs that stress
-    scheduling."""
+    honest-pump program, many-card attacker runs that stress scheduling,
+    and mixed_fuzz's seed-1 run at 48 sessions, whose dump test_cli checks
+    from its file."""
     builtins = [(name, replace(sc, seed=s, world=w))
                 for name, sc in sorted(C.SCENARIOS.items())
                 for s in range(4) for w in ("real", "ideal")]
@@ -124,7 +125,9 @@ def _pinned_runs():
                             strategy=s, strategy_arg=3, seed=i, world=w,
                             max_steps=1200))
                 for i, s in enumerate(strategies) for w in ("real", "ideal")]
-    return builtins + pumped + campaign
+    many = [("mixed_fuzz/48-sessions",
+             replace(C.SCENARIOS["mixed_fuzz"], seed=1, sessions=48))]
+    return builtins + pumped + campaign + many
 
 
 def test_pinned_traces():

@@ -224,11 +224,12 @@ def test_month_beyond_the_certificates_aborts_pointer_untouched():
     assert (r.abort, r.outputs, card.pointer) == ("BadCertificate", [], 1)
 
 
-def _driven(n, **card_flags):
-    """A lo world whose honest session has taken its first n deliveries
-    after the terminal's start: the card reaches C3 at 1, C5 at 3 and C7 at
-    5, the terminal 4 at 2, 7 at 4, 9 at 6 and 11 at 8."""
-    fresh, auth, cred, card, term, bank = world(mode="lo", **card_flags)
+def _driven(n, mode="lo", **card_flags):
+    """A world whose honest session has taken its first n deliveries after
+    the terminal's start, and the last message sent: the card reaches C3 at
+    1, C5 at 3 and C7 at 5, a lo terminal 4 at 2, 7 at 4, 9 at 6 and 11 at
+    8."""
+    fresh, auth, cred, card, term, bank = world(mode=mode, **card_flags)
     card.begin_session("s0")
     steps = [lambda m: R.card_step(card, m, fresh),
              lambda m: R.terminal_step(term, m, fresh)] * 3 + [
@@ -237,7 +238,7 @@ def _driven(n, **card_flags):
     msg = R.terminal_step(term, None, fresh).outputs[-1]
     for step in steps[:n]:
         msg = step(msg).outputs[-1]
-    return fresh, card, term, bank
+    return fresh, card, term, bank, msg
 
 
 _JUNK = [T.name(f"junk{i}") for i in range(3)]
@@ -291,7 +292,7 @@ _UNPARSED = {
 def _step(role, n, card_flags, bad):
     """The step of role at _driven(n) on bad's message, which must leave a
     card's or terminal's state as it was."""
-    fresh, card, term, bank = _driven(n, **card_flags)
+    fresh, card, term, bank, _ = _driven(n, **card_flags)
     msg = bad(card, term)
     if role == "bank":
         return R.bank_step(bank, term.kbt, msg, "s1")
@@ -353,6 +354,16 @@ def test_a_message_that_fails_a_check_aborts_its_step(case):
     role, n, abort, bad = _FAILED[case]
     r = _step(role, n, {}, bad)
     assert (r.abort, r.outputs, r.events) == (abort, [], [])
+
+
+@pytest.mark.parametrize("mode", ["onhi", "offhi"])
+def test_hi_value_terminal_needs_a_pin(mode):
+    """A high-value terminal takes the user's PIN with the card's blinded
+    certificate, at T4: stepped there with none, it raises."""
+    fresh, card, term, bank, msg = _driven(3, mode=mode)
+    assert term.stage == "T4"
+    with pytest.raises(ValueError, match="needs a PIN"):
+        R.terminal_step(term, msg, fresh, user_pin=None)
 
 
 def test_replay_rejected_by_uniqueness_log():
